@@ -8,14 +8,20 @@ build:
 test:
 	$(GO) test ./...
 
+# The checkpoint has one fan-out primitive, internal/workpool: the layers
+# it runs through start no worker goroutines of their own, and the three
+# hand-rolled fan-outs it replaced stay gone.
 vet:
 	$(GO) vet ./...
+	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
+		| grep -v '_test.go:' || { echo "checkpoint fan-out outside internal/workpool (see above)"; exit 1; }
 
-# Race-check the concurrent paths: parallel inference, the multi-site
-# cluster runtime, the per-site query engines it drives, and the online
-# serving runtime (ingest queue, scheduler, alert fan-out).
+# Race-check the concurrent paths: the shared worker pool, parallel
+# inference, the multi-site cluster runtime, the per-site query engines it
+# drives, and the online serving runtime (ingest queue, scheduler, alert
+# fan-out).
 race:
-	$(GO) test -race ./internal/rfinfer/... ./internal/dist/... ./internal/query/... ./internal/serve/...
+	$(GO) test -race ./internal/workpool/... ./internal/rfinfer/... ./internal/dist/... ./internal/query/... ./internal/serve/...
 
 # Short fuzz sessions over the wire decoders (50 s total budget): migrated
 # state bytes, write-ahead-log frames, binary ingest frames and peer
@@ -38,10 +44,14 @@ bench:
 bench-hot:
 	$(GO) test -bench 'BenchmarkEngineRun|BenchmarkEStep' -benchmem -run XXX ./internal/rfinfer/
 
-# Migration throughput: full export -> encode -> decode -> import round
-# trip for the collapsed-weights vs CR vs full strategies.
+# Cluster-runtime benchmarks, pinned in BENCH_dist.json: migration
+# throughput (full export -> encode -> decode -> import round trip for the
+# collapsed-weights vs CR vs full strategies, plus the wire codec) and one
+# feed checkpoint — balanced, and on the skewed paper_dense shape at 1, 2
+# and 4 workers (FeedAdvanceSkewed: the shared pool must beat the
+# site-level ceiling of 0.6 x the workers=1 row).
 bench-dist:
-	$(GO) test -bench 'BenchmarkMigration' -benchmem -run XXX ./internal/dist/
+	$(BENCH_ENV) $(GO) test -bench 'BenchmarkMigration|BenchmarkFeedAdvance' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -o BENCH_dist.json
 
 # Every baseline-tracked benchmark runs under a pinned GOGC so GC cadence
 # cannot drift between the committed BENCH_*.json and a checking run (an
@@ -65,7 +75,7 @@ bench-serve:
 bench-json:
 	$(BENCH_ENV) $(GO) test -bench '$(SERVE_BENCH)' -benchmem -run XXX ./internal/serve/ | $(GO) run ./cmd/benchjson -o BENCH_serve.json
 	$(BENCH_ENV) $(GO) test -bench 'BenchmarkEngineRun|BenchmarkEStep' -benchmem -run XXX ./internal/rfinfer/ | $(GO) run ./cmd/benchjson -o BENCH_rfinfer.json
-	$(BENCH_ENV) $(GO) test -bench 'BenchmarkMigration|BenchmarkFeedAdvance' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -o BENCH_dist.json
+	$(MAKE) bench-dist
 	$(BENCH_ENV) $(GO) test -bench '$(WAL_BENCH)' -benchmem -run XXX ./internal/serve/ ./internal/wal/ | $(GO) run ./cmd/benchjson -o BENCH_wal.json
 
 # Perf regression gate: re-run the online-runtime and durability

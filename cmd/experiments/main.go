@@ -24,7 +24,7 @@ func main() {
 	full := flag.Bool("full", false, "run at paper scale (slow)")
 	only := flag.String("only", "", "run only artifacts whose ID contains this substring")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 0, "concurrent sites in the cluster runtime (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker-pool size of the cluster runtime: total CPU budget shared by the site loop and every site's inference (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	sc := expt.QuickScale()

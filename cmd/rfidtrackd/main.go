@@ -53,7 +53,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		interval = flag.Int("interval", 300, "Δ between inference checkpoints (stream seconds)")
 		strategy = flag.String("strategy", "weights", "migration strategy: none|weights|readings|full")
-		workers  = flag.Int("workers", 0, "site-parallelism per checkpoint (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "total CPU budget of a checkpoint: one worker pool shared by the site loop and every site's inference (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 8192, "per-site ingest shard backlog in readings (backpressure bound while a checkpoint is pending)")
 		wmark    = flag.Int("watermark", 0, "stream-time slack (epochs) before closing a checkpoint; set ~interval when several readers post concurrently")
 		noQuery  = flag.Bool("no-query", false, "do not attach the per-site exposure query")

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"rfidtrack/internal/model"
@@ -70,6 +71,30 @@ func BenchmarkFeedAdvance(b *testing.B) {
 	cfg.PathLength = 2
 	cfg.Epochs = 900
 	cfg.ItemsPerCase = 5
+	benchFeedAdvance(b, cfg, 0)
+}
+
+// BenchmarkFeedAdvanceSkewed is BenchmarkFeedAdvance on the paper_dense
+// world shape (bench/): four sites, the entry warehouse carrying about 60 %
+// of the readings. Site-level parallelism alone cannot finish a checkpoint
+// faster than that one site's share of the work, 0.6 × the workers=1 time;
+// rows below that line are the shared pool's workers helping inside the
+// hot site's inference.
+func BenchmarkFeedAdvanceSkewed(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Warehouses = 4
+	cfg.PathLength = 2
+	cfg.ItemsPerCase = 20
+	cfg.Epochs = 3600
+	cfg.AnomalyEvery = 120
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchFeedAdvance(b, cfg, workers)
+		})
+	}
+}
+
+func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 	w, err := sim.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -98,6 +123,7 @@ func BenchmarkFeedAdvance(b *testing.B) {
 	}
 
 	c := NewCluster(w, MigrateNone, rfinfer.DefaultConfig())
+	c.Workers = workers
 	f, err := c.OpenFeed(interval)
 	if err != nil {
 		b.Fatal(err)
@@ -126,6 +152,9 @@ func BenchmarkFeedAdvance(b *testing.B) {
 	b.StopTimer()
 	st := f.Stats()
 	b.ReportMetric(float64(st.Observed)/b.Elapsed().Seconds(), "readings/s")
+	if _, err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // TestSortReadingsAllocs pins the Feed.Advance sort fix: ordering one

@@ -3,7 +3,6 @@ package dist
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/sim"
 	"rfidtrack/internal/trace"
+	"rfidtrack/internal/workpool"
 )
 
 // Strategy selects what inference state travels with a departing object
@@ -217,12 +217,13 @@ type Cluster struct {
 	// Hooks observes departures and checkpoints (forces the barrier
 	// schedule; see Hooks).
 	Hooks Hooks
-	// Workers bounds how many sites make CPU progress concurrently.
-	// 0 uses GOMAXPROCS. The Result is bit-identical at every setting.
-	//
-	// Site engines run single-threaded unless the rfinfer.Config passed to
-	// NewCluster sets Workers explicitly: concurrency is governed here, at
-	// the site level, rather than multiplying two worker pools.
+	// Workers is the checkpoint's total CPU budget: the size of the one
+	// worker pool (internal/workpool) that a Replay or an open Feed runs
+	// its site loops on and hands to every site engine for its phases, so
+	// workers left idle by quiet sites help inside the busy site's
+	// inference — and a one-site deployment still uses every core. 0 uses
+	// GOMAXPROCS; 1 runs everything on the calling goroutine. The Result
+	// is bit-identical at every setting.
 	Workers int
 	// Query optionally attaches per-site continuous queries.
 	Query *ClusterQuery
@@ -239,12 +240,6 @@ type Cluster struct {
 // site, every case registered as a container and every item as an object
 // (pallet-level containment is the hierarchical extension of Appendix A.4).
 func NewCluster(w *sim.World, strategy Strategy, cfg rfinfer.Config) *Cluster {
-	if cfg.Workers == 0 {
-		// Inference output is bit-identical at any engine worker count, so
-		// defaulting the per-site engines to single-threaded only moves the
-		// parallelism to the site level, where Cluster.Workers bounds it.
-		cfg.Workers = 1
-	}
 	c := &Cluster{
 		World:    w,
 		Strategy: strategy,
@@ -334,12 +329,23 @@ func (c *Cluster) Stats() ClusterStats {
 	return out
 }
 
-// workers resolves the configured concurrency budget.
-func (c *Cluster) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
+// startPool starts a pool of the given budget (0 means GOMAXPROCS) and
+// hands it to every site engine; stopPool takes it back and closes it.
+// Between the two, the pool's owner — a Feed or a Replay — and the engines
+// it drives share one set of workers.
+func (c *Cluster) startPool(workers int) *workpool.Pool {
+	p := workpool.New(workers)
+	for _, eng := range c.Engines {
+		eng.UsePool(p)
 	}
-	return runtime.GOMAXPROCS(0)
+	return p
+}
+
+func (c *Cluster) stopPool(p *workpool.Pool) {
+	for _, eng := range c.Engines {
+		eng.UsePool(nil)
+	}
+	p.Close()
 }
 
 // Replay drives the whole world through checkpointed inference every
@@ -347,8 +353,8 @@ func (c *Cluster) workers() int {
 // against its ground truth.
 //
 // Without hooks the replay is epoch-pipelined: every site advances through
-// its own checkpoints independently and synchronizes only on in-flight
-// migrations targeting it. With hooks installed the barrier schedule is
+// its own checkpoints independently and parks only on in-flight migrations
+// targeting it. With hooks installed the barrier schedule is
 // used so hooks fire in the documented deterministic order. Both schedules
 // produce bit-identical Results.
 func (c *Cluster) Replay(interval model.Epoch) (Result, error) {
@@ -356,9 +362,9 @@ func (c *Cluster) Replay(interval model.Epoch) (Result, error) {
 		return Result{}, fmt.Errorf("dist: interval must be positive, got %d", interval)
 	}
 	if c.Hooks.OnDepart != nil || c.Hooks.OnCheckpoint != nil {
-		return c.replayBarrier(interval, c.workers())
+		return c.replayBarrier(interval, c.Workers)
 	}
-	return c.replayPipelined(interval, c.workers())
+	return c.replayPipelined(interval, c.Workers)
 }
 
 // ReplaySequential is the single-goroutine reference replay: one global

@@ -3,16 +3,22 @@
 // naming service (ONS) tracking which site owns each object, and state
 // migration between sites as objects move through the supply chain.
 //
-// Each site is an actor — its own goroutine owning its rfinfer.Engine and
-// (optionally) a continuous query engine over the site's inferred event
-// stream. A departing object's inference state (collapsed weights or CR
-// state, per the configured Strategy) plus its query pattern state travel
-// to the destination over an asynchronous migration channel as encoded
-// bytes; the wire cost of every transfer is accounted per link (Table 5).
-// Replay is epoch-pipelined: a site only waits for in-flight migrations
-// targeting it, never on a global barrier, yet the Result is bit-identical
-// to the sequential reference replay (see ReplaySequential and the e2e
-// harness in e2e_test.go).
+// Each site is an actor owning its rfinfer.Engine and (optionally) a
+// continuous query engine over the site's inferred event stream. A
+// departing object's inference state (collapsed weights or CR state, per
+// the configured Strategy) plus its query pattern state travel to the
+// destination over an asynchronous migration channel as encoded bytes; the
+// wire cost of every transfer is accounted per link (Table 5). Replay is
+// epoch-pipelined: a site only waits for in-flight migrations targeting
+// it, never on a global barrier, yet the Result is bit-identical to the
+// sequential reference replay (see ReplaySequential and the e2e harness in
+// e2e_test.go).
+//
+// All checkpoint CPU work — the loop over sites and, nested inside it,
+// every engine's per-object and per-container phases — runs on one
+// internal/workpool.Pool of Cluster.Workers workers, so the workers a
+// skewed deployment's quiet sites leave idle help inside the busy site's
+// inference.
 //
 // The package offers two ways to drive a Cluster:
 //

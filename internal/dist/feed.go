@@ -11,6 +11,11 @@
 // same trace, at any worker count. internal/serve builds the network
 // daemon on this API.
 //
+// A Feed owns the checkpoint's one worker pool (internal/workpool, sized by
+// Cluster.Workers) from OpenFeed to Close: its site loops and every site
+// engine's phases run on it, so a worker that finishes the quiet sites'
+// checkpoints goes on to help inside the busy site's inference.
+//
 // A sharded front end (internal/serve) can skip Observe entirely: it
 // buffers each site's readings itself and hands one interval's worth per
 // site to AdvanceWith, which ingests the caller's slices in place without
@@ -22,12 +27,12 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"rfidtrack/internal/metrics"
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
+	"rfidtrack/internal/workpool"
 )
 
 // Reading is one site-local tag observation in flight through the feed: the
@@ -52,11 +57,11 @@ type Reading struct {
 // A Feed is not safe for concurrent use: the caller (e.g. the serve
 // scheduler) must serialize all method calls. Exactly one Feed may be open
 // per Cluster at a time, and a Cluster being fed must not concurrently
-// Replay.
+// Replay. Close releases the feed's worker pool.
 type Feed struct {
 	c        *Cluster
 	interval model.Epoch
-	workers  int
+	pool     *workpool.Pool // shared with every site engine; closed by Close
 
 	next model.Epoch // next checkpoint epoch to run
 	// pending[site][k] buffers the readings of checkpoint next + k*interval,
@@ -74,6 +79,8 @@ type Feed struct {
 	popped    []int       // per-site pending-bucket sizes, reused likewise
 	order     []int       // fused-path site schedule, reused across Advances
 	cost      []int       // fused-path cost estimates, reused likewise
+	siteErrs  []error     // runSites' per-site errors
+	spans     []PhaseNS   // fused path: per-site task segments
 
 	// partOwned is the peer's ownership mask in a partitioned feed (nil for
 	// a whole-cluster feed): only owned sites ingest, run and score here;
@@ -111,6 +118,9 @@ const maxSkipIntervals = 1 << 20
 // phases run inside one pooled task per site, so Ingest, Infer and Tail are
 // the summed task segments across sites — busy time, which can exceed the
 // checkpoint's wall clock when sites overlap; Migrate is always wall time.
+// Neither says how many cores a checkpoint used: workers that help inside a
+// site's inference do so within that site's Infer segment. Feed.PoolStats
+// answers that.
 type PhaseNS struct {
 	// Ingest is the (epoch, tag)-ordered interval ingest phase.
 	Ingest time.Duration `json:"ingest_ns"`
@@ -151,7 +161,7 @@ type FeedStats struct {
 	Checkpoints int
 	// FusedCheckpoints counts checkpoints that ran on the fused scheduler
 	// path: no due migrations and no hooks, so every site's whole
-	// checkpoint ran as one pooled task, longest-first.
+	// checkpoint ran as one pool task, longest-first.
 	FusedCheckpoints int
 	// Phases accumulates per-phase Advance latency across all checkpoints;
 	// LastPhases is the most recent checkpoint's breakdown.
@@ -162,7 +172,7 @@ type FeedStats struct {
 // checkpoints. It resets the cluster's runtime counters and (when a
 // ClusterQuery is attached) builds fresh per-site query engines.
 func (c *Cluster) OpenFeed(interval model.Epoch) (*Feed, error) {
-	return c.openFeed(interval, c.workers())
+	return c.openFeed(interval, c.Workers)
 }
 
 // OpenPartitionedFeed prepares one peer's slice of the cluster for
@@ -184,7 +194,7 @@ func (c *Cluster) OpenPartitionedFeed(interval model.Epoch, owned []bool, tr Tra
 	if tr == nil {
 		return nil, fmt.Errorf("dist: partitioned feed needs a transport")
 	}
-	f, err := c.openFeed(interval, c.workers())
+	f, err := c.openFeed(interval, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +207,7 @@ func (c *Cluster) OpenPartitionedFeed(interval model.Epoch, owned []bool, tr Tra
 func (f *Feed) owns(s int) bool { return f.partOwned == nil || f.partOwned[s] }
 
 // openFeed is OpenFeed with an explicit worker budget (the sequential
-// reference uses 1).
+// reference uses 1; 0 means GOMAXPROCS).
 func (c *Cluster) openFeed(interval model.Epoch, workers int) (*Feed, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("dist: interval must be positive, got %d", interval)
@@ -205,11 +215,14 @@ func (c *Cluster) openFeed(interval model.Epoch, workers int) (*Feed, error) {
 	f := &Feed{
 		c:        c,
 		interval: interval,
-		workers:  workers,
+		pool:     c.startPool(workers),
 		next:     interval,
 		pending:  make([][][]Reading, len(c.World.Sites)),
 		links:    make(map[linkKey]Costs),
 		owned:    c.initQueries(),
+		tails:    make([]tailShard, len(c.World.Sites)),
+		siteErrs: make([]error, len(c.World.Sites)),
+		spans:    make([]PhaseNS, len(c.World.Sites)),
 	}
 	c.stats = ClusterStats{Sites: make([]SiteStats, len(c.World.Sites))}
 	return f, nil
@@ -220,6 +233,11 @@ func (f *Feed) Next() model.Epoch { return f.next }
 
 // Interval returns the feed's Δ between checkpoints.
 func (f *Feed) Interval() model.Epoch { return f.interval }
+
+// PoolStats returns the counters of the feed's worker pool. Between two
+// calls one Advance apart, 1 + ΔBusyNS ÷ the Advance's wall time is how
+// many cores that checkpoint used.
+func (f *Feed) PoolStats() workpool.Stats { return f.pool.Stats() }
 
 // Stats returns the feed's ingestion counters.
 func (f *Feed) Stats() FeedStats {
@@ -308,7 +326,7 @@ func sortReadings(evs []Reading) {
 // scoring — the barrier schedule of the sequential reference. The tail
 // (query feeding + scoring) fans out over sites like ingest and inference
 // when no hooks are installed; per-site subtotals merge in site order, so
-// the Result is bit-identical at every worker count.
+// the Result is bit-identical at every pool size.
 func (f *Feed) Advance() error { return f.AdvanceWith(nil) }
 
 // AdvanceWith runs the next checkpoint like Advance, additionally ingesting
@@ -322,13 +340,15 @@ func (f *Feed) Advance() error { return f.AdvanceWith(nil) }
 // has no cross-site data flow at all, so instead of running three barrier
 // phases (ingest all sites, infer all sites, tail all sites) the feed runs
 // each site's whole checkpoint — ingest, inference, query feed, scoring —
-// as one task on a shared worker pool, longest-first by estimated cost
-// (interval volume plus the engine's dirty-tag count). Under a skewed world
-// the hot site starts first and the idle sites' sub-millisecond checkpoints
-// pack in behind it, instead of every phase barrier re-serializing the
-// cluster behind the hot site. Per-site score shards still merge in site
-// order, so the Result stays bit-identical to the phased schedule, which in
-// turn matches the sequential reference at any worker count.
+// as one task on the pool, longest-first by estimated cost (interval volume
+// plus the engine's dirty-tag count). Under a skewed world the hot site
+// starts first, on the calling goroutine; the idle sites' sub-millisecond
+// checkpoints pack in behind it on the other workers, which then join the
+// hot site's inference phases — the engines fan out on the same pool —
+// instead of every phase barrier re-serializing the cluster behind the hot
+// site. Per-site score shards still merge in site order, so the Result
+// stays bit-identical to the phased schedule, which in turn matches the
+// sequential reference at any pool size.
 func (f *Feed) AdvanceWith(due [][]Reading) error {
 	if f.closed {
 		return fmt.Errorf("dist: feed is closed")
@@ -390,7 +410,7 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	var phases PhaseNS
 	var err error
 	fused := nDue == 0 && c.Hooks.OnCheckpoint == nil &&
-		f.workers > 1 && len(c.Engines) > 1
+		f.pool.Workers() > 1 && len(c.Engines) > 1
 	if fused {
 		phases, err = f.advanceFused(due, ckpt)
 	} else {
@@ -464,6 +484,27 @@ func (f *Feed) ingestSite(s int, due [][]Reading, ckpt model.Epoch) error {
 	return nil
 }
 
+// runSites runs fn(s) for every site on the feed's pool. Sites are claimed
+// in the given order (nil: by site number), the first by the caller itself,
+// so a longest-first order puts the hot site on the goroutine that is
+// certain to run; a pool of 1 simply walks the order. Every site runs even
+// after a failure and the lowest-numbered failing site's error is returned,
+// so the outcome is independent of who claimed what.
+func (f *Feed) runSites(order []int, fn func(s int) error) error {
+	f.pool.For(len(f.pending), 1, func(s, _ int) {
+		if order != nil {
+			s = order[s]
+		}
+		f.siteErrs[s] = fn(s)
+	})
+	for _, err := range f.siteErrs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // advancePhased is the barrier schedule: ingest every site, migrate the due
 // departures in global order, infer every site, then the tail. It is the
 // only schedule that can host migrations (which move state between sites
@@ -474,7 +515,7 @@ func (f *Feed) advancePhased(due [][]Reading, ckpt model.Epoch, nDue int) (Phase
 	var phases PhaseNS
 	phaseStart := time.Now()
 
-	if err := forEachSite(len(f.pending), f.workers, func(s int) error {
+	if err := f.runSites(nil, func(s int) error {
 		return f.ingestSite(s, due, ckpt)
 	}); err != nil {
 		return phases, err
@@ -492,69 +533,56 @@ func (f *Feed) advancePhased(due [][]Reading, ckpt model.Epoch, nDue int) (Phase
 	phaseStart = time.Now()
 
 	evalAt := ckpt - 1
-	if err := forEachSite(len(c.Engines), f.workers, func(s int) error {
+	f.runSites(nil, func(s int) error {
 		if f.owns(s) {
 			c.Engines[s].Run(evalAt)
 		}
 		return nil
-	}); err != nil {
-		return phases, err
-	}
+	})
 	phases.Infer = time.Since(phaseStart)
 	phaseStart = time.Now()
 
-	if err := f.runTail(evalAt); err != nil {
-		return phases, err
-	}
+	f.runTail(evalAt)
 	phases.Tail = time.Since(phaseStart)
 	return phases, nil
 }
 
-// advanceFused runs a migration-free, hook-free checkpoint as one pooled
-// task per site — ingest, inference, query feed, scoring — scheduled
-// longest-first by checkpointOrder. Each task touches only site-local state
-// (engine, query engine, pending bucket, stats slot, tail shard), so the
-// only ordering that matters for bit-identical output is the site-order
-// merge of the score shards after the pool drains.
+// advanceFused runs a migration-free, hook-free checkpoint as one pool task
+// per site — ingest, inference, query feed, scoring. Each task touches only
+// site-local state (engine, query engine, pending bucket, stats slot, tail
+// shard, span slot), so the only ordering that matters for bit-identical
+// output is the site-order merge of the score shards after the loop.
 func (f *Feed) advanceFused(due [][]Reading, ckpt model.Epoch) (PhaseNS, error) {
 	c := f.c
 	evalAt := ckpt - 1
-	if f.tails == nil {
-		f.tails = make([]tailShard, len(c.Engines))
-	}
-	var ingestNS, inferNS, tailNS atomic.Int64
-	err := forSites(f.checkpointOrder(due), f.workers, func(s int) error {
+	err := f.runSites(f.checkpointOrder(due), func(s int) error {
+		f.spans[s] = PhaseNS{}
+		f.tails[s] = tailShard{}
 		t0 := time.Now()
 		if err := f.ingestSite(s, due, ckpt); err != nil {
 			return err
 		}
 		t1 := time.Now()
-		ingestNS.Add(int64(t1.Sub(t0)))
-		f.tails[s] = tailShard{}
+		f.spans[s].Ingest = t1.Sub(t0)
 		if !f.owns(s) {
 			return nil
 		}
 		c.Engines[s].Run(evalAt)
 		t2 := time.Now()
-		inferNS.Add(int64(t2.Sub(t1)))
-		f.feedQuery(s, c.Engines[s], evalAt)
-		c.scoreSite(s, evalAt, &f.tails[s].cont, &f.tails[s].loc)
-		c.stats.Sites[s].Epochs++
-		tailNS.Add(int64(time.Since(t2)))
+		f.spans[s].Infer = t2.Sub(t1)
+		f.tailSite(s, evalAt)
+		f.spans[s].Tail = time.Since(t2)
 		return nil
 	})
 	if err != nil {
 		return PhaseNS{}, err
 	}
-	for s := range f.tails {
-		f.res.ContErr.Add(f.tails[s].cont)
-		f.res.LocErr.Add(f.tails[s].loc)
+	f.mergeTails()
+	var phases PhaseNS
+	for _, sp := range f.spans {
+		phases.add(sp)
 	}
-	return PhaseNS{
-		Ingest: time.Duration(ingestNS.Load()),
-		Infer:  time.Duration(inferNS.Load()),
-		Tail:   time.Duration(tailNS.Load()),
-	}, nil
+	return phases, nil
 }
 
 // checkpointOrder returns the sites sorted by descending estimated
@@ -647,48 +675,47 @@ func (f *Feed) migrate(d Departure) error {
 	return nil
 }
 
-// runTail runs the post-inference tail of one checkpoint: hooks, query
-// feeding and scoring. With hooks installed (or a single worker) it keeps
-// the sequential site order, since a hook may read cross-site state.
-// Hook-free it fans out over sites — each site's query engine is touched
-// only by its own worker — and merges the integer score subtotals in site
-// order, which is exact, so the Result stays bit-identical.
-func (f *Feed) runTail(evalAt model.Epoch) error {
+// runTail runs the post-inference tail of one phased checkpoint: hooks,
+// query feeding and scoring. With a checkpoint hook installed it keeps the
+// sequential site order, since a hook may read cross-site state. Hook-free
+// it fans out over sites — each site's query engine is touched only by its
+// own task — and merges the integer score subtotals in site order, which is
+// exact, so the Result stays bit-identical.
+func (f *Feed) runTail(evalAt model.Epoch) {
 	c := f.c
-	if c.Hooks.OnCheckpoint != nil || f.workers <= 1 || len(c.Engines) <= 1 {
+	if c.Hooks.OnCheckpoint != nil {
 		for s, eng := range c.Engines {
-			if !f.owns(s) {
-				continue
-			}
-			if c.Hooks.OnCheckpoint != nil {
+			f.tails[s] = tailShard{}
+			if f.owns(s) {
 				c.Hooks.OnCheckpoint(s, eng, evalAt)
+				f.tailSite(s, evalAt)
 			}
-			f.feedQuery(s, eng, evalAt)
-			c.scoreSite(s, evalAt, &f.res.ContErr, &f.res.LocErr)
-			c.stats.Sites[s].Epochs++
 		}
-		return nil
-	}
-	if f.tails == nil {
-		f.tails = make([]tailShard, len(c.Engines))
-	}
-	if err := forEachSite(len(c.Engines), f.workers, func(s int) error {
-		f.tails[s] = tailShard{}
-		if !f.owns(s) {
+	} else {
+		f.runSites(nil, func(s int) error {
+			f.tails[s] = tailShard{}
+			if f.owns(s) {
+				f.tailSite(s, evalAt)
+			}
 			return nil
-		}
-		f.feedQuery(s, c.Engines[s], evalAt)
-		c.scoreSite(s, evalAt, &f.tails[s].cont, &f.tails[s].loc)
-		c.stats.Sites[s].Epochs++
-		return nil
-	}); err != nil {
-		return err
+		})
 	}
+	f.mergeTails()
+}
+
+// tailSite feeds site s's query engine and scores the site into its shard.
+func (f *Feed) tailSite(s int, evalAt model.Epoch) {
+	f.feedQuery(s, f.c.Engines[s], evalAt)
+	f.c.scoreSite(s, evalAt, &f.tails[s].cont, &f.tails[s].loc)
+	f.c.stats.Sites[s].Epochs++
+}
+
+// mergeTails folds the per-site score shards into the Result in site order.
+func (f *Feed) mergeTails() {
 	for s := range f.tails {
 		f.res.ContErr.Add(f.tails[s].cont)
 		f.res.LocErr.Add(f.tails[s].loc)
 	}
-	return nil
 }
 
 // feedQuery pushes one site's checkpoint into its continuous query engine.
@@ -728,13 +755,15 @@ func (f *Feed) Result() Result {
 	return res
 }
 
-// Close finalizes the feed and returns the accumulated Result. Buffered
-// readings and departures past the last completed checkpoint are discarded,
-// matching the reference replay, which never observes them either.
+// Close finalizes the feed, releases its worker pool and returns the
+// accumulated Result. Buffered readings and departures past the last
+// completed checkpoint are discarded, matching the reference replay, which
+// never observes them either.
 func (f *Feed) Close() (Result, error) {
 	if f.closed {
 		return Result{}, fmt.Errorf("dist: feed already closed")
 	}
 	f.closed = true
+	f.c.stopPool(f.pool)
 	return f.Result(), nil
 }

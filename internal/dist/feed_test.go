@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -198,4 +199,128 @@ func TestFeedLateAndInvalid(t *testing.T) {
 	if err := f.Advance(); err == nil {
 		t.Error("Advance on closed feed succeeded")
 	}
+}
+
+// TestSkewedClusterMatchesSequential is the determinism contract under the
+// load shape the shared pool exists for: one site holds most of the
+// readings, so at every pool size above 1 the workers that finish the quiet
+// sites spend the rest of each checkpoint inside the hot site's engine
+// phases. Results and alert sets must equal ReplaySequential's through the
+// feed (whose checkpoints take both the phased and the fused schedule
+// here), through the pipelined Replay, and through a partitioned feed whose
+// first peer owns the hot site alone.
+func TestSkewedClusterMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	// The paper_dense shape (bench/), shrunk: everything enters at site 0.
+	cfg := sim.DefaultConfig()
+	cfg.Warehouses = 4
+	cfg.PathLength = 2
+	cfg.ItemsPerCase = 6
+	cfg.Epochs = 1800
+	cfg.AnomalyEvery = 120
+	w, err := sim.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = model.Epoch(300)
+	feeds := buildFeeds(w, false)
+	total, hottest := 0, 0
+	for _, evs := range feeds {
+		total += len(evs)
+		hottest = max(hottest, len(evs))
+	}
+	if hottest*10 < total*6 {
+		t.Fatalf("hottest site holds %d of %d readings, want at least 60%%", hottest, total)
+	}
+
+	newCluster := func(workers int) *Cluster {
+		c := NewCluster(w, MigrateWeights, rfinfer.DefaultConfig())
+		c.Workers = workers
+		c.Query = ColdChainQuery(w, interval)
+		return c
+	}
+	ref := newCluster(1)
+	want, err := ref.ReplaySequential(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAlerts := alertSets(ref)
+	alerts := 0
+	for _, m := range wantAlerts {
+		alerts += len(m)
+	}
+	if want.Costs.Messages == 0 || alerts == 0 {
+		t.Fatalf("reference is vacuous: %d migrations, %d alerted tags", want.Costs.Messages, alerts)
+	}
+	check := func(t *testing.T, got Result, gotAlerts []map[model.TagID]bool) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Result diverged from sequential reference\n got: %+v\nwant: %+v", got, want)
+		}
+		if !reflect.DeepEqual(gotAlerts, wantAlerts) {
+			t.Errorf("alert sets diverged\n got: %v\nwant: %v", tagSets(gotAlerts), tagSets(wantAlerts))
+		}
+	}
+
+	for _, workers := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("feed/workers=%d", workers), func(t *testing.T) {
+			c := newCluster(workers)
+			f, err := c.OpenFeed(interval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, evs := range feeds {
+				for _, e := range evs {
+					if err := f.Observe(s, e.T, e.ID, e.Mask); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, d := range c.Departures() {
+				if err := f.Depart(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.AdvanceTo(w.Epochs); err != nil {
+				t.Fatal(err)
+			}
+			st, pool := f.Stats(), f.PoolStats()
+			got, err := f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, got, alertSets(c))
+			if workers == 1 {
+				if st.FusedCheckpoints != 0 || pool.HelpedChunks != 0 {
+					t.Errorf("pool of 1 fused %d checkpoints and had %d chunks helped, want the inline schedule",
+						st.FusedCheckpoints, pool.HelpedChunks)
+				}
+				return
+			}
+			if st.FusedCheckpoints == 0 || st.FusedCheckpoints == st.Checkpoints {
+				t.Errorf("%d of %d checkpoints fused, want both schedules exercised", st.FusedCheckpoints, st.Checkpoints)
+			}
+			if pool.Workers != workers || pool.HelpedChunks == 0 || pool.BusyNS == 0 {
+				t.Errorf("no worker ever helped: %+v", pool)
+			}
+		})
+		t.Run(fmt.Sprintf("replay/workers=%d", workers), func(t *testing.T) {
+			c := newCluster(workers)
+			got, err := c.Replay(interval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, got, alertSets(c))
+		})
+	}
+
+	// Peer 0 owns the hot site and nothing else: with no site-level
+	// parallelism to be had, its pool works inside one engine.
+	t.Run("partitioned/hot-site-alone", func(t *testing.T) {
+		sc := scenario{strategy: MigrateWeights, interval: interval, withQuery: true}
+		got, gotAlerts := runPartitioned(t, w, sc, []int{0, 1, 1, 1}, 3)
+		check(t, got, gotAlerts)
+	})
 }

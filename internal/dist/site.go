@@ -1,14 +1,15 @@
 // The site actor and the two replay schedules.
 //
-// Pipelined (the default, hook-free): every site is a goroutine that walks
-// its own checkpoint timeline — ingest readings, apply this checkpoint's
+// Pipelined (the default, hook-free): every site is an actor that walks its
+// own checkpoint timeline — ingest readings, apply this checkpoint's
 // migration ops in global departure order, run inference, score — and
-// blocks only when an in-flight migration targeting it has not arrived
-// yet. There is no global barrier: a site with no migrations this
-// checkpoint streams ahead of its peers. A counting semaphore bounds how
-// many sites burn CPU at once (Cluster.Workers); a site releases its slot
-// while it waits for a migration so a stalled site never starves the
-// cluster.
+// parks only when an in-flight migration targeting it has not arrived yet.
+// There is no global barrier: a site with no migrations this checkpoint
+// streams ahead of its peers. The actors are resumable steps rather than
+// goroutines: each round runs every unfinished site on the replay's worker
+// pool (Cluster.Workers) until it finishes or parks, so a parked site
+// holds no worker — the one it gave back helps inside the engines of the
+// sites still running — and a budget of one can never deadlock.
 //
 // Barrier (hooks installed, and the ReplaySequential reference): one
 // global loop per checkpoint — parallel ingest, migrations and hooks in
@@ -16,19 +17,21 @@
 // site order.
 //
 // Determinism argument: every engine (inference and query) is owned by
-// exactly one site and mutated only by that site's goroutine, in a
-// sequence fixed by the plan — ingest before ops, ops in global departure
-// order, run after ops. A migration payload is a pure function of the
-// source engine's state at its plan position, and channels deliver it to
+// exactly one site and mutated only by that site's steps, one at a time,
+// in a sequence fixed by the plan — ingest before ops, ops in global
+// departure order, run after ops. A migration payload is a pure function of
+// the source engine's state at its plan position, and channels deliver it to
 // the same plan position at the destination. By induction over (checkpoint,
 // departure order), every engine passes through exactly the states of the
 // sequential reference, so error counts, byte counts and query alerts are
-// bit-identical at any worker count. The e2e harness pins this.
+// bit-identical at any worker count. The e2e harness pins this. Progress
+// follows from the same order: the site holding the globally earliest
+// unexecuted op never parks on it (its payload, if it is an arrival, was
+// sent by an earlier op), so every round advances.
 package dist
 
 import (
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"rfidtrack/internal/metrics"
@@ -36,30 +39,8 @@ import (
 	"rfidtrack/internal/query"
 )
 
-// semaphore bounds concurrent CPU work across site actors.
-type semaphore struct{ tokens chan struct{} }
-
-func newSemaphore(n int) *semaphore {
-	if n < 1 {
-		n = 1
-	}
-	return &semaphore{tokens: make(chan struct{}, n)}
-}
-
-// acquire takes a slot, or reports false if the replay aborted first.
-func (s *semaphore) acquire(abort <-chan struct{}) bool {
-	select {
-	case s.tokens <- struct{}{}:
-		return true
-	case <-abort:
-		return false
-	}
-}
-
-func (s *semaphore) release() { <-s.tokens }
-
-// siteRunner is one site actor: the goroutine-owned state of a site during
-// a pipelined replay.
+// siteRunner is one site actor: the site-owned state of a pipelined
+// replay, including where its timeline stands between steps.
 type siteRunner struct {
 	c    *Cluster
 	id   int
@@ -70,7 +51,15 @@ type siteRunner struct {
 	// site-local ONS view), maintained when a ClusterQuery is attached.
 	owned map[model.TagID]bool
 
-	// Site-local result shards, merged in site order after the join.
+	// Timeline position: the checkpoint being worked on, the next reading
+	// to ingest, the next op to apply, and whether this checkpoint's
+	// readings are in yet.
+	k, idx, opi int
+	ingested    bool
+	parkedAt    time.Time // when the last step parked; zero while running
+	done        bool
+
+	// Site-local result shards, merged in site order after the last round.
 	contErr, locErr metrics.Counts
 	links           map[linkKey]Costs
 	queryBytes      int
@@ -78,75 +67,50 @@ type siteRunner struct {
 	err             error
 }
 
-// fail records the first error and aborts the whole replay so peers
-// blocked on migrations from this site wake up.
-func (s *siteRunner) fail(err error, abortOnce *sync.Once, abort chan struct{}) {
-	s.err = err
-	abortOnce.Do(func() { close(abort) })
-}
-
-// run walks the site through every checkpoint. It is the actor body.
-func (s *siteRunner) run(interval model.Epoch, numCkpts int, sem *semaphore, abortOnce *sync.Once, abort chan struct{}) {
-	hold := sem.acquire(abort)
-	if !hold {
-		return
+// step walks the site forward through its checkpoints until the timeline
+// ends, an op fails, or an arrival's payload is not there yet — in which
+// case it parks (returns with done unset) and the next round resumes at the
+// same op.
+func (s *siteRunner) step(interval model.Epoch) {
+	if !s.parkedAt.IsZero() {
+		s.stats.Stall += time.Since(s.parkedAt)
+		s.parkedAt = time.Time{}
 	}
-	defer func() {
-		if hold {
-			sem.release()
-		}
-	}()
-
 	eng := s.c.Engines[s.id]
-	idx := 0
-	for k := 0; k < numCkpts; k++ {
-		ckpt := interval * model.Epoch(k+1)
-		for idx < len(s.feed) && s.feed[idx].T < ckpt {
-			ev := s.feed[idx]
-			if err := eng.ObserveMask(ev.T, ev.ID, ev.Mask); err != nil {
-				s.fail(err, abortOnce, abort)
-				return
+	for ; s.k < len(s.ops); s.k++ {
+		ckpt := interval * model.Epoch(s.k+1)
+		ops := s.ops[s.k]
+		if !s.ingested {
+			for s.idx < len(s.feed) && s.feed[s.idx].T < ckpt {
+				ev := s.feed[s.idx]
+				if s.err = eng.ObserveMask(ev.T, ev.ID, ev.Mask); s.err != nil {
+					return
+				}
+				s.idx++
 			}
-			idx++
-		}
-
-		// Queue depth: migrations targeting this checkpoint that are still
-		// in flight (not yet buffered) when the site reaches it.
-		ops := s.ops[k]
-		pending := 0
-		for _, op := range ops {
-			if op.arrive && len(op.ch) == 0 {
-				pending++
+			// Queue depth: migrations targeting this checkpoint that are
+			// still in flight (not yet buffered) when the site reaches it.
+			pending := 0
+			for _, op := range ops {
+				if op.arrive && len(op.ch) == 0 {
+					pending++
+				}
 			}
+			s.stats.InboxPeak = max(s.stats.InboxPeak, pending)
+			s.ingested, s.opi = true, 0
 		}
-		if pending > s.stats.InboxPeak {
-			s.stats.InboxPeak = pending
-		}
-		for _, op := range ops {
+		for ; s.opi < len(ops); s.opi++ {
+			op := ops[s.opi]
 			d := s.c.deps[op.dep]
 			if op.arrive {
 				var payload []byte
 				select {
 				case payload = <-op.ch:
 				default:
-					// Not in flight yet: give up the CPU slot while waiting
-					// so a bounded worker budget cannot deadlock the cluster.
-					sem.release()
-					hold = false
-					start := time.Now()
-					select {
-					case payload = <-op.ch:
-					case <-abort:
-						return
-					}
-					s.stats.Stall += time.Since(start)
-					if !sem.acquire(abort) {
-						return
-					}
-					hold = true
+					s.parkedAt = time.Now()
+					return
 				}
-				if err := s.c.applyPayload(d, payload); err != nil {
-					s.fail(err, abortOnce, abort)
+				if s.err = s.c.applyPayload(d, payload); s.err != nil {
 					return
 				}
 				if s.owned != nil {
@@ -160,7 +124,7 @@ func (s *siteRunner) run(interval model.Epoch, numCkpts int, sem *semaphore, abo
 				}
 				payload, engineBytes, queryBytes, err := s.c.encodePayload(d)
 				if err != nil {
-					s.fail(err, abortOnce, abort)
+					s.err = err
 					return
 				}
 				accountSend(d, payload, engineBytes, queryBytes, s.links, &s.queryBytes, &s.stats)
@@ -175,7 +139,9 @@ func (s *siteRunner) run(interval model.Epoch, numCkpts int, sem *semaphore, abo
 		}
 		s.c.scoreSite(s.id, evalAt, &s.contErr, &s.locErr)
 		s.stats.Epochs++
+		s.ingested = false
 	}
+	s.done = true
 }
 
 // owns reports whether this site currently owns an item: the
@@ -184,7 +150,8 @@ func (s *siteRunner) run(interval model.Epoch, numCkpts int, sem *semaphore, abo
 func (s *siteRunner) owns(id model.TagID) bool { return s.owned[id] }
 
 // replayPipelined is the concurrent cluster runtime: one actor per site,
-// synchronized only through migration channels.
+// synchronized only through migration channels, stepped in rounds on one
+// worker pool.
 func (c *Cluster) replayPipelined(interval model.Epoch, workers int) (Result, error) {
 	w := c.World
 	numCkpts := int(w.Epochs / interval)
@@ -208,26 +175,22 @@ func (c *Cluster) replayPipelined(interval model.Epoch, workers int) (Result, er
 		sites[s] = sr
 	}
 
-	sem := newSemaphore(workers)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	var wg sync.WaitGroup
-	for _, sr := range sites {
-		wg.Add(1)
-		go func(sr *siteRunner) {
-			defer wg.Done()
-			sr.run(interval, numCkpts, sem, &abortOnce, abort)
-		}(sr)
+	pool := c.startPool(workers)
+	defer c.stopPool(pool)
+	for live := slices.Clone(sites); len(live) > 0; {
+		pool.For(len(live), 1, func(i, _ int) { live[i].step(interval) })
+		for _, sr := range live {
+			if sr.err != nil {
+				return Result{}, sr.err
+			}
+		}
+		live = slices.DeleteFunc(live, func(sr *siteRunner) bool { return sr.done })
 	}
-	wg.Wait()
 
 	var res Result
 	c.stats = ClusterStats{Sites: make([]SiteStats, len(sites))}
 	links := make(map[linkKey]Costs)
 	for s, sr := range sites {
-		if sr.err != nil {
-			return res, sr.err
-		}
 		res.ContErr.Add(sr.contErr)
 		res.LocErr.Add(sr.locErr)
 		res.QueryStateBytes += sr.queryBytes
@@ -330,85 +293,4 @@ func accountReceive(payload []byte, in *SiteStats) {
 		in.MigrationsIn++
 		in.BytesIn += len(payload)
 	}
-}
-
-// forSites runs fn(s) for every site in the given claim order, at most
-// workers at a time: workers take the next unclaimed position, so order[0]
-// starts first — the fused scheduler passes its longest-first estimate
-// here. Like forEachSite, every site runs even after a failure and the
-// lowest-numbered failing site's error is returned, so the outcome is
-// independent of claim interleaving.
-func forSites(order []int, workers int, fn func(s int) error) error {
-	n := len(order)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(order[i])
-			}
-		}()
-	}
-	wg.Wait()
-	var firstErr error
-	best := -1
-	for i, err := range errs {
-		if err != nil && (best < 0 || order[i] < best) {
-			best, firstErr = order[i], err
-		}
-	}
-	return firstErr
-}
-
-// forEachSite runs fn(s) for every site, at most workers at a time,
-// returning the lowest-site error if any fn fails. With workers == 1 it
-// degenerates to a plain loop (the sequential reference path).
-func forEachSite(n, workers int, fn func(s int) error) error {
-	if workers <= 1 || n <= 1 {
-		for s := 0; s < n; s++ {
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= n {
-					return
-				}
-				errs[s] = fn(s)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -47,18 +48,19 @@ func TestChanTransport(t *testing.T) {
 	}
 }
 
-// runPartitioned replays one world across `peers` partitioned feeds over a
-// shared loopback transport, each peer a goroutine owning a disjoint site
-// block, and returns the merged Result plus each site's alert set taken
-// from its owning peer.
-func runPartitioned(t *testing.T, w *sim.World, sc scenario, peers int) (Result, []map[model.TagID]bool) {
+// runPartitioned replays one world across partitioned feeds over a shared
+// loopback transport, each peer a goroutine owning the sites owner assigns
+// it and running a worker pool of the given size, and returns the merged
+// Result plus each site's alert set taken from its owning peer.
+func runPartitioned(t *testing.T, w *sim.World, sc scenario, owner []int, workers int) (Result, []map[model.TagID]bool) {
 	t.Helper()
-	owner := DefaultSiteMap(len(w.Sites), peers)
+	peers := slices.Max(owner) + 1
 	tr := NewChanTransport()
 	clusters := make([]*Cluster, peers)
 	feeds := make([]*Feed, peers)
 	for p := 0; p < peers; p++ {
 		cl := NewCluster(w, sc.strategy, rfinfer.DefaultConfig())
+		cl.Workers = workers
 		if sc.withQuery {
 			cl.Query = ColdChainQuery(w, sc.interval)
 		}
@@ -154,7 +156,7 @@ func TestPartitionedFeedDeterminism(t *testing.T) {
 					continue
 				}
 				t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
-					got, gotAlerts := runPartitioned(t, w, sc, peers)
+					got, gotAlerts := runPartitioned(t, w, sc, DefaultSiteMap(len(w.Sites), peers), 0)
 					if !reflect.DeepEqual(got, ref) {
 						t.Errorf("merged Result diverged from sequential reference\n got: %+v\nwant: %+v", got, ref)
 					}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rfidtrack/internal/model"
+	"rfidtrack/internal/workpool"
 )
 
 // benchLik builds a 16-location observation model with a 5-phase schedule:
@@ -121,6 +122,9 @@ func BenchmarkEStep(b *testing.B) {
 		e.Run(now - 1)
 	}
 	e.rebuildGroups()
+	pool := workpool.New(0) // eStep outside a Run: no private pool exists
+	defer pool.Close()
+	e.UsePool(pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -55,122 +55,138 @@ func (e *Engine) buildCandidates() {
 			e.contIndex[cid] = ci
 		}
 	}
-	if cap(e.countBuf) < len(e.containers) {
-		e.countBuf = make([]int32, len(e.containers))
-	}
-	counts := e.countBuf[:len(e.containers)]
-
-	for _, oid := range e.objects {
-		rec := e.tags[oid]
-		// Skip objects whose rebuild inputs are provably unchanged since the
-		// list was last built: same series (candVer), same assignment
-		// (candCont — pruning protects the current container, so a changed
-		// assignment can change the outcome), and no container mutation at
-		// any epoch the object was read at (co-occurrence requires a shared
-		// epoch, so container changes strictly above the object's newest
-		// reading cannot move any count). Rebuilding from identical counts,
-		// candidates and priors is idempotent, so keeping the list is
-		// bit-identical to rebuilding it.
-		if carry && rec.candValid && rec.seriesVer == rec.candVer &&
-			rec.container == rec.candCont &&
-			e.contChangedFloor > rec.series.Last() {
-			continue
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		ri := 0
-		for _, rd := range rec.series {
-			for ri < len(reads) && reads[ri].t < rd.T {
-				ri++
-			}
-			for j := ri; j < len(reads) && reads[j].t == rd.T; j++ {
-				if reads[j].mask&rd.Mask != 0 {
-					counts[reads[j].ci]++
-				}
-			}
-		}
-
-		// Snapshot the previous candidate list (and its migrated weights)
-		// before rebuilding rec.cands in place.
-		e.oldCands = append(e.oldCands[:0], rec.cands...)
-		e.oldPrior = append(e.oldPrior[:0], rec.priorW...)
-
-		scored := e.scoredBuf[:0]
-		for ci, n := range counts {
-			if n > 0 {
-				scored = append(scored, scoredCand{id: e.containers[ci], n: n})
-			}
-		}
-		// Previous candidates (including migrated ones) and the current
-		// assignment stay eligible even with no co-location this window, so
-		// their prior weights are not lost.
-		forcedFrom := len(scored)
-		force := func(id model.TagID) {
-			if id < 0 {
-				return
-			}
-			if ci, ok := e.contIndex[id]; ok && counts[ci] > 0 {
-				return // already scored
-			}
-			for _, sc := range scored[forcedFrom:] {
-				if sc.id == id {
-					return
-				}
-			}
-			scored = append(scored, scoredCand{id: id})
-		}
-		for _, c := range e.oldCands {
-			force(c)
-		}
-		force(rec.container)
-		e.scoredBuf = scored
-
-		slices.SortFunc(scored, func(a, b scoredCand) int {
-			if a.n != b.n {
-				return int(b.n) - int(a.n)
-			}
-			return int(a.id) - int(b.id)
-		})
-
-		max := e.cfg.MaxCandidates
-		if max <= 0 {
-			max = len(scored)
-		}
-		keep := len(scored)
-		if len(scored) > max {
-			// Never prune the current assignment or a migrated candidate
-			// whose weight beats the default (it carries real co-location
-			// evidence from a previous site). Survivors compact forward.
-			keep = max
-			for _, sc := range scored[max:] {
-				w, ok := e.priorOf(sc.id)
-				if sc.id == rec.container || (ok && w > rec.priorDefault) {
-					scored[keep] = sc
-					keep++
-				}
-			}
-		}
-
-		rec.cands = rec.cands[:0]
-		rec.priorW = rec.priorW[:0]
-		for _, sc := range scored[:keep] {
-			rec.cands = append(rec.cands, sc.id)
-			if w, ok := e.priorOf(sc.id); ok {
-				rec.priorW = append(rec.priorW, w)
-			} else {
-				rec.priorW = append(rec.priorW, rec.priorDefault)
-			}
-		}
-		rec.candValid = true
-		rec.candVer = rec.seriesVer
-		rec.candCont = rec.container
-	}
+	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
+		e.pruneCandidates(s, e.tags[e.objects[oi]], reads)
+	})
 
 	// Every object is now consistent with the current container state: the
 	// rebuilt ones saw it, the skipped ones were proven untouched by it.
 	e.contChangedFloor = epochMax
 	e.contFlatClean = true
+}
+
+// pruneCandidates rebuilds one object's candidate list against the
+// flattened container index. It reads only state that is fixed for the
+// whole build and writes only rec, so objects prune concurrently.
+func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, reads []contRead) {
+	// Skip objects whose rebuild inputs are provably unchanged since the
+	// list was last built: same series (candVer), same assignment
+	// (candCont — pruning protects the current container, so a changed
+	// assignment can change the outcome), and no container mutation at
+	// any epoch the object was read at (co-occurrence requires a shared
+	// epoch, so container changes strictly above the object's newest
+	// reading cannot move any count). Rebuilding from identical counts,
+	// candidates and priors is idempotent, so keeping the list is
+	// bit-identical to rebuilding it.
+	if !e.noCarry && rec.candValid && rec.seriesVer == rec.candVer &&
+		rec.container == rec.candCont &&
+		e.contChangedFloor > rec.series.Last() {
+		return
+	}
+	if cap(s.counts) < len(e.containers) {
+		s.counts = make([]int32, len(e.containers))
+	}
+	counts := s.counts[:len(e.containers)]
+	for i := range counts {
+		counts[i] = 0
+	}
+	ri := 0
+	for _, rd := range rec.series {
+		for ri < len(reads) && reads[ri].t < rd.T {
+			ri++
+		}
+		for j := ri; j < len(reads) && reads[j].t == rd.T; j++ {
+			if reads[j].mask&rd.Mask != 0 {
+				counts[reads[j].ci]++
+			}
+		}
+	}
+
+	// Snapshot the previous candidate list (and its migrated weights)
+	// before rebuilding rec.cands in place.
+	s.oldCands = append(s.oldCands[:0], rec.cands...)
+	s.oldPrior = append(s.oldPrior[:0], rec.priorW...)
+	// priorOf looks up a candidate's carried-over weight in that snapshot.
+	// Candidate lists are bounded by MaxCandidates, so a linear scan beats
+	// a map.
+	priorOf := func(id model.TagID) (float64, bool) {
+		for i, c := range s.oldCands {
+			if c == id {
+				return s.oldPrior[i], true
+			}
+		}
+		return 0, false
+	}
+
+	scored := s.scored[:0]
+	for ci, n := range counts {
+		if n > 0 {
+			scored = append(scored, scoredCand{id: e.containers[ci], n: n})
+		}
+	}
+	// Previous candidates (including migrated ones) and the current
+	// assignment stay eligible even with no co-location this window, so
+	// their prior weights are not lost.
+	forcedFrom := len(scored)
+	force := func(id model.TagID) {
+		if id < 0 {
+			return
+		}
+		if ci, ok := e.contIndex[id]; ok && counts[ci] > 0 {
+			return // already scored
+		}
+		for _, sc := range scored[forcedFrom:] {
+			if sc.id == id {
+				return
+			}
+		}
+		scored = append(scored, scoredCand{id: id})
+	}
+	for _, c := range s.oldCands {
+		force(c)
+	}
+	force(rec.container)
+	s.scored = scored
+
+	slices.SortFunc(scored, func(a, b scoredCand) int {
+		if a.n != b.n {
+			return int(b.n) - int(a.n)
+		}
+		return int(a.id) - int(b.id)
+	})
+
+	max := e.cfg.MaxCandidates
+	if max <= 0 {
+		max = len(scored)
+	}
+	keep := len(scored)
+	if len(scored) > max {
+		// Never prune the current assignment or a migrated candidate
+		// whose weight beats the default (it carries real co-location
+		// evidence from a previous site). Survivors compact forward.
+		keep = max
+		for _, sc := range scored[max:] {
+			w, ok := priorOf(sc.id)
+			if sc.id == rec.container || (ok && w > rec.priorDefault) {
+				scored[keep] = sc
+				keep++
+			}
+		}
+	}
+
+	rec.cands = rec.cands[:0]
+	rec.priorW = rec.priorW[:0]
+	for _, sc := range scored[:keep] {
+		rec.cands = append(rec.cands, sc.id)
+		if w, ok := priorOf(sc.id); ok {
+			rec.priorW = append(rec.priorW, w)
+		} else {
+			rec.priorW = append(rec.priorW, rec.priorDefault)
+		}
+	}
+	rec.candValid = true
+	rec.candVer = rec.seriesVer
+	rec.candCont = rec.container
 }
 
 // sortContReads sorts the flattened container-reading index by (t, ci),
@@ -227,16 +243,4 @@ func (e *Engine) sortContReads(reads []contRead) []contRead {
 	}
 	e.contReads2 = reads[:0]
 	return out
-}
-
-// priorOf looks up a candidate's carried-over weight in the snapshot taken
-// by buildCandidates. Candidate lists are bounded by MaxCandidates, so a
-// linear scan beats a map.
-func (e *Engine) priorOf(id model.TagID) (float64, bool) {
-	for i, c := range e.oldCands {
-		if c == id {
-			return e.oldPrior[i], true
-		}
-	}
-	return 0, false
 }

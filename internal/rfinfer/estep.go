@@ -47,7 +47,7 @@ func (e *Engine) dataSignature(gsig uint64, rec *tagRec, group []model.TagID, th
 // read-only member series, so the result is independent of worker count.
 func (e *Engine) eStep() {
 	anchored := e.carryAnchored()
-	e.parallelFor(len(e.containers), func(s *scratch, i int) {
+	e.parallelFor(len(e.containers), containerChunk, func(s *scratch, i int) {
 		rec := e.tags[e.containers[i]]
 		group := rec.groupNow
 		// Incremental fast path: the group is unchanged member-for-member

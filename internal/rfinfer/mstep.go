@@ -191,14 +191,14 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 // so the union is a chain of linear merges. Objects of one group share
 // their candidate set (in varying per-object score order), so the
 // candidates' combined epoch list is cached in the worker's scratch under
-// an order-insensitive key and reused until the set or any posterior
-// version changes; the object's own epochs (usually already contained)
-// then merge in one walk.
+// an order-insensitive key and reused until the engine, the set or any
+// posterior version changes; the object's own epochs (usually already
+// contained) then merge in one walk.
 func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.TagID, posts []*posterior, s *scratch) []model.Epoch {
 	key := append(s.candUScr[:0], cands...)
 	slices.Sort(key)
 	s.candUScr = key
-	hit := slices.Equal(s.candUKey, key)
+	hit := s.candUEng == e && slices.Equal(s.candUKey, key)
 	if hit {
 		for k, cid := range key {
 			if s.candUVers[k] != e.tags[cid].post.ver {
@@ -214,6 +214,7 @@ func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.T
 		}
 		s.epochs = u
 		s.candU = append(s.candU[:0], u...)
+		s.candUEng = e
 		s.candUKey = append(s.candUKey[:0], key...)
 		s.candUVers = s.candUVers[:0]
 		for _, cid := range key {
@@ -391,7 +392,7 @@ func bestCandidate(ev *objEvidence) int {
 // detection and critical-region search.
 func (e *Engine) mStep() bool {
 	full := e.fullEvidence()
-	e.parallelFor(len(e.objects), func(s *scratch, i int) {
+	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, i int) {
 		rec := e.tags[e.objects[i]]
 		if e.evidenceCurrent(rec) {
 			e.nEvSkipped.Add(1)
@@ -452,7 +453,9 @@ func (e *Engine) EvidenceSeries(oid model.TagID) (cands []model.TagID, epochs []
 	// mode it deliberately holds no rows — a diagnostic query must not swap
 	// a full matrix (with differently associated totals) into its place.
 	var tmp objEvidence
-	e.computeEvidenceInto(&tmp, rec, e.pool.get(0, e.lik.N()))
+	s := e.getScratch()
+	e.computeEvidenceInto(&tmp, rec, s)
+	scratches.Put(s)
 	ev := &tmp
 	point = make([][]float64, len(ev.cands))
 	for k := range point {

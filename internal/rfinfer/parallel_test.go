@@ -1,79 +1,110 @@
 package rfinfer
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"rfidtrack/internal/model"
+	"rfidtrack/internal/workpool"
 )
 
-// feedChangeWorkload drives a multi-interval scenario with a containment
-// change: containers 100 (loc 2) and 101 (loc 3), objects 0-2 resident
-// with 100 and 6-11 resident with 101 (a dense destination group, as real
-// cases carry many items), while objects 3-5 start with 100 and move to
-// 101 at epoch 250. Readings are generated deterministically from
-// seed and fed interval by interval with a Run after each, exercising
-// candidate pruning, the cross-Run memo, change-point detection, critical
-// regions, and CR truncation together. invalidate drops the posterior memo
-// before every Run, forcing from-scratch recomputation. The return value
-// accumulates RunStats over every Run.
-func feedChangeWorkload(t *testing.T, e *Engine, lik *model.Likelihood, seed uint64, invalidate bool) RunStats {
-	t.Helper()
-	var total RunStats
-	rng := rand.New(rand.NewPCG(seed, 17))
+// changeWorkload is a multi-interval scenario with a containment change:
+// containers 100 (loc 2) and 101 (loc 3), objects 0-2 resident with 100
+// and 6-11 resident with 101 (a dense destination group, as real cases
+// carry many items), while objects 3-5 start with 100 and move to 101 at
+// epoch 250. Readings are generated deterministically from seed and fed
+// interval by interval with a Run after each, exercising candidate
+// pruning, the cross-Run memo, change-point detection, critical regions,
+// and CR truncation together.
+type changeWorkload struct {
+	t    *testing.T
+	e    *Engine
+	lik  *model.Likelihood
+	rng  *rand.Rand
+	base model.Epoch // stream-time offset of the whole scenario
+	next model.Epoch // scenario epochs fed so far
+	// invalidate drops the posterior memo before every Run, forcing
+	// from-scratch recomputation.
+	invalidate bool
+	// total accumulates RunStats over every Run.
+	total RunStats
+}
+
+const (
+	changeInterval = 100
+	changeEpochs   = 500
+)
+
+func newChangeWorkload(t *testing.T, e *Engine, lik *model.Likelihood, seed uint64) *changeWorkload {
 	e.RegisterContainer(100)
 	e.RegisterContainer(101)
 	for o := model.TagID(0); o < 12; o++ {
 		e.RegisterObject(o)
 	}
-	observe := func(ep model.Epoch, id model.TagID, at model.Loc) {
-		var m model.Mask
-		scan := lik.Schedule().ScanMask(ep)
-		for scan != 0 {
-			r := scan.First()
-			if rng.Float64() < lik.Rates().Prob(r, at) {
-				m = m.Set(r)
-			}
-			scan &= scan - 1
+	return &changeWorkload{t: t, e: e, lik: lik, rng: rand.New(rand.NewPCG(seed, 17))}
+}
+
+func (cw *changeWorkload) observe(ep model.Epoch, id model.TagID, at model.Loc) {
+	var m model.Mask
+	scan := cw.lik.Schedule().ScanMask(cw.base + ep)
+	for scan != 0 {
+		r := scan.First()
+		if cw.rng.Float64() < cw.lik.Rates().Prob(r, at) {
+			m = m.Set(r)
 		}
-		if m != 0 {
-			if err := e.ObserveMask(ep, id, m); err != nil {
-				t.Fatal(err)
-			}
+		scan &= scan - 1
+	}
+	if m != 0 {
+		if err := cw.e.ObserveMask(cw.base+ep, id, m); err != nil {
+			cw.t.Error(err) // not Fatal: steps may run off the test goroutine
 		}
 	}
-	const interval = 100
-	for ep := model.Epoch(0); ep < 500; ep++ {
-		observe(ep, 100, 2)
-		observe(ep, 101, 3)
+}
+
+// step feeds the next interval and Runs the engine at its end.
+func (cw *changeWorkload) step() {
+	for end := cw.next + changeInterval; cw.next < end; cw.next++ {
+		ep := cw.next
+		cw.observe(ep, 100, 2)
+		cw.observe(ep, 101, 3)
 		for o := model.TagID(0); o < 3; o++ {
-			observe(ep, o, 2)
+			cw.observe(ep, o, 2)
 		}
 		for o := model.TagID(6); o < 12; o++ {
-			observe(ep, o, 3)
+			cw.observe(ep, o, 3)
 		}
 		for o := model.TagID(3); o < 6; o++ {
 			at := model.Loc(2)
 			if ep >= 250 {
 				at = 3
 			}
-			observe(ep, o, at)
-		}
-		if (ep+1)%interval == 0 {
-			if invalidate {
-				e.invalidatePosteriors()
-			}
-			e.Run(ep)
-			st := e.Stats()
-			total.PosteriorsComputed += st.PosteriorsComputed
-			total.PosteriorsSkipped += st.PosteriorsSkipped
-			total.RowsReused += st.RowsReused
-			total.RowsComputed += st.RowsComputed
+			cw.observe(ep, o, at)
 		}
 	}
-	return total
+	if cw.invalidate {
+		cw.e.invalidatePosteriors()
+	}
+	cw.e.Run(cw.base + cw.next - 1)
+	st := cw.e.Stats()
+	cw.total.PosteriorsComputed += st.PosteriorsComputed
+	cw.total.PosteriorsSkipped += st.PosteriorsSkipped
+	cw.total.RowsReused += st.RowsReused
+	cw.total.RowsComputed += st.RowsComputed
+}
+
+// feedChangeWorkload drives the whole changeWorkload through e and returns
+// the accumulated RunStats.
+func feedChangeWorkload(t *testing.T, e *Engine, lik *model.Likelihood, seed uint64, invalidate bool) RunStats {
+	t.Helper()
+	cw := newChangeWorkload(t, e, lik, seed)
+	cw.invalidate = invalidate
+	for cw.next < changeEpochs {
+		cw.step()
+	}
+	return cw.total
 }
 
 // engineFingerprint captures every externally visible inference output.
@@ -85,7 +116,10 @@ type engineFingerprint struct {
 	locs        map[model.TagID][]model.Loc
 }
 
-func fingerprint(e *Engine) engineFingerprint {
+func fingerprint(e *Engine) engineFingerprint { return fingerprintAt(e, 0) }
+
+// fingerprintAt is fingerprint for a changeWorkload offset by base.
+func fingerprintAt(e *Engine, base model.Epoch) engineFingerprint {
 	fp := engineFingerprint{
 		containment: e.Containment(),
 		detections:  append([]Detection(nil), e.Detections()...),
@@ -96,8 +130,8 @@ func fingerprint(e *Engine) engineFingerprint {
 	ids := append(append([]model.TagID(nil), e.Objects()...), e.Containers()...)
 	for _, id := range ids {
 		fp.crFrom[id], fp.crTo[id] = e.CriticalRegion(id)
-		for ep := model.Epoch(0); ep < 500; ep += 13 {
-			fp.locs[id] = append(fp.locs[id], e.LocationAt(id, ep))
+		for ep := model.Epoch(0); ep < changeEpochs; ep += 13 {
+			fp.locs[id] = append(fp.locs[id], e.LocationAt(id, base+ep))
 		}
 	}
 	return fp
@@ -114,35 +148,74 @@ func changeConfig() Config {
 
 // TestParallelEquivalence verifies the tentpole invariant: Engine.Run
 // produces bit-identical containment, detections, critical regions, and
-// location read-offs at every worker count.
+// location read-offs at every worker count — on a private pool, and on one
+// pool shared with a second engine. The second engine runs the same stream
+// 1000 epochs later: same tag ids, and — the scenario being identical up to
+// the shift — the same posterior versions at every step, but no epoch in
+// common. That is what catches scratch state leaking between engines: a
+// candidate-union cache keyed on ids and versions alone hits across them
+// and hands one engine the other's epochs.
 func TestParallelEquivalence(t *testing.T) {
 	lik := testLik(t)
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	var ref engineFingerprint
-	for i, w := range workerCounts {
+	const seed = 7
+	bases := []model.Epoch{0, 1000} // multiples of the reader schedule's period
+	refs := make([]engineFingerprint, len(bases))
+	for i, base := range bases {
+		cfg := changeConfig()
+		cfg.Workers = 1
+		cw := newChangeWorkload(t, New(lik, cfg), lik, seed)
+		cw.base = base
+		for cw.next < changeEpochs {
+			cw.step()
+		}
+		refs[i] = fingerprintAt(cw.e, base)
+		if len(refs[i].detections) == 0 {
+			t.Fatalf("base %d: workload produced no detections; test is vacuous", base)
+		}
+	}
+	compare := func(name string, ref, fp engineFingerprint) {
+		t.Helper()
+		if !reflect.DeepEqual(ref.containment, fp.containment) {
+			t.Errorf("%s: containment differs: %v vs %v", name, fp.containment, ref.containment)
+		}
+		if !reflect.DeepEqual(ref.detections, fp.detections) {
+			t.Errorf("%s: detections differ: %v vs %v", name, fp.detections, ref.detections)
+		}
+		if !reflect.DeepEqual(ref.crFrom, fp.crFrom) || !reflect.DeepEqual(ref.crTo, fp.crTo) {
+			t.Errorf("%s: critical regions differ", name)
+		}
+		if !reflect.DeepEqual(ref.locs, fp.locs) {
+			t.Errorf("%s: location read-offs differ", name)
+		}
+	}
+
+	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
 		cfg := changeConfig()
 		cfg.Workers = w
 		e := New(lik, cfg)
-		feedChangeWorkload(t, e, lik, 7, false)
-		fp := fingerprint(e)
-		if len(fp.detections) == 0 {
-			t.Fatalf("workers=%d: workload produced no detections; test is vacuous", w)
+		feedChangeWorkload(t, e, lik, seed, false)
+		compare(fmt.Sprintf("private pool of %d", w), refs[0], fingerprint(e))
+	}
+
+	for _, w := range []int{1, 2, 4} {
+		pool := workpool.New(w)
+		loads := make([]*changeWorkload, len(bases))
+		for i, base := range bases {
+			e := New(lik, changeConfig())
+			e.UsePool(pool)
+			loads[i] = newChangeWorkload(t, e, lik, seed)
+			loads[i].base = base
 		}
-		if i == 0 {
-			ref = fp
-			continue
+		// Each round is a cluster checkpoint in miniature: the outer loop
+		// runs one interval of every engine, whose phases nest on the same
+		// pool. On a pool of 1 the engines alternate on one worker, so each
+		// Run inherits the scratch the other engine's Run just left.
+		for loads[0].next < changeEpochs {
+			pool.For(len(loads), 1, func(i, _ int) { loads[i].step() })
 		}
-		if !reflect.DeepEqual(ref.containment, fp.containment) {
-			t.Errorf("workers=%d: containment differs: %v vs %v", w, fp.containment, ref.containment)
-		}
-		if !reflect.DeepEqual(ref.detections, fp.detections) {
-			t.Errorf("workers=%d: detections differ: %v vs %v", w, fp.detections, ref.detections)
-		}
-		if !reflect.DeepEqual(ref.crFrom, fp.crFrom) || !reflect.DeepEqual(ref.crTo, fp.crTo) {
-			t.Errorf("workers=%d: critical regions differ", w)
-		}
-		if !reflect.DeepEqual(ref.locs, fp.locs) {
-			t.Errorf("workers=%d: location read-offs differ", w)
+		pool.Close()
+		for i, cw := range loads {
+			compare(fmt.Sprintf("shared pool of %d, engine %d", w, i), refs[i], fingerprintAt(cw.e, cw.base))
 		}
 	}
 }

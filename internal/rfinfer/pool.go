@@ -1,11 +1,10 @@
 package rfinfer
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"rfidtrack/internal/model"
+	"rfidtrack/internal/workpool"
 )
 
 // scratch is one worker's reusable temporary storage for the inference hot
@@ -27,13 +26,27 @@ type scratch struct {
 	// last candidate set processed, keyed by the sorted set and the
 	// posterior versions it was built from. Objects of one group share
 	// candidates (in per-object score order), so consecutive objects hit.
+	// Scratch outlives any one engine's phase, and tag ids and posterior
+	// versions collide across engines, so the owning engine is part of the
+	// key.
 	candU     []model.Epoch
+	candUEng  *Engine
 	candUKey  []model.TagID // sorted
 	candUVers []uint32      // aligned with candUKey
 	candUScr  []model.TagID // sort scratch for the probe key
 
 	evEpochs []model.Epoch // evidence epoch union (on-the-fly CR search)
 	crCurs   []int         // backward window-edge cursors (CR search)
+
+	// Candidate pruning (buildCandidates).
+	counts   []int32       // per-container co-occurrence counts
+	scored   []scoredCand  // scored candidates being ranked
+	oldCands []model.TagID // the object's previous candidate list ...
+	oldPrior []float64     // ... and its migrated weights
+
+	// Change-point detection (detectChanges).
+	subViews [][]float64 // per-candidate evidence rows past the last change
+	priorBuf []float64   // priors with the clipped evidence folded in
 }
 
 // intBuf returns a length-n int buffer backed by s.crCurs. Contents are
@@ -89,64 +102,49 @@ func (s *scratch) ints(n int) []int {
 	return s.cursors
 }
 
-// pool holds one scratch per worker, created lazily and reused across Runs.
-type pool struct {
-	scratches []*scratch
-}
+// scratches recycles worker scratch across every engine in the process: a
+// chunk borrows one for its duration, so the number alive tracks how many
+// workers run inference at once — not engines × workers — and sync.Pool's
+// per-P caching hands a worker back the scratch it used last.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// get returns worker i's scratch with lq sized for n locations.
-func (p *pool) get(i, n int) *scratch {
-	for len(p.scratches) <= i {
-		p.scratches = append(p.scratches, &scratch{})
-	}
-	s := p.scratches[i]
-	s.floats(&s.lq, n)
+// getScratch borrows a scratch with lq sized for this engine's locations.
+// Return it with scratches.Put.
+func (e *Engine) getScratch() *scratch {
+	s := scratches.Get().(*scratch)
+	s.floats(&s.lq, e.lik.N())
 	return s
 }
 
-// workerCount resolves Config.Workers: 0 (or negative) means GOMAXPROCS.
-func (e *Engine) workerCount() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// How many consecutive items a worker claims at a time. Objects are many
+// and cheap, and consecutive objects of one group share a candidate set, so
+// they go in runs long enough to meet in one scratch's candidate-union
+// cache yet short enough that a few expensive ones cannot unbalance a
+// phase. Containers are few and each carries a whole group's history.
+const (
+	objectChunk    = 8
+	containerChunk = 1
+)
 
-// parallelFor runs fn(s, i) for every i in [0, n) across the engine's
-// worker pool. Items are claimed through an atomic counter, so which worker
-// handles which item is scheduling-dependent — but each item's computation
-// reads only state that is immutable during the phase and writes only state
-// owned by that item, and every item is processed exactly once, so the
-// merged result is bit-identical at any worker count (including 1, which
-// runs inline without goroutines).
-func (e *Engine) parallelFor(n int, fn func(s *scratch, i int)) {
-	w := e.workerCount()
-	if w > n {
-		w = n
-	}
-	nLoc := e.lik.N()
-	if w <= 1 {
-		s := e.pool.get(0, nLoc)
-		for i := 0; i < n; i++ {
+// UsePool makes the engine run its parallel phases on p, a pool shared with
+// whoever else was handed it (the cluster runtime hands every site engine
+// and its own site loop the same one), instead of a private pool that lives
+// for one Run and is sized by Config.Workers. nil restores the private pool.
+func (e *Engine) UsePool(p *workpool.Pool) { e.pool = p }
+
+// parallelFor runs fn(s, i) for every i in [0, n) on the pool of the Run
+// in progress, claimed chunk items at a time. Which worker handles which
+// item is scheduling-dependent — but each item's computation reads only
+// state that is immutable during the phase and writes only state owned by
+// that item, and every item is processed exactly once, so the merged
+// result is bit-identical at any worker count (including 1, which runs
+// inline on the caller).
+func (e *Engine) parallelFor(n, chunk int, fn func(s *scratch, i int)) {
+	e.pool.For(n, chunk, func(lo, hi int) {
+		s := e.getScratch()
+		for i := lo; i < hi; i++ {
 			fn(s, i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for j := 0; j < w; j++ {
-		s := e.pool.get(j, nLoc)
-		wg.Add(1)
-		go func(s *scratch) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(s, i)
-			}
-		}(s)
-	}
-	wg.Wait()
+		scratches.Put(s)
+	})
 }

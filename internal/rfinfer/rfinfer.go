@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"rfidtrack/internal/model"
+	"rfidtrack/internal/workpool"
 )
 
 // epochMin and epochMax bound the representable epoch range; they mark
@@ -71,10 +72,12 @@ type Config struct {
 	// it unless Delta is also set). Used to calibrate δ offline on
 	// change-free simulated traces.
 	CollectDeltas bool
-	// Workers bounds the worker pool that fans the E-step out over
-	// containers and the M-step out over objects. 0 (the default) uses
-	// GOMAXPROCS; 1 forces the sequential path. Inference output is
-	// bit-identical at every worker count.
+	// Workers sizes the private worker pool a stand-alone engine fans its
+	// phases out on (candidate pruning, E-step, M-step, change-point
+	// detection, critical-region search, memo refresh). 0 (the default)
+	// uses GOMAXPROCS; 1 runs everything on the caller. An engine handed a
+	// shared pool (UsePool) runs on that instead and ignores this. Inference
+	// output is bit-identical at every worker count.
 	Workers int
 }
 
@@ -135,6 +138,7 @@ type tagRec struct {
 	cr           window       // critical region
 	ev           *objEvidence // point-evidence matrix, reused across Runs
 	bestK        int          // best candidate index from the last M-step pass
+	cp           cpVerdict    // this Run's change-point test (detectChanges)
 	// dropped lists the epochs whose readings this Run's truncation (or
 	// change-point history reset) removed, sorted ascending. The memo
 	// refresh recomputes exactly the posterior rows these epochs invalidate.
@@ -304,8 +308,8 @@ type Engine struct {
 	// deltaSamples holds Δ values observed while CollectDeltas is set.
 	deltaSamples []DeltaSample
 
-	pool   pool
-	runSeq uint64 // Run counter; per-Run E-step invalidation key
+	pool   *workpool.Pool // shared (UsePool), or private to the Run in progress
+	runSeq uint64         // Run counter; per-Run E-step invalidation key
 
 	// Hot-path counters, accumulated atomically by workers and snapshotted
 	// into stats at the end of each Run.
@@ -331,18 +335,12 @@ type Engine struct {
 	truncNow         model.Epoch
 	noCarry          bool
 
-	// Sequential-phase scratch (change-point detection and candidate
-	// pruning), reused across Runs.
-	subViews   [][]float64
-	priorBuf   []float64
+	// The flattened co-occurrence index candidate pruning reads, reused
+	// across Runs.
 	contReads  []contRead
 	contReads2 []contRead // counting-sort double buffer (swaps with contReads)
 	epochHist  []int32    // counting-sort epoch histogram
 	contIndex  map[model.TagID]int
-	countBuf   []int32
-	scoredBuf  []scoredCand
-	oldCands   []model.TagID
-	oldPrior   []float64
 }
 
 // New returns an engine for a site with the given observation model

@@ -6,6 +6,7 @@ import (
 
 	"rfidtrack/internal/changepoint"
 	"rfidtrack/internal/model"
+	"rfidtrack/internal/workpool"
 )
 
 // RunResult summarizes one inference run.
@@ -23,10 +24,18 @@ type RunResult struct {
 //
 // The hot path is incremental and parallel: container posteriors unchanged
 // since the previous Run are served from the cross-Run memo, posterior rows
-// for already-seen epochs are reused rather than recomputed, and the E- and
-// M-steps fan out over Config.Workers workers with bit-identical results at
-// any worker count (see PERFORMANCE.md).
+// for already-seen epochs are reused rather than recomputed, and every
+// per-object and per-container phase fans out over the engine's pool with
+// bit-identical results at any worker count (see PERFORMANCE.md).
 func (e *Engine) Run(now model.Epoch) RunResult {
+	if e.pool == nil {
+		// Stand-alone engine: a private pool for the duration of the Run.
+		e.pool = workpool.New(e.cfg.Workers)
+		defer func() {
+			e.pool.Close()
+			e.pool = nil
+		}()
+	}
 	if now > e.now {
 		e.now = now
 	}
@@ -84,33 +93,45 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 	return RunResult{Iterations: iters, Changes: changes}
 }
 
+// cpVerdict is one object's change-point test, computed in detectChanges'
+// parallel pass and acted on in its object-order pass.
+type cpVerdict struct {
+	tested               bool
+	lo                   int // first evidence epoch at or after cpStart
+	delta                float64
+	split, before, after int
+}
+
 // detectChanges runs change-point detection (Section 3.3 / Appendix A.2)
 // for every object using the point evidence computed by the last M-step.
 // On detection the object is reassigned to the post-change container, its
-// pre-change history is disregarded, and the detection is recorded.
+// pre-change history is disregarded, and the detection is recorded. The
+// tests are independent per object and fan out; their verdicts are applied
+// afterwards in object order, which fixes the order of detections and Δ
+// samples.
 func (e *Engine) detectChanges(now model.Epoch) []Detection {
-	var out []Detection
-	for _, oid := range e.objects {
-		rec := e.tags[oid]
+	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
+		rec := e.tags[e.objects[oi]]
+		rec.cp = cpVerdict{}
 		ev := rec.ev
 		if ev == nil || len(ev.cands) == 0 || len(ev.epochs) < 2 {
-			continue
+			return
 		}
 		// Only objects with fresh evidence can yield a new change point;
 		// re-testing stale history would re-report old splits (an object
 		// that left the site keeps its record until state migration).
 		if rec.series.Last() <= e.lastRun {
-			continue
+			return
 		}
 		// Restrict to epochs at or after the last detected change point.
 		lo := sort.Search(len(ev.epochs), func(i int) bool { return ev.epochs[i] >= rec.cpStart })
 		if len(ev.epochs)-lo < 2 {
-			continue
+			return
 		}
-		if cap(e.subViews) < len(ev.cands) {
-			e.subViews = make([][]float64, len(ev.cands))
+		if cap(s.subViews) < len(ev.cands) {
+			s.subViews = make([][]float64, len(ev.cands))
 		}
-		sub := e.subViews[:len(ev.cands)]
+		sub := s.subViews[:len(ev.cands)]
 		for k := range sub {
 			sub[k] = ev.row(k)[lo:]
 		}
@@ -119,10 +140,7 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 			// Pre-window evidence is already folded into the totals of the
 			// clipped region's candidates via priors only when nothing was
 			// clipped; otherwise attribute clipped evidence to segment one.
-			if cap(e.priorBuf) < len(ev.cands) {
-				e.priorBuf = make([]float64, len(ev.cands))
-			}
-			priors = e.priorBuf[:len(ev.cands)]
+			priors = s.floats(&s.priorBuf, len(ev.cands))
 			for k := range priors {
 				priors[k] = rec.priorW[k]
 				row := ev.row(k)
@@ -131,21 +149,33 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 				}
 			}
 		}
-		delta, split, before, after := changepoint.Best(sub, priors)
-		if e.cfg.CollectDeltas {
-			e.deltaSamples = append(e.deltaSamples, DeltaSample{Object: oid, Delta: delta})
+		cp := cpVerdict{tested: true, lo: lo}
+		cp.delta, cp.split, cp.before, cp.after = changepoint.Best(sub, priors)
+		rec.cp = cp
+	})
+
+	var out []Detection
+	for _, oid := range e.objects {
+		rec := e.tags[oid]
+		cp := rec.cp
+		if !cp.tested {
+			continue
 		}
-		if e.cfg.Delta <= 0 || delta < e.cfg.Delta || after < 0 {
+		ev := rec.ev
+		if e.cfg.CollectDeltas {
+			e.deltaSamples = append(e.deltaSamples, DeltaSample{Object: oid, Delta: cp.delta})
+		}
+		if e.cfg.Delta <= 0 || cp.delta < e.cfg.Delta || cp.after < 0 {
 			continue
 		}
 		// A split whose two segments pick the same container is not a
 		// containment change, however well it scores.
-		if before == after {
+		if cp.before == cp.after {
 			continue
 		}
 		var at model.Epoch
-		if split < len(ev.epochs)-lo {
-			at = ev.epochs[lo+split]
+		if cp.split < len(ev.epochs)-cp.lo {
+			at = ev.epochs[cp.lo+cp.split]
 		} else {
 			at = now
 		}
@@ -153,15 +183,15 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 			Object:       oid,
 			At:           at,
 			DetectedAt:   now,
-			NewContainer: ev.cands[after],
-			Delta:        delta,
+			NewContainer: ev.cands[cp.after],
+			Delta:        cp.delta,
 		}
 		out = append(out, d)
 		e.detections = append(e.detections, d)
 
 		// Adopt the post-change container and disregard pre-change history
 		// in all subsequent change-point calls.
-		rec.container = ev.cands[after]
+		rec.container = ev.cands[cp.after]
 		rec.cpStart = at
 		for k := range rec.priorW {
 			rec.priorW[k] = 0
@@ -205,7 +235,7 @@ func (e *Engine) updateCriticalRegions() {
 	}
 	w := e.cfg.CRWindow
 	noCarry := e.noCarry
-	e.parallelFor(len(e.objects), func(s *scratch, oi int) {
+	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
 		rec := e.tags[e.objects[oi]]
 		if !noCarry && rec.evSeq != e.runSeq {
 			// Evidence untouched this Run means every search input — the
@@ -279,7 +309,7 @@ func (e *Engine) updateCriticalRegions() {
 func (e *Engine) updateCriticalRegionsOnline() {
 	w := e.cfg.CRWindow
 	noCarry := e.noCarry
-	e.parallelFor(len(e.objects), func(s *scratch, oi int) {
+	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
 		rec := e.tags[e.objects[oi]]
 		if !noCarry && rec.evSeq != e.runSeq {
 			// Unrecomputed evidence means the object's series, candidates,
@@ -518,7 +548,7 @@ func filterSeries(rec *tagRec, recent, cr window, extra []window) {
 // The refreshed posterior is bit-identical to recomputing it from scratch,
 // so the memo never changes inference output.
 func (e *Engine) refreshMemo() {
-	e.parallelFor(len(e.containers), func(s *scratch, i int) {
+	e.parallelFor(len(e.containers), containerChunk, func(s *scratch, i int) {
 		rec := e.tags[e.containers[i]]
 		if !rec.postValid {
 			return

@@ -55,11 +55,13 @@ func (e *Engine) ExportCollapsed(oid model.TagID) (CollapsedState, error) {
 	ev := rec.ev
 	if !e.evidenceCurrent(rec) {
 		var tmp objEvidence
+		s := e.getScratch()
 		if e.fullEvidence() {
-			e.computeEvidenceInto(&tmp, rec, e.pool.get(0, e.lik.N()))
+			e.computeEvidenceInto(&tmp, rec, s)
 		} else {
-			e.computeEvidenceFastInto(&tmp, rec, e.pool.get(0, e.lik.N()))
+			e.computeEvidenceFastInto(&tmp, rec, s)
 		}
+		scratches.Put(s)
 		ev = &tmp
 	}
 	if ev != nil && len(ev.totals) == len(st.Weights) {

@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"rfidtrack/internal/dist"
+	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
 )
 
@@ -288,5 +290,41 @@ func TestReadEventsOversizedLine(t *testing.T) {
 	}
 	if len(got) == 2 && (got[0].T != 1 || got[1].T != 4) {
 		t.Errorf("decoded wrong events: %+v", got)
+	}
+}
+
+// TestWorldEventsOrder pins WorldEvents' output order element for element
+// against the sort it replaced (sort.SliceStable on Time over the same
+// flatten), so the typed sort cannot reorder same-epoch events — the order
+// every recorded stream, WAL and alert sequence derives from.
+func TestWorldEventsOrder(t *testing.T) {
+	w := testWorld(t)
+	deps := dist.WorldDepartures(w)
+	var want []Event
+	for s, tr := range w.Sites {
+		for i := range tr.Tags {
+			if tg := &tr.Tags[i]; tg.Kind != model.KindPallet {
+				for _, rd := range tg.Readings {
+					want = append(want, Reading(s, rd.T, tg.ID, rd.Mask))
+				}
+			}
+		}
+	}
+	for _, d := range deps {
+		want = append(want, Depart(d))
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Time() < want[j].Time() })
+
+	got := WorldEvents(w, deps)
+	if len(deps) == 0 || len(got) < 1000 {
+		t.Fatalf("world too small to say anything: %d events, %d departures", len(got), len(deps))
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("order diverges at %d of %d: got %+v, want %+v", i, len(want), got[i], want[i])
+			}
+		}
+		t.Fatalf("got %d events, want %d", len(got), len(want))
 	}
 }

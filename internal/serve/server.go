@@ -14,6 +14,7 @@ import (
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/stream"
 	"rfidtrack/internal/wal"
+	"rfidtrack/internal/workpool"
 )
 
 // ErrClosed is returned by Ingest and Drain after Shutdown has begun.
@@ -57,7 +58,10 @@ type Config struct {
 	// interval. Default 0: a single time-ordered producer needs none, and
 	// alerts fire one interval sooner.
 	Watermark model.Epoch
-	// Workers bounds per-checkpoint site parallelism (dist.Cluster.Workers).
+	// Workers is the total CPU budget of a checkpoint
+	// (dist.Cluster.Workers): the size of the one worker pool the scheduler
+	// runs site loops on and every site engine runs its phases on, for the
+	// server's lifetime. Ingestion, delivery and the WAL are outside it.
 	// 0 uses GOMAXPROCS. Results are bit-identical at every setting.
 	Workers int
 	// Query optionally attaches per-site continuous queries; their matches
@@ -162,6 +166,11 @@ type SchedStats struct {
 	DirtySites    int `json:"dirty_sites"`
 	DirtyGroups   int `json:"dirty_groups"`
 	SkippedGroups int `json:"skipped_groups"`
+	// Pool is the checkpoint worker pool's accounting. The scheduler
+	// goroutine is busy for all of Total and the pool's helpers for
+	// Pool.BusyNS, so checkpoints have used 1 + Pool.BusyNS ÷ Total cores
+	// on average, of Pool.Workers available.
+	Pool workpool.Stats `json:"pool"`
 }
 
 // Stats is the /stats payload: ingestion counters, feed state, per-shard
@@ -423,6 +432,7 @@ func New(c *dist.Cluster, cfg Config) (*Server, error) {
 			if s.wal != nil {
 				s.wal.Close()
 			}
+			feed.Close() // releases the worker pool; the Result is moot
 			c.Query, c.Workers = prevQuery, prevWorkers
 			return nil, err
 		}
@@ -994,7 +1004,7 @@ func (s *Server) Abort() error {
 	}
 
 	s.mu.Lock()
-	res := s.feed.Result()
+	res, _ := s.feed.Close() // cannot fail: s.closed admits one closer
 	s.final = &res
 	s.mu.Unlock()
 	// close, not finish: the crash-stop leaves the alert sequence
@@ -1205,6 +1215,7 @@ func (s *Server) Stats() Stats {
 		Cluster:        s.cluster.Stats(),
 		Sched:          s.sched,
 	}
+	st.Sched.Pool = s.feed.PoolStats()
 	for _, eng := range s.cluster.Engines {
 		st.Memo = append(st.Memo, eng.Stats())
 	}

@@ -6,10 +6,11 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
@@ -85,7 +86,10 @@ func WorldEvents(w *sim.World, deps []dist.Departure) []Event {
 	for _, d := range deps {
 		events = append(events, Depart(d))
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time() < events[j].Time() })
+	// Stable, so same-epoch events keep the flatten order above. The typed
+	// sort matters at world scale: sort.SliceStable moves these 56-byte
+	// structs through a reflection swapper.
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Time(), b.Time()) })
 	return events
 }
 
