@@ -10,11 +10,18 @@ test:
 
 # The checkpoint has one fan-out primitive, internal/workpool: the layers
 # it runs through start no worker goroutines of their own, and the three
-# hand-rolled fan-outs it replaced stay gone.
+# hand-rolled fan-outs it replaced stay gone. Likewise one checkpoint
+# schedule (the Feed's phases) and one way for a reading to reach a stripe
+# (ingest.go's section path and its per-record fallback): the pipelined
+# replay, the fused scheduler and the per-edge ingest loops stay deleted.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
 		| grep -v '_test.go:' || { echo "checkpoint fan-out outside internal/workpool (see above)"; exit 1; }
+	@! grep -n 'replayPipelined\|siteRunner\|buildPlan\|advanceFused\|checkpointOrder' internal/dist/*.go \
+		|| { echo "a retired checkpoint schedule is back in internal/dist (see above)"; exit 1; }
+	@! grep -n 'applyReadingLocked(' internal/serve/*.go | grep -v '^internal/serve/ingest.go:' \
+		|| { echo "per-record ingest outside internal/serve/ingest.go (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

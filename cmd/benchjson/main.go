@@ -10,7 +10,9 @@
 //
 // Each record carries the benchmark name (CPU suffix stripped), iteration
 // count, ns/op, B/op, allocs/op, and every custom metric the benchmark
-// reported (readings/s, ingest-p99-us, ...) under "metrics".
+// reported (readings/s, ingest-p99-us, ...) under "metrics". The stripped
+// suffix is kept as "gomaxprocs" in the document's context, next to the
+// cpu model: the numbers mean nothing without them.
 //
 // With -check FILE the parsed results are additionally compared against
 // the committed baseline in FILE and the exit status becomes the CI perf
@@ -18,7 +20,11 @@
 // gate when its wall time (ns/op) or allocations regress by more than
 // -threshold (default 20%), or its throughput metric (readings/s) drops
 // by more than the same margin. Benchmarks only on one side are ignored,
-// so adding or retiring a benchmark never breaks the gate.
+// so adding or retiring a benchmark never breaks the gate. A baseline
+// pinned on another cpu model or at another GOMAXPROCS is not comparable
+// at all — contended-path ns/op and pool allocations move severalfold with
+// the core count — so the gate then fails with one line saying so and how
+// to re-pin, instead of a list of phantom regressions.
 //
 // -tolerance widens the margin for specific benchmarks or specific
 // dimensions of one benchmark — for results that are legitimately
@@ -61,7 +67,8 @@ type Record struct {
 
 // Output is the emitted JSON document.
 type Output struct {
-	// Context lines are the goos/goarch/pkg/cpu header of the run.
+	// Context is the goos/goarch/pkg/cpu header of the run plus
+	// "gomaxprocs", the -N suffix of its benchmark names.
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks are the parsed result lines, in input order.
 	Benchmarks []Record `json:"benchmarks"`
@@ -127,8 +134,9 @@ func main() {
 			doc.Context[key] = val
 			continue
 		}
-		if rec, ok := parseBench(line); ok {
+		if rec, procs, ok := parseBench(line); ok {
 			doc.Benchmarks = append(doc.Benchmarks, rec)
+			doc.Context["gomaxprocs"] = strconv.Itoa(procs)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -150,7 +158,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), *out)
 	}
 	if *check != "" {
-		if err := checkBaseline(*check, doc.Benchmarks, *threshold, tol); err != nil {
+		if err := checkBaseline(*check, doc, *threshold, tol); err != nil {
 			log.Fatalf("benchjson: %v", err)
 		}
 	}
@@ -161,8 +169,9 @@ func main() {
 // Gated dimensions: ns/op and allocs/op may not grow by more than the
 // threshold (a zero-alloc baseline may not allocate at all, regardless of
 // tolerance), and the readings/s throughput metric may not shrink by more
-// than it. tol widens the margin per benchmark or per dimension.
-func checkBaseline(path string, got []Record, threshold float64, tol tolerances) error {
+// than it. tol widens the margin per benchmark or per dimension. A baseline
+// from another cpu model or GOMAXPROCS is refused whole.
+func checkBaseline(path string, got Output, threshold float64, tol tolerances) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -171,13 +180,19 @@ func checkBaseline(path string, got []Record, threshold float64, tol tolerances)
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
+	for _, k := range []string{"cpu", "gomaxprocs"} {
+		if base.Context[k] != got.Context[k] {
+			return fmt.Errorf("baseline %s is not comparable: it was pinned at %s=%q, this run has %s=%q; re-pin with `make bench-json` on this machine",
+				path, k, base.Context[k], k, got.Context[k])
+		}
+	}
 	baseline := make(map[string]Record, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		baseline[r.Name] = r
 	}
 	var fails []string
 	checked := 0
-	for _, r := range got {
+	for _, r := range got.Benchmarks {
 		old, ok := baseline[r.Name]
 		if !ok {
 			continue
@@ -222,22 +237,25 @@ func contextLine(line string) (key, val string, ok bool) {
 }
 
 // parseBench parses one `BenchmarkX-N  iters  v unit  v unit ...` line.
-func parseBench(line string) (Record, bool) {
+// procs is N, the GOMAXPROCS the benchmark ran at (go test omits the suffix
+// at 1).
+func parseBench(line string) (rec Record, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Record{}, false
+		return Record{}, 0, false
 	}
 	name := fields[0]
+	procs = 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Record{}, false
+		return Record{}, 0, false
 	}
-	rec := Record{
+	rec = Record{
 		Name:        strings.TrimPrefix(name, "Benchmark"),
 		Iterations:  iters,
 		BytesPerOp:  -1,
@@ -247,7 +265,7 @@ func parseBench(line string) (Record, bool) {
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Record{}, false
+			return Record{}, 0, false
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -265,5 +283,5 @@ func parseBench(line string) (Record, bool) {
 			rec.Metrics[unit] = v
 		}
 	}
-	return rec, true
+	return rec, procs, true
 }

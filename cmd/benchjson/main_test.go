@@ -45,10 +45,21 @@ func TestToleranceThresholdPrecedence(t *testing.T) {
 	}
 }
 
+// boxContext is the machine every test baseline and run pretends to be on,
+// unless the test is about a mismatch.
+func boxContext() map[string]string {
+	return map[string]string{"cpu": "Test CPU @ 1GHz", "gomaxprocs": "2"}
+}
+
+// run wraps records as a checking run on the test box.
+func run(recs ...Record) Output {
+	return Output{Context: boxContext(), Benchmarks: recs}
+}
+
 // writeBaseline commits one single-benchmark baseline file for checkBaseline.
 func writeBaseline(t *testing.T, rec Record) string {
 	t.Helper()
-	data, err := json.Marshal(Output{Benchmarks: []Record{rec}})
+	data, err := json.Marshal(run(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +74,8 @@ func TestCheckBaselineTolerance(t *testing.T) {
 	base := Record{Name: "Recovery", NsPerOp: 1000, AllocsPerOp: 10,
 		Metrics: map[string]float64{"readings/s": 1e6}}
 	path := writeBaseline(t, base)
-	slow := []Record{{Name: "Recovery", NsPerOp: 1300, AllocsPerOp: 10,
-		Metrics: map[string]float64{"readings/s": 1e6}}}
+	slow := run(Record{Name: "Recovery", NsPerOp: 1300, AllocsPerOp: 10,
+		Metrics: map[string]float64{"readings/s": 1e6}})
 
 	// +30% ns/op fails the default 20% gate...
 	err := checkBaseline(path, slow, 0.20, tolerances{})
@@ -79,8 +90,8 @@ func TestCheckBaselineTolerance(t *testing.T) {
 	if err := checkBaseline(path, slow, 0.20, tolerances{"Recovery:ns/op": 0.4}); err != nil {
 		t.Fatalf("metric tolerance: %v", err)
 	}
-	worse := []Record{{Name: "Recovery", NsPerOp: 1300, AllocsPerOp: 20,
-		Metrics: map[string]float64{"readings/s": 1e6}}}
+	worse := run(Record{Name: "Recovery", NsPerOp: 1300, AllocsPerOp: 20,
+		Metrics: map[string]float64{"readings/s": 1e6}})
 	err = checkBaseline(path, worse, 0.20, tolerances{"Recovery:ns/op": 0.4})
 	if err == nil || !strings.Contains(err.Error(), "allocs/op") {
 		t.Fatalf("allocs gate under ns/op-only tolerance = %v, want allocs/op regression", err)
@@ -88,20 +99,74 @@ func TestCheckBaselineTolerance(t *testing.T) {
 
 	// A zero-alloc baseline stays a hard gate regardless of tolerance.
 	zb := writeBaseline(t, Record{Name: "ClientIngestBinEncode", NsPerOp: 1})
-	leak := []Record{{Name: "ClientIngestBinEncode", NsPerOp: 1, AllocsPerOp: 1}}
+	leak := run(Record{Name: "ClientIngestBinEncode", NsPerOp: 1, AllocsPerOp: 1})
 	err = checkBaseline(zb, leak, 0.20, tolerances{"ClientIngestBinEncode": 9})
 	if err == nil || !strings.Contains(err.Error(), "zero-alloc") {
 		t.Fatalf("zero-alloc gate = %v, want failure", err)
 	}
 }
 
+// TestCheckBaselineNotComparable pins the gate's refusal of a baseline from
+// another machine shape: a 3x "regression" against a baseline pinned on one
+// core is reported as one not-comparable line naming the re-pin command,
+// never as a regression list — and the same numbers on the same shape do
+// fail as regressions.
+func TestCheckBaselineNotComparable(t *testing.T) {
+	path := writeBaseline(t, Record{Name: "IngestBin", NsPerOp: 28})
+	slow := run(Record{Name: "IngestBin", NsPerOp: 78})
+	if err := checkBaseline(path, slow, 0.20, tolerances{}); err == nil || !strings.Contains(err.Error(), "ns/op 28 -> 78") {
+		t.Fatalf("same box = %v, want the ns/op regression", err)
+	}
+	for key, val := range map[string]string{"gomaxprocs": "1", "cpu": "Other CPU @ 2GHz"} {
+		other := run(Record{Name: "IngestBin", NsPerOp: 78})
+		other.Context[key] = val
+		err := checkBaseline(path, other, 0.20, tolerances{})
+		if err == nil {
+			t.Fatalf("%s mismatch passed the gate", key)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "not comparable") || !strings.Contains(msg, key) ||
+			!strings.Contains(msg, "make bench-json") || strings.Contains(msg, "\n") || strings.Contains(msg, "ns/op") {
+			t.Errorf("%s mismatch = %q, want one not-comparable line naming %s and the re-pin command", key, msg, key)
+		}
+	}
+	// A baseline that predates the gomaxprocs field cannot vouch for itself.
+	old := run(Record{Name: "IngestBin", NsPerOp: 28})
+	delete(old.Context, "gomaxprocs")
+	data, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkBaseline(path, slow, 0.20, tolerances{}); err == nil || !strings.Contains(err.Error(), "not comparable") {
+		t.Fatalf("baseline without gomaxprocs = %v, want not comparable", err)
+	}
+}
+
 func TestParseBenchCustomMetrics(t *testing.T) {
-	rec, ok := parseBench("BenchmarkIngestBin-8   \t 1000\t 245.0 ns/op\t 42600000 readings/s\t 83 B/op\t 0 allocs/op")
+	rec, procs, ok := parseBench("BenchmarkIngestBin-8   \t 1000\t 245.0 ns/op\t 42600000 readings/s\t 83 B/op\t 0 allocs/op")
 	if !ok {
 		t.Fatal("line not parsed")
 	}
-	if rec.Name != "IngestBin" || rec.NsPerOp != 245 || rec.AllocsPerOp != 0 ||
+	if rec.Name != "IngestBin" || procs != 8 || rec.NsPerOp != 245 || rec.AllocsPerOp != 0 ||
 		rec.Metrics["readings/s"] != 42.6e6 {
-		t.Errorf("parsed %+v", rec)
+		t.Errorf("parsed %+v at %d procs", rec, procs)
+	}
+	// go test drops the suffix at GOMAXPROCS=1; a sub-benchmark's own
+	// "workers=2" is not one.
+	for line, want := range map[string]struct {
+		name  string
+		procs int
+	}{
+		"BenchmarkIngestBin \t 1000\t 30.6 ns/op":                    {"IngestBin", 1},
+		"BenchmarkFeedAdvanceSkewed/workers=2-4 \t 10\t 250.0 ns/op": {"FeedAdvanceSkewed/workers=2", 4},
+		"BenchmarkFeedAdvanceSkewed/workers=2 \t 10\t 250.0 ns/op":   {"FeedAdvanceSkewed/workers=2", 1},
+	} {
+		rec, procs, ok := parseBench(line)
+		if !ok || rec.Name != want.name || procs != want.procs {
+			t.Errorf("parseBench(%q) = %q at %d procs (ok=%v), want %q at %d", line, rec.Name, procs, ok, want.name, want.procs)
+		}
 	}
 }

@@ -106,7 +106,7 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 	// iteration (AdvanceWith sorts its input in place).
 	base := make([][][]Reading, len(w.Sites))
 	maxLen := 0
-	for s, evs := range buildFeeds(w, false) {
+	for s, evs := range buildFeeds(w) {
 		base[s] = make([][]Reading, numCkpts)
 		for _, ev := range evs {
 			k := min(int(ev.T/interval), numCkpts-1)

@@ -9,8 +9,7 @@
 // payload is a pure function of the source engine's state at its position
 // in that order, and the Transport delivers it keyed by departure identity
 // to the same position on the destination peer. By induction over
-// (checkpoint, departure order) — the same induction the in-process
-// pipelined schedule relies on — every engine passes through exactly the
+// (checkpoint, departure order), every engine passes through exactly the
 // states of the sequential reference, so the merged Result and alert set
 // are bit-identical to ReplaySequential at any peer count, worker count or
 // network interleaving. The per-link ordered delivery the HTTP transport

@@ -2,10 +2,8 @@ package dist
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"rfidtrack/internal/metrics"
 	"rfidtrack/internal/model"
@@ -59,10 +57,10 @@ type Departure struct {
 	At       model.Epoch
 }
 
-// Hooks lets callers observe the replay. Installing either hook forces the
-// barrier schedule (hooks run sequentially in deterministic order), since a
-// hook may read cross-site state; the hook-free pipelined runtime produces
-// the same Result without the barrier.
+// Hooks lets callers observe the replay. Both hooks fire on the goroutine
+// driving the checkpoint, in a deterministic order: OnDepart in global
+// departure order, OnCheckpoint in site order once every site's inference
+// has run — so a hook may read any site's state.
 type Hooks struct {
 	// OnDepart fires when an object departs, before any engine runs at the
 	// checkpoint that observes the departure (so migrated state can be
@@ -153,28 +151,6 @@ type SiteStats struct {
 	// BytesIn/Out their total payload sizes (inference + query state).
 	MigrationsIn, MigrationsOut int
 	BytesIn, BytesOut           int
-	// InboxPeak is the largest number of migrations still in flight toward
-	// the site when it reached a checkpoint (its migration queue depth).
-	// Like Stall, it is zero under the barrier schedule, where transfers
-	// complete synchronously.
-	InboxPeak int
-	// Stall is the total time the site spent blocked waiting for in-flight
-	// migrations targeting it — the observable migration latency. It is
-	// zero under the barrier schedule.
-	Stall time.Duration
-}
-
-// add accumulates another site's counters (Stall sums, InboxPeak maxes).
-func (s *SiteStats) add(o SiteStats) {
-	s.Epochs += o.Epochs
-	s.MigrationsIn += o.MigrationsIn
-	s.MigrationsOut += o.MigrationsOut
-	s.BytesIn += o.BytesIn
-	s.BytesOut += o.BytesOut
-	if o.InboxPeak > s.InboxPeak {
-		s.InboxPeak = o.InboxPeak
-	}
-	s.Stall += o.Stall
 }
 
 // ClusterStats reports the per-site runtime counters of the most recent
@@ -183,11 +159,15 @@ type ClusterStats struct {
 	Sites []SiteStats
 }
 
-// Totals sums the per-site counters (InboxPeak is the max across sites).
+// Totals sums the per-site counters.
 func (cs ClusterStats) Totals() SiteStats {
 	var t SiteStats
 	for _, s := range cs.Sites {
-		t.add(s)
+		t.Epochs += s.Epochs
+		t.MigrationsIn += s.MigrationsIn
+		t.MigrationsOut += s.MigrationsOut
+		t.BytesIn += s.BytesIn
+		t.BytesOut += s.BytesOut
 	}
 	return t
 }
@@ -214,8 +194,7 @@ type Cluster struct {
 	Strategy Strategy
 	// Engines holds one inference engine per site.
 	Engines []*rfinfer.Engine
-	// Hooks observes departures and checkpoints (forces the barrier
-	// schedule; see Hooks).
+	// Hooks observes departures and checkpoints.
 	Hooks Hooks
 	// Workers is the checkpoint's total CPU budget: the size of the one
 	// worker pool (internal/workpool) that a Replay or an open Feed runs
@@ -350,40 +329,25 @@ func (c *Cluster) stopPool(p *workpool.Pool) {
 
 // Replay drives the whole world through checkpointed inference every
 // interval epochs, migrating state at departures, and scores every site
-// against its ground truth.
-//
-// Without hooks the replay is epoch-pipelined: every site advances through
-// its own checkpoints independently and parks only on in-flight migrations
-// targeting it. With hooks installed the barrier schedule is
-// used so hooks fire in the documented deterministic order. Both schedules
-// produce bit-identical Results.
+// against its ground truth: the whole world streamed through a Feed on a
+// pool of Workers. The Result is bit-identical at every pool size.
 func (c *Cluster) Replay(interval model.Epoch) (Result, error) {
-	if interval <= 0 {
-		return Result{}, fmt.Errorf("dist: interval must be positive, got %d", interval)
-	}
-	if c.Hooks.OnDepart != nil || c.Hooks.OnCheckpoint != nil {
-		return c.replayBarrier(interval, c.Workers)
-	}
-	return c.replayPipelined(interval, c.Workers)
+	return c.replay(interval, c.Workers)
 }
 
-// ReplaySequential is the single-goroutine reference replay: one global
-// loop that ingests, migrates and runs every site in lock step. It defines
-// the semantics the concurrent runtime must reproduce bit-for-bit and is
-// what the e2e harness compares against.
+// ReplaySequential is the single-goroutine reference replay: Replay at a
+// pool of one, where every site's phases run in site order on the calling
+// goroutine. It defines the semantics every concurrent configuration —
+// pools, peers, the daemon — must reproduce bit-for-bit and is what the
+// determinism tests compare against.
 func (c *Cluster) ReplaySequential(interval model.Epoch) (Result, error) {
-	if interval <= 0 {
-		return Result{}, fmt.Errorf("dist: interval must be positive, got %d", interval)
-	}
-	return c.replayBarrier(interval, 1)
+	return c.replay(interval, 1)
 }
 
 // buildFeeds flattens every site's readings (cases and items only) into
-// per-site replay streams, (epoch, tag)-ordered when sorted is set. The
-// pipelined replay walks the streams directly and needs the order; the
-// barrier replay pushes them through Feed.Observe, which re-buckets and
-// re-sorts per interval anyway, so it skips the redundant sort.
-func buildFeeds(w *sim.World, sorted bool) [][]Reading {
+// per-site replay streams, in tag order: Feed.Observe buckets them per
+// interval and each checkpoint sorts its own bucket.
+func buildFeeds(w *sim.World) [][]Reading {
 	feeds := make([][]Reading, len(w.Sites))
 	for s, tr := range w.Sites {
 		var f []Reading
@@ -395,9 +359,6 @@ func buildFeeds(w *sim.World, sorted bool) [][]Reading {
 			for _, rd := range tg.Readings {
 				f = append(f, Reading{T: rd.T, ID: tg.ID, Mask: rd.Mask})
 			}
-		}
-		if sorted {
-			sortReadings(f)
 		}
 		feeds[s] = f
 	}

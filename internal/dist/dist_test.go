@@ -30,10 +30,15 @@ func TestClusterReplayStrategies(t *testing.T) {
 	w := testWorld(t)
 	costs := make(map[Strategy]Costs)
 	for _, st := range []Strategy{MigrateNone, MigrateWeights, MigrateReadings, MigrateFull} {
-		cl := NewCluster(w, st, rfinfer.DefaultConfig())
-		res, err := cl.Replay(300)
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
+		var res Result
+		for _, workers := range []int{1, 2, 8} {
+			cl := NewCluster(w, st, rfinfer.DefaultConfig())
+			cl.Workers = workers
+			var err error
+			if res, err = cl.Replay(300); err != nil {
+				t.Fatalf("%v: %v", st, err)
+			}
+			checkGolden(t, "strategies/"+st.String(), res)
 		}
 		costs[st] = res.Costs
 		if res.Runs == 0 || res.ContErr.Total == 0 {
@@ -76,28 +81,35 @@ func TestClusterHooksAndONS(t *testing.T) {
 		t.Skip("slow")
 	}
 	w := testWorld(t)
-	cl := NewCluster(w, MigrateWeights, rfinfer.DefaultConfig())
-	var departs []Departure
-	checkpoints := 0
-	cl.Hooks.OnDepart = func(d Departure) { departs = append(departs, d) }
-	cl.Hooks.OnCheckpoint = func(site int, eng *rfinfer.Engine, evalAt model.Epoch) {
-		checkpoints++
-		if eng != cl.Engines[site] {
-			t.Error("checkpoint hook got a foreign engine")
+	// Hooks fire on the goroutine driving the checkpoint at every pool
+	// size, so the unsynchronized counters below are safe at Workers = 4.
+	for _, workers := range []int{1, 4} {
+		cl := NewCluster(w, MigrateWeights, rfinfer.DefaultConfig())
+		cl.Workers = workers
+		var departs []Departure
+		checkpoints := 0
+		cl.Hooks.OnDepart = func(d Departure) { departs = append(departs, d) }
+		cl.Hooks.OnCheckpoint = func(site int, eng *rfinfer.Engine, evalAt model.Epoch) {
+			checkpoints++
+			if eng != cl.Engines[site] {
+				t.Error("checkpoint hook got a foreign engine")
+			}
 		}
-	}
-	if _, err := cl.Replay(300); err != nil {
-		t.Fatal(err)
-	}
-	if checkpoints == 0 {
-		t.Fatal("no checkpoints fired")
-	}
-	if len(departs) == 0 {
-		t.Fatal("two-warehouse path produced no departures")
-	}
-	for _, d := range departs {
-		if cl.ONSLookup(d.Object) != d.To {
-			t.Errorf("ONS did not follow object %d to site %d", d.Object, d.To)
+		res, err := cl.Replay(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "strategies/weights", res)
+		if checkpoints != res.Runs*len(w.Sites) {
+			t.Fatalf("workers=%d: %d checkpoint hooks fired, want %d", workers, checkpoints, res.Runs*len(w.Sites))
+		}
+		if len(departs) != res.Costs.Messages {
+			t.Fatalf("workers=%d: %d departure hooks fired, want one per migration (%d)", workers, len(departs), res.Costs.Messages)
+		}
+		for _, d := range departs {
+			if cl.ONSLookup(d.Object) != d.To {
+				t.Errorf("ONS did not follow object %d to site %d", d.Object, d.To)
+			}
 		}
 	}
 }

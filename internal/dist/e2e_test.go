@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"rfidtrack/internal/metrics"
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/sim"
@@ -60,6 +61,75 @@ func e2eScenarios() []scenario {
 	}
 }
 
+// replayGoldens pins each scenario's Result (CentralizedBytes aside, which
+// no schedule touches) to what Replay returned at commit 952c00b — where
+// Replay was still the pipelined actor schedule, an implementation
+// independent of the Feed — recorded at workers 1, 2 and 8 (identical at
+// all three) just before that schedule was deleted. The strategies/* rows
+// are TestClusterReplayStrategies' world under each migration strategy.
+// The Feed is now checked against these numbers instead of against a second
+// implementation.
+var replayGoldens = map[string]Result{
+	"supply-chain/weights": {
+		ContErr: metrics.Counts{Wrong: 0, Total: 420}, LocErr: metrics.Counts{Wrong: 12, Total: 420},
+		Costs: Costs{Bytes: 2491, Messages: 30},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 1245, Messages: 15}}, {From: 0, To: 2, Costs: Costs{Bytes: 1246, Messages: 15}}},
+		Runs:  3,
+	},
+	"hospital/readings": {
+		ContErr: metrics.Counts{Wrong: 36, Total: 556}, LocErr: metrics.Counts{Wrong: 215, Total: 556},
+		Costs: Costs{Bytes: 107729, Messages: 40},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 107729, Messages: 40}}},
+		Runs:  3,
+	},
+	"hospital/none": {
+		ContErr: metrics.Counts{Wrong: 51, Total: 556}, LocErr: metrics.Counts{Wrong: 215, Total: 556},
+		Runs: 3,
+	},
+	"cold-chain/full+query": {
+		ContErr: metrics.Counts{Wrong: 33, Total: 460}, LocErr: metrics.Counts{Wrong: 43, Total: 460},
+		Costs:           Costs{Bytes: 199851, Messages: 70},
+		Links:           []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 115842, Messages: 40}}, {From: 0, To: 2, Costs: Costs{Bytes: 84009, Messages: 30}}},
+		QueryStateBytes: 354,
+		Runs:            4,
+	},
+	"strategies/none": {
+		ContErr: metrics.Counts{Wrong: 198, Total: 1700}, LocErr: metrics.Counts{Wrong: 61, Total: 1700},
+		Runs: 5,
+	},
+	"strategies/weights": {
+		ContErr: metrics.Counts{Wrong: 10, Total: 1700}, LocErr: metrics.Counts{Wrong: 30, Total: 1700},
+		Costs: Costs{Bytes: 26738, Messages: 300},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 26738, Messages: 300}}},
+		Runs:  5,
+	},
+	"strategies/readings": {
+		ContErr: metrics.Counts{Wrong: 10, Total: 1700}, LocErr: metrics.Counts{Wrong: 30, Total: 1700},
+		Costs: Costs{Bytes: 770791, Messages: 300},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 770791, Messages: 300}}},
+		Runs:  5,
+	},
+	"strategies/full": {
+		ContErr: metrics.Counts{Wrong: 10, Total: 1700}, LocErr: metrics.Counts{Wrong: 30, Total: 1700},
+		Costs: Costs{Bytes: 963011, Messages: 300},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 963011, Messages: 300}}},
+		Runs:  5,
+	},
+}
+
+// checkGolden compares a Result with its pinned golden.
+func checkGolden(t *testing.T, name string, got Result) {
+	t.Helper()
+	want, ok := replayGoldens[name]
+	if !ok {
+		t.Fatalf("no golden recorded for %q", name)
+	}
+	got.CentralizedBytes = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: Result left its golden\n got: %+v\nwant: %+v", name, got, want)
+	}
+}
+
 // alertSets collects every site's alerted tags in site order.
 func alertSets(c *Cluster) []map[model.TagID]bool {
 	if c.Query == nil {
@@ -74,14 +144,15 @@ func alertSets(c *Cluster) []map[model.TagID]bool {
 
 // TestE2EClusterDeterminism is the end-to-end scenario harness: each world
 // is replayed once through the single-goroutine sequential reference and
-// then through the concurrent pipelined runtime at 1, 4, and GOMAXPROCS
-// workers. Every Result — error counts, per-link byte costs, query state
-// bytes — and every site's alert set must be bit-identical.
+// then on pools of 1, 2, 8 and GOMAXPROCS workers. Every Result — error
+// counts, per-link byte costs, query state bytes — and every site's alert
+// set must be bit-identical to the reference, and the reference itself
+// must reproduce the scenario's pinned golden.
 func TestE2EClusterDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	workerCounts := []int{1, 2, 8, runtime.GOMAXPROCS(0)}
 	for _, sc := range e2eScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -103,6 +174,7 @@ func TestE2EClusterDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			refAlerts := alertSets(refCl)
+			checkGolden(t, sc.name, ref)
 			if ref.Runs == 0 || ref.ContErr.Total == 0 {
 				t.Fatalf("reference replay scored nothing: %+v", ref)
 			}
@@ -168,9 +240,10 @@ func tagSets(sets []map[model.TagID]bool) [][]model.TagID {
 	return out
 }
 
-// TestE2EPipelinedONS checks that the pipelined replay leaves the naming
-// service pointing at every object's final site, like the reference does.
-func TestE2EPipelinedONS(t *testing.T) {
+// TestReplayONSMatchesSequential checks that a parallel Replay leaves the
+// naming service pointing at every object's final site, like the
+// reference does.
+func TestReplayONSMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}

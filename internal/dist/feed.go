@@ -4,12 +4,11 @@
 // system: readings and departure events are pushed as they arrive, and
 // Advance runs one Δ-interval checkpoint at a time — ingest the interval's
 // readings, apply its migrations in global departure order, run inference
-// at every site, feed the per-site queries, score. Because Advance executes
-// exactly the barrier schedule of the sequential reference replay (and
-// replayBarrier is itself implemented on top of a Feed), a world streamed
-// incrementally yields a Result bit-identical to ReplaySequential on the
-// same trace, at any worker count. internal/serve builds the network
-// daemon on this API.
+// at every site, feed the per-site queries, score. Replay and
+// ReplaySequential are themselves a Feed driven over a whole world (see
+// site.go), so a world streamed incrementally yields a Result bit-identical
+// to ReplaySequential on the same trace, at any worker count.
+// internal/serve builds the network daemon on this API.
 //
 // A Feed owns the checkpoint's one worker pool (internal/workpool, sized by
 // Cluster.Workers) from OpenFeed to Close: its site loops and every site
@@ -77,10 +76,7 @@ type Feed struct {
 	tails     []tailShard // per-site score shards of the fanned-out tail
 	ingested  []int       // per-site ingest counts, reused across Advances
 	popped    []int       // per-site pending-bucket sizes, reused likewise
-	order     []int       // fused-path site schedule, reused across Advances
-	cost      []int       // fused-path cost estimates, reused likewise
 	siteErrs  []error     // runSites' per-site errors
-	spans     []PhaseNS   // fused path: per-site task segments
 
 	// partOwned is the peer's ownership mask in a partitioned feed (nil for
 	// a whole-cluster feed): only owned sites ingest, run and score here;
@@ -113,13 +109,9 @@ const maxSkipIntervals = 1 << 20
 
 // PhaseNS breaks Advance time into its pipeline phases: interval ingest,
 // migrations in departure order, inference, and the query-feed + scoring
-// tail. On the phased path each entry is the wall time of one barrier
-// phase. On the fused scheduler path (see AdvanceWith) the three per-site
-// phases run inside one pooled task per site, so Ingest, Infer and Tail are
-// the summed task segments across sites — busy time, which can exceed the
-// checkpoint's wall clock when sites overlap; Migrate is always wall time.
-// Neither says how many cores a checkpoint used: workers that help inside a
-// site's inference do so within that site's Infer segment. Feed.PoolStats
+// tail. Each entry is the wall time of that phase. They do not say how many
+// cores a checkpoint used — workers that finish the quiet sites help inside
+// the busy site's inference within the same Infer phase; Feed.PoolStats
 // answers that.
 type PhaseNS struct {
 	// Ingest is the (epoch, tag)-ordered interval ingest phase.
@@ -159,9 +151,10 @@ type FeedStats struct {
 	PendingDepartures int
 	// Checkpoints is the number of completed Advance calls.
 	Checkpoints int
-	// FusedCheckpoints counts checkpoints that ran on the fused scheduler
-	// path: no due migrations and no hooks, so every site's whole
-	// checkpoint ran as one pool task, longest-first.
+	// FusedCheckpoints is always zero. It counted checkpoints that took a
+	// second, per-site "fused" schedule, retired once the shared pool made
+	// it redundant; the field stays because bench/ (frozen between
+	// benchmark issues) still reads it for dist.fused_share.
 	FusedCheckpoints int
 	// Phases accumulates per-phase Advance latency across all checkpoints;
 	// LastPhases is the most recent checkpoint's breakdown.
@@ -222,7 +215,6 @@ func (c *Cluster) openFeed(interval model.Epoch, workers int) (*Feed, error) {
 		owned:    c.initQueries(),
 		tails:    make([]tailShard, len(c.World.Sites)),
 		siteErrs: make([]error, len(c.World.Sites)),
-		spans:    make([]PhaseNS, len(c.World.Sites)),
 	}
 	c.stats = ClusterStats{Sites: make([]SiteStats, len(c.World.Sites))}
 	return f, nil
@@ -320,13 +312,15 @@ func sortReadings(evs []Reading) {
 	})
 }
 
-// Advance runs the next checkpoint: parallel ingest of the interval's
-// readings in (epoch, tag) order, migrations in global (time, object)
-// departure order, parallel inference, then hooks, query feeding and
-// scoring — the barrier schedule of the sequential reference. The tail
-// (query feeding + scoring) fans out over sites like ingest and inference
-// when no hooks are installed; per-site subtotals merge in site order, so
-// the Result is bit-identical at every pool size.
+// Advance runs the next checkpoint in four phases: every site ingests the
+// interval's readings in (epoch, tag) order; the due departures migrate in
+// global (time, object) order on the calling goroutine; every site runs
+// inference; then hooks, query feeding and scoring. The per-site phases fan
+// out over the pool and touch only site-local state, and per-site score
+// subtotals merge in site order, so the Result is bit-identical at every
+// pool size. A phase barrier idles no core: a worker that finishes the
+// quiet sites helps inside the busy site's engine, which fans out on the
+// same pool.
 func (f *Feed) Advance() error { return f.AdvanceWith(nil) }
 
 // AdvanceWith runs the next checkpoint like Advance, additionally ingesting
@@ -335,20 +329,6 @@ func (f *Feed) Advance() error { return f.AdvanceWith(nil) }
 // [Next()-Interval(), Next()); the slices are sorted in place and released
 // when AdvanceWith returns, so the caller may recycle their backing arrays.
 // due may be nil (plain Advance) and its entries may be nil or empty.
-//
-// Scheduling: a checkpoint with no due migrations and no checkpoint hook
-// has no cross-site data flow at all, so instead of running three barrier
-// phases (ingest all sites, infer all sites, tail all sites) the feed runs
-// each site's whole checkpoint — ingest, inference, query feed, scoring —
-// as one task on the pool, longest-first by estimated cost (interval volume
-// plus the engine's dirty-tag count). Under a skewed world the hot site
-// starts first, on the calling goroutine; the idle sites' sub-millisecond
-// checkpoints pack in behind it on the other workers, which then join the
-// hot site's inference phases — the engines fan out on the same pool —
-// instead of every phase barrier re-serializing the cluster behind the hot
-// site. Per-site score shards still merge in site order, so the Result
-// stays bit-identical to the phased schedule, which in turn matches the
-// sequential reference at any pool size.
 func (f *Feed) AdvanceWith(due [][]Reading) error {
 	if f.closed {
 		return fmt.Errorf("dist: feed is closed")
@@ -359,7 +339,6 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	if due != nil && len(due) != len(f.pending) {
 		return fmt.Errorf("dist: AdvanceWith got %d site batches, want %d", len(due), len(f.pending))
 	}
-	c := f.c
 	ckpt := f.next
 	if f.ingested == nil {
 		f.ingested = make([]int, len(f.pending))
@@ -373,8 +352,6 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	// producer re-sending a batch whose ack was lost, or a recovery replay
 	// overlapping a snapshot — land adjacent and are dropped: departure
 	// ingest is idempotent, like reading ingest (mask merge) already is.
-	// Counting the due departures up front also picks the schedule: zero
-	// due means the fused per-site path is sound.
 	if f.depsDirty {
 		slices.SortFunc(f.deps, func(a, b Departure) int {
 			if c := cmp.Compare(a.At, b.At); c != 0 {
@@ -408,17 +385,37 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	}
 
 	var phases PhaseNS
-	var err error
-	fused := nDue == 0 && c.Hooks.OnCheckpoint == nil &&
-		f.pool.Workers() > 1 && len(c.Engines) > 1
-	if fused {
-		phases, err = f.advanceFused(due, ckpt)
-	} else {
-		phases, err = f.advancePhased(due, ckpt, nDue)
-	}
-	if err != nil {
+	phaseStart := time.Now()
+	if err := f.runSites(func(s int) error {
+		return f.ingestSite(s, due, ckpt)
+	}); err != nil {
 		return err
 	}
+	phases.Ingest = time.Since(phaseStart)
+	phaseStart = time.Now()
+
+	for _, d := range f.deps[:nDue] {
+		if err := f.migrate(d); err != nil {
+			return err
+		}
+	}
+	f.deps = append(f.deps[:0], f.deps[nDue:]...)
+	phases.Migrate = time.Since(phaseStart)
+	phaseStart = time.Now()
+
+	evalAt := ckpt - 1
+	f.runSites(func(s int) error {
+		if f.owns(s) {
+			f.c.Engines[s].Run(evalAt)
+		}
+		return nil
+	})
+	phases.Infer = time.Since(phaseStart)
+	phaseStart = time.Now()
+
+	f.runTail(evalAt)
+	phases.Tail = time.Since(phaseStart)
+
 	for s, n := range f.ingested {
 		f.stats.Observed += n
 		// Only readings that sat in pending count against buffered; due
@@ -428,9 +425,6 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 
 	f.res.Runs++
 	f.stats.Checkpoints++
-	if fused {
-		f.stats.FusedCheckpoints++
-	}
 	f.stats.Phases.add(phases)
 	f.stats.LastPhases = phases
 	f.next += f.interval
@@ -484,17 +478,12 @@ func (f *Feed) ingestSite(s int, due [][]Reading, ckpt model.Epoch) error {
 	return nil
 }
 
-// runSites runs fn(s) for every site on the feed's pool. Sites are claimed
-// in the given order (nil: by site number), the first by the caller itself,
-// so a longest-first order puts the hot site on the goroutine that is
-// certain to run; a pool of 1 simply walks the order. Every site runs even
-// after a failure and the lowest-numbered failing site's error is returned,
-// so the outcome is independent of who claimed what.
-func (f *Feed) runSites(order []int, fn func(s int) error) error {
+// runSites runs fn(s) for every site on the feed's pool; a pool of 1 walks
+// them in site order on the calling goroutine. Every site runs even after a
+// failure and the lowest-numbered failing site's error is returned, so the
+// outcome is independent of who claimed what.
+func (f *Feed) runSites(fn func(s int) error) error {
 	f.pool.For(len(f.pending), 1, func(s, _ int) {
-		if order != nil {
-			s = order[s]
-		}
 		f.siteErrs[s] = fn(s)
 	})
 	for _, err := range f.siteErrs {
@@ -505,168 +494,49 @@ func (f *Feed) runSites(order []int, fn func(s int) error) error {
 	return nil
 }
 
-// advancePhased is the barrier schedule: ingest every site, migrate the due
-// departures in global order, infer every site, then the tail. It is the
-// only schedule that can host migrations (which move state between sites
-// after ingest and before inference) and checkpoint hooks (which may read
-// cross-site state), and the degenerate one-worker / one-site case.
-func (f *Feed) advancePhased(due [][]Reading, ckpt model.Epoch, nDue int) (PhaseNS, error) {
-	c := f.c
-	var phases PhaseNS
-	phaseStart := time.Now()
-
-	if err := f.runSites(nil, func(s int) error {
-		return f.ingestSite(s, due, ckpt)
-	}); err != nil {
-		return phases, err
-	}
-	phases.Ingest = time.Since(phaseStart)
-	phaseStart = time.Now()
-
-	for _, d := range f.deps[:nDue] {
-		if err := f.migrate(d); err != nil {
-			return phases, err
-		}
-	}
-	f.deps = append(f.deps[:0], f.deps[nDue:]...)
-	phases.Migrate = time.Since(phaseStart)
-	phaseStart = time.Now()
-
-	evalAt := ckpt - 1
-	f.runSites(nil, func(s int) error {
-		if f.owns(s) {
-			c.Engines[s].Run(evalAt)
-		}
-		return nil
-	})
-	phases.Infer = time.Since(phaseStart)
-	phaseStart = time.Now()
-
-	f.runTail(evalAt)
-	phases.Tail = time.Since(phaseStart)
-	return phases, nil
-}
-
-// advanceFused runs a migration-free, hook-free checkpoint as one pool task
-// per site — ingest, inference, query feed, scoring. Each task touches only
-// site-local state (engine, query engine, pending bucket, stats slot, tail
-// shard, span slot), so the only ordering that matters for bit-identical
-// output is the site-order merge of the score shards after the loop.
-func (f *Feed) advanceFused(due [][]Reading, ckpt model.Epoch) (PhaseNS, error) {
-	c := f.c
-	evalAt := ckpt - 1
-	err := f.runSites(f.checkpointOrder(due), func(s int) error {
-		f.spans[s] = PhaseNS{}
-		f.tails[s] = tailShard{}
-		t0 := time.Now()
-		if err := f.ingestSite(s, due, ckpt); err != nil {
-			return err
-		}
-		t1 := time.Now()
-		f.spans[s].Ingest = t1.Sub(t0)
-		if !f.owns(s) {
-			return nil
-		}
-		c.Engines[s].Run(evalAt)
-		t2 := time.Now()
-		f.spans[s].Infer = t2.Sub(t1)
-		f.tailSite(s, evalAt)
-		f.spans[s].Tail = time.Since(t2)
-		return nil
-	})
-	if err != nil {
-		return PhaseNS{}, err
-	}
-	f.mergeTails()
-	var phases PhaseNS
-	for _, sp := range f.spans {
-		phases.add(sp)
-	}
-	return phases, nil
-}
-
-// checkpointOrder returns the sites sorted by descending estimated
-// checkpoint cost: the interval's reading volume (caller batch plus the
-// feed's own bucket) plus the engine's dirty-tag count, which is how much
-// E/M-step work the incremental Run will actually do — an idle site's Run
-// skips every clean group, so volume alone would misrank a site with a
-// large world but a quiet interval. Ties break on site number so the
-// schedule is deterministic (scheduling order never affects output, only
-// wall time).
-func (f *Feed) checkpointOrder(due [][]Reading) []int {
-	n := len(f.pending)
-	if cap(f.order) < n {
-		f.order = make([]int, n)
-		f.cost = make([]int, n)
-	}
-	order, cost := f.order[:n], f.cost[:n]
-	for s := 0; s < n; s++ {
-		order[s] = s
-		cost[s] = 0
-		if !f.owns(s) {
-			continue
-		}
-		if due != nil {
-			cost[s] += len(due[s])
-		}
-		if len(f.pending[s]) > 0 {
-			cost[s] += len(f.pending[s][0])
-		}
-		cost[s] += f.c.Engines[s].DirtyTags()
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(cost[b], cost[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return order
-}
-
-// migrate performs one due departure. On a whole-cluster feed it is the
-// barrier transfer. On a partitioned feed it dispatches on which side of
-// the partition boundary each endpoint lives: both local runs the barrier
-// transfer unchanged; source-only encodes, accounts the send and ships the
-// payload out through the transport; destination-only receives, applies
-// and accounts; neither-local updates only the ONS mirror and ownership
-// view (every peer observes every departure — that is what keeps the
-// mirrors complete). Whether bytes cross the transport at all is decided
-// by the same predicate on both sides — the strategy or an attached query
-// implies a payload — so sender and receiver always agree without
-// negotiation, even when the encoded payload happens to be empty.
+// migrate performs one due departure: the ONS and ownership views move,
+// OnDepart fires, and the object's state travels as encoded bytes from the
+// source engines to the destination's. On a partitioned feed each endpoint
+// does its half only where it is local — the source side encodes, accounts
+// the send and ships the payload out through the transport; the destination
+// side receives, applies and accounts; a departure between two remote sites
+// updates only the ONS mirror and ownership view (every peer observes every
+// departure — that is what keeps the mirrors complete). Whether bytes cross
+// the transport at all is decided by the same predicate on both sides — the
+// strategy or an attached query implies a payload — so sender and receiver
+// always agree without negotiation, even when the encoded payload happens
+// to be empty.
 func (f *Feed) migrate(d Departure) error {
 	c := f.c
-	fromLocal, toLocal := f.owns(d.From), f.owns(d.To)
-	if fromLocal && toLocal {
-		return c.migrateBarrier(d, &f.res, f.links, f.owned)
-	}
 	c.ons.Move(d.Object, d.To)
+	if c.Hooks.OnDepart != nil {
+		c.Hooks.OnDepart(d)
+	}
 	if f.owned != nil {
 		delete(f.owned[d.From], d.Object)
 		f.owned[d.To][d.Object] = true
 	}
+	fromLocal, toLocal := f.owns(d.From), f.owns(d.To)
 	wire := c.Strategy != MigrateNone || c.hasQuerySection()
+	var payload []byte
+	var err error
 	switch {
 	case fromLocal:
-		payload, engineBytes, queryBytes, err := c.encodePayload(d)
-		if err != nil {
+		var engineBytes, queryBytes int
+		if payload, engineBytes, queryBytes, err = c.encodePayload(d); err != nil {
 			return err
 		}
 		accountSend(d, payload, engineBytes, queryBytes, f.links, &f.res.QueryStateBytes, &c.stats.Sites[d.From])
-		if wire {
-			if err := f.transport.Send(d, payload); err != nil {
-				return err
-			}
+		if !toLocal && wire {
+			err = f.transport.Send(d, payload)
 		}
-	case toLocal:
-		var payload []byte
-		if wire {
-			var err error
-			payload, err = f.transport.Recv(d)
-			if err != nil {
-				return err
-			}
-		}
+	case toLocal && wire:
+		payload, err = f.transport.Recv(d)
+	}
+	if err != nil {
+		return err
+	}
+	if toLocal {
 		if err := c.applyPayload(d, payload); err != nil {
 			return err
 		}
@@ -675,8 +545,8 @@ func (f *Feed) migrate(d Departure) error {
 	return nil
 }
 
-// runTail runs the post-inference tail of one phased checkpoint: hooks,
-// query feeding and scoring. With a checkpoint hook installed it keeps the
+// runTail runs the post-inference tail of one checkpoint: hooks, query
+// feeding and scoring. With a checkpoint hook installed it keeps the
 // sequential site order, since a hook may read cross-site state. Hook-free
 // it fans out over sites — each site's query engine is touched only by its
 // own task — and merges the integer score subtotals in site order, which is
@@ -692,7 +562,7 @@ func (f *Feed) runTail(evalAt model.Epoch) {
 			}
 		}
 	} else {
-		f.runSites(nil, func(s int) error {
+		f.runSites(func(s int) error {
 			f.tails[s] = tailShard{}
 			if f.owns(s) {
 				f.tailSite(s, evalAt)

@@ -52,7 +52,7 @@ func TestFeedMatchesSequential(t *testing.T) {
 		Reading
 	}
 	var all []ev
-	for s, evs := range buildFeeds(w, true) {
+	for s, evs := range buildFeeds(w) {
 		for _, e := range evs {
 			all = append(all, ev{site: s, Reading: e})
 		}
@@ -97,13 +97,11 @@ func TestFeedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFusedSchedulerMatchesPhased drives a migration-free four-site stream
-// through a parallel feed — where every checkpoint qualifies for the fused
-// per-site scheduler — and through a single-worker phased feed, and
-// requires bit-identical Results. It also pins that the fused path
-// actually engaged: a scheduler that silently fell back to the barrier
-// schedule would pass every equivalence test while giving up the win.
-func TestFusedSchedulerMatchesPhased(t *testing.T) {
+// TestParallelFeedMatchesSequential drives a migration-free four-site
+// stream — every checkpoint is pure site-level fan-out, no migration phase
+// to serialize on — through feeds on pools of 2, 4 and 8 and through a
+// single-worker feed, and requires bit-identical Results.
+func TestParallelFeedMatchesSequential(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Warehouses = 4
 	cfg.PathLength = 1
@@ -114,9 +112,9 @@ func TestFusedSchedulerMatchesPhased(t *testing.T) {
 		t.Fatal(err)
 	}
 	const interval = model.Epoch(300)
-	feeds := buildFeeds(w, false)
+	feeds := buildFeeds(w)
 
-	run := func(workers int) (Result, FeedStats) {
+	run := func(workers int) Result {
 		t.Helper()
 		c := NewCluster(w, MigrateNone, rfinfer.DefaultConfig())
 		f, err := c.openFeed(interval, workers)
@@ -135,27 +133,24 @@ func TestFusedSchedulerMatchesPhased(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := f.Stats()
+		if st := f.Stats(); st.Checkpoints != int(w.Epochs/interval) || st.Late != 0 {
+			t.Errorf("workers=%d: feed stats = %+v, want %d checkpoints, 0 late", workers, st, w.Epochs/interval)
+		}
 		res, err := f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, st
+		return res
 	}
 
-	want, refStats := run(1)
-	if refStats.FusedCheckpoints != 0 {
-		t.Errorf("single-worker feed took the fused path %d times", refStats.FusedCheckpoints)
+	want := run(1)
+	if want.ContErr.Total == 0 {
+		t.Fatalf("reference scored nothing: %+v", want)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, st := run(workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: fused Result diverged from phased reference\n got: %+v\nwant: %+v",
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: Result diverged from the single-worker feed\n got: %+v\nwant: %+v",
 				workers, got, want)
-		}
-		if st.FusedCheckpoints != st.Checkpoints {
-			t.Errorf("workers=%d: %d of %d checkpoints fused, want all (no migrations, no hooks)",
-				workers, st.FusedCheckpoints, st.Checkpoints)
 		}
 	}
 }
@@ -205,10 +200,10 @@ func TestFeedLateAndInvalid(t *testing.T) {
 // load shape the shared pool exists for: one site holds most of the
 // readings, so at every pool size above 1 the workers that finish the quiet
 // sites spend the rest of each checkpoint inside the hot site's engine
-// phases. Results and alert sets must equal ReplaySequential's through the
-// feed (whose checkpoints take both the phased and the fused schedule
-// here), through the pipelined Replay, and through a partitioned feed whose
-// first peer owns the hot site alone.
+// phases. Results and alert sets must equal ReplaySequential's through a
+// hand-driven feed, through Replay, and through a partitioned feed whose
+// first peer owns the hot site alone — and at every pool size above 1 the
+// pool must report that helpers actually helped.
 func TestSkewedClusterMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -225,7 +220,7 @@ func TestSkewedClusterMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const interval = model.Epoch(300)
-	feeds := buildFeeds(w, false)
+	feeds := buildFeeds(w)
 	total, hottest := 0, 0
 	for _, evs := range feeds {
 		total += len(evs)
@@ -286,21 +281,17 @@ func TestSkewedClusterMatchesSequential(t *testing.T) {
 			if err := f.AdvanceTo(w.Epochs); err != nil {
 				t.Fatal(err)
 			}
-			st, pool := f.Stats(), f.PoolStats()
+			pool := f.PoolStats()
 			got, err := f.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(t, got, alertSets(c))
 			if workers == 1 {
-				if st.FusedCheckpoints != 0 || pool.HelpedChunks != 0 {
-					t.Errorf("pool of 1 fused %d checkpoints and had %d chunks helped, want the inline schedule",
-						st.FusedCheckpoints, pool.HelpedChunks)
+				if pool.HelpedChunks != 0 {
+					t.Errorf("pool of 1 had %d chunks helped, want everything inline", pool.HelpedChunks)
 				}
 				return
-			}
-			if st.FusedCheckpoints == 0 || st.FusedCheckpoints == st.Checkpoints {
-				t.Errorf("%d of %d checkpoints fused, want both schedules exercised", st.FusedCheckpoints, st.Checkpoints)
 			}
 			if pool.Workers != workers || pool.HelpedChunks == 0 || pool.BusyNS == 0 {
 				t.Errorf("no worker ever helped: %+v", pool)

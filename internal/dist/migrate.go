@@ -10,9 +10,8 @@
 //
 // The payload is produced at the source site after it has ingested the
 // departure checkpoint's readings and applied every earlier migration
-// touching it, and consumed at the destination at the same point of its
-// own timeline — exactly where the sequential reference replay performs
-// the transfer, which is what makes the pipelined schedule bit-identical.
+// touching it, and consumed at the destination before that checkpoint's
+// inference runs there — on one peer or across two (see Feed.migrate).
 package dist
 
 import (
@@ -28,38 +27,6 @@ import (
 // pattern-state section. Encoder and decoder must agree, so both key off
 // the attached ClusterQuery rather than any per-site state.
 func (c *Cluster) hasQuerySection() bool { return c.Query != nil }
-
-// planOp is one migration event in a site's checkpoint timeline: either
-// the departure side (ONS move, export, send) or the arrival side
-// (receive, decode, import). Ops appear in each site's list in global
-// departure order, which totally orders every pair of ops that share an
-// engine.
-type planOp struct {
-	dep    int         // index into Cluster.deps
-	arrive bool        // arrival side of the transfer
-	ch     chan []byte // transfer channel
-}
-
-// buildPlan assigns every departure to its observing checkpoint and lays
-// the resulting ops into per-site, per-checkpoint timelines. Departures at
-// or after the last checkpoint are never observed (matching the reference
-// replay) and are dropped.
-func (c *Cluster) buildPlan(interval model.Epoch, numCkpts int) [][][]planOp {
-	plan := make([][][]planOp, len(c.World.Sites))
-	for s := range plan {
-		plan[s] = make([][]planOp, numCkpts)
-	}
-	for i, d := range c.deps {
-		k := int(d.At / interval) // first checkpoint with d.At < ckpt
-		if k >= numCkpts {
-			continue
-		}
-		ch := make(chan []byte, 1)
-		plan[d.From][k] = append(plan[d.From][k], planOp{dep: i, ch: ch})
-		plan[d.To][k] = append(plan[d.To][k], planOp{dep: i, arrive: true, ch: ch})
-	}
-	return plan
-}
 
 // encodePayload exports and encodes the migrating state for d from the
 // source engines. engineBytes and queryBytes report the wire size of the
@@ -108,8 +75,9 @@ func (c *Cluster) encodePayload(d Departure) (payload []byte, engineBytes, query
 
 // applyPayload decodes a migration payload and imports it into the
 // destination engines. Decoding from the wire bytes — rather than handing
-// structs across — is deliberate: it keeps both replay schedules on the
-// exact same import path and exercises the codecs the fuzz targets harden.
+// structs across — is deliberate: it keeps the in-process and cross-peer
+// transfers on the exact same import path and exercises the codecs the fuzz
+// targets harden.
 func (c *Cluster) applyPayload(d Departure, payload []byte) error {
 	if len(payload) == 0 {
 		return nil

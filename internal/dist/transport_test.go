@@ -70,7 +70,7 @@ func runPartitioned(t *testing.T, w *sim.World, sc scenario, owner []int, worker
 		}
 		clusters[p], feeds[p] = cl, f
 	}
-	siteFeeds := buildFeeds(w, false)
+	siteFeeds := buildFeeds(w)
 	allDeps := clusters[0].Departures()
 	results := make([]Result, peers)
 	errs := make([]error, peers)

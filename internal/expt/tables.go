@@ -220,16 +220,15 @@ func Scalability(sc Scale) Table {
 	return tbl
 }
 
-// ClusterScaling measures the concurrent cluster runtime: wall time of the
-// multi-warehouse replay at different worker budgets, with the per-site
-// migration counters (queue depth, stall time) the runtime exposes via
-// Cluster.Stats(). Results are bit-identical at every worker count; only
-// the wall time and stall profile change.
+// ClusterScaling measures the cluster runtime: wall time of the
+// multi-warehouse replay at different worker budgets, with the migration
+// counters the runtime exposes via Cluster.Stats(). Results are
+// bit-identical at every worker count; only the wall time changes.
 func ClusterScaling(sc Scale) Table {
 	tbl := Table{
 		ID:     "Cluster",
-		Title:  "concurrent multi-site replay: wall time vs workers (collapsed-weights migration)",
-		Header: []string{"workers", "wall ms", "cont %", "migrations", "state KB", "inbox peak", "stall ms"},
+		Title:  "multi-site replay: wall time vs workers (collapsed-weights migration)",
+		Header: []string{"workers", "wall ms", "cont %", "migrations", "state KB"},
 	}
 	w := distWorld(sc, 0.8, 0)
 	workers := []int{1, 2, 4, 0} // 0 = GOMAXPROCS
@@ -253,8 +252,6 @@ func ClusterScaling(sc Scale) Table {
 			f2(res.ContErr.Rate()),
 			fmt.Sprint(tot.MigrationsOut),
 			fmt.Sprint((tot.BytesOut + 1023) / 1024),
-			fmt.Sprint(tot.InboxPeak),
-			fmt.Sprint(tot.Stall.Milliseconds()),
 		})
 	}
 	return tbl

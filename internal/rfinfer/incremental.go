@@ -44,10 +44,6 @@ func (e *Engine) noteContainerChange(t model.Epoch) {
 	e.contFlatClean = false
 }
 
-// DirtyTags returns how many tags changed since the end of the last Run —
-// the scheduler's per-site cost estimate for the next checkpoint.
-func (e *Engine) DirtyTags() int { return e.dirtyTags }
-
 // carryAnchored reports whether end-of-Run state is a sound anchor for the
 // between-Run posterior carry: the memo refresh re-anchors postSig over the
 // post-truncation series at the end of every Run, absorbing any intra-Run

@@ -427,7 +427,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // between bursts most tag groups at the hot site — are idle. This is the
 // incremental Δ-checkpoint's home turf: clean groups carry their
 // posteriors, evidence and critical regions forward, idle sites cost
-// microseconds, and the fused scheduler packs them behind the hot site.
+// microseconds, and the workers that finish them help inside the hot site.
 // One op is one checkpoint (Ingest + Drain). The acceptance ceiling is
 // 10ms/op.
 func BenchmarkCheckpointIdle(b *testing.B) {

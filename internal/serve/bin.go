@@ -1,9 +1,10 @@
-// The binary ingest fast path: POST /ingest/bin carries a stream batch
-// frame (see internal/stream's frame codec) whose fixed-width records are
-// validated and bucketed straight out of the request buffer — no JSON, no
-// intermediate slice. The server-side decode is zero-copy (sections are
-// views over the body) and the client-side encode reuses one frame buffer
-// per Client, so both directions are allocation-free in steady state.
+// The binary ingest wire: POST /ingest/bin carries a stream batch frame
+// (see internal/stream's frame codec) whose fixed-width records
+// Server.IngestFrame validates and buckets straight out of the request
+// buffer — no JSON, no intermediate slice. The server-side decode is
+// zero-copy (sections are views over the body) and the client-side encode
+// reuses one frame buffer per Client, so both directions are
+// allocation-free in steady state.
 package serve
 
 import (
@@ -15,95 +16,8 @@ import (
 	"sync"
 
 	"rfidtrack/internal/dist"
-	"rfidtrack/internal/model"
 	"rfidtrack/internal/stream"
 )
-
-// IngestFrame validates and interval-buckets one binary batch frame, the
-// wire-free twin of IngestBatch for multi-site frames. Records pass
-// through the same per-reading validation as every other ingest path, so
-// the binary and JSON codecs are observationally identical to the
-// scheduler. The frame is fully checked (magic, length, CRC, section
-// tiling) before any record is applied: a torn or corrupt frame is
-// refused whole — counted in Stats.BadFrames — never half-ingested. The
-// frame buffer is not retained; the caller may reuse it immediately.
-//
-// The returned count is the number of records carried by the frame's
-// routable sections (mirroring IngestBatch's acknowledgement, which does
-// not subtract per-reading validation rejects).
-func (s *Server) IngestFrame(frame []byte) (queued int, err error) {
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return 0, ErrClosed
-	}
-	s.ingestWG.Add(1)
-	s.closeMu.RUnlock()
-	defer s.ingestWG.Done()
-
-	// Hold the stripe lock across consecutive same-site sections, like
-	// Ingest does across runs of same-site events.
-	var cur *shard
-	batchMax := model.Epoch(-1)
-	_, err = stream.DecodeBatchFrame(frame, func(sec stream.BatchSection) error {
-		n := sec.Len()
-		if sec.Site < 0 || sec.Site >= len(s.shards) {
-			s.invMu.Lock()
-			s.invalid += n
-			s.miscReceived += n
-			s.lastInv = fmt.Sprintf("frame section for unknown site %d (%d readings)", sec.Site, n)
-			s.invMu.Unlock()
-			return nil
-		}
-		if s.owner != nil && s.owner[sec.Site] != s.cfg.Self {
-			s.invMu.Lock()
-			s.invalid += n
-			s.miscReceived += n
-			s.lastInv = fmt.Sprintf("frame section for site %d, owned by peer %d (%d readings)", sec.Site, s.owner[sec.Site], n)
-			s.invMu.Unlock()
-			return nil
-		}
-		sh := s.shards[sec.Site]
-		if sh != cur {
-			if cur != nil {
-				s.flushWALLocked(cur)
-				cur.mu.Unlock()
-			}
-			sh.mu.Lock()
-			cur = sh
-		}
-		if view, ok := sectionReadings(sec); ok {
-			// The zero-copy path: the section's bytes ARE the readings on
-			// this machine, so they flow straight into the interval buckets
-			// with one bulk append per same-bucket run.
-			if at := s.ingestSectionLocked(sh, view); at > batchMax {
-				batchMax = at
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				t, tag, mask := sec.At(i)
-				if at := s.applyReadingLocked(sh, t, tag, mask); at > batchMax {
-					batchMax = at
-				}
-			}
-		}
-		queued += n
-		return nil
-	})
-	if cur != nil {
-		s.flushWALLocked(cur)
-		cur.mu.Unlock()
-	}
-	if err != nil {
-		s.invMu.Lock()
-		s.badFrames++
-		s.lastInv = err.Error()
-		s.invMu.Unlock()
-		return 0, fmt.Errorf("serve: refused batch frame: %w", err)
-	}
-	s.publishTime(batchMax)
-	return queued, s.walCommit()
-}
 
 // binBodies recycles request-body buffers for /ingest/bin so a sustained
 // binary producer costs no per-request body allocation.

@@ -3,10 +3,12 @@
 // (paper Section 5.3) instead of the batch replay CLIs.
 //
 // A Server owns a dist.Cluster and its incremental dist.Feed. Ingestion
-// is sharded per site: readings enter through Ingest / IngestBatch (the
-// in-process Go API) or the HTTP front end (Handler — JSON-lines /ingest
-// and the site-addressed /ingest/batch fast path), and the *ingesting*
-// goroutine validates each event against the deployment's
+// is sharded per site: readings enter through Ingest / IngestBatch /
+// IngestFrame (the in-process Go API) or the HTTP front end (Handler —
+// JSON-lines /ingest, site-addressed /ingest/batch, binary /ingest/bin).
+// Every edge cuts its input into runs of one site's readings and hands
+// them to the one ingest path (ingest.go), where the *ingesting*
+// goroutine validates each reading against the deployment's
 // site/reader/tag layout and buckets it into its site stripe's
 // Δ-interval buckets under that stripe's lock. Producers on different
 // sites never contend, and nothing funnels through a central queue.

@@ -60,21 +60,16 @@ func (s *Server) recover() error {
 	savedDue := s.dueAt.Load()
 	s.dueAt.Store(math.MaxInt64)
 	s.replaying.Store(true)
-	batch := make([]Event, 0, 512)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := s.Ingest(batch)
-		batch = batch[:0]
-		return err
-	}
+	// Reading records regather into per-site runs for the one ingest path
+	// (a site segment replays as one long stretch); with checkpoints
+	// suppressed, order against the departures cannot matter.
+	g := s.gatherRuns()
 	replayErr := l.Replay(func(rec stream.WALRecord) error {
 		switch rec.Kind {
 		case stream.WALReading:
-			batch = append(batch, Reading(rec.Site, rec.T, rec.Tag, rec.Mask))
+			g.add(rec.Site, dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
 		case stream.WALDepart:
-			batch = append(batch, Depart(dist.Departure{Object: rec.Object, From: rec.From, To: rec.To, At: rec.At}))
+			s.applyDeparture(dist.Departure{Object: rec.Object, From: rec.From, To: rec.To, At: rec.At})
 		case stream.WALMigration:
 			// An inbound peer payload that was ACKed before the crash:
 			// re-deposit it for the caught-up checkpoint, unless the
@@ -106,14 +101,9 @@ func (s *Server) recover() error {
 				Pattern: rec.Pattern,
 			})
 		}
-		if len(batch) == cap(batch) {
-			return flush()
-		}
 		return nil
 	})
-	if replayErr == nil {
-		replayErr = flush()
-	}
+	s.publishTime(g.done())
 	s.replaying.Store(false)
 	s.dueAt.Store(savedDue)
 	if replayErr != nil {

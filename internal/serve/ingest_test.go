@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -296,5 +297,234 @@ func TestIngestBinValidation(t *testing.T) {
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ingestTally is the part of Stats the three ingest edges must agree on.
+type ingestTally struct {
+	Received, Invalid, BadFrames, Observed int
+	Late, Buffered                         []int
+}
+
+func tallyOf(st Stats) ingestTally {
+	tl := ingestTally{Received: st.Received, Invalid: st.Invalid, BadFrames: st.BadFrames, Observed: st.Feed.Observed}
+	for _, sh := range st.Shards {
+		tl.Late = append(tl.Late, sh.Late)
+		tl.Buffered = append(tl.Buffered, sh.Buffered)
+	}
+	return tl
+}
+
+// TestIngestEdgesAgree pushes one dirty stream — a whole world's readings
+// and departures in time order, interleaved across sites, with every kind
+// of inadmissible reading spliced in — through Ingest, IngestBatch and
+// IngestFrame (aligned, and shifted one byte so the section decodes through
+// the scratch buffer instead of the zero-copy view) on fresh servers. All
+// edges are adapters over one ingest path, so they must leave identical
+// counters mid-stream and at the end, and the drained Result must equal
+// ReplaySequential of the clean world: nothing dirty got in, nothing clean
+// got lost. The second pass shrinks QueueSize until every run takes the
+// per-record backpressure fallback.
+func TestIngestEdgesAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	w := testWorld(t)
+	const interval = model.Epoch(300)
+	ref := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+	want, err := ref.ReplaySequential(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	item := w.Sites[0].Items()[0]
+	pallet := model.TagID(-1)
+	for _, tg := range w.Sites[0].Tags {
+		if tg.Kind == model.KindPallet {
+			pallet = tg.ID
+			break
+		}
+	}
+	if pallet < 0 {
+		t.Fatal("world has no pallet tag")
+	}
+	dirty := [][]Event{
+		{Reading(0, 20, model.TagID(w.NumTags()), 1)},                  // unknown tag
+		{Reading(0, 20, pallet, 1)},                                    // pallet tag
+		{Reading(1, 21, item, 0)},                                      // zero mask
+		{Reading(1, 21, item, model.Mask(1)<<len(w.Sites[1].Readers))}, // beyond the site's readers
+		{Reading(2, -5, item, 1)},                                      // negative epoch
+		{Reading(2, w.Epochs+7, item, 1)},                              // beyond the horizon
+		{Reading(99, 22, item, 1), Reading(99, 23, item, 1)},           // unknown site, a run of two
+	}
+	const unroutable = 2
+
+	// Phase one stops short of the second boundary, so exactly checkpoint
+	// 300 runs before the mid-stream tally; phase two opens with a reading
+	// that checkpoint has sealed past.
+	var phase1, phase2 []Event
+	for _, ev := range WorldEvents(w, ref.Departures()) {
+		if ev.Time() < interval+interval/2 {
+			phase1 = append(phase1, ev)
+		} else {
+			phase2 = append(phase2, ev)
+		}
+	}
+	var spliced []Event
+	step := len(phase1) / (len(dirty) + 1)
+	for i, ev := range phase1 {
+		if i > 0 && i%step == 0 && i/step <= len(dirty) {
+			spliced = append(spliced, dirty[i/step-1]...)
+		}
+		spliced = append(spliced, ev)
+	}
+	phase1 = spliced
+	phase2 = append([]Event{Reading(0, 10, item, 1)}, phase2...) // late
+
+	// runs cuts events into maximal same-site reading runs and single
+	// departures, the granularity the batch and frame edges speak.
+	runs := func(evs []Event, reading func(site int, rs []dist.Reading), other func(Event)) {
+		var rs []dist.Reading
+		site := 0
+		flush := func() {
+			if len(rs) > 0 {
+				reading(site, rs)
+				rs = rs[:0]
+			}
+		}
+		for _, ev := range evs {
+			if ev.Type != TypeReading {
+				flush()
+				other(ev)
+				continue
+			}
+			if ev.Site != site {
+				flush()
+			}
+			site = ev.Site
+			rs = append(rs, dist.Reading{T: ev.T, ID: ev.Tag, Mask: ev.Mask})
+		}
+		flush()
+	}
+	depart := func(t *testing.T, srv *Server) func(Event) {
+		return func(ev Event) {
+			if err := srv.Ingest([]Event{ev}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	frameEdge := func(shift int) func(*testing.T, *Server, []Event) int {
+		return func(t *testing.T, srv *Server, evs []Event) int {
+			var fb stream.FrameBuilder
+			fb.Reset()
+			send := func() {
+				if fb.Records() == 0 {
+					return
+				}
+				buf := make([]byte, shift, shift+fb.Len())
+				buf = append(buf, fb.Finish()...)
+				if _, err := srv.IngestFrame(buf[shift:]); err != nil {
+					t.Fatal(err)
+				}
+				fb.Reset()
+			}
+			runs(evs, func(site int, rs []dist.Reading) {
+				fb.BeginSection(site)
+				for _, r := range rs {
+					fb.Add(r.T, r.ID, r.Mask)
+				}
+				if fb.Records() >= 64 {
+					send()
+				}
+			}, func(ev Event) {
+				send()
+				depart(t, srv)(ev)
+			})
+			send()
+			return 0
+		}
+	}
+	// Each edge pushes a slice of the stream and returns how many readings
+	// it reported as an error instead of counting them.
+	edges := []struct {
+		name string
+		push func(t *testing.T, srv *Server, evs []Event) (uncounted int)
+	}{
+		{"Ingest", func(t *testing.T, srv *Server, evs []Event) int {
+			for len(evs) > 0 {
+				n := min(64, len(evs))
+				if err := srv.Ingest(evs[:n]); err != nil {
+					t.Fatal(err)
+				}
+				evs = evs[n:]
+			}
+			return 0
+		}},
+		{"IngestBatch", func(t *testing.T, srv *Server, evs []Event) (uncounted int) {
+			runs(evs, func(site int, rs []dist.Reading) {
+				err := srv.IngestBatch(site, rs)
+				if site == 99 && err != nil {
+					uncounted += len(rs) // the site-addressed edge fails the call instead
+				} else if (site == 99) != (err != nil) {
+					t.Fatalf("IngestBatch(site %d) = %v", site, err)
+				}
+			}, depart(t, srv))
+			return uncounted
+		}},
+		{"IngestFrame", frameEdge(0)},
+		{"IngestFrame/shifted", frameEdge(1)},
+	}
+
+	for _, queue := range []int{0, 48} {
+		var mid, end []ingestTally
+		for _, e := range edges {
+			c := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+			srv, err := New(c, Config{Interval: interval, Horizon: w.Epochs, QueueSize: queue})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally := func(uncounted int) ingestTally {
+				tl := tallyOf(srv.Stats())
+				tl.Received += uncounted
+				tl.Invalid += uncounted
+				return tl
+			}
+			uncounted := e.push(t, srv, phase1)
+			if err := srv.Drain(interval); err != nil {
+				t.Fatal(err)
+			}
+			mid = append(mid, tally(uncounted))
+			uncounted += e.push(t, srv, phase2)
+			if err := srv.Drain(0); err != nil {
+				t.Fatal(err)
+			}
+			end = append(end, tally(uncounted))
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.Result(); !reflect.DeepEqual(got, want) {
+				t.Errorf("queue=%d %s: drained Result diverged from ReplaySequential\n got: %+v\nwant: %+v", queue, e.name, got, want)
+			}
+		}
+		for i, e := range edges {
+			if !reflect.DeepEqual(mid[i], mid[0]) {
+				t.Errorf("queue=%d: after checkpoint %d, %s tallied %+v, %s %+v", queue, interval, e.name, mid[i], edges[0].name, mid[0])
+			}
+			if !reflect.DeepEqual(end[i], end[0]) {
+				t.Errorf("queue=%d: at the end, %s tallied %+v, %s %+v", queue, e.name, end[i], edges[0].name, end[0])
+			}
+		}
+		// Every dirty reading was rejected, the late one dropped late, no
+		// frame refused, and the mid-stream tally really was mid-stream.
+		wantInvalid := unroutable
+		for _, d := range dirty[:len(dirty)-1] {
+			wantInvalid += len(d)
+		}
+		if tl := end[0]; tl.Invalid != wantInvalid || tl.BadFrames != 0 || tl.Late[0] != 1 || tl.Late[1]+tl.Late[2] != 0 {
+			t.Errorf("queue=%d: final tally %+v, want %d invalid, 0 bad frames, 1 late on site 0", queue, tl, wantInvalid)
+		}
+		if tl := mid[0]; tl.Buffered[0]+tl.Buffered[1]+tl.Buffered[2] == 0 || tl.Observed == 0 {
+			t.Errorf("queue=%d: mid-stream tally %+v, want readings both observed and still buffered", queue, tl)
+		}
 	}
 }

@@ -504,393 +504,6 @@ func (s *Server) publishAlert(site int, pattern string, m stream.Match) {
 	s.registry.dispatch(a)
 }
 
-// Ingest validates and interval-buckets the events on the calling
-// goroutine — by the time it returns, every accepted event is buffered in
-// its site's shard and will be observed by that interval's checkpoint.
-// It blocks only on per-shard backpressure (a full stripe behind a due
-// checkpoint) and returns ErrClosed once Shutdown has begun. Events within
-// one Δ-interval may arrive in any order; an event older than an
-// already-sealed checkpoint is counted late and dropped. The slice is not
-// retained: the caller may reuse it as soon as Ingest returns.
-func (s *Server) Ingest(events []Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return ErrClosed
-	}
-	s.ingestWG.Add(1)
-	s.closeMu.RUnlock()
-	defer s.ingestWG.Done()
-
-	// Hold the current event's stripe lock across runs of same-site
-	// events: a time-ordered multi-site stream costs one uncontended
-	// lock hop per site switch, a site-homogeneous batch costs one total.
-	var cur *shard
-	batchMax := model.Epoch(-1)
-	for i := range events {
-		ev := &events[i]
-		switch ev.Type {
-		case TypeReading:
-			if ev.Site < 0 || ev.Site >= len(s.shards) {
-				s.rejectMiscf("reading for unknown site %d", ev.Site)
-				continue
-			}
-			if s.owner != nil && s.owner[ev.Site] != s.cfg.Self {
-				s.rejectMiscf("reading for site %d, owned by peer %d", ev.Site, s.owner[ev.Site])
-				continue
-			}
-			sh := s.shards[ev.Site]
-			if sh != cur {
-				if cur != nil {
-					s.flushWALLocked(cur)
-					cur.mu.Unlock()
-				}
-				sh.mu.Lock()
-				cur = sh
-			}
-			if t := s.applyReadingLocked(sh, ev.T, ev.Tag, ev.Mask); t > batchMax {
-				batchMax = t
-			}
-		case TypeDepart:
-			s.applyDeparture(dist.Departure{Object: ev.Object, From: ev.From, To: ev.To, At: ev.At})
-		default:
-			s.rejectMiscf("unknown event type %q", ev.Type)
-		}
-	}
-	if cur != nil {
-		s.flushWALLocked(cur)
-		cur.mu.Unlock()
-	}
-	s.publishTime(batchMax)
-	return s.walCommit()
-}
-
-// IngestBatch is the single-site fast path: validate and bucket a batch of
-// readings for one site under one lock acquisition, allocation-free in
-// steady state. The readings slice is not retained; the caller may reuse
-// it immediately. An out-of-range site is an error (the batch is
-// site-addressed), unlike Ingest, which counts unroutable events invalid.
-func (s *Server) IngestBatch(site int, readings []dist.Reading) error {
-	if len(readings) == 0 {
-		return nil
-	}
-	if site < 0 || site >= len(s.shards) {
-		return fmt.Errorf("serve: site %d out of range [0,%d)", site, len(s.shards))
-	}
-	if s.owner != nil && s.owner[site] != s.cfg.Self {
-		return fmt.Errorf("serve: site %d is owned by peer %d, not this daemon (peer %d)", site, s.owner[site], s.cfg.Self)
-	}
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return ErrClosed
-	}
-	s.ingestWG.Add(1)
-	s.closeMu.RUnlock()
-	defer s.ingestWG.Done()
-
-	sh := s.shards[site]
-	batchMax := model.Epoch(-1)
-	sh.mu.Lock()
-	for i := range readings {
-		if t := s.applyReadingLocked(sh, readings[i].T, readings[i].ID, readings[i].Mask); t > batchMax {
-			batchMax = t
-		}
-	}
-	s.flushWALLocked(sh)
-	sh.mu.Unlock()
-	s.publishTime(batchMax)
-	return s.walCommit()
-}
-
-// IngestReading is a convenience wrapper ingesting one reading.
-func (s *Server) IngestReading(site int, t model.Epoch, tag model.TagID, mask model.Mask) error {
-	return s.Ingest([]Event{Reading(site, t, tag, mask)})
-}
-
-// IngestDeparture is a convenience wrapper ingesting one departure.
-func (s *Server) IngestDeparture(d dist.Departure) error {
-	return s.Ingest([]Event{Depart(d)})
-}
-
-// applyReadingLocked validates one reading against the deployment layout
-// and buckets it into the shard. It returns the accepted epoch, or -1 when
-// the reading was rejected or late. Caller holds sh.mu.
-func (s *Server) applyReadingLocked(sh *shard, t model.Epoch, tag model.TagID, mask model.Mask) model.Epoch {
-	sh.received++
-	if int(tag) < 0 || int(tag) >= len(sh.kinds) {
-		s.rejectf("reading for unknown tag %d", tag)
-		return -1
-	}
-	if k := sh.kinds[tag]; k != model.KindItem && k != model.KindCase {
-		s.rejectf("reading for non-trackable tag %d (kind %d)", tag, k)
-		return -1
-	}
-	if mask == 0 || mask>>sh.readers != 0 {
-		s.rejectf("reading mask %#x outside site %d's %d readers", mask, sh.site, sh.readers)
-		return -1
-	}
-	// Past the horizon a reading could never be observed by any
-	// checkpoint; refusing it also keeps stream time bounded.
-	if bound, kind := s.epochBound(); t >= bound || t < 0 {
-		s.rejectf("reading at epoch %d beyond %s %d", t, kind, bound)
-		return -1
-	}
-	if t < sh.lateBefore {
-		sh.late++
-		return -1
-	}
-	// Backpressure: while the stripe is full *and* the scheduler has a
-	// checkpoint to run, wait for that checkpoint to drain the stripe.
-	// Without a runnable checkpoint the producers themselves are the only
-	// source of progress, so the bound does not apply. Wait releases the
-	// stripe lock, so the batch's logged-but-unflushed run goes to the WAL
-	// first — a snapshot rotating segments mid-wait must not strand it.
-	for sh.backlog >= s.cfg.QueueSize && s.checkpointDue() && !s.failed.Load() {
-		s.flushWALLocked(sh)
-		sh.waits++
-		sh.cond.Wait()
-		if t < sh.lateBefore { // the checkpoint we waited on sealed past us
-			sh.late++
-			return -1
-		}
-	}
-	k := int(t/s.cfg.Interval) - sh.base
-	if k >= maxShardIntervals {
-		s.rejectf("reading at epoch %d is %d intervals ahead of checkpoint %d (max %d)",
-			t, k, sh.lateBefore+s.cfg.Interval, maxShardIntervals)
-		return -1
-	}
-	sh.growTo(k)
-	sh.buckets[k] = append(sh.buckets[k], dist.Reading{T: t, ID: tag, Mask: mask})
-	sh.backlog++
-	if t > sh.maxT {
-		sh.maxT = t
-	}
-	// The WAL append stays inside the stripe's critical section with the
-	// bucketing, so the log order is the bucket order and a snapshot's
-	// segment rotation (which also takes this lock) cleanly partitions the
-	// two — but it is buffered per batch and flushed in bulk (one segment
-	// lock per run, not per reading) wherever the stripe lock is released.
-	if s.walOn.Load() {
-		sh.walBuf = append(sh.walBuf, dist.Reading{T: t, ID: tag, Mask: mask})
-	}
-	return t
-}
-
-// ingestSectionLocked buckets a whole zero-copy frame section — recs is a
-// view over the request buffer — with section-level bookkeeping instead of
-// per-record bookkeeping. A validation-only scan proves every record
-// acceptable first; then records flow into the interval buckets in
-// same-bucket runs of one bulk append each (the appends copy, so nothing
-// retains the view), the WAL buffer takes the section in one append, and
-// the counters advance once. Any invalid or late record, and any section
-// that could hit the backpressure bound, falls back to applyReadingLocked
-// per record — the scan mutated nothing, so the replay from scratch is
-// exact, and the reject/wait bookkeeping stays in one place. Caller holds
-// sh.mu. Returns the highest accepted epoch, -1 when none.
-func (s *Server) ingestSectionLocked(sh *shard, recs []dist.Reading) model.Epoch {
-	n := len(recs)
-	if sh.backlog+n >= s.cfg.QueueSize {
-		return s.ingestSectionSlowLocked(sh, recs)
-	}
-	bound, _ := s.epochBound()
-	interval := s.cfg.Interval
-	maxT := model.Epoch(-1)
-	for i := range recs {
-		r := &recs[i]
-		if int(r.ID) < 0 || int(r.ID) >= len(sh.kinds) {
-			return s.ingestSectionSlowLocked(sh, recs)
-		}
-		if k := sh.kinds[r.ID]; k != model.KindItem && k != model.KindCase {
-			return s.ingestSectionSlowLocked(sh, recs)
-		}
-		if r.Mask == 0 || r.Mask>>sh.readers != 0 {
-			return s.ingestSectionSlowLocked(sh, recs)
-		}
-		if r.T < 0 || r.T >= bound || r.T < sh.lateBefore {
-			return s.ingestSectionSlowLocked(sh, recs)
-		}
-		if int(r.T/interval)-sh.base >= maxShardIntervals {
-			return s.ingestSectionSlowLocked(sh, recs)
-		}
-		if r.T > maxT {
-			maxT = r.T
-		}
-	}
-	sh.received += n
-	for i0 := 0; i0 < n; {
-		k := int(recs[i0].T/interval) - sh.base
-		i := i0 + 1
-		for i < n && int(recs[i].T/interval)-sh.base == k {
-			i++
-		}
-		sh.growTo(k)
-		sh.buckets[k] = append(sh.buckets[k], recs[i0:i]...)
-		i0 = i
-	}
-	sh.backlog += n
-	if maxT > sh.maxT {
-		sh.maxT = maxT
-	}
-	if s.walOn.Load() {
-		sh.walBuf = append(sh.walBuf, recs...)
-	}
-	return maxT
-}
-
-// ingestSectionSlowLocked is ingestSectionLocked's per-record fallback:
-// the exact applyReadingLocked loop, for sections with rejects, late
-// readings, or a full stripe.
-func (s *Server) ingestSectionSlowLocked(sh *shard, recs []dist.Reading) model.Epoch {
-	maxT := model.Epoch(-1)
-	for i := range recs {
-		if t := s.applyReadingLocked(sh, recs[i].T, recs[i].ID, recs[i].Mask); t > maxT {
-			maxT = t
-		}
-	}
-	return maxT
-}
-
-// flushWALLocked bulk-appends the stripe's accepted-readings run to the
-// WAL. Caller holds sh.mu; every path that releases the stripe lock after
-// applyReadingLocked must flush first.
-func (s *Server) flushWALLocked(sh *shard) {
-	if len(sh.walBuf) == 0 {
-		return
-	}
-	if err := s.wal.AppendReadings(sh.site, sh.walBuf); err != nil {
-		s.walFail(err)
-	}
-	sh.walBuf = sh.walBuf[:0]
-}
-
-// walFail latches the first durability failure: the pipeline keeps
-// serving reads but reports unhealthy, since an accepted event may no
-// longer survive a crash.
-func (s *Server) walFail(err error) {
-	s.walErrMu.Lock()
-	if s.walErr == nil {
-		s.walErr = err
-	}
-	s.walErrMu.Unlock()
-	s.failed.Store(true)
-}
-
-// walCommit gates an ingest acknowledgement on durability in strict mode.
-func (s *Server) walCommit() error {
-	if s.wal == nil || !s.cfg.Strict || !s.walOn.Load() {
-		return nil
-	}
-	if err := s.wal.Commit(); err != nil {
-		s.walFail(err)
-		return fmt.Errorf("serve: WAL commit: %w", err)
-	}
-	return nil
-}
-
-// applyDeparture validates one departure and buffers it for the scheduler,
-// which flushes the buffer into the feed ahead of every checkpoint.
-func (s *Server) applyDeparture(d dist.Departure) {
-	s.invMu.Lock()
-	s.miscReceived++
-	s.invMu.Unlock()
-	w := s.cluster.World
-	n := len(w.Sites)
-	if int(d.Object) < 0 || int(d.Object) >= w.NumTags() ||
-		w.Sites[0].Tags[d.Object].Kind != model.KindItem {
-		s.rejectf("departure of non-item tag %d", d.Object)
-		return
-	}
-	if d.From < 0 || d.From >= n || d.To < 0 || d.To >= n || d.From == d.To {
-		s.rejectf("departure %d->%d invalid for %d sites", d.From, d.To, n)
-		return
-	}
-	if bound, kind := s.epochBound(); d.At >= bound || d.At < 0 {
-		s.rejectf("departure at epoch %d beyond %s %d", d.At, kind, bound)
-		return
-	}
-	s.depMu.Lock()
-	s.deps = append(s.deps, d)
-	// Logged under depMu for the same reason readings log under the
-	// stripe lock: the snapshot copies this buffer and rotates the
-	// departure segment in one critical section.
-	if s.walOn.Load() {
-		if err := s.wal.AppendDeparture(d); err != nil {
-			s.walFail(err)
-		}
-	}
-	s.depMu.Unlock()
-	if s.onsCache != nil {
-		// The broadcast departure stream doubles as the naming-service
-		// cache's invalidation feed: the object's owner is changing, so
-		// the next lookup re-fetches from the authority.
-		s.onsCache.Invalidate(d.Object)
-	}
-	if s.owner != nil {
-		// A broadcast departure is also a stream-time signal in clustered
-		// mode: a peer whose own sites go quiet must still advance to the
-		// departure's checkpoint, where it receives (or sends) the
-		// migration payload. Producers therefore must keep departures in
-		// global time order with the readings they broadcast, or set a
-		// Watermark covering their skew — the same contract readings
-		// already carry.
-		s.publishTime(d.At)
-	}
-}
-
-// rejectf counts one validation rejection.
-func (s *Server) rejectf(format string, args ...any) {
-	s.invMu.Lock()
-	s.invalid++
-	s.lastInv = fmt.Sprintf(format, args...)
-	s.invMu.Unlock()
-}
-
-// rejectMiscf counts a rejected event that was never routed to a stripe
-// (unknown site, unknown type), so Received still accounts for it.
-func (s *Server) rejectMiscf(format string, args ...any) {
-	s.invMu.Lock()
-	s.invalid++
-	s.miscReceived++
-	s.lastInv = fmt.Sprintf(format, args...)
-	s.invMu.Unlock()
-}
-
-// publishTime folds a batch's highest accepted epoch into global stream
-// time and wakes the scheduler when a checkpoint became due. Stream time
-// is published only after the batch is fully bucketed, so the scheduler
-// can never seal an interval ahead of readings that moved the clock.
-func (s *Server) publishTime(t model.Epoch) {
-	if t < 0 {
-		return
-	}
-	for {
-		cur := s.maxT.Load()
-		if int64(t) <= cur {
-			break
-		}
-		if s.maxT.CompareAndSwap(cur, int64(t)) {
-			break
-		}
-	}
-	if s.checkpointDue() {
-		select {
-		case s.notify <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// checkpointDue reports whether published stream time has crossed the next
-// checkpoint's watermark.
-func (s *Server) checkpointDue() bool {
-	return s.maxT.Load() >= s.dueAt.Load()
-}
-
 // Drain blocks until every event ingested before it has been applied and
 // every checkpoint at or before through — clamped to the horizon
 // (Config.Horizon, else the interval containing the last streamed
@@ -899,13 +512,9 @@ func (s *Server) checkpointDue() bool {
 // through cannot spin the scheduler; through == 0 drains to the horizon
 // itself.
 func (s *Server) Drain(through model.Epoch) error {
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return ErrClosed
+	if err := s.beginIngest(); err != nil {
+		return err
 	}
-	s.ingestWG.Add(1)
-	s.closeMu.RUnlock()
 	defer s.ingestWG.Done()
 	ctl := &drainCtl{through: through, done: make(chan error, 1)}
 	s.ctl <- ctl

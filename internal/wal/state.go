@@ -19,9 +19,12 @@ import (
 var snapMagic = [8]byte{'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'}
 
 // snapVersion 2 appended the PendingMigs section; version 3 added the
-// per-alert pattern key. Older snapshots still decode: version 1 with an
-// empty peer inbox, versions 1–2 with empty pattern keys.
-const snapVersion = 3
+// per-alert pattern key; version 4 dropped two per-site counters
+// (migration inbox peak and stall time) that only a retired replay
+// schedule ever set. Older snapshots still decode: version 1 with an empty
+// peer inbox, versions 1–2 with empty pattern keys, versions 1–3 with the
+// two counters read and discarded.
+const snapVersion = 4
 
 // Alert is one persisted continuous-query alert. The serve layer's Seq is
 // implicit: it is the alert's index in the restored log.
@@ -262,8 +265,6 @@ func EncodeState(st *State) ([]byte, error) {
 		w.varint(int64(ss.MigrationsOut))
 		w.varint(int64(ss.BytesIn))
 		w.varint(int64(ss.BytesOut))
-		w.varint(int64(ss.InboxPeak))
-		w.varint(int64(ss.Stall))
 	}
 	w.varint(int64(fs.Stats.Observed))
 	w.varint(int64(fs.Stats.Late))
@@ -441,8 +442,10 @@ func DecodeState(b []byte) (*State, error) {
 			ss.MigrationsOut = int(r.varint())
 			ss.BytesIn = int(r.varint())
 			ss.BytesOut = int(r.varint())
-			ss.InboxPeak = int(r.varint())
-			ss.Stall = timeDuration(r.varint())
+			if version < 4 {
+				r.varint() // inbox peak
+				r.varint() // stall
+			}
 			fs.Sites = append(fs.Sites, ss)
 		}
 	}

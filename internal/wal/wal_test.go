@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -304,7 +305,7 @@ func TestStateRoundTrip(t *testing.T) {
 			Links:           []dist.LinkCost{{From: 0, To: 1, Costs: dist.Costs{Bytes: 120, Messages: 3}}},
 			Owner:           []int32{0, 1, 1, 0},
 			Owned:           [][]model.TagID{{0, 3}, {1, 2}},
-			Sites:           []dist.SiteStats{{Epochs: 2}, {Epochs: 2, MigrationsIn: 1, BytesIn: 120, Stall: 5}},
+			Sites:           []dist.SiteStats{{Epochs: 2}, {Epochs: 2, MigrationsIn: 1, BytesIn: 120}},
 		},
 		Engines: []rfinfer.EngineState{},
 		Queries: []QueryState{
@@ -336,6 +337,20 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("state round trip diverged:\n got %+v\nwant %+v", got, st)
 	}
 
+	// A version-3 snapshot of the same State — encoded before the per-site
+	// inbox-peak and stall counters left the format, with both set on site
+	// 1 — still loads, the two varints skipped.
+	v3, err := hex.DecodeString(snapshotV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = DecodeState(v3); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("version-3 snapshot decoded differently:\n got %+v\nwant %+v", got, st)
+	}
+
 	// Corruption anywhere in the file must be detected, never decoded.
 	for i := 8; i < len(b); i += 7 {
 		dirty := append([]byte(nil), b...)
@@ -345,3 +360,7 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// snapshotV3 is TestStateRoundTrip's State as the version-3 codec wrote it,
+// with InboxPeak 100 and Stall 5 on site 1.
+const snapshotV3 = "52464944534e4150030000001d5b4c84b009920cb009000000000422010001f00106040001010001020200030201020204000000000000040200f00100c8010ac6010000000400000000000000000001020103010a90030280808080808080fc3f808080808080808240010314a00601000000000000f83f000001010314a00601000000000000f83f000201b20902030001030100940a02c801046400080200"

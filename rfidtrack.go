@@ -159,8 +159,9 @@ func NewSlidingWindow(rng Epoch, key func(Tuple) int64) *SlidingWindow {
 
 // Distributed runtime types.
 type (
-	// Cluster is a concurrent multi-site deployment of engines: one actor
-	// per site, asynchronous state migration, bit-deterministic replay.
+	// Cluster is a multi-site deployment of engines: one per site, state
+	// migrating with departing objects, checkpoints fanned out over one
+	// worker pool, bit-deterministic at every pool size.
 	Cluster = dist.Cluster
 	// Strategy selects the state-migration method.
 	Strategy = dist.Strategy
