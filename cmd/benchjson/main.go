@@ -12,7 +12,8 @@
 // count, ns/op, B/op, allocs/op, and every custom metric the benchmark
 // reported (readings/s, ingest-p99-us, ...) under "metrics". The stripped
 // suffix is kept as "gomaxprocs" in the document's context, next to the
-// cpu model: the numbers mean nothing without them.
+// cpu model — the numbers mean nothing without them — and "pkgs", every
+// package the input ran (one `go test` over several prints several headers).
 //
 // With -check FILE the parsed results are additionally compared against
 // the committed baseline in FILE and the exit status becomes the CI perf
@@ -21,10 +22,11 @@
 // -threshold (default 20%), or its throughput metric (readings/s) drops
 // by more than the same margin. Benchmarks only on one side are ignored,
 // so adding or retiring a benchmark never breaks the gate. A baseline
-// pinned on another cpu model or at another GOMAXPROCS is not comparable
-// at all — contended-path ns/op and pool allocations move severalfold with
-// the core count — so the gate then fails with one line saying so and how
-// to re-pin, instead of a list of phantom regressions.
+// pinned on another cpu model, at another GOMAXPROCS or over another set of
+// packages is not comparable at all — contended-path ns/op and pool
+// allocations move severalfold with the core count — so the gate then fails
+// with one line saying so and how to re-pin, instead of a list of phantom
+// regressions.
 //
 // -tolerance widens the margin for specific benchmarks or specific
 // dimensions of one benchmark — for results that are legitimately
@@ -44,8 +46,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -67,8 +71,9 @@ type Record struct {
 
 // Output is the emitted JSON document.
 type Output struct {
-	// Context is the goos/goarch/pkg/cpu header of the run plus
-	// "gomaxprocs", the -N suffix of its benchmark names.
+	// Context is the goos/goarch/cpu header of the run, "pkgs" — every
+	// pkg header it printed, sorted and comma-separated — and "gomaxprocs",
+	// the -N suffix of its benchmark names.
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks are the parsed result lines, in input order.
 	Benchmarks []Record `json:"benchmarks"`
@@ -124,26 +129,9 @@ func main() {
 		log.Fatal("benchjson: need -o and/or -check")
 	}
 
-	doc := Output{Context: map[string]string{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		if key, val, ok := contextLine(line); ok {
-			doc.Context[key] = val
-			continue
-		}
-		if rec, procs, ok := parseBench(line); ok {
-			doc.Benchmarks = append(doc.Benchmarks, rec)
-			doc.Context["gomaxprocs"] = strconv.Itoa(procs)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		log.Fatalf("benchjson: reading stdin: %v", err)
-	}
-	if len(doc.Benchmarks) == 0 {
-		log.Fatal("benchjson: no benchmark lines found on stdin")
+	doc, err := parse(os.Stdin, os.Stdout)
+	if err != nil {
+		log.Fatalf("benchjson: %v", err)
 	}
 
 	if *out != "" {
@@ -164,13 +152,47 @@ func main() {
 	}
 }
 
+// parse reads `go test -bench` output, echoing every line to echo, into a
+// document.
+func parse(r io.Reader, echo io.Writer) (Output, error) {
+	doc := Output{Context: map[string]string{}}
+	var pkgs []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if key, val, ok := contextLine(line); ok {
+			if key == "pkg" {
+				pkgs = append(pkgs, val)
+			} else {
+				doc.Context[key] = val
+			}
+			continue
+		}
+		if rec, procs, ok := parseBench(line); ok {
+			doc.Benchmarks = append(doc.Benchmarks, rec)
+			doc.Context["gomaxprocs"] = strconv.Itoa(procs)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return doc, fmt.Errorf("reading input: %w", err)
+	}
+	if len(doc.Benchmarks) == 0 {
+		return doc, fmt.Errorf("no benchmark lines found in the input")
+	}
+	slices.Sort(pkgs)
+	doc.Context["pkgs"] = strings.Join(slices.Compact(pkgs), ",")
+	return doc, nil
+}
+
 // checkBaseline compares the run's records against the committed baseline
 // and returns an error describing every regression past the threshold.
 // Gated dimensions: ns/op and allocs/op may not grow by more than the
 // threshold (a zero-alloc baseline may not allocate at all, regardless of
 // tolerance), and the readings/s throughput metric may not shrink by more
 // than it. tol widens the margin per benchmark or per dimension. A baseline
-// from another cpu model or GOMAXPROCS is refused whole.
+// from another cpu model, GOMAXPROCS or set of packages is refused whole.
 func checkBaseline(path string, got Output, threshold float64, tol tolerances) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -180,7 +202,7 @@ func checkBaseline(path string, got Output, threshold float64, tol tolerances) e
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	for _, k := range []string{"cpu", "gomaxprocs"} {
+	for _, k := range []string{"cpu", "gomaxprocs", "pkgs"} {
 		if base.Context[k] != got.Context[k] {
 			return fmt.Errorf("baseline %s is not comparable: it was pinned at %s=%q, this run has %s=%q; re-pin with `make bench-json` on this machine",
 				path, k, base.Context[k], k, got.Context[k])

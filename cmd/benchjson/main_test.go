@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +49,7 @@ func TestToleranceThresholdPrecedence(t *testing.T) {
 // boxContext is the machine every test baseline and run pretends to be on,
 // unless the test is about a mismatch.
 func boxContext() map[string]string {
-	return map[string]string{"cpu": "Test CPU @ 1GHz", "gomaxprocs": "2"}
+	return map[string]string{"cpu": "Test CPU @ 1GHz", "gomaxprocs": "2", "pkgs": "rfidtrack/internal/serve"}
 }
 
 // run wraps records as a checking run on the test box.
@@ -117,7 +118,7 @@ func TestCheckBaselineNotComparable(t *testing.T) {
 	if err := checkBaseline(path, slow, 0.20, tolerances{}); err == nil || !strings.Contains(err.Error(), "ns/op 28 -> 78") {
 		t.Fatalf("same box = %v, want the ns/op regression", err)
 	}
-	for key, val := range map[string]string{"gomaxprocs": "1", "cpu": "Other CPU @ 2GHz"} {
+	for key, val := range map[string]string{"gomaxprocs": "1", "cpu": "Other CPU @ 2GHz", "pkgs": "rfidtrack/internal/serve,rfidtrack/internal/wal"} {
 		other := run(Record{Name: "IngestBin", NsPerOp: 78})
 		other.Context[key] = val
 		err := checkBaseline(path, other, 0.20, tolerances{})
@@ -168,5 +169,34 @@ func TestParseBenchCustomMetrics(t *testing.T) {
 		if !ok || rec.Name != want.name || procs != want.procs {
 			t.Errorf("parseBench(%q) = %q at %d procs (ok=%v), want %q at %d", line, rec.Name, procs, ok, want.name, want.procs)
 		}
+	}
+}
+
+// TestParseRecordsEveryPackage feeds the output of one `go test -bench` over
+// two packages — as `make bench-dist` produces, the later package first: the
+// document names both, sorted, not whichever header came last, and keeps both
+// packages' benchmarks.
+func TestParseRecordsEveryPackage(t *testing.T) {
+	in := strings.Join([]string{
+		"goos: linux", "goarch: amd64", "pkg: rfidtrack/internal/stream", "cpu: Test CPU @ 1GHz",
+		"BenchmarkMigrationFrame-2 \t 1000\t 100.0 ns/op", "PASS", "ok  \trfidtrack/internal/stream\t1.0s",
+		"goos: linux", "goarch: amd64", "pkg: rfidtrack/internal/dist", "cpu: Test CPU @ 1GHz",
+		"BenchmarkFeedAdvance-2 \t 10\t 250.0 ns/op", "PASS", "ok  \trfidtrack/internal/dist\t1.0s",
+	}, "\n")
+	doc, err := parse(strings.NewReader(in), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc.Context["pkgs"], "rfidtrack/internal/dist,rfidtrack/internal/stream"; got != want {
+		t.Errorf("pkgs = %q, want %q", got, want)
+	}
+	if _, ok := doc.Context["pkg"]; ok || doc.Context["cpu"] != "Test CPU @ 1GHz" || doc.Context["gomaxprocs"] != "2" {
+		t.Errorf("context = %v", doc.Context)
+	}
+	if len(doc.Benchmarks) != 2 || doc.Benchmarks[0].Name != "MigrationFrame" || doc.Benchmarks[1].Name != "FeedAdvance" {
+		t.Errorf("benchmarks = %+v", doc.Benchmarks)
+	}
+	if _, err := parse(strings.NewReader("pkg: x\nPASS\n"), io.Discard); err == nil {
+		t.Error("input without benchmark lines parsed")
 	}
 }

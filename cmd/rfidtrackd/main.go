@@ -38,6 +38,7 @@ import (
 	_ "net/http/pprof"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -46,6 +47,7 @@ import (
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/serve"
 	"rfidtrack/internal/sim"
+	"rfidtrack/internal/wal"
 )
 
 func main() {
@@ -102,7 +104,8 @@ func main() {
 	cfg.RR = *rr
 	cfg.AnomalyEvery = *anomaly
 	cfg.Seed = *seed
-	world, err := sim.Generate(cfg)
+	dep := wal.Deployment{Sim: cfg, Interval: model.Epoch(*interval), Strategy: strat.String(), Query: !*noQuery}
+	world, baseline, err := openWorld(dep, *dataDir, *demo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,8 +113,12 @@ func main() {
 		fmt.Printf("site %d: %d readers, %d cases, %d items\n",
 			s, len(tr.Readers), len(tr.Cases()), len(tr.Items()))
 	}
-
-	cluster := dist.NewCluster(world, strat, rfinfer.DefaultConfig())
+	newCluster := func() *dist.Cluster {
+		c := dist.NewCluster(world, strat, rfinfer.DefaultConfig())
+		c.Baseline = baseline
+		return c
+	}
+	cluster := newCluster()
 	scfg := serve.Config{
 		Interval:      model.Epoch(*interval),
 		Horizon:       world.Epochs,
@@ -141,7 +148,7 @@ func main() {
 		}
 	}
 	if *standbyFor != "" {
-		runStandby(world, strat, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter)
+		runStandby(newCluster, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter)
 		return
 	}
 	srv, err := serve.New(cluster, scfg)
@@ -264,15 +271,78 @@ func main() {
 	}
 }
 
-// runDemo streams the deployment's own simulated world into the daemon
-// over its real HTTP surface, then drains and spot-checks the endpoints.
+// openWorld builds the world the deployment flags describe, and the
+// resolver of its centralized baseline (dist.Cluster.Baseline).
+//
+// A data directory that holds a deployment record must have been written by
+// the same deployment — anything else is refused, naming the difference —
+// and then needs no simulated readings: its log has the real ones, so the
+// world is sim.Layout, a few percent of Generate's cost. A memory-only
+// daemon, -demo (which streams the simulated readings) and a directory
+// without a record (fresh, written by an earlier release, or a standby's
+// mirror) generate in full, and the directory gets its record.
+//
+// The baseline is the one figure derived from the simulated readings, and
+// compressing them costs more than generating them, so it is resolved when a
+// Result first asks: from the record, or else computed — over a full world,
+// generated for the purpose after a layout-only start — and added to the
+// record, so that no later start pays for it again.
+func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.World, func() int, error) {
+	layout := false // the directory's record vouches for the flags: no readings needed
+	if dataDir != "" {
+		recorded, err := wal.ReadDeployment(dataDir)
+		if err != nil {
+			return nil, nil, err
+		}
+		if recorded == nil {
+			if err := wal.WriteDeployment(dataDir, dep); err != nil {
+				return nil, nil, err
+			}
+		} else if diff := recorded.Mismatch(dep); diff != "" {
+			return nil, nil, fmt.Errorf("%s holds another deployment's state (%s): restart with the flags it was created with, or use a fresh -data-dir", dataDir, diff)
+		} else {
+			dep.CentralizedBytes = recorded.CentralizedBytes
+			layout = !needReadings
+		}
+	}
+	generate := sim.Generate
+	if layout {
+		generate = sim.Layout
+	}
+	world, err := generate(dep.Sim)
+	if err != nil {
+		return nil, nil, err
+	}
+	baseline := sync.OnceValue(func() int {
+		if dep.CentralizedBytes > 0 { // recorded; even an empty world compresses to a gzip header
+			return dep.CentralizedBytes
+		}
+		full := world
+		if layout {
+			var err error
+			if full, err = sim.Generate(dep.Sim); err != nil { // it validated for Layout
+				log.Fatalf("regenerating the world for the centralized baseline: %v", err)
+			}
+		}
+		dep.CentralizedBytes = dist.CentralizedBaseline(full)
+		if dataDir != "" {
+			if err := wal.WriteDeployment(dataDir, dep); err != nil {
+				log.Printf("recording the centralized baseline: %v", err)
+			}
+		}
+		return dep.CentralizedBytes
+	})
+	return world, baseline, nil
+}
+
 // runStandby runs the daemon as a warm standby: it tails the primary's
 // WAL over /repl/subscribe into scfg.DataDir and serves only the standby
 // control surface (/repl/status, /promote, /healthz) until promotion, at
 // which point the full ingest API comes up over the recovered state. The
-// Build closure regenerates the cluster from the same deployment flags so
-// the promoted inference state machine matches the one that died.
-func runStandby(world *sim.World, strat dist.Strategy, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration) {
+// Build closure builds the cluster from the same deployment flags — over the
+// world this process already holds — so the promoted inference state machine
+// matches the one that died.
+func runStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration) {
 	if scfg.DataDir == "" {
 		log.Fatal("standby mode requires -data-dir (the shipped WAL lands there)")
 	}
@@ -293,7 +363,7 @@ func runStandby(world *sim.World, strat dist.Strategy, scfg serve.Config, primar
 		ShipInterval: shipEvery,
 		DeadAfter:    deadAfter,
 		Build: func() (*dist.Cluster, serve.Config, error) {
-			return dist.NewCluster(world, strat, rfinfer.DefaultConfig()), scfg, nil
+			return newCluster(), scfg, nil
 		},
 	})
 	if err != nil {
@@ -330,6 +400,8 @@ func runStandby(world *sim.World, strat dist.Strategy, scfg serve.Config, primar
 		status.Promoted, status.ShippedBytes, status.PrimaryEpoch, status.PrimaryStream)
 }
 
+// runDemo streams the deployment's own simulated world into the daemon
+// over its real HTTP surface, then drains and spot-checks the endpoints.
 func runDemo(world *sim.World, cluster *dist.Cluster, baseURL string) error {
 	client := &serve.Client{BaseURL: baseURL}
 	events := serve.WorldEvents(world, cluster.Departures())

@@ -1,0 +1,197 @@
+package main
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"rfidtrack/internal/dist"
+	"rfidtrack/internal/model"
+	"rfidtrack/internal/rfinfer"
+	"rfidtrack/internal/serve"
+	"rfidtrack/internal/sim"
+	"rfidtrack/internal/wal"
+)
+
+// The fixture under testdata/parent-format is a data directory written by
+// the release before reading runs and deployment records (commit b2197d1):
+// a MANIFEST, one WAL record per reading, no DEPLOYMENT file. A durable
+// server over fixtureDeployment's world (Workers 1, SnapshotEvery -1) was
+// fed every event before epoch 300 — fixtureLogged of them — in Ingest calls
+// of 100, drained through checkpoint 240 and crash-stopped with Abort.
+const (
+	fixtureInterval = model.Epoch(120)
+	fixtureCrash    = model.Epoch(300)
+	fixtureLogged   = 887
+)
+
+func fixtureDeployment() wal.Deployment {
+	cfg := sim.DefaultConfig()
+	cfg.Warehouses, cfg.PathLength = 2, 2
+	cfg.Epochs = 480
+	cfg.InjectEvery = 120
+	cfg.CasesPerPallet, cfg.ItemsPerCase = 2, 2
+	cfg.Shelves = 4
+	cfg.ShelfDwell = 100
+	cfg.AnomalyEvery = 60
+	cfg.Seed = 3
+	return wal.Deployment{Sim: cfg, Interval: fixtureInterval, Strategy: dist.MigrateWeights.String(), Query: true}
+}
+
+// fixtureDir copies the fixture into a scratch directory.
+func fixtureDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent-format")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// start is what main does between parsing its flags and listening.
+func start(t *testing.T, dep wal.Deployment, dir string) (*sim.World, *serve.Server) {
+	t.Helper()
+	world, baseline, err := openWorld(dep, dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dist.NewCluster(world, dist.MigrateWeights, rfinfer.DefaultConfig())
+	c.Baseline = baseline
+	srv, err := serve.New(c, serve.Config{Interval: dep.Interval, Horizon: world.Epochs, Workers: 1, DataDir: dir,
+		SyncEvery: -1, SnapshotEvery: -1, Query: dist.ColdChainQuery(world, dep.Interval)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return world, srv
+}
+
+func numReadings(w *sim.World) int {
+	n := 0
+	for _, tr := range w.Sites {
+		n += tr.NumReadings()
+	}
+	return n
+}
+
+// TestParentFormatDirectoryUpgrades walks a directory of the previous
+// release through this one: the first start finds no deployment record, so
+// it generates the world in full, replays the per-reading records, and
+// leaves a record behind; finishing the stream yields exactly the
+// uninterrupted reference Result, whose centralized baseline then joins the
+// record; the next start trusts the record — a layout, no simulated
+// readings, the recorded baseline — and serves the same Result; and a start
+// with any deployment flag changed is refused by name.
+func TestParentFormatDirectoryUpgrades(t *testing.T) {
+	dep := fixtureDeployment()
+	dir := fixtureDir(t)
+
+	world, srv := start(t, dep, dir)
+	if numReadings(world) == 0 {
+		t.Fatal("first start over a directory without a record built a layout-only world")
+	}
+	if st := srv.Stats(); st.WAL.Replayed != fixtureLogged || st.WAL.Truncated != 0 || st.Invalid != 0 {
+		t.Fatalf("replayed %d events (%d truncated segments, %d invalid), the fixture logged %d",
+			st.WAL.Replayed, st.WAL.Truncated, st.Invalid, fixtureLogged)
+	}
+	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.Mismatch(dep) != "" || rec.CentralizedBytes != 0 {
+		t.Fatalf("after the first start the directory's record is %+v (err %v); want this deployment's, baseline pending", rec, err)
+	}
+
+	ref := dist.NewCluster(world, dist.MigrateWeights, rfinfer.DefaultConfig())
+	ref.Query = dist.ColdChainQuery(world, dep.Interval)
+	want, err := ref.ReplaySequential(dep.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := serve.WorldEvents(world, ref.Departures())
+	rest := 0
+	for rest < len(events) && events[rest].Time() < fixtureCrash {
+		rest++
+	}
+	if rest != fixtureLogged {
+		t.Fatalf("the world has %d events before epoch %d, the fixture logged %d: not the fixture's world", rest, fixtureCrash, fixtureLogged)
+	}
+	if err := srv.Ingest(events[rest:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Result over the upgraded directory diverged from ReplaySequential\n got: %+v\nwant: %+v", got, want)
+	}
+	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.CentralizedBytes != want.CentralizedBytes {
+		t.Fatalf("after the first Result the record is %+v (err %v); want baseline %d", rec, err, want.CentralizedBytes)
+	}
+
+	world, srv = start(t, dep, dir)
+	if n := numReadings(world); n != 0 {
+		t.Errorf("a start over a recorded directory simulated %d readings", n)
+	}
+	if got := srv.Result(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Result after a layout-only restart diverged\n got: %+v\nwant: %+v", got, want)
+	}
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	for field, change := range map[string]func(*wal.Deployment){
+		"sim.ItemsPerCase": func(d *wal.Deployment) { d.Sim.ItemsPerCase = 4 },
+		"Interval":         func(d *wal.Deployment) { d.Interval = 300 },
+	} {
+		other := dep
+		change(&other)
+		if _, _, err := openWorld(other, dir, false); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("start with %s changed: err = %v, want a refusal naming it", field, err)
+		}
+	}
+}
+
+// TestBaselineAfterCrashBeforeAnyResult covers the restart the benchmark
+// times: the first daemon is killed before anyone asked for a Result, so the
+// record has no baseline yet. The restart is still layout-only, and the
+// first Result regenerates the readings once to compute and record it.
+func TestBaselineAfterCrashBeforeAnyResult(t *testing.T) {
+	dep := fixtureDeployment()
+	dir := t.TempDir()
+	full, srv := start(t, dep, dir)
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	world, srv := start(t, dep, dir)
+	if n := numReadings(world); n != 0 {
+		t.Errorf("the restart simulated %d readings", n)
+	}
+	want := dist.CentralizedBaseline(full)
+	if got := srv.Result().CentralizedBytes; got != want {
+		t.Errorf("CentralizedBytes after a layout-only restart = %d, want %d", got, want)
+	}
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.CentralizedBytes != want {
+		t.Errorf("record after that Result: %+v (err %v), want baseline %d", rec, err, want)
+	}
+
+	// A memory-only daemon and -demo always generate in full.
+	if w, _, err := openWorld(dep, "", false); err != nil || numReadings(w) == 0 {
+		t.Errorf("memory-only start: %d readings, err %v", numReadings(w), err)
+	}
+	if w, _, err := openWorld(dep, dir, true); err != nil || numReadings(w) == 0 {
+		t.Errorf("-demo over a recorded directory: %d readings, err %v", numReadings(w), err)
+	}
+}

@@ -3,6 +3,7 @@ package dist
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rfidtrack/internal/metrics"
@@ -206,6 +207,10 @@ type Cluster struct {
 	Workers int
 	// Query optionally attaches per-site continuous queries.
 	Query *ClusterQuery
+	// Baseline, when set, supplies Result.CentralizedBytes in place of
+	// compressing the World's readings — for a world built by sim.Layout,
+	// which has none. It is called at most once, on the first Result.
+	Baseline func() int
 
 	cfg   rfinfer.Config
 	ons   *ONS
@@ -213,6 +218,9 @@ type Cluster struct {
 	home  []int       // initial owning site per tag
 	siteQ []*query.Engine
 	stats ClusterStats
+
+	baseOnce sync.Once // guards baseline, fixed on the first Result
+	baseline int
 }
 
 // NewCluster builds a deployment over a simulated world: one engine per
@@ -389,11 +397,12 @@ func (c *Cluster) initQueries() []map[model.TagID]bool {
 	return owned
 }
 
-// centralizedBytes computes the Table 5 centralized baseline: every site's
-// raw readings, gzip-compressed.
-func (c *Cluster) centralizedBytes() int {
+// CentralizedBaseline computes the Table 5 centralized baseline of a world,
+// what Result.CentralizedBytes reports: every site's raw readings,
+// gzip-compressed. It costs about as much as generating the world did.
+func CentralizedBaseline(w *sim.World) int {
 	total := 0
-	for _, tr := range c.World.Sites {
+	for _, tr := range w.Sites {
 		var tags []model.TagID
 		for i := range tr.Tags {
 			if k := tr.Tags[i].Kind; k == model.KindCase || k == model.KindItem {
@@ -403,6 +412,20 @@ func (c *Cluster) centralizedBytes() int {
 		total += trace.GzipSize(tr, tags)
 	}
 	return total
+}
+
+// centralizedBytes is the cluster's baseline — Baseline's answer, or the
+// World's own — which depends on the deployment alone and so is resolved
+// once per Cluster however often a Result is taken.
+func (c *Cluster) centralizedBytes() int {
+	c.baseOnce.Do(func() {
+		if c.Baseline != nil {
+			c.baseline = c.Baseline()
+		} else {
+			c.baseline = CentralizedBaseline(c.World)
+		}
+	})
+	return c.baseline
 }
 
 // linkKey identifies a directed inter-site link.

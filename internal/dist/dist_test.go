@@ -124,3 +124,40 @@ func TestStrategyString(t *testing.T) {
 		}
 	}
 }
+
+// TestCentralizedBaselineResolvedOnce pins the baseline's two sources: the
+// world's own readings by default, the Baseline hook when set — which is
+// what lets a cluster over a sim.Layout world report the figure — and
+// either one resolved once however many Results are taken.
+func TestCentralizedBaselineResolvedOnce(t *testing.T) {
+	w := testWorld(t)
+	want := CentralizedBaseline(w)
+	if want <= 0 {
+		t.Fatalf("baseline of a world with readings = %d", want)
+	}
+	result := func(c *Cluster) Result {
+		f, err := c.OpenFeed(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Result()
+		res, err := f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if got := result(NewCluster(w, MigrateNone, rfinfer.DefaultConfig())).CentralizedBytes; got != want {
+		t.Errorf("CentralizedBytes = %d, want the world's baseline %d", got, want)
+	}
+	layout, err := sim.Layout(w.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCluster(layout, MigrateNone, rfinfer.DefaultConfig())
+	calls := 0
+	c.Baseline = func() int { calls++; return want }
+	if got := result(c).CentralizedBytes; got != want || calls != 1 {
+		t.Errorf("over a layout: CentralizedBytes = %d after %d Baseline calls, want %d after 1", got, calls, want)
+	}
+}

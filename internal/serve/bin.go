@@ -102,12 +102,12 @@ func (c *Client) getEnc() *frameEnc {
 // path. The frame encoder comes from a per-Client pool, so concurrent
 // producer goroutines each encode into their own recycled buffer — the
 // encode is a single bulk append of the batch's bytes on little-endian
-// machines (see addReadings) and allocation-free in steady state.
+// machines (see dist.ReadingsToWire) and allocation-free in steady state.
 func (c *Client) IngestBin(site int, readings []dist.Reading) (IngestResponse, error) {
 	e := c.getEnc()
 	defer c.binEncs.Put(e)
 	e.b.BeginSection(site)
-	addReadings(&e.b, readings)
+	e.b.AddRecords(dist.ReadingsToWire(readings))
 	return c.postFrame(e)
 }
 
@@ -126,7 +126,7 @@ func (c *Client) IngestBinAll(bySite [][]dist.Reading) (IngestResponse, error) {
 			continue
 		}
 		e.b.BeginSection(site)
-		addReadings(&e.b, rs)
+		e.b.AddRecords(dist.ReadingsToWire(rs))
 	}
 	if e.b.Records() == 0 {
 		return IngestResponse{}, nil

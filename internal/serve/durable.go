@@ -9,11 +9,13 @@
 // engine state is exact by rfinfer.EngineState, cluster state by
 // dist.FeedState, and buffered-but-unobserved events ride inside the
 // snapshot, which is what lets older WAL generations retire. (3) Recovery
-// re-ingests the WAL tail through the normal ingest path with checkpoints
-// suppressed, then lets the scheduler catch up; every checkpoint therefore
-// observes exactly the event set it observed (or would have observed) in
-// the uninterrupted run, so by the runtime's replay-determinism contract
-// the recovered Result and alert log are bit-identical.
+// re-ingests the WAL tail through the normal ingest path — each logged run
+// is handed to ingestRun exactly as a frame section is, a view over the
+// segment's bytes in place of the request's — with checkpoints suppressed,
+// then lets the scheduler catch up; every checkpoint therefore observes
+// exactly the event set it observed (or would have observed) in the
+// uninterrupted run, so by the runtime's replay-determinism contract the
+// recovered Result and alert log are bit-identical.
 // TestRecoverMatchesUninterrupted pins this end to end.
 package serve
 
@@ -60,14 +62,19 @@ func (s *Server) recover() error {
 	savedDue := s.dueAt.Load()
 	s.dueAt.Store(math.MaxInt64)
 	s.replaying.Store(true)
-	// Reading records regather into per-site runs for the one ingest path
-	// (a site segment replays as one long stretch); with checkpoints
-	// suppressed, order against the departures cannot matter.
-	g := s.gatherRuns()
-	replayErr := l.Replay(func(rec stream.WALRecord) error {
+	// The log's reading runs go down the one ingest path as they are read,
+	// views over the segment buffer; with checkpoints suppressed, their
+	// order against the departures cannot matter.
+	replayMax := model.Epoch(-1)
+	replayErr := l.ReplayRuns(func(site int, run []dist.Reading) error {
+		t, err := s.ingestRun(site, run)
+		if err != nil {
+			s.rejectMisc(len(run), "logged readings refused: %v", err)
+		}
+		replayMax = max(replayMax, t)
+		return nil
+	}, func(rec stream.WALRecord) error {
 		switch rec.Kind {
-		case stream.WALReading:
-			g.add(rec.Site, dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
 		case stream.WALDepart:
 			s.applyDeparture(dist.Departure{Object: rec.Object, From: rec.From, To: rec.To, At: rec.At})
 		case stream.WALMigration:
@@ -103,7 +110,7 @@ func (s *Server) recover() error {
 		}
 		return nil
 	})
-	s.publishTime(g.done())
+	s.publishTime(replayMax)
 	s.replaying.Store(false)
 	s.dueAt.Store(savedDue)
 	if replayErr != nil {

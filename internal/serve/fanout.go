@@ -165,27 +165,9 @@ func (s *subscriber) fetch(max int) (batch []Alert, done bool) {
 
 	log := s.reg.log
 	if lagged || next < log.len() {
-		out, newNext, end := log.page(next, max, s.f)
-		var caughtUp bool
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		out, newNext := log.page(next, max, s.f)
+		if s.finishPage(newNext, lagged) {
 			return nil, true
-		}
-		if newNext > s.next {
-			s.next = newNext
-		}
-		if s.lagged && end {
-			s.lagged = false
-			caughtUp = true
-		} else if s.lagged {
-			// More backlog than one page; keep draining without waiting
-			// for the next publish.
-			s.signal()
-		}
-		s.mu.Unlock()
-		if caughtUp {
-			s.reg.catchups.Add(1)
 		}
 		if len(out) > 0 {
 			return out, false
@@ -199,6 +181,41 @@ func (s *subscriber) fetch(max int) (batch []Alert, done bool) {
 		return nil, done
 	}
 	return nil, false
+}
+
+// finishPage is the second half of a log read: it moves the cursor to
+// newNext, the position log.page (called without mu held) read up to, and
+// decides whether a read that set out lagged has caught up. closed reports
+// that the subscriber was shut down meanwhile.
+func (s *subscriber) finishPage(newNext int, lagged bool) (closed bool) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return true
+	}
+	if newNext > s.next {
+		s.next = newNext
+	}
+	// Caught up only if the cursor is at the log's tail now, under mu: the
+	// publisher appends an alert to the log before it offers it, so every
+	// alert whose offer was dropped while lagged is below the tail, and the
+	// cursor has passed it. The tail the page itself reached proves nothing
+	// of the kind — the queue may have overflowed, and dropped newer alerts,
+	// after the page was read; clearing lagged on it let the next queued
+	// alert be delivered past the dropped ones.
+	caughtUp := s.lagged && lagged && newNext >= s.reg.log.len()
+	if caughtUp {
+		s.lagged = false
+	} else if s.lagged {
+		// More backlog than one page; keep draining without waiting for the
+		// next publish.
+		s.signal()
+	}
+	s.mu.Unlock()
+	if caughtUp {
+		s.reg.catchups.Add(1)
+	}
+	return false
 }
 
 // wait blocks until a signal arrives, d elapses, or the subscriber is

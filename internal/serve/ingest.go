@@ -2,13 +2,14 @@
 // into the stripes.
 //
 // There is one way in for readings, ingestRun — a run of one site's
-// readings is routed to its stripe and bucketed under one hold of the
-// stripe lock by ingestSectionLocked, and the WAL buffer is flushed before
-// the lock is released. The exported edges are adapters that cut their
-// input into runs: Ingest gathers consecutive same-site events, IngestBatch
-// is one run, IngestFrame hands over each section's zero-copy view, and
-// WAL recovery (durable.go) regathers the log's reading records. What a
-// reading must satisfy to be bucketed is written once, in admit.
+// readings is routed to its stripe and, under one hold of the stripe lock,
+// bucketed and logged by ingestSectionLocked: every stretch of admissible
+// readings in bulk, as one write-ahead-log run record. The exported edges
+// are adapters that cut their input into runs: Ingest gathers consecutive
+// same-site events, IngestBatch is one run, IngestFrame hands over each
+// section's zero-copy view, and WAL recovery (durable.go) hands over the
+// log's runs as it reads them. What a reading must satisfy to be bucketed
+// is written once, in admit.
 package serve
 
 import (
@@ -58,7 +59,6 @@ func (s *Server) ingestRun(site int, recs []dist.Reading) (model.Epoch, error) {
 	sh := s.shards[site]
 	sh.mu.Lock()
 	maxT := s.ingestSectionLocked(sh, recs)
-	s.flushWALLocked(sh)
 	sh.mu.Unlock()
 	return maxT, nil
 }
@@ -176,14 +176,7 @@ func (s *Server) IngestFrame(frame []byte) (queued int, err error) {
 	defer s.ingestWG.Done()
 	batchMax := model.Epoch(-1)
 	_, err = stream.DecodeBatchFrame(frame, func(sec stream.BatchSection) error {
-		run, ok := sectionReadings(sec)
-		if !ok { // misaligned or big-endian: decode into scratch
-			run = make([]dist.Reading, sec.Len())
-			for i := range run {
-				run[i].T, run[i].ID, run[i].Mask = sec.At(i)
-			}
-		}
-		t, rerr := s.ingestRun(sec.Site, run)
+		t, rerr := s.ingestRun(sec.Site, dist.ReadingsFromWire(sec.Raw()))
 		if rerr != nil {
 			s.rejectMisc(sec.Len(), "frame section refused: %v", rerr)
 			return nil
@@ -217,11 +210,10 @@ func (s *Server) IngestDeparture(d dist.Departure) error {
 const late = "late"
 
 // admit is the one statement of what a reading must satisfy to be bucketed
-// on this stripe, shared by the section scan and the per-record fallback:
-// "" admits it, anything else is why not. bound is the exclusive epoch
-// bound (Server.epochBound): past the horizon a reading could never be
-// observed by any checkpoint, and refusing it also keeps stream time
-// bounded. Caller holds mu.
+// on this stripe: "" admits it, anything else is why not. bound is the
+// exclusive epoch bound (Server.epochBound): past the horizon a reading
+// could never be observed by any checkpoint, and refusing it also keeps
+// stream time bounded. Caller holds mu.
 func (sh *shard) admit(r *dist.Reading, bound, interval model.Epoch) string {
 	switch {
 	case uint(r.ID) >= uint(len(sh.kinds)):
@@ -240,111 +232,87 @@ func (sh *shard) admit(r *dist.Reading, bound, interval model.Epoch) string {
 	return ""
 }
 
-// ingestSectionLocked buckets a run — possibly a view over a request
-// buffer — with per-run instead of per-record bookkeeping: a validation-only
-// scan proves every record admissible, then the run is bucketed in bulk and
-// the counters advance once. Any inadmissible record, and any run that
-// could hit the backpressure bound, falls back to applyReadingLocked per
-// record — the scan mutated nothing, so the replay from scratch is exact,
-// and the reject/wait bookkeeping stays in one place. Caller holds sh.mu.
-// Returns the highest accepted epoch, -1 when none.
+// ingestSectionLocked buckets a run — possibly a view over a request or
+// log buffer, never retained — with per-stretch instead of per-record
+// bookkeeping: a validation-only scan finds the next stretch of admissible
+// records, the stretch is bucketed and logged in bulk, and the inadmissible
+// record that ended it is counted as a reject or a late drop. A clean run is
+// one stretch. Caller holds sh.mu. Returns the highest accepted epoch, -1
+// when none.
+//
+// Backpressure: while a checkpoint is due the run is admitted in slices of
+// the stripe's free room, and a full stripe waits for the checkpoint to
+// drain it — then admits afresh, because the checkpoint may have sealed past
+// the readings that waited. Without a runnable checkpoint the producers are
+// the only source of progress, so the bound does not apply and the slice is
+// the whole run. Wait releases the stripe lock; everything bucketed before
+// it is already in the log, so a snapshot rotating segments mid-wait
+// strands nothing.
 func (s *Server) ingestSectionLocked(sh *shard, recs []dist.Reading) model.Epoch {
-	n := len(recs)
-	bound, _ := s.epochBound()
 	maxT := model.Epoch(-1)
-	clean := 0 // records proven admissible
-	if sh.backlog+n < s.cfg.QueueSize {
-		for clean < n && sh.admit(&recs[clean], bound, s.cfg.Interval) == "" {
-			maxT = max(maxT, recs[clean].T)
+	for len(recs) > 0 {
+		room := len(recs)
+		if s.checkpointDue() && !s.failed.Load() {
+			if room = min(room, s.cfg.QueueSize-sh.backlog); room <= 0 {
+				sh.waits++
+				sh.cond.Wait()
+				continue
+			}
+		}
+		bound, _ := s.epochBound()
+		clean, t := 0, model.Epoch(-1) // records proven admissible, their highest epoch
+		why := ""                      // what is wrong with recs[clean], if it ended the stretch
+		for ; clean < room; clean++ {
+			if why = sh.admit(&recs[clean], bound, s.cfg.Interval); why != "" {
+				break
+			}
+			t = max(t, recs[clean].T)
+		}
+		if clean > 0 {
+			s.bucketLocked(sh, recs[:clean], t)
+			maxT = max(maxT, t)
+		}
+		if why != "" {
+			r := &recs[clean]
+			sh.received++
+			if why == late {
+				sh.late++
+			} else {
+				s.rejectf("site %d reading t=%d tag=%d mask=%#x: %s (bound %d)", sh.site, r.T, r.ID, r.Mask, why, bound)
+			}
 			clean++
 		}
+		recs = recs[clean:]
 	}
-	if clean < n {
-		maxT = -1
-		for i := range recs {
-			maxT = max(maxT, s.applyReadingLocked(sh, recs[i]))
-		}
-		return maxT
-	}
-	// Same-bucket stretches go in with one bulk append each; the appends
-	// copy, so nothing retains recs.
+	return maxT
+}
+
+// bucketLocked buckets and logs a stretch of admitted readings whose
+// highest epoch is maxT. Same-bucket stretches go in with one bulk append
+// each; the appends copy, so nothing retains recs. Logging inside the
+// bucketing's critical section makes the log order the bucket order,
+// cleanly partitioned by a snapshot's segment rotation (which also takes
+// this lock). Caller holds sh.mu.
+func (s *Server) bucketLocked(sh *shard, recs []dist.Reading, maxT model.Epoch) {
 	interval := s.cfg.Interval
-	for i0 := 0; i0 < n; {
+	for i0 := 0; i0 < len(recs); {
 		k := int(recs[i0].T/interval) - sh.base
 		i := i0 + 1
-		for i < n && int(recs[i].T/interval)-sh.base == k {
+		for i < len(recs) && int(recs[i].T/interval)-sh.base == k {
 			i++
 		}
 		sh.growTo(k)
 		sh.buckets[k] = append(sh.buckets[k], recs[i0:i]...)
 		i0 = i
 	}
-	sh.received += n
-	sh.backlog += n
+	sh.received += len(recs)
+	sh.backlog += len(recs)
 	sh.maxT = max(sh.maxT, maxT)
 	if s.walOn.Load() {
-		sh.walBuf = append(sh.walBuf, recs...)
-	}
-	return maxT
-}
-
-// applyReadingLocked is the per-record fallback: it counts the reading,
-// admits it — counting a reject or a late drop — and buckets it, waiting
-// out backpressure first. It returns the accepted epoch, -1 when there is
-// none. Caller holds sh.mu.
-func (s *Server) applyReadingLocked(sh *shard, r dist.Reading) model.Epoch {
-	sh.received++
-	for {
-		bound, _ := s.epochBound()
-		switch why := sh.admit(&r, bound, s.cfg.Interval); why {
-		case "":
-		case late:
-			sh.late++
-			return -1
-		default:
-			s.rejectf("site %d reading t=%d tag=%d mask=%#x: %s (bound %d)", sh.site, r.T, r.ID, r.Mask, why, bound)
-			return -1
+		if err := s.wal.AppendReadings(sh.site, recs); err != nil {
+			s.walFail(err)
 		}
-		// Backpressure: while the stripe is full *and* the scheduler has a
-		// checkpoint to run, wait for it to drain the stripe, then admit
-		// again — it may have sealed past the reading. Without a runnable
-		// checkpoint the producers are the only source of progress, so the
-		// bound does not apply. Wait releases the stripe lock, so the run's
-		// logged readings go to the WAL first: a snapshot rotating segments
-		// mid-wait must not strand them.
-		if sh.backlog < s.cfg.QueueSize || !s.checkpointDue() || s.failed.Load() {
-			break
-		}
-		s.flushWALLocked(sh)
-		sh.waits++
-		sh.cond.Wait()
 	}
-	k := int(r.T/s.cfg.Interval) - sh.base
-	sh.growTo(k)
-	sh.buckets[k] = append(sh.buckets[k], r)
-	sh.backlog++
-	sh.maxT = max(sh.maxT, r.T)
-	// Logging inside the bucketing's critical section makes the log order
-	// the bucket order, cleanly partitioned by a snapshot's segment rotation
-	// (which also takes this lock); it is buffered here and appended in bulk
-	// by flushWALLocked wherever the stripe lock is released.
-	if s.walOn.Load() {
-		sh.walBuf = append(sh.walBuf, r)
-	}
-	return r.T
-}
-
-// flushWALLocked bulk-appends the stripe's accepted-readings run to the
-// WAL. Caller holds sh.mu; every path that releases the stripe lock after
-// bucketing must flush first.
-func (s *Server) flushWALLocked(sh *shard) {
-	if len(sh.walBuf) == 0 {
-		return
-	}
-	if err := s.wal.AppendReadings(sh.site, sh.walBuf); err != nil {
-		s.walFail(err)
-	}
-	sh.walBuf = sh.walBuf[:0]
 }
 
 // walFail latches the first durability failure: the pipeline keeps

@@ -323,8 +323,11 @@ func tallyOf(st Stats) ingestTally {
 // edges are adapters over one ingest path, so they must leave identical
 // counters mid-stream and at the end, and the drained Result must equal
 // ReplaySequential of the clean world: nothing dirty got in, nothing clean
-// got lost. The second pass shrinks QueueSize until every run takes the
-// per-record backpressure fallback.
+// got lost. The later passes shrink QueueSize below the runs' length, so
+// that whenever a checkpoint is due a run is admitted in slices of the
+// stripe's free room and waits between them. The last leg has no checkpoint
+// to wait for — one Δ spans the horizon — and sections hundreds of times the
+// queue: they must go in whole, without a single wait.
 func TestIngestEdgesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -475,7 +478,7 @@ func TestIngestEdgesAgree(t *testing.T) {
 		{"IngestFrame/shifted", frameEdge(1)},
 	}
 
-	for _, queue := range []int{0, 48} {
+	for _, queue := range []int{0, 48, 4} {
 		var mid, end []ingestTally
 		for _, e := range edges {
 			c := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
@@ -525,6 +528,66 @@ func TestIngestEdgesAgree(t *testing.T) {
 		}
 		if tl := mid[0]; tl.Buffered[0]+tl.Buffered[1]+tl.Buffered[2] == 0 || tl.Observed == 0 {
 			t.Errorf("queue=%d: mid-stream tally %+v, want readings both observed and still buffered", queue, tl)
+		}
+	}
+
+	// No checkpoint due: each site's whole stream as one run, the dirty
+	// readings in front, against a queue of 8.
+	whole, err := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig()).ReplaySequential(w.Epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bySite []Event
+	for _, d := range dirty {
+		bySite = append(bySite, d...)
+	}
+	var departures []Event
+	clean := WorldEvents(w, ref.Departures())
+	for site := range w.Sites {
+		for _, ev := range clean {
+			if ev.Type == TypeReading && ev.Site == site {
+				bySite = append(bySite, ev)
+			} else if site == 0 && ev.Type != TypeReading {
+				departures = append(departures, ev)
+			}
+		}
+	}
+	bySite = append(bySite, departures...)
+	var tallies []ingestTally
+	for _, e := range edges {
+		if e.name == "Ingest" {
+			// Its gatherer cuts runs at 4096: still hundreds of queues each.
+			e.push = func(t *testing.T, srv *Server, evs []Event) int {
+				if err := srv.Ingest(evs); err != nil {
+					t.Fatal(err)
+				}
+				return 0
+			}
+		}
+		c := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+		srv, err := New(c, Config{Interval: w.Epochs, Horizon: w.Epochs, QueueSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncounted := e.push(t, srv, bySite)
+		st := srv.Stats()
+		tl := tallyOf(st)
+		tl.Received += uncounted
+		tl.Invalid += uncounted
+		tallies = append(tallies, tl)
+		for _, sh := range st.Shards {
+			if sh.Waits != 0 || sh.Buffered < 100*8 {
+				t.Errorf("no checkpoint due, %s: site %d waited %d times with %d readings buffered; want 0 waits and the whole stream", e.name, sh.Site, sh.Waits, sh.Buffered)
+			}
+		}
+		if !reflect.DeepEqual(tl, tallies[0]) {
+			t.Errorf("no checkpoint due: %s tallied %+v, %s %+v", e.name, tl, edges[0].name, tallies[0])
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Result(); !reflect.DeepEqual(got, whole) {
+			t.Errorf("no checkpoint due, %s: drained Result diverged from ReplaySequential\n got: %+v\nwant: %+v", e.name, got, whole)
 		}
 	}
 }

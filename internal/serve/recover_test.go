@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -372,5 +374,123 @@ func TestRecoverBinaryMatchesUninterrupted(t *testing.T) {
 		if st.WAL == nil || st.WAL.Snapshots == 0 {
 			t.Errorf("workers=%d: no durable snapshots committed: %+v", workers, st.WAL)
 		}
+	}
+}
+
+// TestRecoverTornRunRecord cuts a site segment at every byte offset of its
+// last run record — the frame header, the run header, every record — and
+// restarts over each: recovery must replay everything before that record
+// and nothing of it, cut the file back to the record's start (counting the
+// truncation), and drain to the Result of a server that was fed exactly the
+// surviving readings. A torn run costs that run, never a byte before it.
+func TestRecoverTornRunRecord(t *testing.T) {
+	w := testWorld(t)
+	const interval = model.Epoch(300)
+	cfg := Config{Interval: interval, Horizon: w.Epochs, Workers: 1, SyncEvery: -1, SnapshotEvery: -1}
+	newServer := func(dir string) *Server {
+		c := cfg
+		c.DataDir = dir
+		srv, err := New(dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig()), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+
+	// The first interval of the stream, with the last three readings of
+	// site 0 held back to be logged as the final run.
+	all := WorldEvents(w, dist.WorldDepartures(w))
+	all = all[:splitAt(all, interval)]
+	var events []Event
+	var last []dist.Reading
+	for i := len(all) - 1; i >= 0; i-- {
+		if ev := all[i]; len(last) < 3 && ev.Type == TypeReading && ev.Site == 0 {
+			last = append(last, dist.Reading{T: ev.T, ID: ev.Tag, Mask: ev.Mask})
+		} else {
+			events = append(events, ev)
+		}
+	}
+	slices.Reverse(events)
+	slices.Reverse(last)
+
+	dir := t.TempDir()
+	writer := newServer(dir)
+	streamEvents(t, writer, events)
+	if err := writer.IngestBatch(0, last); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	ref := newServer("")
+	streamEvents(t, ref, events)
+	if err := ref.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Result()
+	if err := ref.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segName := "site-0.000001.wal"
+	seg, err := os.ReadFile(filepath.Join(dir, segName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLen := stream.WALRunHeaderLen + len(last)*stream.FrameRecordLen
+	start := len(seg) - lastLen
+	if rec, n, err := stream.DecodeWALRecord(seg[start:]); err != nil || n != lastLen || rec.Kind != stream.WALRun ||
+		!reflect.DeepEqual(dist.ReadingsFromWire(rec.Run), last) {
+		t.Fatalf("the segment does not end in the held-back run: %+v, %d bytes, err %v", rec, n, err)
+	}
+	for cut := start; cut < len(seg); cut++ {
+		crashed := t.TempDir()
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() == segName {
+				b = b[:cut]
+			}
+			if err := os.WriteFile(filepath.Join(crashed, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := newServer(crashed)
+		st := srv.Stats()
+		wantTruncated := 1
+		if cut == start {
+			wantTruncated = 0 // the segment ends on a record boundary
+		}
+		if st.WAL.Replayed != len(events) || st.WAL.Truncated != wantTruncated {
+			t.Fatalf("cut at %d of %d: replayed %d events, truncated %d segments, want %d, %d",
+				cut, len(seg), st.WAL.Replayed, st.WAL.Truncated, len(events), wantTruncated)
+		}
+		if fi, err := os.Stat(filepath.Join(crashed, segName)); err != nil || fi.Size() != int64(start) {
+			t.Fatalf("cut at %d: segment is %d bytes after recovery (err %v), want %d", cut, fi.Size(), err, start)
+		}
+		if err := srv.Drain(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: Result diverged from a server fed the surviving prefix\n got: %+v\nwant: %+v", cut, got, want)
+		}
+		if err := srv.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Uncut, the directory recovers the held-back run too.
+	srv := newServer(dir)
+	if st := srv.Stats(); st.WAL.Replayed != len(events)+len(last) || st.WAL.Truncated != 0 {
+		t.Errorf("uncut: replayed %d events, truncated %d, want %d, 0", st.WAL.Replayed, st.WAL.Truncated, len(events)+len(last))
+	}
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -299,3 +299,75 @@ func TestStalledConsumerDoesNotBlockLive(t *testing.T) {
 	stalled.shutdown()
 	live.shutdown()
 }
+
+// TestLagFlipDuringPageLosesNothing drives, step by step on one subscriber,
+// the interleaving behind the 1-in-30 failure of the test above ("got 1994
+// alerts, want 2000"): a fetch reads a page of the log, the queue overflows
+// before the fetch takes the subscriber's lock again, and the fetch then
+// finishes on the page's stale tail. Clearing lagged there delivered the
+// next queued alert past the ones the overflow dropped. The steps are fetch's
+// own — page without the lock, finishPage with it — so the schedule is exact.
+func TestLagFlipDuringPageLosesNothing(t *testing.T) {
+	for _, startLagged := range []bool{false, true} {
+		l := newAlertLog()
+		reg := newRegistry(l, 2)
+		pub := func() {
+			publishAndDispatch(l, reg, 0, "q1", stream.Match{Tag: 1, Last: model.Epoch(l.len())})
+		}
+		var sub *subscriber
+		if startLagged {
+			// Overflow first, so the page below is a catch-up read.
+			sub = reg.register(MatchAll(), 0)
+			pub()
+			pub()
+			pub()
+		} else {
+			// Attached behind the tail: the log is ahead of an empty queue.
+			pub()
+			sub = reg.register(MatchAll(), 0)
+		}
+		var got []Alert
+
+		// fetch, first half: nothing deliverable from the queue, so it pages
+		// the log from the cursor, without the subscriber's lock.
+		sub.mu.Lock()
+		next, lagged := sub.next, sub.lagged
+		sub.mu.Unlock()
+		if lagged != startLagged {
+			t.Fatalf("startLagged=%v: subscriber lagged=%v before the page", startLagged, lagged)
+		}
+		out, newNext := l.page(next, 64, sub.f)
+		got = append(got, out...)
+
+		// Meanwhile the publisher overflows the queue (bound 2) and keeps
+		// going: the third offer flips to lagged, the fourth is dropped.
+		for i := 0; i < 4; i++ {
+			pub()
+		}
+
+		// fetch, second half, on the page's stale tail.
+		if sub.finishPage(newNext, lagged) {
+			t.Fatal("subscriber closed")
+		}
+
+		// The publisher goes on; the consumer drains.
+		pub()
+		pub()
+		for len(got) < l.len() {
+			batch, done := sub.fetch(64)
+			if len(batch) == 0 || done {
+				break
+			}
+			got = append(got, batch...)
+		}
+		for i, a := range got {
+			if a.Seq != i {
+				t.Fatalf("startLagged=%v: delivery %d has seq %d: a lag flip during a page lost or reordered alerts (got %d of %d)",
+					startLagged, i, a.Seq, len(got), l.len())
+			}
+		}
+		if len(got) != l.len() {
+			t.Fatalf("startLagged=%v: delivered %d alerts, %d published", startLagged, len(got), l.len())
+		}
+	}
+}

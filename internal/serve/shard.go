@@ -48,12 +48,6 @@ type shard struct {
 	received   int         // readings routed to this stripe (valid or not)
 	late       int         // readings dropped because their checkpoint sealed
 	waits      int         // times a producer blocked on backpressure
-
-	// walBuf holds this batch's accepted readings pending their bulk WAL
-	// append. It is always flushed before the stripe lock is released
-	// (including the backpressure wait), so any other lock holder — the
-	// scheduler's seal, a snapshot's segment rotation — observes it empty.
-	walBuf []dist.Reading
 }
 
 // ShardStats is one ingest stripe's counters, exposed in Stats.Shards.

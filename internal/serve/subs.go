@@ -205,9 +205,8 @@ func (l *alertLog) since(since int, wait time.Duration) []Alert {
 // page copies up to max alerts matching f starting at position from,
 // examining at most logScanChunk entries so a deep catch-up cannot hold
 // the log's lock across the whole backlog. next is the position after the
-// last entry examined (the caller's new cursor) and end reports whether
-// the read reached the log's current tail.
-func (l *alertLog) page(from, max int, f Filter) (out []Alert, next int, end bool) {
+// last entry examined (the caller's new cursor).
+func (l *alertLog) page(from, max int, f Filter) (out []Alert, next int) {
 	if from < 0 {
 		from = 0
 	}
@@ -221,7 +220,7 @@ func (l *alertLog) page(from, max int, f Filter) (out []Alert, next int, end boo
 		}
 		i++
 	}
-	return out, i, i >= len(l.entries)
+	return out, i
 }
 
 // timedCondWait waits on cond, giving up after d. The caller holds

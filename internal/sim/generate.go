@@ -11,7 +11,20 @@ import (
 
 // Generate runs the supply-chain simulation and returns the per-site traces
 // with ground truth. Generation is deterministic for a given Config.
-func Generate(cfg Config) (*World, error) {
+func Generate(cfg Config) (*World, error) { return generate(cfg, true) }
+
+// Layout returns the deployment Generate(cfg) describes — tags, kinds, read
+// rates, schedule, visits and ground truth — without simulating a single
+// reading: every tag's Readings is empty, everything else is identical. It
+// is what a consumer that receives its readings from elsewhere (a daemon
+// restarting over its write-ahead log) needs of the world, at a few percent
+// of Generate's cost.
+func Layout(cfg Config) (*World, error) { return generate(cfg, false) }
+
+// generate is the one generator behind Generate and Layout. Drawing the
+// readings is the last consumer of the generator's random stream, so leaving
+// it out changes nothing that comes before it.
+func generate(cfg Config, readings bool) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -20,7 +33,9 @@ func Generate(cfg Config) (*World, error) {
 	g.buildSchedules()
 	g.injectAnomalies()
 	g.buildItemStays()
-	g.generateReadings()
+	if readings {
+		g.generateReadings()
+	}
 	return g.assemble()
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"rfidtrack/internal/model"
@@ -53,6 +54,44 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("tag %d reading %d differs", i, j)
 			}
 		}
+	}
+}
+
+// TestLayoutIsGenerateWithoutReadings pins what Layout promises: drawing
+// the readings is the last use of the generator's random stream, so the
+// world without them — tags, rates, schedule, visits, location and
+// containment truth, anomalies — is Generate's, exactly.
+func TestLayoutIsGenerateWithoutReadings(t *testing.T) {
+	multi := smallConfig()
+	multi.Warehouses, multi.PathLength, multi.Epochs = 3, 2, 1800
+	anomalous := multi
+	anomalous.AnomalyEvery, anomalous.AnomalyRemoveFrac = 60, 0.25
+	anomalous.RRUniform, anomalous.ORUniform, anomalous.Seed = true, true, 7
+	for name, cfg := range map[string]Config{"single": smallConfig(), "multi": multi, "anomalous": anomalous} {
+		full, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := Layout(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readings := 0
+		for _, tr := range full.Sites {
+			readings += tr.NumReadings()
+			for i := range tr.Tags {
+				tr.Tags[i].Readings = nil
+			}
+		}
+		if readings == 0 || (cfg.AnomalyEvery > 0 && len(full.Changes) == 0) {
+			t.Fatalf("%s: world has %d readings and %d anomalies: the comparison would be vacuous", name, readings, len(full.Changes))
+		}
+		if !reflect.DeepEqual(layout, full) {
+			t.Errorf("%s: Layout differs from Generate with the readings cleared", name)
+		}
+	}
+	if _, err := Layout(Config{}); err == nil {
+		t.Error("Layout accepted an invalid config")
 	}
 }
 

@@ -1,10 +1,11 @@
 // The write-ahead-log record codec: the durable wire format of the online
 // runtime's accepted-event log (internal/wal). Each record is one accepted
-// reading, departure or inbound migration payload, framed as
+// run of a site's readings, one departure, one inbound migration payload or
+// one published alert, framed as
 //
 //	[4 bytes little-endian payload length]
 //	[4 bytes IEEE CRC32 of the payload]
-//	[payload: kind byte + uvarint fields]
+//	[payload: kind byte + the kind's fields]
 //
 // so a reader can walk a log byte-exactly, detect a torn tail (a frame cut
 // short by a crash mid-write) and stop cleanly at the last valid record,
@@ -12,6 +13,15 @@
 // without ever trusting a length or count from disk. The codec follows the
 // same hardening stance as the migration codecs in this package and
 // internal/rfinfer: implausible lengths are rejected before any allocation.
+//
+// Readings are logged a run at a time (WALRun): the payload is a fixed
+// 8-byte header — kind, three zero bytes, little-endian site — followed by
+// the run's 16-byte records exactly as an RFB1 frame section carries them
+// (frame.go), so one reading codec serves the wire and the disk, an append
+// is one header, one copy and one CRC however long the run, and a replay
+// hands the records on without decoding them. Frame and run header are 16
+// bytes together: in a segment holding only runs every record stays 8-byte
+// aligned. The other kinds carry uvarint fields.
 package stream
 
 import (
@@ -26,7 +36,9 @@ import (
 
 // WAL record kinds.
 const (
-	// WALReading is one accepted reader observation: Site, T, Tag, Mask.
+	// WALReading is one accepted reader observation: Site, T, Tag, Mask. It
+	// is the log format of earlier releases, still decoded so that their
+	// directories recover; readings are now written as WALRun records.
 	WALReading byte = 1
 	// WALDepart is one accepted departure event: Object, From, To, At.
 	WALDepart byte = 2
@@ -44,10 +56,27 @@ const (
 	// and replays these records for the post-snapshot tail, so resumed
 	// sequence numbers name the same alerts they did before the crash.
 	WALAlert byte = 4
+	// WALRun is one accepted run of a site's readings: Site and Run.
+	WALRun byte = 5
 )
 
 // walFrameHeader is the fixed frame prefix: payload length + CRC32.
 const walFrameHeader = 8
+
+// walRunHeader is a run payload's fixed prefix: kind, three zero bytes,
+// site.
+const walRunHeader = 8
+
+// WALRunHeaderLen is what precedes a run's record bytes on disk: the frame
+// prefix and the run header.
+const WALRunHeaderLen = walFrameHeader + walRunHeader
+
+// MaxWALRunReadings bounds the readings of one run record (1 MiB of
+// records); a writer cuts a longer run into several records.
+const MaxWALRunReadings = 1 << 16
+
+// maxWALRunPayload is the payload bound that follows from it.
+const maxWALRunPayload = walRunHeader + MaxWALRunReadings*FrameRecordLen
 
 // MaxWALPayload bounds a reading or departure record's payload. Real
 // records are under 30 bytes; a length beyond this is a corrupt frame, not
@@ -82,7 +111,7 @@ var ErrWALCorrupt = errors.New("stream: corrupt WAL frame")
 // WALRecord is one accepted event in the durable log. Kind selects which
 // field group is meaningful.
 type WALRecord struct {
-	// Kind is WALReading, WALDepart or WALMigration.
+	// Kind is one of the WAL record kinds above.
 	Kind byte
 
 	// Reading fields: the observing site, epoch, tag and reader mask.
@@ -106,11 +135,37 @@ type WALRecord struct {
 	// episode's first epoch) and At (its last).
 	Pattern string
 	Values  []float64
+
+	// Run is a WALRun record's readings as wire records (FrameRecordLen
+	// bytes each, Site says whose). Decoded, it is a view into the decode
+	// buffer, valid only as long as that is.
+	Run []byte
+}
+
+// WALRunHeader returns the bytes that precede raw — a whole number of wire
+// records, at most MaxWALRunReadings of them — in site's run record: the
+// record on disk is the header followed by raw itself, so a writer holding
+// the records need not copy them to frame them.
+func WALRunHeader(site int, raw []byte) (hdr [WALRunHeaderLen]byte) {
+	if len(raw)%FrameRecordLen != 0 || len(raw) > MaxWALRunReadings*FrameRecordLen {
+		panic("stream: WALRunHeader over ragged or oversized record bytes")
+	}
+	binary.LittleEndian.PutUint32(hdr[:], uint32(walRunHeader+len(raw)))
+	hdr[walFrameHeader] = WALRun
+	binary.LittleEndian.PutUint32(hdr[walFrameHeader+4:], uint32(site))
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[walFrameHeader:]), crc32.IEEETable, raw)
+	binary.LittleEndian.PutUint32(hdr[4:], crc)
+	return hdr
 }
 
 // AppendWALRecord appends the framed encoding of rec to dst and returns
-// the extended slice. It never fails: every WALRecord value encodes.
+// the extended slice. It never fails: every WALRecord value encodes, except
+// a WALRun whose Run WALRunHeader refuses (a programming error).
 func AppendWALRecord(dst []byte, rec WALRecord) []byte {
+	if rec.Kind == WALRun {
+		hdr := WALRunHeader(rec.Site, rec.Run)
+		return append(append(dst, hdr[:]...), rec.Run...)
+	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	dst = append(dst, rec.Kind)
@@ -177,6 +232,16 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 	}
 	rec.Kind = payload[0]
 	switch rec.Kind {
+	case WALRun:
+		if length < walRunHeader || length > maxWALRunPayload || (length-walRunHeader)%FrameRecordLen != 0 ||
+			payload[1]|payload[2]|payload[3] != 0 {
+			return WALRecord{}, 0, fmt.Errorf("%w: malformed reading run of payload length %d", ErrWALCorrupt, length)
+		}
+		rec.Site = int(int32(binary.LittleEndian.Uint32(payload[4:])))
+		if length > walRunHeader {
+			rec.Run = payload[walRunHeader:]
+		}
+		return rec, walFrameHeader + int(length), nil
 	case WALMigration: // bounded by MaxWALMigrationPayload above
 	case WALAlert:
 		if length > MaxWALAlertPayload {

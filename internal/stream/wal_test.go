@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -19,6 +21,84 @@ func walSamples() []WALRecord {
 		{Kind: WALMigration, Object: 7, From: 0, To: 1, At: 600},
 		{Kind: WALMigration, Object: 9, From: 2, To: 0, At: 1200,
 			Payload: []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}},
+		{Kind: WALRun, Site: 2, Run: runBytes(3)},
+		{Kind: WALRun, Site: 1 << 20}, // an empty run
+		{Kind: WALRun, Site: 0, Run: runBytes(300)},
+	}
+}
+
+// runBytes returns n wire records with distinct contents.
+func runBytes(n int) []byte {
+	var fb FrameBuilder
+	fb.BeginSection(0)
+	for i := 0; i < n; i++ {
+		fb.Add(model.Epoch(i*7), model.TagID(i%41), model.Mask(1+i%5))
+	}
+	frame := fb.Finish()
+	return frame[frameHeaderLen+frameSectionLen : len(frame)-frameTrailerLen]
+}
+
+// walFrame wraps an arbitrary payload in a well-formed frame (right length,
+// right CRC), so a test reaches the checks behind the envelope's.
+func walFrame(payload []byte) []byte {
+	b := make([]byte, walFrameHeader, walFrameHeader+len(payload))
+	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// badRuns is a spread of run records the envelope vouches for and the run
+// checks must refuse: a record count that does not follow from the length,
+// a payload shorter than the run header, non-zero padding.
+func badRuns() [][]byte {
+	ragged := append([]byte{WALRun, 0, 0, 0, 1, 0, 0, 0}, runBytes(2)...)
+	return [][]byte{
+		walFrame(ragged[:len(ragged)-1]),
+		walFrame(append(ragged, 0)),
+		walFrame([]byte{WALRun, 0, 0, 0}),
+		walFrame(append([]byte{WALRun, 0, 1, 0, 1, 0, 0, 0}, runBytes(1)...)),
+	}
+}
+
+// TestWALRunLayout pins the run record's bytes: a 16-byte prefix — payload
+// length, CRC, kind, three zero bytes, site — then the records verbatim, so
+// in a segment of runs every record is 8-byte aligned and the same 16 bytes
+// a frame section carries.
+func TestWALRunLayout(t *testing.T) {
+	recs := runBytes(5)
+	b := AppendWALRecord(nil, WALRecord{Kind: WALRun, Site: 3, Run: recs})
+	if len(b) != WALRunHeaderLen+len(recs) || WALRunHeaderLen%8 != 0 {
+		t.Fatalf("run of %d record bytes framed in %d, header %d", len(recs), len(b), WALRunHeaderLen)
+	}
+	if got := binary.LittleEndian.Uint32(b); int(got) != len(b)-walFrameHeader {
+		t.Fatalf("payload length %d, want %d", got, len(b)-walFrameHeader)
+	}
+	if b[8] != WALRun || b[9]|b[10]|b[11] != 0 || binary.LittleEndian.Uint32(b[12:]) != 3 {
+		t.Fatalf("run header % x", b[8:16])
+	}
+	if !reflect.DeepEqual(b[WALRunHeaderLen:], recs) {
+		t.Fatal("records are not carried verbatim")
+	}
+	hdr := WALRunHeader(3, recs)
+	if !reflect.DeepEqual(hdr[:], b[:WALRunHeaderLen]) {
+		t.Fatal("WALRunHeader and AppendWALRecord disagree")
+	}
+}
+
+// TestWALRunRejects pins that a well-framed run whose inside is wrong is
+// corrupt, not decoded: the bad runs above, and a run past the size bound
+// (a complete frame: a short one would only be partial).
+func TestWALRunRejects(t *testing.T) {
+	over := make([]byte, walRunHeader+(MaxWALRunReadings+1)*FrameRecordLen)
+	over[0] = WALRun
+	for i, b := range append(badRuns(), walFrame(over)) {
+		if _, n, err := DecodeWALRecord(b); !errors.Is(err, ErrWALCorrupt) || n != 0 {
+			t.Errorf("bad run %d: consumed %d, err = %v, want ErrWALCorrupt", i, n, err)
+		}
+	}
+	largest := make([]byte, MaxWALRunReadings*FrameRecordLen)
+	if rec, _, err := DecodeWALRecord(AppendWALRecord(nil, WALRecord{Kind: WALRun, Run: largest})); err != nil || len(rec.Run) != len(largest) {
+		t.Errorf("largest run: %d record bytes, err = %v", len(rec.Run), err)
 	}
 }
 
@@ -120,6 +200,14 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(AppendWALRecord(nil, WALRecord{Kind: 99}))
+	for _, b := range badRuns() {
+		f.Add(b)
+	}
+	// A run at a misaligned offset (behind a 13-byte departure record), and
+	// the head of a run declaring more than the size bound.
+	f.Add(AppendWALRecord(AppendWALRecord(nil, WALRecord{Kind: WALDepart, Object: 7, To: 1, At: 600}),
+		WALRecord{Kind: WALRun, Site: 1, Run: runBytes(2)}))
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxWALRunPayload+FrameRecordLen))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeWALRecord(b)
 		if err != nil {

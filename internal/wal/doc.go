@@ -9,15 +9,23 @@
 //
 //	MANIFEST              the commit point: current segment generation,
 //	                      active snapshot file, snapshot boundary epoch
+//	DEPLOYMENT            the deployment record: what the log's readings
+//	                      mean (Deployment), written by the daemon's first
+//	                      start and checked by every later one
 //	site-<s>.<gen>.wal    per-site reading segments (stream.WALRecord frames)
 //	departures.<gen>.wal  the departure segment
 //	snap-<epoch>.snap     full-state snapshots (State, CRC-protected)
 //
-// Accepted readings append to their site's segment (under the ingest
-// stripe's lock, so the log order is the bucket order), departures to the
-// shared departure segment. Appends are buffered; a group fsync makes them
-// durable either on a timer (Options.SyncEvery) or before every ingest
-// acknowledgement (Options.Strict).
+// Accepted readings append to their site's segment a run at a time — one
+// record per run an ingest call bucketed, its payload the run's 16-byte wire
+// records as the RFB1 frame carried them (stream.WALRun) — under the ingest
+// stripe's lock, so the log order is the bucket order; departures append to
+// the shared departure segment. AppendReadings writes a run as one header,
+// one CRC and one copy of the caller's bytes; it does no per-reading work.
+// Appends are buffered; a group fsync makes them durable either on a timer
+// (Options.SyncEvery) or before every ingest acknowledgement
+// (Options.Strict). Segments written by releases that logged one record per
+// reading (stream.WALReading) still replay.
 //
 // # Snapshots and retirement
 //
@@ -37,8 +45,12 @@
 // of the current generation. A segment's torn tail — a frame cut short by
 // the crash — is detected by the CRC framing and truncated at the last
 // valid record; corruption in the middle of a segment stops replay with
-// the same clean truncation (see stream.DecodeWALRecord). The caller
-// (internal/serve) re-ingests the replayed tail through its normal ingest
-// path, which together with the exactness of the state codecs makes a
-// recovered run bit-identical to one that never crashed.
+// the same clean truncation (see stream.DecodeWALRecord); a torn run record
+// costs that run, never a byte synced before it. ReplayRuns hands each run on
+// as a []dist.Reading view over the segment's bytes — no decode, no copy —
+// and the caller (internal/serve) re-ingests it through its normal ingest
+// path exactly as it would a frame section, which together with the
+// exactness of the state codecs makes a recovered run bit-identical to one
+// that never crashed. Replay is the same walk with every run expanded into
+// one record per reading.
 package wal

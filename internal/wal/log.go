@@ -64,8 +64,8 @@ func (o Options) withDefaults() Options {
 
 // Stats counts the log's durability work.
 type Stats struct {
-	// Appended is the number of records appended; AppendedBytes their
-	// framed size.
+	// Appended is the number of events appended (a reading run counts its
+	// readings); AppendedBytes their framed size on disk.
 	Appended      int   `json:"appended"`
 	AppendedBytes int64 `json:"appended_bytes"`
 	// Syncs counts group fsyncs; Snapshots completed snapshot commits.
@@ -74,8 +74,8 @@ type Stats struct {
 	// LastSnapshot is the boundary epoch of the most recent snapshot
 	// (-1 before the first).
 	LastSnapshot model.Epoch `json:"last_snapshot"`
-	// Replayed counts records re-ingested during recovery; Truncated the
-	// segments whose torn or corrupt tails were cut back.
+	// Replayed counts events re-ingested during recovery, like Appended;
+	// Truncated the segments whose torn or corrupt tails were cut back.
 	Replayed  int `json:"replayed"`
 	Truncated int `json:"truncated"`
 }
@@ -102,31 +102,24 @@ func (s *segment) append(rec stream.WALRecord) (int, error) {
 	return n, err
 }
 
-// appendReadings frames a whole batch of readings for one site under a
-// single lock acquisition — the bulk twin of append for the binary ingest
-// path, where a frame section delivers hundreds of same-site records at
-// once.
-func (s *segment) appendReadings(site int, batch []dist.Reading) (int, error) {
+// appendRun writes one reading-run record — its header, then the run's
+// record bytes as they are — under a single lock acquisition: no per-reading
+// work, and the bytes go from the caller's view into the write buffer (or,
+// past its size, straight to the file) in one copy.
+func (s *segment) appendRun(site int, raw []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return 0, errors.New("wal: segment is closed")
 	}
-	total := 0
-	for i := range batch {
-		s.buf = stream.AppendWALRecord(s.buf[:0], stream.WALRecord{
-			Kind: stream.WALReading, Site: site,
-			T: batch[i].T, Tag: batch[i].ID, Mask: batch[i].Mask,
-		})
-		n, err := s.bw.Write(s.buf)
-		total += n
-		if err != nil {
-			s.dirty.Store(true)
-			return total, err
-		}
-	}
+	hdr := stream.WALRunHeader(site, raw)
 	s.dirty.Store(true)
-	return total, nil
+	n, err := s.bw.Write(hdr[:])
+	if err != nil {
+		return n, err
+	}
+	m, err := s.bw.Write(raw)
+	return n + m, err
 }
 
 // sync flushes the buffer and fsyncs the file.
@@ -315,22 +308,15 @@ func (l *Log) writeManifest(m Manifest) error {
 	return nil
 }
 
-// commitManifest writes a data directory's manifest atomically: write
-// tmp, fsync, rename, fsync the directory. Shared by the Log (snapshot
-// commits) and the replication Receiver (shipped manifest commits).
+// commitManifest writes a data directory's manifest atomically. Shared by
+// the Log (snapshot commits) and the replication Receiver (shipped manifest
+// commits).
 func commitManifest(dir string, m Manifest) error {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, b); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return writeFileAtomic(dir, manifestName, b)
 }
 
 // writeFileSync writes a file and fsyncs it before closing.
@@ -412,19 +398,25 @@ func parseSegmentName(name string) (site, gen int, ok bool) {
 	return site, gen, true
 }
 
-// Replay walks every segment of the current generation — and of any
+// legacyRun bounds the runs ReplayRuns gathers from per-reading records.
+const legacyRun = 4096
+
+// ReplayRuns walks every segment of the current generation — and of any
 // later generation, which exists only when a crash landed between a
 // snapshot's segment rotation and its manifest commit: records accepted
 // into the new generation during that window live nowhere else, so
-// skipping them would lose acknowledged events. Each valid record is
-// emitted; a torn or corrupt tail is truncated on disk at the last valid
-// record, so appending can safely resume on the same file. Segment order
-// is deterministic: the alert segment, then the migration segment, then
-// the departure segment, then sites ascending, then generation; a replay
+// skipping them would lose acknowledged events. Each valid reading run goes
+// to run as a view over the segment buffer (dist.ReadingsFromWire), valid
+// only during the call; per-reading records written by earlier releases are
+// gathered into runs, in log order. Every other record goes to emit. A torn
+// or corrupt tail is truncated on disk at the last valid record, so
+// appending can safely resume on the same file. Segment order is
+// deterministic: the alert segment, then the migration segment, then the
+// departure segment, then sites ascending, then generation; a replay
 // consumer must not depend on cross-segment record order beyond that (the
 // serve layer re-buckets by epoch anyway, and restores the alert tail
 // before re-ingesting events).
-func (l *Log) Replay(emit func(stream.WALRecord) error) error {
+func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return err
@@ -447,6 +439,16 @@ func (l *Log) Replay(emit func(stream.WALRecord) error) error {
 		}
 		return segs[i].gen < segs[j].gen
 	})
+	var legacy []dist.Reading // open run of per-reading records, of legacySite
+	legacySite := 0
+	flushLegacy := func() error {
+		if len(legacy) == 0 {
+			return nil
+		}
+		err := run(legacySite, legacy)
+		legacy = legacy[:0]
+		return err
+	}
 	for _, sg := range segs {
 		path := filepath.Join(l.dir, sg.name)
 		b, err := os.ReadFile(path)
@@ -455,15 +457,37 @@ func (l *Log) Replay(emit func(stream.WALRecord) error) error {
 		}
 		count := 0
 		valid, scanErr := stream.ScanWAL(b, func(rec stream.WALRecord) error {
+			if rec.Kind == stream.WALReading {
+				count++
+				if rec.Site != legacySite || len(legacy) == legacyRun {
+					if err := flushLegacy(); err != nil {
+						return err
+					}
+				}
+				legacySite = rec.Site
+				legacy = append(legacy, dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
+				return nil
+			}
+			if err := flushLegacy(); err != nil {
+				return err
+			}
+			if rec.Kind == stream.WALRun {
+				rs := dist.ReadingsFromWire(rec.Run)
+				count += len(rs)
+				return run(rec.Site, rs)
+			}
 			count++
 			return emit(rec)
 		})
+		if err := flushLegacy(); err != nil {
+			return err
+		}
 		l.statsMu.Lock()
 		l.stats.Replayed += count
 		l.statsMu.Unlock()
 		if scanErr != nil {
 			if !errors.Is(scanErr, stream.ErrWALPartial) && !errors.Is(scanErr, stream.ErrWALCorrupt) {
-				return scanErr // the emit callback failed
+				return scanErr // a callback failed
 			}
 			// Torn or rotted tail: cut the segment back to its last valid
 			// record so the next generation of appends (or a re-replay)
@@ -477,6 +501,19 @@ func (l *Log) Replay(emit func(stream.WALRecord) error) error {
 		}
 	}
 	return nil
+}
+
+// Replay is ReplayRuns with every reading run expanded into one WALReading
+// record per reading: one emit call per logged event.
+func (l *Log) Replay(emit func(stream.WALRecord) error) error {
+	return l.ReplayRuns(func(site int, rs []dist.Reading) error {
+		for _, r := range rs {
+			if err := emit(stream.WALRecord{Kind: stream.WALReading, Site: site, T: r.T, Tag: r.ID, Mask: r.Mask}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, emit)
 }
 
 // StartAppending opens the current generation's segment files for
@@ -540,45 +577,26 @@ func (l *Log) syncer() {
 	}
 }
 
-// AppendReading logs one accepted reading for a site. The caller already
-// serializes per-site appends (the ingest stripe lock), so contention on
-// the segment lock is limited to the group-fsync flush.
-func (l *Log) AppendReading(site int, t model.Epoch, tag model.TagID, mask model.Mask) error {
-	if site < 0 || site >= len(l.readings) {
-		return fmt.Errorf("wal: site %d out of range [0,%d)", site, len(l.readings))
-	}
-	n, err := l.readings[site].append(stream.WALRecord{
-		Kind: stream.WALReading, Site: site, T: t, Tag: tag, Mask: mask,
-	})
-	if err != nil {
-		return err
-	}
-	l.appendSeq.Add(1)
-	l.appended.Add(1)
-	l.appendedBytes.Add(int64(n))
-	return nil
-}
-
-// AppendReadings logs a batch of accepted readings for one site under a
-// single segment-lock acquisition. The serve layer flushes each ingest
-// batch's accepted run through here while still holding the site's stripe
-// lock, so the log order remains the bucket order and snapshot rotation
-// still cleanly partitions the records — at a fraction of the per-record
-// locking of AppendReading.
+// AppendReadings logs a run of accepted readings for one site as one run
+// record (several when the run exceeds stream.MaxWALRunReadings). The serve
+// layer calls it inside the stripe critical section that buckets the run, so
+// the log order remains the bucket order and snapshot rotation still cleanly
+// partitions the records. batch is not retained.
 func (l *Log) AppendReadings(site int, batch []dist.Reading) error {
 	if site < 0 || site >= len(l.readings) {
 		return fmt.Errorf("wal: site %d out of range [0,%d)", site, len(l.readings))
 	}
-	if len(batch) == 0 {
-		return nil
+	for len(batch) > 0 {
+		k := min(len(batch), stream.MaxWALRunReadings)
+		n, err := l.readings[site].appendRun(site, dist.ReadingsToWire(batch[:k]))
+		if err != nil {
+			return err
+		}
+		l.appendSeq.Add(int64(k))
+		l.appended.Add(int64(k))
+		l.appendedBytes.Add(int64(n))
+		batch = batch[k:]
 	}
-	n, err := l.readings[site].appendReadings(site, batch)
-	if err != nil {
-		return err
-	}
-	l.appendSeq.Add(int64(len(batch)))
-	l.appended.Add(int64(len(batch)))
-	l.appendedBytes.Add(int64(n))
 	return nil
 }
 

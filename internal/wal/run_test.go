@@ -1,0 +1,213 @@
+package wal
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"rfidtrack/internal/dist"
+	"rfidtrack/internal/model"
+	"rfidtrack/internal/sim"
+	"rfidtrack/internal/stream"
+)
+
+// someReadings returns n distinct readings.
+func someReadings(n int) []dist.Reading {
+	rs := make([]dist.Reading, n)
+	for i := range rs {
+		rs[i] = dist.Reading{T: model.Epoch(i / 3), ID: model.TagID(i % 53), Mask: model.Mask(1 + i%7)}
+	}
+	return rs
+}
+
+// replayedRun is one run as appended, or as ReplayRuns delivered it.
+type replayedRun struct {
+	site int
+	rs   []dist.Reading
+}
+
+// replayRuns reopens dir and collects what ReplayRuns delivers.
+func replayRuns(t *testing.T, dir string, sites int) (*Log, []replayedRun, []stream.WALRecord) {
+	t.Helper()
+	l, err := Open(dir, sites, Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []replayedRun
+	var others []stream.WALRecord
+	if err := l.ReplayRuns(func(site int, rs []dist.Reading) error {
+		// The view dies with the call: copy.
+		runs = append(runs, replayedRun{site, append([]dist.Reading(nil), rs...)})
+		return nil
+	}, func(rec stream.WALRecord) error {
+		others = append(others, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return l, runs, others
+}
+
+// TestRunRecordRoundTrip pins the reading path of the log: a run is one
+// record of 16 bytes plus 16 per reading, a run past the record bound is cut
+// into several, ReplayRuns hands the runs back as appended, and Replay is
+// its expansion — one WALReading per reading — with the counters counting
+// readings on both sides and bytes as they lie on disk.
+func TestRunRecordRoundTrip(t *testing.T) {
+	l := openFresh(t, 2, Options{SyncEvery: -1})
+	long := someReadings(stream.MaxWALRunReadings + 5)
+	appended := []replayedRun{{0, someReadings(7)}, {1, someReadings(300)}, {0, long}, {0, someReadings(1)}}
+	total := 0
+	for _, r := range appended {
+		if err := l.AppendReadings(r.site, r.rs); err != nil {
+			t.Fatal(err)
+		}
+		total += len(r.rs)
+	}
+	if err := l.AppendReadings(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendDeparture(dist.Departure{Object: 3, From: 0, To: 1, At: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	records := len(appended) + 1 // the long run is two records
+	var onDisk int64
+	for site := 0; site < 2; site++ {
+		fi, err := os.Stat(filepath.Join(l.Dir(), segmentName(site, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if want := int64(records*stream.WALRunHeaderLen + total*stream.FrameRecordLen); onDisk != want {
+		t.Errorf("site segments hold %d bytes, want %d (%d records, %d readings)", onDisk, want, records, total)
+	}
+	fi, err := os.Stat(filepath.Join(l.Dir(), segmentName(-1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Appended != total+1 || st.AppendedBytes != onDisk+fi.Size() {
+		t.Errorf("Stats = %d events / %d bytes, want %d / %d", st.Appended, st.AppendedBytes, total+1, onDisk+fi.Size())
+	}
+
+	l2, runs, others := replayRuns(t, l.Dir(), 2)
+	want := []replayedRun{appended[0], {0, long[:stream.MaxWALRunReadings]}, {0, long[stream.MaxWALRunReadings:]}, appended[3], appended[1]}
+	if !reflect.DeepEqual(runs, want) {
+		t.Errorf("ReplayRuns delivered %d runs, want the %d appended (site 0's, then site 1's)", len(runs), len(want))
+	}
+	if len(others) != 1 || others[0].Kind != stream.WALDepart {
+		t.Errorf("ReplayRuns delivered %+v beside the runs, want the one departure", others)
+	}
+	if st := l2.Stats(); st.Replayed != total+1 || st.Truncated != 0 {
+		t.Errorf("Replayed = %d, Truncated = %d, want %d, 0", st.Replayed, st.Truncated, total+1)
+	}
+
+	_, recs := reopenAndReplay(t, l.Dir(), 2)
+	if len(recs) != total+1 {
+		t.Fatalf("Replay emitted %d records, want one per event: %d", len(recs), total+1)
+	}
+	i := 1 // recs[0] is the departure: its segment sorts first
+	for _, r := range want {
+		for _, rd := range r.rs {
+			if got := recs[i]; got.Kind != stream.WALReading || got.Site != r.site || got.T != rd.T || got.Tag != rd.ID || got.Mask != rd.Mask {
+				t.Fatalf("Replay record %d = %+v, want site %d %+v", i, got, r.site, rd)
+			}
+			i++
+		}
+	}
+}
+
+// TestLegacyReadingRecordsReplayAsRuns pins the upgrade path: a segment
+// written by a release that logged one record per reading — alone or with
+// run records appended behind them by this one — replays as runs in log
+// order, and counts one event per reading.
+func TestLegacyReadingRecordsReplayAsRuns(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 1, Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	old, run := someReadings(legacyRun+10), someReadings(4)
+	var seg []byte
+	for _, r := range old[:legacyRun+5] {
+		seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALReading, Site: 0, T: r.T, Tag: r.ID, Mask: r.Mask})
+	}
+	seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALRun, Site: 0, Run: dist.ReadingsToWire(run)})
+	for _, r := range old[legacyRun+5:] {
+		seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALReading, Site: 0, T: r.T, Tag: r.ID, Mask: r.Mask})
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, runs, _ := replayRuns(t, dir, 1)
+	want := []replayedRun{{0, old[:legacyRun]}, {0, old[legacyRun : legacyRun+5]}, {0, run}, {0, old[legacyRun+5:]}}
+	if !reflect.DeepEqual(runs, want) {
+		var got []int
+		for _, r := range runs {
+			got = append(got, len(r.rs))
+		}
+		t.Errorf("replayed runs of %v readings, want %d, 5, 4, 5 in log order", got, legacyRun)
+	}
+	if st := l2.Stats(); st.Replayed != len(old)+len(run) {
+		t.Errorf("Replayed = %d, want %d", st.Replayed, len(old)+len(run))
+	}
+}
+
+// TestDeploymentRecord pins the record's round trip and what Mismatch
+// names: each fingerprint field by its own name, the baseline never.
+func TestDeploymentRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data") // WriteDeployment creates it
+	if d, err := ReadDeployment(dir); d != nil || err != nil {
+		t.Fatalf("empty directory: record %+v, err %v", d, err)
+	}
+	dep := Deployment{Sim: sim.DefaultConfig(), Interval: 300, Strategy: "weights", Query: true}
+	if err := WriteDeployment(dir, dep); err != nil {
+		t.Fatal(err)
+	}
+	dep.CentralizedBytes = 898386
+	if err := WriteDeployment(dir, dep); err != nil { // the baseline arrives later
+		t.Fatal(err)
+	}
+	got, err := ReadDeployment(dir)
+	if err != nil || got == nil || *got != dep {
+		t.Fatalf("read back %+v, err %v, want %+v", got, err, dep)
+	}
+	if _, err := Open(dir, 1, Options{}); err != nil {
+		t.Errorf("the record is in a log's way: %v", err)
+	}
+
+	same := dep
+	same.CentralizedBytes = 0
+	if diff := dep.Mismatch(same); diff != "" {
+		t.Errorf("differing baselines are a mismatch: %s", diff)
+	}
+	for field, change := range map[string]func(*Deployment){
+		"sim.ItemsPerCase": func(d *Deployment) { d.Sim.ItemsPerCase++ },
+		"sim.Seed":         func(d *Deployment) { d.Sim.Seed = 9 },
+		"sim.RR":           func(d *Deployment) { d.Sim.RR = 0.5 },
+		"sim.Epochs":       func(d *Deployment) { d.Sim.Epochs = 7200 },
+		"Interval":         func(d *Deployment) { d.Interval = 60 },
+		"Strategy":         func(d *Deployment) { d.Strategy = "none" },
+		"Query":            func(d *Deployment) { d.Query = false },
+	} {
+		other := dep
+		change(&other)
+		if diff := dep.Mismatch(other); !strings.HasPrefix(diff, field+":") {
+			t.Errorf("changed %s: Mismatch = %q", field, diff)
+		}
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, deploymentName), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDeployment(dir); err == nil {
+		t.Error("a corrupt record read without error")
+	}
+}

@@ -582,15 +582,5 @@ func ReadFence(dir string) (int64, error) {
 
 // WriteFence durably records the data directory's fencing epoch.
 func WriteFence(dir string, epoch int64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, fenceName+".tmp")
-	if err := writeFileSync(tmp, []byte(strconv.FormatInt(epoch, 10)+"\n")); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, fenceName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return writeFileAtomic(dir, fenceName, []byte(strconv.FormatInt(epoch, 10)+"\n"))
 }

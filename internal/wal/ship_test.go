@@ -99,7 +99,7 @@ func requireDirsEqual(t *testing.T, primary, follower string) {
 func TestShipRoundTrip(t *testing.T) {
 	l := openFresh(t, 2, Options{SyncEvery: -1})
 	for i := 0; i < 200; i++ {
-		if err := l.AppendReading(i%2, model.Epoch(i), model.TagID(i%7), model.Mask(1+i%3)); err != nil {
+		if err := appendOne(l, i%2, model.Epoch(i), model.TagID(i%7), model.Mask(1+i%3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestShipRoundTrip(t *testing.T) {
 func TestShipSnapshotAndRotation(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 50; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), 1, 1); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestShipSnapshotAndRotation(t *testing.T) {
 	if err := l.RotateDepartures(gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendReading(0, 300, 2, 1); err != nil {
+	if err := appendOne(l, 0, 300, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := &State{Boundary: 300, StreamTime: 299, Feed: dist.FeedState{Next: 300}}
@@ -198,7 +198,7 @@ func TestShipSnapshotAndRotation(t *testing.T) {
 func TestShipSmallBudgetResume(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 2000; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), model.TagID(i), 3); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), model.TagID(i), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestShipSmallBudgetResume(t *testing.T) {
 	if err := l.Snapshot(st, gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendReading(0, 301, 2, 1); err != nil {
+	if err := appendOne(l, 0, 301, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	syncFollower(t, l, r, 512)
@@ -257,7 +257,7 @@ func TestShipSmallBudgetResume(t *testing.T) {
 func TestShipFollowerTornTail(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 10; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), 1, 1); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestShipFollowerTornTail(t *testing.T) {
 	if err := fl.StartAppending(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.AppendReading(0, 99, 2, 1); err != nil {
+	if err := appendOne(fl, 0, 99, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := fl.Commit(); err != nil {
@@ -321,7 +321,7 @@ func TestShipFollowerTornTail(t *testing.T) {
 func TestShipTruncateReconcile(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 10; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), 1, 1); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,6 +29,11 @@ func openFresh(t *testing.T, sites int, opts Options) *Log {
 	return l
 }
 
+// appendOne logs a single reading: a run of one.
+func appendOne(l *Log, site int, t model.Epoch, tag model.TagID, mask model.Mask) error {
+	return l.AppendReadings(site, []dist.Reading{{T: t, ID: tag, Mask: mask}})
+}
+
 // reopenAndReplay closes nothing (simulating a crash), reopens the dir and
 // collects the replayed records.
 func reopenAndReplay(t *testing.T, dir string, sites int) (*Log, []stream.WALRecord) {
@@ -55,7 +60,7 @@ func TestLogAppendReplay(t *testing.T) {
 	want := 0
 	for i := 0; i < 100; i++ {
 		site := i % 2
-		if err := l.AppendReading(site, model.Epoch(i), model.TagID(i%7), model.Mask(1+i%3)); err != nil {
+		if err := appendOne(l, site, model.Epoch(i), model.TagID(i%7), model.Mask(1+i%3)); err != nil {
 			t.Fatal(err)
 		}
 		want++
@@ -91,7 +96,7 @@ func TestLogAppendReplay(t *testing.T) {
 func TestLogTornTailTruncated(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 10; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), 1, 1); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +124,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 	if err := l2.StartAppending(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.AppendReading(0, 99, 2, 1); err != nil {
+	if err := appendOne(l2, 0, 99, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Commit(); err != nil {
@@ -136,7 +141,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 func TestLogCorruptMiddleStops(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 10; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), 1, 1); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +174,7 @@ func TestLogCorruptMiddleStops(t *testing.T) {
 func TestSnapshotRotationRetires(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	for i := 0; i < 5; i++ {
-		if err := l.AppendReading(0, model.Epoch(i), 1, 1); err != nil {
+		if err := appendOne(l, 0, model.Epoch(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +186,7 @@ func TestSnapshotRotationRetires(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-rotation appends land in the new generation and must survive.
-	if err := l.AppendReading(0, 300, 2, 1); err != nil {
+	if err := appendOne(l, 0, 300, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := &State{Boundary: 300, StreamTime: 299, Feed: dist.FeedState{Next: 300}}
@@ -216,7 +221,7 @@ func TestSnapshotRotationRetires(t *testing.T) {
 // thereby splice stale records into) the orphaned generation's files.
 func TestCrashBetweenRotateAndCommit(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
-	if err := l.AppendReading(0, 10, 1, 1); err != nil { // gen 1
+	if err := appendOne(l, 0, 10, 1, 1); err != nil { // gen 1
 		t.Fatal(err)
 	}
 	gen := l.NextGen()
@@ -226,7 +231,7 @@ func TestCrashBetweenRotateAndCommit(t *testing.T) {
 	if err := l.RotateDepartures(gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendReading(0, 20, 2, 1); err != nil { // gen 2, acked
+	if err := appendOne(l, 0, 20, 2, 1); err != nil { // gen 2, acked
 		t.Fatal(err)
 	}
 	if err := l.Commit(); err != nil {
@@ -268,7 +273,7 @@ func TestCrashBetweenRotateAndCommit(t *testing.T) {
 func TestCommitGroupSkip(t *testing.T) {
 	l := openFresh(t, 1, Options{SyncEvery: -1})
 	defer l.Close()
-	if err := l.AppendReading(0, 1, 1, 1); err != nil {
+	if err := appendOne(l, 0, 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(); err != nil {
@@ -281,7 +286,7 @@ func TestCommitGroupSkip(t *testing.T) {
 	if got := l.Stats().Syncs; got != syncs {
 		t.Fatalf("covered commit ran %d extra fsync passes", got-syncs)
 	}
-	if err := l.AppendReading(0, 2, 1, 1); err != nil {
+	if err := appendOne(l, 0, 2, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(); err != nil { // new append: must sync

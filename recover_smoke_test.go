@@ -7,7 +7,10 @@ package rfidtrack_test
 // to be reflect.DeepEqual to the uninterrupted sequential reference. This
 // is the process-level twin of serve.TestRecoverMatchesUninterrupted: no
 // graceful path runs — the first process dies with buffered intervals,
-// un-snapshotted checkpoints and an HTTP request possibly in flight.
+// un-snapshotted checkpoints and an HTTP request possibly in flight. The
+// restart is also the first to find the directory's deployment record, so it
+// starts from the layout alone; a last start with one flag changed must be
+// refused.
 
 import (
 	"bufio"
@@ -214,5 +217,14 @@ func TestRecoverSmoke(t *testing.T) {
 	}
 	if st.WAL == nil || st.WAL.Snapshots == 0 {
 		t.Errorf("daemon reported no durable snapshots: %+v", st.WAL)
+	}
+
+	// The directory now belongs to this deployment: a start with another
+	// -items (a later flag overrides the earlier one) must be refused before
+	// it touches the log, naming what differs.
+	args := append([]string{"-addr", "127.0.0.1:0", "-data-dir", dataDir}, smokeWorldFlags...)
+	out, err := exec.CommandContext(ctx, bin, append(args, "-items", "4")...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "sim.ItemsPerCase: recorded 3, started with 4") {
+		t.Errorf("start with -items 4 over the -items 3 directory: err = %v, output:\n%s\nwant a refusal naming sim.ItemsPerCase", err, out)
 	}
 }
