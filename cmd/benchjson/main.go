@@ -92,10 +92,13 @@ func (t tolerances) Set(s string) error {
 		if ent == "" {
 			continue
 		}
-		key, val, ok := strings.Cut(ent, "=")
-		if !ok {
+		// The fraction follows the last '=': sub-benchmark names carry
+		// their own ("FeedAdvanceSkewed/workers=1").
+		eq := strings.LastIndex(ent, "=")
+		if eq < 0 {
 			return fmt.Errorf("tolerance %q: want Name=frac or Name:metric=frac", ent)
 		}
+		key, val := ent[:eq], ent[eq+1:]
 		frac, err := strconv.ParseFloat(val, 64)
 		if err != nil || frac < 0 {
 			return fmt.Errorf("tolerance %q: bad fraction %q", ent, val)

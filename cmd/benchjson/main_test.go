@@ -14,10 +14,11 @@ func TestTolerancesSet(t *testing.T) {
 	if err := tol.Set("Recovery=0.4, Fanout100k:ns/op=0.35,"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tol.Set("Checkpoint=0.3"); err != nil {
+	if err := tol.Set("Checkpoint=0.3,FeedAdvanceSkewed/workers=1:ns/op=0.25"); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"Recovery": 0.4, "Fanout100k:ns/op": 0.35, "Checkpoint": 0.3}
+	want := map[string]float64{"Recovery": 0.4, "Fanout100k:ns/op": 0.35, "Checkpoint": 0.3,
+		"FeedAdvanceSkewed/workers=1:ns/op": 0.25}
 	if len(tol) != len(want) {
 		t.Fatalf("parsed %v, want %v", tol, want)
 	}

@@ -134,9 +134,11 @@ func (e *Engine) computePosterior(rec *tagRec, group []model.TagID, from model.E
 	for _, t := range fresh {
 		p.epochs = append(p.epochs, t)
 		p.q = append(p.q, s.lq...) // extend by one row; overwritten below
+		p.cells = append(p.cells, s.lq...)
 		p.qBase = append(p.qBase, 0)
 		i := len(p.epochs) - 1
 		p.qBase[i] = computeRowAt(e.lik, members, gb, t, cur, s.lq, p.row(i))
+		p.fillCells(e.lik, i)
 	}
 	p.refreshAdv(e.lik)
 }
@@ -180,11 +182,7 @@ func computeRowAt(lik *model.Likelihood, members []model.Series, gb float64,
 		}
 	}
 	normalizeLog(lq, qOut)
-	dot := 0.0
-	for a := 0; a < n; a++ {
-		dot += qOut[a] * base[a]
-	}
-	return dot
+	return dot(qOut, base)
 }
 
 // addMaskDeltas adds delta(r, a) to lq[a] for every reader r set in mask,

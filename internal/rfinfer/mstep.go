@@ -6,11 +6,33 @@ import (
 	"rfidtrack/internal/model"
 )
 
-// objEvidence is one object's point-evidence matrix over the union of its
-// own read epochs and its candidates' active epochs: row(k)[i] is
-// e_{c_k,o}(epochs[i]) of Eq 7. totals[k] is the co-location strength
-// w_{c_k,o} of Eq 5 including any migrated prior weight. The matrix lives
-// in one contiguous backing array reused across Runs.
+// objEvidence is what the last M-step pass left behind for one object: its
+// candidates' co-location strengths (totals[k] is w_{c_k,o} of Eq 5,
+// migrated prior weight included) and the per-epoch detail the later phases
+// read. Which detail depends on the engine's evidence mode.
+//
+// Matrix mode (fullEvidence: change-point detection, Δ collection) holds the
+// point-evidence matrix over the union of the object's own read epochs and
+// its candidates' active epochs — row(k)[i] is e_{c_k,o}(epochs[i]) of Eq 7
+// — in one contiguous backing array reused across Runs.
+//
+// Fast mode (the serving default) holds no matrix. A candidate's evidence
+// splits into what its posterior already carries for every object (advSum,
+// prefAdv, cells) and the object-specific rest, the corrections: one entry
+// per own read epoch the candidate is active at. They are stored as packed
+// per-candidate segments — candidate k's epochs at
+// corrT[corrOff[k]:corrOff[k+1]], corrPre their inclusive prefix sums — so
+// the critical-region search takes any window's evidence excess as two
+// subtractions instead of re-deriving cells.
+//
+// Both modes memoize. The whole object is current while its series version,
+// candidate list, prior weights and every candidate posterior's content
+// version match the stamps below (evidenceCurrent). Fast mode additionally
+// memoizes per candidate: a segment is a function of (own series, that
+// candidate's posterior) and of nothing else, so while seriesVer stands, a
+// candidate — matched by id, wherever the pruning order now puts it — whose
+// posterior still carries the stamped version keeps its segment verbatim,
+// and only the candidates whose posterior moved are scored again.
 type objEvidence struct {
 	cands  []model.TagID // owned copy (memo compares it against rec.cands)
 	epochs []model.Epoch
@@ -29,23 +51,17 @@ type objEvidence struct {
 	// assignment (the fast path has no epochs slice to test).
 	scorable bool
 
-	// Fast-mode correction prefixes: the object-specific part of each
-	// candidate's evidence — dot-product corrections at the object's own
-	// read epochs that the candidate is active at — stored as one epoch
-	// list plus inclusive prefix sums, candidate k's segment at
-	// corrT[corrOff[k]:corrOff[k+1]]. The critical-region search combines
-	// them with the posterior's prefAdv to take any window's evidence
-	// excess as two subtractions instead of re-deriving cells.
+	// Fast-mode correction segments (see above).
 	corrOff []int32
 	corrT   []model.Epoch
 	corrPre []float64
 
-	// Whole-matrix memo stamps: the matrix is exact while the object's
-	// series version, candidate list, prior weights and every candidate
-	// posterior's content version still match what they were at compute
-	// time. Within one Run's EM loop only posterior versions can move, so
-	// later iterations rebuild evidence only for objects whose candidates'
-	// groups actually changed.
+	// Memo stamps, taken at build time: the object's series version, each
+	// candidate posterior's content version (aligned with cands), and the
+	// prior weights. Within one Run's EM loop only posterior versions can
+	// move, so later iterations rebuild evidence only for objects whose
+	// candidates' groups actually changed — and, in fast mode, only those
+	// candidates' segments.
 	valid     bool
 	seriesVer uint32
 	postVers  []uint32
@@ -123,9 +139,11 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 	}
 
 	// Pass 1: per-epoch uniform evidence and the object's own delta rows
-	// (MaskDelta rows are cache-owned and stable, so holding them is safe).
+	// (MaskDelta rows are cache-owned and stable, so holding them is safe),
+	// plus the reader behind each single-reader row.
 	uni := s.floats(&s.uni, ne)
 	rows := s.maskRowRefs(ne)
+	readers := s.intBuf(ne)
 	uniSum := 0.0
 	objIdx := 0 // pointer into rec.series
 	for i, t := range ev.epochs {
@@ -137,7 +155,7 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 			omask = rec.series[objIdx].Mask
 		}
 		maskRow, maskMean := e.lik.MaskDelta(omask)
-		rows[i] = maskRow
+		rows[i], readers[i] = maskRow, singleReader(omask)
 		u := e.lik.UniformBase(t) + maskMean
 		uni[i] = u
 		uniSum += u
@@ -145,8 +163,9 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 
 	// Pass 2: per-candidate rows. Every posterior epoch is in the union, so
 	// the walk advances one cursor over ev.epochs and always lands on a
-	// match.
-	n := e.lik.N()
+	// match. The object's own observation adds q·δ: one load from the
+	// posterior's cells for a single-reader mask, the direct dot for a
+	// multi-reader mask or a posterior restored without cells.
 	for k := range cands {
 		post := posts[k]
 		row := ev.evid[k*ne : (k+1)*ne]
@@ -154,6 +173,7 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 		// Hoist the posterior's slice headers out of the cell loop: post is
 		// a pointer, so without this every cell reloads them from memory.
 		pEpochs, pQ, pQBase, pn := post.epochs, post.q, post.qBase, post.n
+		pCells := post.cellsOrNil()
 		active := 0.0 // active-cell evidence in excess of the uniform vector
 		i := 0
 		for j, t := range pEpochs {
@@ -162,12 +182,11 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 			}
 			v := pQBase[j]
 			if maskRow := rows[i]; maskRow != nil {
-				q := pQ[j*pn : (j+1)*pn]
-				dot := 0.0
-				for a := 0; a < n; a++ {
-					dot += q[a] * maskRow[a]
+				if r := readers[i]; r >= 0 && pCells != nil {
+					v += pCells[j*pn+r]
+				} else {
+					v += dot(pQ[j*pn:(j+1)*pn], maskRow)
 				}
-				v += dot
 			}
 			row[i] = v
 			active += v - uni[i]
@@ -227,31 +246,71 @@ func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.T
 	return epochs
 }
 
-// computeEvidenceFastInto recomputes an object's candidate totals without
-// materializing the evidence matrix. Each total decomposes as
+// singleReader returns the reader behind a single-reader mask, or -1 for an
+// empty or multi-reader one.
+func singleReader(m model.Mask) int {
+	if m == 0 || m&(m-1) != 0 {
+		return -1
+	}
+	return int(m.First())
+}
+
+// cellsOrNil returns the posterior's evidence cells, or nil when they are
+// absent (a posterior restored from a snapshot and not yet recomputed).
+func (p *posterior) cellsOrNil() []float64 {
+	if len(p.cells) != len(p.q) {
+		return nil
+	}
+	return p.cells
+}
+
+// computeEvidenceFastInto rescores an object's candidates without
+// materializing the evidence matrix, and reports how many candidates kept
+// their segment from the previous build. Each total decomposes as
 //
-//	w_o(c_k) = U_o + advSum_k + Σ_{t ∈ own ∩ active_k} (dot − maskMean_t) + priorW_k
+//	w_o(c_k) = U_o + advSum_k + Σ_{t ∈ own ∩ active_k} (q_k(t)·δ(mask_t) − maskMean_t) + priorW_k
 //
 // where U_o (the object's uniform evidence summed over the whole epoch
 // union) is common to every candidate and to uniTotal, advSum_k is the
-// candidate posterior's cached object-independent advantage, and only the
-// dot products at the object's own read epochs are object-specific. All
-// consumers of totals are invariant to the common shift U_o (best-candidate
-// selection and CR margins compare candidates; migration exports normalize
-// by the max), so the fast path drops it: per object the M-step does
-// O(|own| · candidates) work instead of O(union · candidates), and the
-// union — the expensive merge — is never formed.
-func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratch) {
-	ev.valid = false
+// candidate posterior's cached object-independent advantage, and the sum —
+// candidate k's correction segment — runs over the object's own read epochs
+// only. All consumers of totals are invariant to the common shift U_o
+// (best-candidate selection and CR margins compare candidates; migration
+// exports normalize by the max), so the fast path drops it and the union —
+// the expensive merge — is never formed.
+//
+// Nothing in the sum is arithmetic the object has to do itself any more.
+// For a single-reader mask q_k(t)·δ(r) is the posterior row's cell r,
+// computed once when the row was written and shared by every object, EM
+// iteration and Run that meets the row; the direct dot remains for
+// multi-reader masks (whose combined δ row is summed before the product, so
+// the cells do not add up to the same bits) and for a posterior without
+// cells. And a segment whose inputs stand — same own series, same posterior
+// version — is not walked at all: it is copied from the previous build, to
+// wherever its candidate now sits, and its total re-added from the stored
+// prefix (advSum and the prior are added fresh; a kept segment's last
+// prefix entry is exactly the acc the walk would end on). New segments are
+// staged in the worker's scratch and packed back, so an object owns one set
+// of segment arrays, not two. Leading candidates that are kept at their old
+// position — the usual case is one changed candidate among several — stay
+// where they are.
+func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratch) (reused int) {
 	cands := rec.cands
-	ev.cands = append(ev.cands[:0], cands...)
+	// The previous build, read while the new one is staged; its stamps are
+	// replaced only after the loop.
+	oldCands, oldVers, oldOff := ev.cands, ev.postVers, ev.corrOff
+	if !ev.valid || ev.seriesVer != rec.seriesVer {
+		oldCands = nil
+	}
+	ev.valid = false
 	ev.epochs = ev.epochs[:0]
 	ev.evid = ev.evid[:0]
 	ev.totals = ev.totals[:0]
-	ev.postVers = ev.postVers[:0]
 	ev.uniTotal = 0
 	ev.scorable = false
 	if len(cands) == 0 {
+		ev.cands = ev.cands[:0]
+		ev.postVers = ev.postVers[:0]
 		ev.corrOff = append(ev.corrOff[:0], 0)
 		ev.corrT = ev.corrT[:0]
 		ev.corrPre = ev.corrPre[:0]
@@ -259,7 +318,7 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 		ev.priorDef = rec.priorDefault
 		ev.seriesVer = rec.seriesVer
 		ev.valid = true
-		return
+		return 0
 	}
 	ev.uniTotal = rec.priorDefault
 	if cap(ev.totals) < len(cands) {
@@ -272,73 +331,115 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 		posts[k] = &e.tags[cid].post
 	}
 
-	// The object's own delta rows and their means, aligned with rec.series
-	// (MaskDelta rows are cache-owned and stable, so holding them is safe).
+	// The object's own delta rows, their means and single readers, aligned
+	// with rec.series (MaskDelta rows are cache-owned and stable, so holding
+	// them is safe).
 	own := rec.series
 	means := s.floats(&s.uni, len(own))
 	rows := s.maskRowRefs(len(own))
+	readers := s.intBuf(len(own))
 	for i, rd := range own {
 		rows[i], means[i] = e.lik.MaskDelta(rd.Mask)
+		readers[i] = singleReader(rd.Mask)
 	}
 
+	// Leading candidates kept at their old position keep their old offsets
+	// too, and stay where they are; everything from the first moved or
+	// rescored candidate on is staged and packed back behind them.
+	head := 0
+	for head < len(cands) && head < len(oldCands) &&
+		oldCands[head] == cands[head] && oldVers[head] == posts[head].ver {
+		head++
+	}
+	base := 0
+	if head > 0 {
+		base = int(oldOff[head])
+	}
+	stT, stPre, stOff := s.corrT[:0], s.corrPre[:0], s.corrOff[:0]
 	scorable := len(own) > 0
-	n := e.lik.N()
-	ev.corrOff = ev.corrOff[:0]
-	ev.corrT = ev.corrT[:0]
-	ev.corrPre = ev.corrPre[:0]
 	for k := range cands {
 		post := posts[k]
-		pEpochs, pQ, pn := post.epochs, post.q, post.n
+		pEpochs := post.epochs
 		if len(pEpochs) > 0 {
 			scorable = true
 		}
-		ev.corrOff = append(ev.corrOff, int32(len(ev.corrT)))
+		// kept is the candidate's segment in the previous build, or -1 when
+		// it has to be scored: new to the list, or its posterior moved since
+		// the stamp. Lists are bounded by MaxCandidates, so a linear scan
+		// beats a map.
+		kept := k
+		if k >= head {
+			kept = slices.Index(oldCands, cands[k])
+			if kept >= 0 && oldVers[kept] != post.ver {
+				kept = -1
+			}
+			stOff = append(stOff, int32(base+len(stT)))
+		}
 		acc := 0.0
-		j := 0
-		for oi, rd := range own {
-			t := rd.T
-			for j < len(pEpochs) && pEpochs[j] < t {
-				j++
+		if kept >= 0 {
+			lo, hi := oldOff[kept], oldOff[kept+1]
+			if k >= head {
+				stT = append(stT, ev.corrT[lo:hi]...)
+				stPre = append(stPre, ev.corrPre[lo:hi]...)
 			}
-			if j >= len(pEpochs) {
-				break
+			if hi > lo {
+				acc = ev.corrPre[hi-1]
 			}
-			if pEpochs[j] != t {
-				continue
-			}
-			if row := rows[oi]; row != nil {
-				q := pQ[j*pn : (j+1)*pn]
-				dot := 0.0
-				for a := 0; a < n; a++ {
-					dot += q[a] * row[a]
+			reused++
+		} else {
+			pQ, pn, pCells := post.q, post.n, post.cellsOrNil()
+			j := 0
+			for oi, rd := range own {
+				t := rd.T
+				for j < len(pEpochs) && pEpochs[j] < t {
+					j++
 				}
-				acc += dot - means[oi]
-				ev.corrT = append(ev.corrT, t)
-				ev.corrPre = append(ev.corrPre, acc)
+				if j >= len(pEpochs) {
+					break
+				}
+				if pEpochs[j] != t {
+					continue
+				}
+				if row := rows[oi]; row != nil {
+					var d float64
+					if r := readers[oi]; r >= 0 && pCells != nil {
+						d = pCells[j*pn+r]
+					} else {
+						d = dot(pQ[j*pn:(j+1)*pn], row)
+					}
+					acc += d - means[oi]
+					stT = append(stT, t)
+					stPre = append(stPre, acc)
+				}
 			}
 		}
 		ev.totals[k] = post.advSum + acc + rec.priorW[k]
 	}
-	ev.corrOff = append(ev.corrOff, int32(len(ev.corrT)))
+	ev.corrT = append(ev.corrT[:base], stT...)
+	ev.corrPre = append(ev.corrPre[:base], stPre...)
+	ev.corrOff = append(append(ev.corrOff[:head], stOff...), int32(len(ev.corrT)))
+	s.corrT, s.corrPre, s.corrOff = stT, stPre, stOff
 	ev.scorable = scorable
 
 	// Stamp the memo (same stamps as the matrix path).
-	ev.seriesVer = rec.seriesVer
+	ev.cands = append(ev.cands[:0], cands...)
+	ev.postVers = ev.postVers[:0]
 	for k := range cands {
 		ev.postVers = append(ev.postVers, posts[k].ver)
 	}
+	ev.seriesVer = rec.seriesVer
 	ev.priorSnap = append(ev.priorSnap[:0], rec.priorW...)
 	ev.priorDef = rec.priorDefault
 	ev.valid = true
+	return reused
 }
 
 // computeEvidenceFast is computeEvidenceFastInto targeting rec.ev.
-func (e *Engine) computeEvidenceFast(rec *tagRec, s *scratch) *objEvidence {
+func (e *Engine) computeEvidenceFast(rec *tagRec, s *scratch) (reused int) {
 	if rec.ev == nil {
 		rec.ev = &objEvidence{}
 	}
-	e.computeEvidenceFastInto(rec.ev, rec, s)
-	return rec.ev
+	return e.computeEvidenceFastInto(rec.ev, rec, s)
 }
 
 // fullEvidence reports whether the M-step must materialize full evidence
@@ -392,18 +493,25 @@ func bestCandidate(ev *objEvidence) int {
 // detection and critical-region search.
 func (e *Engine) mStep() bool {
 	full := e.fullEvidence()
+	noCarry := e.noCarry
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, i int) {
 		rec := e.tags[e.objects[i]]
+		if noCarry && rec.ev != nil {
+			rec.ev.valid = false // reference mode: every pass scores from nothing
+		}
 		if e.evidenceCurrent(rec) {
 			e.nEvSkipped.Add(1)
 		} else {
+			reused := 0
 			if full {
 				e.computeEvidence(rec, s)
 			} else {
-				e.computeEvidenceFast(rec, s)
+				reused = e.computeEvidenceFast(rec, s)
 			}
 			rec.evSeq = e.runSeq
 			e.nEvComputed.Add(1)
+			e.nSegReused.Add(int64(reused))
+			e.nSegComputed.Add(int64(len(rec.cands) - reused))
 		}
 		rec.bestK = bestCandidate(rec.ev)
 	})

@@ -262,6 +262,13 @@ func TestMemoSkipsAndInvalidates(t *testing.T) {
 	if st := e.Stats(); st.PosteriorsComputed == 0 {
 		t.Fatalf("first Run computed nothing: %+v", st)
 	}
+	// The first pass moved every object into container 100, so the second EM
+	// iteration recomputed that posterior and rebuilt the objects' evidence —
+	// but the decoy's posterior stood, and its segments must have been kept.
+	if st := e.Stats(); e.Iterations() < 2 || st.EvidenceSegmentsReused == 0 || st.EvidenceSegmentsComputed == 0 {
+		t.Fatalf("second EM iteration should keep the decoy's segments and rescore the rest, got %d iterations, %+v",
+			e.Iterations(), st)
+	}
 
 	// No new data: every posterior must come from the memo.
 	e.Run(299)

@@ -35,8 +35,15 @@ type scratch struct {
 	candUVers []uint32      // aligned with candUKey
 	candUScr  []model.TagID // sort scratch for the probe key
 
+	// Correction segments being staged for one object (fast M-step): kept
+	// segments change position and rescored ones change length, so the new
+	// packing is built here and copied back into the object's arrays.
+	corrT   []model.Epoch
+	corrPre []float64
+	corrOff []int32
+
 	evEpochs []model.Epoch // evidence epoch union (on-the-fly CR search)
-	crCurs   []int         // backward window-edge cursors (CR search)
+	crCurs   []int         // window-edge cursors (CR search); own-reading readers (M-step)
 
 	// Candidate pruning (buildCandidates).
 	counts   []int32       // per-container co-occurrence counts

@@ -116,11 +116,17 @@ type Detection struct {
 	Delta float64
 }
 
-// tagRec is the engine's per-tag state.
+// tagRec is the engine's per-tag state. Every registered tag at every site
+// owns one, so its size is a footprint and start-up cost in its own right:
+// flags and 4-byte fields are declared next to each other so the record
+// stays inside the allocator's 512-byte class (TestTagRecSizeClass).
 type tagRec struct {
 	id          model.TagID
 	isContainer bool
-	series      model.Series
+	// untagged marks containers without their own tag (Appendix A.4): the
+	// container-reading factors of Eq 4 are omitted for them.
+	untagged bool
+	series   model.Series
 	// seriesVer counts series mutations (observations, truncation, history
 	// resets, state imports): the cheap change signal behind the M-step's
 	// whole-matrix evidence memo.
@@ -150,9 +156,6 @@ type tagRec struct {
 	groupSig uint64
 	post     posterior
 	keepWins []window // candidate-objects' critical regions (truncation)
-	// untagged marks containers without their own tag (Appendix A.4): the
-	// container-reading factors of Eq 4 are omitted for them.
-	untagged bool
 
 	// Cross-Run memo state (Appendix A.3 extended with data versions): the
 	// posterior stays valid while the group signature and every member
@@ -164,10 +167,10 @@ type tagRec struct {
 	// the engine Run sequence that last computed (or revalidated) the
 	// posterior, distinguishing per-Run invalidation from EM-iteration
 	// reuse.
-	postValid   bool
 	postSig     uint64
-	postThrough model.Epoch
 	computedSeq uint64
+	postThrough model.Epoch
+	postValid   bool
 
 	// Incremental Δ-checkpoint state (see PERFORMANCE.md). dirty marks that
 	// the tag's series or migrated state changed since the end of the
@@ -190,21 +193,35 @@ type tagRec struct {
 	candValid   bool
 	candVer     uint32
 	candCont    model.TagID
-	evSeq       uint64
 	addFloor    model.Epoch
 	trCR        window
-	prevWins    []window // keepWins of the previous truncation (containers)
-	verCache    uint64
 	verCacheKey uint32
+	verCache    uint64
+	evSeq       uint64
+	prevWins    []window // keepWins of the previous truncation (containers)
 }
 
 // posterior is a container's location posterior q_tc at its active epochs,
 // stored as one contiguous backing array (row i at q[i*n:(i+1)*n]) that is
 // reused across Runs.
+//
+// Everything the M-step needs from a row that does not depend on which
+// object is asking lives here too, computed once where the row is written:
+// qBase and its prefix sums for an epoch the object was not read at, and
+// cells for an epoch it was read at by a single reader — cells[i*n+r] is
+// dot(row i, DeltaRow(r)), the q_c(t)·δ(r) of Eq 7, the same number for
+// every item of the case, every EM iteration and every later Run that keeps
+// the row. cells is derived state: it is filled by computePosterior and
+// refreshMemo, moves with its row on compaction, is never serialized, and a
+// snapshot restore leaves it empty (the restore also leaves the memo
+// invalid, so the next E-step rebuilds the posterior, cells included,
+// before any M-step of a Run reads it). Readers treat a cells slice whose
+// length is not len(q) as absent and take the dot directly.
 type posterior struct {
 	epochs []model.Epoch
 	n      int       // row stride: number of reader locations
 	q      []float64 // len(epochs)*n posterior rows
+	cells  []float64 // len(q) single-reader evidence cells, or empty (restored)
 	qBase  []float64 // per epoch: dot(q, base) — evidence of an unread object
 	// advSum is the container's object-independent evidence advantage:
 	// sum over active epochs of qBase minus the uniform-posterior evidence
@@ -226,6 +243,28 @@ type posterior struct {
 // row returns the posterior distribution at active-epoch index i.
 func (p *posterior) row(i int) []float64 { return p.q[i*p.n : (i+1)*p.n : (i+1)*p.n] }
 
+// dot is the evidence inner product Σ_a q[a]·d[a], summed in location
+// order. Every q·δ the engine takes — the cells filled below and the direct
+// fallback in the M-step — goes through it, so a cell and the dot it stands
+// for are the same bits.
+func dot(q, d []float64) float64 {
+	q = q[:len(d)]
+	sum := 0.0
+	for a, w := range d {
+		sum += q[a] * w
+	}
+	return sum
+}
+
+// fillCells computes row i's evidence cells from its current q. Callers
+// invoke it at every site that writes a row.
+func (p *posterior) fillCells(lik *model.Likelihood, i int) {
+	q, out := p.row(i), p.cells[i*p.n:(i+1)*p.n]
+	for r := range out {
+		out[r] = dot(q, lik.DeltaRow(model.Loc(r)))
+	}
+}
+
 // refreshAdv recomputes advSum from the current rows. Callers invoke it at
 // every site that changes posterior content (recompute, memo compaction,
 // snapshot restore), always over the full epoch list in ascending order, so
@@ -245,24 +284,25 @@ func (p *posterior) refreshAdv(lik *model.Likelihood) {
 	p.advSum = s
 }
 
-// resize keeps the first keep rows and extends storage to rows total rows.
+// resize keeps the first keep rows (with their cells) and extends storage
+// to rows total rows.
 func (p *posterior) resize(keep, rows, n int) {
 	p.n = n
 	p.epochs = p.epochs[:keep]
-	if cap(p.q) < rows*n {
-		q := make([]float64, keep*n, rows*n)
-		copy(q, p.q[:keep*n])
-		p.q = q
-	} else {
-		p.q = p.q[:keep*n]
+	p.q = keepGrow(p.q, keep*n, rows*n)
+	p.cells = keepGrow(p.cells, keep*n, rows*n)
+	p.qBase = keepGrow(p.qBase, keep, rows)
+}
+
+// keepGrow returns buf cut to its first keep entries with room for total,
+// reallocating (to exactly total) only when the backing is too small.
+func keepGrow(buf []float64, keep, total int) []float64 {
+	if cap(buf) >= total {
+		return buf[:keep]
 	}
-	if cap(p.qBase) < rows {
-		qb := make([]float64, keep, rows)
-		copy(qb, p.qBase[:keep])
-		p.qBase = qb
-	} else {
-		p.qBase = p.qBase[:keep]
-	}
+	grown := make([]float64, keep, total)
+	copy(grown, buf[:keep])
+	return grown
 }
 
 // RunStats counts the hot-path work of the most recent Run, exposing how
@@ -281,6 +321,12 @@ type RunStats struct {
 	// posteriors). Later EM iterations of a converging Run skip almost
 	// every object.
 	EvidenceComputed, EvidenceSkipped int
+	// EvidenceSegmentsReused counts, inside the rebuilt objects, the
+	// candidates whose evidence segment was kept verbatim because their
+	// posterior had not moved since the object's last build;
+	// EvidenceSegmentsComputed counts the candidates scored afresh. Their
+	// sum is the candidate count of the EvidenceComputed objects.
+	EvidenceSegmentsReused, EvidenceSegmentsComputed int
 	// DirtyTags counts tags whose series or migrated state changed between
 	// the previous Run and this one — the incremental checkpoint's input
 	// size. GroupsDirty counts container groups whose posterior had to be
@@ -315,6 +361,7 @@ type Engine struct {
 	// into stats at the end of each Run.
 	nComputed, nSkipped, nRowsReused, nRowsComputed atomic.Int64
 	nEvComputed, nEvSkipped                         atomic.Int64
+	nSegReused, nSegComputed                        atomic.Int64
 	nGroupsDirty, nGroupsClean                      atomic.Int64
 	stats                                           RunStats
 
@@ -325,8 +372,9 @@ type Engine struct {
 	// (epochMax when none did); contFlatClean marks the flattened
 	// co-occurrence index still valid. truncValid/truncFrom/truncNow record
 	// the boundary of the last truncation pass, anchoring the proof that a
-	// later pass drops nothing. noCarry disables every between-Run
-	// carry-forward fast path — the equivalence test's reference mode.
+	// later pass drops nothing. noCarry disables every carry-forward fast
+	// path — between Runs, and the M-step's evidence memo between EM
+	// iterations too — the equivalence tests' reference mode.
 	dirtyTags        int
 	contChangedFloor model.Epoch
 	contFlatClean    bool

@@ -46,6 +46,8 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 	e.nRowsComputed.Store(0)
 	e.nEvComputed.Store(0)
 	e.nEvSkipped.Store(0)
+	e.nSegReused.Store(0)
+	e.nSegComputed.Store(0)
 	e.nGroupsDirty.Store(0)
 	e.nGroupsClean.Store(0)
 	for _, rec := range e.tags {
@@ -77,15 +79,17 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 		e.refreshMemo()
 	}
 	e.stats = RunStats{
-		PosteriorsComputed: int(e.nComputed.Load()),
-		PosteriorsSkipped:  int(e.nSkipped.Load()),
-		RowsReused:         int(e.nRowsReused.Load()),
-		RowsComputed:       int(e.nRowsComputed.Load()),
-		EvidenceComputed:   int(e.nEvComputed.Load()),
-		EvidenceSkipped:    int(e.nEvSkipped.Load()),
-		DirtyTags:          e.dirtyTags,
-		GroupsDirty:        int(e.nGroupsDirty.Load()),
-		GroupsClean:        int(e.nGroupsClean.Load()),
+		PosteriorsComputed:       int(e.nComputed.Load()),
+		PosteriorsSkipped:        int(e.nSkipped.Load()),
+		RowsReused:               int(e.nRowsReused.Load()),
+		RowsComputed:             int(e.nRowsComputed.Load()),
+		EvidenceComputed:         int(e.nEvComputed.Load()),
+		EvidenceSkipped:          int(e.nEvSkipped.Load()),
+		EvidenceSegmentsReused:   int(e.nSegReused.Load()),
+		EvidenceSegmentsComputed: int(e.nSegComputed.Load()),
+		DirtyTags:                e.dirtyTags,
+		GroupsDirty:              int(e.nGroupsDirty.Load()),
+		GroupsClean:              int(e.nGroupsClean.Load()),
 	}
 	e.closeCheckpoint()
 	e.prevRun = e.lastRun
@@ -605,10 +609,12 @@ func (e *Engine) refreshMemo() {
 			}
 			if si < len(stale) && stale[si] == t {
 				p.qBase[wi] = computeRowAt(e.lik, members, gb, t, cur, s.lq, p.q[wi*n:(wi+1)*n])
+				p.fillCells(e.lik, wi)
 				e.nRowsComputed.Add(1)
 				recomputed = true
 			} else if wi != ri {
 				copy(p.q[wi*n:(wi+1)*n], p.q[ri*n:(ri+1)*n])
+				copy(p.cells[wi*n:(wi+1)*n], p.cells[ri*n:(ri+1)*n])
 				p.qBase[wi] = p.qBase[ri]
 			}
 			p.epochs[wi] = t
@@ -624,6 +630,7 @@ func (e *Engine) refreshMemo() {
 		}
 		p.epochs = p.epochs[:wi]
 		p.q = p.q[:wi*n]
+		p.cells = p.cells[:wi*n]
 		p.qBase = p.qBase[:wi]
 		if recomputed || wi != origLen {
 			p.ver++ // compaction changed content: stale evidence must rebuild

@@ -206,6 +206,10 @@ func (e *Engine) ImportState(st EngineState) error {
 			rec.post.epochs = append(rec.post.epochs[:0], cs.Post.Epochs...)
 			rec.post.q = append(rec.post.q[:0], cs.Post.Q...)
 			rec.post.qBase = append(rec.post.qBase[:0], cs.Post.QBase...)
+			// The evidence cells are not restored: the E-step that the
+			// invalid memo forces refills them, and computing them here
+			// would put n dots per row on the restart path for nothing.
+			rec.post.cells = rec.post.cells[:0]
 			rec.post.refreshAdv(e.lik)
 		} else {
 			rec.post = posterior{}
