@@ -22,6 +22,8 @@ vet:
 		| grep -v '_test.go:' || { echo "checkpoint fan-out outside internal/workpool (see above)"; exit 1; }
 	@! grep -n 'replayPipelined\|siteRunner\|buildPlan\|advanceFused\|checkpointOrder' internal/dist/*.go \
 		|| { echo "a retired checkpoint schedule is back in internal/dist (see above)"; exit 1; }
+	@! grep -n 'crBlock\|evEpochs\|sortContReads\|contReads2\|epochHist' internal/rfinfer/*.go | grep -v '_test.go:' \
+		|| { echo "the four-cursor critical-region scan or the unindexed co-occurrence flatten is back in internal/rfinfer (see above)"; exit 1; }
 	@! grep -n 'applyReadingLocked\|flushWALLocked\|walBuf\|sectionReadings\|readingsBytes\|AppendReading(' internal/serve/*.go internal/wal/*.go \
 		|| { echo "a retired per-record ingest or WAL path is back (see above)"; exit 1; }
 
@@ -49,9 +51,9 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 
-# Hot-path micro-benchmarks (Engine.Run / E-step / M-step), pinned in
-# BENCH_rfinfer.json.
-HOT_BENCH = BenchmarkEngineRun$$|BenchmarkEStep$$|BenchmarkMStep$$
+# Hot-path micro-benchmarks (Engine.Run / E-step / M-step / critical-region
+# search / candidate pruning), pinned in BENCH_rfinfer.json.
+HOT_BENCH = BenchmarkEngineRun$$|BenchmarkEStep$$|BenchmarkMStep$$|BenchmarkCRSearch$$|BenchmarkPruneCandidates$$
 bench-hot:
 	$(BENCH_ENV) $(GO) test -bench '$(HOT_BENCH)' -benchmem -run XXX ./internal/rfinfer/
 
@@ -116,7 +118,7 @@ bench-json:
 bench-check:
 	$(BENCH_ENV) $(GO) test -bench '$(SERVE_BENCH)' -benchmem -run XXX ./internal/serve/ | $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 'Fanout100k=0.35,IngestDuringCheckpoint=0.35,Checkpoint:ns/op=0.30,CheckpointIdle:ns/op=0.30,IngestBin/section512=0.50,IngestBin/bigsection=0.50'
 	$(BENCH_ENV) $(GO) test -bench '$(WAL_BENCH)' -benchmem -run XXX ./internal/serve/ ./internal/wal/ | $(GO) run ./cmd/benchjson -check BENCH_wal.json -tolerance 'Recovery=0.40,Promotion=0.40'
-	$(BENCH_ENV) $(GO) test -bench '$(HOT_BENCH)' -benchmem -run XXX ./internal/rfinfer/ | $(GO) run ./cmd/benchjson -check BENCH_rfinfer.json -tolerance 'EngineRun:ns/op=0.30,EStep:ns/op=0.30,MStep:ns/op=0.30'
+	$(BENCH_ENV) $(GO) test -bench '$(HOT_BENCH)' -benchmem -run XXX ./internal/rfinfer/ | $(GO) run ./cmd/benchjson -check BENCH_rfinfer.json -tolerance 'EngineRun:ns/op=0.30,EStep:ns/op=0.30,MStep:ns/op=0.30,CRSearch:ns/op=0.30,PruneCandidates:ns/op=0.30'
 	$(BENCH_ENV) $(GO) test -bench '$(DIST_BENCH)' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -check BENCH_dist.json -tolerance 'FeedAdvanceSkewed/workers=1:ns/op=0.30,FeedAdvanceSkewed/workers=1:readings/s=0.30,FeedAdvanceSkewed/workers=2:ns/op=0.30,FeedAdvanceSkewed/workers=2:readings/s=0.30,FeedAdvanceSkewed/workers=4=0.40,FeedAdvance:ns/op=0.40,FeedAdvance:readings/s=0.40'
 
 # Benchmark smoke: a 100ms pass over the online-runtime benchmarks that

@@ -81,16 +81,76 @@ func BenchmarkFeedAdvance(b *testing.B) {
 // rows below that line are the shared pool's workers helping inside the
 // hot site's inference.
 func BenchmarkFeedAdvanceSkewed(b *testing.B) {
+	cfg := paperDenseConfig()
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchFeedAdvance(b, cfg, workers)
+		})
+	}
+}
+
+// paperDenseConfig is the world of bench/'s paper_dense workload.
+func paperDenseConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Warehouses = 4
 	cfg.PathLength = 2
 	cfg.ItemsPerCase = 20
 	cfg.Epochs = 3600
 	cfg.AnomalyEvery = 120
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchFeedAdvance(b, cfg, workers)
-		})
+	return cfg
+}
+
+// TestPaperDenseSearchCounters pins what the critical-region search does on
+// the paper_dense world replayed at Δ=300 with collapsed-weight migration,
+// summed over sites and checkpoints: the RunStats counters an operator reads
+// in /stats, and the numbers PERFORMANCE.md and ROADMAP size the search with.
+// They are exact counts of a deterministic replay, so any change to what is
+// searched, where a search stops or which epochs it visits moves them.
+func TestPaperDenseSearchCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the full paper_dense world")
+	}
+	w, err := sim.Generate(paperDenseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 300
+	c := NewCluster(w, MigrateWeights, rfinfer.DefaultConfig())
+	f, err := c.OpenFeed(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, evs := range buildFeeds(w) {
+		for _, ev := range evs {
+			if err := f.Observe(s, ev.T, ev.ID, ev.Mask); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, d := range c.deps {
+		if err := f.Depart(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var searches, windows, rows, noHit int
+	for through := w.Epochs / interval * interval; f.Next() <= through; {
+		if err := f.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range c.Engines {
+			st := e.Stats()
+			searches += st.CRSearches
+			windows += st.CRWindowsScanned
+			rows += st.CRRowsBuilt
+			noHit += st.CRSearchesNoHit
+		}
+	}
+	if _, err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if searches != 63791 || windows != 10668556 || rows != 12539255 || noHit != 13960 {
+		t.Fatalf("searches %d, windows %d, rows %d, without a hit %d; want 63791, 10668556, 12539255, 13960",
+			searches, windows, rows, noHit)
 	}
 }
 

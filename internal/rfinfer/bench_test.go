@@ -36,9 +36,19 @@ func benchLik() *model.Likelihood {
 // each holding objsPer objects, everything read at the container's home
 // shelf. feed(e, from, to) appends one interval of readings.
 func benchEngine(cfg Config, nCont, objsPer int) (*Engine, func(from, to model.Epoch)) {
+	return benchEngineAt(cfg, nCont, objsPer, 1, benchHome)
+}
+
+// benchHome places container c on its home shelf of the 16-location bench
+// layout at every epoch.
+func benchHome(c int, _ model.Epoch) model.Loc { return model.Loc(4 + c%12) }
+
+// benchEngineAt is benchEngine with the containers placed by at(c, t) and
+// the objects' tags interrogated only every objEvery-th epoch (staggered by
+// object), the way a shelf reader's duty cycle thins an item's series.
+func benchEngineAt(cfg Config, nCont, objsPer, objEvery int, at func(c int, t model.Epoch) model.Loc) (*Engine, func(from, to model.Epoch)) {
 	lik := benchLik()
 	e := New(lik, cfg)
-	n := lik.N()
 	for c := 0; c < nCont; c++ {
 		e.RegisterContainer(model.TagID(1000 + c))
 	}
@@ -65,10 +75,12 @@ func benchEngine(cfg Config, nCont, objsPer int) (*Engine, func(from, to model.E
 	feed := func(from, to model.Epoch) {
 		for t := from; t < to; t++ {
 			for c := 0; c < nCont; c++ {
-				at := model.Loc(4 + c%(n-4))
+				at := at(c, t)
 				observe(t, model.TagID(1000+c), at)
 				for o := 0; o < objsPer; o++ {
-					observe(t, model.TagID(c*objsPer+o), at)
+					if (int(t)+o)%objEvery == 0 {
+						observe(t, model.TagID(c*objsPer+o), at)
+					}
 				}
 			}
 		}
@@ -169,5 +181,91 @@ func BenchmarkMStep(b *testing.B) {
 			e.tags[e.containers[c]].post.ver++
 		}
 		e.mStep()
+	}
+}
+
+// BenchmarkCRSearch measures the fast-mode critical-region search over
+// every object of a dense site: 36 containers three to a shelf, 20 objects
+// each, full candidate lists, 600-800 epochs of retained history. One
+// container of each shelf passes a door reader at the end of every
+// interval, so its objects' newest windows are decisive and their searches
+// stop after the first rows; the margin threshold is set where about a
+// quarter of the searches (the paper_dense share) merge and scan the whole
+// history and find nothing, and the rest hit somewhere in between. The
+// window tables live in worker scratch: 2 allocs/op are the fan-out's
+// closures, as in EStep.
+func BenchmarkCRSearch(b *testing.B) {
+	const interval = 300
+	cfg := DefaultConfig()
+	cfg.CRThreshold = 70
+	e, feed := benchEngineAt(cfg, 36, 20, 1, func(c int, t model.Epoch) model.Loc {
+		if c%3 == 0 && t%interval >= interval-20 {
+			return model.Loc(c % 4)
+		}
+		return benchHome(c, t)
+	})
+	now := model.Epoch(0)
+	for i := 0; i < 4; i++ {
+		feed(now, now+interval)
+		now += interval
+		e.Run(now - 1)
+	}
+	pool := workpool.New(0) // the search outside a Run: no private pool exists
+	defer pool.Close()
+	e.UsePool(pool)
+	// Evidence over the truncated history, as the search of a Run finds it.
+	e.buildCandidates()
+	e.rebuildGroups()
+	e.eStep()
+	e.mStep()
+	for _, oid := range e.objects {
+		rec := e.tags[oid]
+		if len(rec.cands) < e.cfg.MaxCandidates {
+			b.Fatalf("object %d has %d candidates, want a full list", oid, len(rec.cands))
+		}
+		rec.evSeq = e.runSeq // searched on every pass
+	}
+	e.nCRSearches.Store(0)
+	e.nCRWindows.Store(0)
+	e.nCRNoHit.Store(0)
+	e.updateCriticalRegionsOnline()
+	searches, noHit := e.nCRSearches.Load(), e.nCRNoHit.Load()
+	if searches != int64(len(e.objects)) || noHit == 0 || noHit == searches {
+		b.Fatalf("%d searches, %d without a hit: want every object searched and a mix of outcomes", searches, noHit)
+	}
+	windows := float64(e.nCRWindows.Load()) / float64(searches)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.updateCriticalRegionsOnline()
+	}
+	b.ReportMetric(windows, "windows/search")
+}
+
+// BenchmarkPruneCandidates measures candidate pruning for every object of
+// one site against a standing co-occurrence index: 40 containers' readings
+// over ~600 retained epochs, 20 objects each, an object's tag read about
+// every sixth epoch — so five epochs in six of the index are none of a given
+// object's business.
+func BenchmarkPruneCandidates(b *testing.B) {
+	const interval = 300
+	e, feed := benchEngineAt(DefaultConfig(), 40, 20, 6, benchHome)
+	now := model.Epoch(0)
+	for i := 0; i < 3; i++ {
+		feed(now, now+interval)
+		now += interval
+		e.Run(now - 1)
+	}
+	pool := workpool.New(0) // pruning outside a Run: no private pool exists
+	defer pool.Close()
+	e.UsePool(pool)
+	e.buildCandidates()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, oid := range e.objects {
+			e.tags[oid].candValid = false
+		}
+		e.buildCandidates()
 	}
 }

@@ -2,17 +2,53 @@ package rfinfer
 
 import (
 	"slices"
+	"sort"
 
 	"rfidtrack/internal/model"
 )
 
-// contRead is one container reading in the flattened co-occurrence index:
-// every container's readings merged into a single epoch-sorted slice that
-// is rebuilt (into reused backing) each Run.
+// contRead is one container reading in the flattened co-occurrence index.
 type contRead struct {
 	t    model.Epoch
 	ci   int32 // index into e.containers
 	mask model.Mask
+}
+
+// contIndex is the flattened co-occurrence index candidate pruning reads:
+// every container's readings in one slice sorted by (t, ci), and the epoch →
+// offset table the counting sort leaves behind, so a reader goes straight to
+// the readings of the epoch it asks for. Table and slice are one value: a
+// Run that reuses the flatten (contFlatClean) reuses the offsets that belong
+// to it. All backing is reused across Runs.
+type contIndex struct {
+	reads []contRead
+	spare []contRead // the sort's double buffer (swaps with reads)
+	// Bucket b holds the epochs [lo + b<<shift, lo + (b+1)<<shift) and
+	// occupies reads[off[b]:off[b+1]]. shift is 0 — one epoch per bucket —
+	// unless the epochs are spread too thin for a dense table.
+	off   []int32
+	lo    model.Epoch
+	shift uint
+}
+
+// at returns the container readings at epoch t, in ci order.
+func (ix *contIndex) at(t model.Epoch) []contRead {
+	d := int64(t) - int64(ix.lo)
+	if d < 0 {
+		return nil
+	}
+	b := d >> ix.shift
+	if b >= int64(len(ix.off))-1 {
+		return nil
+	}
+	seg := ix.reads[ix.off[b]:ix.off[b+1]]
+	if n := len(seg); n > 0 && (seg[0].t != t || seg[n-1].t != t) {
+		// A coarse bucket spans several epochs, sorted: bisect to t's run.
+		i := sort.Search(n, func(i int) bool { return seg[i].t >= t })
+		j := sort.Search(n, func(i int) bool { return seg[i].t > t })
+		seg = seg[i:j]
+	}
+	return seg
 }
 
 // scoredCand is one candidate container with its co-occurrence count.
@@ -27,24 +63,18 @@ type scoredCand struct {
 // merged with any candidates carried over from migration and the current
 // assignment. All working storage is reused across Runs.
 func (e *Engine) buildCandidates() {
-	// Flatten container readings into one epoch-sorted index. The flatten
-	// order is ci-ascending with epochs ascending inside each container, so
-	// a stable counting sort on the epoch alone yields exactly the (t, ci)
-	// order a comparison sort would — in one histogram pass over the dense
-	// retained-window epoch range instead of O(n log n) compares. When no
-	// container series (or registration) changed since the last build, the
-	// previous flatten is byte-identical and is reused as-is.
-	carry := !e.noCarry
-	reads := e.contReads
-	if !carry || !e.contFlatClean {
-		reads = e.contReads[:0]
+	// Flatten container readings into the epoch-indexed co-occurrence index.
+	// When no container series (or registration) changed since the last
+	// build, the previous index is byte-identical and is reused as-is,
+	// offsets included.
+	if e.noCarry || !e.contFlatClean {
+		flat := e.cont.reads[:0]
 		for ci, cid := range e.containers {
 			for _, rd := range e.tags[cid].series {
-				reads = append(reads, contRead{t: rd.T, ci: int32(ci), mask: rd.Mask})
+				flat = append(flat, contRead{t: rd.T, ci: int32(ci), mask: rd.Mask})
 			}
 		}
-		e.contReads = e.sortContReads(reads)
-		reads = e.contReads
+		e.cont.build(flat)
 	}
 
 	// Dense container index for forced-candidate count lookups, rebuilt
@@ -56,7 +86,7 @@ func (e *Engine) buildCandidates() {
 		}
 	}
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		e.pruneCandidates(s, e.tags[e.objects[oi]], reads)
+		e.pruneCandidates(s, e.tags[e.objects[oi]], &e.cont)
 	})
 
 	// Every object is now consistent with the current container state: the
@@ -66,9 +96,12 @@ func (e *Engine) buildCandidates() {
 }
 
 // pruneCandidates rebuilds one object's candidate list against the
-// flattened container index. It reads only state that is fixed for the
-// whole build and writes only rec, so objects prune concurrently.
-func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, reads []contRead) {
+// flattened container index: for each of the object's own readings it looks
+// up that epoch's container readings and counts the ones that share a
+// reader — it never visits an epoch the object was not read at. It reads
+// only state that is fixed for the whole build and writes only rec, so
+// objects prune concurrently.
+func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, ix *contIndex) {
 	// Skip objects whose rebuild inputs are provably unchanged since the
 	// list was last built: same series (candVer), same assignment
 	// (candCont — pruning protects the current container, so a changed
@@ -90,14 +123,10 @@ func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, reads []contRead) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	ri := 0
 	for _, rd := range rec.series {
-		for ri < len(reads) && reads[ri].t < rd.T {
-			ri++
-		}
-		for j := ri; j < len(reads) && reads[j].t == rd.T; j++ {
-			if reads[j].mask&rd.Mask != 0 {
-				counts[reads[j].ci]++
+		for _, cr := range ix.at(rd.T) {
+			if cr.mask&rd.Mask != 0 {
+				counts[cr.ci]++
 			}
 		}
 	}
@@ -189,18 +218,22 @@ func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, reads []contRead) {
 	rec.candCont = rec.container
 }
 
-// sortContReads sorts the flattened container-reading index by (t, ci),
-// returning the sorted slice (which may use e.contReads2's backing; the two
-// backings swap roles across Runs). Epochs in the retained history span a
-// bounded window, so a stable counting sort on t does the job in two linear
-// passes; a degenerate span (sparse epochs spread over a huge range) falls
-// back to the comparison sort.
-func (e *Engine) sortContReads(reads []contRead) []contRead {
-	if len(reads) < 2 {
-		return reads
+// build turns flat — the container readings in flatten order, ci ascending
+// and epochs ascending inside each container, held in ix.reads' backing —
+// into the index: a stable counting sort on the epoch yields exactly the
+// (t, ci) order a comparison sort would, in two linear passes over the
+// bounded epoch range of the retained history, and the histogram it scatters
+// by ends up as the offset table (each bucket's cursor stops where the next
+// bucket starts). Epochs spread too thin for one bucket each (a few old
+// critical regions far behind the recent history) share buckets of 1<<shift
+// epochs, which a comparison sort then orders inside; lookups bisect those.
+func (ix *contIndex) build(flat []contRead) {
+	if len(flat) == 0 {
+		ix.reads, ix.off = flat, ix.off[:0]
+		return
 	}
-	lo, hi := reads[0].t, reads[0].t
-	for _, rd := range reads[1:] {
+	lo, hi := flat[0].t, flat[0].t
+	for _, rd := range flat[1:] {
 		if rd.t < lo {
 			lo = rd.t
 		}
@@ -209,38 +242,47 @@ func (e *Engine) sortContReads(reads []contRead) []contRead {
 		}
 	}
 	span := int64(hi) - int64(lo) + 1
-	if span > 4*int64(len(reads))+1024 {
-		slices.SortFunc(reads, func(a, b contRead) int {
-			if a.t != b.t {
-				return int(a.t) - int(b.t)
-			}
-			return int(a.ci) - int(b.ci)
-		})
-		return reads
+	shift := uint(0)
+	for span>>shift > 4*int64(len(flat))+1024 {
+		shift++
 	}
-	if cap(e.epochHist) < int(span) {
-		e.epochHist = make([]int32, span)
+	nb := int((span-1)>>shift) + 1
+
+	// off[b+1] is bucket b's write cursor during the scatter: it starts at
+	// the bucket's first slot (counts go two slots up, the prefix sum brings
+	// them one down) and ends at the next bucket's, which is what off[b+1]
+	// has to hold afterwards. off[0] stays 0.
+	if cap(ix.off) < nb+2 {
+		ix.off = make([]int32, nb+2)
 	}
-	hist := e.epochHist[:span]
-	for i := range hist {
-		hist[i] = 0
+	off := ix.off[:nb+2]
+	clear(off)
+	for _, rd := range flat {
+		off[(int64(rd.t)-int64(lo))>>shift+2]++
 	}
-	for _, rd := range reads {
-		hist[rd.t-lo]++
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
 	}
-	sum := int32(0)
-	for i, n := range hist {
-		hist[i] = sum
-		sum += n
+	if cap(ix.spare) < len(flat) {
+		ix.spare = make([]contRead, 0, cap(flat))
 	}
-	if cap(e.contReads2) < len(reads) {
-		e.contReads2 = make([]contRead, 0, cap(reads))
+	out := ix.spare[:len(flat)]
+	for _, rd := range flat {
+		c := &off[(int64(rd.t)-int64(lo))>>shift+1]
+		out[*c] = rd
+		*c++
 	}
-	out := e.contReads2[:len(reads)]
-	for _, rd := range reads {
-		out[hist[rd.t-lo]] = rd
-		hist[rd.t-lo]++
+	off = off[:nb+1]
+	if shift > 0 {
+		for b := 0; b < nb; b++ {
+			slices.SortFunc(out[off[b]:off[b+1]], func(x, y contRead) int {
+				if x.t != y.t {
+					return int(x.t) - int(y.t)
+				}
+				return int(x.ci) - int(y.ci)
+			})
+		}
 	}
-	e.contReads2 = reads[:0]
-	return out
+	ix.reads, ix.spare = out, flat[:0]
+	ix.off, ix.lo, ix.shift = off, lo, shift
 }

@@ -206,13 +206,15 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 }
 
 // evidenceEpochs builds the union of the object's read epochs and its
-// candidates' active epochs into *dst. Every input list is already sorted,
-// so the union is a chain of linear merges. Objects of one group share
-// their candidate set (in varying per-object score order), so the
-// candidates' combined epoch list is cached in the worker's scratch under
-// an order-insensitive key and reused until the engine, the set or any
-// posterior version changes; the object's own epochs (usually already
-// contained) then merge in one walk.
+// candidates' active epochs into *dst — the columns of the matrix-mode
+// evidence (the fast mode never forms the union: its totals need none and
+// its critical-region search merges the epochs it visits as it goes). Every
+// input list is already sorted, so the union is a chain of linear merges.
+// Objects of one group share their candidate set (in varying per-object
+// score order), so the candidates' combined epoch list is cached in the
+// worker's scratch under an order-insensitive key and reused until the
+// engine, the set or any posterior version changes; the object's own epochs
+// (usually already contained) then merge in one walk.
 func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.TagID, posts []*posterior, s *scratch) []model.Epoch {
 	key := append(s.candUScr[:0], cands...)
 	slices.Sort(key)

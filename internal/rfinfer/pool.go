@@ -17,13 +17,13 @@ type scratch struct {
 	epochsBuf []model.Epoch  // merge double buffer (swaps with union targets)
 	epochs2   []model.Epoch  // dropped-epoch merge (memo refresh)
 	series    []model.Series // member series gathered for one container
-	prefix    []float64      // prefix-sum table (critical-region search)
+	prefix    []float64      // running window sums (matrix-mode critical-region search)
 	posts     []*posterior   // hoisted candidate posteriors (M-step)
 	uni       []float64      // per-epoch uniform evidence (M-step)
 	maskRows  [][]float64    // per-epoch own-observation delta rows (M-step)
 
-	// Candidate-union cache (M-step): the merged posterior epochs of the
-	// last candidate set processed, keyed by the sorted set and the
+	// Candidate-union cache (matrix-mode M-step): the merged posterior epochs
+	// of the last candidate set processed, keyed by the sorted set and the
 	// posterior versions it was built from. Objects of one group share
 	// candidates (in per-object score order), so consecutive objects hit.
 	// Scratch outlives any one engine's phase, and tag ids and posterior
@@ -42,8 +42,8 @@ type scratch struct {
 	corrPre []float64
 	corrOff []int32
 
-	evEpochs []model.Epoch // evidence epoch union (on-the-fly CR search)
-	crCurs   []int         // window-edge cursors (CR search); own-reading readers (M-step)
+	cr      crTable // window table (fast-mode critical-region search)
+	readers []int   // own readings' single readers (M-step)
 
 	// Candidate pruning (buildCandidates).
 	counts   []int32       // per-container co-occurrence counts
@@ -56,14 +56,14 @@ type scratch struct {
 	priorBuf []float64   // priors with the clipped evidence folded in
 }
 
-// intBuf returns a length-n int buffer backed by s.crCurs. Contents are
+// intBuf returns a length-n int buffer backed by s.readers. Contents are
 // unspecified; callers overwrite before reading.
 func (s *scratch) intBuf(n int) []int {
-	if cap(s.crCurs) < n {
-		s.crCurs = make([]int, n)
+	if cap(s.readers) < n {
+		s.readers = make([]int, n)
 	}
-	s.crCurs = s.crCurs[:n]
-	return s.crCurs
+	s.readers = s.readers[:n]
+	return s.readers
 }
 
 // maskRowRefs returns a length-n row-reference buffer backed by s.maskRows.
@@ -125,9 +125,10 @@ func (e *Engine) getScratch() *scratch {
 
 // How many consecutive items a worker claims at a time. Objects are many
 // and cheap, and consecutive objects of one group share a candidate set, so
-// they go in runs long enough to meet in one scratch's candidate-union
-// cache yet short enough that a few expensive ones cannot unbalance a
-// phase. Containers are few and each carries a whole group's history.
+// they go in runs long enough to meet in the same posteriors' cache lines
+// (and, in matrix mode, in one scratch's candidate-union cache) yet short
+// enough that a few expensive ones cannot unbalance a phase. Containers are
+// few and each carries a whole group's history.
 const (
 	objectChunk    = 8
 	containerChunk = 1

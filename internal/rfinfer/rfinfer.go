@@ -284,6 +284,16 @@ func (p *posterior) refreshAdv(lik *model.Likelihood) {
 	p.advSum = s
 }
 
+// advThrough returns the posterior's advantage summed over its first i
+// active epochs. A posterior that was never computed — an imported candidate
+// id this site holds no container for — has no prefix and no advantage.
+func (p *posterior) advThrough(i int) float64 {
+	if i < len(p.prefAdv) {
+		return p.prefAdv[i]
+	}
+	return 0
+}
+
 // resize keeps the first keep rows (with their cells) and extends storage
 // to rows total rows.
 func (p *posterior) resize(keep, rows, n int) {
@@ -333,6 +343,15 @@ type RunStats struct {
 	// recomputed on their first E-step visit of the Run; GroupsClean counts
 	// groups carried forward whole from the previous checkpoint.
 	DirtyTags, GroupsDirty, GroupsClean int
+	// CRSearches counts the objects whose critical region was searched (fast
+	// evidence mode; objects whose evidence stood carry their region
+	// forward unsearched). CRWindowsScanned counts the window positions those
+	// searches evaluated, newest first up to and including a hit;
+	// CRRowsBuilt counts the evidence epochs merged into their window tables
+	// — the windows scanned plus one window width of look-behind;
+	// CRSearchesNoHit counts the searches that walked the whole retained
+	// history without finding a decisive window.
+	CRSearches, CRWindowsScanned, CRRowsBuilt, CRSearchesNoHit int
 }
 
 // Engine runs RFINFER over a stream of readings at one site.
@@ -363,6 +382,7 @@ type Engine struct {
 	nEvComputed, nEvSkipped                         atomic.Int64
 	nSegReused, nSegComputed                        atomic.Int64
 	nGroupsDirty, nGroupsClean                      atomic.Int64
+	nCRSearches, nCRWindows, nCRRows, nCRNoHit      atomic.Int64
 	stats                                           RunStats
 
 	// Incremental Δ-checkpoint bookkeeping (see incremental.go). dirtyTags
@@ -384,11 +404,9 @@ type Engine struct {
 	noCarry          bool
 
 	// The flattened co-occurrence index candidate pruning reads, reused
-	// across Runs.
-	contReads  []contRead
-	contReads2 []contRead // counting-sort double buffer (swaps with contReads)
-	epochHist  []int32    // counting-sort epoch histogram
-	contIndex  map[model.TagID]int
+	// across Runs, and the dense container numbering its entries carry.
+	cont      contIndex
+	contIndex map[model.TagID]int
 }
 
 // New returns an engine for a site with the given observation model

@@ -36,6 +36,17 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 			e.pool = nil
 		}()
 	}
+	res := e.infer(now)
+	e.retire(now)
+	return res
+}
+
+// infer is the first half of Run: candidate pruning, the EM loop,
+// change-point detection and the critical-region search, over the history
+// as it stands. It leaves every series as it found it (bar change-point
+// resets), so what each phase read can still be inspected before retire
+// truncates it.
+func (e *Engine) infer(now model.Epoch) RunResult {
 	if now > e.now {
 		e.now = now
 	}
@@ -50,6 +61,10 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 	e.nSegComputed.Store(0)
 	e.nGroupsDirty.Store(0)
 	e.nGroupsClean.Store(0)
+	e.nCRSearches.Store(0)
+	e.nCRWindows.Store(0)
+	e.nCRRows.Store(0)
+	e.nCRNoHit.Store(0)
 	for _, rec := range e.tags {
 		rec.dropped = rec.dropped[:0]
 	}
@@ -74,6 +89,13 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 		changes = e.detectChanges(now)
 	}
 	e.updateCriticalRegions()
+	return RunResult{Iterations: iters, Changes: changes}
+}
+
+// retire is the second half of Run: it truncates the history the critical
+// regions no longer need, re-anchors the memos to what is left, and closes
+// the checkpoint's counters.
+func (e *Engine) retire(now model.Epoch) {
 	e.truncate(now)
 	if e.cfg.Truncation != TruncateNone {
 		e.refreshMemo()
@@ -90,11 +112,14 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 		DirtyTags:                e.dirtyTags,
 		GroupsDirty:              int(e.nGroupsDirty.Load()),
 		GroupsClean:              int(e.nGroupsClean.Load()),
+		CRSearches:               int(e.nCRSearches.Load()),
+		CRWindowsScanned:         int(e.nCRWindows.Load()),
+		CRRowsBuilt:              int(e.nCRRows.Load()),
+		CRSearchesNoHit:          int(e.nCRNoHit.Load()),
 	}
 	e.closeCheckpoint()
 	e.prevRun = e.lastRun
 	e.lastRun = now
-	return RunResult{Iterations: iters, Changes: changes}
 }
 
 // cpVerdict is one object's change-point test, computed in detectChanges'
@@ -292,143 +317,6 @@ func (e *Engine) updateCriticalRegions() {
 			if best-second >= e.cfg.CRThreshold {
 				rec.cr = window{From: ev.epochs[lo], To: t + 1}
 				return
-			}
-		}
-	})
-}
-
-// updateCriticalRegionsOnline is the critical-region search of the fast
-// evidence mode: rec.ev holds no matrix, so each window's per-candidate
-// evidence is assembled from two prefix-sum families instead — the
-// posterior's object-independent advantage (prefAdv, shared by every
-// object) and the object's own dot-product corrections cached by the last
-// M-step (corrPre). The margin between the best and second-best candidate
-// is invariant to the uniform evidence common to all candidates, so the
-// windowed advantage+correction excess compares exactly like the matrix
-// version's windowed cell sums. Iteration order, window geometry and the
-// early exit mirror the matrix search, so both modes find the same regions
-// (up to float association in the margins); a window sum costs four
-// monotone cursor advances and two subtractions per candidate, never a
-// cell re-derivation.
-func (e *Engine) updateCriticalRegionsOnline() {
-	w := e.cfg.CRWindow
-	noCarry := e.noCarry
-	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		rec := e.tags[e.objects[oi]]
-		if !noCarry && rec.evSeq != e.runSeq {
-			// Unrecomputed evidence means the object's series, candidates,
-			// priors and every candidate posterior (hence prefAdv and the
-			// correction prefixes) match the previous Run's search inputs
-			// exactly; the carried rec.cr is that search's verdict.
-			return
-		}
-		ev := rec.ev
-		if ev == nil || len(ev.cands) < 2 {
-			return
-		}
-		k := len(ev.cands)
-		if len(ev.corrOff) != k+1 {
-			return // no fast-mode cache (nothing scored yet)
-		}
-		posts := s.postRefs(k)
-		for j, cid := range ev.cands {
-			posts[j] = &e.tags[cid].post
-		}
-		epochs := e.evidenceEpochs(&s.evEpochs, rec, ev.cands, posts, s)
-		n := len(epochs)
-		if n == 0 {
-			return
-		}
-		corrT, corrPre := ev.corrT, ev.corrPre
-
-		// The scan works newest-first in blocks of window positions. For
-		// each block, a per-candidate backward pass fills a dense row of
-		// window sums using four cursors that only move left — the
-		// posterior-epoch index at each window edge (advR <= t, advL < t-w)
-		// and the correction index at each edge — then a dense best/second
-		// scan over the block stops at the first decisive margin. Blocking
-		// keeps the per-candidate inner loops tight (candidate state in
-		// registers, sequential row writes) while objects that resolve
-		// near the newest epoch — the common case — never pay for the
-		// older windows.
-		const crBlock = 32
-		curs := s.intBuf(4 * k)
-		advR, advL := curs[:k], curs[k:2*k]
-		corR, corL := curs[2*k:3*k], curs[3*k:4*k]
-		for j := 0; j < k; j++ {
-			advR[j] = len(posts[j].epochs) - 1
-			advL[j] = advR[j]
-			corR[j] = int(ev.corrOff[j+1]) - 1
-			corL[j] = corR[j]
-		}
-		rows := s.floats(&s.prefix, crBlock*k)
-		for blockHi := n - 1; blockHi >= 0; blockHi -= crBlock {
-			blockLo := blockHi - crBlock + 1
-			if blockLo < 0 {
-				blockLo = 0
-			}
-			for j := 0; j < k; j++ {
-				p := posts[j]
-				pe, pre := p.epochs, p.prefAdv
-				base := int(ev.corrOff[j])
-				ar, al := advR[j], advL[j]
-				cr, cl := corR[j], corL[j]
-				row := rows[j*crBlock:]
-				for hi := blockHi; hi >= blockLo; hi-- {
-					t := epochs[hi]
-					tLo := t - w
-					for ar >= 0 && pe[ar] > t {
-						ar--
-					}
-					if al > ar {
-						al = ar
-					}
-					for al >= 0 && pe[al] >= tLo {
-						al--
-					}
-					sum := 0.0
-					if ar > al {
-						sum = pre[ar+1] - pre[al+1]
-					}
-					for cr >= base && corrT[cr] > t {
-						cr--
-					}
-					if cl > cr {
-						cl = cr
-					}
-					for cl >= base && corrT[cl] >= tLo {
-						cl--
-					}
-					if cr >= base {
-						sum += corrPre[cr]
-					}
-					if cl >= base {
-						sum -= corrPre[cl]
-					}
-					row[hi-blockLo] = sum
-				}
-				advR[j], advL[j] = ar, al
-				corR[j], corL[j] = cr, cl
-			}
-			for hi := blockHi; hi >= blockLo; hi-- {
-				best, second := -1e308, -1e308
-				for j := 0; j < k; j++ {
-					if v := rows[j*crBlock+hi-blockLo]; v > best {
-						second = best
-						best = v
-					} else if v > second {
-						second = v
-					}
-				}
-				if best-second >= e.cfg.CRThreshold {
-					t := epochs[hi]
-					lo := hi
-					for lo > 0 && epochs[lo-1] >= t-w {
-						lo--
-					}
-					rec.cr = window{From: epochs[lo], To: t + 1}
-					return
-				}
 			}
 		}
 	})
