@@ -15,7 +15,9 @@ test:
 # and the log (ingest.go's section path: bulk per admissible stretch, one
 # WAL run record each): the pipelined replay, the fused scheduler, the
 # per-edge and per-record ingest loops, the per-reading WAL append and the
-# stripe's WAL staging buffer stay deleted.
+# stripe's WAL staging buffer stay deleted. Inference looks its data up
+# directly: the packed correction segments, the critical-region search's
+# re-expansion of them and the hashed tag map stay deleted too.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -24,6 +26,8 @@ vet:
 		|| { echo "a retired checkpoint schedule is back in internal/dist (see above)"; exit 1; }
 	@! grep -n 'crBlock\|evEpochs\|sortContReads\|contReads2\|epochHist' internal/rfinfer/*.go | grep -v '_test.go:' \
 		|| { echo "the four-cursor critical-region scan or the unindexed co-occurrence flatten is back in internal/rfinfer (see above)"; exit 1; }
+	@! grep -n 'corrT\|corrOff\|corrRow\|corrAt\|map\[model\.TagID\]\*tagRec' internal/rfinfer/*.go | grep -v '_test.go:' \
+		|| { echo "the packed correction segments, their per-search unpacking or the hashed tag map is back in internal/rfinfer (see above)"; exit 1; }
 	@! grep -n 'applyReadingLocked\|flushWALLocked\|walBuf\|sectionReadings\|readingsBytes\|AppendReading(' internal/serve/*.go internal/wal/*.go \
 		|| { echo "a retired per-record ingest or WAL path is back (see above)"; exit 1; }
 

@@ -105,7 +105,9 @@ func paperDenseConfig() sim.Config {
 // summed over sites and checkpoints: the RunStats counters an operator reads
 // in /stats, and the numbers PERFORMANCE.md and ROADMAP size the search with.
 // They are exact counts of a deterministic replay, so any change to what is
-// searched, where a search stops or which epochs it visits moves them.
+// searched, where a search stops or which epochs it visits moves them. The
+// M-step's evidence columns kept and rescored are pinned alongside: they
+// move if the per-candidate evidence memo keeps or drops anything new.
 func TestPaperDenseSearchCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the full paper_dense world")
@@ -132,7 +134,7 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var searches, windows, rows, noHit int
+	var searches, windows, rows, noHit, segReused, segComputed int
 	for through := w.Epochs / interval * interval; f.Next() <= through; {
 		if err := f.Advance(); err != nil {
 			t.Fatal(err)
@@ -143,6 +145,8 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 			windows += st.CRWindowsScanned
 			rows += st.CRRowsBuilt
 			noHit += st.CRSearchesNoHit
+			segReused += st.EvidenceSegmentsReused
+			segComputed += st.EvidenceSegmentsComputed
 		}
 	}
 	if _, err := f.Close(); err != nil {
@@ -151,6 +155,9 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 	if searches != 63791 || windows != 10668556 || rows != 12539255 || noHit != 13960 {
 		t.Fatalf("searches %d, windows %d, rows %d, without a hit %d; want 63791, 10668556, 12539255, 13960",
 			searches, windows, rows, noHit)
+	}
+	if segReused != 641517 || segComputed != 858627 {
+		t.Fatalf("evidence columns kept %d, rescored %d; want 641517, 858627", segReused, segComputed)
 	}
 }
 

@@ -49,11 +49,13 @@ func benchHome(c int, _ model.Epoch) model.Loc { return model.Loc(4 + c%12) }
 func benchEngineAt(cfg Config, nCont, objsPer, objEvery int, at func(c int, t model.Epoch) model.Loc) (*Engine, func(from, to model.Epoch)) {
 	lik := benchLik()
 	e := New(lik, cfg)
-	for c := 0; c < nCont; c++ {
-		e.RegisterContainer(model.TagID(1000 + c))
-	}
+	// Objects first: registered in id order, they size the tag table past
+	// the containers' ids, so no container lands in the far map.
 	for o := 0; o < nCont*objsPer; o++ {
 		e.RegisterObject(model.TagID(o))
+	}
+	for c := 0; c < nCont; c++ {
+		e.RegisterContainer(model.TagID(1000 + c))
 	}
 	rng := rand.New(rand.NewPCG(42, 1))
 	observe := func(t model.Epoch, id model.TagID, at model.Loc) {
@@ -118,7 +120,7 @@ func BenchmarkEngineRun(b *testing.B) {
 func (e *Engine) invalidatePosteriors() {
 	e.runSeq++
 	for _, cid := range e.containers {
-		e.tags[cid].postValid = false
+		e.tag(cid).postValid = false
 	}
 }
 
@@ -164,8 +166,8 @@ func BenchmarkMStep(b *testing.B) {
 		e.Run(now - 1)
 	}
 	for _, oid := range e.objects {
-		if len(e.tags[oid].cands) < e.cfg.MaxCandidates {
-			b.Fatalf("object %d has %d candidates, want a full list", oid, len(e.tags[oid].cands))
+		if len(e.tag(oid).cands) < e.cfg.MaxCandidates {
+			b.Fatalf("object %d has %d candidates, want a full list", oid, len(e.tag(oid).cands))
 		}
 	}
 	pool := workpool.New(0) // mStep outside a Run: no private pool exists
@@ -178,7 +180,7 @@ func BenchmarkMStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := i % 4; c < len(e.containers); c += 4 {
-			e.tags[e.containers[c]].post.ver++
+			e.tag(e.containers[c]).post.ver++
 		}
 		e.mStep()
 	}
@@ -219,7 +221,7 @@ func BenchmarkCRSearch(b *testing.B) {
 	e.eStep()
 	e.mStep()
 	for _, oid := range e.objects {
-		rec := e.tags[oid]
+		rec := e.tag(oid)
 		if len(rec.cands) < e.cfg.MaxCandidates {
 			b.Fatalf("object %d has %d candidates, want a full list", oid, len(rec.cands))
 		}
@@ -264,7 +266,7 @@ func BenchmarkPruneCandidates(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, oid := range e.objects {
-			e.tags[oid].candValid = false
+			e.tag(oid).candValid = false
 		}
 		e.buildCandidates()
 	}

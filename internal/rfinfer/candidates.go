@@ -70,7 +70,7 @@ func (e *Engine) buildCandidates() {
 	if e.noCarry || !e.contFlatClean {
 		flat := e.cont.reads[:0]
 		for ci, cid := range e.containers {
-			for _, rd := range e.tags[cid].series {
+			for _, rd := range e.tag(cid).series {
 				flat = append(flat, contRead{t: rd.T, ci: int32(ci), mask: rd.Mask})
 			}
 		}
@@ -86,7 +86,7 @@ func (e *Engine) buildCandidates() {
 		}
 	}
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		e.pruneCandidates(s, e.tags[e.objects[oi]], &e.cont)
+		e.pruneCandidates(s, e.tag(e.objects[oi]), &e.cont)
 	})
 
 	// Every object is now consistent with the current container state: the

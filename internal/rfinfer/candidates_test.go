@@ -123,7 +123,7 @@ func checkPruneAgainstScan(t *testing.T, e *Engine, stage string) {
 	}
 	// Every epoch anyone was read at, its neighbours, and the far ends.
 	probe := []model.Epoch{epochMin, -1, 0, epochMax}
-	for _, rec := range e.tags {
+	for rec := range e.allTags {
 		for _, rd := range rec.series {
 			probe = append(probe, rd.T-1, rd.T, rd.T+1)
 		}

@@ -200,8 +200,8 @@ func TestEvidenceTableMatchesDot(t *testing.T) {
 			e.UsePool(pool)
 			for _, oid := range e.objects {
 				rec := e.tags[oid]
-				crec, ok := e.tags[rec.container]
-				if !ok || !crec.postValid || !slices.Contains(crec.group, oid) || len(rec.series) == 0 {
+				crec := e.tag(rec.container)
+				if crec == nil || !crec.postValid || !slices.Contains(crec.group, oid) || len(rec.series) == 0 {
 					continue
 				}
 				last := rec.series[len(rec.series)-1]
@@ -291,13 +291,11 @@ func TestEvidenceTableMatchesDot(t *testing.T) {
 // evidenceView is the part of an object's M-step state the later phases
 // read, copied out for comparison.
 type evidenceView struct {
-	Cands   []model.TagID
-	Totals  []float64
-	CorrOff []int32
-	CorrT   []model.Epoch
-	CorrPre []float64
-	CR      window
-	Best    model.TagID
+	Cands  []model.TagID
+	Totals []float64
+	Corr   []uint64 // the correction table, bit for bit
+	CR     window
+	Best   model.TagID
 }
 
 func viewEvidence(e *Engine) map[model.TagID]evidenceView {
@@ -308,9 +306,9 @@ func viewEvidence(e *Engine) map[model.TagID]evidenceView {
 		if ev := rec.ev; ev != nil {
 			v.Cands = slices.Clone(ev.cands)
 			v.Totals = slices.Clone(ev.totals)
-			v.CorrOff = slices.Clone(ev.corrOff)
-			v.CorrT = slices.Clone(ev.corrT)
-			v.CorrPre = slices.Clone(ev.corrPre)
+			for _, c := range ev.corr {
+				v.Corr = append(v.Corr, math.Float64bits(c))
+			}
 		}
 		out[oid] = v
 	}

@@ -24,10 +24,9 @@ type crRow struct {
 // and the object's own readings. Row g holds, per candidate j, the
 // posterior's advantage prefix through T[g] — adv[g*k+j] =
 // prefAdv_j[#{pe_j ≤ T[g]}] — and the count of own readings through T[g],
-// which indexes corr: the candidates' correction prefixes expanded to one
-// entry per own reading, corr[(m-c)*k+j] = candidate j's corrections summed
-// over the first c of the object's m readings (built newest first too, as
-// the merge consumes the readings). The closing row, appended once every
+// which is the row of the object's correction table (objEvidence.corr) that
+// holds every candidate's corrections through T[g]: the search reads that
+// table where the M-step wrote it. The closing row, appended once every
 // stream is exhausted, stands for "before all history": epoch crExhausted,
 // count 0, prefixes at their origin.
 //
@@ -37,15 +36,12 @@ type crTable struct {
 	rows []crRow
 	// adv runs one row ahead of rows: the merge writes the row after the one
 	// it appends, whose prefixes it has just stepped to.
-	adv  []float64
-	corr []float64
+	adv []float64
 
-	// Merge state: per candidate what is left of its posterior, and the index
-	// of its newest correction at or before the newest unmerged own reading;
-	// the count and epoch of the own readings not yet merged; and the next
-	// row's epoch, the newest head.
+	// Merge state: per candidate what is left of its posterior; the count and
+	// epoch of the own readings not yet merged; and the next row's epoch, the
+	// newest head.
 	cands   []crCand
-	corrAt  []int
 	oc      int
 	ownHead int64
 	next    int64
@@ -59,15 +55,14 @@ type crCand struct {
 }
 
 // reset empties the table and points it at one object's search inputs: its
-// evidence's candidates' posteriors in e, the evidence's correction
-// segments, and its own readings.
+// evidence's candidates' posteriors in e and its own readings.
 func (tb *crTable) reset(e *Engine, ev *objEvidence, own model.Series) {
 	k := len(ev.cands)
-	tb.rows, tb.corr = tb.rows[:0], tb.corr[:0]
+	tb.rows = tb.rows[:0]
 	if cap(tb.cands) < k {
-		tb.cands, tb.corrAt = make([]crCand, k), make([]int, k)
+		tb.cands = make([]crCand, k)
 	}
-	tb.cands, tb.corrAt = tb.cands[:k], tb.corrAt[:k]
+	tb.cands = tb.cands[:k]
 	tb.adv = slices.Grow(tb.adv[:0], k)[:k]
 	tb.oc = len(own)
 	tb.ownHead = crExhausted
@@ -76,51 +71,20 @@ func (tb *crTable) reset(e *Engine, ev *objEvidence, own model.Series) {
 	}
 	tb.next = tb.ownHead
 	for j, cid := range ev.cands {
-		p := &e.tags[cid].post
+		p := &e.tag(cid).post
 		c := crCand{post: p, at: len(p.epochs) - 1, head: crExhausted}
 		if c.at >= 0 {
 			c.head = int64(p.epochs[c.at])
 		}
 		tb.cands[j] = c
 		tb.adv[j] = p.advThrough(c.at + 1)
-		tb.corrAt[j] = int(ev.corrOff[j+1]) - 1
 		tb.next = max(tb.next, c.head)
-	}
-	tb.corrRow(ev)
-}
-
-// corrRow appends the correction row for the current own-reading count:
-// per candidate, its corrections summed through the newest unmerged own
-// reading. Correction epochs are own read epochs, so a cursor moves at most
-// one step per row.
-func (tb *crTable) corrRow(ev *objEvidence) {
-	k := len(tb.cands)
-	n := len(tb.corr)
-	tb.corr = slices.Grow(tb.corr, k)[:n+k]
-	row := tb.corr[n : n+k]
-	ref := tb.ownHead
-	corrT, corrPre, corrOff := ev.corrT, ev.corrPre, ev.corrOff[:k+1]
-	for j, q := range tb.corrAt {
-		base := int(corrOff[j])
-		v := 0.0
-		if q >= base {
-			step := 0
-			if int64(corrT[q]) > ref {
-				step = 1 // the same unpredictable step as in extend
-			}
-			q -= step
-			if q >= base {
-				v = corrPre[q]
-			}
-		}
-		tb.corrAt[j] = q
-		row[j] = v
 	}
 }
 
 // extend merges rows into the table, newest first, until it has appended
 // one whose epoch lies before tLo (the closing row always does).
-func (tb *crTable) extend(tLo int64, ev *objEvidence, own model.Series) {
+func (tb *crTable) extend(tLo int64, own model.Series) {
 	cands := tb.cands
 	k := len(cands)
 	for {
@@ -159,7 +123,6 @@ func (tb *crTable) extend(tLo int64, ev *objEvidence, own model.Series) {
 			if tb.oc > 0 {
 				tb.ownHead = int64(own[tb.oc-1].T)
 			}
-			tb.corrRow(ev)
 		}
 		tb.next = max(next, tb.ownHead)
 		if t < tLo {
@@ -172,12 +135,12 @@ func (tb *crTable) extend(tLo int64, ev *objEvidence, own model.Series) {
 // evidence mode. rec.ev holds no matrix there, so a window's per-candidate
 // evidence comes from two prefix-sum families: the posterior's
 // object-independent advantage (prefAdv, shared by every object) and the
-// object's own corrections cached by the last M-step (corrPre). The margin
-// between the best and second-best candidate is invariant to the uniform
-// evidence common to all candidates, so the windowed advantage + correction
-// excess compares exactly like the matrix version's windowed cell sums, and
-// iteration order, window geometry and the early exit mirror the matrix
-// search.
+// object's own corrections summed by the last M-step (objEvidence.corr).
+// The margin between the best and second-best candidate is invariant to
+// the uniform evidence common to all candidates, so the windowed advantage
+// + correction excess compares exactly like the matrix version's windowed
+// cell sums, and iteration order, window geometry and the early exit mirror
+// the matrix search.
 //
 // The windows are read off a crTable. With g the window's newest row and le
 // the first row left of it (T[le] < T[g] − w; one cursor, shared by all
@@ -186,24 +149,28 @@ func (tb *crTable) extend(tLo int64, ev *objEvidence, own model.Series) {
 //
 //	((adv[g][j] − adv[le][j]) + corr[own(g)][j]) − corr[own(le)][j]
 //
-// — four loads and three flops. That is the four-cursor search's value bit
-// for bit: the same four operands in the same order, where a term that
-// search left out (no posterior epoch, or no correction, on that side of the
-// edge) is a prefix at its origin, +0.0, and where it wrote the literal 0.0
-// for a window without posterior epochs this takes x − x. No prefix entry is
-// −0.0 (a running sum that starts at +0.0 never becomes −0.0), so adding or
-// subtracting the absent terms changes nothing. Best and second best do not
-// depend on candidate order, the rows are the same epoch set (∪ pe_j) ∪ own
-// in the same order, and From/To come from the same left edge and t. The
-// table is merged only as far as the window at hand reaches, so a search
-// that hits in the newest windows never merges the older history — nothing
-// forms the epoch union up front. TestCRSearchMatchesReference holds the
-// four-cursor search against this one.
+// — four loads and three flops, the corr rows read in place in the
+// M-step's table. That is the four-cursor search's value bit for bit: the
+// same four operands in the same order, where a term that search left out
+// (no posterior epoch, or no correction, on that side of the edge) is a
+// prefix at its origin, +0.0, and where it wrote the literal 0.0 for a
+// window without posterior epochs this takes x − x. A correction-table row
+// at a reading where the candidate is inactive holds the newest running sum
+// at or before it, which is the prefix that search's cursor found there. No
+// prefix entry is −0.0 (a running sum that starts at +0.0 never becomes
+// −0.0), so adding or subtracting the absent terms changes nothing. Best
+// and second best do not depend on candidate order, the rows are the same
+// epoch set (∪ pe_j) ∪ own in the same order, and From/To come from the
+// same left edge and t. The table is merged only as far as the window at
+// hand reaches, so a search that hits in the newest windows never merges
+// the older history — nothing forms the epoch union up front.
+// TestCRSearchMatchesReference holds the four-cursor search against this
+// one.
 func (e *Engine) updateCriticalRegionsOnline() {
 	w, thr := int64(e.cfg.CRWindow), e.cfg.CRThreshold
 	noCarry := e.noCarry
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		rec := e.tags[e.objects[oi]]
+		rec := e.tag(e.objects[oi])
 		if !noCarry && rec.evSeq != e.runSeq {
 			// Unrecomputed evidence means the object's series, candidates,
 			// priors and every candidate posterior (hence prefAdv and the
@@ -216,11 +183,10 @@ func (e *Engine) updateCriticalRegionsOnline() {
 			return
 		}
 		k := len(ev.cands)
-		if len(ev.corrOff) != k+1 {
-			return // no fast-mode cache (nothing scored yet)
-		}
 		own := rec.series
-		m := len(own)
+		if len(ev.corr) != (len(own)+1)*k {
+			return // no fast-mode table (nothing scored yet)
+		}
 		tb := &s.cr
 		tb.reset(e, ev, own)
 		if tb.next == crExhausted {
@@ -230,7 +196,7 @@ func (e *Engine) updateCriticalRegionsOnline() {
 		windows, hit := 0, false
 		for g, le := 0, 0; !hit; g++ {
 			if g == len(tb.rows) {
-				tb.extend(math.MaxInt64, ev, own) // one row
+				tb.extend(math.MaxInt64, own) // one row
 			}
 			t := tb.rows[g].t
 			if t == crExhausted {
@@ -243,12 +209,12 @@ func (e *Engine) updateCriticalRegionsOnline() {
 			for tb.rows[le].t >= tLo {
 				le++
 				if le == len(tb.rows) {
-					tb.extend(tLo, ev, own)
+					tb.extend(tLo, own)
 				}
 			}
 			advG, advL := tb.adv[g*k:g*k+k], tb.adv[le*k:le*k+k]
-			corrG := tb.corr[(m-int(tb.rows[g].own))*k:][:k]
-			corrL := tb.corr[(m-int(tb.rows[le].own))*k:][:k]
+			corrG := ev.corr[int(tb.rows[g].own)*k:][:k]
+			corrL := ev.corr[int(tb.rows[le].own)*k:][:k]
 			windows++
 			best, second := -1e308, -1e308
 			for j, a := range advG {

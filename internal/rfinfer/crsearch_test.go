@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"rfidtrack/internal/model"
@@ -13,9 +14,10 @@ import (
 
 // referenceCRSearch is the four-cursor critical-region search the window
 // table replaced, kept as the reference the table is held against: per
-// window and candidate, four cursors that only move left — the posterior
-// index at each window edge (ar: newest epoch <= t, al: newest epoch <
-// t-w) and the correction index at each edge — and a window sum of two
+// window and candidate, cursors that only move left — the posterior index
+// at each window edge (ar: newest epoch <= t, al: newest epoch < t-w) —
+// and the correction prefix at each edge, read as the M-step table's row at
+// sort.Search over the object's own readings, and a window sum of two
 // prefix differences, over an epoch union formed up front (here by sort
 // and compact, sharing nothing with the merge under test). It reports the
 // newest decisive window, if any.
@@ -35,25 +37,26 @@ func referenceCRSearch(e *Engine, rec *tagRec) (window, bool) {
 	slices.Sort(epochs)
 	epochs = slices.Compact(epochs)
 	n := len(epochs)
-	corrT, corrPre := ev.corrT, ev.corrPre
+	own := rec.series
+	// through returns how many own readings lie at or before t: the row of
+	// the correction table that sums the corrections through t.
+	through := func(t model.Epoch) int {
+		return sort.Search(len(own), func(i int) bool { return own[i].T > t })
+	}
 
 	advR, advL := make([]int, k), make([]int, k)
-	corR, corL := make([]int, k), make([]int, k)
 	for j := 0; j < k; j++ {
 		advR[j] = len(posts[j].epochs) - 1
 		advL[j] = advR[j]
-		corR[j] = int(ev.corrOff[j+1]) - 1
-		corL[j] = corR[j]
 	}
 	sums := make([]float64, k)
 	for hi := n - 1; hi >= 0; hi-- {
 		t := epochs[hi]
 		tLo := t - w
+		cR, cL := ev.corr[through(t)*k:], ev.corr[through(tLo-1)*k:]
 		for j := 0; j < k; j++ {
 			pe, pre := posts[j].epochs, posts[j].prefAdv
-			base := int(ev.corrOff[j])
 			ar, al := advR[j], advL[j]
-			cr, cl := corR[j], corL[j]
 			for ar >= 0 && pe[ar] > t {
 				ar--
 			}
@@ -67,24 +70,10 @@ func referenceCRSearch(e *Engine, rec *tagRec) (window, bool) {
 			if ar > al {
 				sum = pre[ar+1] - pre[al+1]
 			}
-			for cr >= base && corrT[cr] > t {
-				cr--
-			}
-			if cl > cr {
-				cl = cr
-			}
-			for cl >= base && corrT[cl] >= tLo {
-				cl--
-			}
-			if cr >= base {
-				sum += corrPre[cr]
-			}
-			if cl >= base {
-				sum -= corrPre[cl]
-			}
+			sum += cR[j]
+			sum -= cL[j]
 			sums[j] = sum
 			advR[j], advL[j] = ar, al
-			corR[j], corL[j] = cr, cl
 		}
 		best, second := -1e308, -1e308
 		for _, v := range sums {
@@ -129,7 +118,7 @@ func (c *crChecker) run(t *testing.T, e *Engine, now model.Epoch) {
 		rec := e.tags[oid]
 		want := before[oid]
 		if ev := rec.ev; (e.noCarry || rec.evSeq == e.runSeq) && ev != nil &&
-			len(ev.cands) >= 2 && len(ev.corrOff) == len(ev.cands)+1 {
+			len(ev.cands) >= 2 && len(ev.corr) == (len(rec.series)+1)*len(ev.cands) {
 			c.searched++
 			if cr, ok := referenceCRSearch(e, rec); ok {
 				want = cr

@@ -36,7 +36,7 @@ func (e *Engine) dataSignature(gsig uint64, rec *tagRec, group []model.TagID, th
 	}
 	mix(e.seriesVersionThrough(rec, through))
 	for _, oid := range group {
-		mix(e.seriesVersionThrough(e.tags[oid], through))
+		mix(e.seriesVersionThrough(e.tag(oid), through))
 	}
 	return h
 }
@@ -48,7 +48,7 @@ func (e *Engine) dataSignature(gsig uint64, rec *tagRec, group []model.TagID, th
 func (e *Engine) eStep() {
 	anchored := e.carryAnchored()
 	e.parallelFor(len(e.containers), containerChunk, func(s *scratch, i int) {
-		rec := e.tags[e.containers[i]]
+		rec := e.tag(e.containers[i])
 		group := rec.groupNow
 		// Incremental fast path: the group is unchanged member-for-member
 		// and neither the container nor any member turned dirty since the
@@ -118,7 +118,7 @@ func (e *Engine) computePosterior(rec *tagRec, group []model.TagID, from model.E
 	members := s.series[:0]
 	members = append(members, rec.series)
 	for _, oid := range group {
-		members = append(members, e.tags[oid].series)
+		members = append(members, e.tag(oid).series)
 	}
 	s.series = members
 
@@ -349,7 +349,7 @@ func mergeEpochs(a, b []model.Epoch, buf *[]model.Epoch) []model.Epoch {
 // dominant so location transitions are picked up immediately. NoLoc is
 // returned if no active epoch <= t exists.
 func (p *posterior) locateAt(t model.Epoch, k int) model.Loc {
-	hi := sort.Search(len(p.epochs), func(i int) bool { return p.epochs[i] > t })
+	hi := p.rank(t)
 	if hi == 0 {
 		return model.NoLoc
 	}

@@ -2,6 +2,7 @@ package rfinfer
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"rfidtrack/internal/model"
@@ -58,6 +59,24 @@ func FuzzDecodeCR(f *testing.F) {
 	f.Add(collapsed)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// Payloads naming tag ids no deployment registers — the top of the id
+	// range, a negative one, one just past the seed world's three tags — as
+	// the object, a candidate and a container history's key.
+	for _, ids := range [][2]model.TagID{{math.MaxInt32, -7}, {-7, 3 + 10}} {
+		st, err := DecodeCR(bytes.NewReader(cr))
+		if err != nil {
+			f.Fatal(err)
+		}
+		st.Collapsed.Object = ids[0]
+		st.Collapsed.Candidates = append(st.Collapsed.Candidates, ids[1])
+		st.Collapsed.Weights = append(st.Collapsed.Weights, st.Collapsed.DefaultWeight)
+		st.ContHist[ids[1]] = st.ObjectHist
+		var buf bytes.Buffer
+		if err := EncodeCR(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	rates, err := model.UniformReadRates(4, 0.8, 0.2, 1e-6, nil)
 	if err != nil {
@@ -82,6 +101,9 @@ func FuzzDecodeCR(f *testing.F) {
 				t.Fatal(err)
 			}
 			eng.ImportCR(st)
+			if bound := tagTableBound(eng); len(eng.tags) > bound {
+				t.Fatalf("tag table grew to %d slots (bound %d)", len(eng.tags), bound)
+			}
 			eng.Run(60)
 		}
 		if st, err := DecodeCollapsed(bytes.NewReader(data)); err == nil {

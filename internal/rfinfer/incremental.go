@@ -58,7 +58,7 @@ func (e *Engine) carryAnchored() bool {
 // the previous Run.
 func (e *Engine) groupClean(group []model.TagID) bool {
 	for _, oid := range group {
-		if e.tags[oid].dirty {
+		if e.tag(oid).dirty {
 			return false
 		}
 	}
@@ -69,7 +69,7 @@ func (e *Engine) groupClean(group []model.TagID) bool {
 // during this Run's truncation or change-point resets.
 func (e *Engine) groupUndropped(group []model.TagID) bool {
 	for _, oid := range group {
-		if len(e.tags[oid].dropped) != 0 {
+		if len(e.tag(oid).dropped) != 0 {
 			return false
 		}
 	}
@@ -146,12 +146,12 @@ func (e *Engine) truncZoneClean(rec *tagRec, newFrom, now model.Epoch, cr window
 // will be rediscovered through the seriesVer stamps).
 func (e *Engine) closeCheckpoint() {
 	for _, cid := range e.containers {
-		if d := e.tags[cid].dropped; len(d) > 0 {
+		if d := e.tag(cid).dropped; len(d) > 0 {
 			e.noteContainerChange(d[0])
 		}
 	}
 	if e.dirtyTags > 0 {
-		for _, rec := range e.tags {
+		for rec := range e.allTags {
 			rec.dirty = false
 		}
 		e.dirtyTags = 0

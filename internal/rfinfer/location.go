@@ -15,15 +15,15 @@ import (
 // estimate, and containers themselves, use their own posterior. NoLoc is
 // returned when no evidence at or before t exists.
 func (e *Engine) LocationAt(id model.TagID, t model.Epoch) model.Loc {
-	rec, ok := e.tags[id]
-	if !ok {
+	rec := e.tag(id)
+	if rec == nil {
 		return model.NoLoc
 	}
 	if rec.isContainer {
 		return rec.post.locateAt(t, e.locWindow())
 	}
 	if rec.container >= 0 {
-		if c, ok := e.tags[rec.container]; ok {
+		if c := e.tag(rec.container); c != nil {
 			if loc := c.post.locateAt(t, e.locWindow()); loc != model.NoLoc {
 				return loc
 			}
@@ -71,10 +71,10 @@ func (e *Engine) Snapshot(t model.Epoch) []Event {
 	}
 	var out []Event
 	for _, oid := range e.objects {
-		rec := e.tags[oid]
+		rec := e.tag(oid)
 		last := rec.series.Last()
 		if rec.container >= 0 {
-			if c, ok := e.tags[rec.container]; ok {
+			if c := e.tag(rec.container); c != nil {
 				if cl := c.series.Last(); cl > last {
 					last = cl
 				}

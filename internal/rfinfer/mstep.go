@@ -18,20 +18,22 @@ import (
 //
 // Fast mode (the serving default) holds no matrix. A candidate's evidence
 // splits into what its posterior already carries for every object (advSum,
-// prefAdv, cells) and the object-specific rest, the corrections: one entry
-// per own read epoch the candidate is active at. They are stored as packed
-// per-candidate segments — candidate k's epochs at
-// corrT[corrOff[k]:corrOff[k+1]], corrPre their inclusive prefix sums — so
-// the critical-region search takes any window's evidence excess as two
-// subtractions instead of re-deriving cells.
+// prefAdv, cells) and the object-specific rest, the corrections: one term
+// per own read epoch the candidate is active at. They are stored as one
+// dense row-major table of their running sums over the object's own
+// readings — with m readings and k candidates, corr[c*k+j] is candidate j's
+// corrections summed over the first c readings, c = 0..m, row 0 all +0.0 —
+// so the critical-region search reads any window's evidence excess off the
+// rows of its two edges, in place, as two subtractions. At a reading where a
+// candidate is inactive its column carries the running sum unchanged.
 //
 // Both modes memoize. The whole object is current while its series version,
 // candidate list, prior weights and every candidate posterior's content
 // version match the stamps below (evidenceCurrent). Fast mode additionally
-// memoizes per candidate: a segment is a function of (own series, that
+// memoizes per candidate: a column is a function of (own series, that
 // candidate's posterior) and of nothing else, so while seriesVer stands, a
 // candidate — matched by id, wherever the pruning order now puts it — whose
-// posterior still carries the stamped version keeps its segment verbatim,
+// posterior still carries the stamped version keeps its column verbatim,
 // and only the candidates whose posterior moved are scored again.
 type objEvidence struct {
 	cands  []model.TagID // owned copy (memo compares it against rec.cands)
@@ -51,17 +53,16 @@ type objEvidence struct {
 	// assignment (the fast path has no epochs slice to test).
 	scorable bool
 
-	// Fast-mode correction segments (see above).
-	corrOff []int32
-	corrT   []model.Epoch
-	corrPre []float64
+	// Fast-mode correction table (see above): (len(series)+1)·len(cands)
+	// entries, allocated to exactly that size.
+	corr []float64
 
 	// Memo stamps, taken at build time: the object's series version, each
 	// candidate posterior's content version (aligned with cands), and the
 	// prior weights. Within one Run's EM loop only posterior versions can
 	// move, so later iterations rebuild evidence only for objects whose
 	// candidates' groups actually changed — and, in fast mode, only those
-	// candidates' segments.
+	// candidates' columns.
 	valid     bool
 	seriesVer uint32
 	postVers  []uint32
@@ -119,7 +120,7 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 	// per candidate instead of one per (epoch, candidate) pair.
 	posts := s.postRefs(len(cands))
 	for k, cid := range cands {
-		posts[k] = &e.tags[cid].post
+		posts[k] = &e.tag(cid).post
 	}
 
 	epochs := e.evidenceEpochs(&ev.epochs, rec, cands, posts, s)
@@ -222,7 +223,7 @@ func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.T
 	hit := s.candUEng == e && slices.Equal(s.candUKey, key)
 	if hit {
 		for k, cid := range key {
-			if s.candUVers[k] != e.tags[cid].post.ver {
+			if s.candUVers[k] != e.tag(cid).post.ver {
 				hit = false
 				break
 			}
@@ -239,7 +240,7 @@ func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.T
 		s.candUKey = append(s.candUKey[:0], key...)
 		s.candUVers = s.candUVers[:0]
 		for _, cid := range key {
-			s.candUVers = append(s.candUVers, e.tags[cid].post.ver)
+			s.candUVers = append(s.candUVers, e.tag(cid).post.ver)
 		}
 	}
 	epochs := append((*dst)[:0], s.candU...)
@@ -268,40 +269,50 @@ func (p *posterior) cellsOrNil() []float64 {
 
 // computeEvidenceFastInto rescores an object's candidates without
 // materializing the evidence matrix, and reports how many candidates kept
-// their segment from the previous build. Each total decomposes as
+// their correction column from the previous build. Each total decomposes as
 //
 //	w_o(c_k) = U_o + advSum_k + Σ_{t ∈ own ∩ active_k} (q_k(t)·δ(mask_t) − maskMean_t) + priorW_k
 //
 // where U_o (the object's uniform evidence summed over the whole epoch
 // union) is common to every candidate and to uniTotal, advSum_k is the
 // candidate posterior's cached object-independent advantage, and the sum —
-// candidate k's correction segment — runs over the object's own read epochs
-// only. All consumers of totals are invariant to the common shift U_o
+// candidate k's corrections — runs over the object's own read epochs only.
+// All consumers of totals are invariant to the common shift U_o
 // (best-candidate selection and CR margins compare candidates; migration
 // exports normalize by the max), so the fast path drops it and the union —
 // the expensive merge — is never formed.
 //
-// Nothing in the sum is arithmetic the object has to do itself any more.
-// For a single-reader mask q_k(t)·δ(r) is the posterior row's cell r,
-// computed once when the row was written and shared by every object, EM
-// iteration and Run that meets the row; the direct dot remains for
-// multi-reader masks (whose combined δ row is summed before the product, so
-// the cells do not add up to the same bits) and for a posterior without
-// cells. And a segment whose inputs stand — same own series, same posterior
-// version — is not walked at all: it is copied from the previous build, to
-// wherever its candidate now sits, and its total re-added from the stored
-// prefix (advSum and the prior are added fresh; a kept segment's last
-// prefix entry is exactly the acc the walk would end on). New segments are
-// staged in the worker's scratch and packed back, so an object owns one set
-// of segment arrays, not two. Leading candidates that are kept at their old
-// position — the usual case is one changed candidate among several — stay
-// where they are.
+// Nothing in the sum is arithmetic the object has to do itself any more,
+// and nothing in finding its terms is a search. The row of an own epoch in
+// a candidate's posterior is one rank-index lookup (posterior.rowOf), which
+// finds exactly the row the old walk of the posterior's epochs stopped on.
+// For a single-reader mask q_k(t)·δ(r) is that row's cell r, computed once
+// when the row was written and shared by every object, EM iteration and Run
+// that meets the row; the direct dot remains for multi-reader masks (whose
+// combined δ row is summed before the product, so the cells do not add up
+// to the same bits) and for a posterior without cells. Each rescored column
+// of the correction table is the running sum of those terms, in own-reading
+// order, written where it lives: row c holds the sum through reading c, so
+// at a reading where the candidate is inactive the row repeats the newest
+// sum at or before it — +0.0 before the first — which is exactly the prefix
+// the critical-region search's cursors used to find there.
+//
+// A column whose inputs stand — same own series, same posterior version —
+// is not walked at all, and its total is re-added from its last row (advSum
+// and the prior are added fresh; the last row is exactly the sum the walk
+// would end on). Kept columns stay where they are when the candidate count
+// and their positions stand — the usual case is one changed candidate among
+// several. Otherwise they are permuted row by row: through a one-row
+// temporary while the count is unchanged, from a copy of the old table when
+// it changed.
 func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratch) (reused int) {
 	cands := rec.cands
-	// The previous build, read while the new one is staged; its stamps are
-	// replaced only after the loop.
-	oldCands, oldVers, oldOff := ev.cands, ev.postVers, ev.corrOff
-	if !ev.valid || ev.seriesVer != rec.seriesVer {
+	own := rec.series
+	k, m := len(cands), len(own)
+	// The previous build, read while the new one is laid out; its stamps are
+	// replaced only at the end.
+	oldCands, oldVers := ev.cands, ev.postVers
+	if !ev.valid || ev.seriesVer != rec.seriesVer || len(ev.corr) != (m+1)*len(oldCands) {
 		oldCands = nil
 	}
 	ev.valid = false
@@ -310,12 +321,10 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 	ev.totals = ev.totals[:0]
 	ev.uniTotal = 0
 	ev.scorable = false
-	if len(cands) == 0 {
+	if k == 0 {
 		ev.cands = ev.cands[:0]
 		ev.postVers = ev.postVers[:0]
-		ev.corrOff = append(ev.corrOff[:0], 0)
-		ev.corrT = ev.corrT[:0]
-		ev.corrPre = ev.corrPre[:0]
+		ev.corr = ev.corr[:0]
 		ev.priorSnap = ev.priorSnap[:0]
 		ev.priorDef = rec.priorDefault
 		ev.seriesVer = rec.seriesVer
@@ -323,111 +332,132 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 		return 0
 	}
 	ev.uniTotal = rec.priorDefault
-	if cap(ev.totals) < len(cands) {
-		ev.totals = make([]float64, len(cands))
+	if cap(ev.totals) < k {
+		ev.totals = make([]float64, k)
 	}
-	ev.totals = ev.totals[:len(cands)]
+	ev.totals = ev.totals[:k]
 
-	posts := s.postRefs(len(cands))
-	for k, cid := range cands {
-		posts[k] = &e.tags[cid].post
-	}
-
-	// The object's own delta rows, their means and single readers, aligned
-	// with rec.series (MaskDelta rows are cache-owned and stable, so holding
-	// them is safe).
-	own := rec.series
-	means := s.floats(&s.uni, len(own))
-	rows := s.maskRowRefs(len(own))
-	readers := s.intBuf(len(own))
-	for i, rd := range own {
-		rows[i], means[i] = e.lik.MaskDelta(rd.Mask)
-		readers[i] = singleReader(rd.Mask)
+	posts := s.postRefs(k)
+	for j, cid := range cands {
+		posts[j] = &e.tag(cid).post
 	}
 
-	// Leading candidates kept at their old position keep their old offsets
-	// too, and stay where they are; everything from the first moved or
-	// rescored candidate on is staged and packed back behind them.
-	head := 0
-	for head < len(cands) && head < len(oldCands) &&
-		oldCands[head] == cands[head] && oldVers[head] == posts[head].ver {
-		head++
+	// src[j] is candidate j's column in the previous build, or -1 when it
+	// has to be scored: new to the list, or its posterior moved since the
+	// stamp. Lists are bounded by MaxCandidates, so a linear scan beats a
+	// map.
+	src := slices.Grow(s.corrSrc[:0], k)[:k]
+	s.corrSrc = src
+	moved := false
+	for j, cid := range cands {
+		c := j
+		if j >= len(oldCands) || oldCands[j] != cid {
+			c = slices.Index(oldCands, cid)
+		}
+		if c >= 0 && oldVers[c] != posts[j].ver {
+			c = -1
+		}
+		src[j] = c
+		if c >= 0 {
+			reused++
+			moved = moved || c != j
+		}
 	}
-	base := 0
-	if head > 0 {
-		base = int(oldOff[head])
+	moved = moved || (reused > 0 && len(oldCands) != k)
+
+	// Lay the table out: kept columns where they belong, rows 0 zero.
+	if moved {
+		kOld := len(oldCands)
+		var old []float64
+		if kOld != k {
+			old = append(s.corrOld[:0], ev.corr...)
+			s.corrOld = old
+			ev.corr = keepGrow(ev.corr, 0, (m+1)*k)[:(m+1)*k]
+		} else {
+			old = s.floats(&s.corrOld, k)
+		}
+		corr := ev.corr
+		for c := 0; c <= m; c++ {
+			row, from := corr[c*k:(c+1)*k], old
+			if kOld == k {
+				copy(old, row)
+			} else {
+				from = old[c*kOld : (c+1)*kOld]
+			}
+			for j, sc := range src {
+				if sc >= 0 {
+					row[j] = from[sc]
+				}
+			}
+		}
+	} else {
+		ev.corr = keepGrow(ev.corr, 0, (m+1)*k)[:(m+1)*k] // in place unless nothing was kept
 	}
-	stT, stPre, stOff := s.corrT[:0], s.corrPre[:0], s.corrOff[:0]
-	scorable := len(own) > 0
-	for k := range cands {
-		post := posts[k]
-		pEpochs := post.epochs
-		if len(pEpochs) > 0 {
+	corr := ev.corr
+	clear(corr[:k])
+
+	// Rescore the rest, each column in one pass over the own readings.
+	var means []float64
+	var rows [][]float64
+	var readers []int
+	prepared := false
+	scorable := m > 0
+	for j, post := range posts {
+		if len(post.epochs) > 0 {
 			scorable = true
 		}
-		// kept is the candidate's segment in the previous build, or -1 when
-		// it has to be scored: new to the list, or its posterior moved since
-		// the stamp. Lists are bounded by MaxCandidates, so a linear scan
-		// beats a map.
-		kept := k
-		if k >= head {
-			kept = slices.Index(oldCands, cands[k])
-			if kept >= 0 && oldVers[kept] != post.ver {
-				kept = -1
-			}
-			stOff = append(stOff, int32(base+len(stT)))
+		if src[j] >= 0 {
+			continue
 		}
+		if !prepared {
+			prepared = true
+			// The object's own delta rows, their means and single readers,
+			// aligned with rec.series (MaskDelta rows are cache-owned and
+			// stable, so holding them is safe).
+			means = s.floats(&s.uni, m)
+			rows = s.maskRowRefs(m)
+			readers = s.intBuf(m)
+			for i, rd := range own {
+				rows[i], means[i] = e.lik.MaskDelta(rd.Mask)
+				readers[i] = singleReader(rd.Mask)
+			}
+		}
+		pQ, pn, pCells := post.q, post.n, post.cellsOrNil()
+		pIdx, pBase := post.idx, int64(post.idxBase)
 		acc := 0.0
-		if kept >= 0 {
-			lo, hi := oldOff[kept], oldOff[kept+1]
-			if k >= head {
-				stT = append(stT, ev.corrT[lo:hi]...)
-				stPre = append(stPre, ev.corrPre[lo:hi]...)
+		for oi, rd := range own {
+			var i int // post.rowOf(rd.T), inlined
+			if d := uint(int64(rd.T) - pBase); d>>6<<1 < uint(len(pIdx)) {
+				w := d >> 6 << 1
+				i = indexRow(pIdx[w], pIdx[w+1], d&63)
+			} else {
+				i = post.rowOutside(rd.T)
 			}
-			if hi > lo {
-				acc = ev.corrPre[hi-1]
-			}
-			reused++
-		} else {
-			pQ, pn, pCells := post.q, post.n, post.cellsOrNil()
-			j := 0
-			for oi, rd := range own {
-				t := rd.T
-				for j < len(pEpochs) && pEpochs[j] < t {
-					j++
-				}
-				if j >= len(pEpochs) {
-					break
-				}
-				if pEpochs[j] != t {
-					continue
-				}
+			if i >= 0 {
 				if row := rows[oi]; row != nil {
 					var d float64
 					if r := readers[oi]; r >= 0 && pCells != nil {
-						d = pCells[j*pn+r]
+						d = pCells[i*pn+r]
 					} else {
-						d = dot(pQ[j*pn:(j+1)*pn], row)
+						d = dot(pQ[i*pn:(i+1)*pn], row)
 					}
 					acc += d - means[oi]
-					stT = append(stT, t)
-					stPre = append(stPre, acc)
 				}
 			}
+			corr[(oi+1)*k+j] = acc
 		}
-		ev.totals[k] = post.advSum + acc + rec.priorW[k]
 	}
-	ev.corrT = append(ev.corrT[:base], stT...)
-	ev.corrPre = append(ev.corrPre[:base], stPre...)
-	ev.corrOff = append(append(ev.corrOff[:head], stOff...), int32(len(ev.corrT)))
-	s.corrT, s.corrPre, s.corrOff = stT, stPre, stOff
+	last := corr[m*k : (m+1)*k]
+	for j, post := range posts {
+		ev.totals[j] = post.advSum + last[j] + rec.priorW[j]
+	}
 	ev.scorable = scorable
 
 	// Stamp the memo (same stamps as the matrix path).
 	ev.cands = append(ev.cands[:0], cands...)
 	ev.postVers = ev.postVers[:0]
-	for k := range cands {
-		ev.postVers = append(ev.postVers, posts[k].ver)
+	for j := range cands {
+		ev.postVers = append(ev.postVers, posts[j].ver)
 	}
 	ev.seriesVer = rec.seriesVer
 	ev.priorSnap = append(ev.priorSnap[:0], rec.priorW...)
@@ -463,7 +493,7 @@ func (e *Engine) evidenceCurrent(rec *tagRec) bool {
 		return false
 	}
 	for k, cid := range rec.cands {
-		if e.tags[cid].post.ver != ev.postVers[k] {
+		if e.tag(cid).post.ver != ev.postVers[k] {
 			return false
 		}
 	}
@@ -497,7 +527,7 @@ func (e *Engine) mStep() bool {
 	full := e.fullEvidence()
 	noCarry := e.noCarry
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, i int) {
-		rec := e.tags[e.objects[i]]
+		rec := e.tag(e.objects[i])
 		if noCarry && rec.ev != nil {
 			rec.ev.valid = false // reference mode: every pass scores from nothing
 		}
@@ -519,7 +549,7 @@ func (e *Engine) mStep() bool {
 	})
 	changed := false
 	for _, oid := range e.objects {
-		rec := e.tags[oid]
+		rec := e.tag(oid)
 		if rec.bestK < 0 {
 			continue
 		}
@@ -536,15 +566,15 @@ func (e *Engine) mStep() bool {
 // order, so each member list comes out sorted without further work.
 func (e *Engine) rebuildGroups() {
 	for _, cid := range e.containers {
-		rec := e.tags[cid]
+		rec := e.tag(cid)
 		rec.groupNow = rec.groupNow[:0]
 	}
 	for _, oid := range e.objects {
-		c := e.tags[oid].container
+		c := e.tag(oid).container
 		if c < 0 {
 			continue
 		}
-		if crec, ok := e.tags[c]; ok && crec.isContainer {
+		if crec := e.tag(c); crec != nil && crec.isContainer {
 			crec.groupNow = append(crec.groupNow, oid)
 		}
 	}
@@ -555,8 +585,8 @@ func (e *Engine) rebuildGroups() {
 // It is the diagnostic behind Figure 4: cumulative evidence is the running
 // sum of each row. The slices are freshly allocated.
 func (e *Engine) EvidenceSeries(oid model.TagID) (cands []model.TagID, epochs []model.Epoch, point [][]float64) {
-	rec, ok := e.tags[oid]
-	if !ok || rec.isContainer {
+	rec := e.tag(oid)
+	if rec == nil || rec.isContainer {
 		return nil, nil, nil
 	}
 	// Compute into a throwaway matrix: rec.ev is M-step-owned, and in fast

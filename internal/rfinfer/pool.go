@@ -35,12 +35,12 @@ type scratch struct {
 	candUVers []uint32      // aligned with candUKey
 	candUScr  []model.TagID // sort scratch for the probe key
 
-	// Correction segments being staged for one object (fast M-step): kept
-	// segments change position and rescored ones change length, so the new
-	// packing is built here and copied back into the object's arrays.
-	corrT   []model.Epoch
-	corrPre []float64
-	corrOff []int32
+	// Correction-table layout (fast M-step): each candidate's column in the
+	// previous build, and the old rows kept columns are permuted from — one
+	// row while the candidate count stands, the whole old table when it
+	// changed.
+	corrSrc []int
+	corrOld []float64
 
 	cr      crTable // window table (fast-mode critical-region search)
 	readers []int   // own readings' single readers (M-step)

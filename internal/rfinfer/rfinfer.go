@@ -14,6 +14,8 @@ package rfinfer
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -144,7 +146,6 @@ type tagRec struct {
 	cr           window       // critical region
 	ev           *objEvidence // point-evidence matrix, reused across Runs
 	bestK        int          // best candidate index from the last M-step pass
-	cp           cpVerdict    // this Run's change-point test (detectChanges)
 	// dropped lists the epochs whose readings this Run's truncation (or
 	// change-point history reset) removed, sorted ascending. The memo
 	// refresh recomputes exactly the posterior rows these epochs invalidate.
@@ -217,6 +218,11 @@ type tagRec struct {
 // invalid, so the next E-step rebuilds the posterior, cells included,
 // before any M-step of a Run reads it). Readers treat a cells slice whose
 // length is not len(q) as absent and take the dot directly.
+//
+// Every posterior also carries a rank index over its epochs (idx, idxBase;
+// see rowOf), so the M-step finds the row of an object's read epoch with one
+// load and a popcount instead of walking the epoch list up to it. Like
+// prefAdv it is rebuilt by refreshAdv, which every content change calls.
 type posterior struct {
 	epochs []model.Epoch
 	n      int       // row stride: number of reader locations
@@ -234,10 +240,113 @@ type posterior struct {
 	// take any epoch range of the advantage as one subtraction.
 	advSum  float64
 	prefAdv []float64
+	// idx is the epochs' rank index: word w covers the 64 epochs from
+	// idxBase + 64w, idx[2w] holds their presence bits and idx[2w+1] the
+	// number of epochs below them. Empty with epochs present means the
+	// epochs are too sparse for a dense index (see reindex).
+	idx []uint64
 	// ver counts content mutations (recompute, memo compaction): objects
 	// whose candidates' posteriors all carry the version their evidence was
 	// computed against can skip the M-step rebuild entirely.
-	ver uint32
+	ver     uint32
+	idxBase model.Epoch
+}
+
+// rowOf returns the row of epoch t, or -1 when t is not an active epoch.
+// It is too big for the compiler to inline, so the M-step's loop repeats
+// its two lines with the index fields hoisted (−20 % on BenchmarkMStep).
+func (p *posterior) rowOf(t model.Epoch) int {
+	if d := uint(int64(t) - int64(p.idxBase)); d>>6<<1 < uint(len(p.idx)) {
+		w := d >> 6 << 1
+		return indexRow(p.idx[w], p.idx[w+1], d&63)
+	}
+	return p.rowOutside(t)
+}
+
+// indexRow is the row of the epoch at bit b of an index word whose epochs
+// are preceded by cum others, or -1 when the bit is clear. The row is the
+// epoch's rank less one:
+//
+//	rank(t) = cum + popcount(word << (63−b))
+//
+// — the epochs below the word plus the word's epochs up to and including
+// t. It finds exactly the row a walk of the sorted epochs would stop on,
+// and no row where the walk would find none.
+func indexRow(word, cum uint64, b uint) int {
+	if word>>b&1 == 0 {
+		return -1
+	}
+	return int(cum) + bits.OnesCount64(word<<(63-b)) - 1
+}
+
+// rowOutside is rowOf for an epoch outside the dense index: never active,
+// unless the posterior is too sparse to index densely and is searched.
+func (p *posterior) rowOutside(t model.Epoch) int {
+	if len(p.idx) == 0 {
+		if i, ok := slices.BinarySearch(p.epochs, t); ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// rank returns how many active epochs lie at or before t.
+func (p *posterior) rank(t model.Epoch) int {
+	d := int64(t) - int64(p.idxBase)
+	switch w := d >> 6; {
+	case len(p.idx) == 0:
+		return sort.Search(len(p.epochs), func(i int) bool { return p.epochs[i] > t })
+	case d < 0:
+		return 0
+	case w >= int64(len(p.idx)>>1):
+		return len(p.epochs)
+	default:
+		return int(p.idx[2*w+1]) + bits.OnesCount64(p.idx[2*w]<<(63-uint(d&63)))
+	}
+}
+
+// reindex rebuilds the rank index from the epochs. The index is dense over
+// the epoch span, so it is built only while that span needs at most
+// 4·len(epochs)+1024 words (the co-occurrence index's bound): a posterior
+// spread thinner than that — a few readings tens of thousands of epochs
+// apart, which only a corrupt or hostile migration payload or snapshot
+// produces — keeps an empty index and is searched instead, so no
+// allocation grows with an epoch read off the wire. Epochs out of order (a
+// corrupt snapshot again) take the same way out.
+func (p *posterior) reindex() {
+	p.idx = p.idx[:0]
+	if len(p.epochs) == 0 {
+		return
+	}
+	lo := int64(p.epochs[0])
+	span := int64(p.epochs[len(p.epochs)-1]) - lo + 1
+	words := (span + 63) >> 6
+	if span <= 0 || words > 4*int64(len(p.epochs))+1024 {
+		return
+	}
+	n := int(2 * words)
+	idx := p.idx
+	if cap(idx) < n {
+		idx = make([]uint64, 0, n*5/4+8)
+	}
+	idx = idx[:n]
+	clear(idx)
+	prev := lo - 1
+	for _, t := range p.epochs {
+		d := int64(t) - lo
+		if int64(t) <= prev || d >= span {
+			p.idx = idx[:0] // out of order: no index
+			return
+		}
+		prev = int64(t)
+		idx[2*(d>>6)] |= 1 << (d & 63)
+	}
+	cum := uint64(0)
+	for w := 0; w < n; w += 2 {
+		idx[w+1] = cum
+		cum += uint64(bits.OnesCount64(idx[w]))
+	}
+	p.idx, p.idxBase = idx, model.Epoch(lo)
 }
 
 // row returns the posterior distribution at active-epoch index i.
@@ -265,11 +374,13 @@ func (p *posterior) fillCells(lik *model.Likelihood, i int) {
 	}
 }
 
-// refreshAdv recomputes advSum from the current rows. Callers invoke it at
-// every site that changes posterior content (recompute, memo compaction,
-// snapshot restore), always over the full epoch list in ascending order, so
-// the value is bit-identical however the posterior reached its state.
+// refreshAdv recomputes advSum from the current rows and rebuilds the rank
+// index. Callers invoke it at every site that changes posterior content
+// (recompute, memo compaction, snapshot restore), always over the full epoch
+// list in ascending order, so the value is bit-identical however the
+// posterior reached its state.
 func (p *posterior) refreshAdv(lik *model.Likelihood) {
+	p.reindex()
 	pre := p.prefAdv
 	if cap(pre) < len(p.epochs)+1 {
 		pre = make([]float64, 0, len(p.epochs)*5/4+8)
@@ -332,7 +443,7 @@ type RunStats struct {
 	// every object.
 	EvidenceComputed, EvidenceSkipped int
 	// EvidenceSegmentsReused counts, inside the rebuilt objects, the
-	// candidates whose evidence segment was kept verbatim because their
+	// candidates whose correction column was kept verbatim because their
 	// posterior had not moved since the object's last build;
 	// EvidenceSegmentsComputed counts the candidates scored afresh. Their
 	// sum is the candidate count of the EvidenceComputed objects.
@@ -359,9 +470,11 @@ type Engine struct {
 	lik *model.Likelihood
 	cfg Config
 
-	tags       map[model.TagID]*tagRec
-	objects    []model.TagID // sorted
-	containers []model.TagID // sorted
+	tags       tagTable
+	farTags    map[uint32]*tagRec // records the dense table does not reach (see setTag)
+	objects    []model.TagID      // sorted
+	containers []model.TagID      // sorted
+	cps        []cpVerdict        // detectChanges' verdicts, aligned with objects
 
 	now     model.Epoch
 	lastRun model.Epoch
@@ -415,8 +528,63 @@ func New(lik *model.Likelihood, cfg Config) *Engine {
 	return &Engine{
 		lik:              lik,
 		cfg:              cfg,
-		tags:             make(map[model.TagID]*tagRec),
 		contChangedFloor: epochMax,
+	}
+}
+
+// tagTable holds the engine's tag records indexed by tag id, so reaching a
+// record is a bounds check and a load instead of a hash. Ids a site never
+// registers (pallets, other sites' tag kinds) are nil holes; a range loop
+// skips them (allTags). Simulated and deployed tag ids are dense from 0, so
+// the table stays within a small factor of the registered count.
+type tagTable []*tagRec
+
+// tag returns id's record, or nil when id is not registered.
+func (e *Engine) tag(id model.TagID) *tagRec {
+	if u := uint32(id); u < uint32(len(e.tags)) {
+		if rec := e.tags[u]; rec != nil {
+			return rec
+		}
+	}
+	return e.farTags[uint32(id)]
+}
+
+// setTag files a new record under id. The dense table grows to reach id
+// only while it stays within max(2 × registered, 1024) slots; a record past
+// that — a negative or far-out id, which only a corrupt migration payload
+// or snapshot names — goes in farTags, keyed by the id's bits exactly as the
+// table addresses them, so no allocation grows with an id read off the wire.
+// A far record stays where it was filed even if the table later grows past
+// its id; tag looks behind the table's empty slot for it.
+func (e *Engine) setTag(id model.TagID, rec *tagRec) {
+	u := uint32(id)
+	if u >= uint32(len(e.tags)) {
+		if limit := max(2*(len(e.objects)+len(e.containers)+1), 1024); uint64(u) >= uint64(limit) {
+			if e.farTags == nil {
+				e.farTags = make(map[uint32]*tagRec)
+			}
+			e.farTags[u] = rec
+			return
+		}
+		n := len(e.tags)
+		e.tags = slices.Grow(e.tags, int(u)+1-n)[:u+1]
+		clear(e.tags[n:])
+	}
+	e.tags[u] = rec
+}
+
+// allTags yields every registered record: the table's in id order, then
+// the far ones.
+func (e *Engine) allTags(yield func(*tagRec) bool) {
+	for _, rec := range e.tags {
+		if rec != nil && !yield(rec) {
+			return
+		}
+	}
+	for _, rec := range e.farTags {
+		if !yield(rec) {
+			return
+		}
 	}
 }
 
@@ -425,19 +593,19 @@ func (e *Engine) Stats() RunStats { return e.stats }
 
 // RegisterObject declares an object tag. Registering twice is a no-op.
 func (e *Engine) RegisterObject(id model.TagID) {
-	if _, ok := e.tags[id]; ok {
+	if e.tag(id) != nil {
 		return
 	}
-	e.tags[id] = &tagRec{id: id, container: -1, addFloor: epochMax}
+	e.setTag(id, &tagRec{id: id, container: -1, addFloor: epochMax})
 	e.objects = insertSorted(e.objects, id)
 }
 
 // RegisterContainer declares a container tag. Registering twice is a no-op.
 func (e *Engine) RegisterContainer(id model.TagID) {
-	if _, ok := e.tags[id]; ok {
+	if e.tag(id) != nil {
 		return
 	}
-	e.tags[id] = &tagRec{id: id, isContainer: true, container: -1, addFloor: epochMax}
+	e.setTag(id, &tagRec{id: id, isContainer: true, container: -1, addFloor: epochMax})
 	e.containers = insertSorted(e.containers, id)
 	// Registration shifts the dense container indices the flattened
 	// co-occurrence index is keyed by.
@@ -450,7 +618,7 @@ func (e *Engine) RegisterContainer(id model.TagID) {
 // are omitted from the posterior.
 func (e *Engine) RegisterUntaggedContainer(id model.TagID) {
 	e.RegisterContainer(id)
-	e.tags[id].untagged = true
+	e.tag(id).untagged = true
 }
 
 func insertSorted(s []model.TagID, id model.TagID) []model.TagID {
@@ -466,8 +634,8 @@ func insertSorted(s []model.TagID, id model.TagID) []model.TagID {
 
 // Observe records that reader r read tag id at epoch t.
 func (e *Engine) Observe(t model.Epoch, id model.TagID, r model.Loc) error {
-	rec, ok := e.tags[id]
-	if !ok {
+	rec := e.tag(id)
+	if rec == nil {
 		return fmt.Errorf("rfinfer: reading for unregistered tag %d", id)
 	}
 	if r < 0 || int(r) >= e.lik.N() {
@@ -484,8 +652,8 @@ func (e *Engine) Observe(t model.Epoch, id model.TagID, r model.Loc) error {
 
 // ObserveMask records a whole epoch mask for a tag.
 func (e *Engine) ObserveMask(t model.Epoch, id model.TagID, m model.Mask) error {
-	rec, ok := e.tags[id]
-	if !ok {
+	rec := e.tag(id)
+	if rec == nil {
 		return fmt.Errorf("rfinfer: reading for unregistered tag %d", id)
 	}
 	rec.series.AddMask(t, m)
@@ -514,7 +682,7 @@ func (e *Engine) locWindow() int {
 // Container returns the current containment estimate for an object
 // (-1 if unknown or not an object).
 func (e *Engine) Container(id model.TagID) model.TagID {
-	if rec, ok := e.tags[id]; ok && !rec.isContainer {
+	if rec := e.tag(id); rec != nil && !rec.isContainer {
 		return rec.container
 	}
 	return -1
@@ -525,7 +693,7 @@ func (e *Engine) Container(id model.TagID) model.TagID {
 func (e *Engine) Containment() map[model.TagID]model.TagID {
 	out := make(map[model.TagID]model.TagID, len(e.objects))
 	for _, id := range e.objects {
-		out[id] = e.tags[id].container
+		out[id] = e.tag(id).container
 	}
 	return out
 }
@@ -551,7 +719,7 @@ func (e *Engine) Containers() []model.TagID { return e.containers }
 // CriticalRegion returns the object's current critical region (zero window
 // if none found yet).
 func (e *Engine) CriticalRegion(id model.TagID) (from, to model.Epoch) {
-	if rec, ok := e.tags[id]; ok {
+	if rec := e.tag(id); rec != nil {
 		return rec.cr.From, rec.cr.To
 	}
 	return 0, 0

@@ -65,7 +65,7 @@ func (e *Engine) infer(now model.Epoch) RunResult {
 	e.nCRWindows.Store(0)
 	e.nCRRows.Store(0)
 	e.nCRNoHit.Store(0)
-	for _, rec := range e.tags {
+	for rec := range e.allTags {
 		rec.dropped = rec.dropped[:0]
 	}
 	e.buildCandidates()
@@ -123,7 +123,9 @@ func (e *Engine) retire(now model.Epoch) {
 }
 
 // cpVerdict is one object's change-point test, computed in detectChanges'
-// parallel pass and acted on in its object-order pass.
+// parallel pass and acted on in its object-order pass. The verdicts live in
+// Engine.cps, aligned with e.objects, not on the tag record: they are read
+// nowhere else, and every tag of every site pays for what tagRec carries.
 type cpVerdict struct {
 	tested               bool
 	lo                   int // first evidence epoch at or after cpStart
@@ -139,9 +141,10 @@ type cpVerdict struct {
 // afterwards in object order, which fixes the order of detections and Δ
 // samples.
 func (e *Engine) detectChanges(now model.Epoch) []Detection {
+	e.cps = slices.Grow(e.cps[:0], len(e.objects))[:len(e.objects)]
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		rec := e.tags[e.objects[oi]]
-		rec.cp = cpVerdict{}
+		rec := e.tag(e.objects[oi])
+		e.cps[oi] = cpVerdict{}
 		ev := rec.ev
 		if ev == nil || len(ev.cands) == 0 || len(ev.epochs) < 2 {
 			return
@@ -180,13 +183,13 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 		}
 		cp := cpVerdict{tested: true, lo: lo}
 		cp.delta, cp.split, cp.before, cp.after = changepoint.Best(sub, priors)
-		rec.cp = cp
+		e.cps[oi] = cp
 	})
 
 	var out []Detection
-	for _, oid := range e.objects {
-		rec := e.tags[oid]
-		cp := rec.cp
+	for oi, oid := range e.objects {
+		rec := e.tag(oid)
+		cp := e.cps[oi]
 		if !cp.tested {
 			continue
 		}
@@ -265,7 +268,7 @@ func (e *Engine) updateCriticalRegions() {
 	w := e.cfg.CRWindow
 	noCarry := e.noCarry
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		rec := e.tags[e.objects[oi]]
+		rec := e.tag(e.objects[oi])
 		if !noCarry && rec.evSeq != e.runSeq {
 			// Evidence untouched this Run means every search input — the
 			// matrix, the window geometry, the threshold — is bit-identical
@@ -341,7 +344,7 @@ func (e *Engine) truncate(now model.Epoch) {
 
 	if e.cfg.Truncation == TruncateWindow {
 		win := window{From: now - e.cfg.FixedWindow, To: now + 1}
-		for _, rec := range e.tags {
+		for rec := range e.allTags {
 			if carry && seriesAllIn(rec.series, win.From, now) {
 				rec.addFloor = epochMax
 				continue
@@ -363,14 +366,14 @@ func (e *Engine) truncate(now model.Epoch) {
 	// so the zone skip can require the protected windows unchanged.
 	recent := window{From: now - e.cfg.RecentHistory, To: now + 1}
 	for _, cid := range e.containers {
-		rec := e.tags[cid]
+		rec := e.tag(cid)
 		rec.keepWins, rec.prevWins = rec.prevWins[:0], rec.keepWins
 	}
 	for _, oid := range e.objects {
-		rec := e.tags[oid]
+		rec := e.tag(oid)
 		if !rec.cr.empty() {
 			for _, cid := range rec.cands {
-				if crec, ok := e.tags[cid]; ok {
+				if crec := e.tag(cid); crec != nil {
 					crec.keepWins = append(crec.keepWins, rec.cr)
 				}
 			}
@@ -387,7 +390,7 @@ func (e *Engine) truncate(now model.Epoch) {
 		rec.addFloor, rec.trCR = epochMax, rec.cr
 	}
 	for _, cid := range e.containers {
-		rec := e.tags[cid]
+		rec := e.tag(cid)
 		if carry && seriesAllIn(rec.series, recent.From, now) {
 			rec.addFloor = epochMax
 			continue
@@ -441,7 +444,7 @@ func filterSeries(rec *tagRec, recent, cr window, extra []window) {
 // so the memo never changes inference output.
 func (e *Engine) refreshMemo() {
 	e.parallelFor(len(e.containers), containerChunk, func(s *scratch, i int) {
-		rec := e.tags[e.containers[i]]
+		rec := e.tag(e.containers[i])
 		if !rec.postValid {
 			return
 		}
@@ -456,7 +459,7 @@ func (e *Engine) refreshMemo() {
 		members := s.series[:0]
 		members = append(members, rec.series)
 		for _, oid := range rec.group {
-			members = append(members, e.tags[oid].series)
+			members = append(members, e.tag(oid).series)
 		}
 		s.series = members
 
@@ -466,7 +469,7 @@ func (e *Engine) refreshMemo() {
 		stale := s.epochs2[:0]
 		stale = append(stale, rec.dropped...)
 		for _, oid := range rec.group {
-			stale = append(stale, e.tags[oid].dropped...)
+			stale = append(stale, e.tag(oid).dropped...)
 		}
 		s.epochs2 = stale
 		if len(stale) > 1 {
@@ -511,8 +514,11 @@ func (e *Engine) refreshMemo() {
 		}
 		if !ok {
 			// The abort may have landed after compaction writes, so the
-			// content version must move even though the memo is dropped.
+			// content version must move even though the memo is dropped, and
+			// the advantage and rank index must describe the rows as they now
+			// stand for anyone reading them before the recompute.
 			p.ver++
+			p.refreshAdv(e.lik)
 			rec.postValid = false
 			return
 		}

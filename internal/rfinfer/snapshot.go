@@ -97,7 +97,7 @@ func (e *Engine) ExportState() EngineState {
 		Detections: make([]Detection, 0, len(e.detections)),
 	}
 	for _, oid := range e.objects {
-		rec := e.tags[oid]
+		rec := e.tag(oid)
 		os := ObjectState{
 			Collapsed: CollapsedState{
 				Object:        oid,
@@ -123,7 +123,7 @@ func (e *Engine) ExportState() EngineState {
 		st.Objects = append(st.Objects, os)
 	}
 	for _, cid := range e.containers {
-		rec := e.tags[cid]
+		rec := e.tag(cid)
 		p := &rec.post
 		st.Containers = append(st.Containers, ContainerState{
 			ID:       cid,
@@ -152,11 +152,11 @@ func (e *Engine) ImportState(st EngineState) error {
 	for i := range st.Objects {
 		os := &st.Objects[i]
 		oid := os.Collapsed.Object
-		if rec, ok := e.tags[oid]; ok && rec.isContainer {
+		if rec := e.tag(oid); rec != nil && rec.isContainer {
 			return fmt.Errorf("rfinfer: snapshot object %d is registered as a container", oid)
 		}
 		e.RegisterObject(oid)
-		rec := e.tags[oid]
+		rec := e.tag(oid)
 		if os.Collapsed.Container >= 0 {
 			e.RegisterContainer(os.Collapsed.Container)
 		}
@@ -184,11 +184,11 @@ func (e *Engine) ImportState(st EngineState) error {
 	}
 	for i := range st.Containers {
 		cs := &st.Containers[i]
-		if rec, ok := e.tags[cs.ID]; ok && !rec.isContainer {
+		if rec := e.tag(cs.ID); rec != nil && !rec.isContainer {
 			return fmt.Errorf("rfinfer: snapshot container %d is registered as an object", cs.ID)
 		}
 		e.RegisterContainer(cs.ID)
-		rec := e.tags[cs.ID]
+		rec := e.tag(cs.ID)
 		rec.untagged = cs.Untagged
 		rec.series = append(rec.series[:0], e.sanitizeSeries(cs.Series)...)
 		rec.seriesVer++

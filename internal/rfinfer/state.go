@@ -38,8 +38,8 @@ type CRState struct {
 // The weights are the current co-location strengths w_co; the readings they
 // summarize can then be dropped at this site.
 func (e *Engine) ExportCollapsed(oid model.TagID) (CollapsedState, error) {
-	rec, ok := e.tags[oid]
-	if !ok || rec.isContainer {
+	rec := e.tag(oid)
+	if rec == nil || rec.isContainer {
 		return CollapsedState{}, fmt.Errorf("rfinfer: %d is not a registered object", oid)
 	}
 	st := CollapsedState{
@@ -98,12 +98,12 @@ func (e *Engine) ExportCR(oid model.TagID) (CRState, error) {
 	if err != nil {
 		return CRState{}, err
 	}
-	rec := e.tags[oid]
+	rec := e.tag(oid)
 	st := CRState{Collapsed: col, ContHist: make(map[model.TagID]model.Series)}
 	st.CR.From, st.CR.To = rec.cr.From, rec.cr.To
 	st.ObjectHist = rec.series.Clone()
 	for _, cid := range rec.cands {
-		if c, ok := e.tags[cid]; ok {
+		if c := e.tag(cid); c != nil {
 			if s := c.series.Clone(); len(s) > 0 {
 				st.ContHist[cid] = s
 			}
@@ -117,7 +117,7 @@ func (e *Engine) ExportCR(oid model.TagID) (CRState, error) {
 // the weights become prior weights added to locally computed evidence.
 func (e *Engine) ImportCollapsed(st CollapsedState) {
 	e.RegisterObject(st.Object)
-	rec := e.tags[st.Object]
+	rec := e.tag(st.Object)
 	if st.Container >= 0 {
 		// The estimate must reference a registered container: a well-formed
 		// payload always carries it among the candidates, but a corrupt one
@@ -147,7 +147,7 @@ func (e *Engine) ImportCollapsed(st CollapsedState) {
 // which lets local inference re-derive evidence inside CR ∪ H̄ exactly.
 func (e *Engine) ImportCR(st CRState) {
 	e.ImportCollapsed(st.Collapsed)
-	rec := e.tags[st.Collapsed.Object]
+	rec := e.tag(st.Collapsed.Object)
 	rec.series = rec.series.Merge(e.sanitizeSeries(st.ObjectHist))
 	rec.seriesVer++
 	e.noteMutation(rec, rec.series.First())
@@ -161,7 +161,7 @@ func (e *Engine) ImportCR(st CRState) {
 	rec.priorDefault = 0
 	for cid, s := range st.ContHist {
 		e.RegisterContainer(cid)
-		c := e.tags[cid]
+		c := e.tag(cid)
 		c.series = c.series.Merge(e.sanitizeSeries(s))
 		c.seriesVer++
 		e.noteMutation(c, c.series.First())
