@@ -131,15 +131,19 @@ bench-check:
 bench-smoke:
 	$(GO) test -bench 'BenchmarkIngest$$|BenchmarkIngestBatch$$|BenchmarkIngestBin$$|BenchmarkCheckpoint$$' -benchtime 100ms -run XXX ./internal/serve/
 
-# Benchmark-harness smoke: the two workloads that live on the durable path,
-# in the harness's quick mode (tiny world, one repetition, a few seconds).
-# A log-format or start-path change that breaks one of the harness's own
-# checks — every acknowledged event replayed after kill -9, WAL bytes on disk
-# matching the counters, /result DeepEqual the reference including the
-# centralized baseline — fails here rather than at the benchmark gate.
+# Benchmark-harness smoke: all four workloads in the harness's quick mode
+# (tiny world, one repetition, a few seconds each). Every one of them starts
+# daemons on fresh directories — alert_live a standby too — so a log-format
+# or start-path change that breaks one of the harness's own checks — every
+# acknowledged event replayed after kill -9, WAL bytes on disk matching the
+# counters, /result DeepEqual the reference including the centralized
+# baseline, the alert log and SSE transcript — fails here rather than at the
+# benchmark gate.
 bench-quick:
 	$(GO) run ./bench -quick -workload firehose
 	$(GO) run ./bench -quick -workload crash_recover
+	$(GO) run ./bench -quick -workload paper_dense
+	$(GO) run ./bench -quick -workload alert_live
 
 # Recovery smoke: build the real daemon, kill -9 it mid-stream, restart
 # over the same data directory, and require the drained result to match

@@ -274,13 +274,13 @@ func main() {
 // openWorld builds the world the deployment flags describe, and the
 // resolver of its centralized baseline (dist.Cluster.Baseline).
 //
-// A data directory that holds a deployment record must have been written by
-// the same deployment — anything else is refused, naming the difference —
-// and then needs no simulated readings: its log has the real ones, so the
-// world is sim.Layout, a few percent of Generate's cost. A memory-only
-// daemon, -demo (which streams the simulated readings) and a directory
-// without a record (fresh, written by an earlier release, or a standby's
-// mirror) generate in full, and the directory gets its record.
+// Readings arrive from the readers, so no start simulates them except -demo,
+// which streams the deployment's own world: every other start — first,
+// restart, memory-only or standby — builds sim.Layout, a few percent of
+// Generate's cost. A data directory that holds a deployment record must have
+// been written by the same deployment — anything else is refused, naming the
+// difference — and a directory without one (fresh, written by an earlier
+// release, or a standby's mirror) gets its record.
 //
 // The baseline is the one figure derived from the simulated readings, and
 // compressing them costs more than generating them, so it is resolved when a
@@ -288,7 +288,6 @@ func main() {
 // generated for the purpose after a layout-only start — and added to the
 // record, so that no later start pays for it again.
 func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.World, func() int, error) {
-	layout := false // the directory's record vouches for the flags: no readings needed
 	if dataDir != "" {
 		recorded, err := wal.ReadDeployment(dataDir)
 		if err != nil {
@@ -302,9 +301,9 @@ func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.Worl
 			return nil, nil, fmt.Errorf("%s holds another deployment's state (%s): restart with the flags it was created with, or use a fresh -data-dir", dataDir, diff)
 		} else {
 			dep.CentralizedBytes = recorded.CentralizedBytes
-			layout = !needReadings
 		}
 	}
+	layout := !needReadings
 	generate := sim.Generate
 	if layout {
 		generate = sim.Layout

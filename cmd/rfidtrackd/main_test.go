@@ -87,21 +87,31 @@ func numReadings(w *sim.World) int {
 	return n
 }
 
+// generated is the deployment's world with its simulated readings: what
+// the readers stream, and what the reference replay and baseline run over.
+func generated(t *testing.T, dep wal.Deployment) *sim.World {
+	t.Helper()
+	w, err := sim.Generate(dep.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestParentFormatDirectoryUpgrades walks a directory of the previous
 // release through this one: the first start finds no deployment record, so
-// it generates the world in full, replays the per-reading records, and
-// leaves a record behind; finishing the stream yields exactly the
-// uninterrupted reference Result, whose centralized baseline then joins the
-// record; the next start trusts the record — a layout, no simulated
-// readings, the recorded baseline — and serves the same Result; and a start
-// with any deployment flag changed is refused by name.
+// it leaves one behind, builds only the layout and replays the per-reading
+// records; finishing the stream yields exactly the uninterrupted reference
+// Result, whose centralized baseline then joins the record; the next start
+// trusts the record — the recorded baseline — and serves the same Result;
+// and a start with any deployment flag changed is refused by name.
 func TestParentFormatDirectoryUpgrades(t *testing.T) {
 	dep := fixtureDeployment()
 	dir := fixtureDir(t)
 
 	world, srv := start(t, dep, dir)
-	if numReadings(world) == 0 {
-		t.Fatal("first start over a directory without a record built a layout-only world")
+	if n := numReadings(world); n != 0 {
+		t.Fatalf("first start over a directory without a record simulated %d readings", n)
 	}
 	if st := srv.Stats(); st.WAL.Replayed != fixtureLogged || st.WAL.Truncated != 0 || st.Invalid != 0 {
 		t.Fatalf("replayed %d events (%d truncated segments, %d invalid), the fixture logged %d",
@@ -111,13 +121,14 @@ func TestParentFormatDirectoryUpgrades(t *testing.T) {
 		t.Fatalf("after the first start the directory's record is %+v (err %v); want this deployment's, baseline pending", rec, err)
 	}
 
-	ref := dist.NewCluster(world, dist.MigrateWeights, rfinfer.DefaultConfig())
-	ref.Query = dist.ColdChainQuery(world, dep.Interval)
+	full := generated(t, dep)
+	ref := dist.NewCluster(full, dist.MigrateWeights, rfinfer.DefaultConfig())
+	ref.Query = dist.ColdChainQuery(full, dep.Interval)
 	want, err := ref.ReplaySequential(dep.Interval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := serve.WorldEvents(world, ref.Departures())
+	events := serve.WorldEvents(full, ref.Departures())
 	rest := 0
 	for rest < len(events) && events[rest].Time() < fixtureCrash {
 		rest++
@@ -163,20 +174,23 @@ func TestParentFormatDirectoryUpgrades(t *testing.T) {
 
 // TestBaselineAfterCrashBeforeAnyResult covers the restart the benchmark
 // times: the first daemon is killed before anyone asked for a Result, so the
-// record has no baseline yet. The restart is still layout-only, and the
-// first Result regenerates the readings once to compute and record it.
+// record has no baseline yet. Neither start simulates readings, and the
+// first Result generates them once to compute and record the baseline.
 func TestBaselineAfterCrashBeforeAnyResult(t *testing.T) {
 	dep := fixtureDeployment()
 	dir := t.TempDir()
-	full, srv := start(t, dep, dir)
+	world, srv := start(t, dep, dir)
+	if n := numReadings(world); n != 0 {
+		t.Errorf("the first start simulated %d readings", n)
+	}
 	if err := srv.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	world, srv := start(t, dep, dir)
+	world, srv = start(t, dep, dir)
 	if n := numReadings(world); n != 0 {
 		t.Errorf("the restart simulated %d readings", n)
 	}
-	want := dist.CentralizedBaseline(full)
+	want := dist.CentralizedBaseline(generated(t, dep))
 	if got := srv.Result().CentralizedBytes; got != want {
 		t.Errorf("CentralizedBytes after a layout-only restart = %d, want %d", got, want)
 	}
@@ -187,11 +201,39 @@ func TestBaselineAfterCrashBeforeAnyResult(t *testing.T) {
 		t.Errorf("record after that Result: %+v (err %v), want baseline %d", rec, err, want)
 	}
 
-	// A memory-only daemon and -demo always generate in full.
-	if w, _, err := openWorld(dep, "", false); err != nil || numReadings(w) == 0 {
-		t.Errorf("memory-only start: %d readings, err %v", numReadings(w), err)
-	}
+	// -demo streams the simulated readings, so it alone generates in full.
 	if w, _, err := openWorld(dep, dir, true); err != nil || numReadings(w) == 0 {
 		t.Errorf("-demo over a recorded directory: %d readings, err %v", numReadings(w), err)
+	}
+}
+
+// TestMemoryOnlyStartIsLayout: a daemon without a data directory builds the
+// layout too, resolves the same baseline on its first Result, and writes no
+// record anywhere; -demo without a directory still generates in full.
+func TestMemoryOnlyStartIsLayout(t *testing.T) {
+	dep := fixtureDeployment()
+	t.Chdir(t.TempDir()) // a stray record would land in the working directory
+	world, baseline, err := openWorld(dep, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := numReadings(world); n != 0 {
+		t.Errorf("memory-only start simulated %d readings", n)
+	}
+	c := dist.NewCluster(world, dist.MigrateWeights, rfinfer.DefaultConfig())
+	c.Baseline = baseline
+	srv, err := serve.New(c, serve.Config{Interval: dep.Interval, Horizon: world.Epochs, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Abort()
+	if got, want := srv.Result().CentralizedBytes, dist.CentralizedBaseline(generated(t, dep)); got != want {
+		t.Errorf("memory-only CentralizedBytes = %d, want %d", got, want)
+	}
+	if entries, err := os.ReadDir("."); err != nil || len(entries) != 0 {
+		t.Errorf("memory-only start left %d files behind (err %v)", len(entries), err)
+	}
+	if w, _, err := openWorld(dep, "", true); err != nil || numReadings(w) == 0 {
+		t.Errorf("-demo without a data directory: %d readings, err %v", numReadings(w), err)
 	}
 }

@@ -16,9 +16,9 @@ func Generate(cfg Config) (*World, error) { return generate(cfg, true) }
 // Layout returns the deployment Generate(cfg) describes — tags, kinds, read
 // rates, schedule, visits and ground truth — without simulating a single
 // reading: every tag's Readings is empty, everything else is identical. It
-// is what a consumer that receives its readings from elsewhere (a daemon
-// restarting over its write-ahead log) needs of the world, at a few percent
-// of Generate's cost.
+// is what a consumer that receives its readings from elsewhere (the daemon,
+// fed by its readers and its write-ahead log, on every start but -demo)
+// needs of the world, at a few percent of Generate's cost.
 func Layout(cfg Config) (*World, error) { return generate(cfg, false) }
 
 // generate is the one generator behind Generate and Layout. Drawing the

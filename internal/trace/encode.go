@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -88,17 +87,18 @@ func EncodedSize(tr *Trace, tags []model.TagID) int {
 
 // GzipSize returns the gzip-compressed wire size in bytes of the reading
 // stream for the given tags — the Table 5 accounting for the centralized
-// baseline ("all raw data shipped with simple gzip compression").
+// baseline ("all raw data shipped with simple gzip compression"). Only
+// the count is kept, never the compressed stream.
 func GzipSize(tr *Trace, tags []model.TagID) int {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	var cw countWriter
+	zw := gzip.NewWriter(&cw)
 	if err := EncodeReadings(zw, tr, tags); err != nil {
 		return 0
 	}
 	if err := zw.Close(); err != nil {
 		return 0
 	}
-	return buf.Len()
+	return cw.n
 }
 
 type countWriter struct{ n int }
