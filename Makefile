@@ -117,6 +117,18 @@ bench-json:
 # benchmark cycles 12 unequal checkpoints: +-8 %), stays at the default and
 # is the sharper signal. workers=4 oversubscribes a two-core box and the
 # balanced FeedAdvance row is 20 ms of mostly allocation, hence 0.40.
+# FeedAdvance, FeedAdvanceSkewed and IngestDuringCheckpoint recycle one
+# world through the same engines with shifted epochs, so every object
+# comes back to every site again and again. Since storage is given back
+# when truncation frees it (PERFORMANCE.md "Memory follows the live
+# history"), each return allocates the object's tables anew where it
+# used to find the peak-size ones still held: their allocs/op and B/op
+# rose with that change and were re-pinned (worst of four runs), not
+# widened; EngineRun's steady state shrinks and regrows some series each
+# Run for the same reason. That re-pin left every ns/op and readings/s
+# baseline where it was: the change moves no timing gate, and a fresh
+# worst-of-four timing baseline failed MigrationCR at +37 % one run later
+# on the two-core reference box.
 # Regenerate the baselines with `make bench-json` when a change
 # legitimately moves them.
 bench-check:

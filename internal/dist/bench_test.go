@@ -107,7 +107,9 @@ func paperDenseConfig() sim.Config {
 // They are exact counts of a deterministic replay, so any change to what is
 // searched, where a search stops or which epochs it visits moves them. The
 // M-step's evidence columns kept and rescored are pinned alongside: they
-// move if the per-candidate evidence memo keeps or drops anything new.
+// move if the per-candidate evidence memo keeps or drops anything new. The
+// engines' history storage must hold at most 1.5 × what it uses after every
+// checkpoint.
 func TestPaperDenseSearchCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the full paper_dense world")
@@ -135,10 +137,11 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 		}
 	}
 	var searches, windows, rows, noHit, segReused, segComputed int
-	for through := w.Epochs / interval * interval; f.Next() <= through; {
+	for ckpt, through := 1, w.Epochs/interval*interval; f.Next() <= through; ckpt++ {
 		if err := f.Advance(); err != nil {
 			t.Fatal(err)
 		}
+		held, used := 0, 0
 		for _, e := range c.Engines {
 			st := e.Stats()
 			searches += st.CRSearches
@@ -147,6 +150,15 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 			noHit += st.CRSearchesNoHit
 			segReused += st.EvidenceSegmentsReused
 			segComputed += st.EvidenceSegmentsComputed
+			held += st.StorageBytes
+			used += st.StorageUsedBytes
+		}
+		// Storage follows the retained history: objects that departed or
+		// fell silent give back what truncation freed (held ≈ 3.3 × used at
+		// the last checkpoint when tables kept their peak size).
+		if used == 0 || 2*held > 3*used {
+			t.Fatalf("checkpoint %d: history storage holds %d bytes for %d in use, want at most 1.5 ×",
+				ckpt, held, used)
 		}
 	}
 	if _, err := f.Close(); err != nil {

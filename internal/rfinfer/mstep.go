@@ -54,7 +54,7 @@ type objEvidence struct {
 	scorable bool
 
 	// Fast-mode correction table (see above): (len(series)+1)·len(cands)
-	// entries, allocated to exactly that size.
+	// entries, sized by keepGrow's rule.
 	corr []float64
 
 	// Memo stamps, taken at build time: the object's series version, each
@@ -128,11 +128,7 @@ func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
 	ne := len(ev.epochs)
 	ev.scorable = ne > 0
 
-	if cap(ev.evid) < len(cands)*ne {
-		ev.evid = make([]float64, len(cands)*ne)
-	} else {
-		ev.evid = ev.evid[:len(cands)*ne]
-	}
+	ev.evid = keepGrow(ev.evid, 0, len(cands)*ne)[:len(cands)*ne]
 	if cap(ev.totals) < len(cands) {
 		ev.totals = make([]float64, len(cands))
 	} else {
@@ -324,7 +320,7 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 	if k == 0 {
 		ev.cands = ev.cands[:0]
 		ev.postVers = ev.postVers[:0]
-		ev.corr = ev.corr[:0]
+		ev.corr = nil
 		ev.priorSnap = ev.priorSnap[:0]
 		ev.priorDef = rec.priorDefault
 		ev.seriesVer = rec.seriesVer
@@ -391,7 +387,14 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 			}
 		}
 	} else {
-		ev.corr = keepGrow(ev.corr, 0, (m+1)*k)[:(m+1)*k] // in place unless nothing was kept
+		// In place: a kept column already sits where it belongs, so a table
+		// resized here must carry the whole old table with it; with nothing
+		// kept it may start from nothing.
+		keep := 0
+		if reused > 0 {
+			keep = (m + 1) * k
+		}
+		ev.corr = keepGrow(ev.corr, keep, (m+1)*k)[:(m+1)*k]
 	}
 	corr := ev.corr
 	clear(corr[:k])

@@ -45,6 +45,11 @@ type scratch struct {
 	cr      crTable // window table (fast-mode critical-region search)
 	readers []int   // own readings' single readers (M-step)
 
+	// export is the evidence ExportCollapsed recomputes for an object whose
+	// evidence went stale before its departure, kept so a stream of exports
+	// reuses one table instead of building and dropping one each.
+	export objEvidence
+
 	// Candidate pruning (buildCandidates).
 	counts   []int32       // per-container co-occurrence counts
 	scored   []scoredCand  // scored candidates being ranked

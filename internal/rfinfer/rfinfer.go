@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/workpool"
@@ -314,22 +315,20 @@ func (p *posterior) rank(t model.Epoch) int {
 // allocation grows with an epoch read off the wire. Epochs out of order (a
 // corrupt snapshot again) take the same way out.
 func (p *posterior) reindex() {
-	p.idx = p.idx[:0]
-	if len(p.epochs) == 0 {
+	n := 0
+	var lo, span int64
+	if len(p.epochs) > 0 {
+		lo = int64(p.epochs[0])
+		span = int64(p.epochs[len(p.epochs)-1]) - lo + 1
+		if words := (span + 63) >> 6; span > 0 && words <= 4*int64(len(p.epochs))+1024 {
+			n = int(2 * words)
+		}
+	}
+	idx := keepGrow(p.idx, 0, n)[:n]
+	p.idx = idx
+	if n == 0 {
 		return
 	}
-	lo := int64(p.epochs[0])
-	span := int64(p.epochs[len(p.epochs)-1]) - lo + 1
-	words := (span + 63) >> 6
-	if span <= 0 || words > 4*int64(len(p.epochs))+1024 {
-		return
-	}
-	n := int(2 * words)
-	idx := p.idx
-	if cap(idx) < n {
-		idx = make([]uint64, 0, n*5/4+8)
-	}
-	idx = idx[:n]
 	clear(idx)
 	prev := lo - 1
 	for _, t := range p.epochs {
@@ -381,11 +380,7 @@ func (p *posterior) fillCells(lik *model.Likelihood, i int) {
 // posterior reached its state.
 func (p *posterior) refreshAdv(lik *model.Likelihood) {
 	p.reindex()
-	pre := p.prefAdv
-	if cap(pre) < len(p.epochs)+1 {
-		pre = make([]float64, 0, len(p.epochs)*5/4+8)
-	}
-	pre = append(pre[:0], 0)
+	pre := append(keepGrow(p.prefAdv, 0, len(p.epochs)+1), 0)
 	s := 0.0
 	for i, t := range p.epochs {
 		s += p.qBase[i] - lik.UniformBase(t)
@@ -405,23 +400,33 @@ func (p *posterior) advThrough(i int) float64 {
 	return 0
 }
 
-// resize keeps the first keep rows (with their cells) and extends storage
-// to rows total rows.
+// resize keeps the first keep rows (with their cells) and sizes storage for
+// rows total rows.
 func (p *posterior) resize(keep, rows, n int) {
 	p.n = n
-	p.epochs = p.epochs[:keep]
+	p.epochs = keepGrow(p.epochs, keep, rows)
 	p.q = keepGrow(p.q, keep*n, rows*n)
 	p.cells = keepGrow(p.cells, keep*n, rows*n)
 	p.qBase = keepGrow(p.qBase, keep, rows)
 }
 
-// keepGrow returns buf cut to its first keep entries with room for total,
-// reallocating (to exactly total) only when the backing is too small.
-func keepGrow(buf []float64, keep, total int) []float64 {
-	if cap(buf) >= total {
+// keepGrow returns buf cut to its first keep entries with room for total.
+// It is the one sizing rule of every buffer whose need follows a retained
+// history: the backing is reused while total lies between half its capacity
+// and all of it, and otherwise replaced by one of exactly total entries —
+// grown when too small, shrunk when truncation or departure left it more
+// than half empty, released (nil) when nothing is needed. So storage
+// follows the history the record holds now, not the largest it ever held,
+// and a buffer holds at most twice what it uses. A reallocation copies
+// exactly the entries a reslice would have kept, so no value changes.
+func keepGrow[T any](buf []T, keep, total int) []T {
+	if c := cap(buf); total <= c && 2*total >= c {
 		return buf[:keep]
 	}
-	grown := make([]float64, keep, total)
+	if total == 0 {
+		return nil
+	}
+	grown := make([]T, keep, total)
 	copy(grown, buf[:keep])
 	return grown
 }
@@ -463,6 +468,41 @@ type RunStats struct {
 	// CRSearchesNoHit counts the searches that walked the whole retained
 	// history without finding a decisive window.
 	CRSearches, CRWindowsScanned, CRRowsBuilt, CRSearchesNoHit int
+	// StorageBytes is what the per-tag history storage holds after the
+	// Run's truncation — the capacity of every series, evidence table
+	// (correction table, or matrix in matrix mode) and posterior array, in
+	// bytes — and StorageUsedBytes the part of it in use (their lengths).
+	// Every buffer is sized by one rule that keeps it within twice its use
+	// (see keepGrow), so held follows the retained history, not the largest
+	// history a record ever had.
+	StorageBytes, StorageUsedBytes int
+}
+
+// storageSum totals the bytes the per-tag history buffers hold (capacity)
+// and use (length), for RunStats.
+type storageSum struct{ held, used int }
+
+// addBuf counts one buffer into s.
+func addBuf[T any](s *storageSum, buf []T) {
+	size := int(unsafe.Sizeof(*new(T)))
+	s.held += cap(buf) * size
+	s.used += len(buf) * size
+}
+
+// addTag counts rec's series, evidence tables and posterior arrays.
+func (s *storageSum) addTag(rec *tagRec) {
+	addBuf(s, rec.series)
+	if ev := rec.ev; ev != nil {
+		addBuf(s, ev.corr)
+		addBuf(s, ev.evid)
+	}
+	p := &rec.post
+	addBuf(s, p.epochs)
+	addBuf(s, p.q)
+	addBuf(s, p.cells)
+	addBuf(s, p.qBase)
+	addBuf(s, p.prefAdv)
+	addBuf(s, p.idx)
 }
 
 // Engine runs RFINFER over a stream of readings at one site.
@@ -496,6 +536,7 @@ type Engine struct {
 	nSegReused, nSegComputed                        atomic.Int64
 	nGroupsDirty, nGroupsClean                      atomic.Int64
 	nCRSearches, nCRWindows, nCRRows, nCRNoHit      atomic.Int64
+	storage                                         storageSum // summed by truncate
 	stats                                           RunStats
 
 	// Incremental Δ-checkpoint bookkeeping (see incremental.go). dirtyTags

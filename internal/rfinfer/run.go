@@ -116,6 +116,8 @@ func (e *Engine) retire(now model.Epoch) {
 		CRWindowsScanned:         int(e.nCRWindows.Load()),
 		CRRowsBuilt:              int(e.nCRRows.Load()),
 		CRSearchesNoHit:          int(e.nCRNoHit.Load()),
+		StorageBytes:             e.storage.held,
+		StorageUsedBytes:         e.storage.used,
 	}
 	e.closeCheckpoint()
 	e.prevRun = e.lastRun
@@ -247,7 +249,8 @@ func (rec *tagRec) resetSeriesFrom(from model.Epoch) {
 	for _, rd := range s[:lo] {
 		rec.dropped = append(rec.dropped, rd.T)
 	}
-	rec.series = append(s[:0], s[lo:]...)
+	out := append(s[:0], s[lo:]...)
+	rec.series = keepGrow(out, len(out), len(out))
 	rec.seriesVer++
 }
 
@@ -332,9 +335,14 @@ func (e *Engine) updateCriticalRegions() {
 // the invariant of the previous pass plus a scan of the narrow zone the
 // advancing boundary uncovers shows every exposed reading protected (see
 // truncZoneClean). A skipped tag keeps its series version, so the carried
-// memos above stay anchored.
+// memos above stay anchored. The walk also sums every tag's storage, as it
+// leaves it, for RunStats.
 func (e *Engine) truncate(now model.Epoch) {
+	e.storage = storageSum{}
 	if e.cfg.Truncation == TruncateNone {
+		for rec := range e.allTags {
+			e.storage.addTag(rec)
+		}
 		return
 	}
 	carry := !e.noCarry
@@ -345,16 +353,14 @@ func (e *Engine) truncate(now model.Epoch) {
 	if e.cfg.Truncation == TruncateWindow {
 		win := window{From: now - e.cfg.FixedWindow, To: now + 1}
 		for rec := range e.allTags {
-			if carry && seriesAllIn(rec.series, win.From, now) {
-				rec.addFloor = epochMax
-				continue
+			switch {
+			case carry && seriesAllIn(rec.series, win.From, now):
+			case zone && e.truncZoneClean(rec, win.From, now, window{}, nil):
+			default:
+				filterSeries(rec, win, window{}, nil)
 			}
-			if zone && e.truncZoneClean(rec, win.From, now, window{}, nil) {
-				rec.addFloor = epochMax
-				continue
-			}
-			filterSeries(rec, win, window{}, nil)
 			rec.addFloor = epochMax
+			e.storage.addTag(rec)
 		}
 		e.truncValid, e.truncFrom, e.truncNow = true, win.From, now
 		return
@@ -378,37 +384,36 @@ func (e *Engine) truncate(now model.Epoch) {
 				}
 			}
 		}
-		if carry && seriesAllIn(rec.series, recent.From, now) {
-			rec.addFloor, rec.trCR = epochMax, rec.cr
-			continue
+		switch {
+		case carry && seriesAllIn(rec.series, recent.From, now):
+			rec.trCR = rec.cr
+		case zone && rec.cr == rec.trCR && e.truncZoneClean(rec, recent.From, now, rec.cr, nil):
+		default:
+			filterSeries(rec, recent, rec.cr, nil)
+			rec.trCR = rec.cr
 		}
-		if zone && rec.cr == rec.trCR && e.truncZoneClean(rec, recent.From, now, rec.cr, nil) {
-			rec.addFloor = epochMax
-			continue
-		}
-		filterSeries(rec, recent, rec.cr, nil)
-		rec.addFloor, rec.trCR = epochMax, rec.cr
+		rec.addFloor = epochMax
+		e.storage.addTag(rec)
 	}
 	for _, cid := range e.containers {
 		rec := e.tag(cid)
-		if carry && seriesAllIn(rec.series, recent.From, now) {
-			rec.addFloor = epochMax
-			continue
+		switch {
+		case carry && seriesAllIn(rec.series, recent.From, now):
+		case zone && slices.Equal(rec.keepWins, rec.prevWins) &&
+			e.truncZoneClean(rec, recent.From, now, window{}, rec.keepWins):
+		default:
+			filterSeries(rec, recent, window{}, rec.keepWins)
 		}
-		if zone && slices.Equal(rec.keepWins, rec.prevWins) &&
-			e.truncZoneClean(rec, recent.From, now, window{}, rec.keepWins) {
-			rec.addFloor = epochMax
-			continue
-		}
-		filterSeries(rec, recent, window{}, rec.keepWins)
 		rec.addFloor = epochMax
+		e.storage.addTag(rec)
 	}
 	e.truncValid, e.truncFrom, e.truncNow = true, recent.From, now
 }
 
 // filterSeries keeps only readings inside the recent window, the cr window,
 // or any of the extra windows, compacting the series in place and recording
-// every dropped epoch.
+// every dropped epoch. Both lists are then sized by keepGrow's rule, so an
+// emptied series holds nothing.
 func filterSeries(rec *tagRec, recent, cr window, extra []window) {
 	s := rec.series
 	out := s[:0]
@@ -432,14 +437,16 @@ func filterSeries(rec *tagRec, recent, cr window, extra []window) {
 	if len(out) != len(s) {
 		rec.seriesVer++
 	}
-	rec.series = out
+	rec.series = keepGrow(out, len(out), len(out))
+	rec.dropped = keepGrow(rec.dropped, len(rec.dropped), len(rec.dropped))
 }
 
 // refreshMemo re-anchors every container's posterior memo to the truncated
 // history so the next Run can keep reusing it. Rows at epochs no longer in
-// the member epoch union are compacted away; rows at epochs where some
-// member's reading was dropped (the epoch itself survives through another
-// member) are recomputed from the truncated data; everything else is kept.
+// the member epoch union are compacted away (the arrays then sized by
+// keepGrow's rule); rows at epochs where some member's reading was dropped
+// (the epoch itself survives through another member) are recomputed from
+// the truncated data; everything else is kept.
 // The refreshed posterior is bit-identical to recomputing it from scratch,
 // so the memo never changes inference output.
 func (e *Engine) refreshMemo() {
@@ -522,10 +529,10 @@ func (e *Engine) refreshMemo() {
 			rec.postValid = false
 			return
 		}
-		p.epochs = p.epochs[:wi]
-		p.q = p.q[:wi*n]
-		p.cells = p.cells[:wi*n]
-		p.qBase = p.qBase[:wi]
+		p.epochs = keepGrow(p.epochs, wi, wi)
+		p.q = keepGrow(p.q, wi*n, wi*n)
+		p.cells = keepGrow(p.cells, wi*n, wi*n)
+		p.qBase = keepGrow(p.qBase, wi, wi)
 		if recomputed || wi != origLen {
 			p.ver++ // compaction changed content: stale evidence must rebuild
 			p.refreshAdv(e.lik)

@@ -48,21 +48,23 @@ func (e *Engine) ExportCollapsed(oid model.TagID) (CollapsedState, error) {
 		Candidates: append([]model.TagID(nil), rec.cands...),
 		Weights:    make([]float64, len(rec.cands)),
 	}
-	// Export the totals of the latest run, recomputing them (into a
-	// throwaway, so rec.ev stays M-step-owned) only when readings arrived
-	// since. The mode-matching compute keeps exported weights bit-identical
-	// to what the M-step scored.
+	// Export the totals of the latest run, recomputing them (into the
+	// borrowed scratch's evidence, so rec.ev stays M-step-owned) only when
+	// readings arrived since. The mode-matching compute keeps exported
+	// weights bit-identical to what the M-step scored.
 	ev := rec.ev
 	if !e.evidenceCurrent(rec) {
-		var tmp objEvidence
 		s := e.getScratch()
+		defer scratches.Put(s)
+		ev = &s.export
+		// The scratch's last export was another object's (or another
+		// engine's): nothing in it may pass for a kept column.
+		ev.valid = false
 		if e.fullEvidence() {
-			e.computeEvidenceInto(&tmp, rec, s)
+			e.computeEvidenceInto(ev, rec, s)
 		} else {
-			e.computeEvidenceFastInto(&tmp, rec, s)
+			e.computeEvidenceFastInto(ev, rec, s)
 		}
-		scratches.Put(s)
-		ev = &tmp
 	}
 	if ev != nil && len(ev.totals) == len(st.Weights) {
 		copy(st.Weights, ev.totals)

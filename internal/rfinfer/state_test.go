@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"rfidtrack/internal/model"
+	"rfidtrack/internal/sim"
 )
 
 func TestCollapsedRoundTrip(t *testing.T) {
@@ -249,4 +251,122 @@ func TestStateFitsTagMemory(t *testing.T) {
 		t.Errorf("collapsed state %d bytes; must fit 4 KB tag memory with room to spare", buf.Len())
 	}
 	t.Logf("collapsed state with 48 candidates: %d bytes", buf.Len())
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// refExportCollapsed is ExportCollapsed as it was before stale evidence was
+// recomputed into the scratch: into a throwaway objEvidence, scored from
+// nothing. It is the reference the scratch-held build is held against.
+func refExportCollapsed(e *Engine, oid model.TagID) CollapsedState {
+	rec := e.tag(oid)
+	st := CollapsedState{
+		Object:     oid,
+		Container:  rec.container,
+		Candidates: append([]model.TagID(nil), rec.cands...),
+		Weights:    make([]float64, len(rec.cands)),
+	}
+	ev := rec.ev
+	if !e.evidenceCurrent(rec) {
+		var tmp objEvidence
+		s := e.getScratch()
+		if e.fullEvidence() {
+			e.computeEvidenceInto(&tmp, rec, s)
+		} else {
+			e.computeEvidenceFastInto(&tmp, rec, s)
+		}
+		scratches.Put(s)
+		ev = &tmp
+	}
+	if ev != nil && len(ev.totals) == len(st.Weights) {
+		copy(st.Weights, ev.totals)
+		st.DefaultWeight = ev.uniTotal
+	} else {
+		copy(st.Weights, rec.priorW)
+		st.DefaultWeight = rec.priorDefault
+	}
+	if len(st.Weights) > 0 {
+		maxW := slices.Max(st.Weights)
+		for i := range st.Weights {
+			st.Weights[i] -= maxW
+		}
+		st.DefaultWeight -= maxW
+	}
+	return st
+}
+
+// TestStaleExportMatchesThrowaway pins ExportCollapsed's recompute of stale
+// evidence, which builds into an objEvidence held by the borrowed scratch:
+// on the change-heavy warehouse with its straggler burst, in both evidence
+// modes, every object exported between an interval's readings and its Run —
+// most of them stale, one after another through the same scratch — exports
+// weights Float64bits-equal to a build into a throwaway, and a repeated
+// stale export allocates only the two slices it returns.
+func TestStaleExportMatchesThrowaway(t *testing.T) {
+	world := sim.DefaultConfig()
+	world.Epochs = 1500
+	world.ItemsPerCase = 6
+	world.ShelfDwell = 200
+	world.AnomalyEvery = 20
+	feed := newSimFeed(t, world)
+	const interval = 100
+	for _, mode := range []struct {
+		name  string
+		delta float64
+	}{{"fast", 0}, {"matrix", 40}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.RecentHistory = 200
+			cfg.Delta = mode.delta
+			e := feed.engine(cfg)
+			feed.rewind()
+			stale, measured := 0, false
+			for now := model.Epoch(interval); now <= feed.tr.Epochs; now += interval {
+				feed.through(t, now, e)
+				if now == 1300 {
+					injectStragglers(t, now-2*interval, e)
+				}
+				staleID := model.TagID(-1)
+				for _, oid := range e.objects {
+					if rec := e.tag(oid); !e.evidenceCurrent(rec) {
+						stale++
+						if len(rec.cands) >= 2 && len(rec.series) > 0 {
+							staleID = oid
+						}
+					}
+					want := refExportCollapsed(e, oid)
+					got, err := e.ExportCollapsed(oid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := got.Object == want.Object && got.Container == want.Container &&
+						slices.Equal(got.Candidates, want.Candidates) &&
+						math.Float64bits(got.DefaultWeight) == math.Float64bits(want.DefaultWeight) &&
+						len(got.Weights) == len(want.Weights)
+					for i := 0; same && i < len(got.Weights); i++ {
+						same = math.Float64bits(got.Weights[i]) == math.Float64bits(want.Weights[i])
+					}
+					if !same {
+						t.Fatalf("before the Run at %d: object %d exports %+v, throwaway build %+v", now-1, oid, got, want)
+					}
+				}
+				if now == 800 && staleID >= 0 && !raceEnabled {
+					measured = true
+					allocs := testing.AllocsPerRun(20, func() {
+						if _, err := e.ExportCollapsed(staleID); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs > 2 {
+						t.Fatalf("a stale export of object %d allocates %.1f times, want at most 2", staleID, allocs)
+					}
+				}
+				e.Run(now - 1)
+			}
+			if stale == 0 || (!measured && !raceEnabled) {
+				t.Fatal("no export met stale evidence; the test is vacuous")
+			}
+		})
+	}
 }

@@ -92,13 +92,30 @@ func TestGossipUnstallsQuietPeer(t *testing.T) {
 
 	// Live progress: without adoption peer 0 parks at NextCheckpoint 600
 	// forever (its own stream time never passes it); with gossip it seals
-	// through the horizon and the pending weights reach peer 1.
+	// through the horizon and the pending weights reach peer 1. The gossip
+	// view is one more exchange behind the adoption, so the wait covers it
+	// too.
+	gossipView := func() GossipView {
+		t.Helper()
+		var view GossipView
+		resp, err := (&Client{BaseURL: h.urls[0]}).httpClient().Get(h.urls[0] + "/gossip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkStatus(resp, &view); err != nil {
+			t.Fatal(err)
+		}
+		return view
+	}
+	viewCaughtUp := func(view GossipView) bool {
+		return len(view.Entries) > 1 && len(view.AgeMS) > 1 && view.Entries[1].Stream >= 900 && view.AgeMS[1] >= 0
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		quiet := h.srvs[0].Stats()
 		busy := h.srvs[1].Stats()
 		if quiet.NextCheckpoint >= 900 && h.srvs[0].adopted.Load() > 0 &&
-			busy.Peers.MigrationsReceived >= 1 {
+			busy.Peers.MigrationsReceived >= 1 && viewCaughtUp(gossipView()) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -115,13 +132,9 @@ func TestGossipUnstallsQuietPeer(t *testing.T) {
 	// The adoption shows up in the monitoring surface both ways: the
 	// gossip view's row for the busy peer carries its stream time, and a
 	// fresh exchange keeps ages finite.
-	view := GossipView{}
-	resp, err := (&Client{BaseURL: h.urls[0]}).httpClient().Get(h.urls[0] + "/gossip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkStatus(resp, &view); err != nil {
-		t.Fatal(err)
+	view := gossipView()
+	if len(view.Entries) < 2 || len(view.AgeMS) < 2 {
+		t.Fatalf("gossip view has %d entries, %d ages; want a row per peer", len(view.Entries), len(view.AgeMS))
 	}
 	if view.Entries[1].Stream < 900 {
 		t.Errorf("gossip view records peer 1 at stream %d, want >= 900", view.Entries[1].Stream)
