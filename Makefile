@@ -17,7 +17,10 @@ test:
 # per-edge and per-record ingest loops, the per-reading WAL append and the
 # stripe's WAL staging buffer stay deleted. Inference looks its data up
 # directly: the packed correction segments, the critical-region search's
-# re-expansion of them and the hashed tag map stay deleted too.
+# re-expansion of them and the hashed tag map stay deleted too. And it has
+# one path: change-point detection reads the critical-region search's
+# window table, so the evidence-matrix mode (its build, epoch union,
+# candidate-union cache, mode switch and row views) stays deleted.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -28,6 +31,8 @@ vet:
 		|| { echo "the four-cursor critical-region scan or the unindexed co-occurrence flatten is back in internal/rfinfer (see above)"; exit 1; }
 	@! grep -n 'corrT\|corrOff\|corrRow\|corrAt\|map\[model\.TagID\]\*tagRec' internal/rfinfer/*.go | grep -v '_test.go:' \
 		|| { echo "the packed correction segments, their per-search unpacking or the hashed tag map is back in internal/rfinfer (see above)"; exit 1; }
+	@! grep -n 'computeEvidenceInto\|evidenceEpochs\|candU\|fullEvidence\|subViews' internal/rfinfer/*.go | grep -v '_test.go:' \
+		|| { echo "the evidence-matrix mode is back in internal/rfinfer (see above)"; exit 1; }
 	@! grep -n 'applyReadingLocked\|flushWALLocked\|walBuf\|sectionReadings\|readingsBytes\|AppendReading(' internal/serve/*.go internal/wal/*.go \
 		|| { echo "a retired per-record ingest or WAL path is back (see above)"; exit 1; }
 

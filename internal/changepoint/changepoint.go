@@ -12,62 +12,54 @@ import (
 )
 
 // Best computes the change-point statistic Δ_o(T) of Eq 6 for one object
-// from its per-candidate point-evidence matrix.
+// from its per-candidate prefix evidence.
 //
-// evid[k][i] is the point evidence of candidate k at the i-th retained
-// epoch; priors[k] is evidence carried over from before the retained window
-// (collapsed migration weights), attributed to the first segment. Best
-// returns the statistic value, the best split index (a change at
-// epochs[split], with [0,split) explained by one container and [split,n) by
-// another), and the best pre-split and post-split candidate indexes.
+// prefix is an oldest-first (n+1)×k row-major table over the n tested
+// epochs: prefix[i*k+j] is candidate j's evidence summed over everything
+// before the i-th tested epoch, so row 0 holds what precedes the first one
+// (collapsed migration weights, evidence before the last change point),
+// attributed to the first segment, and row n is the candidate's total. Best
+// returns the statistic value, the best split index (a change at the
+// split-th tested epoch, with [0,split) explained by one container and
+// [split,n) by another), and the best pre-split and post-split candidate
+// indexes.
 //
-// Δ is always >= 0: the two-segment hypothesis can always reuse the single
-// best container on both sides.
-func Best(evid [][]float64, priors []float64) (delta float64, split, before, after int) {
-	k := len(evid)
+// Evidence terms common to every candidate at an epoch cancel: they shift
+// both hypotheses alike. Δ is always >= 0: the two-segment hypothesis can
+// always reuse the single best container on both sides.
+func Best(prefix []float64, k int) (delta float64, split, before, after int) {
 	if k == 0 {
 		return 0, 0, -1, -1
 	}
-	n := len(evid[0])
+	n := len(prefix)/k - 1
+	totals := prefix[n*k : (n+1)*k]
 
 	// One-segment likelihood: the best single candidate end to end.
 	oneSeg := math.Inf(-1)
-	totals := make([]float64, k)
-	for j := 0; j < k; j++ {
-		t := priors[j]
-		for i := 0; i < n; i++ {
-			t += evid[j][i]
-		}
-		totals[j] = t
+	for _, t := range totals {
 		if t > oneSeg {
 			oneSeg = t
 		}
 	}
 
-	// Two-segment likelihood: scan every split, tracking the best prefix
-	// incrementally; the best suffix is totals[j] - prefix[j].
-	prefix := make([]float64, k)
-	copy(prefix, priors)
+	// Two-segment likelihood: scan every split; the best suffix is
+	// totals[j] - prefix[j].
 	twoSeg := math.Inf(-1)
 	bestSplit, bestBefore, bestAfter := 0, -1, -1
 	for i := 0; i <= n; i++ {
+		row := prefix[i*k : (i+1)*k]
 		bp, bpj := math.Inf(-1), -1
 		bs, bsj := math.Inf(-1), -1
-		for j := 0; j < k; j++ {
-			if prefix[j] > bp {
-				bp, bpj = prefix[j], j
+		for j, p := range row {
+			if p > bp {
+				bp, bpj = p, j
 			}
-			if s := totals[j] - prefix[j]; s > bs {
+			if s := totals[j] - p; s > bs {
 				bs, bsj = s, j
 			}
 		}
 		if v := bp + bs; v > twoSeg {
 			twoSeg, bestSplit, bestBefore, bestAfter = v, i, bpj, bsj
-		}
-		if i < n {
-			for j := 0; j < k; j++ {
-				prefix[j] += evid[j][i]
-			}
 		}
 	}
 	return twoSeg - oneSeg, bestSplit, bestBefore, bestAfter
@@ -98,24 +90,24 @@ func DefaultThresholdConfig() ThresholdConfig {
 func ChooseThreshold(lik *model.Likelihood, cfg ThresholdConfig) float64 {
 	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0x6a09e667f3bcc909))
 	n := lik.N()
+	k := 1 + cfg.Decoys
 	maxDelta := 0.0
 	for s := 0; s < cfg.Samples; s++ {
 		// True container co-located with the object the whole time; decoys
 		// wander independently (locations i.i.d. uniform per the model).
-		evid := make([][]float64, 1+cfg.Decoys)
-		for k := range evid {
-			evid[k] = make([]float64, cfg.Epochs)
-		}
-		priors := make([]float64, 1+cfg.Decoys)
+		// Row t+1 of the prefix table is row t plus epoch t's evidence; row
+		// 0 (no priors) is zero.
+		prefix := make([]float64, (int(cfg.Epochs)+1)*k)
 
 		lq := make([]float64, n)
 		q := make([]float64, n)
 		for t := model.Epoch(0); t < cfg.Epochs; t++ {
 			trueLoc := model.Loc(rng.IntN(n))
 			omask := sampleMask(rng, lik, t, trueLoc)
-			for k := range evid {
+			prev, row := prefix[int(t)*k:int(t+1)*k], prefix[int(t+1)*k:int(t+2)*k]
+			for j := range row {
 				var cloc model.Loc
-				if k == 0 {
+				if j == 0 {
 					cloc = trueLoc
 				} else {
 					cloc = model.Loc(rng.IntN(n))
@@ -126,14 +118,14 @@ func ChooseThreshold(lik *model.Likelihood, cfg ThresholdConfig) float64 {
 				// matching a converged engine.
 				base := lik.BaseRow(t)
 				gb := 1.0
-				if k == 0 {
+				if j == 0 {
 					gb = 2.0
 				}
 				for a := 0; a < n; a++ {
 					lq[a] = gb * base[a]
 				}
 				addDeltas(lik, lq, cmask)
-				if k == 0 {
+				if j == 0 {
 					addDeltas(lik, lq, omask)
 				}
 				normalize(lq, q)
@@ -141,10 +133,10 @@ func ChooseThreshold(lik *model.Likelihood, cfg ThresholdConfig) float64 {
 				for a := 0; a < n; a++ {
 					ev += q[a] * lik.MaskLogLik(t, omask, model.Loc(a))
 				}
-				evid[k][int(t)] = ev
+				row[j] = prev[j] + ev
 			}
 		}
-		d, _, _, _ := Best(evid, priors)
+		d, _, _, _ := Best(prefix, k)
 		if d > maxDelta {
 			maxDelta = d
 		}

@@ -9,8 +9,31 @@ import (
 	"rfidtrack/internal/model"
 )
 
+// prefixOf lays out a per-candidate point-evidence matrix as Best's prefix
+// table: row 0 the priors, row i+1 row i plus epoch i's evidence.
+func prefixOf(evid [][]float64, priors []float64) ([]float64, int) {
+	k := len(evid)
+	if k == 0 {
+		return nil, 0
+	}
+	n := len(evid[0])
+	prefix := make([]float64, (n+1)*k)
+	copy(prefix, priors)
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			prefix[(i+1)*k+j] = prefix[i*k+j] + evid[j][i]
+		}
+	}
+	return prefix, k
+}
+
+// best is Best over a point-evidence matrix.
+func best(evid [][]float64, priors []float64) (delta float64, split, before, after int) {
+	return Best(prefixOf(evid, priors))
+}
+
 func TestBestNoCandidates(t *testing.T) {
-	d, _, before, after := Best(nil, nil)
+	d, _, before, after := Best(nil, 0)
 	if d != 0 || before != -1 || after != -1 {
 		t.Fatalf("empty input: %v %v %v", d, before, after)
 	}
@@ -23,7 +46,7 @@ func TestBestObviousChange(t *testing.T) {
 		{-10, -10, -10, 0, 0, 0},
 	}
 	priors := []float64{0, 0}
-	d, split, before, after := Best(evid, priors)
+	d, split, before, after := best(evid, priors)
 	if split != 3 || before != 0 || after != 1 {
 		t.Fatalf("split=%d before=%d after=%d", split, before, after)
 	}
@@ -39,7 +62,7 @@ func TestBestNoChange(t *testing.T) {
 		{0, 0, 0, 0},
 		{-5, -5, -5, -5},
 	}
-	d, _, _, after := Best(evid, []float64{0, 0})
+	d, _, _, after := best(evid, []float64{0, 0})
 	if d > 1e-9 {
 		t.Fatalf("delta = %v for stable data", d)
 	}
@@ -55,7 +78,7 @@ func TestBestPriorsShiftSegmentOne(t *testing.T) {
 		{-1, -1, -1, -1},
 		{0, 0, 0, 0},
 	}
-	d, _, before, _ := Best(evid, []float64{10, 0})
+	d, _, before, _ := best(evid, []float64{10, 0})
 	if before != 0 {
 		t.Fatalf("before = %d, want 0 (prior should dominate)", before)
 	}
@@ -82,7 +105,7 @@ func TestBestNonNegativeProperty(t *testing.T) {
 		for j := range priors {
 			priors[j] = rng.NormFloat64() * 5
 		}
-		d, split, _, _ := Best(evid, priors)
+		d, split, _, _ := best(evid, priors)
 		if d < -1e-9 {
 			return false
 		}
@@ -109,7 +132,7 @@ func TestBestMatchesBruteForce(t *testing.T) {
 		}
 		priors := make([]float64, k)
 
-		got, _, _, _ := Best(evid, priors)
+		got, _, _, _ := best(evid, priors)
 
 		oneSeg := math.Inf(-1)
 		for j := 0; j < k; j++ {
@@ -159,6 +182,12 @@ func TestChooseThresholdDeterministic(t *testing.T) {
 	d2 := ChooseThreshold(lik, cfg)
 	if d1 != d2 {
 		t.Fatalf("not deterministic: %v vs %v", d1, d2)
+	}
+	// The value ChooseThreshold returned while Best still read a
+	// per-candidate point-evidence matrix: the prefix table's running sums
+	// are taken in that Best's order, so not one bit may move.
+	if want := math.Float64frombits(0x3fe65da185f3f500); math.Float64bits(d1) != math.Float64bits(want) {
+		t.Fatalf("threshold %v (%#x), want %v (%#x)", d1, math.Float64bits(d1), want, math.Float64bits(want))
 	}
 	if d1 < 0 {
 		t.Fatalf("negative threshold %v", d1)

@@ -39,6 +39,14 @@ func TestClusterScalingGolden(t *testing.T) {
 // own previous output: a cell that moves here is a behaviour change,
 // whatever the equivalence tests say. A nil want row is not compared
 // (Table 4's Time(ms) rows are wall-clock).
+//
+// Three cells have moved since, all when change-point detection moved off
+// its matrix onto the window table: Table 3's δ=20 column at RR 0.8
+// (28.2 → 28.7) and RR 0.9 (11.9 → 12.8), and Table 4's RR 0.8, H̄=300 cell
+// (73.9 → 71.1). After a detection cuts an object's history, the matrix's
+// critical-region search still scanned the pre-reset matrix and could
+// protect a pre-change window; the table search skips that object until
+// the next Run scores what is left.
 func TestPaperArtifactGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -92,15 +100,15 @@ func TestPaperArtifactGoldens(t *testing.T) {
 		{Table3, [][]string{
 			{"0.6", "27.9", "46.5", "50.8", "29.4", "18.8", "18.8", "18.8 (δ=202)"},
 			{"0.7", "39.0", "59.0", "71.0", "78.4", "68.1", "12.9", "73.7 (δ=76)"},
-			{"0.8", "28.2", "85.7", "88.9", "84.6", "82.4", "75.0", "88.9 (δ=50)"},
-			{"0.9", "11.9", "70.8", "80.7", "83.6", "76.0", "73.5", "80.7 (δ=64)"},
+			{"0.8", "28.7", "85.7", "88.9", "84.6", "82.4", "75.0", "88.9 (δ=50)"},
+			{"0.9", "12.8", "70.8", "80.7", "83.6", "76.0", "73.5", "80.7 (δ=64)"},
 		}},
 		{Table4, [][]string{
 			{"0.6", "F-m.(%)", "6.7", "12.9", "12.9", "18.8", "18.8"},
 			nil,
 			{"0.7", "F-m.(%)", "56.5", "62.7", "71.4", "73.7", "72.4"},
 			nil,
-			{"0.8", "F-m.(%)", "73.9", "72.3", "85.2", "88.9", "88.9"},
+			{"0.8", "F-m.(%)", "71.1", "72.3", "85.2", "88.9", "88.9"},
 			nil,
 			{"0.9", "F-m.(%)", "68.1", "69.4", "80.0", "80.7", "80.7"},
 			nil,

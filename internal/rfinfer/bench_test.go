@@ -186,12 +186,12 @@ func BenchmarkMStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCRSearch measures the fast-mode critical-region search over
-// every object of a dense site: 36 containers three to a shelf, 20 objects
-// each, full candidate lists, 600-800 epochs of retained history. One
-// container of each shelf passes a door reader at the end of every
-// interval, so its objects' newest windows are decisive and their searches
-// stop after the first rows; the margin threshold is set where about a
+// BenchmarkCRSearch measures the critical-region search over every object
+// of a dense site: 36 containers three to a shelf, 20 objects each, full
+// candidate lists, 600-800 epochs of retained history. One container of
+// each shelf passes a door reader at the end of every interval, so its
+// objects' newest windows are decisive and their searches stop after the
+// first rows; the margin threshold is set where about a
 // quarter of the searches (the paper_dense share) merge and scan the whole
 // history and find nothing, and the rest hit somewhere in between. The
 // window tables live in worker scratch: 2 allocs/op are the fan-out's
@@ -230,7 +230,7 @@ func BenchmarkCRSearch(b *testing.B) {
 	e.nCRSearches.Store(0)
 	e.nCRWindows.Store(0)
 	e.nCRNoHit.Store(0)
-	e.updateCriticalRegionsOnline()
+	e.updateCriticalRegions()
 	searches, noHit := e.nCRSearches.Load(), e.nCRNoHit.Load()
 	if searches != int64(len(e.objects)) || noHit == 0 || noHit == searches {
 		b.Fatalf("%d searches, %d without a hit: want every object searched and a mix of outcomes", searches, noHit)
@@ -239,7 +239,7 @@ func BenchmarkCRSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.updateCriticalRegionsOnline()
+		e.updateCriticalRegions()
 	}
 	b.ReportMetric(windows, "windows/search")
 }

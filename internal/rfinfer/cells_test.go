@@ -141,8 +141,8 @@ func TestEvidenceTableMatchesDot(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"fast", DefaultConfig()},
-		{"matrix", func() Config { c := DefaultConfig(); c.Delta = 40; return c }()},
+		{"detection-off", DefaultConfig()},
+		{"detection-on", func() Config { c := DefaultConfig(); c.Delta = 40; return c }()},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := mode.cfg

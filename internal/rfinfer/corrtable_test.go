@@ -331,7 +331,7 @@ func TestCorrTableMatchesSegments(t *testing.T) {
 				for _, oid := range restored.objects {
 					rec := restored.tag(oid)
 					var ev objEvidence
-					restored.computeEvidenceFastInto(&ev, rec, s)
+					restored.scoreEvidence(&ev, rec, s)
 					checkCorrTable(t, restored, rec, &ev, "restored")
 					for _, cid := range ev.cands {
 						if p := &restored.tag(cid).post; len(p.epochs) > 0 && p.cellsOrNil() == nil {

@@ -18,8 +18,8 @@ type crRow struct {
 	own int32 // how many of the object's own readings lie at or before t
 }
 
-// crTable is the window table of one critical-region search (fast evidence
-// mode): one row per evidence epoch of the searched object, newest first,
+// crTable is the window table of one critical-region search or change-point
+// test: one row per evidence epoch of the searched object, newest first,
 // built on demand by a backward merge over the candidates' posterior epochs
 // and the object's own readings. Row g holds, per candidate j, the
 // posterior's advantage prefix through T[g] — adv[g*k+j] =
@@ -131,16 +131,23 @@ func (tb *crTable) extend(tLo int64, own model.Series) {
 	}
 }
 
-// updateCriticalRegionsOnline is the critical-region search of the fast
-// evidence mode. rec.ev holds no matrix there, so a window's per-candidate
-// evidence comes from two prefix-sum families: the posterior's
-// object-independent advantage (prefAdv, shared by every object) and the
-// object's own corrections summed by the last M-step (objEvidence.corr).
-// The margin between the best and second-best candidate is invariant to
-// the uniform evidence common to all candidates, so the windowed advantage
-// + correction excess compares exactly like the matrix version's windowed
-// cell sums, and iteration order, window geometry and the early exit mirror
-// the matrix search.
+// updateCriticalRegions runs the history-truncation search of Section 4.1:
+// slide a window of width CRWindow over each object's evidence; whenever
+// the best candidate's windowed evidence exceeds the second best by
+// CRThreshold, the window becomes the object's (most recent) critical
+// region. Only the most recent qualifying window survives, so the search
+// walks the windows newest-first and stops at the first hit — in the stable
+// steady state that touches one window instead of the whole retained
+// history. Objects are independent, so the search fans out over the worker
+// pool.
+//
+// A window's per-candidate evidence comes from two prefix-sum families: the
+// posterior's object-independent advantage (prefAdv, shared by every
+// object) and the object's own corrections summed by the last M-step
+// (objEvidence.corr). The margin between the best and second-best
+// candidate is invariant to the uniform evidence common to all candidates,
+// so the windowed advantage + correction excess compares exactly like
+// windowed sums of the point evidence of Eq 7.
 //
 // The windows are read off a crTable. With g the window's newest row and le
 // the first row left of it (T[le] < T[g] − w; one cursor, shared by all
@@ -166,7 +173,7 @@ func (tb *crTable) extend(tLo int64, own model.Series) {
 // the older history — nothing forms the epoch union up front.
 // TestCRSearchMatchesReference holds the four-cursor search against this
 // one.
-func (e *Engine) updateCriticalRegionsOnline() {
+func (e *Engine) updateCriticalRegions() {
 	w, thr := int64(e.cfg.CRWindow), e.cfg.CRThreshold
 	noCarry := e.noCarry
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
@@ -185,7 +192,11 @@ func (e *Engine) updateCriticalRegionsOnline() {
 		k := len(ev.cands)
 		own := rec.series
 		if len(ev.corr) != (len(own)+1)*k {
-			return // no fast-mode table (nothing scored yet)
+			// No table for this series: a change-point detection just
+			// dropped readings the table still sums. The object keeps the
+			// region detectChanges left it, and the next Run scores and
+			// searches what it still has.
+			return
 		}
 		tb := &s.cr
 		tb.reset(e, ev, own)

@@ -249,8 +249,9 @@ func mergeSeriesEpochs(a []model.Epoch, b model.Series, buf *[]model.Epoch) []mo
 		}
 		return a
 	}
-	// Containment fast path (see mergeEpochs): group members share reader
-	// schedules, so one member's epochs are often already in the union.
+	// Containment fast path: group members share reader schedules, so one
+	// member's epochs are often already in the union, which a read-only walk
+	// detects without copying anything.
 	if len(b) <= len(a) && b[0].T >= a[0] && b[len(b)-1].T <= a[len(a)-1] {
 		i := 0
 		contained := true
@@ -287,56 +288,6 @@ func mergeSeriesEpochs(a []model.Epoch, b model.Series, buf *[]model.Epoch) []mo
 	for ; j < len(b); j++ {
 		out = append(out, b[j].T)
 	}
-	*buf = a[:0]
-	return out
-}
-
-// mergeEpochs is mergeSeriesEpochs over two plain epoch lists, with the
-// same backing-array swap. When b is already contained in a — the common
-// case once a few candidates' posterior epochs have been folded into an
-// evidence union — the containment is detected with a read-only walk and a
-// is returned without copying anything.
-func mergeEpochs(a, b []model.Epoch, buf *[]model.Epoch) []model.Epoch {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append(a, b...)
-	}
-	if len(b) <= len(a) && b[0] >= a[0] && b[len(b)-1] <= a[len(a)-1] {
-		i := 0
-		contained := true
-		for _, t := range b {
-			for i < len(a) && a[i] < t {
-				i++
-			}
-			if i >= len(a) || a[i] != t {
-				contained = false
-				break
-			}
-		}
-		if contained {
-			return a
-		}
-	}
-	out := (*buf)[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	*buf = a[:0]
 	return out
 }

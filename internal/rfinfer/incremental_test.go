@@ -16,8 +16,8 @@ import (
 // produce bit-identical output to a reference engine with them all disabled
 // (noCarry), over randomized bursty workloads — most groups idle at most
 // checkpoints, the incremental path's best case and its most dangerous
-// invalidation surface — across truncation strategies, evidence modes,
-// change-point detection, mid-stream migration imports, and worker counts.
+// invalidation surface — across truncation strategies, change-point
+// detection, mid-stream migration imports, and worker counts.
 func TestIncrementalMatchesFresh(t *testing.T) {
 	lik := testLik(t)
 	cfgs := []struct {

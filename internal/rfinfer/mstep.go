@@ -8,28 +8,27 @@ import (
 
 // objEvidence is what the last M-step pass left behind for one object: its
 // candidates' co-location strengths (totals[k] is w_{c_k,o} of Eq 5,
-// migrated prior weight included) and the per-epoch detail the later phases
-// read. Which detail depends on the engine's evidence mode.
+// migrated prior weight included) and the per-epoch detail that
+// change-point detection and the critical-region search read.
 //
-// Matrix mode (fullEvidence: change-point detection, Δ collection) holds the
-// point-evidence matrix over the union of the object's own read epochs and
-// its candidates' active epochs — row(k)[i] is e_{c_k,o}(epochs[i]) of Eq 7
-// — in one contiguous backing array reused across Runs.
-//
-// Fast mode (the serving default) holds no matrix. A candidate's evidence
+// The detail is a table, not a per-epoch matrix: a candidate's evidence
 // splits into what its posterior already carries for every object (advSum,
 // prefAdv, cells) and the object-specific rest, the corrections: one term
-// per own read epoch the candidate is active at. They are stored as one
-// dense row-major table of their running sums over the object's own
-// readings — with m readings and k candidates, corr[c*k+j] is candidate j's
-// corrections summed over the first c readings, c = 0..m, row 0 all +0.0 —
-// so the critical-region search reads any window's evidence excess off the
-// rows of its two edges, in place, as two subtractions. At a reading where a
-// candidate is inactive its column carries the running sum unchanged.
+// per own read epoch the candidate is active at. They are stored as one dense
+// row-major table of their running sums over the object's own readings —
+// with m readings and k candidates, corr[c*k+j] is candidate j's
+// corrections summed over the first c readings, c = 0..m, row 0 all +0.0.
+// At a reading where a candidate is inactive its column carries the running
+// sum unchanged. Together with the posteriors' prefAdv the table gives any
+// candidate's evidence prefix at any evidence epoch, less the uniform
+// evidence every candidate shares there (crTable): the critical-region
+// search reads a window's excess off the rows of its two edges, and
+// change-point detection reads its prefix view (changepoint.Best) off the
+// rows from the last change point on, both in place.
 //
-// Both modes memoize. The whole object is current while its series version,
-// candidate list, prior weights and every candidate posterior's content
-// version match the stamps below (evidenceCurrent). Fast mode additionally
+// The build memoizes. The whole object is current while its series
+// version, candidate list, prior weights and every candidate posterior's
+// content version match the stamps below (evidenceCurrent). It also
 // memoizes per candidate: a column is a function of (own series, that
 // candidate's posterior) and of nothing else, so while seriesVer stands, a
 // candidate — matched by id, wherever the pruning order now puts it — whose
@@ -37,23 +36,20 @@ import (
 // and only the candidates whose posterior moved are scored again.
 type objEvidence struct {
 	cands  []model.TagID // owned copy (memo compares it against rec.cands)
-	epochs []model.Epoch
-	evid   []float64 // len(cands) rows of len(epochs), row k at k*len(epochs)
 	totals []float64
 	// uniTotal is the score a hypothetical container with no co-location
 	// history would have. It becomes the default prior of the collapsed
 	// state. totals and uniTotal are comparable only against each other:
-	// the full matrix path includes the object's uniform evidence sum in
-	// both, the fast path includes it in neither (a common shift that every
-	// consumer — best-candidate selection, CR margins, normalized migration
-	// exports — is invariant to).
+	// both leave out the object's uniform evidence sum, a common shift that
+	// every consumer — best-candidate selection, CR margins, normalized
+	// migration exports — is invariant to.
 	uniTotal float64
-	// scorable records whether the evidence union was non-empty: an object
-	// with no epochs anywhere has nothing to score and keeps its current
-	// assignment (the fast path has no epochs slice to test).
+	// scorable records whether the object has anything to score: an own
+	// reading or a candidate posterior epoch. One with neither keeps its
+	// current assignment.
 	scorable bool
 
-	// Fast-mode correction table (see above): (len(series)+1)·len(cands)
+	// The correction table (see above): (len(series)+1)·len(cands)
 	// entries, sized by keepGrow's rule.
 	corr []float64
 
@@ -61,188 +57,13 @@ type objEvidence struct {
 	// candidate posterior's content version (aligned with cands), and the
 	// prior weights. Within one Run's EM loop only posterior versions can
 	// move, so later iterations rebuild evidence only for objects whose
-	// candidates' groups actually changed — and, in fast mode, only those
-	// candidates' columns.
+	// candidates' groups actually changed — and only those candidates'
+	// columns.
 	valid     bool
 	seriesVer uint32
 	postVers  []uint32
 	priorSnap []float64
 	priorDef  float64
-}
-
-// row returns candidate k's point-evidence row.
-func (ev *objEvidence) row(k int) []float64 {
-	ne := len(ev.epochs)
-	return ev.evid[k*ne : (k+1)*ne : (k+1)*ne]
-}
-
-// computeEvidence rebuilds rec.ev, the evidence matrix for one object
-// against its candidate containers, using the containers' current
-// posteriors. At epochs where a candidate has no posterior (neither it nor
-// its group was read) the posterior is uniform, so the evidence reduces to
-// precomputed means.
-//
-// The build is column-precompute-then-row-fill: one epoch pass derives the
-// per-epoch uniform evidence and the object's own-observation delta rows,
-// then each candidate row starts as a copy of the uniform vector and only
-// the candidate's active epochs (its posterior epochs, a subset of the
-// union by construction) are overwritten. Inactive cells — the bulk of the
-// matrix — cost a copy instead of a cursor chase, and each row total folds
-// only the active cells over the shared uniform sum.
-func (e *Engine) computeEvidence(rec *tagRec, s *scratch) *objEvidence {
-	if rec.ev == nil {
-		rec.ev = &objEvidence{}
-	}
-	e.computeEvidenceInto(rec.ev, rec, s)
-	return rec.ev
-}
-
-// computeEvidenceInto is computeEvidence targeting an arbitrary matrix
-// (diagnostics compute into a throwaway so rec.ev stays M-step-owned).
-func (e *Engine) computeEvidenceInto(ev *objEvidence, rec *tagRec, s *scratch) {
-	ev.valid = false
-	cands := rec.cands
-	ev.cands = append(ev.cands[:0], cands...)
-	ev.epochs = ev.epochs[:0]
-	ev.totals = ev.totals[:0]
-	ev.postVers = ev.postVers[:0]
-	ev.uniTotal = 0
-	ev.scorable = false
-	if len(cands) == 0 {
-		ev.priorSnap = ev.priorSnap[:0]
-		ev.priorDef = rec.priorDefault
-		ev.seriesVer = rec.seriesVer
-		ev.valid = true
-		return
-	}
-
-	// Hoist the candidate records out of the per-epoch loop: one map lookup
-	// per candidate instead of one per (epoch, candidate) pair.
-	posts := s.postRefs(len(cands))
-	for k, cid := range cands {
-		posts[k] = &e.tag(cid).post
-	}
-
-	epochs := e.evidenceEpochs(&ev.epochs, rec, cands, posts, s)
-	ev.epochs = epochs
-	ne := len(ev.epochs)
-	ev.scorable = ne > 0
-
-	ev.evid = keepGrow(ev.evid, 0, len(cands)*ne)[:len(cands)*ne]
-	if cap(ev.totals) < len(cands) {
-		ev.totals = make([]float64, len(cands))
-	} else {
-		ev.totals = ev.totals[:len(cands)]
-	}
-
-	// Pass 1: per-epoch uniform evidence and the object's own delta rows
-	// (MaskDelta rows are cache-owned and stable, so holding them is safe),
-	// plus the reader behind each single-reader row.
-	uni := s.floats(&s.uni, ne)
-	rows := s.maskRowRefs(ne)
-	readers := s.intBuf(ne)
-	uniSum := 0.0
-	objIdx := 0 // pointer into rec.series
-	for i, t := range ev.epochs {
-		var omask model.Mask
-		for objIdx < len(rec.series) && rec.series[objIdx].T < t {
-			objIdx++
-		}
-		if objIdx < len(rec.series) && rec.series[objIdx].T == t {
-			omask = rec.series[objIdx].Mask
-		}
-		maskRow, maskMean := e.lik.MaskDelta(omask)
-		rows[i], readers[i] = maskRow, singleReader(omask)
-		u := e.lik.UniformBase(t) + maskMean
-		uni[i] = u
-		uniSum += u
-	}
-
-	// Pass 2: per-candidate rows. Every posterior epoch is in the union, so
-	// the walk advances one cursor over ev.epochs and always lands on a
-	// match. The object's own observation adds q·δ: one load from the
-	// posterior's cells for a single-reader mask, the direct dot for a
-	// multi-reader mask or a posterior restored without cells.
-	for k := range cands {
-		post := posts[k]
-		row := ev.evid[k*ne : (k+1)*ne]
-		copy(row, uni)
-		// Hoist the posterior's slice headers out of the cell loop: post is
-		// a pointer, so without this every cell reloads them from memory.
-		pEpochs, pQ, pQBase, pn := post.epochs, post.q, post.qBase, post.n
-		pCells := post.cellsOrNil()
-		active := 0.0 // active-cell evidence in excess of the uniform vector
-		i := 0
-		for j, t := range pEpochs {
-			for epochs[i] < t {
-				i++
-			}
-			v := pQBase[j]
-			if maskRow := rows[i]; maskRow != nil {
-				if r := readers[i]; r >= 0 && pCells != nil {
-					v += pCells[j*pn+r]
-				} else {
-					v += dot(pQ[j*pn:(j+1)*pn], maskRow)
-				}
-			}
-			row[i] = v
-			active += v - uni[i]
-		}
-		ev.totals[k] = uniSum + active + rec.priorW[k]
-	}
-	ev.uniTotal = uniSum + rec.priorDefault
-
-	// Stamp the memo.
-	ev.seriesVer = rec.seriesVer
-	for k := range cands {
-		ev.postVers = append(ev.postVers, posts[k].ver)
-	}
-	ev.priorSnap = append(ev.priorSnap[:0], rec.priorW...)
-	ev.priorDef = rec.priorDefault
-	ev.valid = true
-}
-
-// evidenceEpochs builds the union of the object's read epochs and its
-// candidates' active epochs into *dst — the columns of the matrix-mode
-// evidence (the fast mode never forms the union: its totals need none and
-// its critical-region search merges the epochs it visits as it goes). Every
-// input list is already sorted, so the union is a chain of linear merges.
-// Objects of one group share their candidate set (in varying per-object
-// score order), so the candidates' combined epoch list is cached in the
-// worker's scratch under an order-insensitive key and reused until the
-// engine, the set or any posterior version changes; the object's own epochs
-// (usually already contained) then merge in one walk.
-func (e *Engine) evidenceEpochs(dst *[]model.Epoch, rec *tagRec, cands []model.TagID, posts []*posterior, s *scratch) []model.Epoch {
-	key := append(s.candUScr[:0], cands...)
-	slices.Sort(key)
-	s.candUScr = key
-	hit := s.candUEng == e && slices.Equal(s.candUKey, key)
-	if hit {
-		for k, cid := range key {
-			if s.candUVers[k] != e.tag(cid).post.ver {
-				hit = false
-				break
-			}
-		}
-	}
-	if !hit {
-		u := s.epochs[:0]
-		for _, p := range posts {
-			u = mergeEpochs(u, p.epochs, &s.epochsBuf)
-		}
-		s.epochs = u
-		s.candU = append(s.candU[:0], u...)
-		s.candUEng = e
-		s.candUKey = append(s.candUKey[:0], key...)
-		s.candUVers = s.candUVers[:0]
-		for _, cid := range key {
-			s.candUVers = append(s.candUVers, e.tag(cid).post.ver)
-		}
-	}
-	epochs := append((*dst)[:0], s.candU...)
-	epochs = mergeSeriesEpochs(epochs, rec.series, &s.epochsBuf)
-	*dst = epochs
-	return epochs
 }
 
 // singleReader returns the reader behind a single-reader mask, or -1 for an
@@ -263,9 +84,9 @@ func (p *posterior) cellsOrNil() []float64 {
 	return p.cells
 }
 
-// computeEvidenceFastInto rescores an object's candidates without
-// materializing the evidence matrix, and reports how many candidates kept
-// their correction column from the previous build. Each total decomposes as
+// scoreEvidence rescores an object's candidates into ev and reports how
+// many candidates kept their correction column from the previous build.
+// Each total decomposes as
 //
 //	w_o(c_k) = U_o + advSum_k + Σ_{t ∈ own ∩ active_k} (q_k(t)·δ(mask_t) − maskMean_t) + priorW_k
 //
@@ -274,9 +95,9 @@ func (p *posterior) cellsOrNil() []float64 {
 // candidate posterior's cached object-independent advantage, and the sum —
 // candidate k's corrections — runs over the object's own read epochs only.
 // All consumers of totals are invariant to the common shift U_o
-// (best-candidate selection and CR margins compare candidates; migration
-// exports normalize by the max), so the fast path drops it and the union —
-// the expensive merge — is never formed.
+// (best-candidate selection, CR margins and change-point splits compare
+// candidates; migration exports normalize by the max), so the build drops
+// it and the union — the expensive merge — is never formed.
 //
 // Nothing in the sum is arithmetic the object has to do itself any more,
 // and nothing in finding its terms is a search. The row of an own epoch in
@@ -301,7 +122,7 @@ func (p *posterior) cellsOrNil() []float64 {
 // several. Otherwise they are permuted row by row: through a one-row
 // temporary while the count is unchanged, from a copy of the old table when
 // it changed.
-func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratch) (reused int) {
+func (e *Engine) scoreEvidence(ev *objEvidence, rec *tagRec, s *scratch) (reused int) {
 	cands := rec.cands
 	own := rec.series
 	k, m := len(cands), len(own)
@@ -312,8 +133,6 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 		oldCands = nil
 	}
 	ev.valid = false
-	ev.epochs = ev.epochs[:0]
-	ev.evid = ev.evid[:0]
 	ev.totals = ev.totals[:0]
 	ev.uniTotal = 0
 	ev.scorable = false
@@ -456,7 +275,7 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 	}
 	ev.scorable = scorable
 
-	// Stamp the memo (same stamps as the matrix path).
+	// Stamp the memo.
 	ev.cands = append(ev.cands[:0], cands...)
 	ev.postVers = ev.postVers[:0]
 	for j := range cands {
@@ -469,23 +288,8 @@ func (e *Engine) computeEvidenceFastInto(ev *objEvidence, rec *tagRec, s *scratc
 	return reused
 }
 
-// computeEvidenceFast is computeEvidenceFastInto targeting rec.ev.
-func (e *Engine) computeEvidenceFast(rec *tagRec, s *scratch) (reused int) {
-	if rec.ev == nil {
-		rec.ev = &objEvidence{}
-	}
-	return e.computeEvidenceFastInto(rec.ev, rec, s)
-}
-
-// fullEvidence reports whether the M-step must materialize full evidence
-// matrices: change-point detection and Δ collection consume per-epoch
-// rows. The serving default (Delta 0, no collection) needs only the totals
-// and CR margins, which the fast path and the on-the-fly critical-region
-// search derive without ever building a matrix.
-func (e *Engine) fullEvidence() bool { return e.cfg.Delta > 0 || e.cfg.CollectDeltas }
-
-// evidenceCurrent reports whether rec.ev is still exact: every input the
-// matrix was computed from (series, candidates, priors, candidate
+// evidenceCurrent reports whether rec.ev is still exact: every input it
+// was computed from (series, candidates, priors, candidate
 // posteriors) is unchanged since then.
 func (e *Engine) evidenceCurrent(rec *tagRec) bool {
 	ev := rec.ev
@@ -527,7 +331,6 @@ func bestCandidate(ev *objEvidence) int {
 // changed. The per-object evidence stays in rec.ev for change-point
 // detection and critical-region search.
 func (e *Engine) mStep() bool {
-	full := e.fullEvidence()
 	noCarry := e.noCarry
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, i int) {
 		rec := e.tag(e.objects[i])
@@ -537,12 +340,10 @@ func (e *Engine) mStep() bool {
 		if e.evidenceCurrent(rec) {
 			e.nEvSkipped.Add(1)
 		} else {
-			reused := 0
-			if full {
-				e.computeEvidence(rec, s)
-			} else {
-				reused = e.computeEvidenceFast(rec, s)
+			if rec.ev == nil {
+				rec.ev = &objEvidence{}
 			}
+			reused := e.scoreEvidence(rec.ev, rec, s)
 			rec.evSeq = e.runSeq
 			e.nEvComputed.Add(1)
 			e.nSegReused.Add(int64(reused))
@@ -584,27 +385,50 @@ func (e *Engine) rebuildGroups() {
 }
 
 // EvidenceSeries exposes an object's point evidence of co-location against
-// each candidate container (Eq 7), recomputed from the current posteriors.
-// It is the diagnostic behind Figure 4: cumulative evidence is the running
-// sum of each row. The slices are freshly allocated.
+// each candidate container (Eq 7) at every evidence epoch, oldest first,
+// recomputed from the current posteriors. It is the diagnostic behind
+// Figure 4: cumulative evidence is the running sum of each row. A point is
+// the step between consecutive rows of the window table the critical-region
+// search reads, plus the uniform evidence the table leaves out (the epoch's
+// uniform base and the mean of the object's own mask there). The slices are
+// freshly allocated.
 func (e *Engine) EvidenceSeries(oid model.TagID) (cands []model.TagID, epochs []model.Epoch, point [][]float64) {
 	rec := e.tag(oid)
 	if rec == nil || rec.isContainer {
 		return nil, nil, nil
 	}
-	// Compute into a throwaway matrix: rec.ev is M-step-owned, and in fast
-	// mode it deliberately holds no rows — a diagnostic query must not swap
-	// a full matrix (with differently associated totals) into its place.
-	var tmp objEvidence
+	// Score into a throwaway: rec.ev is M-step-owned.
+	var ev objEvidence
 	s := e.getScratch()
-	e.computeEvidenceInto(&tmp, rec, s)
-	scratches.Put(s)
-	ev := &tmp
-	point = make([][]float64, len(ev.cands))
-	for k := range point {
-		point[k] = append([]float64(nil), ev.row(k)...)
+	defer scratches.Put(s)
+	e.scoreEvidence(&ev, rec, s)
+	k, own := len(ev.cands), rec.series
+	tb, n := &s.cr, 0
+	if k > 0 {
+		tb.reset(e, &ev, own)
+		tb.extend(crExhausted, own) // everything, down to the closing row
+		n = len(tb.rows) - 1
 	}
-	return append([]model.TagID(nil), ev.cands...),
-		append([]model.Epoch(nil), ev.epochs...),
-		point
+	epochs = make([]model.Epoch, n)
+	point = make([][]float64, k)
+	for j := range point {
+		point[j] = make([]float64, n)
+	}
+	for i := range epochs {
+		g := n - 1 - i // the table is newest first; row g+1 is the one before
+		row, prev := tb.rows[g], tb.rows[g+1]
+		t := model.Epoch(row.t)
+		epochs[i] = t
+		u := e.lik.UniformBase(t)
+		if c := row.own; c > 0 && own[c-1].T == t {
+			_, mean := e.lik.MaskDelta(own[c-1].Mask)
+			u += mean
+		}
+		advG, advP := tb.adv[g*k:(g+1)*k], tb.adv[(g+1)*k:(g+2)*k]
+		corrG, corrP := ev.corr[int(row.own)*k:][:k], ev.corr[int(prev.own)*k:][:k]
+		for j := range point {
+			point[j][i] = ((advG[j] - advP[j]) + (corrG[j] - corrP[j])) + u
+		}
+	}
+	return append([]model.TagID(nil), ev.cands...), epochs, point
 }

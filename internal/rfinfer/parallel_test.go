@@ -153,8 +153,9 @@ func changeConfig() Config {
 // 1000 epochs later: same tag ids, and — the scenario being identical up to
 // the shift — the same posterior versions at every step, but no epoch in
 // common. That is what catches scratch state leaking between engines: a
-// candidate-union cache keyed on ids and versions alone hits across them
-// and hands one engine the other's epochs.
+// worker-scratch cache keyed on ids and versions alone would hit across
+// them and hand one engine the other's epochs. The threshold is set, so
+// every Run also runs change-point detection on the window table.
 func TestParallelEquivalence(t *testing.T) {
 	lik := testLik(t)
 	const seed = 7

@@ -17,32 +17,18 @@ type scratch struct {
 	epochsBuf []model.Epoch  // merge double buffer (swaps with union targets)
 	epochs2   []model.Epoch  // dropped-epoch merge (memo refresh)
 	series    []model.Series // member series gathered for one container
-	prefix    []float64      // running window sums (matrix-mode critical-region search)
 	posts     []*posterior   // hoisted candidate posteriors (M-step)
-	uni       []float64      // per-epoch uniform evidence (M-step)
-	maskRows  [][]float64    // per-epoch own-observation delta rows (M-step)
+	uni       []float64      // own readings' mask means (M-step)
+	maskRows  [][]float64    // own readings' delta rows (M-step)
 
-	// Candidate-union cache (matrix-mode M-step): the merged posterior epochs
-	// of the last candidate set processed, keyed by the sorted set and the
-	// posterior versions it was built from. Objects of one group share
-	// candidates (in per-object score order), so consecutive objects hit.
-	// Scratch outlives any one engine's phase, and tag ids and posterior
-	// versions collide across engines, so the owning engine is part of the
-	// key.
-	candU     []model.Epoch
-	candUEng  *Engine
-	candUKey  []model.TagID // sorted
-	candUVers []uint32      // aligned with candUKey
-	candUScr  []model.TagID // sort scratch for the probe key
-
-	// Correction-table layout (fast M-step): each candidate's column in the
+	// Correction-table layout (M-step): each candidate's column in the
 	// previous build, and the old rows kept columns are permuted from — one
 	// row while the candidate count stands, the whole old table when it
 	// changed.
 	corrSrc []int
 	corrOld []float64
 
-	cr      crTable // window table (fast-mode critical-region search)
+	cr      crTable // window table (critical-region search, change-point test)
 	readers []int   // own readings' single readers (M-step)
 
 	// export is the evidence ExportCollapsed recomputes for an object whose
@@ -56,9 +42,9 @@ type scratch struct {
 	oldCands []model.TagID // the object's previous candidate list ...
 	oldPrior []float64     // ... and its migrated weights
 
-	// Change-point detection (detectChanges).
-	subViews [][]float64 // per-candidate evidence rows past the last change
-	priorBuf []float64   // priors with the clipped evidence folded in
+	// cpPrefix is the prefix view one change-point test hands
+	// changepoint.Best (detectChanges).
+	cpPrefix []float64
 }
 
 // intBuf returns a length-n int buffer backed by s.readers. Contents are
@@ -131,9 +117,8 @@ func (e *Engine) getScratch() *scratch {
 // How many consecutive items a worker claims at a time. Objects are many
 // and cheap, and consecutive objects of one group share a candidate set, so
 // they go in runs long enough to meet in the same posteriors' cache lines
-// (and, in matrix mode, in one scratch's candidate-union cache) yet short
-// enough that a few expensive ones cannot unbalance a phase. Containers are
-// few and each carries a whole group's history.
+// yet short enough that a few expensive ones cannot unbalance a phase.
+// Containers are few and each carries a whole group's history.
 const (
 	objectChunk    = 8
 	containerChunk = 1

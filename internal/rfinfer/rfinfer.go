@@ -65,15 +65,21 @@ type Config struct {
 	// CRThreshold is the heuristic margin between the best and second-best
 	// candidate's windowed evidence required to declare a critical region.
 	CRThreshold float64
-	// Delta is the change-point threshold δ; <= 0 disables change-point
-	// detection. Use changepoint.ChooseThreshold for the offline value.
+	// Delta is the change-point threshold δ: a Run reassigns an object and
+	// drops its pre-change history when its statistic Δ (Eq 6) reaches it.
+	// <= 0 disables change-point detection. Use changepoint.ChooseThreshold
+	// (or a Δ sample from CollectDeltas) for the offline value. Detection
+	// reads the evidence the M-step and the critical-region search already
+	// keep: setting Delta adds one test per object with fresh readings and
+	// selects no other code path.
 	Delta float64
 	// LocEpochs is how many recent active epochs a location read-off
 	// aggregates (3 by default); see posterior.locateAt.
 	LocEpochs int
-	// CollectDeltas records every computed Δ statistic (without acting on
-	// it unless Delta is also set). Used to calibrate δ offline on
-	// change-free simulated traces.
+	// CollectDeltas runs the change-point test even while Delta is off and
+	// records every Δ statistic it computes (acting on none unless Delta is
+	// also set). Used to calibrate δ offline on change-free simulated
+	// traces.
 	CollectDeltas bool
 	// Workers sizes the private worker pool a stand-alone engine fans its
 	// phases out on (candidate pruning, E-step, M-step, change-point
@@ -132,7 +138,7 @@ type tagRec struct {
 	series   model.Series
 	// seriesVer counts series mutations (observations, truncation, history
 	// resets, state imports): the cheap change signal behind the M-step's
-	// whole-matrix evidence memo.
+	// evidence memo.
 	seriesVer uint32
 
 	// Object state.
@@ -145,7 +151,7 @@ type tagRec struct {
 	container    model.TagID
 	cpStart      model.Epoch  // change-point search starts here (A.2)
 	cr           window       // critical region
-	ev           *objEvidence // point-evidence matrix, reused across Runs
+	ev           *objEvidence // M-step evidence, reused across Runs
 	bestK        int          // best candidate index from the last M-step pass
 	// dropped lists the epochs whose readings this Run's truncation (or
 	// change-point history reset) removed, sorted ascending. The memo
@@ -235,7 +241,7 @@ type posterior struct {
 	// there. It is the bulk of any unread object's co-location total against
 	// this container, shared by every object that lists it as a candidate,
 	// and is refreshed whenever the posterior content changes (see
-	// computeEvidenceFastInto). prefAdv is its prefix-sum form —
+	// scoreEvidence). prefAdv is its prefix-sum form —
 	// prefAdv[i+1] sums the first i+1 active epochs, prefAdv[0] = 0,
 	// advSum = prefAdv[len(epochs)] — which lets the critical-region search
 	// take any epoch range of the advantage as one subtraction.
@@ -441,11 +447,10 @@ type RunStats struct {
 	// Run inside recomputed containers; RowsComputed counts rows evaluated
 	// from scratch.
 	RowsReused, RowsComputed int
-	// EvidenceComputed counts objects whose evidence matrix the M-step
-	// rebuilt; EvidenceSkipped counts objects served whole from the
-	// evidence memo (unchanged series, candidates, priors and candidate
-	// posteriors). Later EM iterations of a converging Run skip almost
-	// every object.
+	// EvidenceComputed counts objects whose evidence the M-step rebuilt;
+	// EvidenceSkipped counts objects served whole from the evidence memo
+	// (unchanged series, candidates, priors and candidate posteriors).
+	// Later EM iterations of a converging Run skip almost every object.
 	EvidenceComputed, EvidenceSkipped int
 	// EvidenceSegmentsReused counts, inside the rebuilt objects, the
 	// candidates whose correction column was kept verbatim because their
@@ -459,19 +464,19 @@ type RunStats struct {
 	// recomputed on their first E-step visit of the Run; GroupsClean counts
 	// groups carried forward whole from the previous checkpoint.
 	DirtyTags, GroupsDirty, GroupsClean int
-	// CRSearches counts the objects whose critical region was searched (fast
-	// evidence mode; objects whose evidence stood carry their region
-	// forward unsearched). CRWindowsScanned counts the window positions those
-	// searches evaluated, newest first up to and including a hit;
+	// CRSearches counts the objects whose critical region was searched
+	// (objects whose evidence stood carry their region forward unsearched).
+	// CRWindowsScanned counts the window positions those searches
+	// evaluated, newest first up to and including a hit;
 	// CRRowsBuilt counts the evidence epochs merged into their window tables
 	// — the windows scanned plus one window width of look-behind;
 	// CRSearchesNoHit counts the searches that walked the whole retained
 	// history without finding a decisive window.
 	CRSearches, CRWindowsScanned, CRRowsBuilt, CRSearchesNoHit int
 	// StorageBytes is what the per-tag history storage holds after the
-	// Run's truncation — the capacity of every series, evidence table
-	// (correction table, or matrix in matrix mode) and posterior array, in
-	// bytes — and StorageUsedBytes the part of it in use (their lengths).
+	// Run's truncation — the capacity of every series, correction table and
+	// posterior array, in bytes — and StorageUsedBytes the part of it in use
+	// (their lengths).
 	// Every buffer is sized by one rule that keeps it within twice its use
 	// (see keepGrow), so held follows the retained history, not the largest
 	// history a record ever had.
@@ -494,7 +499,6 @@ func (s *storageSum) addTag(rec *tagRec) {
 	addBuf(s, rec.series)
 	if ev := rec.ev; ev != nil {
 		addBuf(s, ev.corr)
-		addBuf(s, ev.evid)
 	}
 	p := &rec.post
 	addBuf(s, p.epochs)

@@ -47,6 +47,19 @@ func (e *Engine) Run(now model.Epoch) RunResult {
 // resets), so what each phase read can still be inspected before retire
 // truncates it.
 func (e *Engine) infer(now model.Epoch) RunResult {
+	iters := e.estimate(now)
+	var changes []Detection
+	if e.cfg.Delta > 0 || e.cfg.CollectDeltas {
+		changes = e.detectChanges(now)
+	}
+	e.updateCriticalRegions()
+	return RunResult{Iterations: iters, Changes: changes}
+}
+
+// estimate opens the Run: it resets the Run's counters, prunes candidates
+// and runs the EM loop, leaving every object's evidence in rec.ev. It
+// returns the number of EM iterations.
+func (e *Engine) estimate(now model.Epoch) int {
 	if now > e.now {
 		e.now = now
 	}
@@ -83,13 +96,7 @@ func (e *Engine) infer(now model.Epoch) RunResult {
 		}
 	}
 	e.iters = iters
-
-	var changes []Detection
-	if e.cfg.Delta > 0 || e.cfg.CollectDeltas {
-		changes = e.detectChanges(now)
-	}
-	e.updateCriticalRegions()
-	return RunResult{Iterations: iters, Changes: changes}
+	return iters
 }
 
 // retire is the second half of Run: it truncates the history the critical
@@ -130,61 +137,60 @@ func (e *Engine) retire(now model.Epoch) {
 // nowhere else, and every tag of every site pays for what tagRec carries.
 type cpVerdict struct {
 	tested               bool
-	lo                   int // first evidence epoch at or after cpStart
 	delta                float64
 	split, before, after int
+	at                   model.Epoch // the tested epoch at split, or the Run's epoch past the last
 }
 
 // detectChanges runs change-point detection (Section 3.3 / Appendix A.2)
-// for every object using the point evidence computed by the last M-step.
-// On detection the object is reassigned to the post-change container, its
-// pre-change history is disregarded, and the detection is recorded. The
-// tests are independent per object and fan out; their verdicts are applied
-// afterwards in object order, which fixes the order of detections and Δ
-// samples.
+// for every object over the evidence the last M-step left. On detection the
+// object is reassigned to the post-change container, its pre-change history
+// is disregarded, and the detection is recorded. The tests are independent
+// per object and fan out; their verdicts are applied afterwards in object
+// order, which fixes the order of detections and Δ samples.
+//
+// The test reads the critical-region search's window table (crTable),
+// merged back to the last detected change point: its rows at or after
+// cpStart are the tested epochs, and the one row before them carries the
+// evidence before cpStart, which goes to the first segment along with the
+// migrated priors. Each row is every candidate's evidence prefix less the
+// uniform evidence the candidates share at each epoch; that term shifts the
+// one- and two-segment hypotheses alike and cancels in Δ.
 func (e *Engine) detectChanges(now model.Epoch) []Detection {
 	e.cps = slices.Grow(e.cps[:0], len(e.objects))[:len(e.objects)]
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
 		rec := e.tag(e.objects[oi])
 		e.cps[oi] = cpVerdict{}
 		ev := rec.ev
-		if ev == nil || len(ev.cands) == 0 || len(ev.epochs) < 2 {
-			return
-		}
 		// Only objects with fresh evidence can yield a new change point;
 		// re-testing stale history would re-report old splits (an object
 		// that left the site keeps its record until state migration).
-		if rec.series.Last() <= e.lastRun {
+		if ev == nil || len(ev.cands) == 0 || rec.series.Last() <= e.lastRun {
 			return
 		}
-		// Restrict to epochs at or after the last detected change point.
-		lo := sort.Search(len(ev.epochs), func(i int) bool { return ev.epochs[i] >= rec.cpStart })
-		if len(ev.epochs)-lo < 2 {
+		k, own := len(ev.cands), rec.series
+		tb := &s.cr
+		tb.reset(e, ev, own)
+		tb.extend(int64(rec.cpStart), own)
+		n := len(tb.rows) - 1 // the last row is the one before cpStart
+		if n < 2 {
 			return
 		}
-		if cap(s.subViews) < len(ev.cands) {
-			s.subViews = make([][]float64, len(ev.cands))
-		}
-		sub := s.subViews[:len(ev.cands)]
-		for k := range sub {
-			sub[k] = ev.row(k)[lo:]
-		}
-		priors := rec.priorW
-		if lo > 0 {
-			// Pre-window evidence is already folded into the totals of the
-			// clipped region's candidates via priors only when nothing was
-			// clipped; otherwise attribute clipped evidence to segment one.
-			priors = s.floats(&s.priorBuf, len(ev.cands))
-			for k := range priors {
-				priors[k] = rec.priorW[k]
-				row := ev.row(k)
-				for i := 0; i < lo; i++ {
-					priors[k] += row[i]
-				}
+		// Best's prefix view is oldest first: row i is table row n-i.
+		prefix := s.floats(&s.cpPrefix, (n+1)*k)
+		for i := 0; i <= n; i++ {
+			g := n - i
+			adv, corr := tb.adv[g*k:(g+1)*k], ev.corr[int(tb.rows[g].own)*k:][:k]
+			row := prefix[i*k : (i+1)*k]
+			for j := range row {
+				row[j] = adv[j] + corr[j] + rec.priorW[j]
 			}
 		}
-		cp := cpVerdict{tested: true, lo: lo}
-		cp.delta, cp.split, cp.before, cp.after = changepoint.Best(sub, priors)
+		cp := cpVerdict{tested: true, at: now}
+		cp.delta, cp.split, cp.before, cp.after = changepoint.Best(prefix, k)
+		if cp.split < n {
+			cp.at = model.Epoch(tb.rows[n-1-cp.split].t)
+		}
 		e.cps[oi] = cp
 	})
 
@@ -195,7 +201,6 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 		if !cp.tested {
 			continue
 		}
-		ev := rec.ev
 		if e.cfg.CollectDeltas {
 			e.deltaSamples = append(e.deltaSamples, DeltaSample{Object: oid, Delta: cp.delta})
 		}
@@ -207,15 +212,10 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 		if cp.before == cp.after {
 			continue
 		}
-		var at model.Epoch
-		if cp.split < len(ev.epochs)-cp.lo {
-			at = ev.epochs[cp.lo+cp.split]
-		} else {
-			at = now
-		}
+		ev := rec.ev
 		d := Detection{
 			Object:       oid,
-			At:           at,
+			At:           cp.at,
 			DetectedAt:   now,
 			NewContainer: ev.cands[cp.after],
 			Delta:        cp.delta,
@@ -226,12 +226,10 @@ func (e *Engine) detectChanges(now model.Epoch) []Detection {
 		// Adopt the post-change container and disregard pre-change history
 		// in all subsequent change-point calls.
 		rec.container = ev.cands[cp.after]
-		rec.cpStart = at
-		for k := range rec.priorW {
-			rec.priorW[k] = 0
-		}
-		rec.resetSeriesFrom(at)
-		if rec.cr.To <= at {
+		rec.cpStart = cp.at
+		clear(rec.priorW)
+		rec.resetSeriesFrom(cp.at)
+		if rec.cr.To <= cp.at {
 			rec.cr = window{}
 		}
 	}
@@ -252,80 +250,6 @@ func (rec *tagRec) resetSeriesFrom(from model.Epoch) {
 	out := append(s[:0], s[lo:]...)
 	rec.series = keepGrow(out, len(out), len(out))
 	rec.seriesVer++
-}
-
-// updateCriticalRegions runs the history-truncation search of Section 4.1:
-// slide a window of width CRWindow over each object's evidence; whenever
-// the best candidate's windowed evidence exceeds the second best by
-// CRThreshold, the window becomes the object's (most recent) critical
-// region. Only the most recent qualifying window survives, so the search
-// walks the windows newest-first with running sums and stops at the first
-// hit — in the stable steady state that touches one window instead of the
-// whole retained history. Objects are independent, so the search fans out
-// over the worker pool.
-func (e *Engine) updateCriticalRegions() {
-	if !e.fullEvidence() {
-		e.updateCriticalRegionsOnline()
-		return
-	}
-	w := e.cfg.CRWindow
-	noCarry := e.noCarry
-	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
-		rec := e.tag(e.objects[oi])
-		if !noCarry && rec.evSeq != e.runSeq {
-			// Evidence untouched this Run means every search input — the
-			// matrix, the window geometry, the threshold — is bit-identical
-			// to the previous Run's search, whose verdict is already in
-			// rec.cr (the search writes only on a hit). Carry it forward.
-			return
-		}
-		ev := rec.ev
-		if ev == nil || len(ev.cands) < 2 || len(ev.epochs) == 0 {
-			return
-		}
-		n := len(ev.epochs)
-		k := len(ev.cands)
-		// Running windowed sums per candidate. Walking hi from newest to
-		// oldest, the window [lo, hi] only ever loses elements on the right
-		// and gains them on the left, so every evidence point enters and
-		// leaves each sum at most once — O(k·n) worst case, O(k·window) when
-		// the newest window already qualifies.
-		sums := s.floats(&s.prefix, k)
-		for j := range sums {
-			sums[j] = 0
-		}
-		lo, hiPrev := n, n-1 // window [lo, hiPrev] currently folded into sums
-		for hi := n - 1; hi >= 0; hi-- {
-			t := ev.epochs[hi]
-			// Drop epochs newer than hi from the right edge.
-			for hiPrev > hi {
-				for j := 0; j < k; j++ {
-					sums[j] -= ev.row(j)[hiPrev]
-				}
-				hiPrev--
-			}
-			// Extend the left edge down to the first epoch >= t-w.
-			for lo > 0 && ev.epochs[lo-1] >= t-w {
-				lo--
-				for j := 0; j < k; j++ {
-					sums[j] += ev.row(j)[lo]
-				}
-			}
-			best, second := -1e308, -1e308
-			for j := 0; j < k; j++ {
-				if sums[j] > best {
-					second = best
-					best = sums[j]
-				} else if sums[j] > second {
-					second = sums[j]
-				}
-			}
-			if best-second >= e.cfg.CRThreshold {
-				rec.cr = window{From: ev.epochs[lo], To: t + 1}
-				return
-			}
-		}
-	})
 }
 
 // truncate drops readings that the configured strategy no longer needs,

@@ -50,8 +50,8 @@ func (e *Engine) ExportCollapsed(oid model.TagID) (CollapsedState, error) {
 	}
 	// Export the totals of the latest run, recomputing them (into the
 	// borrowed scratch's evidence, so rec.ev stays M-step-owned) only when
-	// readings arrived since. The mode-matching compute keeps exported
-	// weights bit-identical to what the M-step scored.
+	// readings arrived since. The M-step's own build keeps exported weights
+	// bit-identical to what it scored.
 	ev := rec.ev
 	if !e.evidenceCurrent(rec) {
 		s := e.getScratch()
@@ -60,11 +60,7 @@ func (e *Engine) ExportCollapsed(oid model.TagID) (CollapsedState, error) {
 		// The scratch's last export was another object's (or another
 		// engine's): nothing in it may pass for a kept column.
 		ev.valid = false
-		if e.fullEvidence() {
-			e.computeEvidenceInto(ev, rec, s)
-		} else {
-			e.computeEvidenceFastInto(ev, rec, s)
-		}
+		e.scoreEvidence(ev, rec, s)
 	}
 	if ev != nil && len(ev.totals) == len(st.Weights) {
 		copy(st.Weights, ev.totals)

@@ -271,11 +271,7 @@ func refExportCollapsed(e *Engine, oid model.TagID) CollapsedState {
 	if !e.evidenceCurrent(rec) {
 		var tmp objEvidence
 		s := e.getScratch()
-		if e.fullEvidence() {
-			e.computeEvidenceInto(&tmp, rec, s)
-		} else {
-			e.computeEvidenceFastInto(&tmp, rec, s)
-		}
+		e.scoreEvidence(&tmp, rec, s)
 		scratches.Put(s)
 		ev = &tmp
 	}
@@ -298,8 +294,8 @@ func refExportCollapsed(e *Engine, oid model.TagID) CollapsedState {
 
 // TestStaleExportMatchesThrowaway pins ExportCollapsed's recompute of stale
 // evidence, which builds into an objEvidence held by the borrowed scratch:
-// on the change-heavy warehouse with its straggler burst, in both evidence
-// modes, every object exported between an interval's readings and its Run —
+// on the change-heavy warehouse with its straggler burst, with change-point
+// detection off and on, every object exported between an interval's readings and its Run —
 // most of them stale, one after another through the same scratch — exports
 // weights Float64bits-equal to a build into a throwaway, and a repeated
 // stale export allocates only the two slices it returns.
@@ -314,7 +310,7 @@ func TestStaleExportMatchesThrowaway(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
 		delta float64
-	}{{"fast", 0}, {"matrix", 40}} {
+	}{{"detection-off", 0}, {"detection-on", 40}} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.RecentHistory = 200
