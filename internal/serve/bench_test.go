@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"slices"
@@ -83,6 +84,35 @@ func BenchmarkIngest(b *testing.B) {
 	if st := srv.Stats(); st.Invalid != 0 {
 		b.Fatalf("bench stream counted %d invalid (last: %s)", st.Invalid, st.LastInvalid)
 	}
+}
+
+// BenchmarkReadEvents measures the JSON front door's decode alone: one
+// canonical 512-event body, as WriteEvents writes it and POST /ingest
+// receives it, through ReadEvents per op. Canonical lines take the
+// in-place scanner, so allocs/op does not grow with the body.
+func BenchmarkReadEvents(b *testing.B) {
+	const bodyEvents = 512
+	events := WorldEvents(benchWorld(b), nil)[:bodyEvents]
+	var body bytes.Buffer
+	if err := WriteEvents(&body, events); err != nil {
+		b.Fatal(err)
+	}
+	var rd bytes.Reader
+	n := 0
+	emit := func(Event) error { n++; return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body.Bytes())
+		if bad, err := ReadEvents(&rd, emit); err != nil || bad != 0 {
+			b.Fatalf("ReadEvents: %d bad lines, %v", bad, err)
+		}
+	}
+	b.StopTimer()
+	if n != b.N*bodyEvents {
+		b.Fatalf("decoded %d events, want %d", n, b.N*bodyEvents)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
 }
 
 // BenchmarkIngestBatch measures the site-addressed fast path: one lock

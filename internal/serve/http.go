@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"rfidtrack/internal/dist"
@@ -73,19 +74,29 @@ type IngestResponse struct {
 	BadLines int `json:"bad_lines"`
 }
 
+// ingestBatches recycles handleIngest's event batches across requests.
+var ingestBatches = sync.Pool{New: func() any {
+	b := make([]Event, 0, ingestBatch)
+	return &b
+}}
+
 // handleIngest streams the request body's JSON lines into the ingest
 // shards in bounded batches. A full stripe blocks the request — HTTP
 // clients see backpressure as latency, never as data loss. The body must
 // declare application/x-ndjson, the same stance /ingest/batch and
 // /ingest/bin take: a producer posting another codec here would otherwise
 // have every line silently counted bad, which masks the misconfiguration.
+// A request that fails part-way still reports what it queued before the
+// failure next to the error, so a producer can tell that part landed.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !contentTypeIs(r, "application/x-ndjson") {
 		s.reject415(w, r, "application/x-ndjson")
 		return
 	}
 	var resp IngestResponse
-	batch := make([]Event, 0, ingestBatch)
+	pooled := ingestBatches.Get().(*[]Event)
+	defer ingestBatches.Put(pooled)
+	batch := (*pooled)[:0]
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -95,7 +106,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Queued += len(batch)
 		// Ingest buckets synchronously and does not retain the slice, so
-		// the one backing array serves the whole request.
+		// the one backing array serves the whole request and the next.
 		batch = batch[:0]
 		return nil
 	}
@@ -115,7 +126,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		writeJSON(w, status, struct {
+			Error string `json:"error"`
+			IngestResponse
+		}{err.Error(), resp})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, resp)

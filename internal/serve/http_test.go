@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"rfidtrack/internal/dist"
@@ -290,6 +293,42 @@ func TestReadEventsOversizedLine(t *testing.T) {
 	}
 	if len(got) == 2 && (got[0].T != 1 || got[1].T != 4) {
 		t.Errorf("decoded wrong events: %+v", got)
+	}
+}
+
+// TestIngestFailureReportsQueued checks that a POST /ingest whose body
+// fails after a flush still reports what it queued: 600 valid lines then
+// a read error must answer 400 with the first 512-event batch counted.
+func TestIngestFailureReportsQueued(t *testing.T) {
+	w := testWorld(t)
+	c := dist.NewCluster(w, dist.MigrateNone, rfinfer.DefaultConfig())
+	srv, err := New(c, Config{Interval: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	var body bytes.Buffer
+	if err := WriteEvents(&body, WorldEvents(w, nil)[:600]); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/ingest", io.MultiReader(&body, iotest.ErrReader(errors.New("connection reset"))))
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+
+	var reply struct {
+		Error string `json:"error"`
+		IngestResponse
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || reply.Queued != ingestBatch || reply.BadLines != 0 || !strings.Contains(reply.Error, "connection reset") {
+		t.Errorf("status %d, reply %+v; want 400, queued %d, 0 bad lines and the read error", rec.Code, reply, ingestBatch)
+	}
+	if st := srv.Stats(); st.Shards[0].Received+st.Shards[1].Received+st.Shards[2].Received != ingestBatch {
+		t.Errorf("shards received %+v, want %d in total", st.Shards, ingestBatch)
 	}
 }
 

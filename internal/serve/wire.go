@@ -10,7 +10,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"sync"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
@@ -109,12 +111,28 @@ func WriteEvents(w io.Writer, events []Event) error {
 // stream, not a bigger buffer.
 const maxLineBytes = 1 << 16
 
+// lineReaders recycles ReadEvents' 64 KB line buffers, so a POST /ingest
+// does not allocate and zero a fresh one per request.
+var lineReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxLineBytes) }}
+
 // ReadEvents decodes a JSON-lines stream, calling emit for every decoded
 // event. It returns the number of lines that failed to parse; a malformed
 // or over-long line is skipped, not fatal, so one corrupt reader cannot
 // stall the feed.
+//
+// A canonical line — one object whose keys are Event's exact tag names in
+// any order, "type" "reading" or "depart", every number an unsigned
+// decimal integer, JSON whitespace anywhere between tokens; what
+// WriteEvents writes — is scanned in place without reflection or
+// allocation. Every other line goes through encoding/json, so any line
+// yields the same event, or the same bad-line count, either way.
 func ReadEvents(r io.Reader, emit func(Event) error) (badLines int, err error) {
-	br := bufio.NewReaderSize(r, maxLineBytes)
+	br := lineReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil) // the pool must not keep the request body alive
+		lineReaders.Put(br)
+	}()
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
@@ -138,8 +156,11 @@ func ReadEvents(r io.Reader, emit func(Event) error) (badLines int, err error) {
 		line = bytes.TrimSuffix(line, []byte{'\n'})
 		line = bytes.TrimSuffix(line, []byte{'\r'})
 		if len(line) > 0 {
-			var e Event
-			if json.Unmarshal(line, &e) != nil || (e.Type != TypeReading && e.Type != TypeDepart) {
+			e, ok := decodeEvent(line)
+			if !ok {
+				e, ok = unmarshalEvent(line)
+			}
+			if !ok {
 				badLines++
 			} else if err := emit(e); err != nil {
 				return badLines, err
@@ -149,4 +170,146 @@ func ReadEvents(r io.Reader, emit func(Event) error) (badLines int, err error) {
 			return badLines, nil
 		}
 	}
+}
+
+// unmarshalEvent decodes one line through encoding/json: the path for
+// every line decodeEvent declines.
+func unmarshalEvent(line []byte) (Event, bool) {
+	var e Event
+	if json.Unmarshal(line, &e) != nil || (e.Type != TypeReading && e.Type != TypeDepart) {
+		return Event{}, false
+	}
+	return e, true
+}
+
+// decodeEvent scans one canonical event line (see ReadEvents) in place.
+// It declines — ok false — anything it does not fully understand: escapes,
+// non-ASCII bytes, unknown or case-variant keys, null, signs, fractions,
+// exponents, leading zeros, more than 18 digits, a value that overflows
+// its field, a missing type and trailing bytes. A declined line is not
+// necessarily malformed; the caller hands it to encoding/json. Whatever it
+// accepts, encoding/json decodes to the same Event, repeated keys
+// included (last wins).
+func decodeEvent(line []byte) (Event, bool) {
+	var e Event
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] != '{' {
+		return Event{}, false
+	}
+	for {
+		i = skipSpace(line, i+1)
+		key, j, ok := scanWord(line, i)
+		if !ok {
+			return Event{}, false
+		}
+		i = skipSpace(line, j)
+		if i == len(line) || line[i] != ':' {
+			return Event{}, false
+		}
+		i = skipSpace(line, i+1)
+		if string(key) == "type" {
+			var v []byte
+			if v, i, ok = scanWord(line, i); !ok {
+				return Event{}, false
+			}
+			switch string(v) {
+			case TypeReading:
+				e.Type = TypeReading
+			case TypeDepart:
+				e.Type = TypeDepart
+			default:
+				return Event{}, false
+			}
+		} else {
+			var n uint64
+			if n, i, ok = scanUint(line, i); !ok {
+				return Event{}, false
+			}
+			switch string(key) {
+			case "site":
+				e.Site, ok = int(n), n <= math.MaxInt
+			case "from":
+				e.From, ok = int(n), n <= math.MaxInt
+			case "to":
+				e.To, ok = int(n), n <= math.MaxInt
+			case "mask":
+				e.Mask = model.Mask(n) // 18 digits always fit
+			case "t":
+				e.T, ok = model.Epoch(n), n <= math.MaxInt32
+			case "at":
+				e.At, ok = model.Epoch(n), n <= math.MaxInt32
+			case "tag":
+				e.Tag, ok = model.TagID(n), n <= math.MaxInt32
+			case "object":
+				e.Object, ok = model.TagID(n), n <= math.MaxInt32
+			default:
+				ok = false
+			}
+			if !ok {
+				return Event{}, false
+			}
+		}
+		i = skipSpace(line, i)
+		if i == len(line) {
+			return Event{}, false
+		}
+		if line[i] == '}' {
+			break
+		}
+		if line[i] != ',' {
+			return Event{}, false
+		}
+	}
+	if skipSpace(line, i+1) != len(line) || e.Type == "" {
+		return Event{}, false
+	}
+	return e, true
+}
+
+// skipSpace returns the index of the first non-whitespace byte of line at
+// or after i.
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\n' || line[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanWord reads a JSON string of lowercase ASCII letters starting at
+// line[i] and returns its contents and the index past its closing quote;
+// any other byte inside the quotes declines it.
+func scanWord(line []byte, i int) (word []byte, next int, ok bool) {
+	if i == len(line) || line[i] != '"' {
+		return nil, 0, false
+	}
+	start := i + 1
+	for j := start; j < len(line); j++ {
+		switch c := line[j]; {
+		case c == '"':
+			return line[start:j], j + 1, true
+		case c < 'a' || c > 'z':
+			return nil, 0, false
+		}
+	}
+	return nil, 0, false
+}
+
+// maxScanDigits bounds scanUint's integers below 10^18, so they never
+// overflow a uint64 (or an int64).
+const maxScanDigits = 18
+
+// scanUint reads an unsigned decimal integer without a leading zero
+// starting at line[i] and returns it and the index past its last digit.
+func scanUint(line []byte, i int) (n uint64, next int, ok bool) {
+	j := i
+	for ; j < len(line) && line[j] >= '0' && line[j] <= '9'; j++ {
+		if j-i == maxScanDigits {
+			return 0, 0, false
+		}
+		n = n*10 + uint64(line[j]-'0')
+	}
+	if j == i || (line[i] == '0' && j-i > 1) {
+		return 0, 0, false
+	}
+	return n, j, true
 }
