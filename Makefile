@@ -20,7 +20,10 @@ test:
 # re-expansion of them and the hashed tag map stay deleted too. And it has
 # one path: change-point detection reads the critical-region search's
 # window table, so the evidence-matrix mode (its build, epoch union,
-# candidate-union cache, mode switch and row views) stays deleted.
+# candidate-union cache, mode switch and row views) stays deleted. The
+# three network frames (RFB1, RFM1, RFS1) share one envelope: only
+# internal/stream/envelope.go checks a magic, a length or a CRC, and the
+# JSON /ingest/batch front door and the second RFB1 encoder stay deleted.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -35,6 +38,10 @@ vet:
 		|| { echo "the evidence-matrix mode is back in internal/rfinfer (see above)"; exit 1; }
 	@! grep -n 'applyReadingLocked\|flushWALLocked\|walBuf\|sectionReadings\|readingsBytes\|AppendReading(' internal/serve/*.go internal/wal/*.go \
 		|| { echo "a retired per-record ingest or WAL path is back (see above)"; exit 1; }
+	@! grep -n 'crc32\.' internal/stream/frame.go internal/stream/migframe.go internal/stream/replframe.go \
+		|| { echo "a network frame codec checks its own CRC; the envelope in internal/stream/envelope.go owns it (see above)"; exit 1; }
+	@! grep -rn --include='*.go' 'handleIngestBatch\|BatchRequest\|AppendBatchFrame' . \
+		|| { echo "the retired /ingest/batch front door or the second RFB1 encoder is back (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it
@@ -44,17 +51,17 @@ race:
 	$(GO) test -race ./internal/workpool/... ./internal/rfinfer/... ./internal/dist/... ./internal/query/... ./internal/serve/...
 
 # Short fuzz sessions over the wire decoders (80 s total budget): migrated
-# state bytes, write-ahead-log frames, binary ingest frames and peer
-# migration frames must never panic a receiver, and a corrupt WAL tail or
-# frame must be refused cleanly instead of decoding garbage; a JSON ingest
-# body must decode to exactly what encoding/json decodes it to.
+# state bytes, write-ahead-log records and the three network frames
+# (RFB1 ingest, RFM1 migration, RFS1 WAL shipping — one target over all
+# three, so it gets their combined 30 s) must never panic a receiver, and
+# a corrupt WAL tail or frame must be refused cleanly instead of decoding
+# garbage; a JSON ingest body must decode to exactly what encoding/json
+# decodes it to.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeCR' -fuzztime 10s ./internal/rfinfer/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeWALRecord' -fuzztime 10s ./internal/stream/
-	$(GO) test -run XXX -fuzz 'FuzzDecodeBatchFrame' -fuzztime 10s ./internal/stream/
-	$(GO) test -run XXX -fuzz 'FuzzDecodeMigrationFrame' -fuzztime 10s ./internal/stream/
-	$(GO) test -run XXX -fuzz 'FuzzDecodeReplicationFrame' -fuzztime 10s ./internal/stream/
+	$(GO) test -run XXX -fuzz 'FuzzDecodeFrame$$' -fuzztime 30s ./internal/stream/
 	$(GO) test -run XXX -fuzz 'FuzzParseSubscriptionFilter' -fuzztime 10s ./internal/serve/
 	$(GO) test -run XXX -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/serve/
 

@@ -7,8 +7,8 @@
 // world's readings and departures are streamed to the daemon's /ingest
 // endpoint as JSON lines, in stream-time order, optionally rate-limited.
 // With -per-site it emulates the real edge topology: one concurrent
-// producer per site posting that site's readings through the
-// /ingest/batch fast path, departures in-band over /ingest — start the
+// producer per site posting that site's readings as binary RFB1 frames
+// over /ingest/bin, departures in-band over /ingest — start the
 // daemon with -watermark to absorb the cross-producer skew this creates.
 //
 // -retry turns either streaming mode into the kill/restart chaos client:
@@ -66,8 +66,8 @@ func main() {
 		siteMap  = flag.String("site-map", "", "cluster mode: comma-separated site->peer assignment matching the daemons' -site-map (default: contiguous blocks)")
 		rate     = flag.Float64("rate", 0, "events per second to stream (0 = as fast as the daemon accepts)")
 		batch    = flag.Int("batch", 512, "events per ingest request when streaming")
-		perSite  = flag.Bool("per-site", false, "stream each site concurrently over /ingest/batch (set -watermark on the daemon to absorb producer skew)")
-		bin      = flag.Bool("bin", false, "ship readings over the binary /ingest/bin frame codec instead of JSON (departures still ride /ingest)")
+		perSite  = flag.Bool("per-site", false, "stream each site concurrently as binary frames over /ingest/bin (set -watermark on the daemon to absorb producer skew)")
+		bin      = flag.Bool("bin", false, "ship readings over the binary /ingest/bin frame codec instead of JSON (departures still ride /ingest; -per-site always does)")
 		skew     = flag.Int("skew", 300, "per-site mode: max stream-time lead (epochs) of any producer over the slowest; keep at or below the daemon's -watermark")
 		drain    = flag.Bool("drain", true, "POST /drain after streaming so the daemon finishes the trailing interval")
 		retry    = flag.Duration("retry", 0, "chaos mode: re-send failed posts with backoff for this long (covers a daemon kill -9 + restart); 0 fails fast")
@@ -124,7 +124,7 @@ func main() {
 		if strings.Contains(*serveURL, ",") {
 			err = streamWorldCluster(*serveURL, *siteMap, w, *rate, *batch, *drain, *retry)
 		} else if *perSite {
-			err = streamWorldPerSite(*serveURL, w, *rate, *batch, model.Epoch(*skew), *drain, *retry, *bin)
+			err = streamWorldPerSite(*serveURL, w, *rate, *batch, model.Epoch(*skew), *drain, *retry)
 		} else {
 			err = streamWorld(*serveURL, w, *rate, *batch, *drain, *retry, *bin)
 		}
@@ -205,7 +205,7 @@ func followAlerts(baseURL, filterSpec string) (stop func()) {
 
 // streamWorldPerSite is the sharded load-generator mode: one concurrent
 // producer per site ships that site's readings in stream-time order
-// through the /ingest/batch fast path, while the main goroutine delivers
+// as binary frames over /ingest/bin, while the main goroutine delivers
 // the global departure stream over /ingest. This exercises the daemon the
 // way real edge readers would — independent per-site streams with skew —
 // so the daemon needs a watermark to avoid counting stragglers late.
@@ -213,7 +213,7 @@ func followAlerts(baseURL, filterSpec string) (stop func()) {
 // so producers self-pace: none runs more than skew epochs of stream time
 // ahead of the slowest, keeping the skew inside what the daemon's
 // watermark absorbs.
-func streamWorldPerSite(baseURL string, w *sim.World, rate float64, batchSize int, skew model.Epoch, drain bool, retry time.Duration, bin bool) error {
+func streamWorldPerSite(baseURL string, w *sim.World, rate float64, batchSize int, skew model.Epoch, drain bool, retry time.Duration) error {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -294,11 +294,7 @@ func streamWorldPerSite(baseURL string, w *sim.World, rate float64, batchSize in
 					time.Sleep(time.Millisecond)
 				}
 				if err := postRetry(retry, func() error {
-					if bin {
-						_, err := client.IngestBin(s, stream[i:end])
-						return err
-					}
-					_, err := client.IngestBatch(s, stream[i:end])
+					_, err := client.IngestBin(s, stream[i:end])
 					return err
 				}); err != nil {
 					errs[s] = err

@@ -24,8 +24,9 @@ import (
 var binBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // handleIngestBin reads one binary batch frame (Content-Type
-// application/octet-stream, same 8MB bound as /ingest/batch) and runs it
-// through IngestFrame.
+// application/octet-stream, at most stream.MaxFrameBytes) and runs it
+// through IngestFrame. The body must be exactly one frame: trailing bytes
+// refuse the whole request, and nothing of it is ingested.
 func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	if !contentTypeIs(r, "application/octet-stream") {
 		s.reject415(w, r, "application/octet-stream")
@@ -34,7 +35,7 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	buf := binBodies.Get().(*bytes.Buffer)
 	defer binBodies.Put(buf)
 	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBytes)); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, stream.MaxFrameBytes)); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

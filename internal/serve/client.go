@@ -117,22 +117,6 @@ func (c *Client) Ingest(events []Event) (IngestResponse, error) {
 	return ir, err
 }
 
-// IngestBatch posts one site's readings through the /ingest/batch fast
-// path.
-func (c *Client) IngestBatch(site int, readings []dist.Reading) (IngestResponse, error) {
-	body, err := json.Marshal(BatchRequest{Site: site, Readings: readings})
-	if err != nil {
-		return IngestResponse{}, err
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/ingest/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return IngestResponse{}, err
-	}
-	var ir IngestResponse
-	err = checkStatus(resp, &ir)
-	return ir, err
-}
-
 // Drain asks the daemon to run checkpoints through the given epoch
 // (0 = its configured horizon) and returns the post-drain stats.
 func (c *Client) Drain(through model.Epoch) (Stats, error) {

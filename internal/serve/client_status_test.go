@@ -27,10 +27,6 @@ func TestClientTypedStatuses(t *testing.T) {
 		call               func() error
 	}{
 		{"Ingest", "POST", "/ingest", func() error { _, err := c.Ingest([]Event{Reading(0, 1, 0, 1)}); return err }},
-		{"IngestBatch", "POST", "/ingest/batch", func() error {
-			_, err := c.IngestBatch(0, []dist.Reading{{T: 1, ID: 0, Mask: 1}})
-			return err
-		}},
 		{"IngestBin", "POST", "/ingest/bin", func() error {
 			_, err := c.IngestBin(0, []dist.Reading{{T: 1, ID: 0, Mask: 1}})
 			return err

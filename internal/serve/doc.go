@@ -5,7 +5,7 @@
 // A Server owns a dist.Cluster and its incremental dist.Feed. Ingestion
 // is sharded per site: readings enter through Ingest / IngestBatch /
 // IngestFrame (the in-process Go API) or the HTTP front end (Handler —
-// JSON-lines /ingest, site-addressed /ingest/batch, binary /ingest/bin).
+// JSON-lines /ingest, binary RFB1 frames on /ingest/bin).
 // Every edge cuts its input into runs of one site's readings and hands
 // them to the one ingest path (ingest.go), where the *ingesting*
 // goroutine validates each reading against the deployment's

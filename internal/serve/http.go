@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/stream"
 )
@@ -27,8 +26,7 @@ const ingestBatch = 512
 // Handler returns the daemon's HTTP API:
 //
 //	POST /ingest                JSON-lines of reading/depart events
-//	POST /ingest/batch          one site's readings as a single JSON batch
-//	POST /ingest/bin            binary batch frame (application/octet-stream)
+//	POST /ingest/bin            exactly one RFB1 batch frame (application/octet-stream)
 //	POST /drain?through=N       run checkpoints through epoch N (0 = horizon)
 //	GET  /healthz               liveness + pipeline health
 //	GET  /stats                 Stats (ingest, shards, cluster, memo, scheduler, WAL)
@@ -44,7 +42,6 @@ const ingestBatch = 512
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("POST /ingest/batch", s.handleIngestBatch)
 	mux.HandleFunc("POST /ingest/bin", s.handleIngestBin)
 	mux.HandleFunc("POST /drain", s.handleDrain)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -83,8 +80,8 @@ var ingestBatches = sync.Pool{New: func() any {
 // handleIngest streams the request body's JSON lines into the ingest
 // shards in bounded batches. A full stripe blocks the request — HTTP
 // clients see backpressure as latency, never as data loss. The body must
-// declare application/x-ndjson, the same stance /ingest/batch and
-// /ingest/bin take: a producer posting another codec here would otherwise
+// declare application/x-ndjson, the same stance /ingest/bin and
+// /peer/migrate take: a producer posting another codec here would otherwise
 // have every line silently counted bad, which masks the misconfiguration.
 // A request that fails part-way still reports what it queued before the
 // failure next to the error, so a producer can tell that part landed.
@@ -133,50 +130,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// BatchRequest is the POST /ingest/batch payload: one site's readings,
-// the wire form of the IngestBatch fast path. It skips the per-line JSON
-// of /ingest, so a site-local edge relay can ship its interval in one
-// decode.
-type BatchRequest struct {
-	// Site is the observing site; every reading in the batch belongs to it.
-	Site int `json:"site"`
-	// Readings are the site-local observations.
-	Readings []dist.Reading `json:"readings"`
-}
-
-// maxBatchBytes bounds one /ingest/batch body (~250k readings). A larger
-// batch is a malformed client, not a bigger buffer — the same stance the
-// line-oriented /ingest takes per event — so the daemon never
-// materializes an attacker-sized slice.
-const maxBatchBytes = 8 << 20
-
-// handleIngestBatch decodes one BatchRequest and runs it through the
-// single-site IngestBatch fast path. The body must declare
-// application/json: a producer posting another codec here is
-// misconfigured, and silently JSON-decoding its payload would mask that,
-// so it gets 415 and a counted stat instead.
-func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	if !contentTypeIs(r, "application/json") {
-		s.reject415(w, r, "application/json")
-		return
-	}
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed batch: " + err.Error()})
-		return
-	}
-	if err := s.IngestBatch(req.Site, req.Readings); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, IngestResponse{Queued: len(req.Readings)})
 }
 
 // handleDrain runs checkpoints through ?through=, clamped to the horizon

@@ -20,6 +20,8 @@ import (
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
+	"rfidtrack/internal/sim"
+	"rfidtrack/internal/stream"
 )
 
 // postLines posts a JSON-lines body to the ingest endpoint.
@@ -222,54 +224,94 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHTTPIngestBatch drives the site-addressed batch fast path over the
-// wire: valid batches are queued and observed, malformed bodies and
-// unknown sites are 400s, and the daemon stays healthy throughout.
-func TestHTTPIngestBatch(t *testing.T) {
-	w := testWorld(t)
-	c := dist.NewCluster(w, dist.MigrateNone, rfinfer.DefaultConfig())
-	srv, err := New(c, Config{Interval: 300})
-	if err != nil {
-		t.Fatal(err)
+// TestHTTPRefusesBytesAfterFrame pins that the binary endpoints take
+// exactly one frame per body. A body of two concatenated RFB1 frames, or
+// of one frame followed by junk, is a 400 counted in bad_frames with
+// nothing of it ingested — not a 202 that silently drops the rest — and
+// /peer/migrate refuses an RFM1 frame with trailing bytes the same way.
+func TestHTTPRefusesBytesAfterFrame(t *testing.T) {
+	post := func(t *testing.T, url string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := &Client{BaseURL: ts.URL}
 
-	item := w.Sites[1].Items()[0]
-	batch := []dist.Reading{{T: 10, ID: item, Mask: 1}, {T: 11, ID: item, Mask: 1}}
-	ir, err := client.IngestBatch(1, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.Queued != len(batch) {
-		t.Errorf("queued %d, want %d", ir.Queued, len(batch))
-	}
-	if _, err := client.IngestBatch(99, batch); err == nil {
-		t.Error("unknown site accepted over HTTP")
-	}
-	resp, err := http.Post(ts.URL+"/ingest/batch", "application/json", strings.NewReader("not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed batch body = %d, want 400", resp.StatusCode)
-	}
-	if _, err := client.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Feed.Observed != len(batch) || st.Invalid != 0 {
-		t.Errorf("observed=%d invalid=%d, want %d observed and 0 invalid", st.Feed.Observed, st.Invalid, len(batch))
-	}
-	if len(st.Shards) != len(w.Sites) || st.Shards[1].Received != len(batch) {
-		t.Errorf("shard stats missing the batch: %+v", st.Shards)
-	}
+	t.Run("ingest/bin", func(t *testing.T) {
+		w := testWorld(t)
+		srv, err := New(dist.NewCluster(w, dist.MigrateNone, rfinfer.DefaultConfig()), Config{Interval: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		item := w.Sites[1].Items()[0]
+		frame := func(rs ...dist.Reading) []byte {
+			var fb stream.FrameBuilder
+			fb.Reset()
+			fb.BeginSection(1)
+			for _, r := range rs {
+				fb.Add(r.T, r.ID, r.Mask)
+			}
+			return append([]byte(nil), fb.Finish()...)
+		}
+		one := frame(dist.Reading{T: 10, ID: item, Mask: 1})
+		two := frame(dist.Reading{T: 11, ID: item, Mask: 1}, dist.Reading{T: 12, ID: item, Mask: 1})
+		for i, body := range [][]byte{
+			append(append([]byte(nil), one...), two...),
+			append(append([]byte(nil), one...), "garbage"...),
+		} {
+			if code := post(t, ts.URL+"/ingest/bin", body); code != http.StatusBadRequest {
+				t.Errorf("body %d: status %d, want 400", i, code)
+			}
+			if st := srv.Stats(); st.BadFrames != i+1 || st.Received != 0 {
+				t.Errorf("body %d: bad_frames=%d received=%d, want %d and 0", i, st.BadFrames, st.Received, i+1)
+			}
+		}
+		if code := post(t, ts.URL+"/ingest/bin", two); code != http.StatusAccepted {
+			t.Fatalf("one whole frame: status %d, want 202", code)
+		}
+		if err := srv.Drain(0); err != nil {
+			t.Fatal(err)
+		}
+		if st := srv.Stats(); st.Received != 2 || st.Feed.Observed != 2 || st.Invalid != 0 || st.BadFrames != 2 {
+			t.Errorf("received=%d observed=%d invalid=%d bad_frames=%d, want 2 2 0 2",
+				st.Received, st.Feed.Observed, st.Invalid, st.BadFrames)
+		}
+	})
+
+	t.Run("peer/migrate", func(t *testing.T) {
+		cfg := sim.DefaultConfig()
+		cfg.Warehouses = 2
+		cfg.PathLength = 1
+		cfg.Epochs = 900
+		w, err := sim.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peerTestStrategy = dist.MigrateWeights
+		h := startPeerHarness(t, w, 2, nil)
+		defer h.shutdownAll(t)
+
+		frame := stream.AppendMigrationFrame(nil, 1, 0, 1, 10, []byte("opaque payload"))
+		if code := post(t, h.urls[1]+"/peer/migrate", append(append([]byte(nil), frame...), 0)); code != http.StatusBadRequest {
+			t.Errorf("frame plus one byte: status %d, want 400", code)
+		}
+		if st := h.srvs[1].Stats(); st.BadFrames != 1 || st.Peers.MigrationsReceived != 0 {
+			t.Errorf("bad_frames=%d received=%d, want 1 and 0", st.BadFrames, st.Peers.MigrationsReceived)
+		}
+		if code := post(t, h.urls[1]+"/peer/migrate", frame); code != http.StatusAccepted {
+			t.Errorf("one whole frame: status %d, want 202", code)
+		}
+		if st := h.srvs[1].Stats(); st.Peers.MigrationsReceived != 1 {
+			t.Errorf("received %d migrations, want 1", st.Peers.MigrationsReceived)
+		}
+	})
 }
 
 // TestReadEventsOversizedLine checks that one over-long line is skipped

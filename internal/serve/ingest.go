@@ -163,10 +163,11 @@ func (s *Server) IngestBatch(site int, readings []dist.Reading) error {
 // IngestFrame is the binary multi-site edge: every section of the batch
 // frame is one run — where the section's bytes ARE readings on this
 // machine, a view over the frame, no decode and no copy until the bucket
-// append. The frame is fully checked (magic, length, CRC, section tiling)
-// before any record is applied: a torn or corrupt frame is refused whole —
-// counted in Stats.BadFrames — never half-ingested. The frame buffer is
-// not retained. The returned count is the number of records in the frame's
+// append. frame must be exactly one frame, and it is fully checked (magic,
+// length, CRC, section tiling, no bytes after it) before any record is
+// applied: a torn, corrupt or over-long buffer is refused whole — counted
+// in Stats.BadFrames — never half-ingested. The frame buffer is not
+// retained. The returned count is the number of records in the frame's
 // routable sections (like IngestBatch's acknowledgement, it does not
 // subtract per-reading validation rejects).
 func (s *Server) IngestFrame(frame []byte) (queued int, err error) {

@@ -448,7 +448,7 @@ func (p *peerSet) stats() PeerStats {
 }
 
 // handlePeerMigrate is the receiving half of the peer transport: decode
-// the RFM1 frame, refuse it when this daemon does not own the destination
+// the RFM1 frame (the body must be exactly one), refuse it when this daemon does not own the destination
 // site, ACK without deposit when the local checkpoint has already passed
 // it, otherwise log it durably and deposit it for the consuming
 // checkpoint. The WAL commit happens before the ACK regardless of Strict:
@@ -469,7 +469,10 @@ func (s *Server) handlePeerMigrate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading migration frame: " + err.Error()})
 		return
 	}
-	mf, _, err := stream.DecodeMigrationFrame(buf.Bytes())
+	mf, size, err := stream.DecodeMigrationFrame(buf.Bytes())
+	if err == nil && size != buf.Len() {
+		err = fmt.Errorf("%w: %d bytes after the frame", stream.ErrFrameCorrupt, buf.Len()-size)
+	}
 	if err != nil {
 		s.invMu.Lock()
 		s.badFrames++

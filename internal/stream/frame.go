@@ -1,6 +1,7 @@
 // The binary batch frame codec: the high-throughput ingest wire format of
-// the online runtime (POST /ingest/bin). One frame carries one or more
-// per-site sections of fixed-width reading records:
+// the online runtime (POST /ingest/bin). One RFB1 frame carries one or
+// more per-site sections of fixed-width reading records inside the shared
+// frame envelope (envelope.go):
 //
 //	header (16 bytes):
 //	  [4 bytes magic "RFB1"]
@@ -17,17 +18,15 @@
 // Fixed-width records make the producer encode a pair of stores per
 // reading and let the consumer decode without copying: a BatchSection is a
 // view over the frame's bytes, so readings go straight from the network
-// buffer into the ingest shards. The framing follows the WAL record codec
-// above: torn frames (cut short mid-write) are distinguishable from
-// corrupt ones, and no length or count from the wire is trusted before it
-// is checked against the bytes actually present.
+// buffer into the ingest shards. A frame travels alone, one per request
+// body, so the decoder takes exactly one frame: no count from the wire is
+// trusted before it is checked against the bytes actually present, and
+// nothing is emitted before the whole buffer has been vouched for.
 package stream
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"rfidtrack/internal/model"
 )
@@ -44,29 +43,12 @@ const (
 	frameSectionLen = 8
 	// FrameRecordLen is one fixed-width reading record.
 	FrameRecordLen = 16
-	// frameTrailerLen is the CRC32-Castagnoli trailer.
-	frameTrailerLen = 4
 )
 
-// MaxFrameBytes bounds one frame's total length (~500k readings). It
-// matches the HTTP body cap of the JSON batch path: a larger frame is a
-// malformed producer, not a bigger buffer.
+// MaxFrameBytes bounds one frame's total length (~500k readings), and with
+// it the body of one POST /ingest/bin: a larger frame is a malformed
+// producer, not a bigger buffer.
 const MaxFrameBytes = 8 << 20
-
-// ErrFramePartial reports a frame cut short: fewer bytes than its header
-// (or its declared length) requires. A streaming reader that buffered only
-// a prefix retries with more bytes; a file ends cleanly at the last whole
-// frame.
-var ErrFramePartial = errors.New("stream: partial batch frame")
-
-// ErrFrameCorrupt reports a complete frame whose bytes are not a valid
-// batch frame: bad magic, implausible length, CRC mismatch, or section
-// counts that do not tile the body exactly.
-var ErrFrameCorrupt = errors.New("stream: corrupt batch frame")
-
-// frameCastagnoli is the CRC32-Castagnoli table (hardware-accelerated on
-// amd64/arm64), shared by the encoder and decoder.
-var frameCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // BatchSection is one site's records inside a decoded frame: a zero-copy
 // view over the frame's bytes. It is only valid while the frame buffer is.
@@ -98,29 +80,6 @@ func (s BatchSection) At(i int) (t model.Epoch, tag model.TagID, mask model.Mask
 // whole records in place instead of decoding them one field at a time.
 func (s BatchSection) Raw() []byte { return s.recs }
 
-// FrameReading is one decoded record, the materialized form of a section
-// entry for callers that want a slice instead of a view.
-type FrameReading struct {
-	T    model.Epoch
-	Tag  model.TagID
-	Mask model.Mask
-}
-
-// AppendTo appends the section's records to dst, growing it with the
-// shared decode-allocation clamp (model.DecodeCap): a hostile count never
-// preallocates more than the clamp, it only makes append grow the slice as
-// real records materialize.
-func (s BatchSection) AppendTo(dst []FrameReading) []FrameReading {
-	if dst == nil {
-		dst = make([]FrameReading, 0, model.DecodeCap(uint64(s.n)))
-	}
-	for i := 0; i < s.n; i++ {
-		t, tag, mask := s.At(i)
-		dst = append(dst, FrameReading{T: t, Tag: tag, Mask: mask})
-	}
-	return dst
-}
-
 // FrameBuilder incrementally encodes one batch frame. The zero value is
 // ready to use; Reset reuses the backing buffer, so a producer in steady
 // state allocates nothing per frame:
@@ -151,9 +110,8 @@ func (b *FrameBuilder) start() {
 	if len(b.buf) != 0 {
 		return
 	}
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], FrameMagic)
-	b.buf = append(b.buf, hdr[:]...)
+	// The section and record counts are placeholders until Finish.
+	b.buf = append(beginFrame(b.buf, FrameMagic), 0, 0, 0, 0, 0, 0, 0, 0)
 	b.secOff = -1
 }
 
@@ -230,72 +188,33 @@ func (b *FrameBuilder) Finish() []byte {
 		panic("stream: FrameBuilder.Finish called twice without Reset")
 	}
 	b.finished = true
-	binary.LittleEndian.PutUint32(b.buf[4:], uint32(len(b.buf)+frameTrailerLen))
 	binary.LittleEndian.PutUint32(b.buf[8:], uint32(b.sections))
 	binary.LittleEndian.PutUint32(b.buf[12:], uint32(b.records))
-	crc := crc32.Checksum(b.buf, frameCastagnoli)
-	var tr [frameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	b.buf = append(b.buf, tr[:]...)
+	b.buf = sealFrame(b.buf, 0)
 	return b.buf
 }
 
-// AppendBatchFrame appends a single-section frame for site to dst and
-// returns the extended slice: the one-shot convenience over FrameBuilder.
-func AppendBatchFrame(dst []byte, site int, rs []FrameReading) []byte {
-	start := len(dst)
-	var hdr [frameHeaderLen + frameSectionLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], FrameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(frameHeaderLen+frameSectionLen+len(rs)*FrameRecordLen+frameTrailerLen))
-	binary.LittleEndian.PutUint32(hdr[8:], 1)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(rs)))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(site))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(rs)))
-	dst = append(dst, hdr[:]...)
-	for _, r := range rs {
-		var rec [FrameRecordLen]byte
-		binary.LittleEndian.PutUint32(rec[:], uint32(r.T))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(r.Tag))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(r.Mask))
-		dst = append(dst, rec[:]...)
-	}
-	crc := crc32.Checksum(dst[start:], frameCastagnoli)
-	var tr [frameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	return append(dst, tr[:]...)
-}
-
-// DecodeBatchFrame decodes the first frame in b, calling emit for each
-// section in wire order, and returns the frame's total length in bytes.
-// Sections are zero-copy views into b: they are valid only during emit.
+// DecodeBatchFrame decodes b, which must hold exactly one frame, calling
+// emit for each section in wire order, and returns the frame's length —
+// len(b). Sections are zero-copy views into b: they are valid only during
+// emit.
 //
 // A buffer shorter than the frame's declared length yields ErrFramePartial;
-// a complete frame that fails validation yields ErrFrameCorrupt. Every
-// count is validated against the bytes present before any section is
-// emitted, and emit's own error aborts the decode and is returned verbatim
-// — by then the CRC has already vouched for the whole frame.
+// a frame that fails validation, or is followed by further bytes, yields
+// ErrFrameCorrupt. Every count is validated against the bytes present
+// before any section is emitted, and emit's own error aborts the decode
+// and is returned verbatim — by then the CRC has already vouched for the
+// whole frame.
 func DecodeBatchFrame(b []byte, emit func(BatchSection) error) (n int, err error) {
-	if len(b) < frameHeaderLen {
-		return 0, ErrFramePartial
+	body, n, err := openFrame(b, FrameMagic, frameHeaderLen, MaxFrameBytes)
+	if err != nil {
+		return 0, err
 	}
-	if magic := binary.LittleEndian.Uint32(b); magic != FrameMagic {
-		return 0, fmt.Errorf("%w: bad magic %#x", ErrFrameCorrupt, magic)
+	if n != len(b) {
+		return 0, fmt.Errorf("%w: %d bytes after the frame", ErrFrameCorrupt, len(b)-n)
 	}
-	frameLen := int(binary.LittleEndian.Uint32(b[4:]))
-	if frameLen < frameHeaderLen+frameTrailerLen || frameLen > MaxFrameBytes {
-		return 0, fmt.Errorf("%w: implausible frame length %d", ErrFrameCorrupt, frameLen)
-	}
-	if len(b) < frameLen {
-		return 0, ErrFramePartial
-	}
-	frame := b[:frameLen]
-	wantCRC := binary.LittleEndian.Uint32(frame[frameLen-frameTrailerLen:])
-	if crc := crc32.Checksum(frame[:frameLen-frameTrailerLen], frameCastagnoli); crc != wantCRC {
-		return 0, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
-	}
-	sections := int(binary.LittleEndian.Uint32(frame[8:]))
-	records := int(binary.LittleEndian.Uint32(frame[12:]))
-	body := frame[frameHeaderLen : frameLen-frameTrailerLen]
+	sections := int(binary.LittleEndian.Uint32(b[8:]))
+	records := int(binary.LittleEndian.Uint32(b[12:]))
 
 	// Validate that the declared sections tile the body exactly before
 	// emitting anything: a CRC-valid frame from a buggy producer must be
@@ -338,22 +257,5 @@ func DecodeBatchFrame(b []byte, emit func(BatchSection) error) (n int, err error
 		}
 		rest = rest[frameSectionLen+count*FrameRecordLen:]
 	}
-	return frameLen, nil
-}
-
-// ScanBatchFrames walks a buffer of concatenated frames (e.g. a capture
-// file written by rfidsim -bin -o), calling emit per section, and returns
-// the byte offset of the first invalid frame plus the error that stopped
-// the scan (nil when the buffer ends exactly on a frame boundary) — the
-// same contract as ScanWAL.
-func ScanBatchFrames(b []byte, emit func(BatchSection) error) (valid int, err error) {
-	off := 0
-	for off < len(b) {
-		n, err := DecodeBatchFrame(b[off:], emit)
-		if err != nil {
-			return off, err
-		}
-		off += n
-	}
-	return off, nil
+	return n, nil
 }

@@ -10,53 +10,62 @@ import (
 	"rfidtrack/internal/model"
 )
 
-// frameSections returns a representative multi-site frame payload.
-func frameSections() map[int][]FrameReading {
-	return map[int][]FrameReading{
-		0: {
-			{T: 0, Tag: 0, Mask: 1},
-			{T: 299, Tag: 41, Mask: 0b1011},
-		},
-		3: {
-			{T: 1<<31 - 1, Tag: 1 << 20, Mask: ^model.Mask(0)},
-		},
-		7: {}, // empty sections are legal
+// frameRec is one decoded record of a section.
+type frameRec struct {
+	T    model.Epoch
+	Tag  model.TagID
+	Mask model.Mask
+}
+
+// frameSection is one materialized section, in wire order.
+type frameSection struct {
+	Site int
+	Recs []frameRec
+}
+
+// frameSections returns a representative multi-site frame payload, empty
+// section included.
+func frameSections() []frameSection {
+	return []frameSection{
+		{0, []frameRec{{T: 0, Tag: 0, Mask: 1}, {T: 299, Tag: 41, Mask: 0b1011}}},
+		{3, []frameRec{{T: 1<<31 - 1, Tag: 1 << 20, Mask: ^model.Mask(0)}}},
+		{7, nil}, // empty sections are legal
 	}
 }
 
-// buildFrame encodes the sample sections (in ascending site order) with a
-// FrameBuilder.
-func buildFrame(t testing.TB, secs map[int][]FrameReading) []byte {
-	t.Helper()
+// buildFrame encodes secs in order with a fresh FrameBuilder.
+func buildFrame(secs []frameSection) []byte {
 	var b FrameBuilder
 	b.Reset()
-	for _, site := range []int{0, 3, 7} {
-		b.BeginSection(site)
-		for _, r := range secs[site] {
+	for _, s := range secs {
+		b.BeginSection(s.Site)
+		for _, r := range s.Recs {
 			b.Add(r.T, r.Tag, r.Mask)
 		}
 	}
 	return b.Finish()
 }
 
-// decodeFrame materializes every section of one frame.
-func decodeFrame(b []byte) (map[int][]FrameReading, int, error) {
-	got := make(map[int][]FrameReading)
+// decodeFrame materializes every section of one frame, in wire order.
+func decodeFrame(b []byte) ([]frameSection, int, error) {
+	var got []frameSection
 	n, err := DecodeBatchFrame(b, func(s BatchSection) error {
-		got[s.Site] = s.AppendTo(got[s.Site])
-		if got[s.Site] == nil {
-			got[s.Site] = []FrameReading{}
+		sec := frameSection{Site: s.Site}
+		for i := 0; i < s.Len(); i++ {
+			t, tag, mask := s.At(i)
+			sec.Recs = append(sec.Recs, frameRec{t, tag, mask})
 		}
+		got = append(got, sec)
 		return nil
 	})
 	return got, n, err
 }
 
-// TestFrameRoundTrip pins encode -> decode identity through both encoders,
-// including empty sections and extreme field values.
+// TestFrameRoundTrip pins encode -> decode identity, including empty
+// sections and extreme field values.
 func TestFrameRoundTrip(t *testing.T) {
 	secs := frameSections()
-	frame := buildFrame(t, secs)
+	frame := buildFrame(secs)
 	got, n, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatalf("DecodeBatchFrame: %v", err)
@@ -64,20 +73,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if n != len(frame) {
 		t.Fatalf("decode consumed %d of %d bytes", n, len(frame))
 	}
-	want := map[int][]FrameReading{0: secs[0], 3: secs[3], 7: {}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, want)
-	}
-
-	// The one-shot encoder must agree with the builder byte for byte.
-	var b FrameBuilder
-	b.Reset()
-	b.BeginSection(3)
-	for _, r := range secs[3] {
-		b.Add(r.T, r.Tag, r.Mask)
-	}
-	if one := AppendBatchFrame(nil, 3, secs[3]); !reflect.DeepEqual(one, b.Finish()) {
-		t.Fatalf("AppendBatchFrame and FrameBuilder disagree")
+	if !reflect.DeepEqual(got, secs) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, secs)
 	}
 }
 
@@ -107,32 +104,11 @@ func TestFrameBuilderReuse(t *testing.T) {
 	}
 }
 
-// TestFrameScan pins ScanBatchFrames over concatenated frames with the
-// ScanWAL offset contract.
-func TestFrameScan(t *testing.T) {
-	secs := frameSections()
-	one := buildFrame(t, secs)
-	buf := append(append([]byte(nil), one...), one...)
-	count := 0
-	valid, err := ScanBatchFrames(buf, func(s BatchSection) error { count += s.Len(); return nil })
-	if err != nil || valid != len(buf) {
-		t.Fatalf("scan: valid=%d err=%v", valid, err)
-	}
-	if count != 6 {
-		t.Fatalf("scanned %d records, want 6", count)
-	}
-	// A torn second frame stops the scan exactly at the first frame's end.
-	valid, err = ScanBatchFrames(buf[:len(one)+7], func(BatchSection) error { return nil })
-	if valid != len(one) || !errors.Is(err, ErrFramePartial) {
-		t.Fatalf("torn scan: valid=%d err=%v, want %d ErrFramePartial", valid, err, len(one))
-	}
-}
-
 // TestFrameTornAndCorrupt pins the refusal contract: any prefix decodes as
 // partial, and any single flipped bit in a complete frame is refused as
 // corrupt (the CRC covers header and body both).
 func TestFrameTornAndCorrupt(t *testing.T) {
-	frame := buildFrame(t, frameSections())
+	frame := buildFrame(frameSections())
 	for cut := 0; cut < len(frame); cut++ {
 		_, _, err := decodeFrame(frame[:cut])
 		if !errors.Is(err, ErrFramePartial) && !errors.Is(err, ErrFrameCorrupt) {
@@ -148,11 +124,12 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 	}
 }
 
-// TestFrameHostileHeaders pins that implausible lengths and counts are
-// refused before any record materializes, with the right error class.
+// TestFrameHostileHeaders pins that implausible lengths and counts, and
+// bytes after the frame, are refused before any record materializes, with
+// the right error class.
 func TestFrameHostileHeaders(t *testing.T) {
 	patch := func(off int, v uint32) []byte {
-		frame := buildFrame(t, frameSections())
+		frame := buildFrame(frameSections())
 		binary.LittleEndian.PutUint32(frame[off:], v)
 		// Recompute the CRC so only the patched field is at fault.
 		crc := crc32Of(frame[:len(frame)-frameTrailerLen])
@@ -172,91 +149,20 @@ func TestFrameHostileHeaders(t *testing.T) {
 		{"record count beyond body", patch(12, 1<<30), ErrFrameCorrupt},
 		{"record count mismatch", patch(12, 2), ErrFrameCorrupt},
 		{"section record count beyond body", patch(frameHeaderLen+4, 1<<30), ErrFrameCorrupt},
+		// A frame travels alone: bytes after it, a second frame or a torn
+		// one included, make the buffer corrupt, never a partial decode.
+		{"trailing bytes", append(buildFrame(frameSections()), "garbage"...), ErrFrameCorrupt},
+		{"two frames", append(buildFrame(frameSections()), buildFrame(frameSections())...), ErrFrameCorrupt},
+		{"frame then torn frame", append(buildFrame(frameSections()), buildFrame(frameSections())[:7]...), ErrFrameCorrupt},
 	}
 	for _, tc := range cases {
-		if _, _, err := decodeFrame(tc.frame); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		if got, n, err := decodeFrame(tc.frame); !errors.Is(err, tc.want) || n != 0 || got != nil {
+			t.Errorf("%s: %d sections, n=%d, err = %v, want none, 0, %v", tc.name, len(got), n, err, tc.want)
 		}
 	}
 }
 
-// crc32Of is the test-side CRC helper (Castagnoli, like the codec).
+// crc32Of is the test-side CRC helper (Castagnoli, like the envelope).
 func crc32Of(b []byte) uint32 {
-	return crc32.Checksum(b, frameCastagnoli)
-}
-
-// FuzzDecodeBatchFrame hardens the frame decoder against arbitrary bytes:
-// it must never panic, never preallocate from an untrusted count beyond
-// the model.DecodeCap clamp, classify every rejection as partial or
-// corrupt, and decode every accepted frame into sections whose re-encoding
-// decodes identically.
-func FuzzDecodeBatchFrame(f *testing.F) {
-	secs := map[int][]FrameReading{
-		0: {{T: 0, Tag: 0, Mask: 1}, {T: 299, Tag: 41, Mask: 0b1011}},
-		3: {{T: 1<<31 - 1, Tag: 1 << 20, Mask: ^model.Mask(0)}},
-		7: {},
-	}
-	var b FrameBuilder
-	b.Reset()
-	for _, site := range []int{0, 3, 7} {
-		b.BeginSection(site)
-		for _, r := range secs[site] {
-			b.Add(r.T, r.Tag, r.Mask)
-		}
-	}
-	f.Add(append([]byte(nil), b.Finish()...))
-	f.Add(AppendBatchFrame(nil, 0, nil))
-	f.Add(AppendBatchFrame(nil, 2, []FrameReading{{T: -5, Tag: -7, Mask: 0}}))
-	f.Add([]byte{})
-	f.Add([]byte{'R', 'F', 'B', '1'})
-	f.Add([]byte{'R', 'F', 'B', '1', 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var sites []int
-		var recs []FrameReading
-		n, err := DecodeBatchFrame(in, func(s BatchSection) error {
-			sites = append(sites, s.Site)
-			recs = s.AppendTo(recs)
-			return nil
-		})
-		if err != nil {
-			if n != 0 {
-				t.Fatalf("error %v consumed %d bytes", err, n)
-			}
-			if !errors.Is(err, ErrFramePartial) && !errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			return
-		}
-		if n < frameHeaderLen+frameTrailerLen || n > len(in) {
-			t.Fatalf("consumed %d bytes of %d", n, len(in))
-		}
-		// Re-encode what was decoded; the result must decode identically.
-		var rb FrameBuilder
-		rb.Reset()
-		_, _ = DecodeBatchFrame(in, func(s BatchSection) error {
-			rb.BeginSection(s.Site)
-			for i := 0; i < s.Len(); i++ {
-				tt, tag, mask := s.At(i)
-				rb.Add(tt, tag, mask)
-			}
-			return nil
-		})
-		var sites2 []int
-		var recs2 []FrameReading
-		if _, err := DecodeBatchFrame(rb.Finish(), func(s BatchSection) error {
-			sites2 = append(sites2, s.Site)
-			recs2 = s.AppendTo(recs2)
-			return nil
-		}); err != nil {
-			t.Fatalf("re-encode failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(sites, sites2) || !reflect.DeepEqual(recs, recs2) {
-			t.Fatalf("re-encode round trip diverged")
-		}
-		// A scan over the full input must terminate and stay panic-free.
-		if _, err := ScanBatchFrames(in, func(BatchSection) error { return nil }); err != nil &&
-			!errors.Is(err, ErrFramePartial) && !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("ScanBatchFrames error class: %v", err)
-		}
-	})
+	return crc32.Checksum(b, castagnoli)
 }

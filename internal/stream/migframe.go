@@ -14,10 +14,9 @@
 //	trailer:
 //	  [4 bytes CRC32-Castagnoli of everything before it]
 //
-// The framing follows the batch frame codec above: torn frames are
-// distinguishable from corrupt ones (ErrFramePartial vs ErrFrameCorrupt,
-// shared with RFB1), and no length from the wire is trusted before it is
-// checked against the bytes actually present. The payload itself is not
+// The magic, length and CRC are the shared frame envelope's (envelope.go),
+// so torn frames are distinguishable from corrupt ones (ErrFramePartial
+// vs ErrFrameCorrupt) exactly as for RFB1. The payload itself is not
 // interpreted — its own codecs (rfinfer collapsed/CR state, query pattern
 // state) harden its contents — so the frame layer only vouches that the
 // bytes that arrive are the bytes that were sent, addressed to the right
@@ -26,8 +25,6 @@ package stream
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 
 	"rfidtrack/internal/model"
 )
@@ -36,13 +33,9 @@ import (
 // little-endian uint32. An incompatible future layout gets a new magic.
 const MigrationMagic = uint32('R') | uint32('F')<<8 | uint32('M')<<16 | uint32('1')<<24
 
-const (
-	// migFrameHeaderLen is the fixed frame prefix: magic, frame length,
-	// object, from, to, at.
-	migFrameHeaderLen = 24
-	// migFrameTrailerLen is the CRC32-Castagnoli trailer.
-	migFrameTrailerLen = 4
-)
+// migFrameHeaderLen is the fixed frame prefix: magic, frame length,
+// object, from, to, at.
+const migFrameHeaderLen = 24
 
 // MaxMigrationPayload bounds one frame's payload. The largest real payload
 // (MigrateFull of a long-lived object with many candidate containers) is
@@ -68,19 +61,13 @@ type MigrationFrame struct {
 // transfer to dst and returns the extended slice.
 func AppendMigrationFrame(dst []byte, object model.TagID, from, to int, at model.Epoch, payload []byte) []byte {
 	start := len(dst)
-	var hdr [migFrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], MigrationMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(migFrameHeaderLen+len(payload)+migFrameTrailerLen))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(object))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(from))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(to))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(at))
-	dst = append(dst, hdr[:]...)
+	dst = beginFrame(dst, MigrationMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(object))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(from))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(to))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(at))
 	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start:], frameCastagnoli)
-	var tr [migFrameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	return append(dst, tr[:]...)
+	return sealFrame(dst, start)
 }
 
 // DecodeMigrationFrame decodes the first migration frame in b, returning
@@ -89,31 +76,16 @@ func AppendMigrationFrame(dst []byte, object model.TagID, from, to int, at model
 // yields ErrFramePartial; a complete frame that fails validation yields
 // ErrFrameCorrupt. On error n is 0.
 func DecodeMigrationFrame(b []byte) (mf MigrationFrame, n int, err error) {
-	if len(b) < migFrameHeaderLen {
-		return mf, 0, ErrFramePartial
+	body, n, err := openFrame(b, MigrationMagic, migFrameHeaderLen, migFrameHeaderLen+MaxMigrationPayload+frameTrailerLen)
+	if err != nil {
+		return mf, 0, err
 	}
-	if magic := binary.LittleEndian.Uint32(b); magic != MigrationMagic {
-		return mf, 0, fmt.Errorf("%w: bad migration magic %#x", ErrFrameCorrupt, magic)
-	}
-	frameLen := int(binary.LittleEndian.Uint32(b[4:]))
-	if frameLen < migFrameHeaderLen+migFrameTrailerLen ||
-		frameLen > migFrameHeaderLen+MaxMigrationPayload+migFrameTrailerLen {
-		return mf, 0, fmt.Errorf("%w: implausible migration frame length %d", ErrFrameCorrupt, frameLen)
-	}
-	if len(b) < frameLen {
-		return mf, 0, ErrFramePartial
-	}
-	frame := b[:frameLen]
-	wantCRC := binary.LittleEndian.Uint32(frame[frameLen-migFrameTrailerLen:])
-	if crc := crc32.Checksum(frame[:frameLen-migFrameTrailerLen], frameCastagnoli); crc != wantCRC {
-		return mf, 0, fmt.Errorf("%w: migration frame CRC mismatch", ErrFrameCorrupt)
-	}
-	mf.Object = model.TagID(int32(binary.LittleEndian.Uint32(frame[8:])))
-	mf.From = int(int32(binary.LittleEndian.Uint32(frame[12:])))
-	mf.To = int(int32(binary.LittleEndian.Uint32(frame[16:])))
-	mf.At = model.Epoch(int32(binary.LittleEndian.Uint32(frame[20:])))
-	if body := frame[migFrameHeaderLen : frameLen-migFrameTrailerLen]; len(body) > 0 {
+	mf.Object = model.TagID(int32(binary.LittleEndian.Uint32(b[8:])))
+	mf.From = int(int32(binary.LittleEndian.Uint32(b[12:])))
+	mf.To = int(int32(binary.LittleEndian.Uint32(b[16:])))
+	mf.At = model.Epoch(int32(binary.LittleEndian.Uint32(b[20:])))
+	if len(body) > 0 {
 		mf.Payload = body
 	}
-	return mf, frameLen, nil
+	return mf, n, nil
 }

@@ -16,10 +16,10 @@
 //	trailer:
 //	  [4 bytes CRC32-Castagnoli of everything before it]
 //
-// The framing follows RFM1: torn frames are distinguishable from corrupt
-// ones (ErrFramePartial vs ErrFrameCorrupt), decode yields a zero-copy
-// payload view, and no length from the wire is trusted before it is
-// checked against the bytes actually present. The payload bytes are not
+// The magic, length and CRC are the shared frame envelope's (envelope.go),
+// so torn frames are distinguishable from corrupt ones (ErrFramePartial
+// vs ErrFrameCorrupt), and decode yields a zero-copy payload view. The
+// payload bytes are not
 // interpreted — the follower writes them verbatim and the WAL's own record
 // CRCs vouch for their content at recovery time — so this layer only
 // guarantees that the bytes that arrive are the bytes that were sent,
@@ -29,7 +29,6 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
 // ReplMagic identifies (and versions) a replication frame: "RFS1" as a
@@ -68,13 +67,9 @@ const (
 	ReplStatus = 5
 )
 
-const (
-	// replFrameHeaderLen is the fixed frame prefix: magic, frame length,
-	// kind, site, gen, offset.
-	replFrameHeaderLen = 28
-	// replFrameTrailerLen is the CRC32-Castagnoli trailer.
-	replFrameTrailerLen = 4
-)
+// replFrameHeaderLen is the fixed frame prefix: magic, frame length,
+// kind, site, gen, offset.
+const replFrameHeaderLen = 28
 
 // MaxReplPayload bounds one replication frame's payload. Shippers chunk
 // files well below this (see internal/wal); the bound exists so a hostile
@@ -101,19 +96,13 @@ type ReplFrame struct {
 // dst and returns the extended slice.
 func AppendReplFrame(dst []byte, kind, site, gen int, off int64, payload []byte) []byte {
 	start := len(dst)
-	var hdr [replFrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], ReplMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(replFrameHeaderLen+len(payload)+replFrameTrailerLen))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(kind))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(site))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(gen))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(off))
-	dst = append(dst, hdr[:]...)
+	dst = beginFrame(dst, ReplMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(kind))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(site))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(gen))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(off))
 	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start:], frameCastagnoli)
-	var tr [replFrameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	return append(dst, tr[:]...)
+	return sealFrame(dst, start)
 }
 
 // DecodeReplFrame decodes the first replication frame in b, returning the
@@ -123,30 +112,14 @@ func AppendReplFrame(dst []byte, kind, site, gen int, off int64, payload []byte)
 // mismatch, unknown kind, malformed control payload) yields
 // ErrFrameCorrupt. On error n is 0.
 func DecodeReplFrame(b []byte) (rf ReplFrame, n int, err error) {
-	if len(b) < replFrameHeaderLen {
-		return rf, 0, ErrFramePartial
+	body, n, err := openFrame(b, ReplMagic, replFrameHeaderLen, replFrameHeaderLen+MaxReplPayload+frameTrailerLen)
+	if err != nil {
+		return rf, 0, err
 	}
-	if magic := binary.LittleEndian.Uint32(b); magic != ReplMagic {
-		return rf, 0, fmt.Errorf("%w: bad replication magic %#x", ErrFrameCorrupt, magic)
-	}
-	frameLen := int(binary.LittleEndian.Uint32(b[4:]))
-	if frameLen < replFrameHeaderLen+replFrameTrailerLen ||
-		frameLen > replFrameHeaderLen+MaxReplPayload+replFrameTrailerLen {
-		return rf, 0, fmt.Errorf("%w: implausible replication frame length %d", ErrFrameCorrupt, frameLen)
-	}
-	if len(b) < frameLen {
-		return rf, 0, ErrFramePartial
-	}
-	frame := b[:frameLen]
-	wantCRC := binary.LittleEndian.Uint32(frame[frameLen-replFrameTrailerLen:])
-	if crc := crc32.Checksum(frame[:frameLen-replFrameTrailerLen], frameCastagnoli); crc != wantCRC {
-		return rf, 0, fmt.Errorf("%w: replication frame CRC mismatch", ErrFrameCorrupt)
-	}
-	rf.Kind = int(int32(binary.LittleEndian.Uint32(frame[8:])))
-	rf.Site = int(int32(binary.LittleEndian.Uint32(frame[12:])))
-	rf.Gen = int(int32(binary.LittleEndian.Uint32(frame[16:])))
-	rf.Off = int64(binary.LittleEndian.Uint64(frame[20:]))
-	body := frame[replFrameHeaderLen : frameLen-replFrameTrailerLen]
+	rf.Kind = int(int32(binary.LittleEndian.Uint32(b[8:])))
+	rf.Site = int(int32(binary.LittleEndian.Uint32(b[12:])))
+	rf.Gen = int(int32(binary.LittleEndian.Uint32(b[16:])))
+	rf.Off = int64(binary.LittleEndian.Uint64(b[20:]))
 	if len(body) > 0 {
 		rf.Payload = body
 	}
@@ -170,7 +143,7 @@ func DecodeReplFrame(b []byte) (rf ReplFrame, n int, err error) {
 	default:
 		return ReplFrame{}, 0, fmt.Errorf("%w: unknown replication frame kind %d", ErrFrameCorrupt, rf.Kind)
 	}
-	return rf, frameLen, nil
+	return rf, n, nil
 }
 
 // AppendReplStatus appends a ReplStatus heartbeat frame: the primary's

@@ -26,7 +26,6 @@ package stream
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -95,18 +94,6 @@ const MaxWALAlertPayload = 1 << 16
 
 // MaxAlertPatternKey bounds an alert record's pattern-key string.
 const MaxAlertPatternKey = 128
-
-// ErrWALPartial reports a frame cut short at the end of a log: the clean
-// torn-tail signature of a crash mid-append. Everything before it is valid;
-// recovery truncates here and continues.
-var ErrWALPartial = errors.New("stream: partial WAL frame")
-
-// ErrWALCorrupt reports a complete frame whose bytes are not a valid
-// record: CRC mismatch, implausible length, unknown kind, or malformed
-// varints. Recovery treats it like a torn tail — the log is valid up to the
-// previous record — but callers may want to surface it louder, since it
-// means bytes rotted in place rather than a write being interrupted.
-var ErrWALCorrupt = errors.New("stream: corrupt WAL frame")
 
 // WALRecord is one accepted event in the durable log. Kind selects which
 // field group is meaningful.
@@ -213,29 +200,29 @@ func AppendWALRecord(dst []byte, rec WALRecord) []byte {
 
 // DecodeWALRecord decodes the first framed record in b, returning the
 // record and the number of bytes consumed. A frame extending past the end
-// of b yields ErrWALPartial (the torn-tail case); a complete frame that
-// fails validation yields ErrWALCorrupt. On error n is 0.
+// of b yields ErrFramePartial (the torn-tail case); a complete frame that
+// fails validation yields ErrFrameCorrupt. On error n is 0.
 func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 	if len(b) < walFrameHeader {
-		return rec, 0, ErrWALPartial
+		return rec, 0, ErrFramePartial
 	}
 	length := binary.LittleEndian.Uint32(b)
 	if length == 0 || length > MaxWALMigrationPayload {
-		return rec, 0, fmt.Errorf("%w: payload length %d", ErrWALCorrupt, length)
+		return rec, 0, fmt.Errorf("%w: payload length %d", ErrFrameCorrupt, length)
 	}
 	if len(b) < walFrameHeader+int(length) {
-		return rec, 0, ErrWALPartial
+		return rec, 0, ErrFramePartial
 	}
 	payload := b[walFrameHeader : walFrameHeader+int(length)]
 	if crc := binary.LittleEndian.Uint32(b[4:]); crc != crc32.ChecksumIEEE(payload) {
-		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrWALCorrupt)
+		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
 	}
 	rec.Kind = payload[0]
 	switch rec.Kind {
 	case WALRun:
 		if length < walRunHeader || length > maxWALRunPayload || (length-walRunHeader)%FrameRecordLen != 0 ||
 			payload[1]|payload[2]|payload[3] != 0 {
-			return WALRecord{}, 0, fmt.Errorf("%w: malformed reading run of payload length %d", ErrWALCorrupt, length)
+			return WALRecord{}, 0, fmt.Errorf("%w: malformed reading run of payload length %d", ErrFrameCorrupt, length)
 		}
 		rec.Site = int(int32(binary.LittleEndian.Uint32(payload[4:])))
 		if length > walRunHeader {
@@ -245,11 +232,11 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 	case WALMigration: // bounded by MaxWALMigrationPayload above
 	case WALAlert:
 		if length > MaxWALAlertPayload {
-			return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrWALCorrupt, length, rec.Kind)
+			return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrFrameCorrupt, length, rec.Kind)
 		}
 	default:
 		if length > MaxWALPayload {
-			return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrWALCorrupt, length, rec.Kind)
+			return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrFrameCorrupt, length, rec.Kind)
 		}
 	}
 	rest := payload[1:]
@@ -265,12 +252,12 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 	for i := range fields {
 		v, ok := take()
 		if !ok {
-			return WALRecord{}, 0, fmt.Errorf("%w: truncated field %d", ErrWALCorrupt, i)
+			return WALRecord{}, 0, fmt.Errorf("%w: truncated field %d", ErrFrameCorrupt, i)
 		}
 		fields[i] = v
 	}
 	if rec.Kind != WALMigration && rec.Kind != WALAlert && len(rest) != 0 {
-		return WALRecord{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrWALCorrupt, len(rest))
+		return WALRecord{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrFrameCorrupt, len(rest))
 	}
 	switch rec.Kind {
 	case WALReading:
@@ -301,7 +288,7 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 		rec.At = model.Epoch(int32(fields[3]))
 		plen, ok := take()
 		if !ok || plen > MaxAlertPatternKey || plen > uint64(len(rest)) {
-			return WALRecord{}, 0, fmt.Errorf("%w: alert pattern length", ErrWALCorrupt)
+			return WALRecord{}, 0, fmt.Errorf("%w: alert pattern length", ErrFrameCorrupt)
 		}
 		// Copied out of the scan buffer like the migration payload: the
 		// restored alert log outlives the replay.
@@ -309,7 +296,7 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 		rest = rest[plen:]
 		nvals, ok := take()
 		if !ok || nvals > uint64(len(rest))/8 || int(nvals)*8 != len(rest) {
-			return WALRecord{}, 0, fmt.Errorf("%w: alert value count", ErrWALCorrupt)
+			return WALRecord{}, 0, fmt.Errorf("%w: alert value count", ErrFrameCorrupt)
 		}
 		if nvals > 0 {
 			rec.Values = make([]float64, nvals)
@@ -318,7 +305,7 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 			}
 		}
 	default:
-		return WALRecord{}, 0, fmt.Errorf("%w: unknown record kind %d", ErrWALCorrupt, rec.Kind)
+		return WALRecord{}, 0, fmt.Errorf("%w: unknown record kind %d", ErrFrameCorrupt, rec.Kind)
 	}
 	return rec, walFrameHeader + int(length), nil
 }
@@ -327,7 +314,7 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 // record, and returns the byte offset of the first invalid frame (the
 // clean-truncation point) plus the error that stopped the scan (nil when
 // the buffer ends exactly on a record boundary). A non-nil error is always
-// ErrWALPartial or ErrWALCorrupt (possibly wrapped); emit's own error
+// ErrFramePartial or ErrFrameCorrupt (possibly wrapped); emit's own error
 // aborts the scan and is returned verbatim with the current offset.
 func ScanWAL(b []byte, emit func(WALRecord) error) (valid int, err error) {
 	off := 0

@@ -92,8 +92,8 @@ func TestWALRunRejects(t *testing.T) {
 	over := make([]byte, walRunHeader+(MaxWALRunReadings+1)*FrameRecordLen)
 	over[0] = WALRun
 	for i, b := range append(badRuns(), walFrame(over)) {
-		if _, n, err := DecodeWALRecord(b); !errors.Is(err, ErrWALCorrupt) || n != 0 {
-			t.Errorf("bad run %d: consumed %d, err = %v, want ErrWALCorrupt", i, n, err)
+		if _, n, err := DecodeWALRecord(b); !errors.Is(err, ErrFrameCorrupt) || n != 0 {
+			t.Errorf("bad run %d: consumed %d, err = %v, want ErrFrameCorrupt", i, n, err)
 		}
 	}
 	largest := make([]byte, MaxWALRunReadings*FrameRecordLen)
@@ -128,7 +128,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 // TestWALTornTail pins the crash-recovery contract: a log truncated at any
 // byte offset scans cleanly — every record before the cut decodes, the cut
-// frame reports ErrWALPartial, and the truncation point is exactly the end
+// frame reports ErrFramePartial, and the truncation point is exactly the end
 // of the last whole record.
 func TestWALTornTail(t *testing.T) {
 	samples := walSamples()
@@ -155,14 +155,14 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatalf("cut at %d: scanned %d records through offset %d, want %d through %d",
 				cut, count, valid, wantCount, wantValid)
 		}
-		if valid != cut && !errors.Is(err, ErrWALPartial) {
-			t.Fatalf("cut at %d: err = %v, want ErrWALPartial", cut, err)
+		if valid != cut && !errors.Is(err, ErrFramePartial) {
+			t.Fatalf("cut at %d: err = %v, want ErrFramePartial", cut, err)
 		}
 	}
 }
 
 // TestWALCorruption pins that bit rot inside a complete frame is detected
-// as ErrWALCorrupt, never decoded as a different record silently... except
+// as ErrFrameCorrupt, never decoded as a different record silently... except
 // inside the CRC's own collision space, which a single flipped bit never
 // reaches.
 func TestWALCorruption(t *testing.T) {
@@ -182,8 +182,8 @@ func TestWALCorruption(t *testing.T) {
 			}
 			continue
 		}
-		if !errors.Is(err, ErrWALCorrupt) && !errors.Is(err, ErrWALPartial) {
-			t.Fatalf("flipped byte %d: err = %v, want ErrWALCorrupt or ErrWALPartial", i, err)
+		if !errors.Is(err, ErrFrameCorrupt) && !errors.Is(err, ErrFramePartial) {
+			t.Fatalf("flipped byte %d: err = %v, want ErrFrameCorrupt or ErrFramePartial", i, err)
 		}
 	}
 }
@@ -214,7 +214,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			if n != 0 {
 				t.Fatalf("error %v consumed %d bytes", err, n)
 			}
-			if !errors.Is(err, ErrWALPartial) && !errors.Is(err, ErrWALCorrupt) {
+			if !errors.Is(err, ErrFramePartial) && !errors.Is(err, ErrFrameCorrupt) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
 			return
@@ -231,7 +231,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		}
 		// A scan over the full input must terminate and stay panic-free.
 		if _, err := ScanWAL(b, func(WALRecord) error { return nil }); err != nil &&
-			!errors.Is(err, ErrWALPartial) && !errors.Is(err, ErrWALCorrupt) {
+			!errors.Is(err, ErrFramePartial) && !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("ScanWAL error class: %v", err)
 		}
 	})

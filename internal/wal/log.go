@@ -486,7 +486,7 @@ func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(
 		l.stats.Replayed += count
 		l.statsMu.Unlock()
 		if scanErr != nil {
-			if !errors.Is(scanErr, stream.ErrWALPartial) && !errors.Is(scanErr, stream.ErrWALCorrupt) {
+			if !errors.Is(scanErr, stream.ErrFramePartial) && !errors.Is(scanErr, stream.ErrFrameCorrupt) {
 				return scanErr // a callback failed
 			}
 			// Torn or rotted tail: cut the segment back to its last valid
