@@ -52,16 +52,18 @@ race:
 
 # Short fuzz sessions over the wire decoders (80 s total budget): migrated
 # state bytes, write-ahead-log records and the three network frames
-# (RFB1 ingest, RFM1 migration, RFS1 WAL shipping — one target over all
-# three, so it gets their combined 30 s) must never panic a receiver, and
-# a corrupt WAL tail or frame must be refused cleanly instead of decoding
-# garbage; a JSON ingest body must decode to exactly what encoding/json
+# (RFB1 ingest, RFM1 migration, RFS1 WAL shipping — one target per codec's
+# seeds, each feeding every input to all three decoders) must never panic
+# a receiver, and a corrupt WAL tail or frame must be refused cleanly
+# instead of decoding garbage; a JSON ingest body must decode to exactly what encoding/json
 # decodes it to.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeCR' -fuzztime 10s ./internal/rfinfer/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeWALRecord' -fuzztime 10s ./internal/stream/
-	$(GO) test -run XXX -fuzz 'FuzzDecodeFrame$$' -fuzztime 30s ./internal/stream/
+	$(GO) test -run XXX -fuzz 'FuzzDecodeBatchFrame$$' -fuzztime 10s ./internal/stream/
+	$(GO) test -run XXX -fuzz 'FuzzDecodeMigrationFrame$$' -fuzztime 10s ./internal/stream/
+	$(GO) test -run XXX -fuzz 'FuzzDecodeReplicationFrame$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run XXX -fuzz 'FuzzParseSubscriptionFilter' -fuzztime 10s ./internal/serve/
 	$(GO) test -run XXX -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/serve/
 

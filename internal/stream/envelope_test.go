@@ -6,34 +6,55 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFrame hardens the three network frame decoders — RFB1, RFM1
-// and RFS1 — against arbitrary bytes. Every input goes through all three,
-// seeded from each codec's samples. A decoder must never panic and never
-// allocate from an untrusted length or count; a refusal consumes nothing
-// and is ErrFramePartial or ErrFrameCorrupt; an accepted RFB1 frame
-// re-encodes to a frame that decodes identically; and an accepted RFM1 or
-// RFS1 frame re-encodes byte-identically, the property that lets a
-// migration sender, or a follower after a torn connection, re-send without
-// diverging.
-func FuzzDecodeFrame(f *testing.F) {
+// The three network frame fuzz targets — FuzzDecodeBatchFrame,
+// FuzzDecodeMigrationFrame and FuzzDecodeReplicationFrame — harden the
+// RFB1, RFM1 and RFS1 decoders against arbitrary bytes. Each is seeded from
+// its own codec's samples, and every input, from any of the three, goes
+// through all three decoders via fuzzFrameDecoders: the decoders share one
+// envelope, so bytes shaped for one codec probe the others' refusals too.
+
+// FuzzDecodeBatchFrame seeds the shared frame property from RFB1 samples.
+func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(buildFrame(frameSections()))
 	f.Add(buildFrame([]frameSection{{0, nil}}))
 	f.Add(buildFrame([]frameSection{{2, []frameRec{{T: -5, Tag: -7, Mask: 0}}}}))
 	f.Add([]byte{})
 	f.Add([]byte{'R', 'F', 'B', '1'})
 	f.Add([]byte{'R', 'F', 'B', '1', 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+	fuzzFrameDecoders(f)
+}
+
+// FuzzDecodeMigrationFrame seeds the shared frame property from RFM1
+// samples.
+func FuzzDecodeMigrationFrame(f *testing.F) {
 	for _, mf := range migSamples() {
 		f.Add(AppendMigrationFrame(nil, mf.Object, mf.From, mf.To, mf.At, mf.Payload))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("RFM1"))
+	fuzzFrameDecoders(f)
+}
+
+// FuzzDecodeReplicationFrame seeds the shared frame property from RFS1
+// samples, status frame included.
+func FuzzDecodeReplicationFrame(f *testing.F) {
 	for _, rf := range replSamples() {
 		f.Add(AppendReplFrame(nil, rf.Kind, rf.Site, rf.Gen, rf.Off, rf.Payload))
 	}
 	f.Add(AppendReplStatus(nil, 1, 300, 4096))
 	f.Add([]byte{})
 	f.Add([]byte("RFS1"))
+	fuzzFrameDecoders(f)
+}
 
+// fuzzFrameDecoders runs the frame property over every input. A decoder
+// must never panic and never allocate from an untrusted length or count;
+// a refusal consumes nothing and is ErrFramePartial or ErrFrameCorrupt; an
+// accepted RFB1 frame re-encodes to a frame that decodes identically; and
+// an accepted RFM1 or RFS1 frame re-encodes byte-identically, the property
+// that lets a migration sender, or a follower after a torn connection,
+// re-send without diverging.
+func fuzzFrameDecoders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		refused := func(codec string, n int, err error) bool {
 			if err == nil {

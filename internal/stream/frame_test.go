@@ -124,9 +124,8 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 	}
 }
 
-// TestFrameHostileHeaders pins that implausible lengths and counts, and
-// bytes after the frame, are refused before any record materializes, with
-// the right error class.
+// TestFrameHostileHeaders pins that implausible lengths and counts are
+// refused before any record materializes, with the right error class.
 func TestFrameHostileHeaders(t *testing.T) {
 	patch := func(off int, v uint32) []byte {
 		frame := buildFrame(frameSections())
@@ -149,15 +148,35 @@ func TestFrameHostileHeaders(t *testing.T) {
 		{"record count beyond body", patch(12, 1<<30), ErrFrameCorrupt},
 		{"record count mismatch", patch(12, 2), ErrFrameCorrupt},
 		{"section record count beyond body", patch(frameHeaderLen+4, 1<<30), ErrFrameCorrupt},
-		// A frame travels alone: bytes after it, a second frame or a torn
-		// one included, make the buffer corrupt, never a partial decode.
-		{"trailing bytes", append(buildFrame(frameSections()), "garbage"...), ErrFrameCorrupt},
-		{"two frames", append(buildFrame(frameSections()), buildFrame(frameSections())...), ErrFrameCorrupt},
-		{"frame then torn frame", append(buildFrame(frameSections()), buildFrame(frameSections())[:7]...), ErrFrameCorrupt},
 	}
 	for _, tc := range cases {
 		if got, n, err := decodeFrame(tc.frame); !errors.Is(err, tc.want) || n != 0 || got != nil {
 			t.Errorf("%s: %d sections, n=%d, err = %v, want none, 0, %v", tc.name, len(got), n, err, tc.want)
+		}
+	}
+}
+
+// TestFrameScan pins how a buffer of frames decodes: a frame travels
+// alone, so a buffer holding exactly one frame decodes whole, and bytes
+// after it — a second frame, a torn one, or garbage — make the buffer
+// corrupt, never a partial decode of its first frame.
+func TestFrameScan(t *testing.T) {
+	one := buildFrame(frameSections())
+	got, n, err := decodeFrame(one)
+	if err != nil || n != len(one) || !reflect.DeepEqual(got, frameSections()) {
+		t.Fatalf("single frame: %d sections, n=%d, err=%v", len(got), n, err)
+	}
+	cases := []struct {
+		name string
+		buf  []byte
+	}{
+		{"trailing bytes", append(buildFrame(frameSections()), "garbage"...)},
+		{"two frames", append(buildFrame(frameSections()), one...)},
+		{"frame then torn frame", append(buildFrame(frameSections()), one[:7]...)},
+	}
+	for _, tc := range cases {
+		if got, n, err := decodeFrame(tc.buf); !errors.Is(err, ErrFrameCorrupt) || n != 0 || got != nil {
+			t.Errorf("%s: %d sections, n=%d, err = %v, want none, 0, %v", tc.name, len(got), n, err, ErrFrameCorrupt)
 		}
 	}
 }
