@@ -107,8 +107,10 @@ func paperDenseConfig() sim.Config {
 // They are exact counts of a deterministic replay, so any change to what is
 // searched, where a search stops or which epochs it visits moves them. The
 // M-step's evidence columns kept and rescored are pinned alongside: they
-// move if the per-candidate evidence memo keeps or drops anything new. The
-// engines' history storage must hold at most 1.5 × what it uses after every
+// move if the per-candidate evidence memo keeps or drops anything new. So
+// is the E-step's work — posteriors computed and carried, rows reused and
+// computed, groups dirty — which moves if the posterior memo keeps or
+// recomputes anything it did not before. The engines' history storage must hold at most 1.5 × what it uses after every
 // checkpoint.
 func TestPaperDenseSearchCounters(t *testing.T) {
 	if testing.Short() {
@@ -137,6 +139,7 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 		}
 	}
 	var searches, windows, rows, noHit, segReused, segComputed int
+	var postComputed, postSkipped, rowsReused, rowsComputed, groupsDirty int
 	for ckpt, through := 1, w.Epochs/interval*interval; f.Next() <= through; ckpt++ {
 		if err := f.Advance(); err != nil {
 			t.Fatal(err)
@@ -150,6 +153,11 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 			noHit += st.CRSearchesNoHit
 			segReused += st.EvidenceSegmentsReused
 			segComputed += st.EvidenceSegmentsComputed
+			postComputed += st.PosteriorsComputed
+			postSkipped += st.PosteriorsSkipped
+			rowsReused += st.RowsReused
+			rowsComputed += st.RowsComputed
+			groupsDirty += st.GroupsDirty
 			held += st.StorageBytes
 			used += st.StorageUsedBytes
 		}
@@ -170,6 +178,12 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 	}
 	if segReused != 641517 || segComputed != 858627 {
 		t.Fatalf("evidence columns kept %d, rescored %d; want 641517, 858627", segReused, segComputed)
+	}
+	if postComputed != 4627 || postSkipped != 11536 || rowsReused != 117776 ||
+		rowsComputed != 323303 || groupsDirty != 2864 {
+		t.Fatalf("posteriors computed %d, carried %d, rows reused %d, rows computed %d, groups dirty %d; "+
+			"want 4627, 11536, 117776, 323303, 2864",
+			postComputed, postSkipped, rowsReused, rowsComputed, groupsDirty)
 	}
 }
 
