@@ -24,6 +24,8 @@ test:
 # three network frames (RFB1, RFM1, RFS1) share one envelope: only
 # internal/stream/envelope.go checks a magic, a length or a CRC, and the
 # JSON /ingest/batch front door and the second RFB1 encoder stay deleted.
+# The E-step memo has one key, the group plus the add floor: the content
+# hashes (and Series.Version) and the dirty-bit carry beside them stay deleted.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -42,6 +44,10 @@ vet:
 		|| { echo "a network frame codec checks its own CRC; the envelope in internal/stream/envelope.go owns it (see above)"; exit 1; }
 	@! grep -rn --include='*.go' 'handleIngestBatch\|BatchRequest\|AppendBatchFrame' . \
 		|| { echo "the retired /ingest/batch front door or the second RFB1 encoder is back (see above)"; exit 1; }
+	@! grep -n 'groupSignature\|dataSignature\|seriesVersionThrough\|verCache\|postSig\|carryAnchored' internal/rfinfer/*.go | grep -v '_test.go:' \
+		|| { echo "a content-hash or dirty-bit key of the E-step memo is back in internal/rfinfer (see above)"; exit 1; }
+	@! grep -n 'Version(' internal/model/series.go \
+		|| { echo "the series content fingerprint is back in internal/model (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

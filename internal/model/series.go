@@ -127,27 +127,3 @@ func (s Series) CountIn(from, to Epoch) int {
 	hi := sort.Search(len(s), func(i int) bool { return s[i].T >= to })
 	return hi - lo
 }
-
-// Version returns an order-sensitive fingerprint of the series content
-// (FNV-1a over every reading's epoch and mask). Any mutation — Add, AddMask,
-// truncation via Window().Clone(), Merge — that changes the recorded data
-// changes the version; two series holding identical readings share one.
-// It is the per-tag data key of the cross-Run posterior memoization in
-// internal/rfinfer: a container whose group and member versions are all
-// unchanged since the previous inference run keeps its posterior.
-func (s Series) Version() uint64 {
-	h := uint64(1469598103934665603)
-	for _, rd := range s {
-		h ^= uint64(uint32(rd.T))
-		h *= 1099511628211
-		h ^= uint64(rd.Mask)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// VersionIn returns the fingerprint of the sub-series with epochs in
-// [from, to): Window(from, to).Version() without the intermediate slice.
-func (s Series) VersionIn(from, to Epoch) uint64 {
-	return s.Window(from, to).Version()
-}

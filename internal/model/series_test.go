@@ -261,72 +261,3 @@ func TestLikelihoodUniformBase(t *testing.T) {
 		}
 	}
 }
-
-func TestSeriesVersion(t *testing.T) {
-	var s Series
-	empty := s.Version()
-
-	s.Add(10, 1)
-	v1 := s.Version()
-	if v1 == empty {
-		t.Fatal("Add did not change the version")
-	}
-
-	s.Add(20, 2)
-	v2 := s.Version()
-	if v2 == v1 {
-		t.Fatal("second Add did not change the version")
-	}
-
-	// Merging a new reader bit into an existing epoch changes the version.
-	s.AddMask(10, Mask(0).Set(3))
-	v3 := s.Version()
-	if v3 == v2 {
-		t.Fatal("AddMask into an existing epoch did not change the version")
-	}
-
-	// Truncation that drops readings changes the version; a window covering
-	// everything does not.
-	whole := s.Window(0, 100).Clone()
-	if whole.Version() != v3 {
-		t.Error("full-range Window().Clone() changed the version")
-	}
-	trunc := s.Window(15, 100).Clone()
-	if trunc.Version() == v3 {
-		t.Error("truncating Window().Clone() kept the version")
-	}
-
-	// Versions fingerprint content, not identity: identical readings built
-	// through different call sequences share one version.
-	var u Series
-	u.AddMask(10, Mask(0).Set(1).Set(3))
-	u.Add(20, 2)
-	if u.Version() != v3 {
-		t.Errorf("content-identical series disagree: %x vs %x", u.Version(), v3)
-	}
-
-	// A reading is not confusable with its neighbor epochs.
-	var a, b Series
-	a.Add(1, 0)
-	b.Add(2, 0)
-	if a.Version() == b.Version() {
-		t.Error("different epochs share a version")
-	}
-}
-
-func TestSeriesVersionIn(t *testing.T) {
-	var s Series
-	s.Add(5, 1)
-	s.Add(10, 2)
-	s.Add(15, 3)
-	if got, want := s.VersionIn(0, 100), s.Version(); got != want {
-		t.Errorf("VersionIn over everything = %x, want %x", got, want)
-	}
-	if got, want := s.VersionIn(5, 11), s.Window(5, 11).Clone().Version(); got != want {
-		t.Errorf("VersionIn(5,11) = %x, want windowed clone version %x", got, want)
-	}
-	var empty Series
-	if s.VersionIn(40, 50) != empty.Version() {
-		t.Error("empty window version differs from empty series version")
-	}
-}

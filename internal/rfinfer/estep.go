@@ -8,97 +8,57 @@ import (
 	"rfidtrack/internal/model"
 )
 
-// groupSignature hashes a sorted group id list (FNV-1a over the ids). It is
-// the memoization key of Appendix A.3: a container whose group and data are
-// unchanged keeps its posterior without recomputation. Ids are hashed at
-// full width (sign-extended to 64 bits) so the signature stays collision-free
-// if TagID ever widens past 32 bits.
-func groupSignature(group []model.TagID) uint64 {
-	h := uint64(1469598103934665603)
-	for _, id := range group {
-		h ^= uint64(int64(id))
-		h *= 1099511628211
-	}
-	h ^= uint64(len(group)) + 1 // distinguish empty group from "never computed"
-	h *= 1099511628211
-	return h
-}
-
-// dataSignature folds every member series' content version over the group
-// signature: the full key of the cross-Run posterior memo. through bounds
-// the fingerprinted history ([epochMin, through]); pass epochMax for all of
-// it.
-func (e *Engine) dataSignature(gsig uint64, rec *tagRec, group []model.TagID, through model.Epoch) uint64 {
-	h := gsig
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(e.seriesVersionThrough(rec, through))
-	for _, oid := range group {
-		mix(e.seriesVersionThrough(e.tag(oid), through))
-	}
-	return h
-}
-
 // eStep computes (or revalidates) every container's posterior for the
 // current containment estimate, fanning out over the worker pool. Each
 // container's decision and computation touch only its own record plus
 // read-only member series, so the result is independent of worker count.
+//
+// The memo (Appendix A.3, extended across Runs) is keyed by the group the
+// posterior was computed with and by the add floor: the end-of-Run memo
+// refresh leaves every valid posterior exact for the data as it then stood,
+// and rows below the lowest epoch at which the container or a member has
+// taken a reading since are still exact. With no such reading the posterior
+// is carried whole; otherwise only the rows from the floor (or from the
+// previous horizon, if that is lower) are recomputed.
 func (e *Engine) eStep() {
-	anchored := e.carryAnchored()
 	e.parallelFor(len(e.containers), containerChunk, func(s *scratch, i int) {
 		rec := e.tag(e.containers[i])
 		group := rec.groupNow
-		// Incremental fast path: the group is unchanged member-for-member
-		// and neither the container nor any member turned dirty since the
-		// end of the previous Run — which anchored postSig over exactly this
-		// content — so the signature comparison below is guaranteed to
-		// match. Skip the O(history) content hash and carry the posterior
-		// forward whole.
-		if anchored && rec.computedSeq != e.runSeq && rec.postValid &&
-			!rec.dirty && slices.Equal(group, rec.group) && e.groupClean(group) {
-			rec.computedSeq = e.runSeq
-			e.nSkipped.Add(1)
-			e.nGroupsClean.Add(1)
-			return
-		}
-		gsig := groupSignature(group)
-		if rec.computedSeq == e.runSeq && gsig == rec.groupSig {
+		sameGroup := rec.postValid && slices.Equal(group, rec.group)
+		if sameGroup && rec.computedSeq == e.runSeq {
 			return // already computed this Run with the same group
 		}
-		sameGroup := rec.postValid && gsig == rec.groupSig
-		full := e.dataSignature(gsig, rec, group, epochMax)
-		if rec.computedSeq != e.runSeq && sameGroup && full == rec.postSig {
-			// Group and every member series are unchanged since the
-			// previous Run: the memoized posterior is exact.
-			rec.computedSeq = e.runSeq
-			e.nSkipped.Add(1)
-			e.nGroupsClean.Add(1)
-			return
-		}
-		// Rows at epochs <= postThrough survive if the group matches and
-		// the data at those epochs is untouched — new readings only append
-		// history, so the common steady state recomputes only the epochs
-		// that arrived since the previous Run.
 		from := epochMin
-		if sameGroup && e.dataSignature(gsig, rec, group, rec.postThrough) == rec.postSig {
-			from = rec.postThrough + 1
+		if sameGroup && !e.noCarry {
+			floor := e.addedFloor(rec, group)
+			if floor == epochMax {
+				rec.computedSeq = e.runSeq
+				e.nSkipped.Add(1)
+				return
+			}
+			from = min(floor, rec.postThrough+1)
 		}
 		if rec.computedSeq != e.runSeq {
 			e.nGroupsDirty.Add(1)
 		}
 		e.computePosterior(rec, group, from, s)
 		rec.group = append(rec.group[:0], group...)
-		rec.groupSig = gsig
-		// All data is at epochs <= e.now, so the full signature doubles as
-		// the prefix signature for the new horizon.
-		rec.postSig = full
 		rec.postThrough = e.now
 		rec.postValid = true
 		rec.computedSeq = e.runSeq
 		e.nComputed.Add(1)
 	})
+}
+
+// addedFloor returns the lowest epoch at which the container or any member
+// of group took a reading since the end of the previous Run, epochMax if
+// none did.
+func (e *Engine) addedFloor(rec *tagRec, group []model.TagID) model.Epoch {
+	floor := rec.addFloor
+	for _, oid := range group {
+		floor = min(floor, e.tag(oid).addFloor)
+	}
+	return floor
 }
 
 // computePosterior fills rec.post for the container given its group,

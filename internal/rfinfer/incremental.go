@@ -10,10 +10,10 @@ package rfinfer
 import "rfidtrack/internal/model"
 
 // noteMutation accounts one series mutation at epoch t for the incremental
-// bookkeeping: the tag turns dirty until the end of the next Run, the
-// truncation add-floor absorbs t, and container mutations additionally
-// invalidate the flattened co-occurrence index for every object that could
-// have co-occurred at t.
+// bookkeeping: the tag turns dirty until the end of the next Run, its add
+// floor (the bound the E-step memo and the truncation proof read) absorbs
+// t, and container mutations additionally invalidate the flattened
+// co-occurrence index for every object that could have co-occurred at t.
 func (e *Engine) noteMutation(rec *tagRec, t model.Epoch) {
 	e.markDirty(rec)
 	if t < rec.addFloor {
@@ -44,27 +44,6 @@ func (e *Engine) noteContainerChange(t model.Epoch) {
 	e.contFlatClean = false
 }
 
-// carryAnchored reports whether end-of-Run state is a sound anchor for the
-// between-Run posterior carry: the memo refresh re-anchors postSig over the
-// post-truncation series at the end of every Run, absorbing any intra-Run
-// mutation. TruncateNone runs no memo refresh, so change-point resets
-// (Delta > 0) would leave postSig stale there — only the signature path may
-// skip in that configuration.
-func (e *Engine) carryAnchored() bool {
-	return !e.noCarry && (e.cfg.Truncation != TruncateNone || e.cfg.Delta <= 0)
-}
-
-// groupClean reports whether no member of group changed since the end of
-// the previous Run.
-func (e *Engine) groupClean(group []model.TagID) bool {
-	for _, oid := range group {
-		if e.tag(oid).dirty {
-			return false
-		}
-	}
-	return true
-}
-
 // groupUndropped reports whether no member of group had readings dropped
 // during this Run's truncation or change-point resets.
 func (e *Engine) groupUndropped(group []model.TagID) bool {
@@ -74,27 +53,6 @@ func (e *Engine) groupUndropped(group []model.TagID) bool {
 		}
 	}
 	return true
-}
-
-// seriesVersionThrough returns the content version of rec.series limited to
-// epochs <= through. When the bound does not actually clip the series — the
-// epochMax case and any horizon at or past the newest reading — the value
-// is the full-series Version, served from a per-tag cache keyed by
-// seriesVer so unchanged series hash once, not once per signature check.
-// The cache write is race-free under the E-step fan-out: each container
-// worker touches only its own record and its group members, and groups are
-// disjoint (an object is assigned to one container).
-func (e *Engine) seriesVersionThrough(rec *tagRec, through model.Epoch) uint64 {
-	if rec.series.Last() > through {
-		return rec.series.VersionIn(epochMin, through+1)
-	}
-	if key := rec.seriesVer + 1; rec.verCacheKey == key {
-		return rec.verCache
-	}
-	v := rec.series.Version()
-	rec.verCacheKey = rec.seriesVer + 1
-	rec.verCache = v
-	return v
 }
 
 // seriesAllIn reports that every reading of s already lies inside
@@ -142,8 +100,9 @@ func (e *Engine) truncZoneClean(rec *tagRec, newFrom, now model.Epoch, cr window
 
 // closeCheckpoint finishes a Run's incremental bookkeeping: container drops
 // from this Run's truncation flow into the candidate-build floor, and the
-// dirty set resets — every mutation so far is folded into the memos (or
-// will be rediscovered through the seriesVer stamps).
+// dirty set and add floors reset — every mutation so far is folded into the
+// memos (or will be rediscovered through the seriesVer stamps). Every tag
+// with a lowered add floor is dirty, so the one walk resets both.
 func (e *Engine) closeCheckpoint() {
 	for _, cid := range e.containers {
 		if d := e.tag(cid).dropped; len(d) > 0 {
@@ -153,6 +112,7 @@ func (e *Engine) closeCheckpoint() {
 	if e.dirtyTags > 0 {
 		for rec := range e.allTags {
 			rec.dirty = false
+			rec.addFloor = epochMax
 		}
 		e.dirtyTags = 0
 	}

@@ -102,7 +102,7 @@ func runBurstyPair(t *testing.T, lik *model.Likelihood, cfg Config, seed uint64)
 	for o := range home {
 		home[o] = o / perGroup
 	}
-	totalClean := 0
+	totalSkipped := 0
 	for ck := 0; ck < ckpts; ck++ {
 		active := rng.IntN(groups)
 		fullyIdle := rng.Float64() < 0.25
@@ -152,10 +152,79 @@ func runBurstyPair(t *testing.T, lik *model.Likelihood, cfg Config, seed uint64)
 			t.Fatalf("checkpoint %d: RunResult diverged:\ninc: %+v\nref: %+v", ck, ri, rr)
 		}
 		compareEngines(t, ck, inc, ref, now)
-		totalClean += inc.Stats().GroupsClean
+		totalSkipped += inc.Stats().PosteriorsSkipped
 	}
-	if totalClean == 0 {
+	if totalSkipped == 0 {
 		t.Fatal("incremental fast path never engaged over the whole workload")
+	}
+}
+
+// TestDetectionKeepingContainerRefreshesMemo covers the memo refresh under
+// TruncateNone. Object 1 rides with container 100 for 100 epochs, then
+// with container 101 for 300 more, beside object 2 that never moves. The
+// M-step settles on 101, and change-point detection then keeps 101 while it
+// drops object 1's readings before the change. 101's group is the same at
+// the next Run, so only the end-of-Run memo refresh can take those readings
+// out of its posterior rows; the engine must match the noCarry reference,
+// which recomputes every posterior from scratch.
+func TestDetectionKeepingContainerRefreshesMemo(t *testing.T) {
+	lik := testLik(t)
+	cfg := changeConfig()
+	cfg.Truncation = TruncateNone
+	inc := New(lik, cfg)
+	ref := New(lik, cfg)
+	ref.noCarry = true
+	engines := []*Engine{inc, ref}
+	for _, e := range engines {
+		e.RegisterContainer(100)
+		e.RegisterContainer(101)
+		e.RegisterObject(1)
+		e.RegisterObject(2)
+	}
+	read := func(ep model.Epoch, id model.TagID, r model.Loc) {
+		for _, e := range engines {
+			if err := e.ObserveMask(ep, id, model.Mask(0).Set(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed := func(from, to model.Epoch) {
+		for ep := from; ep < to; ep++ {
+			read(ep, 100, 0)
+			read(ep, 101, 1)
+			read(ep, 2, 1)
+			if ep < 100 {
+				read(ep, 1, 0)
+			} else {
+				read(ep, 1, 1)
+			}
+		}
+	}
+	run := func(ck int, now model.Epoch) {
+		ri, rr := inc.Run(now), ref.Run(now)
+		if !reflect.DeepEqual(ri, rr) {
+			t.Fatalf("checkpoint %d: RunResult diverged:\ninc: %+v\nref: %+v", ck, ri, rr)
+		}
+		compareEngines(t, ck, inc, ref, now)
+	}
+
+	feed(0, 400)
+	run(0, 399)
+	d := inc.Detections()
+	if len(d) != 1 || d[0].Object != 1 || d[0].NewContainer != 101 {
+		t.Fatalf("want one detection moving object 1 to 101, got %+v", d)
+	}
+	if c := inc.tags[model.TagID(101)]; !slices.Contains(c.group, 1) || len(inc.tags[model.TagID(1)].dropped) == 0 {
+		t.Fatalf("detection should drop object 1's early readings and keep it in 101's group %v", c.group)
+	}
+	feed(400, 500)
+	run(1, 499)
+	if st := inc.Stats(); st.RowsReused == 0 {
+		t.Fatalf("101's rows below the new interval should be kept: %+v", st)
+	}
+	run(2, 599)
+	if st := inc.Stats(); st.PosteriorsComputed != 0 {
+		t.Fatalf("an idle Run should carry every posterior: %+v", st)
 	}
 }
 

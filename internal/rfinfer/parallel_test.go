@@ -341,4 +341,30 @@ func TestIncrementalRowReuse(t *testing.T) {
 	if st.RowsComputed == 0 {
 		t.Fatalf("incremental Run computed no new rows: %+v", st)
 	}
+
+	// A straggler inside the first interval lowers the add floor to its
+	// epoch: the rows below it are still exact and must be kept, and only
+	// the rows from it on recomputed.
+	late := model.Epoch(50)
+	for ; late < 100; late++ {
+		if lik.Schedule().ScanMask(late).Has(2) && e.tags[model.TagID(1)].series.CountIn(late, late+1) == 0 {
+			break
+		}
+	}
+	if late == 100 {
+		t.Fatal("no unread epoch of the first interval scans reader 2")
+	}
+	below := 0
+	for _, ep := range e.tags[model.TagID(100)].post.epochs {
+		if ep < late {
+			below++
+		}
+	}
+	if err := e.ObserveMask(late, 1, model.Mask(0).Set(2)); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(199)
+	if st := e.Stats(); st.RowsReused != below || st.PosteriorsComputed != 1 {
+		t.Fatalf("straggler at %d: reused %d rows, want the %d below it (%+v)", late, st.RowsReused, below, st)
+	}
 }

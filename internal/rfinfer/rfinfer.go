@@ -161,52 +161,44 @@ type tagRec struct {
 	// Container state.
 	group    []model.TagID // members the posterior was computed with
 	groupNow []model.TagID // members per the current containment estimate
-	groupSig uint64
 	post     posterior
 	keepWins []window // candidate-objects' critical regions (truncation)
 
-	// Cross-Run memo state (Appendix A.3 extended with data versions): the
-	// posterior stays valid while the group signature and every member
-	// series' content version match what they were when it was computed.
-	// postValid marks that post holds a computed posterior; postSig is the
-	// combined group+data signature at compute time; postThrough is the
-	// history horizon the memo covers (rows at epochs <= postThrough are
-	// reusable while the data at those epochs is untouched); computedSeq is
-	// the engine Run sequence that last computed (or revalidated) the
-	// posterior, distinguishing per-Run invalidation from EM-iteration
-	// reuse.
-	postSig     uint64
+	// Cross-Run memo state (Appendix A.3 extended across Runs): the
+	// posterior is keyed by group, and its rows stay exact below the add
+	// floor of the container and its members (see eStep). postValid marks
+	// that post holds a computed posterior, exact for the history as the
+	// end of the last Run left it; postThrough is the Run horizon it was
+	// last computed to; computedSeq is the engine Run sequence that last
+	// computed (or carried) the posterior, distinguishing per-Run
+	// invalidation from EM-iteration reuse.
 	computedSeq uint64
 	postThrough model.Epoch
 	postValid   bool
 
 	// Incremental Δ-checkpoint state (see PERFORMANCE.md). dirty marks that
 	// the tag's series or migrated state changed since the end of the
-	// previous Run; a container group whose members are all clean skips its
-	// E-step without even hashing the member series. candVer/candCont stamp
-	// the series version and containment assignment the candidate list was
-	// last built against (candValid marks the stamps usable), letting
+	// previous Run. candVer/candCont stamp the series version and
+	// containment assignment the candidate list was last built against
+	// (candValid marks the stamps usable), letting
 	// buildCandidates keep the list for objects whose co-occurrence inputs
 	// are provably unchanged. evSeq is the Run sequence that last recomputed
 	// rec.ev: when it is not the current Run's, every input of the
 	// critical-region search is bit-identical to the previous Run's, so the
 	// verdict already stored in rec.cr carries forward. addFloor is the
-	// lowest epoch observed (or merged) into the series since the last
-	// truncation pass, and trCR the critical region that pass filtered
-	// against — together they let truncate prove a pass drops nothing.
-	// verCache caches series.Version() under key verCacheKey==seriesVer+1
-	// (0 = invalid), collapsing repeated content hashes of unchanged series
-	// to O(1).
-	dirty       bool
-	candValid   bool
-	candVer     uint32
-	candCont    model.TagID
-	addFloor    model.Epoch
-	trCR        window
-	verCacheKey uint32
-	verCache    uint64
-	evSeq       uint64
-	prevWins    []window // keepWins of the previous truncation (containers)
+	// lowest epoch observed (or merged) into the series since the end of
+	// the previous Run (epochMax when none was): the E-step memo keeps the
+	// posterior rows below it, and with trCR, the critical region the last
+	// truncation pass filtered against, it lets truncate prove a pass drops
+	// nothing.
+	dirty     bool
+	candValid bool
+	candVer   uint32
+	candCont  model.TagID
+	addFloor  model.Epoch
+	trCR      window
+	evSeq     uint64
+	prevWins  []window // keepWins of the previous truncation (containers)
 }
 
 // posterior is a container's location posterior q_tc at its active epochs,
@@ -461,9 +453,8 @@ type RunStats struct {
 	// DirtyTags counts tags whose series or migrated state changed between
 	// the previous Run and this one — the incremental checkpoint's input
 	// size. GroupsDirty counts container groups whose posterior had to be
-	// recomputed on their first E-step visit of the Run; GroupsClean counts
-	// groups carried forward whole from the previous checkpoint.
-	DirtyTags, GroupsDirty, GroupsClean int
+	// recomputed on their first E-step visit of the Run.
+	DirtyTags, GroupsDirty int
 	// CRSearches counts the objects whose critical region was searched
 	// (objects whose evidence stood carry their region forward unsearched).
 	// CRWindowsScanned counts the window positions those searches
@@ -538,7 +529,7 @@ type Engine struct {
 	nComputed, nSkipped, nRowsReused, nRowsComputed atomic.Int64
 	nEvComputed, nEvSkipped                         atomic.Int64
 	nSegReused, nSegComputed                        atomic.Int64
-	nGroupsDirty, nGroupsClean                      atomic.Int64
+	nGroupsDirty                                    atomic.Int64
 	nCRSearches, nCRWindows, nCRRows, nCRNoHit      atomic.Int64
 	storage                                         storageSum // summed by truncate
 	stats                                           RunStats
@@ -551,7 +542,8 @@ type Engine struct {
 	// co-occurrence index still valid. truncValid/truncFrom/truncNow record
 	// the boundary of the last truncation pass, anchoring the proof that a
 	// later pass drops nothing. noCarry disables every carry-forward fast
-	// path — between Runs, and the M-step's evidence memo between EM
+	// path — between Runs (every posterior is recomputed from scratch on
+	// its first visit in a Run), and the M-step's evidence memo between EM
 	// iterations too — the equivalence tests' reference mode.
 	dirtyTags        int
 	contChangedFloor model.Epoch

@@ -192,36 +192,6 @@ func TestInsertSorted(t *testing.T) {
 	}
 }
 
-func TestGroupSignature(t *testing.T) {
-	a := groupSignature([]model.TagID{1, 2, 3})
-	b := groupSignature([]model.TagID{1, 2, 4})
-	c := groupSignature(nil)
-	d := groupSignature([]model.TagID{})
-	if a == b {
-		t.Error("different groups share signature")
-	}
-	if c != d {
-		t.Error("nil and empty group differ")
-	}
-	if a == c {
-		t.Error("non-empty group equals empty signature")
-	}
-	// Ids hash at full width: the sign bit must reach the hash (the old
-	// uint64(uint32(id)) truncation would collide ids differing only above
-	// bit 31 if TagID ever widens), and negative ids must stay distinct.
-	neg := groupSignature([]model.TagID{-1, 2, 3})
-	if neg == a {
-		t.Error("negative id collides with positive group")
-	}
-	if groupSignature([]model.TagID{-1}) == groupSignature([]model.TagID{1}) {
-		t.Error("sign bit dropped from signature")
-	}
-	// Deterministic across calls.
-	if a != groupSignature([]model.TagID{1, 2, 3}) {
-		t.Error("signature not deterministic")
-	}
-}
-
 func TestNormalizeLog(t *testing.T) {
 	lq := []float64{-1000, -1001, -999}
 	q := make([]float64, 3)

@@ -73,7 +73,6 @@ func (e *Engine) estimate(now model.Epoch) int {
 	e.nSegReused.Store(0)
 	e.nSegComputed.Store(0)
 	e.nGroupsDirty.Store(0)
-	e.nGroupsClean.Store(0)
 	e.nCRSearches.Store(0)
 	e.nCRWindows.Store(0)
 	e.nCRRows.Store(0)
@@ -104,9 +103,7 @@ func (e *Engine) estimate(now model.Epoch) int {
 // the checkpoint's counters.
 func (e *Engine) retire(now model.Epoch) {
 	e.truncate(now)
-	if e.cfg.Truncation != TruncateNone {
-		e.refreshMemo()
-	}
+	e.refreshMemo()
 	e.stats = RunStats{
 		PosteriorsComputed:       int(e.nComputed.Load()),
 		PosteriorsSkipped:        int(e.nSkipped.Load()),
@@ -118,7 +115,6 @@ func (e *Engine) retire(now model.Epoch) {
 		EvidenceSegmentsComputed: int(e.nSegComputed.Load()),
 		DirtyTags:                e.dirtyTags,
 		GroupsDirty:              int(e.nGroupsDirty.Load()),
-		GroupsClean:              int(e.nGroupsClean.Load()),
 		CRSearches:               int(e.nCRSearches.Load()),
 		CRWindowsScanned:         int(e.nCRWindows.Load()),
 		CRRowsBuilt:              int(e.nCRRows.Load()),
@@ -283,7 +279,6 @@ func (e *Engine) truncate(now model.Epoch) {
 			default:
 				filterSeries(rec, win, window{}, nil)
 			}
-			rec.addFloor = epochMax
 			e.storage.addTag(rec)
 		}
 		e.truncValid, e.truncFrom, e.truncNow = true, win.From, now
@@ -316,7 +311,6 @@ func (e *Engine) truncate(now model.Epoch) {
 			filterSeries(rec, recent, rec.cr, nil)
 			rec.trCR = rec.cr
 		}
-		rec.addFloor = epochMax
 		e.storage.addTag(rec)
 	}
 	for _, cid := range e.containers {
@@ -328,7 +322,6 @@ func (e *Engine) truncate(now model.Epoch) {
 		default:
 			filterSeries(rec, recent, window{}, rec.keepWins)
 		}
-		rec.addFloor = epochMax
 		e.storage.addTag(rec)
 	}
 	e.truncValid, e.truncFrom, e.truncNow = true, recent.From, now
@@ -365,12 +358,13 @@ func filterSeries(rec *tagRec, recent, cr window, extra []window) {
 	rec.dropped = keepGrow(rec.dropped, len(rec.dropped), len(rec.dropped))
 }
 
-// refreshMemo re-anchors every container's posterior memo to the truncated
-// history so the next Run can keep reusing it. Rows at epochs no longer in
-// the member epoch union are compacted away (the arrays then sized by
-// keepGrow's rule); rows at epochs where some member's reading was dropped
-// (the epoch itself survives through another member) are recomputed from
-// the truncated data; everything else is kept.
+// refreshMemo re-anchors every container's posterior memo to the history
+// the Run leaves — truncated, and cut back at detected change points, under
+// every truncation mode — so the next Run can keep reusing it. Rows at
+// epochs no longer in the member epoch union are compacted away (the arrays
+// then sized by keepGrow's rule); rows at epochs where some member's
+// reading was dropped (the epoch itself survives through another member)
+// are recomputed from the remaining data; everything else is kept.
 // The refreshed posterior is bit-identical to recomputing it from scratch,
 // so the memo never changes inference output.
 func (e *Engine) refreshMemo() {
@@ -380,10 +374,8 @@ func (e *Engine) refreshMemo() {
 			return
 		}
 		// Nothing dropped from the container or any memo-group member this
-		// Run: the union, every row, and the anchored postSig are exactly
-		// what the walk below would reproduce. (postThrough keeps its old
-		// horizon, which stays prefix-consistent with postSig — readings at
-		// untouched epochs hash identically at any later check.)
+		// Run: the union and every row are exactly what the walk below would
+		// reproduce, and postThrough keeps its old horizon.
 		if !e.noCarry && len(rec.dropped) == 0 && e.groupUndropped(rec.group) {
 			return
 		}
@@ -461,7 +453,6 @@ func (e *Engine) refreshMemo() {
 			p.ver++ // compaction changed content: stale evidence must rebuild
 			p.refreshAdv(e.lik)
 		}
-		rec.postSig = e.dataSignature(rec.groupSig, rec, rec.group, epochMax)
 		rec.postThrough = e.now
 	})
 }

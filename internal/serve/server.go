@@ -725,7 +725,7 @@ func (s *Server) runCheckpointLocked() {
 			s.sched.DirtySites++
 		}
 		s.sched.DirtyGroups += es.GroupsDirty
-		s.sched.SkippedGroups += es.GroupsClean
+		s.sched.SkippedGroups += es.PosteriorsSkipped
 	}
 
 	// Publish this checkpoint's staged matches in site order; see the
