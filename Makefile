@@ -51,10 +51,11 @@ vet:
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it
-# drives, and the online serving runtime (ingest queue, scheduler, alert
-# fan-out).
+# drives, the online serving runtime (ingest queue, scheduler, alert
+# fan-out), the write-ahead log (appends racing a segment fsync, group
+# commit, rotation, shipping) and the wire codecs it and the daemon share.
 race:
-	$(GO) test -race ./internal/workpool/... ./internal/rfinfer/... ./internal/dist/... ./internal/query/... ./internal/serve/...
+	$(GO) test -race ./internal/workpool/... ./internal/rfinfer/... ./internal/dist/... ./internal/query/... ./internal/serve/... ./internal/wal/... ./internal/stream/...
 
 # Short fuzz sessions over the wire decoders (80 s total budget): migrated
 # state bytes, write-ahead-log records and the three network frames
@@ -126,9 +127,10 @@ bench-json:
 # wider per-metric margins via -tolerance: recovery is I/O-bound, the
 # 100k-consumer fan-out and checkpoint-concurrent ingest are scheduler-
 # noise-bound, the dense-checkpoint latency swings with GC phase, and the
-# two IngestBin rows are bucket growth (page faults, memclr) on servers that
-# live for a megareading each — 39-84 ns/op across six runs of one binary on
-# the reference box; their zero-alloc gate stays hard. The inference rows
+# two IngestBin rows are the page faults of fresh bucket chunks on servers
+# that live for a megareading each — 39-84 ns/op across six runs of one
+# binary on the reference box while buckets grew by re-copying, 17-20 ns
+# since they grow by chunks; their zero-alloc gate stays hard. The inference rows
 # (BENCH_rfinfer.json, FeedAdvanceSkewed) are CPU-bound, so their wall time
 # follows the box's clock: one binary read EngineRun 3.2-4.5 ms and
 # FeedAdvanceSkewed/workers=1 394-556 ms over an afternoon on the reference

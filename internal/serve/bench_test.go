@@ -149,10 +149,11 @@ func BenchmarkIngestBatch(b *testing.B) {
 // steadyServers hands a benchmark servers on which no checkpoint can come
 // due — one Δ spanning the horizon, so every reading stays in the first,
 // never-closing interval — and replaces the server (outside the timer) once
-// it has taken perServer readings: the number then reflects the steady state
-// of a stripe that is drained every Δ-interval, not the ever-worsening growth
-// of one bucket fed forever. With durable set each server logs to a fresh
-// data directory.
+// it has taken perServer readings, so a long run does not hold gigabytes of
+// buckets. The replacement does not hide bucket growth: each server's one
+// interval grows a 16 MB bucket. Buckets grow by chunks, so that growth moves
+// no reading already buffered; what it still costs is the fresh chunks' page
+// faults. With durable set each server logs to a fresh data directory.
 type steadyServers struct {
 	b       *testing.B
 	w       *sim.World
@@ -208,7 +209,8 @@ func (ss *steadyServers) stop() {
 // readings in place and bulk-appends them bucket-run by bucket-run under
 // one stripe lock per section. Frames are built once outside the loop, so
 // the number is the pure server-side cost per reading and the loop must
-// stay zero-alloc; no checkpoint runs (see steadyServers). section512 is
+// stay zero-alloc (a fresh 1 MB chunk every 65 536 readings rounds to 0 per
+// op); no checkpoint runs (see steadyServers). section512 is
 // the headline (floor: 10M readings/s). bigsection is one 16 384-reading
 // section per frame against the default queue of 8 192: a section larger
 // than the queue must cost per reading what a small one does — it used to

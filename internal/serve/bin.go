@@ -35,6 +35,11 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	buf := binBodies.Get().(*bytes.Buffer)
 	defer binBodies.Put(buf)
 	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= stream.MaxFrameBytes {
+		// One allocation at most instead of a doubling from 512 B up; the
+		// MinRead of slack lets ReadFrom see EOF without growing again.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, stream.MaxFrameBytes)); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError

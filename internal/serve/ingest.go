@@ -270,7 +270,7 @@ func (s *Server) ingestSectionLocked(sh *shard, recs []dist.Reading) model.Epoch
 			t = max(t, recs[clean].T)
 		}
 		if clean > 0 {
-			s.bucketLocked(sh, recs[:clean], t)
+			s.bucketLocked(sh, recs[:clean])
 			maxT = max(maxT, t)
 		}
 		if why != "" {
@@ -288,27 +288,15 @@ func (s *Server) ingestSectionLocked(sh *shard, recs []dist.Reading) model.Epoch
 	return maxT
 }
 
-// bucketLocked buckets and logs a stretch of admitted readings whose
-// highest epoch is maxT. Same-bucket stretches go in with one bulk append
-// each; the appends copy, so nothing retains recs. Logging inside the
-// bucketing's critical section makes the log order the bucket order,
-// cleanly partitioned by a snapshot's segment rotation (which also takes
-// this lock). Caller holds sh.mu.
-func (s *Server) bucketLocked(sh *shard, recs []dist.Reading, maxT model.Epoch) {
-	interval := s.cfg.Interval
-	for i0 := 0; i0 < len(recs); {
-		k := int(recs[i0].T/interval) - sh.base
-		i := i0 + 1
-		for i < len(recs) && int(recs[i].T/interval)-sh.base == k {
-			i++
-		}
-		sh.growTo(k)
-		sh.buckets[k] = append(sh.buckets[k], recs[i0:i]...)
-		i0 = i
-	}
+// bucketLocked buckets and logs a stretch of admitted readings: one bulk
+// append per same-interval run, into chunks that never move (see
+// bucketRunsLocked); the appends copy, so nothing retains recs. Logging
+// inside the bucketing's critical section makes the log order the bucket
+// order, cleanly partitioned by a snapshot's segment rotation (which also
+// takes this lock). Caller holds sh.mu.
+func (s *Server) bucketLocked(sh *shard, recs []dist.Reading) {
+	sh.bucketRunsLocked(recs, s.cfg.Interval)
 	sh.received += len(recs)
-	sh.backlog += len(recs)
-	sh.maxT = max(sh.maxT, maxT)
 	if s.walOn.Load() {
 		if err := s.wal.AppendReadings(sh.site, recs); err != nil {
 			s.walFail(err)

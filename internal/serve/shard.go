@@ -7,15 +7,26 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
 )
 
-// maxFreeBuckets bounds each shard's recycled-bucket freelist; beyond this
-// the steady state is already allocation-free and extra slices are garbage.
+// maxFreeBuckets bounds each shard's freelist of recycled chunk backings;
+// beyond this the steady state is already allocation-free and extra slices
+// are garbage.
 const maxFreeBuckets = 8
+
+// A bucket grows by chunks: when its last chunk is full, the next one holds
+// as many readings as the bucket already does, clamped to [minChunk,
+// maxChunk]. An open bucket so holds at most twice its readings plus
+// minChunk, and an append never moves a reading already buffered.
+const (
+	minChunk = 256
+	maxChunk = 1 << 16
+)
 
 // maxShardIntervals bounds how many Δ-intervals ahead of the sealed
 // boundary a reading may bucket, mirroring the feed's own skip bound: one
@@ -27,8 +38,9 @@ const maxShardIntervals = 1 << 20
 
 // shard is one site's stripe of the ingest queue. All fields below mu are
 // guarded by it. Ingesting goroutines hold the lock for validation and
-// bucket appends; the scheduler holds it only for the O(1) seal (bucket
-// pop) and recycle steps around each checkpoint.
+// bucket appends; the scheduler holds it only for the seal (a bucket pop,
+// plus one gather copy when the interval outgrew its first chunk) and
+// recycle steps around each checkpoint.
 type shard struct {
 	site    int
 	readers int             // number of reader locations at the site
@@ -37,8 +49,9 @@ type shard struct {
 	mu   sync.Mutex
 	cond *sync.Cond // backpressure: waiters for a checkpoint to drain
 	// buckets[k] holds the readings of interval [ (base+k)*Δ, (base+k+1)*Δ ).
-	buckets [][]dist.Reading
-	free    [][]dist.Reading // recycled bucket backing arrays
+	buckets []bucket
+	free    [][]dist.Reading // recycled chunk backings, sealed buckets' among them
+	spare   [][]dist.Reading // a sealed bucket's emptied chunk list, for the next bucket
 	base    int              // absolute interval index of buckets[0]
 	// lateBefore is the sealing boundary: readings below it belong to a
 	// checkpoint that has started (or finished) and are counted late.
@@ -48,6 +61,15 @@ type shard struct {
 	received   int         // readings routed to this stripe (valid or not)
 	late       int         // readings dropped because their checkpoint sealed
 	waits      int         // times a producer blocked on backpressure
+}
+
+// bucket is one Δ-interval's buffered readings as a list of chunks, every
+// chunk but the last full. Its first chunk is a recycled backing when the
+// freelist has one, so an interval that fits it stays one chunk and seals
+// without a copy.
+type bucket struct {
+	chunks [][]dist.Reading
+	n      int // readings across the chunks
 }
 
 // ShardStats is one ingest stripe's counters, exposed in Stats.Shards.
@@ -83,27 +105,56 @@ func newShard(site int, readers int, kinds []model.TagKind) *shard {
 func (sh *shard) seal(ckpt, interval model.Epoch) []dist.Reading {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	target := int(ckpt / interval)
-	var due []dist.Reading
-	for sh.base < target {
-		if len(sh.buckets) > 0 {
-			b := sh.buckets[0]
-			n := copy(sh.buckets, sh.buckets[1:])
-			sh.buckets = sh.buckets[:n]
-			if due == nil {
-				due = b
-			} else if len(b) > 0 {
-				// Only reachable if a checkpoint was skipped, which the
-				// scheduler never does; kept for safety.
-				due = append(due, b...)
-			} else {
-				sh.recycleLocked(b)
-			}
-		}
-		sh.base++
-	}
-	sh.backlog -= len(due)
 	sh.lateBefore = ckpt
+	target := int(ckpt / interval)
+	k := min(target-sh.base, len(sh.buckets))
+	sh.base = max(sh.base, target)
+	if k <= 0 {
+		return nil
+	}
+	head := &sh.buckets[0]
+	for _, b := range sh.buckets[1:k] {
+		// Only reachable if a checkpoint was skipped, which the scheduler
+		// never does; kept for safety.
+		head.chunks = append(head.chunks, b.chunks...)
+		head.n += b.n
+	}
+	due := sh.gatherLocked(head)
+	sh.backlog -= len(due)
+	clear(head.chunks)
+	sh.spare = head.chunks[:0]
+	n := copy(sh.buckets, sh.buckets[k:])
+	clear(sh.buckets[n:])
+	sh.buckets = sh.buckets[:n]
+	return due
+}
+
+// gatherLocked returns a bucket's readings as one slice: its only chunk as
+// is, or its chunks copied once into a free backing that fits them (a fresh
+// one, with a quarter's headroom, when none does), the chunks then going
+// back to the freelist. Caller holds mu.
+func (sh *shard) gatherLocked(b *bucket) []dist.Reading {
+	switch len(b.chunks) {
+	case 0:
+		return nil
+	case 1:
+		return b.chunks[0]
+	}
+	var due []dist.Reading
+	for i, f := range sh.free {
+		if cap(f) >= b.n {
+			due = f
+			sh.free = slices.Delete(sh.free, i, i+1)
+			break
+		}
+	}
+	if due == nil {
+		due = make([]dist.Reading, 0, b.n+b.n/4)
+	}
+	for _, c := range b.chunks {
+		due = append(due, c...)
+		sh.recycleLocked(c)
+	}
 	return due
 }
 
@@ -124,16 +175,59 @@ func (sh *shard) recycleLocked(b []dist.Reading) {
 	}
 }
 
-// growTo widens the bucket window to cover relative interval index k,
-// reusing recycled backing arrays. Caller holds mu.
-func (sh *shard) growTo(k int) {
-	for len(sh.buckets) <= k {
-		var b []dist.Reading
-		if n := len(sh.free); n > 0 {
-			b, sh.free = sh.free[n-1], sh.free[:n-1]
+// bucketRunsLocked appends readings to their intervals' buckets, one bulk
+// append per run of same-interval readings, and counts them into the
+// backlog and stream time. Readings of intervals already sealed are
+// skipped. Caller holds mu.
+func (sh *shard) bucketRunsLocked(rs []dist.Reading, interval model.Epoch) {
+	for i0 := 0; i0 < len(rs); {
+		k := int(rs[i0].T/interval) - sh.base
+		t := rs[i0].T
+		i := i0 + 1
+		for ; i < len(rs) && int(rs[i].T/interval)-sh.base == k; i++ {
+			t = max(t, rs[i].T)
 		}
-		sh.buckets = append(sh.buckets, b)
+		if k >= 0 {
+			sh.appendLocked(k, rs[i0:i])
+			sh.backlog += i - i0
+			sh.maxT = max(sh.maxT, t)
+		}
+		i0 = i
 	}
+}
+
+// appendLocked appends rs to bucket k: it fills the last chunk, then opens
+// the next from the freelist or at the bucket's size (see minChunk). Caller
+// holds mu.
+func (sh *shard) appendLocked(k int, rs []dist.Reading) {
+	for len(sh.buckets) <= k {
+		sh.buckets = append(sh.buckets, bucket{chunks: sh.spare})
+		sh.spare = nil
+	}
+	b := &sh.buckets[k]
+	for len(rs) > 0 {
+		last := len(b.chunks) - 1
+		if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+			b.chunks = append(b.chunks, sh.chunkLocked(b.n))
+			last++
+		}
+		c := b.chunks[last]
+		m := min(cap(c)-len(c), len(rs))
+		b.chunks[last] = append(c, rs[:m]...)
+		b.n += m
+		rs = rs[m:]
+	}
+}
+
+// chunkLocked returns an empty chunk for a bucket holding n readings.
+// Caller holds mu.
+func (sh *shard) chunkLocked(n int) []dist.Reading {
+	if k := len(sh.free); k > 0 {
+		c := sh.free[k-1]
+		sh.free = sh.free[:k-1]
+		return c
+	}
+	return make([]dist.Reading, 0, min(max(n, minChunk), maxChunk))
 }
 
 // exportBufferedLocked flattens the stripe's future-interval buckets into
@@ -141,9 +235,14 @@ func (sh *shard) growTo(k int) {
 // together with the segment rotation, so the export and the WAL cut are
 // one instant).
 func (sh *shard) exportBufferedLocked() []dist.Reading {
-	var out []dist.Reading
+	if sh.backlog == 0 {
+		return nil
+	}
+	out := make([]dist.Reading, 0, sh.backlog)
 	for _, b := range sh.buckets {
-		out = append(out, b...)
+		for _, c := range b.chunks {
+			out = append(out, c...)
+		}
 	}
 	return out
 }
@@ -154,19 +253,8 @@ func (sh *shard) exportBufferedLocked() []dist.Reading {
 // export order never needs to survive.
 func (sh *shard) inject(rs []dist.Reading, interval model.Epoch) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, rd := range rs {
-		k := int(rd.T/interval) - sh.base
-		if k < 0 {
-			continue // older than the sealed boundary: already consumed
-		}
-		sh.growTo(k)
-		sh.buckets[k] = append(sh.buckets[k], rd)
-		sh.backlog++
-		if rd.T > sh.maxT {
-			sh.maxT = rd.T
-		}
-	}
+	sh.bucketRunsLocked(rs, interval)
+	sh.mu.Unlock()
 }
 
 // restoreCounters seeds the stripe's lifetime counters from a snapshot so

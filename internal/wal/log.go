@@ -80,13 +80,17 @@ type Stats struct {
 	Truncated int `json:"truncated"`
 }
 
-// segment is one append-only WAL file with a buffered writer.
+// segment is one append-only WAL file with a buffered writer. Appends take
+// mu; an fsync runs under syncMu alone, so appends never wait on the disk.
+// Whatever replaces or closes the file takes syncMu first (then mu), so a
+// rotation never closes a file mid-sync.
 type segment struct {
-	mu    sync.Mutex
-	f     *os.File
-	bw    *bufio.Writer
-	buf   []byte      // frame scratch, reused per append
-	dirty atomic.Bool // records buffered since the last successful sync
+	syncMu sync.Mutex // held across an fsync; taken before mu
+	mu     sync.Mutex
+	f      *os.File
+	bw     *bufio.Writer
+	buf    []byte      // frame scratch, reused per append
+	dirty  atomic.Bool // records buffered since the last successful sync
 }
 
 // append frames rec into the segment's buffer.
@@ -122,26 +126,38 @@ func (s *segment) appendRun(site int, raw []byte) (int, error) {
 	return n + m, err
 }
 
-// sync flushes the buffer and fsyncs the file.
-func (s *segment) sync() error {
+// sync flushes the buffer under mu, then fsyncs the file with mu released:
+// appends made meanwhile land in the buffer and mark the segment dirty
+// again. A failed fsync re-marks it dirty, so the next Commit retries.
+func (s *segment) sync(fsync func(*os.File) error) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
+	f := s.f
+	if f == nil {
+		s.mu.Unlock()
 		return nil
 	}
-	if err := s.bw.Flush(); err != nil {
+	err := s.bw.Flush()
+	if err == nil {
+		s.dirty.Store(false)
+	}
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := fsync(f); err != nil {
+		s.dirty.Store(true)
 		return err
 	}
-	s.dirty.Store(false)
 	return nil
 }
 
 // swap atomically replaces the segment's file with a freshly opened one,
 // returning the old file flushed, synced and closed.
-func (s *segment) swap(newFile *os.File) error {
+func (s *segment) swap(newFile *os.File, fsync func(*os.File) error) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f != nil {
@@ -149,7 +165,7 @@ func (s *segment) swap(newFile *os.File) error {
 			newFile.Close()
 			return err
 		}
-		if err := s.f.Sync(); err != nil {
+		if err := fsync(s.f); err != nil {
 			newFile.Close()
 			return err
 		}
@@ -162,14 +178,16 @@ func (s *segment) swap(newFile *os.File) error {
 }
 
 // close flushes, syncs and closes the segment.
-func (s *segment) close() error {
+func (s *segment) close(fsync func(*os.File) error) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return nil
 	}
 	err := s.bw.Flush()
-	if serr := s.f.Sync(); err == nil {
+	if serr := fsync(s.f); err == nil {
 		err = serr
 	}
 	if cerr := s.f.Close(); err == nil {
@@ -206,6 +224,10 @@ type Log struct {
 	appended      atomic.Int64
 	appendedBytes atomic.Int64
 
+	// fsync makes a segment file durable: (*os.File).Sync, replaceable so
+	// tests can hold or fail one.
+	fsync func(*os.File) error
+
 	appendSeq  atomic.Int64 // bumped after every buffered append
 	syncMu     sync.Mutex   // serializes group commits
 	syncedSeq  int64        // guarded by syncMu: highest seq a commit covered
@@ -233,6 +255,7 @@ func Open(dir string, sites int, opts Options) (*Log, error) {
 		deps:     &segment{},
 		migs:     &segment{},
 		alerts:   &segment{},
+		fsync:    (*os.File).Sync,
 		quit:     make(chan struct{}),
 	}
 	for s := range l.readings {
@@ -530,7 +553,7 @@ func (l *Log) StartAppending() error {
 		if err != nil {
 			return err
 		}
-		if err := sg.swap(f); err != nil {
+		if err := sg.swap(f, l.fsync); err != nil {
 			return err
 		}
 	}
@@ -538,21 +561,21 @@ func (l *Log) StartAppending() error {
 	if err != nil {
 		return err
 	}
-	if err := l.deps.swap(f); err != nil {
+	if err := l.deps.swap(f, l.fsync); err != nil {
 		return err
 	}
 	f, err = open(-2)
 	if err != nil {
 		return err
 	}
-	if err := l.migs.swap(f); err != nil {
+	if err := l.migs.swap(f, l.fsync); err != nil {
 		return err
 	}
 	f, err = open(-3)
 	if err != nil {
 		return err
 	}
-	if err := l.alerts.swap(f); err != nil {
+	if err := l.alerts.swap(f, l.fsync); err != nil {
 		return err
 	}
 	if l.opts.SyncEvery > 0 {
@@ -676,22 +699,22 @@ func (l *Log) Commit() error {
 		if !sg.dirty.Load() {
 			continue
 		}
-		if serr := sg.sync(); err == nil {
+		if serr := sg.sync(l.fsync); err == nil {
 			err = serr
 		}
 	}
 	if l.deps.dirty.Load() {
-		if serr := l.deps.sync(); err == nil {
+		if serr := l.deps.sync(l.fsync); err == nil {
 			err = serr
 		}
 	}
 	if l.migs.dirty.Load() {
-		if serr := l.migs.sync(); err == nil {
+		if serr := l.migs.sync(l.fsync); err == nil {
 			err = serr
 		}
 	}
 	if l.alerts.dirty.Load() {
-		if serr := l.alerts.sync(); err == nil {
+		if serr := l.alerts.sync(l.fsync); err == nil {
 			err = serr
 		}
 	}
@@ -765,7 +788,7 @@ func (l *Log) rotateSegment(sg *segment, site, gen int) error {
 	if err != nil {
 		return err
 	}
-	return sg.swap(f)
+	return sg.swap(f, l.fsync)
 }
 
 // Snapshot commits a full-state snapshot taken at a checkpoint boundary:
@@ -890,17 +913,17 @@ func (l *Log) Close() error {
 			<-l.syncerDone
 		}
 		for _, sg := range l.readings {
-			if cerr := sg.close(); err == nil {
+			if cerr := sg.close(l.fsync); err == nil {
 				err = cerr
 			}
 		}
-		if cerr := l.deps.close(); err == nil {
+		if cerr := l.deps.close(l.fsync); err == nil {
 			err = cerr
 		}
-		if cerr := l.migs.close(); err == nil {
+		if cerr := l.migs.close(l.fsync); err == nil {
 			err = cerr
 		}
-		if cerr := l.alerts.close(); err == nil {
+		if cerr := l.alerts.close(l.fsync); err == nil {
 			err = cerr
 		}
 	})

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
@@ -294,6 +297,135 @@ func TestCommitGroupSkip(t *testing.T) {
 	}
 	if got := l.Stats().Syncs; got != syncs+1 {
 		t.Fatalf("post-append commit syncs = %d, want %d", got, syncs+1)
+	}
+}
+
+// TestAppendDuringFsync pins that a segment's fsync runs outside the lock
+// appends take: while site 0's fsync is held, an append to site 0 returns,
+// and a commit after the release covers it; a rotation of site 0 waits for
+// an fsync in flight instead of closing the file under it; and a failed
+// fsync leaves the segment dirty, so the next commit retries it.
+func TestAppendDuringFsync(t *testing.T) {
+	l := openFresh(t, 1, Options{SyncEvery: -1})
+	defer l.Close()
+	stop := make(chan struct{}) // lets a held fsync go when the test fails
+	defer close(stop)
+	var (
+		mu    sync.Mutex
+		hold  chan struct{} // non-nil: the next fsync reports on entered and waits for it to close
+		fail  error         // non-nil: the next fsync fails with it
+		calls int
+	)
+	entered := make(chan struct{}, 1)
+	l.fsync = func(f *os.File) error {
+		mu.Lock()
+		h, e := hold, fail
+		hold, fail = nil, nil
+		calls++
+		mu.Unlock()
+		if h != nil {
+			entered <- struct{}{}
+			select {
+			case <-h:
+			case <-stop:
+			}
+		}
+		if e != nil {
+			return e
+		}
+		return f.Sync()
+	}
+	holdNext := func() chan struct{} {
+		mu.Lock()
+		defer mu.Unlock()
+		hold = make(chan struct{})
+		return hold
+	}
+	within := func(what string, c <-chan error) {
+		t.Helper()
+		select {
+		case err := <-c:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+	async := func(f func() error) <-chan error {
+		c := make(chan error, 1)
+		go func() { c <- f() }()
+		return c
+	}
+	sg := l.readings[0]
+
+	if err := appendOne(l, 0, 1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	release := holdNext()
+	committed := async(l.Commit)
+	<-entered
+	within("an append while the segment's fsync is held", async(func() error { return appendOne(l, 0, 2, 1, 1) }))
+	close(release)
+	within("the held commit", committed)
+	if !sg.dirty.Load() {
+		t.Fatal("an append made during an fsync left the segment clean")
+	}
+	mu.Lock()
+	before := calls
+	mu.Unlock()
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	synced := calls - before
+	mu.Unlock()
+	l.syncMu.Lock()
+	covered := l.syncedSeq
+	l.syncMu.Unlock()
+	if synced != 1 || sg.dirty.Load() || covered != l.appendSeq.Load() {
+		t.Fatalf("commit after the release: %d fsyncs, dirty %v, covered %d of %d appends; want 1, false, all",
+			synced, sg.dirty.Load(), covered, l.appendSeq.Load())
+	}
+
+	if err := appendOne(l, 0, 3, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	release = holdNext()
+	committed = async(l.Commit)
+	<-entered
+	rotated := async(func() error { return l.RotateSite(0, l.NextGen()) })
+	select {
+	case err := <-rotated:
+		t.Fatalf("a rotation returned (%v) while the segment's fsync was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	within("the held commit", committed)
+	within("the rotation", rotated)
+
+	if err := appendOne(l, 0, 4, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	fail = errors.New("injected fsync failure")
+	mu.Unlock()
+	if err := l.Commit(); err == nil {
+		t.Fatal("a failed fsync committed")
+	}
+	if !sg.dirty.Load() {
+		t.Fatal("a failed fsync left the segment clean: the next commit would skip it")
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if sg.dirty.Load() {
+		t.Fatal("the retrying commit left the segment dirty")
+	}
+
+	_, recs := reopenAndReplay(t, l.Dir(), 1)
+	if len(recs) != 4 {
+		t.Fatalf("replayed %d readings, want 4", len(recs))
 	}
 }
 
