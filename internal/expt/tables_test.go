@@ -35,7 +35,11 @@ func TestClusterScalingGolden(t *testing.T) {
 // evidence), Figure 5(c) and 5(d) (change detection vs interval, lab traces)
 // and Table 4's F-measure rows (change detection vs H̄) to what they printed
 // at commit c9e481b, while change detection still ran on its own evidence
-// matrix. Inference work must reproduce the paper's numbers, not only its
+// matrix; and Figure 5(f) (distributed containment error), Figure 6(a) and
+// 6(b) (the basic algorithm and the retention methods) and the Section 5.4
+// table (query F-measure and state bytes) to what they printed at commit
+// 831ecf2, while each replay driver still bucketed its own readings.
+// Figure 5(b) is not pinned: its cells are wall-clock. Inference work must reproduce the paper's numbers, not only its
 // own previous output: a cell that moves here is a behaviour change,
 // whatever the equivalence tests say. A nil want row is not compared
 // (Table 4's Time(ms) rows are wall-clock).
@@ -97,6 +101,26 @@ func TestPaperArtifactGoldens(t *testing.T) {
 			{"0.9", "11.93", "0.44", "0.49"},
 			{"1.0", "11.58", "0.00", "0.62"},
 		}},
+		{Figure5f, [][]string{
+			{"20", "13.83", "4.29", "3.49"},
+			{"40", "13.97", "2.93", "2.71"},
+			{"60", "11.96", "2.73", "2.82"},
+			{"90", "11.90", "1.04", "0.80"},
+			{"120", "14.08", "0.87", "0.69"},
+		}},
+		{Figure6a, [][]string{
+			{"0.6", "4.88", "7.92"},
+			{"0.7", "1.54", "2.50"},
+			{"0.8", "0.00", "0.42"},
+			{"0.9", "0.00", "0.00"},
+			{"1.0", "0.00", "0.00"},
+		}},
+		{Figure6b, [][]string{
+			{"600", "0.00", "0.00", "0.00"},
+			{"1200", "0.00", "0.00", "0.00"},
+			{"1800", "0.00", "0.00", "0.00"},
+			{"2400", "0.99", "0.99", "0.99"},
+		}},
 		{Table3, [][]string{
 			{"0.6", "27.9", "46.5", "50.8", "29.4", "18.8", "18.8", "18.8 (δ=202)"},
 			{"0.7", "39.0", "59.0", "71.0", "78.4", "68.1", "12.9", "73.7 (δ=76)"},
@@ -118,6 +142,14 @@ func TestPaperArtifactGoldens(t *testing.T) {
 			{"0.7", "134907", "0", "77594", "1.7x"},
 			{"0.8", "127504", "0", "77553", "1.6x"},
 			{"0.9", "114771", "0", "77554", "1.5x"},
+		}},
+		{TableQueries, [][]string{
+			{"Q1", "F-m.(%)", "99.1", "98.8", "99.1", "98.8"},
+			{"", "State w/o share(B)", "5103", "5127", "5127", "5127"},
+			{"", "State w. share(B)", "881", "905", "905", "905"},
+			{"Q2", "F-m.(%)", "74.4", "74.4", "88.6", "100.0"},
+			{"", "State w/o share(B)", "2460", "2460", "2478", "2568"},
+			{"", "State w. share(B)", "516", "516", "525", "534"},
 		}},
 	} {
 		tbl := g.artifact(QuickScale())
