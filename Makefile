@@ -26,6 +26,10 @@ test:
 # JSON /ingest/batch front door and the second RFB1 encoder stay deleted.
 # The E-step memo has one key, the group plus the add floor: the content
 # hashes (and Series.Version) and the dirty-bit carry beside them stay deleted.
+# And an interval's readings reach a checkpoint one way, as AdvanceWith's
+# per-site batches, cut by dist.Intervals for a replay and by the shards for
+# the daemon: the Feed's own reading buffer (Observe, its pending intervals,
+# AdvanceTo) and expt's globally sorted replay stream (FeedEvent) stay deleted.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -48,6 +52,10 @@ vet:
 		|| { echo "a content-hash or dirty-bit key of the E-step memo is back in internal/rfinfer (see above)"; exit 1; }
 	@! grep -n 'Version(' internal/model/series.go \
 		|| { echo "the series content fingerprint is back in internal/model (see above)"; exit 1; }
+	@! grep -n 'func (f \*Feed) Observe\|AdvanceTo\|\<pending\>' internal/dist/*.go | grep -v '_test.go:' \
+		|| { echo "the Feed buffers readings again in internal/dist; batches reach it only through AdvanceWith (see above)"; exit 1; }
+	@! grep -n 'FeedEvent' internal/expt/*.go \
+		|| { echo "a second replay stream is back in internal/expt; cut traces with dist.Intervals (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

@@ -7,12 +7,15 @@
 //
 //	rfidinfer -epochs 1800 -rr 0.7 -anomaly 60
 //	rfidinfer -engine smurf -rr 0.7
+//
+// It exits 2 on a usage error: an unknown flag or a non-positive -interval.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"rfidtrack/internal/expt"
 	"rfidtrack/internal/metrics"
@@ -36,6 +39,13 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 	)
 	flag.Parse()
+	if *interval <= 0 {
+		// Every checkpoint is interval epochs after the last: a non-positive
+		// one never reaches the end of the trace.
+		fmt.Fprintf(os.Stderr, "rfidinfer: -interval must be positive, got %d\n", *interval)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := sim.DefaultConfig()
 	cfg.Epochs = model.Epoch(*epochs)

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rfidtrack/internal/model"
@@ -126,22 +128,20 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, evs := range buildFeeds(w) {
-		for _, ev := range evs {
-			if err := f.Observe(s, ev.T, ev.ID, ev.Mask); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for _, d := range c.deps {
 		if err := f.Depart(d); err != nil {
 			t.Fatal(err)
 		}
 	}
+	batches := worldIntervals(w, interval)
+	due := make([][]Reading, len(batches))
 	var searches, windows, rows, noHit, segReused, segComputed int
 	var postComputed, postSkipped, rowsReused, rowsComputed, groupsDirty int
-	for ckpt, through := 1, w.Epochs/interval*interval; f.Next() <= through; ckpt++ {
-		if err := f.Advance(); err != nil {
+	for k := range batches[0] {
+		for s := range due {
+			due[s] = batches[s][k]
+		}
+		if err := f.AdvanceWith(due); err != nil {
 			t.Fatal(err)
 		}
 		held, used := 0, 0
@@ -166,7 +166,7 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 		// the last checkpoint when tables kept their peak size).
 		if used == 0 || 2*held > 3*used {
 			t.Fatalf("checkpoint %d: history storage holds %d bytes for %d in use, want at most 1.5 ×",
-				ckpt, held, used)
+				k+1, held, used)
 		}
 	}
 	if _, err := f.Close(); err != nil {
@@ -196,16 +196,19 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 	numCkpts := int(w.Epochs / interval)
 
 	// Per-site, per-interval base batches, copied into reused buffers each
-	// iteration (AdvanceWith sorts its input in place).
-	base := make([][][]Reading, len(w.Sites))
+	// iteration (AdvanceWith sorts its input in place). Each batch is put in
+	// (tag, epoch) order, the order a per-tag flatten of the trace yields,
+	// so every iteration pays the sort a shard's arrival-order bucket costs.
+	base := worldIntervals(w, interval)
 	maxLen := 0
-	for s, evs := range buildFeeds(w) {
-		base[s] = make([][]Reading, numCkpts)
-		for _, ev := range evs {
-			k := min(int(ev.T/interval), numCkpts-1)
-			base[s][k] = append(base[s][k], ev)
-		}
-		for _, bk := range base[s] {
+	for _, site := range base {
+		for _, bk := range site {
+			slices.SortFunc(bk, func(a, b Reading) int {
+				if c := cmp.Compare(a.ID, b.ID); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.T, b.T)
+			})
 			maxLen = max(maxLen, len(bk))
 		}
 	}
@@ -250,7 +253,7 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 	}
 }
 
-// TestSortReadingsAllocs pins the Feed.Advance sort fix: ordering one
+// TestSortReadingsAllocs pins the checkpoint's sort fix: ordering one
 // interval bucket by (epoch, tag) must not allocate. The closure-based
 // sort.Slice this replaced allocated its comparator and interface header
 // on every call — once per site per checkpoint, forever.

@@ -352,27 +352,6 @@ func (c *Cluster) ReplaySequential(interval model.Epoch) (Result, error) {
 	return c.replay(interval, 1)
 }
 
-// buildFeeds flattens every site's readings (cases and items only) into
-// per-site replay streams, in tag order: Feed.Observe buckets them per
-// interval and each checkpoint sorts its own bucket.
-func buildFeeds(w *sim.World) [][]Reading {
-	feeds := make([][]Reading, len(w.Sites))
-	for s, tr := range w.Sites {
-		var f []Reading
-		for i := range tr.Tags {
-			tg := &tr.Tags[i]
-			if tg.Kind == model.KindPallet {
-				continue
-			}
-			for _, rd := range tg.Readings {
-				f = append(f, Reading{T: rd.T, ID: tg.ID, Mask: rd.Mask})
-			}
-		}
-		feeds[s] = f
-	}
-	return feeds
-}
-
 // initQueries builds the per-site query engines and ownership sets when a
 // ClusterQuery is attached.
 func (c *Cluster) initQueries() []map[model.TagID]bool {

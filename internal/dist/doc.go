@@ -24,14 +24,15 @@
 //
 // The package offers two ways to drive a Cluster:
 //
-//   - OpenFeed returns an incremental Feed: readings and departure events
-//     are pushed as they arrive and Advance runs one Δ-interval checkpoint
-//     at a time — the online path internal/serve builds the rfidtrackd
-//     daemon on. OpenPartitionedFeed runs one peer's share of the sites,
-//     with migrations crossing a Transport (see coord.go).
+//   - OpenFeed returns an incremental Feed: departure events are pushed as
+//     they arrive and AdvanceWith runs one Δ-interval checkpoint at a time
+//     over the readings the caller hands it — the online path
+//     internal/serve builds the rfidtrackd daemon on, its shards cutting
+//     the intervals. OpenPartitionedFeed runs one peer's share of the
+//     sites, with migrations crossing a Transport (see coord.go).
 //   - Replay / ReplaySequential consume a whole pre-generated world at
 //     once — the batch evaluation path of the paper's experiments — by
-//     streaming it through a Feed.
+//     cutting it with Intervals and handing a Feed one interval at a time.
 //
 // The centralized baseline — shipping every raw reading to one server,
 // gzip-compressed — is computed alongside for comparison.

@@ -1,25 +1,23 @@
-// The incremental feed: the streaming front door of the cluster runtime.
+// The incremental feed: the checkpoint engine of the cluster runtime.
 //
 // A Feed turns the Cluster from a replay-only artifact into an online
-// system: readings and departure events are pushed as they arrive, and
-// Advance runs one Δ-interval checkpoint at a time — ingest the interval's
-// readings, apply its migrations in global departure order, run inference
-// at every site, feed the per-site queries, score. Replay and
-// ReplaySequential are themselves a Feed driven over a whole world (see
-// site.go), so a world streamed incrementally yields a Result bit-identical
-// to ReplaySequential on the same trace, at any worker count.
-// internal/serve builds the network daemon on this API.
+// system: departure events are pushed as they arrive, and AdvanceWith runs
+// one Δ-interval checkpoint at a time over the interval's readings, handed
+// in per site by the caller — ingest them, apply the interval's migrations
+// in global departure order, run inference at every site, feed the
+// per-site queries, score. The Feed holds no readings: whoever drives it
+// cuts the intervals. Replay and ReplaySequential cut a whole world with
+// Intervals (see site.go); internal/serve's shards bucket a live stream and
+// hand each sealed interval over, so a world streamed incrementally yields
+// a Result bit-identical to ReplaySequential on the same trace, at any
+// worker count. AdvanceWith ingests the caller's slices in place without
+// copying — that is what lets ingestion proceed concurrently with a
+// running checkpoint.
 //
 // A Feed owns the checkpoint's one worker pool (internal/workpool, sized by
 // Cluster.Workers) from OpenFeed to Close: its site loops and every site
 // engine's phases run on it, so a worker that finishes the quiet sites'
 // checkpoints goes on to help inside the busy site's inference.
-//
-// A sharded front end (internal/serve) can skip Observe entirely: it
-// buffers each site's readings itself and hands one interval's worth per
-// site to AdvanceWith, which ingests the caller's slices in place without
-// copying — that is what lets ingestion proceed concurrently with a
-// running checkpoint.
 package dist
 
 import (
@@ -37,7 +35,8 @@ import (
 // Reading is one site-local tag observation in flight through the feed: the
 // epoch, the tag read, and the bitmask of reader locations that saw it. It
 // is the element type of the sharded ingest buckets (internal/serve) and of
-// the per-site batches AdvanceWith consumes.
+// the per-site batches AdvanceWith consumes, which Intervals cuts from a
+// trace.
 type Reading struct {
 	// T is the observation epoch.
 	T model.Epoch `json:"t"`
@@ -47,10 +46,10 @@ type Reading struct {
 	Mask model.Mask `json:"mask"`
 }
 
-// Feed is the incremental ingestion interface of a Cluster: push readings
-// and departures, then Advance through checkpoints. Readings may arrive in
-// any order within their Δ-interval; each checkpoint ingests its interval's
-// buffered readings in (epoch, tag) order, which is what makes the outcome
+// Feed is the incremental checkpoint interface of a Cluster: push
+// departures, then AdvanceWith through checkpoints, each with its
+// interval's readings. A site's batch may be in any order; each checkpoint
+// ingests it in (epoch, tag) order, which is what makes the outcome
 // independent of arrival order.
 //
 // A Feed is not safe for concurrent use: the caller (e.g. the serve
@@ -62,20 +61,14 @@ type Feed struct {
 	interval model.Epoch
 	pool     *workpool.Pool // shared with every site engine; closed by Close
 
-	next model.Epoch // next checkpoint epoch to run
-	// pending[site][k] buffers the readings of checkpoint next + k*interval,
-	// so each Advance consumes exactly one bucket per site instead of
-	// rescanning the whole buffer.
-	pending   [][][]Reading
-	buffered  int
+	next      model.Epoch // next checkpoint epoch to run
 	deps      []Departure // buffered departures not yet observed
-	depsDirty bool        // deps gained entries since the last Advance sort
+	depsDirty bool        // deps gained entries since the last checkpoint's sort
 	owned     []map[model.TagID]bool
 	links     map[linkKey]Costs
 	res       Result
 	tails     []tailShard // per-site score shards of the fanned-out tail
-	ingested  []int       // per-site ingest counts, reused across Advances
-	popped    []int       // per-site pending-bucket sizes, reused likewise
+	ingested  []int       // per-site ingest counts, reused across checkpoints
 	siteErrs  []error     // runSites' per-site errors
 
 	// partOwned is the peer's ownership mask in a partitioned feed (nil for
@@ -88,7 +81,7 @@ type Feed struct {
 	closed bool
 }
 
-// tailShard is one site's score contribution from a fanned-out Advance
+// tailShard is one site's score contribution from a fanned-out checkpoint
 // tail, merged into the Result in site order after the join so totals stay
 // bit-identical to the sequential schedule.
 type tailShard struct {
@@ -100,14 +93,7 @@ type tailShard struct {
 // 32-bit Epoch type.
 const MaxEpoch = model.Epoch(1) << 30
 
-// maxSkipIntervals bounds how many Δ-intervals ahead of the next
-// checkpoint a buffered event may land. One interval costs one bucket
-// slot per site, so without a bound a single far-future epoch would
-// allocate millions of slots; a million intervals is far beyond any real
-// replay or stream while keeping worst-case bucket memory small.
-const maxSkipIntervals = 1 << 20
-
-// PhaseNS breaks Advance time into its pipeline phases: interval ingest,
+// PhaseNS breaks checkpoint time into its pipeline phases: interval ingest,
 // migrations in departure order, inference, and the query-feed + scoring
 // tail. Each entry is the wall time of that phase. They do not say how many
 // cores a checkpoint used — workers that finish the quiet sites help inside
@@ -137,9 +123,13 @@ type FeedStats struct {
 	// Observed is the number of readings ingested into site engines.
 	Observed int
 	// Buffered is the number of readings waiting for a future checkpoint.
+	// A Feed holds none, so it reports zero; a front end that buckets
+	// readings (internal/serve) fills it in.
 	Buffered int
 	// Late counts readings dropped because their checkpoint had already
 	// run when they arrived (ingesting them would break determinism).
+	// Readings reach a Feed only with their own checkpoint, so it is
+	// counted by the front end that buckets them, never by the Feed.
 	Late int
 	// LateDepartures counts departure events dropped for the same reason.
 	LateDepartures int
@@ -149,14 +139,14 @@ type FeedStats struct {
 	DupDepartures int
 	// PendingDepartures is the number of buffered future departures.
 	PendingDepartures int
-	// Checkpoints is the number of completed Advance calls.
+	// Checkpoints is the number of completed checkpoints.
 	Checkpoints int
 	// FusedCheckpoints is always zero. It counted checkpoints that took a
 	// second, per-site "fused" schedule, retired once the shared pool made
 	// it redundant; the field stays because bench/ (frozen between
 	// benchmark issues) still reads it for dist.fused_share.
 	FusedCheckpoints int
-	// Phases accumulates per-phase Advance latency across all checkpoints;
+	// Phases accumulates per-phase checkpoint latency across all checkpoints;
 	// LastPhases is the most recent checkpoint's breakdown.
 	Phases, LastPhases PhaseNS
 }
@@ -205,77 +195,45 @@ func (c *Cluster) openFeed(interval model.Epoch, workers int) (*Feed, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("dist: interval must be positive, got %d", interval)
 	}
+	n := len(c.World.Sites)
 	f := &Feed{
 		c:        c,
 		interval: interval,
 		pool:     c.startPool(workers),
 		next:     interval,
-		pending:  make([][][]Reading, len(c.World.Sites)),
 		links:    make(map[linkKey]Costs),
 		owned:    c.initQueries(),
-		tails:    make([]tailShard, len(c.World.Sites)),
-		siteErrs: make([]error, len(c.World.Sites)),
+		tails:    make([]tailShard, n),
+		ingested: make([]int, n),
+		siteErrs: make([]error, n),
 	}
 	c.stats = ClusterStats{Sites: make([]SiteStats, len(c.World.Sites))}
 	return f, nil
 }
 
-// Next returns the epoch of the next checkpoint Advance would run.
+// Next returns the epoch of the next checkpoint AdvanceWith would run.
 func (f *Feed) Next() model.Epoch { return f.next }
 
 // Interval returns the feed's Δ between checkpoints.
 func (f *Feed) Interval() model.Epoch { return f.interval }
 
 // PoolStats returns the counters of the feed's worker pool. Between two
-// calls one Advance apart, 1 + ΔBusyNS ÷ the Advance's wall time is how
-// many cores that checkpoint used.
+// calls one checkpoint apart, 1 + ΔBusyNS ÷ the checkpoint's wall time is
+// how many cores it used.
 func (f *Feed) PoolStats() workpool.Stats { return f.pool.Stats() }
 
 // Stats returns the feed's ingestion counters.
 func (f *Feed) Stats() FeedStats {
 	st := f.stats
-	st.Buffered = f.buffered
 	st.PendingDepartures = len(f.deps)
 	return st
-}
-
-// Observe buffers one reading for the site's engine. Readings whose
-// checkpoint has already run are dropped and counted as late; everything
-// else is ingested by the Advance covering its epoch.
-func (f *Feed) Observe(site int, t model.Epoch, id model.TagID, mask model.Mask) error {
-	if f.closed {
-		return fmt.Errorf("dist: feed is closed")
-	}
-	if site < 0 || site >= len(f.pending) {
-		return fmt.Errorf("dist: site %d out of range [0,%d)", site, len(f.pending))
-	}
-	if !f.owns(site) {
-		return fmt.Errorf("dist: site %d is not owned by this peer", site)
-	}
-	if t < 0 || t >= MaxEpoch {
-		return fmt.Errorf("dist: epoch %d out of range [0,%d)", t, MaxEpoch)
-	}
-	if t < f.next-f.interval {
-		f.stats.Late++
-		return nil
-	}
-	// Bucket index relative to the next checkpoint's interval.
-	k := int(t/f.interval) - int(f.next/f.interval-1)
-	if k >= maxSkipIntervals {
-		return fmt.Errorf("dist: epoch %d is %d intervals ahead of checkpoint %d (max %d)",
-			t, k, f.next, maxSkipIntervals)
-	}
-	for len(f.pending[site]) <= k {
-		f.pending[site] = append(f.pending[site], nil)
-	}
-	f.pending[site][k] = append(f.pending[site][k], Reading{T: t, ID: id, Mask: mask})
-	f.buffered++
-	return nil
 }
 
 // Depart buffers one departure event. The transfer happens at the first
 // checkpoint past d.At, exactly where the reference replay migrates;
 // departures arriving after that checkpoint ran are dropped and counted.
+// Only items migrate: a case or pallet departure is refused, since no
+// engine registers the tag as an object to move.
 func (f *Feed) Depart(d Departure) error {
 	if f.closed {
 		return fmt.Errorf("dist: feed is closed")
@@ -286,6 +244,9 @@ func (f *Feed) Depart(d Departure) error {
 	}
 	if int(d.Object) < 0 || int(d.Object) >= f.c.World.NumTags() {
 		return fmt.Errorf("dist: departing object %d out of range", d.Object)
+	}
+	if f.c.World.Sites[0].Tags[d.Object].Kind != model.KindItem {
+		return fmt.Errorf("dist: departing tag %d is not an item", d.Object)
 	}
 	if d.At < 0 || d.At >= MaxEpoch {
 		return fmt.Errorf("dist: departure epoch %d out of range [0,%d)", d.At, MaxEpoch)
@@ -312,23 +273,21 @@ func sortReadings(evs []Reading) {
 	})
 }
 
-// Advance runs the next checkpoint in four phases: every site ingests the
-// interval's readings in (epoch, tag) order; the due departures migrate in
-// global (time, object) order on the calling goroutine; every site runs
-// inference; then hooks, query feeding and scoring. The per-site phases fan
-// out over the pool and touch only site-local state, and per-site score
-// subtotals merge in site order, so the Result is bit-identical at every
-// pool size. A phase barrier idles no core: a worker that finishes the
-// quiet sites helps inside the busy site's engine, which fans out on the
-// same pool.
-func (f *Feed) Advance() error { return f.AdvanceWith(nil) }
-
-// AdvanceWith runs the next checkpoint like Advance, additionally ingesting
-// due[s] for every site s — readings a sharded front end buffered outside
-// the feed. Every reading in due must belong to the current interval
+// AdvanceWith runs the next checkpoint over due, one batch of readings per
+// site, in four phases: every site ingests its batch in (epoch, tag) order;
+// the due departures migrate in global (time, object) order on the calling
+// goroutine; every site runs inference; then hooks, query feeding and
+// scoring. The per-site phases fan out over the pool and touch only
+// site-local state, and per-site score subtotals merge in site order, so the
+// Result is bit-identical at every pool size. A phase barrier idles no
+// core: a worker that finishes the quiet sites helps inside the busy site's
+// engine, which fans out on the same pool.
+//
+// Every reading in due must belong to the current interval
 // [Next()-Interval(), Next()); the slices are sorted in place and released
 // when AdvanceWith returns, so the caller may recycle their backing arrays.
-// due may be nil (plain Advance) and its entries may be nil or empty.
+// due may be nil (a checkpoint without readings) and its entries may be nil
+// or empty.
 func (f *Feed) AdvanceWith(due [][]Reading) error {
 	if f.closed {
 		return fmt.Errorf("dist: feed is closed")
@@ -336,14 +295,10 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	if f.next >= MaxEpoch {
 		return fmt.Errorf("dist: checkpoint %d beyond MaxEpoch", f.next)
 	}
-	if due != nil && len(due) != len(f.pending) {
-		return fmt.Errorf("dist: AdvanceWith got %d site batches, want %d", len(due), len(f.pending))
+	if due != nil && len(due) != len(f.ingested) {
+		return fmt.Errorf("dist: AdvanceWith got %d site batches, want %d", len(due), len(f.ingested))
 	}
 	ckpt := f.next
-	if f.ingested == nil {
-		f.ingested = make([]int, len(f.pending))
-		f.popped = make([]int, len(f.pending))
-	}
 
 	// Departures observed by this checkpoint migrate before any site runs,
 	// so the destination's run already sees the imported state. The sort
@@ -387,7 +342,11 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	var phases PhaseNS
 	phaseStart := time.Now()
 	if err := f.runSites(func(s int) error {
-		return f.ingestSite(s, due, ckpt)
+		var batch []Reading
+		if due != nil {
+			batch = due[s]
+		}
+		return f.ingestSite(s, batch, ckpt)
 	}); err != nil {
 		return err
 	}
@@ -416,11 +375,8 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	f.runTail(evalAt)
 	phases.Tail = time.Since(phaseStart)
 
-	for s, n := range f.ingested {
+	for _, n := range f.ingested {
 		f.stats.Observed += n
-		// Only readings that sat in pending count against buffered; due
-		// readings were buffered by the caller, never here.
-		f.buffered -= f.popped[s]
 	}
 
 	f.res.Runs++
@@ -431,50 +387,33 @@ func (f *Feed) AdvanceWith(due [][]Reading) error {
 	return nil
 }
 
-// ingestSite pops site s's interval bucket, merges the caller's batch for
-// the site, sorts the union by (epoch, tag) and feeds it to the site
+// ingestSite sorts site s's batch by (epoch, tag) and feeds it to the site
 // engine. It touches only site-local state, so any number of sites may
 // ingest concurrently.
-func (f *Feed) ingestSite(s int, due [][]Reading, ckpt model.Epoch) error {
-	if !f.owns(s) {
-		// Non-owned sites never buffer (Observe rejects them); a caller
-		// batch for one is a routing bug worth failing loudly on.
-		f.ingested[s], f.popped[s] = 0, 0
-		if due != nil && len(due[s]) > 0 {
-			return fmt.Errorf("dist: batch for site %d, which this peer does not own", s)
-		}
+func (f *Feed) ingestSite(s int, batch []Reading, ckpt model.Epoch) error {
+	f.ingested[s] = 0
+	if len(batch) == 0 {
 		return nil
 	}
-	var bucket []Reading
-	f.popped[s] = 0
-	if len(f.pending[s]) > 0 {
-		bucket = f.pending[s][0]
-		f.pending[s] = f.pending[s][1:]
-		f.popped[s] = len(bucket)
+	if !f.owns(s) {
+		// A batch for a site another peer runs is a routing bug worth
+		// failing loudly on.
+		return fmt.Errorf("dist: batch for site %d, which this peer does not own", s)
 	}
-	if due != nil && len(due[s]) > 0 {
-		if bucket == nil {
-			bucket = due[s]
-		} else {
-			bucket = append(bucket, due[s]...)
-		}
-	}
-	sortReadings(bucket)
-	if len(bucket) > 0 {
-		// One O(1) range check on the sorted bucket guards the
-		// AdvanceWith contract: a reading outside the current interval
-		// would silently be ingested at the wrong checkpoint.
-		if lo, hi := bucket[0].T, bucket[len(bucket)-1].T; lo < ckpt-f.interval || hi >= ckpt {
-			return fmt.Errorf("dist: site %d batch spans [%d,%d], outside checkpoint %d's interval", s, lo, hi, ckpt)
-		}
+	sortReadings(batch)
+	// One O(1) range check on the sorted batch guards the AdvanceWith
+	// contract: a reading outside the current interval would silently be
+	// ingested at the wrong checkpoint.
+	if lo, hi := batch[0].T, batch[len(batch)-1].T; lo < ckpt-f.interval || hi >= ckpt {
+		return fmt.Errorf("dist: site %d batch spans [%d,%d], outside checkpoint %d's interval", s, lo, hi, ckpt)
 	}
 	eng := f.c.Engines[s]
-	for _, ev := range bucket {
+	for _, ev := range batch {
 		if err := eng.ObserveMask(ev.T, ev.ID, ev.Mask); err != nil {
 			return err
 		}
 	}
-	f.ingested[s] = len(bucket)
+	f.ingested[s] = len(batch)
 	return nil
 }
 
@@ -483,7 +422,7 @@ func (f *Feed) ingestSite(s int, due [][]Reading, ckpt model.Epoch) error {
 // failure and the lowest-numbered failing site's error is returned, so the
 // outcome is independent of who claimed what.
 func (f *Feed) runSites(fn func(s int) error) error {
-	f.pool.For(len(f.pending), 1, func(s, _ int) {
+	f.pool.For(len(f.siteErrs), 1, func(s, _ int) {
 		f.siteErrs[s] = fn(s)
 	})
 	for _, err := range f.siteErrs {
@@ -600,16 +539,6 @@ func (f *Feed) feedQuery(s int, eng *rfinfer.Engine, evalAt model.Epoch) {
 	})
 }
 
-// AdvanceTo runs checkpoints while the next one is at or before through.
-func (f *Feed) AdvanceTo(through model.Epoch) error {
-	for f.next <= through {
-		if err := f.Advance(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Result snapshots the accumulated replay result: error counts, migration
 // costs per link, query state bytes and the centralized baseline, in the
 // exact shape Replay and ReplaySequential return.
@@ -626,9 +555,9 @@ func (f *Feed) Result() Result {
 }
 
 // Close finalizes the feed, releases its worker pool and returns the
-// accumulated Result. Buffered readings and departures past the last
-// completed checkpoint are discarded, matching the reference replay, which
-// never observes them either.
+// accumulated Result. Buffered departures past the last completed
+// checkpoint are discarded, matching the reference replay, which never
+// observes them either.
 func (f *Feed) Close() (Result, error) {
 	if f.closed {
 		return Result{}, fmt.Errorf("dist: feed already closed")

@@ -26,9 +26,38 @@ func feedWorld(t *testing.T) *sim.World {
 	return w
 }
 
+// worldIntervals cuts every site's trace with Intervals: batches[s][k] is
+// site s's readings of interval k.
+func worldIntervals(w *sim.World, interval model.Epoch) [][][]Reading {
+	batches := make([][][]Reading, len(w.Sites))
+	for s, tr := range w.Sites {
+		batches[s] = Intervals(tr, interval)
+	}
+	return batches
+}
+
+// advanceIntervals runs one checkpoint per interval, handing every site the
+// feed owns its batch of that interval through AdvanceWith.
+func advanceIntervals(f *Feed, batches [][][]Reading) error {
+	due := make([][]Reading, len(batches))
+	for k := range batches[0] {
+		for s := range due {
+			due[s] = nil
+			if f.owns(s) {
+				due[s] = batches[s][k]
+			}
+		}
+		if err := f.AdvanceWith(due); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestFeedMatchesSequential streams a world through the incremental Feed —
-// readings shuffled within each Δ-interval, departures delivered in-band —
-// and requires the Result to be bit-identical to ReplaySequential.
+// each site's readings shuffled within each Δ-interval, departures
+// delivered in-band — and requires the Result to be bit-identical to
+// ReplaySequential.
 func TestFeedMatchesSequential(t *testing.T) {
 	w := feedWorld(t)
 	const interval = model.Epoch(300)
@@ -45,40 +74,24 @@ func TestFeedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flatten every site's readings into one globally shuffled-per-interval
-	// stream: arrival order within an interval must not matter.
-	type ev struct {
-		site int
-		Reading
-	}
-	var all []ev
-	for s, evs := range buildFeeds(w) {
-		for _, e := range evs {
-			all = append(all, ev{site: s, Reading: e})
-		}
-	}
+	// Shuffle every site's batch of every interval: arrival order within an
+	// interval must not matter.
+	batches := worldIntervals(w, interval)
 	rng := rand.New(rand.NewPCG(7, 7))
-	byInterval := make(map[model.Epoch][]ev)
-	for _, e := range all {
-		k := (e.T / interval) * interval
-		byInterval[k] = append(byInterval[k], e)
+	all := 0
+	for _, site := range batches {
+		for _, batch := range site {
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			all += len(batch)
+		}
 	}
 	for _, d := range c.Departures() {
 		if err := f.Depart(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for ckpt := interval; ckpt <= w.Epochs; ckpt += interval {
-		batch := byInterval[ckpt-interval]
-		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		for _, e := range batch {
-			if err := f.Observe(e.site, e.T, e.ID, e.Mask); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := f.Advance(); err != nil {
-			t.Fatal(err)
-		}
+	if err := advanceIntervals(f, batches); err != nil {
+		t.Fatal(err)
 	}
 	got, err := f.Close()
 	if err != nil {
@@ -87,8 +100,8 @@ func TestFeedMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("feed Result diverged from sequential reference\n got: %+v\nwant: %+v", got, want)
 	}
-	if st := f.Stats(); st.Observed != len(all) || st.Late != 0 {
-		t.Errorf("feed stats = %+v, want %d observed, 0 late", st, len(all))
+	if st := f.Stats(); st.Observed != all || st.Late != 0 {
+		t.Errorf("feed stats = %+v, want %d observed, 0 late", st, all)
 	}
 	for id := 0; id < w.NumTags(); id++ {
 		if got, want := c.ONSLookup(model.TagID(id)), ref.ONSLookup(model.TagID(id)); got != want {
@@ -112,7 +125,7 @@ func TestParallelFeedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const interval = model.Epoch(300)
-	feeds := buildFeeds(w)
+	batches := worldIntervals(w, interval)
 
 	run := func(workers int) Result {
 		t.Helper()
@@ -121,17 +134,8 @@ func TestParallelFeedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s, evs := range feeds {
-			for _, e := range evs {
-				if err := f.Observe(s, e.T, e.ID, e.Mask); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for ckpt := interval; ckpt <= w.Epochs; ckpt += interval {
-			if err := f.Advance(); err != nil {
-				t.Fatal(err)
-			}
+		if err := advanceIntervals(f, batches); err != nil {
+			t.Fatal(err)
 		}
 		if st := f.Stats(); st.Checkpoints != int(w.Epochs/interval) || st.Late != 0 {
 			t.Errorf("workers=%d: feed stats = %+v, want %d checkpoints, 0 late", workers, st, w.Epochs/interval)
@@ -155,9 +159,10 @@ func TestParallelFeedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFeedLateAndInvalid pins the refusal paths: late readings and
-// departures are counted and dropped without perturbing the pipeline, and
-// invalid sites/objects error immediately.
+// TestFeedLateAndInvalid pins the refusal paths: a late departure is
+// counted and dropped without perturbing the pipeline; a batch list of the
+// wrong length, a reading outside the checkpoint's interval and invalid
+// sites/objects error immediately.
 func TestFeedLateAndInvalid(t *testing.T) {
 	w := feedWorld(t)
 	c := NewCluster(w, MigrateNone, rfinfer.DefaultConfig())
@@ -165,34 +170,38 @@ func TestFeedLateAndInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Observe(5, 10, 0, 1); err == nil {
-		t.Error("out-of-range site accepted")
+	item := w.Sites[0].Items()[0]
+	if err := f.AdvanceWith(make([][]Reading, 5)); err == nil {
+		t.Error("5 site batches accepted for 2 sites")
 	}
-	if err := f.Depart(Departure{Object: 0, From: 0, To: 0, At: 10}); err == nil {
+	if err := f.AdvanceWith([][]Reading{{{T: 300, ID: item, Mask: 1}}, nil}); err == nil {
+		t.Error("a reading of the next interval accepted")
+	}
+	if err := f.Depart(Departure{Object: item, From: 0, To: 0, At: 10}); err == nil {
 		t.Error("self-departure accepted")
+	}
+	if err := f.Depart(Departure{Object: item, From: 0, To: 5, At: 10}); err == nil {
+		t.Error("out-of-range site accepted")
 	}
 	if err := f.Depart(Departure{Object: model.TagID(w.NumTags()), From: 0, To: 1, At: 10}); err == nil {
 		t.Error("out-of-range object accepted")
 	}
-	if err := f.Advance(); err != nil {
+	if err := f.AdvanceWith([][]Reading{{{T: 10, ID: item, Mask: 1}}, nil}); err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 10 belongs to the already-completed first checkpoint.
-	if err := f.Observe(0, 10, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Depart(Departure{Object: 0, From: 0, To: 1, At: 10}); err != nil {
+	if err := f.Depart(Departure{Object: item, From: 0, To: 1, At: 10}); err != nil {
 		t.Fatal(err)
 	}
 	st := f.Stats()
-	if st.Late != 1 || st.LateDepartures != 1 {
-		t.Errorf("late counters = %+v, want 1 late reading and 1 late departure", st)
+	if st.Observed != 1 || st.Checkpoints != 1 || st.LateDepartures != 1 {
+		t.Errorf("counters = %+v, want 1 observed reading, 1 checkpoint and 1 late departure", st)
 	}
 	if _, err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Advance(); err == nil {
-		t.Error("Advance on closed feed succeeded")
+	if err := f.AdvanceWith(nil); err == nil {
+		t.Error("AdvanceWith on closed feed succeeded")
 	}
 }
 
@@ -220,11 +229,15 @@ func TestSkewedClusterMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const interval = model.Epoch(300)
-	feeds := buildFeeds(w)
+	batches := worldIntervals(w, interval)
 	total, hottest := 0, 0
-	for _, evs := range feeds {
-		total += len(evs)
-		hottest = max(hottest, len(evs))
+	for _, site := range batches {
+		n := 0
+		for _, batch := range site {
+			n += len(batch)
+		}
+		total += n
+		hottest = max(hottest, n)
 	}
 	if hottest*10 < total*6 {
 		t.Fatalf("hottest site holds %d of %d readings, want at least 60%%", hottest, total)
@@ -266,19 +279,12 @@ func TestSkewedClusterMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for s, evs := range feeds {
-				for _, e := range evs {
-					if err := f.Observe(s, e.T, e.ID, e.Mask); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			for _, d := range c.Departures() {
 				if err := f.Depart(d); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := f.AdvanceTo(w.Epochs); err != nil {
+			if err := advanceIntervals(f, batches); err != nil {
 				t.Fatal(err)
 			}
 			pool := f.PoolStats()
@@ -314,4 +320,39 @@ func TestSkewedClusterMatchesSequential(t *testing.T) {
 		got, gotAlerts := runPartitioned(t, w, sc, []int{0, 1, 1, 1}, 3)
 		check(t, got, gotAlerts)
 	})
+}
+
+// TestFeedDepartRefusesNonItems pins that only items migrate. A case or
+// pallet departure accepted into the buffer would move the tag's ONS entry
+// at the next checkpoint and then fail its migration on an object no engine
+// registered — and fail every checkpoint after it the same way, wedging the
+// feed. Depart refuses it up front, as the daemon's ingest does.
+func TestFeedDepartRefusesNonItems(t *testing.T) {
+	w := feedWorld(t)
+	c := NewCluster(w, MigrateWeights, rfinfer.DefaultConfig())
+	f, err := c.OpenFeed(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tried, accepted := 0, 0
+	for i, tg := range w.Sites[0].Tags {
+		if tg.Kind == model.KindItem {
+			continue
+		}
+		tried++
+		if err := f.Depart(Departure{Object: model.TagID(i), From: 0, To: 1, At: 10}); err == nil {
+			accepted++
+		}
+	}
+	if tried == 0 || accepted != 0 {
+		t.Fatalf("Depart accepted %d of %d case and pallet departures, want none of some", accepted, tried)
+	}
+	for k := 0; k < 2; k++ {
+		if err := f.AdvanceWith(nil); err != nil {
+			t.Fatalf("checkpoint %d: %v", k, err)
+		}
+	}
+	if _, err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

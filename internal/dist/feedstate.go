@@ -59,7 +59,7 @@ func (f *Feed) PendingDepartures() []Departure {
 
 // ExportState captures the feed + cluster runtime state at the current
 // checkpoint boundary. Call it only between checkpoints (the serve
-// scheduler holds its lock across Advance and Export, which guarantees
+// scheduler holds its lock across AdvanceWith and Export, which guarantees
 // this).
 func (f *Feed) ExportState() FeedState {
 	c := f.c
@@ -74,8 +74,6 @@ func (f *Feed) ExportState() FeedState {
 		Sites:           make([]SiteStats, len(c.stats.Sites)),
 		Stats:           f.stats,
 	}
-	st.Stats.Buffered = 0
-	st.Stats.PendingDepartures = 0
 	for id := range st.Owner {
 		st.Owner[id] = int32(c.ons.Lookup(model.TagID(id)))
 	}
@@ -144,6 +142,5 @@ func (f *Feed) ImportState(st FeedState) error {
 	f.stats = st.Stats
 	f.stats.Buffered = 0
 	f.stats.PendingDepartures = 0
-	f.buffered = 0
 	return nil
 }

@@ -70,7 +70,7 @@ func runPartitioned(t *testing.T, w *sim.World, sc scenario, owner []int, worker
 		}
 		clusters[p], feeds[p] = cl, f
 	}
-	siteFeeds := buildFeeds(w)
+	batches := worldIntervals(w, sc.interval)
 	allDeps := clusters[0].Departures()
 	results := make([]Result, peers)
 	errs := make([]error, peers)
@@ -80,17 +80,6 @@ func runPartitioned(t *testing.T, w *sim.World, sc scenario, owner []int, worker
 		go func(p int) {
 			defer wg.Done()
 			f := feeds[p]
-			for s, evs := range siteFeeds {
-				if owner[s] != p {
-					continue
-				}
-				for _, ev := range evs {
-					if err := f.Observe(s, ev.T, ev.ID, ev.Mask); err != nil {
-						errs[p] = err
-						return
-					}
-				}
-			}
 			// Departures broadcast to every peer: the shared global order is
 			// the cross-process coordination.
 			for _, d := range allDeps {
@@ -99,11 +88,10 @@ func runPartitioned(t *testing.T, w *sim.World, sc scenario, owner []int, worker
 					return
 				}
 			}
-			for k := 0; k < int(w.Epochs/sc.interval); k++ {
-				if err := f.Advance(); err != nil {
-					errs[p] = err
-					return
-				}
+			// Each peer hands over the batches of the sites it owns.
+			if err := advanceIntervals(f, batches); err != nil {
+				errs[p] = err
+				return
 			}
 			res, err := f.Close()
 			results[p], errs[p] = res, err
@@ -195,7 +183,8 @@ func TestOpenPartitionedFeedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Observe(1, 10, 0, 1); err == nil {
-		t.Error("Observe accepted a reading for a non-owned site")
+	item := w.Sites[1].Items()[0]
+	if err := f.AdvanceWith([][]Reading{nil, {{T: 10, ID: item, Mask: 1}}}); err == nil {
+		t.Error("AdvanceWith accepted a batch for a non-owned site")
 	}
 }

@@ -5,9 +5,9 @@
 package expt
 
 import (
-	"sort"
 	"time"
 
+	"rfidtrack/internal/dist"
 	"rfidtrack/internal/metrics"
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
@@ -16,53 +16,46 @@ import (
 	"rfidtrack/internal/trace"
 )
 
-// FeedEvent is one tag's epoch mask, ready for replay in time order.
-type FeedEvent struct {
-	T    model.Epoch
-	ID   model.TagID
-	Mask model.Mask
+// engine is what a single-site replay drives and scores: RFINFER or the
+// SMURF* baseline.
+type engine interface {
+	RegisterContainer(id model.TagID)
+	RegisterObject(id model.TagID)
+	ObserveMask(t model.Epoch, id model.TagID, m model.Mask) error
+	Container(id model.TagID) model.TagID
+	LocationAt(id model.TagID, t model.Epoch) model.Loc
 }
 
-// Feed flattens a trace's readings (cases and items only; pallet-level
-// containment is the hierarchical extension of Appendix A.4) into a
-// time-ordered replay stream. The stream is sized in one counting pass so
-// replay setup does not grow the slice incrementally.
-func Feed(tr *trace.Trace) []FeedEvent {
-	n := 0
-	for i := range tr.Tags {
-		if tr.Tags[i].Kind != model.KindPallet {
-			n += len(tr.Tags[i].Readings)
-		}
-	}
-	out := make([]FeedEvent, 0, n)
-	for i := range tr.Tags {
-		tg := &tr.Tags[i]
-		if tg.Kind == model.KindPallet {
-			continue
-		}
-		for _, rd := range tg.Readings {
-			out = append(out, FeedEvent{T: rd.T, ID: tg.ID, Mask: rd.Mask})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// Register declares every case as a container and every item as an object.
-func Register(e *rfinfer.Engine, tr *trace.Trace) {
+// replaySingle declares every case of a trace as a container and every item
+// as an object, then feeds the engine the trace one dist.Intervals batch at
+// a time and calls checkpoint after each with the epoch it evaluates at.
+func replaySingle(eng engine, tr *trace.Trace, interval model.Epoch, checkpoint func(evalAt model.Epoch)) error {
 	for i := range tr.Tags {
 		switch tr.Tags[i].Kind {
 		case model.KindCase:
-			e.RegisterContainer(tr.Tags[i].ID)
+			eng.RegisterContainer(tr.Tags[i].ID)
 		case model.KindItem:
-			e.RegisterObject(tr.Tags[i].ID)
+			eng.RegisterObject(tr.Tags[i].ID)
 		}
 	}
+	for k, batch := range dist.Intervals(tr, interval) {
+		for _, r := range batch {
+			if err := eng.ObserveMask(r.T, r.ID, r.Mask); err != nil {
+				return err
+			}
+		}
+		checkpoint(model.Epoch(k+1)*interval - 1)
+	}
+	return nil
+}
+
+// scoreAt adds the engine's containment and item location error at evalAt
+// against the trace's ground truth.
+func scoreAt(eng engine, tr *trace.Trace, evalAt model.Epoch, cont, loc *metrics.Counts) {
+	cont.Add(metrics.ContainmentErrorAt(tr, evalAt, eng.Container))
+	loc.Add(metrics.LocationErrorAt(tr, evalAt, model.KindItem, func(id model.TagID) model.Loc {
+		return eng.LocationAt(id, evalAt)
+	}))
 }
 
 // SingleResult aggregates a single-site run.
@@ -85,30 +78,17 @@ type SingleResult struct {
 // location against ground truth at each checkpoint.
 func RunSingleSite(tr *trace.Trace, cfg rfinfer.Config, interval model.Epoch) SingleResult {
 	eng := rfinfer.New(tr.Likelihood(), cfg)
-	Register(eng, tr)
-	feed := Feed(tr)
-
 	var res SingleResult
-	idx := 0
-	for ckpt := interval; ckpt <= tr.Epochs; ckpt += interval {
-		for idx < len(feed) && feed[idx].T < ckpt {
-			ev := feed[idx]
-			if err := eng.ObserveMask(ev.T, ev.ID, ev.Mask); err != nil {
-				panic(err)
-			}
-			idx++
-		}
+	err := replaySingle(eng, tr, interval, func(evalAt model.Epoch) {
 		start := time.Now()
-		rr := eng.Run(ckpt - 1)
+		rr := eng.Run(evalAt)
 		res.InferTime += time.Since(start)
 		res.Iterations += rr.Iterations
 		res.Runs++
-
-		evalAt := ckpt - 1
-		res.ContErr.Add(metrics.ContainmentErrorAt(tr, evalAt, eng.Container))
-		res.LocErr.Add(metrics.LocationErrorAt(tr, evalAt, model.KindItem, func(id model.TagID) model.Loc {
-			return eng.LocationAt(id, evalAt)
-		}))
+		scoreAt(eng, tr, evalAt, &res.ContErr, &res.LocErr)
+	})
+	if err != nil {
+		panic(err)
 	}
 	res.Detections = eng.Detections()
 	return res
@@ -126,36 +106,16 @@ type SMURFResult struct {
 // same checkpointing and scoring as RunSingleSite.
 func RunSingleSiteSMURF(tr *trace.Trace, cfg smurf.Config, interval model.Epoch) SMURFResult {
 	eng := smurf.New(tr.Likelihood(), cfg)
-	for i := range tr.Tags {
-		switch tr.Tags[i].Kind {
-		case model.KindCase:
-			eng.RegisterContainer(tr.Tags[i].ID)
-		case model.KindItem:
-			eng.RegisterObject(tr.Tags[i].ID)
-		}
-	}
-	feed := Feed(tr)
-
 	var res SMURFResult
-	idx := 0
-	for ckpt := interval; ckpt <= tr.Epochs; ckpt += interval {
-		for idx < len(feed) && feed[idx].T < ckpt {
-			ev := feed[idx]
-			if err := eng.ObserveMask(ev.T, ev.ID, ev.Mask); err != nil {
-				panic(err)
-			}
-			idx++
-		}
+	err := replaySingle(eng, tr, interval, func(evalAt model.Epoch) {
 		start := time.Now()
-		eng.Run(ckpt - 1)
+		eng.Run(evalAt)
 		res.InferTime += time.Since(start)
 		res.Runs++
-
-		evalAt := ckpt - 1
-		res.ContErr.Add(metrics.ContainmentErrorAt(tr, evalAt, eng.Container))
-		res.LocErr.Add(metrics.LocationErrorAt(tr, evalAt, model.KindItem, func(id model.TagID) model.Loc {
-			return eng.LocationAt(id, evalAt)
-		}))
+		scoreAt(eng, tr, evalAt, &res.ContErr, &res.LocErr)
+	})
+	if err != nil {
+		panic(err)
 	}
 	res.Changes = eng.Changes()
 	return res
@@ -195,18 +155,8 @@ func CalibrateDelta(simCfg sim.Config, inferCfg rfinfer.Config, interval model.E
 		icfg.CollectDeltas = true
 		tr := w.Single()
 		eng := rfinfer.New(tr.Likelihood(), icfg)
-		Register(eng, tr)
-		feed := Feed(tr)
-		idx := 0
-		for ckpt := interval; ckpt <= tr.Epochs; ckpt += interval {
-			for idx < len(feed) && feed[idx].T < ckpt {
-				ev := feed[idx]
-				if err := eng.ObserveMask(ev.T, ev.ID, ev.Mask); err != nil {
-					return 0, err
-				}
-				idx++
-			}
-			eng.Run(ckpt - 1)
+		if err := replaySingle(eng, tr, interval, func(evalAt model.Epoch) { eng.Run(evalAt) }); err != nil {
+			return 0, err
 		}
 		for _, d := range eng.DeltaSamples() {
 			if !changed[d.Object] && d.Delta > maxDelta {

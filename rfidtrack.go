@@ -210,12 +210,14 @@ type (
 	// Departure reports an object leaving one site for another; feeding it
 	// to a Server (or Feed) triggers state migration.
 	Departure = dist.Departure
-	// Feed is the incremental ingestion interface of a Cluster, the layer
-	// Server builds on.
+	// Feed is the incremental checkpoint interface of a Cluster, the layer
+	// Server builds on: it holds departures, not readings, and runs one
+	// Δ-interval checkpoint per AdvanceWith over the per-site batches the
+	// caller hands it.
 	Feed = dist.Feed
-	// FeedReading is one site-local reading in flight through the feed: the
-	// element type of Server.IngestBatch batches and of the sharded ingest
-	// buckets.
+	// FeedReading is one site-local reading in flight to a checkpoint: the
+	// element type of Server.IngestBatch batches, of the sharded ingest
+	// buckets and of the per-site batches Feed.AdvanceWith ingests.
 	FeedReading = dist.Reading
 	// WALManifest is a durable data directory's commit point (generation,
 	// active snapshot, boundary), returned by Server.SnapshotNow.

@@ -9,6 +9,7 @@ package rfidtrack_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -82,5 +83,31 @@ func TestSmokeBinaries(t *testing.T) {
 					sb.pkg, sb.args, stderr.String())
 			}
 		})
+	}
+}
+
+// TestRfidinferRefusesNonPositiveInterval pins rfidinfer's usage error for
+// an interval that is zero or negative: checkpoints are interval epochs
+// apart, so such a run would never reach the end of the trace.
+func TestRfidinferRefusesNonPositiveInterval(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a binary")
+	}
+	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goTool); err != nil {
+		goTool = "go"
+	}
+	bin := filepath.Join(t.TempDir(), "rfidinfer")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "./cmd/rfidinfer").CombinedOutput(); err != nil {
+		t.Fatalf("go build failed: %v\n%s", err, out)
+	}
+	for _, iv := range []string{"0", "-300"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-epochs", "700", "-items", "3", "-interval", iv).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("-interval must be positive")) {
+			t.Errorf("-interval %s: err %v, want a usage error (exit 2)\n%s", iv, err, out)
+		}
 	}
 }
