@@ -211,6 +211,7 @@ func (r *registry) register(f Filter, from int) *subscriber {
 		f:      f,
 		max:    r.queueSize,
 		next:   from,
+		lagged: from < r.log.len(),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -23,15 +22,41 @@ func publishAndDispatch(l *alertLog, r *registry, site int, pattern string, m st
 }
 
 // drainSub collects everything a subscriber delivers without waiting.
-func drainSub(sub *subscriber) []Alert {
+func drainSub(sub *subscriber) []Alert { return drainBatches(sub, maxPollLimit) }
+
+// drainBatches reads a subscriber in batches of at most max without
+// waiting, until a read returns nothing with the cursor at the log's tail
+// (a read may return nothing short of the tail when it examined a whole
+// scan chunk without a match).
+func drainBatches(sub *subscriber, max int) []Alert {
 	var out []Alert
 	for {
-		batch, _ := sub.poll(maxPollLimit, 0)
-		if len(batch) == 0 {
+		batch, _ := sub.poll(max, 0)
+		if len(batch) == 0 && sub.cursor() >= sub.reg.log.len() {
 			return out
 		}
 		out = append(out, batch...)
 	}
+}
+
+// bruteForceInput is one population TestRegistryMatchesBruteForce checks.
+type bruteForceInput struct {
+	name    string
+	seed    int64
+	nAlerts int
+	// hotTag gives tag 0 three quarters of the alerts, so one tag's
+	// history spans more than one logScanChunk.
+	hotTag bool
+	// recovered builds the log the way recovery does: restore of a
+	// snapshot prefix, restoreTail of the WAL's post-snapshot alerts, then
+	// publishes that first re-fire the restored tail and then append.
+	recovered bool
+	// randomCursors registers each subscriber at a random point of the
+	// publish stream with a random cursor, instead of all at 0 up front.
+	randomCursors bool
+	// batch bounds each read; 0 reads up to maxPollLimit, <0 a random
+	// size in [1,16] per subscriber.
+	batch int
 }
 
 // TestRegistryMatchesBruteForce is the sharded-matching correctness bar:
@@ -40,75 +65,156 @@ func drainSub(sub *subscriber) []Alert {
 // must deliver exactly the alerts a brute-force scan of the log through
 // its filter selects, in order.
 func TestRegistryMatchesBruteForce(t *testing.T) {
+	inputs := []bruteForceInput{
+		{name: "seed=1", seed: 1, nAlerts: 1500},
+		{name: "seed=2", seed: 2, nAlerts: 1500},
+		{name: "seed=77", seed: 77, nAlerts: 1500},
+		{name: "recovered", seed: 3, nAlerts: 1500, recovered: true, randomCursors: true},
+		{name: "random-cursors", seed: 4, nAlerts: 1500, randomCursors: true},
+		{name: "hot-tag", seed: 5, nAlerts: 6000, hotTag: true, randomCursors: true, batch: -1},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) { checkRegistryBruteForce(t, in) })
+	}
+}
+
+func checkRegistryBruteForce(t *testing.T, in bruteForceInput) {
 	patterns := []string{"q1", "q2", "exposure:t>12:d600"}
-	for _, seed := range []int64{1, 2, 77} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			l := newAlertLog()
-			reg := newRegistry(l, 1<<20) // no overflow: this test isolates matching
-			const nSubs, nAlerts, nTags, nSites = 200, 1500, 60, 5
+	rng := rand.New(rand.NewSource(in.seed))
+	l := newAlertLog()
+	const nSubs, nTags, nSites = 200, 60, 5
 
-			// Random filters across every routing class, including composites
-			// (tag+pattern, site+min_span, ...) that the index alone cannot
-			// satisfy and must finish with the residual Filter.Match.
-			filters := make([]Filter, nSubs)
-			subs := make([]*subscriber, nSubs)
-			for i := range filters {
-				f := MatchAll()
-				if rng.Intn(2) == 0 {
-					f.Tag = model.TagID(rng.Intn(nTags))
-				}
-				if rng.Intn(3) == 0 {
-					f.Site = rng.Intn(nSites)
-				}
-				if rng.Intn(3) == 0 {
-					f.Pattern = patterns[rng.Intn(len(patterns))]
-				}
-				if rng.Intn(4) == 0 {
-					f.MinSpan = model.Epoch(rng.Intn(900))
-				}
-				filters[i] = f
-				subs[i] = reg.register(f, 0)
+	// Random filters across every routing class, including composites
+	// (tag+pattern, site+min_span, ...) that the index alone cannot
+	// satisfy and must finish with the residual Filter.Match.
+	filters := make([]Filter, nSubs)
+	froms := make([]int, nSubs)
+	steps := make([]int, nSubs) // publish index the subscriber attaches before
+	for i := range filters {
+		f := MatchAll()
+		if rng.Intn(2) == 0 {
+			f.Tag = model.TagID(rng.Intn(nTags))
+			if in.hotTag && rng.Intn(2) == 0 {
+				f.Tag = 0
 			}
+		}
+		if rng.Intn(3) == 0 {
+			f.Site = rng.Intn(nSites)
+		}
+		if rng.Intn(3) == 0 {
+			f.Pattern = patterns[rng.Intn(len(patterns))]
+		}
+		if rng.Intn(4) == 0 {
+			f.MinSpan = model.Epoch(rng.Intn(900))
+		}
+		filters[i] = f
+		if in.randomCursors {
+			froms[i] = rng.Intn(in.nAlerts + 10)
+			steps[i] = rng.Intn(in.nAlerts + 1)
+		}
+	}
 
-			var published []Alert
-			for i := 0; i < nAlerts; i++ {
-				m := stream.Match{
-					Tag:   model.TagID(rng.Intn(nTags)),
-					First: model.Epoch(rng.Intn(600)),
-				}
-				m.Last = m.First + model.Epoch(rng.Intn(1200))
-				a := publishAndDispatch(l, reg, rng.Intn(nSites), patterns[rng.Intn(len(patterns))], m)
-				published = append(published, a)
-			}
+	type pub struct {
+		site    int
+		pattern string
+		m       stream.Match
+	}
+	pubs := make([]pub, in.nAlerts)
+	for i := range pubs {
+		m := stream.Match{
+			Tag:   model.TagID(rng.Intn(nTags)),
+			First: model.Epoch(rng.Intn(600)),
+		}
+		if in.hotTag && rng.Intn(4) != 0 {
+			m.Tag = 0
+		}
+		m.Last = m.First + model.Epoch(rng.Intn(1200))
+		pubs[i] = pub{rng.Intn(nSites), patterns[rng.Intn(len(patterns))], m}
+	}
 
-			for i, sub := range subs {
-				var want []Alert
-				for _, a := range published {
-					if filters[i].Match(a) {
-						want = append(want, a)
-					}
-				}
-				got := drainSub(sub)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("sub %d (filter %q): sharded delivery diverged from brute force\n got %d alerts: %+v\nwant %d alerts: %+v",
-						i, filters[i].Encode(), len(got), got, len(want), want)
-				}
-				sub.shutdown()
+	if in.hotTag {
+		hot := 0
+		for _, p := range pubs {
+			if p.m.Tag == 0 {
+				hot++
 			}
+		}
+		if hot <= logScanChunk {
+			t.Fatalf("hot tag has %d alerts; a tag cursor must cross a %d-entry scan chunk", hot, logScanChunk)
+		}
+	}
 
-			// The index actually sharded: tag-filtered subscribers must have
-			// been matched via tag shards, not the broadcast scan.
-			ds := reg.stats()
-			var shardTotal int64
-			for _, n := range ds.ShardMatches {
-				shardTotal += n
+	var ref, published []Alert
+	if in.recovered {
+		// The uninterrupted run's log, cut where recovery cuts it: a
+		// snapshot holds the first third, the WAL's alert segment the
+		// second, and the catch-up checkpoints re-fire the second third
+		// before they publish the last.
+		orig := newAlertLog()
+		for _, p := range pubs {
+			orig.publish(p.site, p.pattern, p.m)
+		}
+		ref = orig.export()
+		snap, tail := in.nAlerts/3, 2*in.nAlerts/3
+		l.restore(ref[:snap])
+		for _, a := range ref[snap:tail] {
+			l.restoreTail(a)
+		}
+		// The snapshot's matches never re-fire: the restored query
+		// engines remember them.
+		published = ref[:snap:snap]
+		pubs = pubs[snap:]
+	}
+	reg := newRegistry(l, 1<<20) // no overflow: this test isolates matching
+
+	subs := make([]*subscriber, nSubs)
+	attach := func(step int) {
+		for i := range subs {
+			if subs[i] == nil && steps[i] <= step {
+				subs[i] = reg.register(filters[i], froms[i])
 			}
-			if shardTotal == 0 {
-				t.Error("no matches routed through tag shards; the registry is scanning instead of sharding")
+		}
+	}
+	for _, p := range pubs {
+		attach(len(published))
+		a := publishAndDispatch(l, reg, p.site, p.pattern, p.m)
+		published = append(published, a)
+	}
+	attach(in.nAlerts)
+	if in.recovered && !reflect.DeepEqual(published, ref) {
+		t.Fatal("publishing over a recovered log diverged from the uninterrupted run's sequence")
+	}
+
+	for i, sub := range subs {
+		var want []Alert
+		for _, a := range published {
+			if a.Seq >= froms[i] && filters[i].Match(a) {
+				want = append(want, a)
 			}
-		})
+		}
+		batch := in.batch
+		if batch == 0 {
+			batch = maxPollLimit
+		} else if batch < 0 {
+			batch = 1 + rng.Intn(16)
+		}
+		got := drainBatches(sub, batch)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sub %d (filter %q): sharded delivery diverged from brute force\n got %d alerts: %+v\nwant %d alerts: %+v",
+				i, filters[i].Encode(), len(got), got, len(want), want)
+		}
+		sub.shutdown()
+	}
+
+	// The index actually sharded: tag-filtered subscribers must have
+	// been matched via tag shards, not the broadcast scan.
+	ds := reg.stats()
+	var shardTotal int64
+	for _, n := range ds.ShardMatches {
+		shardTotal += n
+	}
+	if shardTotal == 0 {
+		t.Error("no matches routed through tag shards; the registry is scanning instead of sharding")
 	}
 }
 
@@ -322,9 +428,10 @@ func TestLagFlipDuringPageLosesNothing(t *testing.T) {
 			pub()
 			pub()
 		} else {
-			// Attached behind the tail: the log is ahead of an empty queue.
-			pub()
+			// Attached at the head: alert 0 is queued, and the page below
+			// reads it from the log as well.
 			sub = reg.register(MatchAll(), 0)
+			pub()
 		}
 		var got []Alert
 
