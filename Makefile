@@ -30,6 +30,11 @@ test:
 # per-site batches, cut by dist.Intervals for a replay and by the shards for
 # the daemon: the Feed's own reading buffer (Observe, its pending intervals,
 # AdvanceTo) and expt's globally sorted replay stream (FeedEvent) stay deleted.
+# And the alert log is the delivery tier's only store: a subscriber is a
+# filter plus a cursor into it, so the per-subscriber ring, its lagged
+# switch back to the log, the finishPage rule for that switch, the
+# SubQueue bound and the log's second wake mechanism (a sync.Cond) stay
+# deleted from subs.go, fanout.go and registry.go.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -56,6 +61,8 @@ vet:
 		|| { echo "the Feed buffers readings again in internal/dist; batches reach it only through AdvanceWith (see above)"; exit 1; }
 	@! grep -n 'FeedEvent' internal/expt/*.go \
 		|| { echo "a second replay stream is back in internal/expt; cut traces with dist.Intervals (see above)"; exit 1; }
+	@! grep -n 'lagged\|pushLocked\|popLocked\|finishPage\|everLagged\|SubQueue\|sync\.Cond' internal/serve/subs.go internal/serve/fanout.go internal/serve/registry.go \
+		|| { echo "a subscriber queue or a second wake mechanism is back in the delivery tier; subscribers read the alert log by cursor (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it
@@ -208,10 +215,11 @@ peer-smoke:
 	$(GO) test -run 'TestPeerSmoke' -count=1 -v .
 
 # Consumer-scale fan-out smoke: the real daemon plus a thousand real
-# SSE / cursor long-poll consumers. Default queues must deliver the exact
-# alert sequence to every consumer with zero drops; -sub-queue 1 must
-# record drops and catch-ups and STILL deliver everything (a drop defers
-# delivery to cursor catch-up, never loses it). Bounded to a few seconds.
+# SSE / cursor long-poll consumers attached while the world streams must
+# each receive the exact alert sequence; then, after the stream has
+# drained, a hundred late consumers (half from cursor 0, half resuming
+# from a mid-sequence cursor) must each receive exactly the rest of it.
+# Bounded to a few seconds.
 fanout-smoke:
 	$(GO) test -run 'TestFanoutSmoke' -count=1 -v .
 

@@ -59,7 +59,6 @@ func main() {
 		queue    = flag.Int("queue", 8192, "per-site ingest shard backlog in readings (backpressure bound while a checkpoint is pending)")
 		wmark    = flag.Int("watermark", 0, "stream-time slack (epochs) before closing a checkpoint; set ~interval when several readers post concurrently")
 		noQuery  = flag.Bool("no-query", false, "do not attach the per-site exposure query")
-		subQueue = flag.Int("sub-queue", 0, "per-subscriber delivery queue bound; a consumer overflowing it flips to cursor catch-up (0 = default 256)")
 		demo     = flag.Bool("demo", false, "self-drive: stream the deployment's own world over HTTP, print a summary, exit")
 		pprof    = flag.String("pprof", "", "side listener for net/http/pprof (e.g. localhost:6060; empty = off); see PERFORMANCE.md for profiling a live checkpoint")
 
@@ -88,6 +87,7 @@ func main() {
 		anomaly = flag.Int("anomaly", 120, "containment change interval (0 = none)")
 		seed    = flag.Int64("seed", 1, "deployment seed")
 	)
+	flag.Int("sub-queue", 0, "ignored: subscribers read the alert log by cursor and hold no queue (accepted for one release)")
 	flag.Parse()
 
 	strat, err := parseStrategy(*strategy)
@@ -129,7 +129,6 @@ func main() {
 		SyncEvery:     *fsync,
 		Strict:        *strict,
 		SnapshotEvery: *snapEach,
-		SubQueue:      *subQueue,
 	}
 	if !*noQuery {
 		scfg.Query = dist.ColdChainQuery(world, scfg.Interval)
@@ -262,9 +261,8 @@ func main() {
 	fmt.Printf("alerts: %d; mean checkpoint latency %s\n", st.Alerts, meanLatency(st.Sched))
 	fmt.Printf("incremental: %d dirty site-checkpoints, %d groups recomputed, %d skipped clean\n",
 		st.Sched.DirtySites, st.Sched.DirtyGroups, st.Sched.SkippedGroups)
-	d := st.Delivery
-	fmt.Printf("delivery: %d enqueued, %d drops (lag events), %d catch-ups, slowest consumer %d behind at exit\n",
-		d.Enqueued, d.Dropped, d.Catchups, d.SlowestLag)
+	fmt.Printf("delivery: %d matches, slowest consumer %d behind at exit\n",
+		st.Delivery.Enqueued, st.Delivery.SlowestLag)
 	if st.WAL != nil {
 		fmt.Printf("durable: %d WAL records (%d bytes), %d snapshots, final snapshot at boundary %d\n",
 			st.WAL.Appended, st.WAL.AppendedBytes, st.WAL.Snapshots, st.WAL.LastSnapshot)

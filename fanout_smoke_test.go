@@ -3,11 +3,11 @@ package rfidtrack_test
 // The consumer-scale fan-out smoke (`make fanout-smoke`): run the real
 // rfidtrackd binary and attach a thousand real consumers — half driving
 // the durable-cursor long-poll loop (serve.Client.Follow), half reading
-// the SSE stream — while the world streams in. Phase A (default
-// subscriber queues) must deliver the complete alert sequence to every
-// consumer with zero drops; phase B (-sub-queue 1) must record drops and
-// catch-ups — the overflow -> lagged -> cursor-catch-up path — and STILL
-// deliver the complete sequence to every consumer. This is the
+// the SSE stream — while the world streams in. Phase A must deliver the
+// complete alert sequence to every consumer. Phase B attaches a hundred
+// consumers of both kinds after the stream has drained, half from cursor
+// 0 and half resuming from a mid-sequence cursor token, and each must
+// receive exactly the rest of the sequence from its cursor on. This is the
 // process-level twin of serve's chaos/registry tests: real sockets, real
 // SSE framing, real long-poll reconnects.
 
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"rfidtrack/internal/serve"
+	"rfidtrack/internal/stream"
 )
 
 // startFanoutDaemon launches rfidtrackd (memory-only: fan-out needs no
@@ -87,12 +88,12 @@ func stopDaemon(t *testing.T, cmd *exec.Cmd) {
 	}
 }
 
-// sseConsume reads the daemon's /alerts/stream SSE feed until ctx ends,
+// sseConsume reads an /alerts/stream SSE feed URL until ctx ends,
 // appending each decoded alert and bumping count — a hand-rolled
 // EventSource, frames and all.
-func sseConsume(t *testing.T, ctx context.Context, baseURL string, count *atomic.Int64) []serve.Alert {
+func sseConsume(t *testing.T, ctx context.Context, streamURL string, count *atomic.Int64) []serve.Alert {
 	t.Helper()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/alerts/stream?since=0", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, streamURL, nil)
 	if err != nil {
 		t.Error(err)
 		return nil
@@ -159,7 +160,7 @@ func runFanoutPhase(t *testing.T, bin string, nFollow, nSSE int, extra ...string
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = sseConsume(t, ctx, baseURL, &counts[i])
+			results[i] = sseConsume(t, ctx, baseURL+"/alerts/stream?since=0", &counts[i])
 		}(i)
 	}
 
@@ -252,15 +253,103 @@ func TestFanoutSmoke(t *testing.T) {
 		t.Errorf("default queues dropped %d offers across 1k consumers; want 0", d.Dropped)
 	}
 
-	// Phase B: -sub-queue 1 makes every checkpoint's alert burst overflow
-	// the live subscribers — drops and catch-ups must be recorded, and
-	// delivery must STILL be complete (drop means deferred to cursor
-	// catch-up, never lost).
-	d := runFanoutPhase(t, bin, 50, 50, "-sub-queue", "1")
-	if d.Dropped == 0 {
-		t.Error("queue-1 subscribers never overflowed; the induced-lag half of the smoke proved nothing")
+	// Phase B: consumers that attach after the stream has drained.
+	runLateAttachPhase(t, bin, 100)
+}
+
+// runLateAttachPhase streams the smoke world to a fresh daemon, drains it,
+// and only then attaches n consumers: follow and SSE alternately, half
+// from cursor 0 and half resuming from a mid-sequence cursor token. Each
+// must receive exactly the alerts from its cursor on, in order.
+func runLateAttachPhase(t *testing.T, bin string, n int) {
+	t.Helper()
+	daemon, baseURL := startFanoutDaemon(t, bin)
+	defer stopDaemon(t, daemon)
+
+	w := smokeWorld(t)
+	client := &serve.Client{BaseURL: baseURL}
+	events := serve.WorldEvents(w, nil)
+	for i := 0; i < len(events); i += 256 {
+		end := min(i+256, len(events))
+		if _, err := client.Ingest(events[i:end]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if d.Catchups == 0 {
-		t.Error("queue-1 subscribers overflowed but no catch-up completed")
+	if _, err := client.Drain(0); err != nil {
+		t.Fatal(err)
 	}
+	ref, err := client.Alerts(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) < 2 {
+		t.Fatalf("smoke world raised %d alerts; need at least 2 to resume mid-sequence", len(ref))
+	}
+	mid := len(ref) / 2
+	midCursor := stream.EncodeAlertCursor(int64(ref[mid].Seq))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	results := make([][]serve.Alert, n)
+	wants := make([][]serve.Alert, n)
+	counts := make([]atomic.Int64, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cursor := ""
+		wants[i] = ref
+		if i%2 == 1 {
+			cursor, wants[i] = midCursor, ref[mid:]
+		}
+		wg.Add(1)
+		if i%4 < 2 {
+			go func(i int) {
+				defer wg.Done()
+				cl := &serve.Client{BaseURL: baseURL}
+				_, err := cl.Follow(ctx, serve.MatchAll(), cursor, func(a serve.Alert) {
+					results[i] = append(results[i], a)
+					counts[i].Add(1)
+				})
+				if err != nil {
+					t.Errorf("late consumer %d: follow: %v", i, err)
+				}
+			}(i)
+		} else {
+			go func(i int) {
+				defer wg.Done()
+				results[i] = sseConsume(t, ctx, baseURL+"/alerts/stream?cursor="+cursor, &counts[i])
+			}(i)
+		}
+	}
+
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		behind := 0
+		for i := range counts {
+			if counts[i].Load() < int64(len(wants[i])) {
+				behind++
+			}
+		}
+		if behind == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatalf("%d of %d late consumers still behind after 60s", behind, n)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cancel()
+	wg.Wait()
+
+	for i, got := range results {
+		if !reflect.DeepEqual(got, wants[i]) {
+			kind := "follow"
+			if i%4 >= 2 {
+				kind = "sse"
+			}
+			t.Errorf("late consumer %d (%s, from seq %d): got %d alerts, want exactly the remaining %d",
+				i, kind, len(ref)-len(wants[i]), len(got), len(wants[i]))
+		}
+	}
+	fmt.Printf("late-attach phase: %d consumers after the drain, %d alerts, resumed at seq %d\n", n, len(ref), mid)
 }

@@ -4,7 +4,7 @@
 // resume by cursor and the daemon itself takes a kill -9 mid-stream. The
 // bar is exact delivery: every consumer's final alert sequence must be
 // reflect.DeepEqual to an uninterrupted reference run's alert log — no
-// loss across queue overflow, disconnects or the crash; no duplicates from
+// loss across slow reads, disconnects or the crash; no duplicates from
 // at-least-once resume.
 package serve
 
@@ -102,9 +102,8 @@ func TestChaosConsumersExactDelivery(t *testing.T) {
 		t.Fatal("reference run raised no alerts; the scenario is too easy to prove anything")
 	}
 
-	// The chaos daemon: durable, tiny subscriber queues so consumer churn
-	// also exercises lagged catch-up, snapshots enabled so the crash
-	// recovery path is snapshot + WAL tail.
+	// The chaos daemon: durable, snapshots enabled so the crash recovery
+	// path is snapshot + WAL tail.
 	dir := t.TempDir()
 	cfg := Config{
 		Interval:      interval,
@@ -113,7 +112,6 @@ func TestChaosConsumersExactDelivery(t *testing.T) {
 		DataDir:       dir,
 		SyncEvery:     -1, // Abort commits, as in recover_test
 		SnapshotEvery: 2,
-		SubQueue:      8,
 	}
 	mkServer := func() *Server {
 		c := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())

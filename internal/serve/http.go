@@ -350,9 +350,9 @@ const sseBatch = 256
 // carrying an `id:` line with the cursor that resumes right after it, so
 // a reconnecting EventSource client that echoes Last-Event-ID misses
 // nothing. The starting position is Last-Event-ID, else ?cursor=, else
-// ?since=; ?filter= and friends narrow the stream. The subscription rides
-// the delivery tier's bounded queue: a stalled client laps into cursor
-// catch-up instead of back-pressuring the publisher.
+// ?since=; ?filter= and friends narrow the stream. The subscription reads
+// the alert log from its cursor, so a stalled client only trails the
+// log's tail; it never back-pressures the publisher.
 func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 	f, _, err := filterParams(r)
 	if err != nil {

@@ -330,6 +330,14 @@ func (p *peerSet) Recv(d dist.Departure) ([]byte, error) {
 	}
 }
 
+// timedCondWait waits on cond, giving up after d. The caller holds
+// cond.L; a helper goroutine broadcasts at the deadline so Wait returns.
+func timedCondWait(cond *sync.Cond, d time.Duration) {
+	t := time.AfterFunc(d, cond.Broadcast)
+	defer t.Stop()
+	cond.Wait()
+}
+
 // deposit stores d's payload if no copy is already boxed (at-least-once
 // senders duplicate; the first copy wins) and wakes Recv waiters. logIt,
 // when non-nil, runs inside the same critical section as the deposit so a

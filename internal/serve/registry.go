@@ -2,7 +2,7 @@
 // subscriber declares a Filter; the registry indexes each subscriber under
 // its most selective dimension — tag filters in one of alertShards
 // hash-sharded maps, then site, then pattern, with only true match-alls in
-// the broadcast list — so dispatching one alert touches the subscribers
+// the broadcast list — so dispatching one alert wakes the subscribers
 // that could match it, not every subscriber. A consumer-scale fan-out
 // (100k tag subscriptions) therefore costs one shard-map lookup per
 // alert, and subscribers on distinct shards register and match without
@@ -168,8 +168,7 @@ func tagShardOf(tag model.TagID) int {
 // subscriber under its most selective filter dimension so dispatch visits
 // candidates, not the whole population.
 type registry struct {
-	log       *alertLog
-	queueSize int
+	log *alertLog
 
 	tags [alertShards]tagShard
 
@@ -180,15 +179,11 @@ type registry struct {
 	members   map[*subscriber]struct{}
 
 	scanMatches atomic.Int64 // matches found via the site/pattern/all lists
-	enqueued    atomic.Int64
-	dropped     atomic.Int64
-	catchups    atomic.Int64
 }
 
-func newRegistry(log *alertLog, queueSize int) *registry {
+func newRegistry(log *alertLog) *registry {
 	r := &registry{
 		log:       log,
-		queueSize: queueSize,
 		bySite:    make(map[int][]*subscriber),
 		byPattern: make(map[string][]*subscriber),
 		members:   make(map[*subscriber]struct{}),
@@ -209,9 +204,7 @@ func (r *registry) register(f Filter, from int) *subscriber {
 	sub := &subscriber{
 		reg:    r,
 		f:      f,
-		max:    r.queueSize,
 		next:   from,
-		lagged: from < r.log.len(),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -275,18 +268,18 @@ func removeSub(subs []*subscriber, target *subscriber) []*subscriber {
 	return subs
 }
 
-// dispatch offers one fresh alert to every subscriber whose filter can
-// match it: the alert's tag shard, its site list, its pattern list and
-// the broadcast list. offer never blocks (bounded queues overflow into
-// lagged catch-up), so dispatch — and therefore the scheduler publishing
-// the alert — is never held up by a slow consumer.
+// dispatch wakes every subscriber whose filter matches one fresh alert:
+// candidates come from the alert's tag shard, its site list, its pattern
+// list and the broadcast list. A wakeup never blocks, so dispatch — and
+// therefore the scheduler publishing the alert — is never held up by a
+// slow consumer; each subscriber reads the alert from the log itself.
 func (r *registry) dispatch(a Alert) {
 	var matched int64
 	sh := &r.tags[tagShardOf(a.Tag)]
 	sh.mu.RLock()
 	for _, sub := range sh.byTag[a.Tag] {
 		if sub.f.Match(a) {
-			sub.offer(a)
+			sub.signal()
 			matched++
 		}
 	}
@@ -296,24 +289,12 @@ func (r *registry) dispatch(a Alert) {
 	}
 	var scanned int64
 	r.mu.RLock()
-	for _, sub := range r.bySite[a.Site] {
-		if sub.f.Match(a) {
-			sub.offer(a)
-			scanned++
-		}
-	}
-	if a.Pattern != "" {
-		for _, sub := range r.byPattern[a.Pattern] {
+	for _, subs := range [][]*subscriber{r.bySite[a.Site], r.byPattern[a.Pattern], r.all} {
+		for _, sub := range subs {
 			if sub.f.Match(a) {
-				sub.offer(a)
+				sub.signal()
 				scanned++
 			}
-		}
-	}
-	for _, sub := range r.all {
-		if sub.f.Match(a) {
-			sub.offer(a)
-			scanned++
 		}
 	}
 	r.mu.RUnlock()
@@ -335,38 +316,22 @@ func (r *registry) wakeAll() {
 // stats snapshots the delivery tier's accounting; see DeliveryStats.
 func (r *registry) stats() DeliveryStats {
 	ds := DeliveryStats{
-		Enqueued:     r.enqueued.Load(),
-		Dropped:      r.dropped.Load(),
-		Catchups:     r.catchups.Load(),
 		ScanMatches:  r.scanMatches.Load(),
 		ShardMatches: make([]int64, alertShards),
 	}
+	ds.Enqueued = ds.ScanMatches
 	for i := range r.tags {
 		ds.ShardMatches[i] = r.tags[i].matches.Load()
+		ds.Enqueued += ds.ShardMatches[i]
 	}
 	logLen := r.log.len()
 	minNext := logLen
 	r.mu.RLock()
 	ds.Subscribers = len(r.members)
 	for sub := range r.members {
-		sub.mu.Lock()
-		depth := sub.count
-		lagged := sub.lagged
-		next := sub.next
-		sub.mu.Unlock()
-		if depth > ds.MaxQueueDepth {
-			ds.MaxQueueDepth = depth
-		}
-		if lagged {
-			ds.Lagged++
-		}
-		if next < minNext {
-			minNext = next
-		}
+		minNext = min(minNext, sub.cursor())
 	}
 	r.mu.RUnlock()
-	if ds.Subscribers > 0 && logLen > minNext {
-		ds.SlowestLag = logLen - minNext
-	}
+	ds.SlowestLag = logLen - minNext
 	return ds
 }

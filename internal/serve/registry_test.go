@@ -165,7 +165,7 @@ func checkRegistryBruteForce(t *testing.T, in bruteForceInput) {
 		published = ref[:snap:snap]
 		pubs = pubs[snap:]
 	}
-	reg := newRegistry(l, 1<<20) // no overflow: this test isolates matching
+	reg := newRegistry(l)
 
 	subs := make([]*subscriber, nSubs)
 	attach := func(step int) {
@@ -218,44 +218,63 @@ func checkRegistryBruteForce(t *testing.T, in bruteForceInput) {
 	}
 }
 
-// TestRegistryStatsAccounting pins the drop / catch-up accounting: a
-// queue-1 subscriber flooded with matches must record drops and a lagged
-// interval, then a full catch-up — with nothing lost.
+// TestRegistryStatsAccounting pins the lag accounting: a subscriber that
+// has not read trails the log's tail by every published alert, each match
+// counts one wakeup, and once the subscriber has drained everything, in
+// order, its lag is back to 0.
 func TestRegistryStatsAccounting(t *testing.T) {
 	l := newAlertLog()
-	reg := newRegistry(l, 1)
+	reg := newRegistry(l)
 	sub := reg.register(MatchAll(), 0)
 	const n = 50
 	for i := 0; i < n; i++ {
 		publishAndDispatch(l, reg, 0, "q1", stream.Match{Tag: 1, First: 0, Last: model.Epoch(i)})
 	}
 	ds := reg.stats()
-	if ds.Dropped == 0 {
-		t.Error("queue-1 subscriber saw 50 alerts with no recorded drop")
+	if ds.SlowestLag != n {
+		t.Errorf("SlowestLag = %d before the consumer reads, want %d", ds.SlowestLag, n)
 	}
-	if ds.Lagged != 1 {
-		t.Errorf("Lagged = %d, want 1 before the consumer catches up", ds.Lagged)
+	if ds.Enqueued != n {
+		t.Errorf("Enqueued = %d after %d matches, want one wakeup each", ds.Enqueued, n)
 	}
 	got := drainSub(sub)
 	if len(got) != n {
-		t.Fatalf("lagged consumer delivered %d alerts, want all %d via catch-up", len(got), n)
+		t.Fatalf("consumer delivered %d alerts, want all %d", len(got), n)
 	}
 	for i, a := range got {
 		if a.Seq != i {
-			t.Fatalf("alert %d has seq %d; catch-up must preserve order", i, a.Seq)
+			t.Fatalf("alert %d has seq %d; delivery must preserve order", i, a.Seq)
 		}
 	}
-	ds = reg.stats()
-	if ds.Catchups == 0 {
-		t.Error("catch-up completed but Catchups counter is 0")
-	}
-	if ds.Lagged != 0 {
-		t.Errorf("Lagged = %d after full catch-up, want 0", ds.Lagged)
-	}
-	if !sub.everLagged() {
-		t.Error("subscriber dropped but everLagged reports false")
+	if ds = reg.stats(); ds.SlowestLag != 0 {
+		t.Errorf("SlowestLag = %d after a full drain, want 0", ds.SlowestLag)
 	}
 	sub.shutdown()
+}
+
+// TestPollReadsPastEmptyChunks pins the self-signal: a filtered cursor more
+// than one scan chunk behind its next match reads empty chunks first, and
+// a waiting poll must keep reading through them rather than sleep until
+// the next publish or its wait budget.
+func TestPollReadsPastEmptyChunks(t *testing.T) {
+	l := newAlertLog()
+	reg := newRegistry(l)
+	for i := 0; i < 3*logScanChunk; i++ {
+		publishAndDispatch(l, reg, 0, "q1", stream.Match{Tag: 1, Last: model.Epoch(i)})
+	}
+	last := publishAndDispatch(l, reg, 1, "q1", stream.Match{Tag: 1})
+	f := MatchAll()
+	f.Site = 1
+	sub := reg.register(f, 0)
+	defer sub.shutdown()
+	start := time.Now()
+	got, _ := sub.poll(10, 10*time.Second)
+	if len(got) != 1 || got[0].Seq != last.Seq {
+		t.Fatalf("poll returned %+v, want the one site-1 alert %+v", got, last)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("poll took %v to read past 3 empty chunks; it must not wait for a publish", took)
+	}
 }
 
 // FuzzParseSubscriptionFilter is the parser hardening bar for everything a
@@ -328,11 +347,11 @@ func percentileDuration(ds []time.Duration, p float64) time.Duration {
 // TestStalledConsumerDoesNotBlockLive is the slow-consumer isolation bar:
 // one consumer stops reading entirely (its SSE connection never drains)
 // while a live consumer keeps polling; the publisher must never block, the
-// stalled consumer must flip to lagged — not back-pressure the pump — and
-// the live consumer's per-alert delivery latency must stay bounded.
+// stalled consumer must just trail the tail — not back-pressure the pump —
+// and the live consumer's per-alert delivery latency must stay bounded.
 func TestStalledConsumerDoesNotBlockLive(t *testing.T) {
 	l := newAlertLog()
-	reg := newRegistry(l, 4) // tiny queue so the stall overflows fast
+	reg := newRegistry(l)
 	stalled := reg.register(MatchAll(), 0)
 	live := reg.register(MatchAll(), 0)
 
@@ -365,10 +384,10 @@ func TestStalledConsumerDoesNotBlockLive(t *testing.T) {
 		publishAndDispatch(l, reg, 0, "q1", stream.Match{Tag: model.TagID(i % 7), First: 0, Last: model.Epoch(i)})
 	}
 	publishTook := time.Since(publishStart)
-	// The stalled consumer never read a thing; if offers blocked, the
+	// The stalled consumer never read a thing; if dispatch blocked, the
 	// publish loop above could not have finished quickly.
 	if publishTook > 5*time.Second {
-		t.Fatalf("publishing %d alerts took %v with a stalled subscriber; offers must never block", n, publishTook)
+		t.Fatalf("publishing %d alerts took %v with a stalled subscriber; dispatch must never block", n, publishTook)
 	}
 
 	select {
@@ -384,8 +403,8 @@ func TestStalledConsumerDoesNotBlockLive(t *testing.T) {
 			t.Fatalf("live consumer alert %d has seq %d; order must be preserved", i, a.Seq)
 		}
 	}
-	if !stalled.everLagged() {
-		t.Error("stalled consumer with queue 4 never lagged; overflow accounting is broken")
+	if lag := reg.stats().SlowestLag; lag != n {
+		t.Errorf("stalled consumer trails the tail by %d, want %d", lag, n)
 	}
 
 	// p99 of the live consumer's delivery latency: the stall must not leak
@@ -400,81 +419,52 @@ func TestStalledConsumerDoesNotBlockLive(t *testing.T) {
 	// The stalled consumer can still catch up by cursor afterwards.
 	got := drainSub(stalled)
 	if len(got) != n {
-		t.Errorf("stalled consumer caught up to %d alerts, want %d (drop means deferred, not lost)", len(got), n)
+		t.Errorf("stalled consumer caught up to %d alerts, want %d", len(got), n)
 	}
 	stalled.shutdown()
 	live.shutdown()
 }
 
-// TestLagFlipDuringPageLosesNothing drives, step by step on one subscriber,
-// the interleaving behind the 1-in-30 failure of the test above ("got 1994
-// alerts, want 2000"): a fetch reads a page of the log, the queue overflows
-// before the fetch takes the subscriber's lock again, and the fetch then
-// finishes on the page's stale tail. Clearing lagged there delivered the
-// next queued alert past the ones the overflow dropped. The steps are fetch's
-// own — page without the lock, finishPage with it — so the schedule is exact.
+// TestLagFlipDuringPageLosesNothing drives, step by step, the interleaving
+// behind the 1-in-30 failure of the test above ("got 1994 alerts, want
+// 2000") when subscribers switched between a queue and the log: short
+// reads of the log with publishes landing between them. For a match-all
+// cursor (log scan) and a tag cursor (posting list), delivery must equal a
+// brute-force scan of the log through the filter, in order.
 func TestLagFlipDuringPageLosesNothing(t *testing.T) {
-	for _, startLagged := range []bool{false, true} {
+	tagged := MatchAll()
+	tagged.Tag = 1
+	for _, f := range []Filter{MatchAll(), tagged} {
 		l := newAlertLog()
-		reg := newRegistry(l, 2)
+		reg := newRegistry(l)
 		pub := func() {
-			publishAndDispatch(l, reg, 0, "q1", stream.Match{Tag: 1, Last: model.Epoch(l.len())})
+			n := l.len()
+			publishAndDispatch(l, reg, 0, "q1", stream.Match{Tag: model.TagID(n % 3), Last: model.Epoch(n)})
 		}
-		var sub *subscriber
-		if startLagged {
-			// Overflow first, so the page below is a catch-up read.
-			sub = reg.register(MatchAll(), 0)
-			pub()
-			pub()
-			pub()
-		} else {
-			// Attached at the head: alert 0 is queued, and the page below
-			// reads it from the log as well.
-			sub = reg.register(MatchAll(), 0)
-			pub()
-		}
+		pub()
+		sub := reg.register(f, 0)
 		var got []Alert
-
-		// fetch, first half: nothing deliverable from the queue, so it pages
-		// the log from the cursor, without the subscriber's lock.
-		sub.mu.Lock()
-		next, lagged := sub.next, sub.lagged
-		sub.mu.Unlock()
-		if lagged != startLagged {
-			t.Fatalf("startLagged=%v: subscriber lagged=%v before the page", startLagged, lagged)
-		}
-		out, newNext := l.page(next, 64, sub.f)
-		got = append(got, out...)
-
-		// Meanwhile the publisher overflows the queue (bound 2) and keeps
-		// going: the third offer flips to lagged, the fourth is dropped.
-		for i := 0; i < 4; i++ {
-			pub()
-		}
-
-		// fetch, second half, on the page's stale tail.
-		if sub.finishPage(newNext, lagged) {
-			t.Fatal("subscriber closed")
-		}
-
-		// The publisher goes on; the consumer drains.
-		pub()
-		pub()
-		for len(got) < l.len() {
-			batch, done := sub.fetch(64)
-			if len(batch) == 0 || done {
-				break
+		for round := 0; round < 64; round++ {
+			batch, done := sub.fetch(2)
+			if done {
+				t.Fatalf("filter %q: fetch reports done on an open log", f.Encode())
 			}
 			got = append(got, batch...)
-		}
-		for i, a := range got {
-			if a.Seq != i {
-				t.Fatalf("startLagged=%v: delivery %d has seq %d: a lag flip during a page lost or reordered alerts (got %d of %d)",
-					startLagged, i, a.Seq, len(got), l.len())
+			for i := 0; i < round%4; i++ {
+				pub()
 			}
 		}
-		if len(got) != l.len() {
-			t.Fatalf("startLagged=%v: delivered %d alerts, %d published", startLagged, len(got), l.len())
+		got = append(got, drainBatches(sub, 2)...)
+		var want []Alert
+		for _, a := range l.export() {
+			if f.Match(a) {
+				want = append(want, a)
+			}
 		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("filter %q: short pages interleaved with publishes delivered %d alerts, brute force selects %d:\n got %+v\nwant %+v",
+				f.Encode(), len(got), len(want), got, want)
+		}
+		sub.shutdown()
 	}
 }

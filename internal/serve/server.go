@@ -67,11 +67,6 @@ type Config struct {
 	// Query optionally attaches per-site continuous queries; their matches
 	// flow to Subscribe channels and the HTTP alert feeds.
 	Query *dist.ClusterQuery
-	// SubQueue bounds each alert subscriber's in-memory delivery queue. A
-	// consumer that falls more than SubQueue alerts behind is marked
-	// lagged and catches up from the alert log by cursor instead of
-	// holding queued copies (see DeliveryStats). Default 256.
-	SubQueue int
 
 	// DataDir enables durable state: accepted events append to a per-site
 	// write-ahead log and full-state snapshots commit at Δ-checkpoint
@@ -138,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 16
-	}
-	if c.SubQueue <= 0 {
-		c.SubQueue = 256
 	}
 	return c
 }
@@ -344,7 +336,7 @@ func New(c *dist.Cluster, cfg Config) (*Server, error) {
 		schedDone: make(chan struct{}),
 		alerts:    newAlertLog(),
 	}
-	s.registry = newRegistry(s.alerts, cfg.SubQueue)
+	s.registry = newRegistry(s.alerts)
 	s.staged = make([][]stagedMatch, len(c.World.Sites))
 	if len(cfg.Peers) > 1 {
 		if cfg.Self < 0 || cfg.Self >= len(cfg.Peers) {
@@ -949,5 +941,10 @@ func (s *Server) PollAlerts(f Filter, cursor, max int, wait time.Duration) (aler
 // one to arrive when none is available yet (the legacy long-poll
 // primitive; cursor-aware consumers use PollAlerts).
 func (s *Server) AlertsSince(since int, wait time.Duration) []Alert {
-	return s.alerts.since(since, wait)
+	if wait > 0 {
+		sub := s.registry.register(MatchAll(), since)
+		sub.poll(1, wait)
+		sub.shutdown()
+	}
+	return s.alerts.since(since)
 }

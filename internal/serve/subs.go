@@ -1,14 +1,16 @@
-// The alert log: an append-only sequence of continuous-query matches, the
-// source of truth the delivery tier (registry.go / fanout.go) fans out
-// from. The log is the buffer — bounded per-subscriber queues hold only
-// each consumer's undelivered continuation, and a consumer that falls
-// behind catches up by reading the log from its cursor — so a slow
-// subscriber delays only itself: never the scheduler, never its peers.
-// With durability enabled every published alert also lands in the WAL's
-// alert segment, which is what lets a cursor survive a daemon kill -9.
+// The alert log: an append-only sequence of continuous-query matches and
+// the delivery tier's only store. A subscriber (registry.go / fanout.go)
+// is a filter plus a cursor into it; the publisher only wakes the
+// subscribers whose filter matches, and each reads the log from its own
+// cursor, so a slow subscriber delays only itself: never the scheduler,
+// never its peers. Tag filters read through the log's per-tag posting
+// lists; every other filter scans. With durability enabled every
+// published alert also lands in the WAL's alert segment, which is what
+// lets a cursor survive a daemon kill -9.
 package serve
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -37,18 +39,21 @@ type Alert struct {
 	Pattern string `json:"pattern,omitempty"`
 }
 
-// logScanChunk bounds how many log entries one catch-up read examines
-// under the log's lock before yielding; a lagged consumer resumes from
-// the returned position on its next fetch.
+// logScanChunk bounds how many log entries (or posting-list entries) one
+// read examines under the log's lock before yielding; the reader resumes
+// from the returned position on its next fetch.
 const logScanChunk = 4096
 
-// alertLog is the shared alert buffer: the scheduler publishes in
+// alertLog is the shared alert sequence: the scheduler publishes in
 // sequence order (via Server.publishAlert, which also appends to the WAL
-// and dispatches to the registry), subscribers and pollers read by index.
+// and wakes the registry's matching subscribers), subscribers and pollers
+// read by position.
 type alertLog struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	entries []Alert
+	// byTag is each tag's posting list: the ascending positions of its
+	// alerts in entries.
+	byTag map[model.TagID][]int
 	// nextPub is the publish cursor: the sequence number the next publish
 	// call will use. After recovery restores a WAL-replayed tail it trails
 	// len(entries), and the catch-up checkpoints' re-fired matches consume
@@ -59,41 +64,41 @@ type alertLog struct {
 }
 
 func newAlertLog() *alertLog {
-	l := &alertLog{}
-	l.cond = sync.NewCond(&l.mu)
-	return l
+	return &alertLog{byTag: make(map[model.TagID][]int)}
 }
 
-// publish appends one match at the publish cursor and wakes every waiter.
-// fresh is false when nothing new was appended: after close (so a cluster
-// reused outside its server cannot grow a dead log), or when the cursor
-// still trails a recovery-restored tail — the restored entry is
-// authoritative and the re-fired match is its positional duplicate.
+// appendLocked adds a at the log's tail, numbering it by position.
+func (l *alertLog) appendLocked(a Alert) Alert {
+	a.Seq = len(l.entries)
+	l.entries = append(l.entries, a)
+	l.byTag[a.Tag] = append(l.byTag[a.Tag], a.Seq)
+	return a
+}
+
+// publish appends one match at the publish cursor. fresh is false when
+// nothing new was appended: after close (so a cluster reused outside its
+// server cannot grow a dead log), or when the cursor still trails a
+// recovery-restored tail — the restored entry is authoritative and the
+// re-fired match is its positional duplicate.
 func (l *alertLog) publish(site int, pattern string, m stream.Match) (a Alert, fresh bool) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return Alert{}, false
 	}
 	if l.nextPub < len(l.entries) {
-		a = l.entries[l.nextPub]
 		l.nextPub++
-		l.mu.Unlock()
-		return a, false
+		return l.entries[l.nextPub-1], false
 	}
-	a = Alert{
-		Seq:     len(l.entries),
+	a = l.appendLocked(Alert{
 		Site:    site,
 		Tag:     m.Tag,
 		First:   m.First,
 		Last:    m.Last,
 		Values:  append([]float64(nil), m.Values...),
 		Pattern: pattern,
-	}
-	l.entries = append(l.entries, a)
+	})
 	l.nextPub = len(l.entries)
-	l.mu.Unlock()
-	l.cond.Broadcast()
 	return a, true
 }
 
@@ -110,14 +115,13 @@ func (l *alertLog) export() []Alert {
 // so they will never re-fire.
 func (l *alertLog) restore(entries []Alert) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.entries = l.entries[:0]
-	for i, a := range entries {
-		a.Seq = i
-		l.entries = append(l.entries, a)
+	clear(l.byTag)
+	for _, a := range entries {
+		l.appendLocked(a)
 	}
 	l.nextPub = len(l.entries)
-	l.mu.Unlock()
-	l.cond.Broadcast()
 }
 
 // restoreTail appends one WAL-replayed post-snapshot alert WITHOUT
@@ -127,10 +131,8 @@ func (l *alertLog) restore(entries []Alert) {
 // consumer cursors keep naming the same alerts they did before the crash.
 func (l *alertLog) restoreTail(a Alert) {
 	l.mu.Lock()
-	a.Seq = len(l.entries)
-	l.entries = append(l.entries, a)
-	l.mu.Unlock()
-	l.cond.Broadcast()
+	defer l.mu.Unlock()
+	l.appendLocked(a)
 }
 
 // len returns the number of published alerts.
@@ -159,12 +161,12 @@ func (l *alertLog) isFinished() bool {
 	return l.finished
 }
 
-// close wakes every waiter permanently; published alerts stay readable.
+// close stops publication; published alerts stay readable. The server
+// wakes the subscribers afterwards (registry.wakeAll) so they see it.
 func (l *alertLog) close() {
 	l.mu.Lock()
 	l.closed = true
 	l.mu.Unlock()
-	l.cond.Broadcast()
 }
 
 // finish closes the log and marks it gracefully complete; see isFinished.
@@ -173,62 +175,53 @@ func (l *alertLog) finish() {
 	l.closed = true
 	l.finished = true
 	l.mu.Unlock()
-	l.cond.Broadcast()
 }
 
-// since returns the alerts with Seq >= since. When none exist yet it
-// waits up to wait (0 = no waiting) for one to be published.
-func (l *alertLog) since(since int, wait time.Duration) []Alert {
-	if since < 0 {
-		since = 0
-	}
-	deadline := time.Now().Add(wait)
+// since returns the alerts with Seq >= since.
+func (l *alertLog) since(since int) []Alert {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.entries) <= since && !l.closed && wait > 0 && time.Now().Before(deadline) {
-		// cond has no timed wait; poke the condition at a coarse tick. The
-		// broadcast on publish wakes us immediately in the common case.
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		timedCondWait(l.cond, remaining)
+	if since < 0 {
+		since = 0
 	}
 	if len(l.entries) <= since {
 		return nil
 	}
-	out := make([]Alert, len(l.entries)-since)
-	copy(out, l.entries[since:])
-	return out
+	return append([]Alert(nil), l.entries[since:]...)
 }
 
-// page copies up to max alerts matching f starting at position from,
-// examining at most logScanChunk entries so a deep catch-up cannot hold
-// the log's lock across the whole backlog. next is the position after the
-// last entry examined (the caller's new cursor).
-func (l *alertLog) page(from, max int, f Filter) (out []Alert, next int) {
-	if from < 0 {
-		from = 0
-	}
+// page copies up to limit alerts matching f from position from on. A tag
+// filter walks that tag's posting list, any other filter scans the log;
+// either walk examines at most logScanChunk entries, so a deep backlog
+// cannot hold the log's lock across all of it. next is the first position
+// not yet examined (the caller's new cursor), or the tail once the
+// posting list is exhausted; tail and closed describe the log as the page
+// saw it.
+func (l *alertLog) page(from, limit int, f Filter) (out []Alert, next, tail int, closed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	from = max(from, 0)
+	tail, closed = len(l.entries), l.closed
+	if f.Tag >= 0 {
+		post := l.byTag[f.Tag]
+		k := sort.SearchInts(post, from)
+		for end := min(len(post), k+logScanChunk); k < end && len(out) < limit; k++ {
+			if a := l.entries[post[k]]; f.Match(a) {
+				out = append(out, a)
+			}
+		}
+		if k < len(post) {
+			return out, post[k], tail, closed
+		}
+		return out, max(from, tail), tail, closed
+	}
 	i := from
-	limit := from + logScanChunk
-	for i < len(l.entries) && i < limit && len(out) < max {
+	for end := min(tail, from+logScanChunk); i < end && len(out) < limit; i++ {
 		if f.Match(l.entries[i]) {
 			out = append(out, l.entries[i])
 		}
-		i++
 	}
-	return out, i
-}
-
-// timedCondWait waits on cond, giving up after d. The caller holds
-// cond.L; a helper goroutine broadcasts at the deadline so Wait returns.
-func timedCondWait(cond *sync.Cond, d time.Duration) {
-	t := time.AfterFunc(d, cond.Broadcast)
-	defer t.Stop()
-	cond.Wait()
+	return out, i, tail, closed
 }
 
 // Subscription is one consumer's attachment to the delivery tier. It runs
@@ -239,10 +232,10 @@ func timedCondWait(cond *sync.Cond, d time.Duration) {
 // reads batches with Poll, resuming from an explicit log position — the
 // in-process twin of the HTTP cursor long-poll.
 //
-// Either way the subscription's queue is bounded: a consumer that falls
-// behind the publish rate is marked lagged and transparently catches up
-// from the log by cursor instead of back-pressuring the publisher (see
-// DeliveryStats for the drop/catch-up accounting).
+// Either way the subscription holds no copies: it reads the alert log from
+// its cursor, so a consumer that falls behind the publish rate just trails
+// the tail (DeliveryStats.SlowestLag) and never back-pressures the
+// publisher.
 type Subscription struct {
 	// C delivers alerts for channel-mode subscriptions; nil in cursor mode.
 	C <-chan Alert
@@ -264,10 +257,6 @@ func (s *Subscription) Close() {
 // stream.EncodeAlertCursor to resume over HTTP, or pass it straight back
 // to SubscribeCursor.
 func (s *Subscription) Cursor() int { return s.sub.cursor() }
-
-// Lagged reports whether the subscription has ever overflowed its bounded
-// queue and fallen back to cursor catch-up from the log.
-func (s *Subscription) Lagged() bool { return s.sub.everLagged() }
 
 // Poll returns the next batch of alerts for a cursor-mode subscription,
 // waiting up to wait when none are available yet. done reports that no

@@ -9,12 +9,12 @@ import (
 )
 
 // TestSubscriptionCloseWakes pins the close-latency fix: Close must wake a
-// pump that is asleep on the alert log's cond with no alert ever coming,
+// pump that is asleep waiting for a signal with no alert ever coming,
 // and close C promptly — not after the next publish or a poll tick.
 func TestSubscriptionCloseWakes(t *testing.T) {
 	l := newAlertLog()
-	sub := newRegistry(l, 256).subscribeChannel(MatchAll(), 0)
-	// Let the pump reach its cond.Wait before closing.
+	sub := newRegistry(l).subscribeChannel(MatchAll(), 0)
+	// Let the pump reach its wait before closing.
 	time.Sleep(20 * time.Millisecond)
 	start := time.Now()
 	sub.Close()
@@ -39,7 +39,7 @@ func TestSubscriptionCloseWakes(t *testing.T) {
 // poll's wait budget expires.
 func TestSubscriptionCloseDuringPoll(t *testing.T) {
 	l := newAlertLog()
-	r := newRegistry(l, 256)
+	r := newRegistry(l)
 	sub := &Subscription{sub: r.register(MatchAll(), 0)}
 
 	type pollResult struct {
@@ -88,7 +88,7 @@ func TestSubscriptionCloseDuringPoll(t *testing.T) {
 // outstanding handlers — must not hang.
 func TestAlertStreamClientDisconnect(t *testing.T) {
 	l := newAlertLog()
-	srv := &Server{alerts: l, registry: newRegistry(l, 256)}
+	srv := &Server{alerts: l, registry: newRegistry(l)}
 	ts := httptest.NewServer(http.HandlerFunc(srv.handleAlertStream))
 
 	ctx, cancel := context.WithCancel(context.Background())
