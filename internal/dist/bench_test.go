@@ -169,7 +169,7 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 				k+1, held, used)
 		}
 	}
-	if _, err := f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if searches != 63791 || windows != 10668556 || rows != 12539255 || noHit != 13960 {
@@ -248,7 +248,7 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 	b.StopTimer()
 	st := f.Stats()
 	b.ReportMetric(float64(st.Observed)/b.Elapsed().Seconds(), "readings/s")
-	if _, err := f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -141,11 +141,10 @@ func TestCentralizedBaselineResolvedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Result()
-		res, err := f.Close()
-		if err != nil {
+		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return f.Result()
 	}
 	if got := result(NewCluster(w, MigrateNone, rfinfer.DefaultConfig())).CentralizedBytes; got != want {
 		t.Errorf("CentralizedBytes = %d, want the world's baseline %d", got, want)

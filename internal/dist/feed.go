@@ -541,7 +541,8 @@ func (f *Feed) feedQuery(s int, eng *rfinfer.Engine, evalAt model.Epoch) {
 
 // Result snapshots the accumulated replay result: error counts, migration
 // costs per link, query state bytes and the centralized baseline, in the
-// exact shape Replay and ReplaySequential return.
+// exact shape Replay and ReplaySequential return. After Close it is the
+// final result.
 func (f *Feed) Result() Result {
 	res := f.res
 	res.Costs = Costs{}
@@ -554,15 +555,15 @@ func (f *Feed) Result() Result {
 	return res
 }
 
-// Close finalizes the feed, releases its worker pool and returns the
-// accumulated Result. Buffered departures past the last completed
+// Close finalizes the feed and releases its worker pool; Result still
+// reads the closed feed. Buffered departures past the last completed
 // checkpoint are discarded, matching the reference replay, which never
 // observes them either.
-func (f *Feed) Close() (Result, error) {
+func (f *Feed) Close() error {
 	if f.closed {
-		return Result{}, fmt.Errorf("dist: feed already closed")
+		return fmt.Errorf("dist: feed already closed")
 	}
 	f.closed = true
 	f.c.stopPool(f.pool)
-	return f.Result(), nil
+	return nil
 }

@@ -93,11 +93,10 @@ func TestFeedMatchesSequential(t *testing.T) {
 	if err := advanceIntervals(f, batches); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Close()
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := f.Result(); !reflect.DeepEqual(got, want) {
 		t.Errorf("feed Result diverged from sequential reference\n got: %+v\nwant: %+v", got, want)
 	}
 	if st := f.Stats(); st.Observed != all || st.Late != 0 {
@@ -140,11 +139,10 @@ func TestParallelFeedMatchesSequential(t *testing.T) {
 		if st := f.Stats(); st.Checkpoints != int(w.Epochs/interval) || st.Late != 0 {
 			t.Errorf("workers=%d: feed stats = %+v, want %d checkpoints, 0 late", workers, st, w.Epochs/interval)
 		}
-		res, err := f.Close()
-		if err != nil {
+		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return f.Result()
 	}
 
 	want := run(1)
@@ -197,7 +195,7 @@ func TestFeedLateAndInvalid(t *testing.T) {
 	if st.Observed != 1 || st.Checkpoints != 1 || st.LateDepartures != 1 {
 		t.Errorf("counters = %+v, want 1 observed reading, 1 checkpoint and 1 late departure", st)
 	}
-	if _, err := f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.AdvanceWith(nil); err == nil {
@@ -288,11 +286,10 @@ func TestSkewedClusterMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := f.PoolStats()
-			got, err := f.Close()
-			if err != nil {
+			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-			check(t, got, alertSets(c))
+			check(t, f.Result(), alertSets(c))
 			if workers == 1 {
 				if pool.HelpedChunks != 0 {
 					t.Errorf("pool of 1 had %d chunks helped, want everything inline", pool.HelpedChunks)
@@ -352,7 +349,7 @@ func TestFeedDepartRefusesNonItems(t *testing.T) {
 			t.Fatalf("checkpoint %d: %v", k, err)
 		}
 	}
-	if _, err := f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -77,8 +77,8 @@ func (c *Cluster) replay(interval model.Epoch, workers int) (Result, error) {
 		}
 		return nil
 	}()
-	res, _ := f.Close() // cannot fail: the feed's only Close; releases the pool
-	return res, err
+	_ = f.Close() // cannot fail: the feed's only Close; releases the pool
+	return f.Result(), err
 }
 
 // accountSend records one encoded transfer on the sending side: per-link

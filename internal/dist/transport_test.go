@@ -93,8 +93,8 @@ func runPartitioned(t *testing.T, w *sim.World, sc scenario, owner []int, worker
 				errs[p] = err
 				return
 			}
-			res, err := f.Close()
-			results[p], errs[p] = res, err
+			errs[p] = f.Close()
+			results[p] = f.Result()
 		}(p)
 	}
 	wg.Wait()

@@ -254,6 +254,35 @@ func TestRecoverAfterGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestResultAfterAbort pins that a crash-stopped server still reports its
+// result: Abort closes the feed without computing one, and Result reads
+// the closed feed — every checkpoint Drain ran, the centralized baseline
+// included.
+func TestResultAfterAbort(t *testing.T) {
+	w := testWorld(t)
+	const interval = model.Epoch(300)
+	ref := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+	want, err := ref.ReplaySequential(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+	srv, err := New(c, Config{Interval: interval, Horizon: w.Epochs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamEvents(t, srv, WorldEvents(w, c.Departures()))
+	if err := srv.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Result(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Result after Abort diverged\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
 // TestRecoverIdempotentResend pins the at-least-once contract: a producer
 // that re-sends a batch whose acknowledgement was lost (the kill -9
 // window) must not perturb the result — reading ingest merges masks,

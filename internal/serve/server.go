@@ -316,7 +316,6 @@ type Server struct {
 	due       [][]dist.Reading // sealed per-site buckets, reused per checkpoint
 	sched     SchedStats
 	runErr    error
-	final     *dist.Result
 	sinceSnap int // checkpoints since the last durable snapshot
 }
 
@@ -424,7 +423,7 @@ func New(c *dist.Cluster, cfg Config) (*Server, error) {
 			if s.wal != nil {
 				s.wal.Close()
 			}
-			feed.Close() // releases the worker pool; the Result is moot
+			_ = feed.Close() // releases the worker pool; the recovery error is the one to report
 			c.Query, c.Workers = prevQuery, prevWorkers
 			return nil, err
 		}
@@ -556,14 +555,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = serr
 		}
 	}
-	res, closeErr := s.feed.Close()
-	if err == nil {
-		err = closeErr
+	if cerr := s.feed.Close(); err == nil {
+		err = cerr
 	}
 	if err == nil {
 		err = s.runErr
 	}
-	s.final = &res
 	s.mu.Unlock()
 	// finish, not close: a graceful shutdown means the alert sequence is
 	// complete, so following clients see Done instead of reconnecting.
@@ -605,8 +602,7 @@ func (s *Server) Abort() error {
 	}
 
 	s.mu.Lock()
-	res, _ := s.feed.Close() // cannot fail: s.closed admits one closer
-	s.final = &res
+	_ = s.feed.Close() // cannot fail: s.closed admits one closer
 	s.mu.Unlock()
 	// close, not finish: the crash-stop leaves the alert sequence
 	// extendable by a restarted daemon, so clients resume, not stop.
@@ -795,14 +791,11 @@ func (s *Server) horizon() model.Epoch {
 }
 
 // Result snapshots the accumulated replay result, in the exact shape
-// Cluster.ReplaySequential returns for the same stream. After Shutdown it
-// is the final, immutable result.
+// Cluster.ReplaySequential returns for the same stream. After Shutdown or
+// Abort it reads the closed feed: the final, immutable result.
 func (s *Server) Result() dist.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.final != nil {
-		return *s.final
-	}
 	return s.feed.Result()
 }
 
