@@ -165,45 +165,12 @@ func runFanoutPhase(t *testing.T, bin string, nFollow, nSSE int, extra ...string
 	}
 
 	// Stream the world while the fleet is attached, so delivery is live
-	// fan-out through the subscriber queues, not a cold log read.
-	w := smokeWorld(t)
+	// fan-out, not a cold log read.
 	client := &serve.Client{BaseURL: baseURL}
-	events := serve.WorldEvents(w, nil)
-	for i := 0; i < len(events); i += 256 {
-		end := min(i+256, len(events))
-		if _, err := client.Ingest(events[i:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := client.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := client.Alerts(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) < 2 {
-		t.Fatalf("smoke world raised %d alerts; need at least 2 to exercise fan-out", len(ref))
-	}
+	ref := streamSmokeWorld(t, client)
 
 	// Every consumer must converge on the full sequence.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		behind := 0
-		for i := range counts {
-			if counts[i].Load() < int64(len(ref)) {
-				behind++
-			}
-		}
-		if behind == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatalf("%d of %d consumers still behind %d alerts after 60s", behind, n, len(ref))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	awaitConsumers(t, cancel, counts, func(int) int { return len(ref) })
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -257,18 +224,11 @@ func TestFanoutSmoke(t *testing.T) {
 	runLateAttachPhase(t, bin, 100)
 }
 
-// runLateAttachPhase streams the smoke world to a fresh daemon, drains it,
-// and only then attaches n consumers: follow and SSE alternately, half
-// from cursor 0 and half resuming from a mid-sequence cursor token. Each
-// must receive exactly the alerts from its cursor on, in order.
-func runLateAttachPhase(t *testing.T, bin string, n int) {
+// streamSmokeWorld streams the smoke world to the daemon, drains it, and
+// returns its complete alert log.
+func streamSmokeWorld(t *testing.T, client *serve.Client) []serve.Alert {
 	t.Helper()
-	daemon, baseURL := startFanoutDaemon(t, bin)
-	defer stopDaemon(t, daemon)
-
-	w := smokeWorld(t)
-	client := &serve.Client{BaseURL: baseURL}
-	events := serve.WorldEvents(w, nil)
+	events := serve.WorldEvents(smokeWorld(t), nil)
 	for i := 0; i < len(events); i += 256 {
 		end := min(i+256, len(events))
 		if _, err := client.Ingest(events[i:end]); err != nil {
@@ -283,8 +243,44 @@ func runLateAttachPhase(t *testing.T, bin string, n int) {
 		t.Fatal(err)
 	}
 	if len(ref) < 2 {
-		t.Fatalf("smoke world raised %d alerts; need at least 2 to resume mid-sequence", len(ref))
+		t.Fatalf("smoke world raised %d alerts; need at least 2 to exercise fan-out", len(ref))
 	}
+	return ref
+}
+
+// awaitConsumers waits until consumer i has counted want(i) alerts, and
+// fails the test (after cancel) if some are still behind after 60s.
+func awaitConsumers(t *testing.T, cancel context.CancelFunc, counts []atomic.Int64, want func(i int) int) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		behind := 0
+		for i := range counts {
+			if counts[i].Load() < int64(want(i)) {
+				behind++
+			}
+		}
+		if behind == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatalf("%d of %d consumers still behind after 60s", behind, len(counts))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// runLateAttachPhase streams the smoke world to a fresh daemon, drains it,
+// and only then attaches n consumers: follow and SSE alternately, half
+// from cursor 0 and half resuming from a mid-sequence cursor token. Each
+// must receive exactly the alerts from its cursor on, in order.
+func runLateAttachPhase(t *testing.T, bin string, n int) {
+	t.Helper()
+	daemon, baseURL := startFanoutDaemon(t, bin)
+	defer stopDaemon(t, daemon)
+
+	ref := streamSmokeWorld(t, &serve.Client{BaseURL: baseURL})
 	mid := len(ref) / 2
 	midCursor := stream.EncodeAlertCursor(int64(ref[mid].Seq))
 
@@ -321,23 +317,7 @@ func runLateAttachPhase(t *testing.T, bin string, n int) {
 		}
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		behind := 0
-		for i := range counts {
-			if counts[i].Load() < int64(len(wants[i])) {
-				behind++
-			}
-		}
-		if behind == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatalf("%d of %d late consumers still behind after 60s", behind, n)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	awaitConsumers(t, cancel, counts, func(i int) int { return len(wants[i]) })
 	cancel()
 	wg.Wait()
 
