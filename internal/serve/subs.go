@@ -142,13 +142,6 @@ func (l *alertLog) len() int {
 	return len(l.entries)
 }
 
-// isClosed reports whether the log has been closed.
-func (l *alertLog) isClosed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
-}
-
 // isFinished reports whether the log was closed by a graceful shutdown:
 // every published alert is final and no daemon restart will extend the
 // sequence. A crash-stop close (Abort, or the state a kill -9 leaves)
