@@ -82,7 +82,7 @@ func (c *Cluster) applyPayload(d Departure, payload []byte) error {
 	if len(payload) == 0 {
 		return nil
 	}
-	r := bytes.NewReader(payload)
+	r := model.NewReader(payload)
 	if c.Strategy != MigrateNone {
 		dst := c.Engines[d.To]
 		switch c.Strategy {
@@ -101,8 +101,8 @@ func (c *Cluster) applyPayload(d Departure, payload []byte) error {
 		}
 	}
 	if c.hasQuerySection() {
-		flag, err := r.ReadByte()
-		if err != nil {
+		flag := r.Byte()
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("dist: truncated query section for object %d: %w", d.Object, err)
 		}
 		if flag == 1 {

@@ -141,7 +141,7 @@ func RunQueryExperiment(w *sim.World, inferCfg rfinfer.Config, p QueryParams, q2
 				return fmt.Errorf("expt: centroid sharing not lossless: %w", err)
 			}
 			for i, ps := range pend {
-				dec, err := stream.DecodeState(bytes.NewReader(restored[i]))
+				dec, err := stream.DecodeState(model.NewReader(restored[i]))
 				if err != nil {
 					return err
 				}

@@ -63,7 +63,7 @@ func FuzzDecodeCR(f *testing.F) {
 	// range, a negative one, one just past the seed world's three tags — as
 	// the object, a candidate and a container history's key.
 	for _, ids := range [][2]model.TagID{{math.MaxInt32, -7}, {-7, 3 + 10}} {
-		st, err := DecodeCR(bytes.NewReader(cr))
+		st, err := DecodeCR(model.NewReader(cr))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func FuzzDecodeCR(f *testing.F) {
 	lik := model.NewLikelihood(rates, model.AlwaysOn(4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if st, err := DecodeCR(bytes.NewReader(data)); err == nil {
+		if st, err := DecodeCR(model.NewReader(data)); err == nil {
 			// Whatever decoded must survive re-encoding (the state could be
 			// forwarded to yet another site) ...
 			var buf bytes.Buffer
@@ -106,7 +106,7 @@ func FuzzDecodeCR(f *testing.F) {
 			}
 			eng.Run(60)
 		}
-		if st, err := DecodeCollapsed(bytes.NewReader(data)); err == nil {
+		if st, err := DecodeCollapsed(model.NewReader(data)); err == nil {
 			var buf bytes.Buffer
 			if err := EncodeCollapsed(&buf, st); err != nil {
 				t.Fatalf("re-encoding decoded collapsed state: %v", err)

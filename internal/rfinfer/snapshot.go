@@ -12,7 +12,6 @@ package rfinfer
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"rfidtrack/internal/model"
 )
@@ -233,135 +232,123 @@ const engineStateVersion = 1
 // migration codecs: CollapsedState for each object's candidate/weight
 // tuple and the delta-compressed series encoding for every history.
 func EncodeEngineState(w io.Writer, st EngineState) error {
-	bw := &stickyWriter{w: w}
-	bw.uvarint(engineStateVersion)
-	bw.varint(int64(st.Now))
-	bw.varint(int64(st.LastRun))
-	bw.varint(int64(st.PrevRun))
-	bw.uvarint(uint64(len(st.Objects)))
+	bw := model.NewWriter(w)
+	bw.Uvarint(engineStateVersion)
+	bw.Varint(int64(st.Now))
+	bw.Varint(int64(st.LastRun))
+	bw.Varint(int64(st.PrevRun))
+	bw.Uvarint(uint64(len(st.Objects)))
 	for i := range st.Objects {
 		os := &st.Objects[i]
-		if bw.err == nil {
-			bw.err = EncodeCollapsed(w, os.Collapsed)
-		}
-		bw.varint(int64(os.CPStart))
-		bw.varint(int64(os.CR.From))
-		bw.varint(int64(os.CR.To))
-		encodeSeries(bw, os.Series)
+		EncodeCollapsed(bw, os.Collapsed) // an error sticks in bw
+		bw.Varint(int64(os.CPStart))
+		bw.Varint(int64(os.CR.From))
+		bw.Varint(int64(os.CR.To))
+		bw.Series(os.Series)
 	}
-	bw.uvarint(uint64(len(st.Containers)))
+	bw.Uvarint(uint64(len(st.Containers)))
 	for i := range st.Containers {
 		cs := &st.Containers[i]
-		bw.uvarint(uint64(uint32(cs.ID)))
+		bw.Uvarint(uint64(uint32(cs.ID)))
 		flags := uint64(0)
 		if cs.Untagged {
 			flags = 1
 		}
-		bw.uvarint(flags)
-		encodeSeries(bw, cs.Series)
-		bw.uvarint(uint64(cs.Post.N))
-		bw.uvarint(uint64(len(cs.Post.Epochs)))
+		bw.Uvarint(flags)
+		bw.Series(cs.Series)
+		bw.Uvarint(uint64(cs.Post.N))
+		bw.Uvarint(uint64(len(cs.Post.Epochs)))
 		var prev model.Epoch
 		for _, t := range cs.Post.Epochs {
-			bw.varint(int64(t - prev))
+			bw.Varint(int64(t - prev))
 			prev = t
 		}
 		for _, v := range cs.Post.Q {
-			bw.u64(math.Float64bits(v))
+			bw.F64(v)
 		}
 		for _, v := range cs.Post.QBase {
-			bw.u64(math.Float64bits(v))
+			bw.F64(v)
 		}
 	}
-	bw.uvarint(uint64(len(st.Detections)))
+	bw.Uvarint(uint64(len(st.Detections)))
 	for _, d := range st.Detections {
-		bw.uvarint(uint64(uint32(d.Object)))
-		bw.varint(int64(d.At))
-		bw.varint(int64(d.DetectedAt))
-		bw.varint(int64(d.NewContainer))
-		bw.u64(math.Float64bits(d.Delta))
+		bw.Uvarint(uint64(uint32(d.Object)))
+		bw.Varint(int64(d.At))
+		bw.Varint(int64(d.DetectedAt))
+		bw.Varint(int64(d.NewContainer))
+		bw.F64(d.Delta)
 	}
-	return bw.err
+	return bw.Err()
 }
 
 // DecodeEngineState reverses EncodeEngineState, with the same allocation
 // clamps as the migration decoders: element counts are bounded before any
 // slice is sized, so corrupt bytes cannot balloon memory.
-func DecodeEngineState(r io.ByteReader) (EngineState, error) {
-	br := &stickyReader{r: r}
+func DecodeEngineState(r *model.Reader) (EngineState, error) {
 	var st EngineState
-	if v := br.uvarint(); br.err == nil && v != engineStateVersion {
+	if v := r.Uvarint(); r.Err() == nil && v != engineStateVersion {
 		return st, fmt.Errorf("rfinfer: unsupported engine state version %d", v)
 	}
-	st.Now = model.Epoch(br.varint())
-	st.LastRun = model.Epoch(br.varint())
-	st.PrevRun = model.Epoch(br.varint())
-	nObj := br.uvarint()
-	if nObj > model.MaxDecodeElems {
-		return st, fmt.Errorf("rfinfer: implausible object count %d", nObj)
-	}
+	st.Now = model.Epoch(r.Varint())
+	st.LastRun = model.Epoch(r.Varint())
+	st.PrevRun = model.Epoch(r.Varint())
+	nObj := r.Count("object")
 	st.Objects = make([]ObjectState, 0, model.DecodeCap(nObj))
-	for i := uint64(0); i < nObj && br.err == nil; i++ {
-		var os ObjectState
+	for range nObj {
 		col, err := DecodeCollapsed(r)
 		if err != nil {
 			return st, err
 		}
-		os.Collapsed = col
-		os.CPStart = model.Epoch(br.varint())
-		os.CR.From = model.Epoch(br.varint())
-		os.CR.To = model.Epoch(br.varint())
-		os.Series = decodeSeries(br)
+		os := ObjectState{Collapsed: col, CPStart: model.Epoch(r.Varint())}
+		os.CR.From = model.Epoch(r.Varint())
+		os.CR.To = model.Epoch(r.Varint())
+		os.Series = r.Series("object reading")
 		st.Objects = append(st.Objects, os)
 	}
-	nCont := br.uvarint()
-	if nCont > model.MaxDecodeElems {
-		return st, fmt.Errorf("rfinfer: implausible container count %d", nCont)
-	}
+	nCont := r.Count("container")
 	st.Containers = make([]ContainerState, 0, model.DecodeCap(nCont))
-	for i := uint64(0); i < nCont && br.err == nil; i++ {
-		var cs ContainerState
-		cs.ID = model.TagID(br.uvarint())
-		cs.Untagged = br.uvarint()&1 != 0
-		cs.Series = decodeSeries(br)
-		n := br.uvarint()
-		ne := br.uvarint()
+	for range nCont {
+		cs := ContainerState{
+			ID:       model.TagID(r.Uvarint()),
+			Untagged: r.Uvarint()&1 != 0,
+			Series:   r.Series("container reading"),
+		}
+		n := r.Uvarint()
+		ne := r.Count("posterior epoch")
 		// The posterior matrix is the one quadratic section, so its shape is
-		// bounded before any allocation: rows beyond any real reader layout
-		// or epoch count mean corrupt bytes.
-		if n > 4096 || ne > model.MaxDecodeElems || n*ne > 1<<28 {
+		// bounded before any allocation: rows beyond any real reader layout,
+		// or more cells than bytes left to hold them, mean corrupt bytes.
+		nq := n * uint64(ne)
+		if n > 4096 || nq > uint64(r.Len())/8 {
 			return st, fmt.Errorf("rfinfer: implausible posterior shape %dx%d", ne, n)
 		}
 		cs.Post.N = int(n)
 		cs.Post.Epochs = make([]model.Epoch, 0, model.DecodeCap(ne))
 		var prev model.Epoch
-		for j := uint64(0); j < ne && br.err == nil; j++ {
-			prev += model.Epoch(br.varint())
+		for range ne {
+			prev += model.Epoch(r.Varint())
 			cs.Post.Epochs = append(cs.Post.Epochs, prev)
 		}
-		cs.Post.Q = make([]float64, 0, model.DecodeCap(ne*n))
-		for j := uint64(0); j < ne*n && br.err == nil; j++ {
-			cs.Post.Q = append(cs.Post.Q, math.Float64frombits(br.u64()))
+		cs.Post.Q = make([]float64, 0, nq)
+		for range nq {
+			cs.Post.Q = append(cs.Post.Q, r.F64())
 		}
 		cs.Post.QBase = make([]float64, 0, model.DecodeCap(ne))
-		for j := uint64(0); j < ne && br.err == nil; j++ {
-			cs.Post.QBase = append(cs.Post.QBase, math.Float64frombits(br.u64()))
+		for range ne {
+			cs.Post.QBase = append(cs.Post.QBase, r.F64())
 		}
 		st.Containers = append(st.Containers, cs)
 	}
-	nDet := br.uvarint()
-	if nDet > model.MaxDecodeElems {
-		return st, fmt.Errorf("rfinfer: implausible detection count %d", nDet)
-	}
+	nDet := r.Count("detection")
 	st.Detections = make([]Detection, 0, model.DecodeCap(nDet))
-	for i := uint64(0); i < nDet && br.err == nil; i++ {
+	for range nDet {
 		st.Detections = append(st.Detections, Detection{
-			Object:       model.TagID(br.uvarint()),
-			At:           model.Epoch(br.varint()),
-			DetectedAt:   model.Epoch(br.varint()),
-			NewContainer: model.TagID(br.varint()),
-			Delta:        math.Float64frombits(br.u64()),
+			Object:       model.TagID(r.Uvarint()),
+			At:           model.Epoch(r.Varint()),
+			DetectedAt:   model.Epoch(r.Varint()),
+			NewContainer: model.TagID(r.Varint()),
+			Delta:        r.F64(),
 		})
 	}
-	return st, br.err
+	return st, r.Err()
 }

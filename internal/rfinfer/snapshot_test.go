@@ -108,7 +108,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 	if err := EncodeEngineState(&buf, crashed.ExportState()); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeEngineState(bytes.NewReader(buf.Bytes()))
+	decoded, err := DecodeEngineState(model.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

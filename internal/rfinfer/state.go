@@ -2,10 +2,10 @@ package rfinfer
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"maps"
+	"slices"
 
 	"rfidtrack/internal/model"
 )
@@ -205,196 +205,79 @@ func (e *Engine) sanitizeSeries(s model.Series) model.Series {
 // EncodeCollapsed serializes collapsed state to the wire format whose byte
 // count the communication-cost experiments (Table 5) measure.
 func EncodeCollapsed(w io.Writer, st CollapsedState) error {
-	bw := &stickyWriter{w: w}
-	bw.uvarint(uint64(uint32(st.Object)))
-	bw.varint(int64(st.Container))
-	bw.u64(math.Float64bits(st.DefaultWeight))
-	bw.uvarint(uint64(len(st.Candidates)))
+	bw := model.NewWriter(w)
+	bw.Uvarint(uint64(uint32(st.Object)))
+	bw.Varint(int64(st.Container))
+	bw.F64(st.DefaultWeight)
+	bw.Uvarint(uint64(len(st.Candidates)))
 	for i, c := range st.Candidates {
-		bw.uvarint(uint64(uint32(c)))
-		bw.u64(math.Float64bits(st.Weights[i]))
+		bw.Uvarint(uint64(uint32(c)))
+		bw.F64(st.Weights[i])
 	}
-	return bw.err
+	return bw.Err()
 }
 
 // DecodeCollapsed reverses EncodeCollapsed.
-func DecodeCollapsed(r io.ByteReader) (CollapsedState, error) {
-	br := &stickyReader{r: r}
-	var st CollapsedState
-	st.Object = model.TagID(br.uvarint())
-	st.Container = model.TagID(br.varint())
-	st.DefaultWeight = math.Float64frombits(br.u64())
-	n := br.uvarint()
-	if n > model.MaxDecodeElems {
-		return st, fmt.Errorf("rfinfer: implausible candidate count %d", n)
+func DecodeCollapsed(r *model.Reader) (CollapsedState, error) {
+	st := CollapsedState{
+		Object:        model.TagID(r.Uvarint()),
+		Container:     model.TagID(r.Varint()),
+		DefaultWeight: r.F64(),
 	}
+	n := r.Count("candidate")
 	st.Candidates = make([]model.TagID, 0, model.DecodeCap(n))
 	st.Weights = make([]float64, 0, model.DecodeCap(n))
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		st.Candidates = append(st.Candidates, model.TagID(br.uvarint()))
-		st.Weights = append(st.Weights, math.Float64frombits(br.u64()))
+	for range n {
+		st.Candidates = append(st.Candidates, model.TagID(r.Uvarint()))
+		st.Weights = append(st.Weights, r.F64())
 	}
-	return st, br.err
+	return st, r.Err()
 }
 
-// EncodeCR serializes critical-region state.
+// EncodeCR serializes critical-region state: the collapsed section behind
+// its byte length, the critical region, the object's history and each
+// candidate container's history in tag order.
 func EncodeCR(w io.Writer, st CRState) error {
-	var buf bytes.Buffer
-	if err := EncodeCollapsed(&buf, st.Collapsed); err != nil {
+	var col bytes.Buffer
+	if err := EncodeCollapsed(&col, st.Collapsed); err != nil {
 		return err
 	}
-	bw := &stickyWriter{w: w}
-	bw.uvarint(uint64(buf.Len()))
-	if bw.err == nil {
-		_, bw.err = w.Write(buf.Bytes())
+	bw := model.NewWriter(w)
+	bw.Uvarint(uint64(col.Len()))
+	bw.Write(col.Bytes())
+	bw.Varint(int64(st.CR.From))
+	bw.Varint(int64(st.CR.To))
+	bw.Series(st.ObjectHist)
+	bw.Uvarint(uint64(len(st.ContHist)))
+	for _, id := range slices.Sorted(maps.Keys(st.ContHist)) {
+		bw.Uvarint(uint64(uint32(id)))
+		bw.Series(st.ContHist[id])
 	}
-	bw.varint(int64(st.CR.From))
-	bw.varint(int64(st.CR.To))
-	encodeSeries(bw, st.ObjectHist)
-	bw.uvarint(uint64(len(st.ContHist)))
-	ids := make([]model.TagID, 0, len(st.ContHist))
-	for id := range st.ContHist {
-		ids = append(ids, id)
-	}
-	sortTagIDs(ids)
-	for _, id := range ids {
-		bw.uvarint(uint64(uint32(id)))
-		encodeSeries(bw, st.ContHist[id])
-	}
-	return bw.err
+	return bw.Err()
 }
 
-// DecodeCR reverses EncodeCR.
-func DecodeCR(r io.ByteReader) (CRState, error) {
-	br := &stickyReader{r: r}
+// DecodeCR reverses EncodeCR, refusing a collapsed section whose length
+// differs from its prefix.
+func DecodeCR(r *model.Reader) (CRState, error) {
 	var st CRState
-	colLen := br.uvarint()
-	_ = colLen
+	colLen := r.Uvarint()
+	before := r.Len()
 	col, err := DecodeCollapsed(r)
 	if err != nil {
 		return st, err
 	}
+	if used := before - r.Len(); uint64(used) != colLen {
+		return st, fmt.Errorf("rfinfer: collapsed section is %d bytes, its prefix says %d", used, colLen)
+	}
 	st.Collapsed = col
-	st.CR.From = model.Epoch(br.varint())
-	st.CR.To = model.Epoch(br.varint())
-	st.ObjectHist = decodeSeries(br)
-	n := br.uvarint()
-	if n > model.MaxDecodeElems {
-		return st, fmt.Errorf("rfinfer: implausible container-history count %d", n)
-	}
+	st.CR.From = model.Epoch(r.Varint())
+	st.CR.To = model.Epoch(r.Varint())
+	st.ObjectHist = r.Series("object reading")
+	n := r.Count("container history")
 	st.ContHist = make(map[model.TagID]model.Series, model.DecodeCap(n))
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		id := model.TagID(br.uvarint())
-		st.ContHist[id] = decodeSeries(br)
+	for range n {
+		id := model.TagID(r.Uvarint())
+		st.ContHist[id] = r.Series("container reading")
 	}
-	return st, br.err
-}
-
-func encodeSeries(bw *stickyWriter, s model.Series) {
-	bw.uvarint(uint64(len(s)))
-	var prev model.Epoch
-	for _, rd := range s {
-		bw.uvarint(uint64(rd.T - prev))
-		prev = rd.T
-		bw.uvarint(uint64(rd.Mask))
-	}
-}
-
-func decodeSeries(br *stickyReader) model.Series {
-	n := br.uvarint()
-	if n > model.MaxDecodeElems {
-		if br.err == nil {
-			br.err = fmt.Errorf("rfinfer: implausible series length %d", n)
-		}
-		return nil
-	}
-	s := make(model.Series, 0, model.DecodeCap(n))
-	var prev model.Epoch
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		prev += model.Epoch(br.uvarint())
-		s = append(s, model.Reading{T: prev, Mask: model.Mask(br.uvarint())})
-	}
-	return s
-}
-
-func sortTagIDs(ids []model.TagID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-type stickyWriter struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (b *stickyWriter) uvarint(v uint64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutUvarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-func (b *stickyWriter) varint(v int64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutVarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-func (b *stickyWriter) u64(v uint64) {
-	if b.err != nil {
-		return
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, b.err = b.w.Write(buf[:])
-}
-
-type stickyReader struct {
-	r   io.ByteReader
-	err error
-}
-
-func (b *stickyReader) uvarint() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(b.r)
-	if err != nil {
-		b.err = err
-	}
-	return v
-}
-
-func (b *stickyReader) varint() int64 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(b.r)
-	if err != nil {
-		b.err = err
-	}
-	return v
-}
-
-func (b *stickyReader) u64() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	var buf [8]byte
-	for i := range buf {
-		c, err := b.r.ReadByte()
-		if err != nil {
-			b.err = err
-			return 0
-		}
-		buf[i] = c
-	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return st, r.Err()
 }

@@ -25,7 +25,7 @@ func TestCollapsedRoundTrip(t *testing.T) {
 	if err := EncodeCollapsed(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCollapsed(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeCollapsed(model.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCollapsedRoundTripProperty(t *testing.T) {
 		if err := EncodeCollapsed(&buf, st); err != nil {
 			return false
 		}
-		got, err := DecodeCollapsed(bytes.NewReader(buf.Bytes()))
+		got, err := DecodeCollapsed(model.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -88,7 +88,7 @@ func TestCRStateRoundTrip(t *testing.T) {
 	if err := EncodeCR(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCR(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeCR(model.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +100,36 @@ func TestCRStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st.ContHist[10], got.ContHist[10]) {
 		t.Fatalf("container history mismatch")
+	}
+}
+
+// TestDecodeCRChecksCollapsedLength pins that a CR payload whose
+// collapsed-section length prefix disagrees with the bytes that section
+// takes is refused: a peer's migration payload is not trusted to be well
+// formed.
+func TestDecodeCRChecksCollapsedLength(t *testing.T) {
+	st := CRState{
+		Collapsed: CollapsedState{
+			Object: 3, Container: 10,
+			Candidates: []model.TagID{10, 11}, Weights: []float64{0, -2},
+		},
+		ObjectHist: model.Series{{T: 5, Mask: 1}},
+		ContHist:   map[model.TagID]model.Series{10: {{T: 5, Mask: 1}}},
+	}
+	var buf bytes.Buffer
+	if err := EncodeCR(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if _, err := DecodeCR(model.NewReader(good)); err != nil {
+		t.Fatalf("well-formed payload: %v", err)
+	}
+	colLen := good[0] // below 128, so a one-byte varint
+	for _, prefix := range []byte{0, colLen - 5, colLen - 1, colLen + 1, colLen + 3} {
+		bad := append([]byte{prefix}, good[1:]...)
+		if _, err := DecodeCR(model.NewReader(bad)); err == nil {
+			t.Errorf("prefix %d (section is %d bytes) decoded", prefix, colLen)
+		}
 	}
 }
 

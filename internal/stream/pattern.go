@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -128,7 +126,8 @@ func (p *SeqPattern) Partitions() []model.TagID {
 }
 
 // EncodeState serializes one partition's state to the migration wire
-// format.
+// format: a flags byte, the two epochs and the values, each value's IEEE-754
+// bits as a varint.
 func EncodeState(w io.Writer, st *SeqState) error {
 	var flags byte
 	if st.Started {
@@ -137,64 +136,30 @@ func EncodeState(w io.Writer, st *SeqState) error {
 	if st.Fired {
 		flags |= 2
 	}
-	var buf [binary.MaxVarintLen64]byte
-	write := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if _, err := w.Write([]byte{flags}); err != nil {
-		return err
-	}
-	if err := write(uint64(uint32(st.First))); err != nil {
-		return err
-	}
-	if err := write(uint64(uint32(st.Last))); err != nil {
-		return err
-	}
-	if err := write(uint64(len(st.Values))); err != nil {
-		return err
-	}
+	bw := model.NewWriter(w)
+	bw.Byte(flags)
+	bw.Uvarint(uint64(uint32(st.First)))
+	bw.Uvarint(uint64(uint32(st.Last)))
+	bw.Uvarint(uint64(len(st.Values)))
 	for _, v := range st.Values {
-		if err := write(math.Float64bits(v)); err != nil {
-			return err
-		}
+		bw.Uvarint(math.Float64bits(v))
 	}
-	return nil
+	return bw.Err()
 }
 
 // DecodeState reverses EncodeState.
-func DecodeState(r io.ByteReader) (SeqState, error) {
-	var st SeqState
-	flags, err := r.ReadByte()
-	if err != nil {
-		return st, err
+func DecodeState(r *model.Reader) (SeqState, error) {
+	flags := r.Byte()
+	st := SeqState{
+		Started: flags&1 != 0,
+		Fired:   flags&2 != 0,
+		First:   model.Epoch(int32(r.Uvarint())),
+		Last:    model.Epoch(int32(r.Uvarint())),
 	}
-	st.Started = flags&1 != 0
-	st.Fired = flags&2 != 0
-	read := func() (uint64, error) { return binary.ReadUvarint(r) }
-	v, err := read()
-	if err != nil {
-		return st, err
-	}
-	st.First = model.Epoch(int32(v))
-	if v, err = read(); err != nil {
-		return st, err
-	}
-	st.Last = model.Epoch(int32(v))
-	n, err := read()
-	if err != nil {
-		return st, err
-	}
-	if n > model.MaxDecodeElems {
-		return st, fmt.Errorf("stream: implausible state size %d", n)
-	}
+	n := r.Count("pattern value")
 	st.Values = make([]float64, 0, model.DecodeCap(n))
-	for i := uint64(0); i < n; i++ {
-		if v, err = read(); err != nil {
-			return st, err
-		}
-		st.Values = append(st.Values, math.Float64frombits(v))
+	for range n {
+		st.Values = append(st.Values, math.Float64frombits(r.Uvarint()))
 	}
-	return st, nil
+	return st, r.Err()
 }

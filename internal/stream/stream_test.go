@@ -154,7 +154,7 @@ func TestSeqStateMigration(t *testing.T) {
 	if err := EncodeState(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeState(bytes.NewReader(buf.Bytes()))
+	dec, err := DecodeState(model.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSeqStateRoundTripProperty(t *testing.T) {
 		if err := EncodeState(&buf, &st); err != nil {
 			return false
 		}
-		dec, err := DecodeState(bytes.NewReader(buf.Bytes()))
+		dec, err := DecodeState(model.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -17,60 +16,37 @@ const wireVersion = 1
 // a centralized deployment ships to the warehouse server. If tags is nil,
 // all tags are encoded.
 func EncodeReadings(w io.Writer, tr *Trace, tags []model.TagID) error {
-	bw := newByteWriter(w)
-	bw.uvarint(wireVersion)
+	bw := model.NewWriter(w)
+	bw.Uvarint(wireVersion)
 	if tags == nil {
 		tags = make([]model.TagID, len(tr.Tags))
 		for i := range tags {
 			tags[i] = model.TagID(i)
 		}
 	}
-	bw.uvarint(uint64(len(tags)))
+	bw.Uvarint(uint64(len(tags)))
 	for _, id := range tags {
-		tg := &tr.Tags[id]
-		bw.uvarint(uint64(id))
-		bw.uvarint(uint64(len(tg.Readings)))
-		var prev model.Epoch
-		for _, rd := range tg.Readings {
-			bw.uvarint(uint64(rd.T - prev)) // delta-encoded epochs
-			prev = rd.T
-			bw.uvarint(uint64(rd.Mask))
-		}
+		bw.Uvarint(uint64(id))
+		bw.Series(tr.Tags[id].Readings) // delta-encoded epochs
 	}
-	return bw.err
+	return bw.Err()
 }
 
 // DecodeReadings reverses EncodeReadings, returning per-tag series keyed by
 // tag ID.
-func DecodeReadings(r io.Reader) (map[model.TagID]model.Series, error) {
-	br := newByteReader(r)
-	if v := br.uvarint(); v != wireVersion {
-		if br.err != nil {
-			return nil, br.err
-		}
+func DecodeReadings(b []byte) (map[model.TagID]model.Series, error) {
+	r := model.NewReader(b)
+	if v := r.Uvarint(); r.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("trace: unsupported wire version %d", v)
 	}
-	n := br.uvarint()
-	if n > model.MaxDecodeElems {
-		return nil, fmt.Errorf("trace: implausible tag count %d", n)
-	}
+	n := r.Count("tag")
 	out := make(map[model.TagID]model.Series, model.DecodeCap(n))
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		id := model.TagID(br.uvarint())
-		cnt := br.uvarint()
-		if cnt > model.MaxDecodeElems {
-			return nil, fmt.Errorf("trace: implausible reading count %d for tag %d", cnt, id)
-		}
-		s := make(model.Series, 0, model.DecodeCap(cnt))
-		var prev model.Epoch
-		for j := uint64(0); j < cnt && br.err == nil; j++ {
-			prev += model.Epoch(br.uvarint())
-			s = append(s, model.Reading{T: prev, Mask: model.Mask(br.uvarint())})
-		}
-		out[id] = s
+	for range n {
+		id := model.TagID(r.Uvarint())
+		out[id] = r.Series("reading")
 	}
-	if br.err != nil {
-		return nil, br.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -106,55 +82,4 @@ type countWriter struct{ n int }
 func (c *countWriter) Write(p []byte) (int, error) {
 	c.n += len(p)
 	return len(p), nil
-}
-
-// byteWriter accumulates varint writes with sticky errors.
-type byteWriter struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func newByteWriter(w io.Writer) *byteWriter { return &byteWriter{w: w} }
-
-func (b *byteWriter) uvarint(v uint64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutUvarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-type byteReader struct {
-	r   io.ByteReader
-	err error
-}
-
-func newByteReader(r io.Reader) *byteReader {
-	if br, ok := r.(io.ByteReader); ok {
-		return &byteReader{r: br}
-	}
-	return &byteReader{r: &simpleByteReader{r: r}}
-}
-
-func (b *byteReader) uvarint() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(b.r)
-	if err != nil {
-		b.err = err
-		return 0
-	}
-	return v
-}
-
-type simpleByteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (s *simpleByteReader) ReadByte() (byte, error) {
-	_, err := io.ReadFull(s.r, s.one[:])
-	return s.one[0], err
 }

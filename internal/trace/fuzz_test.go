@@ -40,7 +40,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := DecodeReadings(bytes.NewReader(data))
+		decoded, err := DecodeReadings(data)
 		if err != nil {
 			return
 		}
@@ -71,7 +71,7 @@ func FuzzDecodeTagged(f *testing.F) {
 		if err := EncodeReadings(&buf, tr, tags); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := DecodeReadings(bytes.NewReader(buf.Bytes()))
+		decoded, err := DecodeReadings(buf.Bytes())
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

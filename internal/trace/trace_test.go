@@ -127,7 +127,7 @@ func TestEncodeDecodeReadings(t *testing.T) {
 	if err := EncodeReadings(&buf, tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeReadings(&buf)
+	got, err := DecodeReadings(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err := EncodeReadings(&buf, tr, nil); err != nil {
 			return false
 		}
-		got, err := DecodeReadings(&buf)
+		got, err := DecodeReadings(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -190,7 +190,7 @@ func TestNumReadings(t *testing.T) {
 }
 
 func TestDecodeReadingsBadVersion(t *testing.T) {
-	if _, err := DecodeReadings(bytes.NewReader([]byte{99})); err == nil {
+	if _, err := DecodeReadings([]byte{99}); err == nil {
 		t.Error("bad version accepted")
 	}
 }

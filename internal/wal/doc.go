@@ -32,12 +32,15 @@
 // A snapshot captures the complete semantic state at a Δ-checkpoint
 // boundary: per-site inference state (rfinfer.EngineState), cluster
 // runtime state (dist.FeedState), query pattern partitions and matches,
-// the alert log, and every buffered-but-unobserved event. Because buffered
-// events are inside the snapshot, all segments of older generations are
-// garbage the moment the MANIFEST commits the new snapshot — writing a
-// snapshot rotates every segment to a new generation, then retires the old
-// files. Disk usage is therefore bounded by one snapshot plus the WAL
-// written since.
+// the alert log, and every buffered-but-unobserved event. Its payload is
+// written with model.Writer and read with model.Reader, the codec the
+// migration payloads use; the engine and query sections are
+// rfinfer.EncodeEngineState and stream.EncodeState on the same Writer.
+// Because buffered events are inside the snapshot, all segments of older
+// generations are garbage the moment the MANIFEST commits the new snapshot
+// — writing a snapshot rotates every segment to a new generation, then
+// retires the old files. Disk usage is therefore bounded by one snapshot
+// plus the WAL written since.
 //
 // # Recovery
 //

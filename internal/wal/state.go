@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math"
 	"time"
 
 	"rfidtrack/internal/dist"
@@ -116,260 +114,166 @@ type State struct {
 	Misc int
 }
 
-// stateWriter is a sticky varint writer over a bytes.Buffer.
-type stateWriter struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
-}
-
-func (w *stateWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
-func (w *stateWriter) varint(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
-func (w *stateWriter) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf.Write(b[:])
-}
-func (w *stateWriter) floats(vs []float64) {
-	w.uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.f64(v)
-	}
-}
-func (w *stateWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
-}
-
-// stateReader is the sticky decoding counterpart.
-type stateReader struct {
-	r   *bytes.Reader
-	err error
-}
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = err
-	}
-	return v
-}
-func (r *stateReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(r.r)
-	if err != nil {
-		r.err = err
-	}
-	return v
-}
-func (r *stateReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	var b [8]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		r.err = err
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-}
-func (r *stateReader) count(what string) (int, bool) {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0, false
-	}
-	if n > model.MaxDecodeElems {
-		r.err = fmt.Errorf("wal: implausible %s count %d", what, n)
-		return 0, false
-	}
-	return int(n), true
-}
-func (r *stateReader) floats(what string) []float64 {
-	n, ok := r.count(what)
-	if !ok {
-		return nil
-	}
-	out := make([]float64, 0, model.DecodeCap(uint64(n)))
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.f64())
-	}
-	return out
-}
-func (r *stateReader) str(what string) string {
-	n, ok := r.count(what)
-	if !ok {
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
-		return ""
-	}
-	return string(b)
-}
-
 // EncodeState serializes a snapshot: magic, version, CRC32 of the payload,
-// payload. Engine state uses rfinfer's own codec; query pattern state uses
-// stream.EncodeState — the same hardened codecs migration uses.
+// payload. The payload is written with model.Writer; each engine's state
+// is rfinfer.EncodeEngineState and each query partition's is
+// stream.EncodeState — the codecs migration uses — on the same Writer.
 func EncodeState(st *State) ([]byte, error) {
-	var w stateWriter
-	w.varint(int64(st.Boundary))
-	w.varint(int64(st.StreamTime))
+	var buf bytes.Buffer
+	w := model.NewWriter(&buf)
+	w.Varint(int64(st.Boundary))
+	w.Varint(int64(st.StreamTime))
 
 	// Feed section.
 	fs := &st.Feed
-	w.varint(int64(fs.Next))
-	w.varint(int64(fs.ContErr.Wrong))
-	w.varint(int64(fs.ContErr.Total))
-	w.varint(int64(fs.LocErr.Wrong))
-	w.varint(int64(fs.LocErr.Total))
-	w.varint(int64(fs.Runs))
-	w.varint(int64(fs.QueryStateBytes))
-	w.uvarint(uint64(len(fs.Links)))
+	w.Varint(int64(fs.Next))
+	w.Varint(int64(fs.ContErr.Wrong))
+	w.Varint(int64(fs.ContErr.Total))
+	w.Varint(int64(fs.LocErr.Wrong))
+	w.Varint(int64(fs.LocErr.Total))
+	w.Varint(int64(fs.Runs))
+	w.Varint(int64(fs.QueryStateBytes))
+	w.Uvarint(uint64(len(fs.Links)))
 	for _, lc := range fs.Links {
-		w.uvarint(uint64(uint32(lc.From)))
-		w.uvarint(uint64(uint32(lc.To)))
-		w.varint(int64(lc.Bytes))
-		w.varint(int64(lc.Messages))
+		w.Uvarint(uint64(uint32(lc.From)))
+		w.Uvarint(uint64(uint32(lc.To)))
+		w.Varint(int64(lc.Bytes))
+		w.Varint(int64(lc.Messages))
 	}
-	w.uvarint(uint64(len(fs.Owner)))
+	w.Uvarint(uint64(len(fs.Owner)))
 	for _, site := range fs.Owner {
-		w.uvarint(uint64(uint32(site)))
+		w.Uvarint(uint64(uint32(site)))
 	}
 	if fs.Owned == nil {
-		w.uvarint(0)
+		w.Uvarint(0)
 	} else {
-		w.uvarint(1)
-		w.uvarint(uint64(len(fs.Owned)))
+		w.Uvarint(1)
+		w.Uvarint(uint64(len(fs.Owned)))
 		for _, ids := range fs.Owned {
-			w.uvarint(uint64(len(ids)))
+			w.Uvarint(uint64(len(ids)))
 			for _, id := range ids {
-				w.uvarint(uint64(uint32(id)))
+				w.Uvarint(uint64(uint32(id)))
 			}
 		}
 	}
-	w.uvarint(uint64(len(fs.Sites)))
+	w.Uvarint(uint64(len(fs.Sites)))
 	for _, ss := range fs.Sites {
-		w.varint(int64(ss.Epochs))
-		w.varint(int64(ss.MigrationsIn))
-		w.varint(int64(ss.MigrationsOut))
-		w.varint(int64(ss.BytesIn))
-		w.varint(int64(ss.BytesOut))
+		w.Varint(int64(ss.Epochs))
+		w.Varint(int64(ss.MigrationsIn))
+		w.Varint(int64(ss.MigrationsOut))
+		w.Varint(int64(ss.BytesIn))
+		w.Varint(int64(ss.BytesOut))
 	}
-	w.varint(int64(fs.Stats.Observed))
-	w.varint(int64(fs.Stats.Late))
-	w.varint(int64(fs.Stats.LateDepartures))
-	w.varint(int64(fs.Stats.DupDepartures))
-	w.varint(int64(fs.Stats.Checkpoints))
+	w.Varint(int64(fs.Stats.Observed))
+	w.Varint(int64(fs.Stats.Late))
+	w.Varint(int64(fs.Stats.LateDepartures))
+	w.Varint(int64(fs.Stats.DupDepartures))
+	w.Varint(int64(fs.Stats.Checkpoints))
 	for _, p := range []dist.PhaseNS{fs.Stats.Phases, fs.Stats.LastPhases} {
-		w.varint(int64(p.Ingest))
-		w.varint(int64(p.Migrate))
-		w.varint(int64(p.Infer))
-		w.varint(int64(p.Tail))
+		w.Varint(int64(p.Ingest))
+		w.Varint(int64(p.Migrate))
+		w.Varint(int64(p.Infer))
+		w.Varint(int64(p.Tail))
 	}
 
 	// Engine section.
-	w.uvarint(uint64(len(st.Engines)))
+	w.Uvarint(uint64(len(st.Engines)))
 	for i := range st.Engines {
-		if err := rfinfer.EncodeEngineState(&w.buf, st.Engines[i]); err != nil {
-			return nil, err
-		}
+		rfinfer.EncodeEngineState(w, st.Engines[i]) // an error sticks in w
 	}
 
 	// Query section.
 	if st.Queries == nil {
-		w.uvarint(0)
+		w.Uvarint(0)
 	} else {
-		w.uvarint(1)
-		w.uvarint(uint64(len(st.Queries)))
+		w.Uvarint(1)
+		w.Uvarint(uint64(len(st.Queries)))
 		for i := range st.Queries {
 			qs := &st.Queries[i]
-			w.uvarint(uint64(len(qs.Parts)))
+			w.Uvarint(uint64(len(qs.Parts)))
 			for j := range qs.Parts {
-				w.uvarint(uint64(uint32(qs.Parts[j].Tag)))
-				if err := stream.EncodeState(&w.buf, &qs.Parts[j].State); err != nil {
-					return nil, err
-				}
+				w.Uvarint(uint64(uint32(qs.Parts[j].Tag)))
+				stream.EncodeState(w, &qs.Parts[j].State) // an error sticks in w
 			}
-			w.uvarint(uint64(len(qs.Matches)))
+			w.Uvarint(uint64(len(qs.Matches)))
 			for _, m := range qs.Matches {
-				w.uvarint(uint64(uint32(m.Tag)))
-				w.varint(int64(m.First))
-				w.varint(int64(m.Last))
-				w.floats(m.Values)
+				w.Uvarint(uint64(uint32(m.Tag)))
+				w.Varint(int64(m.First))
+				w.Varint(int64(m.Last))
+				w.Floats(m.Values)
 			}
 		}
 	}
 
 	// Alert log.
-	w.uvarint(uint64(len(st.Alerts)))
+	w.Uvarint(uint64(len(st.Alerts)))
 	for _, a := range st.Alerts {
-		w.uvarint(uint64(uint32(a.Site)))
-		w.uvarint(uint64(uint32(a.Tag)))
-		w.varint(int64(a.First))
-		w.varint(int64(a.Last))
-		w.floats(a.Values)
-		w.str(a.Pattern)
+		w.Uvarint(uint64(uint32(a.Site)))
+		w.Uvarint(uint64(uint32(a.Tag)))
+		w.Varint(int64(a.First))
+		w.Varint(int64(a.Last))
+		w.Floats(a.Values)
+		w.Str(a.Pattern)
 	}
 
 	// Buffered events.
-	w.uvarint(uint64(len(st.Buffered)))
+	w.Uvarint(uint64(len(st.Buffered)))
 	for _, rs := range st.Buffered {
-		w.uvarint(uint64(len(rs)))
+		w.Uvarint(uint64(len(rs)))
 		for _, rd := range rs {
-			w.varint(int64(rd.T))
-			w.uvarint(uint64(uint32(rd.ID)))
-			w.uvarint(uint64(rd.Mask))
+			w.Varint(int64(rd.T))
+			w.Uvarint(uint64(uint32(rd.ID)))
+			w.Uvarint(uint64(rd.Mask))
 		}
 	}
-	w.uvarint(uint64(len(st.PendingDeps)))
+	w.Uvarint(uint64(len(st.PendingDeps)))
 	for _, d := range st.PendingDeps {
-		w.uvarint(uint64(uint32(d.Object)))
-		w.uvarint(uint64(uint32(d.From)))
-		w.uvarint(uint64(uint32(d.To)))
-		w.varint(int64(d.At))
+		encodeDeparture(w, d)
 	}
 
 	// Serve counters.
-	w.uvarint(uint64(len(st.Shards)))
+	w.Uvarint(uint64(len(st.Shards)))
 	for _, sc := range st.Shards {
-		w.varint(int64(sc.Received))
-		w.varint(int64(sc.Late))
+		w.Varint(int64(sc.Received))
+		w.Varint(int64(sc.Late))
 	}
-	w.varint(int64(st.Invalid))
-	w.varint(int64(st.Misc))
+	w.Varint(int64(st.Invalid))
+	w.Varint(int64(st.Misc))
 
 	// Peer inbox (added in snapVersion 2).
-	w.uvarint(uint64(len(st.PendingMigs)))
+	w.Uvarint(uint64(len(st.PendingMigs)))
 	for i := range st.PendingMigs {
 		m := &st.PendingMigs[i]
-		w.uvarint(uint64(uint32(m.D.Object)))
-		w.uvarint(uint64(uint32(m.D.From)))
-		w.uvarint(uint64(uint32(m.D.To)))
-		w.varint(int64(m.D.At))
-		w.uvarint(uint64(len(m.Payload)))
-		w.buf.Write(m.Payload)
+		encodeDeparture(w, m.D)
+		w.Uvarint(uint64(len(m.Payload)))
+		w.Write(m.Payload)
+	}
+	if err := w.Err(); err != nil {
+		return nil, err
 	}
 
-	payload := w.buf.Bytes()
+	payload := buf.Bytes()
 	out := make([]byte, 0, len(payload)+16)
 	out = append(out, snapMagic[:]...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], snapVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	out = append(out, hdr[:]...)
-	out = append(out, payload...)
-	return out, nil
+	out = binary.LittleEndian.AppendUint32(out, snapVersion)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...), nil
+}
+
+func encodeDeparture(w *model.Writer, d dist.Departure) {
+	w.Uvarint(uint64(uint32(d.Object)))
+	w.Uvarint(uint64(uint32(d.From)))
+	w.Uvarint(uint64(uint32(d.To)))
+	w.Varint(int64(d.At))
+}
+
+func decodeDeparture(r *model.Reader) dist.Departure {
+	return dist.Departure{
+		Object: model.TagID(r.Uvarint()),
+		From:   int(int32(r.Uvarint())),
+		To:     int(int32(r.Uvarint())),
+		At:     model.Epoch(r.Varint()),
+	}
 }
 
 // DecodeState reverses EncodeState, verifying magic, version and CRC
@@ -386,228 +290,177 @@ func DecodeState(b []byte) (*State, error) {
 	if crc := binary.LittleEndian.Uint32(b[12:16]); crc != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("wal: snapshot CRC mismatch")
 	}
-	r := &stateReader{r: bytes.NewReader(payload)}
-	st := &State{}
-	st.Boundary = model.Epoch(r.varint())
-	st.StreamTime = model.Epoch(r.varint())
+	r := model.NewReader(payload)
+	st := &State{
+		Boundary:   model.Epoch(r.Varint()),
+		StreamTime: model.Epoch(r.Varint()),
+	}
 
 	fs := &st.Feed
-	fs.Next = model.Epoch(r.varint())
-	fs.ContErr.Wrong = int(r.varint())
-	fs.ContErr.Total = int(r.varint())
-	fs.LocErr.Wrong = int(r.varint())
-	fs.LocErr.Total = int(r.varint())
-	fs.Runs = int(r.varint())
-	fs.QueryStateBytes = int(r.varint())
-	if n, ok := r.count("link"); ok && n > 0 {
-		fs.Links = make([]dist.LinkCost, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
+	fs.Next = model.Epoch(r.Varint())
+	fs.ContErr.Wrong = int(r.Varint())
+	fs.ContErr.Total = int(r.Varint())
+	fs.LocErr.Wrong = int(r.Varint())
+	fs.LocErr.Total = int(r.Varint())
+	fs.Runs = int(r.Varint())
+	fs.QueryStateBytes = int(r.Varint())
+	if n := r.Count("link"); n > 0 {
+		fs.Links = make([]dist.LinkCost, 0, model.DecodeCap(n))
+		for range n {
 			var lc dist.LinkCost
-			lc.From = int(int32(r.uvarint()))
-			lc.To = int(int32(r.uvarint()))
-			lc.Bytes = int(r.varint())
-			lc.Messages = int(r.varint())
+			lc.From = int(int32(r.Uvarint()))
+			lc.To = int(int32(r.Uvarint()))
+			lc.Bytes = int(r.Varint())
+			lc.Messages = int(r.Varint())
 			fs.Links = append(fs.Links, lc)
 		}
 	}
-	if n, ok := r.count("owner"); ok {
-		fs.Owner = make([]int32, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			fs.Owner = append(fs.Owner, int32(r.uvarint()))
-		}
+	n := r.Count("owner")
+	fs.Owner = make([]int32, 0, model.DecodeCap(n))
+	for range n {
+		fs.Owner = append(fs.Owner, int32(r.Uvarint()))
 	}
-	if r.uvarint() == 1 {
-		n, ok := r.count("ownership view")
-		if ok {
-			fs.Owned = make([][]model.TagID, 0, model.DecodeCap(uint64(n)))
-			for i := 0; i < n && r.err == nil; i++ {
-				m, ok := r.count("owned tag")
-				if !ok {
-					break
-				}
-				ids := make([]model.TagID, 0, model.DecodeCap(uint64(m)))
-				for j := 0; j < m && r.err == nil; j++ {
-					ids = append(ids, model.TagID(r.uvarint()))
-				}
-				fs.Owned = append(fs.Owned, ids)
+	if r.Uvarint() == 1 {
+		n := r.Count("ownership view")
+		fs.Owned = make([][]model.TagID, 0, model.DecodeCap(n))
+		for range n {
+			m := r.Count("owned tag")
+			ids := make([]model.TagID, 0, model.DecodeCap(m))
+			for range m {
+				ids = append(ids, model.TagID(r.Uvarint()))
 			}
+			fs.Owned = append(fs.Owned, ids)
 		}
 	}
-	if n, ok := r.count("site stat"); ok {
-		fs.Sites = make([]dist.SiteStats, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			var ss dist.SiteStats
-			ss.Epochs = int(r.varint())
-			ss.MigrationsIn = int(r.varint())
-			ss.MigrationsOut = int(r.varint())
-			ss.BytesIn = int(r.varint())
-			ss.BytesOut = int(r.varint())
-			if version < 4 {
-				r.varint() // inbox peak
-				r.varint() // stall
-			}
-			fs.Sites = append(fs.Sites, ss)
+	n = r.Count("site stat")
+	fs.Sites = make([]dist.SiteStats, 0, model.DecodeCap(n))
+	for range n {
+		ss := dist.SiteStats{
+			Epochs:        int(r.Varint()),
+			MigrationsIn:  int(r.Varint()),
+			MigrationsOut: int(r.Varint()),
+			BytesIn:       int(r.Varint()),
+			BytesOut:      int(r.Varint()),
 		}
+		if version < 4 {
+			r.Varint() // inbox peak
+			r.Varint() // stall
+		}
+		fs.Sites = append(fs.Sites, ss)
 	}
-	fs.Stats.Observed = int(r.varint())
-	fs.Stats.Late = int(r.varint())
-	fs.Stats.LateDepartures = int(r.varint())
-	fs.Stats.DupDepartures = int(r.varint())
-	fs.Stats.Checkpoints = int(r.varint())
+	fs.Stats.Observed = int(r.Varint())
+	fs.Stats.Late = int(r.Varint())
+	fs.Stats.LateDepartures = int(r.Varint())
+	fs.Stats.DupDepartures = int(r.Varint())
+	fs.Stats.Checkpoints = int(r.Varint())
 	for _, p := range []*dist.PhaseNS{&fs.Stats.Phases, &fs.Stats.LastPhases} {
-		p.Ingest = timeDuration(r.varint())
-		p.Migrate = timeDuration(r.varint())
-		p.Infer = timeDuration(r.varint())
-		p.Tail = timeDuration(r.varint())
-	}
-	if r.err != nil {
-		return nil, r.err
+		p.Ingest = time.Duration(r.Varint())
+		p.Migrate = time.Duration(r.Varint())
+		p.Infer = time.Duration(r.Varint())
+		p.Tail = time.Duration(r.Varint())
 	}
 
-	if n, ok := r.count("engine"); ok {
-		st.Engines = make([]rfinfer.EngineState, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n; i++ {
-			es, err := rfinfer.DecodeEngineState(r.r)
-			if err != nil {
-				return nil, err
-			}
-			st.Engines = append(st.Engines, es)
+	n = r.Count("engine")
+	st.Engines = make([]rfinfer.EngineState, 0, model.DecodeCap(n))
+	for range n {
+		es, err := rfinfer.DecodeEngineState(r)
+		if err != nil {
+			return nil, err
 		}
+		st.Engines = append(st.Engines, es)
 	}
 
-	if r.uvarint() == 1 {
-		n, ok := r.count("query state")
-		if !ok {
-			return nil, r.err
-		}
-		st.Queries = make([]QueryState, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			var qs QueryState
-			np, ok := r.count("query partition")
-			if !ok {
-				break
-			}
-			qs.Parts = make([]QueryPartition, 0, model.DecodeCap(uint64(np)))
-			for j := 0; j < np; j++ {
-				tag := model.TagID(r.uvarint())
-				if r.err != nil {
-					return nil, r.err
-				}
-				ss, err := stream.DecodeState(r.r)
+	if r.Uvarint() == 1 {
+		n := r.Count("query state")
+		st.Queries = make([]QueryState, 0, model.DecodeCap(n))
+		for range n {
+			np := r.Count("query partition")
+			qs := QueryState{Parts: make([]QueryPartition, 0, model.DecodeCap(np))}
+			for range np {
+				tag := model.TagID(r.Uvarint())
+				ss, err := stream.DecodeState(r)
 				if err != nil {
 					return nil, err
 				}
 				qs.Parts = append(qs.Parts, QueryPartition{Tag: tag, State: ss})
 			}
-			nm, ok := r.count("query match")
-			if !ok {
-				break
-			}
-			qs.Matches = make([]stream.Match, 0, model.DecodeCap(uint64(nm)))
-			for j := 0; j < nm && r.err == nil; j++ {
-				var m stream.Match
-				m.Tag = model.TagID(r.uvarint())
-				m.First = model.Epoch(r.varint())
-				m.Last = model.Epoch(r.varint())
-				m.Values = r.floats("match value")
-				qs.Matches = append(qs.Matches, m)
+			nm := r.Count("query match")
+			qs.Matches = make([]stream.Match, 0, model.DecodeCap(nm))
+			for range nm {
+				qs.Matches = append(qs.Matches, stream.Match{
+					Tag:    model.TagID(r.Uvarint()),
+					First:  model.Epoch(r.Varint()),
+					Last:   model.Epoch(r.Varint()),
+					Values: r.Floats("match value"),
+				})
 			}
 			st.Queries = append(st.Queries, qs)
 		}
 	}
 
-	if n, ok := r.count("alert"); ok {
-		st.Alerts = make([]Alert, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			var a Alert
-			a.Site = int(int32(r.uvarint()))
-			a.Tag = model.TagID(r.uvarint())
-			a.First = model.Epoch(r.varint())
-			a.Last = model.Epoch(r.varint())
-			a.Values = r.floats("alert value")
-			if version >= 3 {
-				a.Pattern = r.str("alert pattern")
-			}
-			st.Alerts = append(st.Alerts, a)
+	n = r.Count("alert")
+	st.Alerts = make([]Alert, 0, model.DecodeCap(n))
+	for range n {
+		a := Alert{
+			Site:   int(int32(r.Uvarint())),
+			Tag:    model.TagID(r.Uvarint()),
+			First:  model.Epoch(r.Varint()),
+			Last:   model.Epoch(r.Varint()),
+			Values: r.Floats("alert value"),
 		}
+		if version >= 3 {
+			a.Pattern = r.Str("alert pattern byte")
+		}
+		st.Alerts = append(st.Alerts, a)
 	}
 
-	if n, ok := r.count("buffered site"); ok {
-		st.Buffered = make([][]dist.Reading, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			m, ok := r.count("buffered reading")
-			if !ok {
-				break
-			}
-			rs := make([]dist.Reading, 0, model.DecodeCap(uint64(m)))
-			for j := 0; j < m && r.err == nil; j++ {
-				var rd dist.Reading
-				rd.T = model.Epoch(r.varint())
-				rd.ID = model.TagID(r.uvarint())
-				rd.Mask = model.Mask(r.uvarint())
-				rs = append(rs, rd)
-			}
-			st.Buffered = append(st.Buffered, rs)
+	n = r.Count("buffered site")
+	st.Buffered = make([][]dist.Reading, 0, model.DecodeCap(n))
+	for range n {
+		m := r.Count("buffered reading")
+		rs := make([]dist.Reading, 0, model.DecodeCap(m))
+		for range m {
+			rs = append(rs, dist.Reading{
+				T:    model.Epoch(r.Varint()),
+				ID:   model.TagID(r.Uvarint()),
+				Mask: model.Mask(r.Uvarint()),
+			})
 		}
+		st.Buffered = append(st.Buffered, rs)
 	}
-	if n, ok := r.count("pending departure"); ok {
-		st.PendingDeps = make([]dist.Departure, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			var d dist.Departure
-			d.Object = model.TagID(r.uvarint())
-			d.From = int(int32(r.uvarint()))
-			d.To = int(int32(r.uvarint()))
-			d.At = model.Epoch(r.varint())
-			st.PendingDeps = append(st.PendingDeps, d)
-		}
+	n = r.Count("pending departure")
+	st.PendingDeps = make([]dist.Departure, 0, model.DecodeCap(n))
+	for range n {
+		st.PendingDeps = append(st.PendingDeps, decodeDeparture(r))
 	}
 
-	if n, ok := r.count("shard counter"); ok {
-		st.Shards = make([]ShardCounters, 0, model.DecodeCap(uint64(n)))
-		for i := 0; i < n && r.err == nil; i++ {
-			var sc ShardCounters
-			sc.Received = int(r.varint())
-			sc.Late = int(r.varint())
-			st.Shards = append(st.Shards, sc)
-		}
+	n = r.Count("shard counter")
+	st.Shards = make([]ShardCounters, 0, model.DecodeCap(n))
+	for range n {
+		st.Shards = append(st.Shards, ShardCounters{Received: int(r.Varint()), Late: int(r.Varint())})
 	}
-	st.Invalid = int(r.varint())
-	st.Misc = int(r.varint())
+	st.Invalid = int(r.Varint())
+	st.Misc = int(r.Varint())
 
 	if version >= 2 {
-		if n, ok := r.count("pending migration"); ok && n > 0 {
-			st.PendingMigs = make([]Migration, 0, model.DecodeCap(uint64(n)))
-			for i := 0; i < n && r.err == nil; i++ {
-				var m Migration
-				m.D.Object = model.TagID(r.uvarint())
-				m.D.From = int(int32(r.uvarint()))
-				m.D.To = int(int32(r.uvarint()))
-				m.D.At = model.Epoch(r.varint())
-				pl := r.uvarint()
-				if r.err != nil {
-					break
-				}
-				if pl > stream.MaxMigrationPayload {
-					return nil, fmt.Errorf("wal: implausible pending-migration payload length %d", pl)
-				}
-				if pl > 0 {
-					m.Payload = make([]byte, pl)
-					if _, err := io.ReadFull(r.r, m.Payload); err != nil {
-						return nil, err
-					}
+		if n := r.Count("pending migration"); n > 0 {
+			st.PendingMigs = make([]Migration, 0, model.DecodeCap(n))
+			for range n {
+				// The payload's byte count is clamped like any count, which
+				// also holds it to stream.MaxMigrationPayload (the same 16 MiB).
+				m := Migration{D: decodeDeparture(r)}
+				if pl := r.Count("pending-migration payload byte"); pl > 0 {
+					m.Payload = bytes.Clone(r.Bytes(pl))
 				}
 				st.PendingMigs = append(st.PendingMigs, m)
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("wal: %d trailing snapshot bytes", r.r.Len())
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("wal: %d trailing snapshot bytes", r.Len())
 	}
 	return st, nil
 }
-
-// timeDuration converts a persisted int64 back to a duration.
-func timeDuration(v int64) time.Duration { return time.Duration(v) }
