@@ -87,7 +87,6 @@ func main() {
 		anomaly = flag.Int("anomaly", 120, "containment change interval (0 = none)")
 		seed    = flag.Int64("seed", 1, "deployment seed")
 	)
-	flag.Int("sub-queue", 0, "ignored: subscribers read the alert log by cursor and hold no queue (accepted for one release)")
 	flag.Parse()
 
 	strat, err := parseStrategy(*strategy)

@@ -1,6 +1,6 @@
-// The cluster coordinator: site-ownership maps, cross-peer result merging
-// and the cached ONS client — the glue that turns N partitioned feeds into
-// one logical cluster.
+// The cluster coordinator: site-ownership maps and cross-peer result
+// merging — the glue that turns N partitioned feeds into one logical
+// cluster.
 //
 // Cross-process determinism argument: every site's engine (inference and
 // query) lives on exactly one peer, and every peer applies the same global
@@ -23,7 +23,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"rfidtrack/internal/model"
 )
@@ -137,66 +136,4 @@ func SortAlertKeys(keys []AlertKey) {
 		}
 		return cmp.Compare(a.Last, b.Last)
 	})
-}
-
-// ONSCacheStats counts a cache's traffic.
-type ONSCacheStats struct {
-	// Hits answered locally; Misses went to Fetch; Invalidations dropped a
-	// cached entry on a departure.
-	Hits, Misses, Invalidations int `json:",omitempty"`
-}
-
-// ONSCache is the client side of the network naming service: a local
-// object→site map filled on demand through Fetch (an HTTP lookup against
-// the owner peer in the serve layer) and invalidated when a departure for
-// the object is observed locally — the broadcast departure stream is the
-// invalidation feed, so no extra protocol traffic is needed. Safe for
-// concurrent use.
-type ONSCache struct {
-	mu    sync.Mutex
-	m     map[model.TagID]int
-	fetch func(model.TagID) (int, error)
-	stats ONSCacheStats
-}
-
-// NewONSCache returns a cache backed by fetch.
-func NewONSCache(fetch func(model.TagID) (int, error)) *ONSCache {
-	return &ONSCache{m: make(map[model.TagID]int), fetch: fetch}
-}
-
-// Lookup returns the cached owning site of id, fetching on a miss.
-func (c *ONSCache) Lookup(id model.TagID) (int, error) {
-	c.mu.Lock()
-	if site, ok := c.m[id]; ok {
-		c.stats.Hits++
-		c.mu.Unlock()
-		return site, nil
-	}
-	c.stats.Misses++
-	c.mu.Unlock()
-	site, err := c.fetch(id)
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.m[id] = site
-	c.mu.Unlock()
-	return site, nil
-}
-
-// Invalidate drops id's cached entry; the next Lookup re-fetches.
-func (c *ONSCache) Invalidate(id model.TagID) {
-	c.mu.Lock()
-	if _, ok := c.m[id]; ok {
-		delete(c.m, id)
-		c.stats.Invalidations++
-	}
-	c.mu.Unlock()
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *ONSCache) Stats() ONSCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }

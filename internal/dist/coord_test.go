@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"errors"
 	"reflect"
 	"testing"
-
-	"rfidtrack/internal/model"
 )
 
 // TestSiteMaps pins the default split and the parser's validation.
@@ -64,38 +61,5 @@ func TestMergeResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Links, wantLinks) {
 		t.Errorf("merged Links = %+v", got.Links)
-	}
-}
-
-// TestONSCache pins hit/miss/invalidation behavior and error passthrough.
-func TestONSCache(t *testing.T) {
-	calls := 0
-	fail := errors.New("down")
-	failing := false
-	c := NewONSCache(func(id model.TagID) (int, error) {
-		if failing {
-			return 0, fail
-		}
-		calls++
-		return int(id) * 2, nil
-	})
-	if s, err := c.Lookup(3); err != nil || s != 6 {
-		t.Fatalf("Lookup = %d, %v", s, err)
-	}
-	if s, err := c.Lookup(3); err != nil || s != 6 || calls != 1 {
-		t.Fatalf("cached Lookup = %d, %v (calls=%d)", s, err, calls)
-	}
-	c.Invalidate(3)
-	c.Invalidate(3) // second invalidation of an absent entry is not counted
-	if _, err := c.Lookup(3); err != nil || calls != 2 {
-		t.Fatalf("post-invalidate Lookup: calls=%d, err=%v", calls, err)
-	}
-	failing = true
-	if _, err := c.Lookup(9); !errors.Is(err, fail) {
-		t.Fatalf("fetch error not surfaced: %v", err)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Invalidations != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }

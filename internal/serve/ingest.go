@@ -360,12 +360,6 @@ func (s *Server) applyDeparture(d dist.Departure) {
 		}
 	}
 	s.depMu.Unlock()
-	if s.onsCache != nil {
-		// The broadcast departure stream doubles as the naming-service
-		// cache's invalidation feed: the object's owner is changing, so
-		// the next lookup re-fetches from the authority.
-		s.onsCache.Invalidate(d.Object)
-	}
 	if s.owner != nil {
 		// A broadcast departure is also a stream-time signal in clustered
 		// mode: a peer whose own sites go quiet must still advance to the

@@ -78,12 +78,9 @@ type PeerStats struct {
 	// split-brain guard's trip counter.
 	FencedArrivals int64 `json:"fenced_arrivals,omitempty"`
 	// SocketBytesSent and SocketBytesRecv count bytes through the peer
-	// HTTP client's connections (migrations out, ONS lookups, responses).
+	// HTTP client's connections (migrations out, gossip, responses).
 	SocketBytesSent int64 `json:"socket_bytes_sent"`
 	SocketBytesRecv int64 `json:"socket_bytes_recv"`
-	// ONSCache reports the network naming-service cache (nil on the ONS
-	// owner peer, which answers locally).
-	ONSCache *dist.ONSCacheStats `json:"ons_cache,omitempty"`
 }
 
 // countConn counts bytes through a peer connection, the measurement behind
@@ -551,9 +548,8 @@ type ONSResponse struct {
 }
 
 // handleONS answers a naming-service lookup from this daemon's ONS
-// mirror. Every peer's mirror is complete (departures broadcast
-// cluster-wide), but by convention peer 0 is the authority the other
-// peers' caches fetch from.
+// mirror, which is complete on every peer because departures broadcast
+// cluster-wide.
 func (s *Server) handleONS(w http.ResponseWriter, r *http.Request) {
 	tag, err := intParam(r, "tag", -1)
 	if err != nil || tag < 0 {
@@ -565,19 +561,6 @@ func (s *Server) handleONS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ONSResponse{Tag: model.TagID(tag), Site: s.cluster.ONSLookup(model.TagID(tag))})
-}
-
-// ONSLookup resolves a tag's owning site: locally on the ONS owner peer
-// (and on any un-clustered daemon), through the invalidating cache — a
-// network fetch against peer 0 on a miss — everywhere else.
-func (s *Server) ONSLookup(tag model.TagID) (int, error) {
-	if int(tag) < 0 || int(tag) >= s.cluster.World.NumTags() {
-		return 0, fmt.Errorf("serve: unknown tag %d", tag)
-	}
-	if s.onsCache != nil {
-		return s.onsCache.Lookup(tag)
-	}
-	return s.cluster.ONSLookup(tag), nil
 }
 
 // ONSLookup resolves a tag's owning site through the daemon's naming

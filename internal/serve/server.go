@@ -260,11 +260,10 @@ type Server struct {
 	// consumer cursor, deterministic across runs and crash recovery.
 	staged [][]stagedMatch
 
-	// peers, owner and onsCache are set only in clustered mode
+	// peers and owner are set only in clustered mode
 	// (len(Config.Peers) > 1); see peer.go.
-	peers    *peerSet
-	owner    []int
-	onsCache *dist.ONSCache
+	peers *peerSet
+	owner []int
 
 	closeMu  sync.RWMutex
 	closed   bool
@@ -371,16 +370,6 @@ func New(c *dist.Cluster, cfg Config) (*Server, error) {
 			fence = fe
 		}
 		s.initGossip(fence)
-		if cfg.Self != 0 {
-			// Peer 0 is the naming-service authority; everyone else runs
-			// the invalidating cache over GET /ons against it. The URL is
-			// resolved per fetch: gossip rebinds slot 0 when a promoted
-			// standby takes it over, and the next cache miss must follow.
-			s.onsCache = dist.NewONSCache(func(tag model.TagID) (int, error) {
-				c := &Client{BaseURL: s.peers.url(0), HTTP: s.peers.hc}
-				return c.ONSLookup(tag)
-			})
-		}
 	}
 	prevQuery, prevWorkers := c.Query, c.Workers
 	c.Workers = cfg.Workers
@@ -832,10 +821,6 @@ func (s *Server) Stats() Stats {
 	}
 	if s.peers != nil {
 		ps := s.peers.stats()
-		if s.onsCache != nil {
-			cs := s.onsCache.Stats()
-			ps.ONSCache = &cs
-		}
 		st.Peers = &ps
 	}
 
