@@ -35,6 +35,10 @@ test:
 # switch back to the log, the finishPage rule for that switch, the
 # SubQueue bound and the log's second wake mechanism (a sync.Cond) stay
 # deleted from subs.go, fanout.go and registry.go.
+# And the state formats have one field codec, model.Writer and model.Reader:
+# the hand-rolled sticky writers and readers of trace, rfinfer, wal and
+# stream, their two copies of the reading-series body and the ONS cache
+# (every peer's ONS mirror is complete) stay deleted.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
@@ -63,6 +67,10 @@ vet:
 		|| { echo "a second replay stream is back in internal/expt; cut traces with dist.Intervals (see above)"; exit 1; }
 	@! grep -n 'lagged\|pushLocked\|popLocked\|finishPage\|everLagged\|SubQueue\|sync\.Cond' internal/serve/subs.go internal/serve/fanout.go internal/serve/registry.go \
 		|| { echo "a subscriber queue or a second wake mechanism is back in the delivery tier; subscribers read the alert log by cursor (see above)"; exit 1; }
+	@! grep -n 'stickyWriter\|stickyReader\|stateWriter\|stateReader\|byteWriter\|byteReader\|simpleByteReader\|encodeSeries\|decodeSeries' internal/trace/*.go internal/rfinfer/*.go internal/wal/*.go internal/stream/*.go | grep -v '_test.go:' \
+		|| { echo "a hand-rolled field codec is back; encode with model.Writer and decode with model.Reader (see above)"; exit 1; }
+	@! grep -rn --include='*.go' 'ONSCache' . | grep -v '_test.go:' \
+		|| { echo "the ONS cache is back; every peer answers /ons from its own complete mirror (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it
@@ -72,9 +80,10 @@ vet:
 race:
 	$(GO) test -race ./internal/workpool/... ./internal/rfinfer/... ./internal/dist/... ./internal/query/... ./internal/serve/... ./internal/wal/... ./internal/stream/...
 
-# Short fuzz sessions over the wire decoders (80 s total budget): migrated
-# state bytes, write-ahead-log records and the three network frames
-# (RFB1 ingest, RFM1 migration, RFS1 WAL shipping — one target per codec's
+# Short fuzz sessions over the wire decoders (90 s total budget): migrated
+# state bytes, snapshot payloads (a standby decodes what its primary
+# ships), write-ahead-log records and the three network frames (RFB1
+# ingest, RFM1 migration, RFS1 WAL shipping — one target per codec's
 # seeds, each feeding every input to all three decoders) must never panic
 # a receiver, and a corrupt WAL tail or frame must be refused cleanly
 # instead of decoding garbage; a JSON ingest body must decode to exactly what encoding/json
@@ -82,6 +91,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeCR' -fuzztime 10s ./internal/rfinfer/
+	$(GO) test -run XXX -fuzz 'FuzzDecodeState' -fuzztime 10s ./internal/wal/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeWALRecord' -fuzztime 10s ./internal/stream/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeBatchFrame$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run XXX -fuzz 'FuzzDecodeMigrationFrame$$' -fuzztime 10s ./internal/stream/
