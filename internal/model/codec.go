@@ -19,7 +19,7 @@ const MaxDecodeElems = 1 << 24
 func DecodeCap(n int) int { return min(n, 4096) }
 
 // Writer encodes the fields every state format here is built from —
-// varints, little-endian 64-bit words, length-prefixed floats and strings,
+// varints, little-endian floats, length-prefixed float lists and strings,
 // and reading series — straight to an io.Writer. The first write error
 // sticks: later writes do nothing and Err reports it.
 type Writer struct {
@@ -62,11 +62,10 @@ func (w *Writer) Uvarint(v uint64) { w.Write(binary.AppendUvarint(w.buf[:0], v))
 // Varint writes v as a zig-zag varint.
 func (w *Writer) Varint(v int64) { w.Write(binary.AppendVarint(w.buf[:0], v)) }
 
-// U64 writes v as eight little-endian bytes.
-func (w *Writer) U64(v uint64) { w.Write(binary.LittleEndian.AppendUint64(w.buf[:0], v)) }
-
-// F64 writes v's IEEE-754 bits as a U64.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+// F64 writes v's IEEE-754 bits as eight little-endian bytes.
+func (w *Writer) F64(v float64) {
+	w.Write(binary.LittleEndian.AppendUint64(w.buf[:0], math.Float64bits(v)))
+}
 
 // Floats writes len(vs) then each value as an F64.
 func (w *Writer) Floats(vs []float64) {
@@ -162,16 +161,13 @@ func (r *Reader) Varint() int64 {
 	return v
 }
 
-// U64 reads eight little-endian bytes.
-func (r *Reader) U64() uint64 {
+// F64 reads a float written by Writer.F64.
+func (r *Reader) F64() float64 {
 	if p := r.Bytes(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
+		return math.Float64frombits(binary.LittleEndian.Uint64(p))
 	}
 	return 0
 }
-
-// F64 reads a float written by Writer.F64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Count reads an element count and refuses one above MaxDecodeElems or
 // above the unread byte count (every element takes at least a byte), with
