@@ -260,6 +260,8 @@ func EncodeState(st *State) ([]byte, error) {
 	return append(out, payload...), nil
 }
 
+// encodeDeparture writes a departure's identity, as the pending-departure
+// and pending-migration sections store it.
 func encodeDeparture(w *model.Writer, d dist.Departure) {
 	w.Uvarint(uint64(uint32(d.Object)))
 	w.Uvarint(uint64(uint32(d.From)))
@@ -267,6 +269,7 @@ func encodeDeparture(w *model.Writer, d dist.Departure) {
 	w.Varint(int64(d.At))
 }
 
+// decodeDeparture reverses encodeDeparture.
 func decodeDeparture(r *model.Reader) dist.Departure {
 	return dist.Departure{
 		Object: model.TagID(r.Uvarint()),
