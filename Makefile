@@ -8,9 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The checkpoint has one fan-out primitive, internal/workpool: the layers
-# it runs through start no worker goroutines of their own, and the three
-# hand-rolled fan-outs it replaced stay gone. Likewise one checkpoint
+# The checkpoint and the restart have one fan-out primitive,
+# internal/workpool: the layers they run through (the restart's per-site
+# replay and engine build included) start no worker goroutines of their
+# own, and the three hand-rolled fan-outs it replaced stay gone. Likewise one checkpoint
 # schedule (the Feed's phases) and one way for a reading to reach a stripe
 # and the log (ingest.go's section path: bulk per admissible stretch, one
 # WAL run record each): the pipelined replay, the fused scheduler, the
@@ -41,7 +42,7 @@ test:
 # (every peer's ONS mirror is complete) stay deleted.
 vet:
 	$(GO) vet ./...
-	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go \
+	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
 		| grep -v '_test.go:' || { echo "checkpoint fan-out outside internal/workpool (see above)"; exit 1; }
 	@! grep -n 'replayPipelined\|siteRunner\|buildPlan\|advanceFused\|checkpointOrder' internal/dist/*.go \
 		|| { echo "a retired checkpoint schedule is back in internal/dist (see above)"; exit 1; }
@@ -124,7 +125,7 @@ bench-dist:
 # ambient GOGC tweak would otherwise masquerade as a perf change).
 BENCH_ENV = GOGC=100
 SERVE_BENCH = BenchmarkIngest$$|BenchmarkReadEvents$$|BenchmarkIngestBatch$$|BenchmarkIngestBin$$|BenchmarkClientIngestBinEncode$$|BenchmarkCheckpoint$$|BenchmarkCheckpointIdle$$|BenchmarkIngestDuringCheckpoint$$|BenchmarkFanout100k$$
-WAL_BENCH = BenchmarkIngestWAL$$|BenchmarkIngestBinWAL$$|BenchmarkRecovery$$|BenchmarkWAL|BenchmarkPromotion$$
+WAL_BENCH = BenchmarkIngestWAL$$|BenchmarkIngestBinWAL$$|BenchmarkRecovery$$|BenchmarkRecoveryCrashRecover$$|BenchmarkWAL|BenchmarkPromotion$$
 
 # Online-runtime benchmarks: sustained ingest throughput into a 4-site
 # cluster (the readings/s metric is the headline number — regressions show
@@ -185,7 +186,7 @@ bench-json:
 # legitimately moves them.
 bench-check:
 	$(BENCH_ENV) $(GO) test -bench '$(SERVE_BENCH)' -benchmem -run XXX ./internal/serve/ | $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 'ReadEvents:ns/op=0.30,Fanout100k=0.35,IngestDuringCheckpoint=0.35,Checkpoint:ns/op=0.30,CheckpointIdle:ns/op=0.30,IngestBin/section512=0.50,IngestBin/bigsection=0.50'
-	$(BENCH_ENV) $(GO) test -bench '$(WAL_BENCH)' -benchmem -run XXX ./internal/serve/ ./internal/wal/ | $(GO) run ./cmd/benchjson -check BENCH_wal.json -tolerance 'Recovery=0.40,Promotion=0.40'
+	$(BENCH_ENV) $(GO) test -bench '$(WAL_BENCH)' -benchmem -run XXX ./internal/serve/ ./internal/wal/ | $(GO) run ./cmd/benchjson -check BENCH_wal.json -tolerance 'Recovery=0.40,RecoveryCrashRecover=0.40,Promotion=0.40'
 	$(BENCH_ENV) $(GO) test -bench '$(HOT_BENCH)' -benchmem -run XXX ./internal/rfinfer/ | $(GO) run ./cmd/benchjson -check BENCH_rfinfer.json -tolerance 'EngineRun:ns/op=0.30,EStep:ns/op=0.30,MStep:ns/op=0.30,CRSearch:ns/op=0.30,PruneCandidates:ns/op=0.30'
 	$(BENCH_ENV) $(GO) test -bench '$(DIST_BENCH)' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -check BENCH_dist.json -tolerance 'FeedAdvanceSkewed/workers=1:ns/op=0.30,FeedAdvanceSkewed/workers=1:readings/s=0.30,FeedAdvanceSkewed/workers=2:ns/op=0.30,FeedAdvanceSkewed/workers=2:readings/s=0.30,FeedAdvanceSkewed/workers=4=0.40,FeedAdvance:ns/op=0.40,FeedAdvance:readings/s=0.40'
 

@@ -88,6 +88,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "deployment seed")
 	)
 	flag.Parse()
+	started := time.Now()
 
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
@@ -108,6 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	layoutTime := time.Since(started)
 	for s, tr := range world.Sites {
 		fmt.Printf("site %d: %d readers, %d cases, %d items\n",
 			s, len(tr.Readers), len(tr.Cases()), len(tr.Items()))
@@ -117,7 +119,9 @@ func main() {
 		c.Baseline = baseline
 		return c
 	}
+	built := time.Now()
 	cluster := newCluster()
+	enginesTime := time.Since(built)
 	scfg := serve.Config{
 		Interval:      model.Epoch(*interval),
 		Horizon:       world.Epochs,
@@ -168,11 +172,13 @@ func main() {
 	}
 	if *dataDir != "" {
 		st := srv.Stats()
-		if st.WAL != nil && (st.WAL.Replayed > 0 || st.WAL.LastSnapshot >= 0) {
-			fmt.Printf("recovered from %s: snapshot boundary %d, %d WAL records replayed, resuming %d checkpoints in\n",
-				*dataDir, st.WAL.LastSnapshot, st.WAL.Replayed, st.Feed.Checkpoints)
+		stages := fmt.Sprintf("start-up: layout %d ms, engines %d ms, snapshot load %.0f ms, replay %.0f ms",
+			layoutTime.Milliseconds(), enginesTime.Milliseconds(), st.WAL.LoadStateMS, st.WAL.ReplayMS)
+		if st.WAL.Replayed > 0 || st.WAL.LastSnapshot >= 0 {
+			fmt.Printf("recovered from %s: snapshot boundary %d, %d WAL records replayed, resuming %d checkpoints in; %s\n",
+				*dataDir, st.WAL.LastSnapshot, st.WAL.Replayed, st.Feed.Checkpoints, stages)
 		} else {
-			fmt.Printf("durable state in %s (fsync %s, snapshot every %d checkpoints)\n", *dataDir, *fsync, *snapEach)
+			fmt.Printf("durable state in %s (fsync %s, snapshot every %d checkpoints); %s\n", *dataDir, *fsync, *snapEach, stages)
 		}
 	}
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -235,18 +236,15 @@ func NewCluster(w *sim.World, strategy Strategy, cfg rfinfer.Config) *Cluster {
 		home:     make([]int, w.NumTags()),
 	}
 	c.Engines = make([]*rfinfer.Engine, len(w.Sites))
-	for s, tr := range w.Sites {
-		eng := rfinfer.New(tr.Likelihood(), cfg)
-		for i := range tr.Tags {
-			switch tr.Tags[i].Kind {
-			case model.KindCase:
-				eng.RegisterContainer(tr.Tags[i].ID)
-			case model.KindItem:
-				eng.RegisterObject(tr.Tags[i].ID)
-			}
+	// The sites' engines share nothing: build them at once, one site per
+	// task, on a pool of up to GOMAXPROCS workers.
+	p := workpool.New(min(len(w.Sites), runtime.GOMAXPROCS(0)))
+	p.For(len(w.Sites), 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			c.Engines[s] = newSiteEngine(w.Sites[s], cfg)
 		}
-		c.Engines[s] = eng
-	}
+	})
+	p.Close()
 	for id, visits := range w.Visits {
 		if len(visits) > 0 {
 			c.home[id] = visits[0].Site
@@ -255,6 +253,23 @@ func NewCluster(w *sim.World, strategy Strategy, cfg rfinfer.Config) *Cluster {
 	}
 	c.deps = WorldDepartures(w)
 	return c
+}
+
+// newSiteEngine builds one site's engine with every case registered as a
+// container and every item as an object, in tag order.
+func newSiteEngine(tr *trace.Trace, cfg rfinfer.Config) *rfinfer.Engine {
+	eng := rfinfer.New(tr.Likelihood(), cfg)
+	tags := make([]rfinfer.TagDecl, 0, len(tr.Tags))
+	for i := range tr.Tags {
+		switch tr.Tags[i].Kind {
+		case model.KindCase:
+			tags = append(tags, rfinfer.TagDecl{ID: tr.Tags[i].ID, Container: true})
+		case model.KindItem:
+			tags = append(tags, rfinfer.TagDecl{ID: tr.Tags[i].ID})
+		}
+	}
+	eng.Register(tags)
+	return eng
 }
 
 // WorldDepartures derives a world's ground-truth item departures from its

@@ -628,25 +628,51 @@ func (e *Engine) allTags(yield func(*tagRec) bool) {
 // Stats returns the hot-path counters of the most recent Run.
 func (e *Engine) Stats() RunStats { return e.stats }
 
+// TagDecl declares one tag to Register: a container when Container is
+// set, an object otherwise.
+type TagDecl struct {
+	ID        model.TagID
+	Container bool
+}
+
+// Register declares tags in order, each exactly as RegisterObject or
+// RegisterContainer would, but files every new record in one allocation,
+// made at the first tag not yet registered and sized for the rest: a
+// site's start-up costs one slab instead of one 512-byte record per tag,
+// and a call that registers nothing allocates nothing. A tag already
+// registered, or declared twice, is skipped.
+func (e *Engine) Register(tags []TagDecl) {
+	var slab []tagRec
+	for i, t := range tags {
+		if e.tag(t.ID) != nil {
+			continue
+		}
+		if len(slab) == cap(slab) {
+			slab = make([]tagRec, 0, len(tags)-i)
+		}
+		slab = slab[:len(slab)+1]
+		rec := &slab[len(slab)-1]
+		rec.id, rec.isContainer, rec.container, rec.addFloor = t.ID, t.Container, -1, epochMax
+		e.setTag(t.ID, rec)
+		if t.Container {
+			e.containers = insertSorted(e.containers, t.ID)
+			// Registration shifts the dense container indices the
+			// flattened co-occurrence index is keyed by.
+			e.contFlatClean = false
+		} else {
+			e.objects = insertSorted(e.objects, t.ID)
+		}
+	}
+}
+
 // RegisterObject declares an object tag. Registering twice is a no-op.
 func (e *Engine) RegisterObject(id model.TagID) {
-	if e.tag(id) != nil {
-		return
-	}
-	e.setTag(id, &tagRec{id: id, container: -1, addFloor: epochMax})
-	e.objects = insertSorted(e.objects, id)
+	e.Register([]TagDecl{{ID: id}})
 }
 
 // RegisterContainer declares a container tag. Registering twice is a no-op.
 func (e *Engine) RegisterContainer(id model.TagID) {
-	if e.tag(id) != nil {
-		return
-	}
-	e.setTag(id, &tagRec{id: id, isContainer: true, container: -1, addFloor: epochMax})
-	e.containers = insertSorted(e.containers, id)
-	// Registration shifts the dense container indices the flattened
-	// co-occurrence index is keyed by.
-	e.contFlatClean = false
+	e.Register([]TagDecl{{ID: id, Container: true}})
 }
 
 // RegisterUntaggedContainer declares a container that carries no tag of its

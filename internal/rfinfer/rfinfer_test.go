@@ -3,6 +3,7 @@ package rfinfer
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -173,6 +174,53 @@ func TestConvergenceProperty(t *testing.T) {
 func TestTagRecSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(tagRec{}); size > 512 {
 		t.Fatalf("tagRec is %d bytes; pack it back under 512 or move cold state out", size)
+	}
+}
+
+// TestRegisterMatchesOneAtATime pins Register against the one-tag calls it
+// generalises: the same records, the same sorted object and container
+// lists, and the same far-id filing (setTag's bound grows with the
+// registered count, so order matters), with every new record of a batch
+// in one slab, and no allocation at all for tags already registered —
+// ImportState re-declares every object's candidate containers.
+func TestRegisterMatchesOneAtATime(t *testing.T) {
+	var decls []TagDecl
+	for i := 0; i < 3000; i++ {
+		decls = append(decls, TagDecl{ID: model.TagID((i * 7919) % 5000), Container: i%9 == 0})
+	}
+	decls = append(decls, TagDecl{ID: 1 << 20}, TagDecl{ID: -3, Container: true}, decls[5], TagDecl{ID: 4999})
+	batch, single := New(testLik(t), DefaultConfig()), New(testLik(t), DefaultConfig())
+	batch.Register(decls)
+	for _, d := range decls {
+		if d.Container {
+			single.RegisterContainer(d.ID)
+		} else {
+			single.RegisterObject(d.ID)
+		}
+	}
+	if !slices.Equal(batch.Objects(), single.Objects()) || !slices.Equal(batch.Containers(), single.Containers()) {
+		t.Fatalf("batch registered %d objects, %d containers; one at a time %d, %d",
+			len(batch.Objects()), len(batch.Containers()), len(single.Objects()), len(single.Containers()))
+	}
+	if len(batch.tags) != len(single.tags) || len(batch.farTags) != len(single.farTags) || len(batch.farTags) == 0 {
+		t.Errorf("dense table %d / %d slots, far records %d / %d", len(batch.tags), len(single.tags), len(batch.farTags), len(single.farTags))
+	}
+	first := batch.tag(decls[0].ID)
+	for _, d := range decls {
+		got, want := batch.tag(d.ID), single.tag(d.ID)
+		if got == nil || got.id != want.id || got.isContainer != want.isContainer || got.container != -1 || got.addFloor != epochMax {
+			t.Fatalf("tag %d: batch record %+v", d.ID, got)
+		}
+		if off := uintptr(unsafe.Pointer(got)) - uintptr(unsafe.Pointer(first)); off%unsafe.Sizeof(tagRec{}) != 0 ||
+			off >= uintptr(len(decls))*unsafe.Sizeof(tagRec{}) {
+			t.Fatalf("tag %d's record is not in the batch's slab", d.ID)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		batch.Register(decls)
+		batch.RegisterContainer(decls[0].ID)
+	}); n != 0 {
+		t.Errorf("re-declaring registered tags allocates %.0f times", n)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
@@ -63,15 +64,22 @@ func (s *Server) recover() error {
 	s.dueAt.Store(math.MaxInt64)
 	s.replaying.Store(true)
 	// The log's reading runs go down the one ingest path as they are read,
-	// views over the segment buffer; with checkpoints suppressed, their
-	// order against the departures cannot matter.
-	replayMax := model.Epoch(-1)
+	// views over the read buffer; with checkpoints suppressed, their order
+	// against the departures cannot matter. Distinct sites' runs arrive
+	// concurrently, each on its own stripe under its lock, so every site
+	// keeps its own highest epoch, merged once the replay is done.
+	siteMax := make([]atomic.Int64, len(s.shards))
+	for i := range siteMax {
+		siteMax[i].Store(-1)
+	}
 	replayErr := l.ReplayRuns(func(site int, run []dist.Reading) error {
 		t, err := s.ingestRun(site, run)
 		if err != nil {
 			s.rejectMisc(len(run), "logged readings refused: %v", err)
+			return nil
 		}
-		replayMax = max(replayMax, t)
+		// Atomic because a record may name another site than its segment.
+		storeMax(&siteMax[site], int64(t))
 		return nil
 	}, func(rec stream.WALRecord) error {
 		switch rec.Kind {
@@ -110,6 +118,10 @@ func (s *Server) recover() error {
 		}
 		return nil
 	})
+	replayMax := model.Epoch(-1)
+	for i := range siteMax {
+		replayMax = max(replayMax, model.Epoch(siteMax[i].Load()))
+	}
 	s.publishTime(replayMax)
 	s.replaying.Store(false)
 	s.dueAt.Store(savedDue)

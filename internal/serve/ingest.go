@@ -15,6 +15,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
@@ -390,6 +391,12 @@ func (s *Server) rejectMisc(n int, format string, args ...any) {
 	s.invMu.Unlock()
 }
 
+// storeMax raises a to v unless it already holds as much.
+func storeMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
+	}
+}
+
 // publishTime folds an epoch into global stream time and wakes the
 // scheduler when a checkpoint became due. An edge publishes its call's
 // highest accepted epoch once, after every run is bucketed, so the
@@ -398,15 +405,7 @@ func (s *Server) publishTime(t model.Epoch) {
 	if t < 0 {
 		return
 	}
-	for {
-		cur := s.maxT.Load()
-		if int64(t) <= cur {
-			break
-		}
-		if s.maxT.CompareAndSwap(cur, int64(t)) {
-			break
-		}
-	}
+	storeMax(&s.maxT, int64(t))
 	if s.checkpointDue() {
 		select {
 		case s.notify <- struct{}{}:

@@ -13,6 +13,7 @@ import (
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/stream"
+	"rfidtrack/internal/wal"
 )
 
 // normAlert is an alert stripped of its Seq and sorted canonically, so
@@ -521,5 +522,62 @@ func TestRecoverTornRunRecord(t *testing.T) {
 	}
 	if err := srv.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverBucketsFollowLog pins what the concurrent replay may reorder
+// and what it may not: the sites' segments replay at once, but every
+// stripe's buckets must hold exactly its site's readings, in the order the
+// serial wal.Log.Replay walks them.
+func TestRecoverBucketsFollowLog(t *testing.T) {
+	w := testWorld(t)
+	// Δ spans the horizon, so nothing seals: every replayed reading stays
+	// in its bucket.
+	cfg := Config{Interval: w.Epochs, Horizon: w.Epochs, SyncEvery: -1, SnapshotEvery: -1, DataDir: t.TempDir()}
+	newServer := func() *Server {
+		srv, err := New(dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := newServer()
+	// The stream in reversed blocks, so that log order is not epoch order.
+	events := WorldEvents(w, dist.WorldDepartures(w))
+	for i := 0; i < len(events); i += 1000 {
+		block := slices.Clone(events[i:min(i+1000, len(events))])
+		slices.Reverse(block)
+		if err := srv.Ingest(block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := wal.Open(cfg.DataDir, len(w.Sites), wal.Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]dist.Reading, len(w.Sites))
+	if err := l.Replay(func(rec stream.WALRecord) error {
+		if rec.Kind == stream.WALReading {
+			want[rec.Site] = append(want[rec.Site], dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	srv = newServer()
+	defer srv.Abort()
+	for site, sh := range srv.shards {
+		sh.mu.Lock()
+		got := sh.exportBufferedLocked()
+		sh.mu.Unlock()
+		if len(want[site]) == 0 || !reflect.DeepEqual(got, want[site]) {
+			t.Errorf("site %d: buckets hold %d readings, want the %d the log holds, in its order", site, len(got), len(want[site]))
+		}
 	}
 }

@@ -198,6 +198,18 @@ func AppendWALRecord(dst []byte, rec WALRecord) []byte {
 	return dst
 }
 
+// WALFrameLen returns the framed size of the record b begins with — the
+// length prefix plus the payload it announces — and false while b is
+// shorter than the frame header. The length is not checked: a streaming
+// reader sizes its buffer by it only after DecodeWALRecord has called the
+// frame partial, which it does only for a plausible length.
+func WALFrameLen(b []byte) (int, bool) {
+	if len(b) < walFrameHeader {
+		return 0, false
+	}
+	return walFrameHeader + int(binary.LittleEndian.Uint32(b)), true
+}
+
 // DecodeWALRecord decodes the first framed record in b, returning the
 // record and the number of bytes consumed. A frame extending past the end
 // of b yields ErrFramePartial (the torn-tail case); a complete frame that

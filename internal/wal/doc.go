@@ -49,11 +49,22 @@
 // the crash — is detected by the CRC framing and truncated at the last
 // valid record; corruption in the middle of a segment stops replay with
 // the same clean truncation (see stream.DecodeWALRecord); a torn run record
-// costs that run, never a byte synced before it. ReplayRuns hands each run on
-// as a []dist.Reading view over the segment's bytes — no decode, no copy —
-// and the caller (internal/serve) re-ingests it through its normal ingest
-// path exactly as it would a frame section, which together with the
-// exactness of the state codecs makes a recovered run bit-identical to one
-// that never crashed. Replay is the same walk with every run expanded into
-// one record per reading.
+// costs that run, never a byte synced before it. A segment streams through
+// one reused read buffer per worker, never read whole; the truncation
+// offset is the one stream.ScanWAL finds over the whole file. ReplayRuns
+// hands each run on as a []dist.Reading view over the buffered bytes — no
+// decode, no copy — and the caller (internal/serve) re-ingests it through
+// its normal ingest path exactly as it would a frame section, which
+// together with the exactness of the state codecs makes a recovered run
+// bit-identical to one that never crashed.
+//
+// ReplayRuns walks the alert, migration and departure segments first, one
+// after another, and emit receives their records on the calling goroutine,
+// in that order. Then the sites replay at once, one task per site on an
+// internal/workpool pool, each walking its own segments generation by
+// generation: run is called concurrently for distinct sites and in log
+// order within a site, so a stripe's buckets come back in exactly its
+// logged order; emit is never called concurrently. Replay is the same walk
+// serialized — every segment in turn on the calling goroutine — with every
+// run expanded into one record per reading.
 package wal

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/stream"
+	"rfidtrack/internal/workpool"
 )
 
 // manifestName is the commit-point file inside a data directory.
@@ -78,6 +81,12 @@ type Stats struct {
 	// Truncated the segments whose torn or corrupt tails were cut back.
 	Replayed  int `json:"replayed"`
 	Truncated int `json:"truncated"`
+	// LoadStateMS is the wall time LoadState spent reading and decoding
+	// the snapshot, ReplayMS the time ReplayRuns spent walking the
+	// segments, handing on their records included: a restart's two
+	// durable-state stages, in milliseconds (0 until they run).
+	LoadStateMS float64 `json:"load_state_ms"`
+	ReplayMS    float64 `json:"replay_ms"`
 }
 
 // segment is one append-only WAL file with a buffered writer. Appends take
@@ -421,40 +430,45 @@ func parseSegmentName(name string) (site, gen int, ok bool) {
 	return site, gen, true
 }
 
-// legacyRun bounds the runs ReplayRuns gathers from per-reading records.
+// legacyRun bounds the runs a replay gathers from per-reading records.
 const legacyRun = 4096
 
-// ReplayRuns walks every segment of the current generation — and of any
-// later generation, which exists only when a crash landed between a
+// scanChunk bounds a replay scanner's read size: a segment streams
+// through a buffer of its own size or of this many bytes, whichever is
+// less. It holds several of the largest reading runs
+// (stream.MaxWALRunReadings), so a run rarely straddles a refill.
+const scanChunk = 4 << 20
+
+// replaySeg is one segment file a replay walks.
+type replaySeg struct {
+	name      string
+	site, gen int
+	size      int64
+}
+
+// replaySegments lists the segments of the current generation — and of
+// any later one, which exists only when a crash landed between a
 // snapshot's segment rotation and its manifest commit: records accepted
 // into the new generation during that window live nowhere else, so
-// skipping them would lose acknowledged events. Each valid reading run goes
-// to run as a view over the segment buffer (dist.ReadingsFromWire), valid
-// only during the call; per-reading records written by earlier releases are
-// gathered into runs, in log order. Every other record goes to emit. A torn
-// or corrupt tail is truncated on disk at the last valid record, so
-// appending can safely resume on the same file. Segment order is
-// deterministic: the alert segment, then the migration segment, then the
-// departure segment, then sites ascending, then generation; a replay
-// consumer must not depend on cross-segment record order beyond that (the
-// serve layer re-buckets by epoch anyway, and restores the alert tail
-// before re-ingesting events).
-func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
+// skipping them would lose acknowledged events — in replay order: the
+// alert segment, the migration segment, the departure segment, then sites
+// ascending, each by generation.
+func (l *Log) replaySegments() ([]replaySeg, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	type seg struct {
-		name      string
-		site, gen int
-	}
-	var segs []seg
+	var segs []replaySeg
 	for _, e := range entries {
 		site, gen, ok := parseSegmentName(e.Name())
 		if !ok || gen < l.manifest.Gen {
 			continue
 		}
-		segs = append(segs, seg{name: e.Name(), site: site, gen: gen})
+		info, err := e.Info()
+		if err != nil {
+			return nil, err
+		}
+		segs = append(segs, replaySeg{name: e.Name(), site: site, gen: gen, size: info.Size()})
 	}
 	sort.Slice(segs, func(i, j int) bool {
 		if segs[i].site != segs[j].site {
@@ -462,81 +476,253 @@ func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(
 		}
 		return segs[i].gen < segs[j].gen
 	})
-	var legacy []dist.Reading // open run of per-reading records, of legacySite
+	return segs, nil
+}
+
+// scanner replays segment files through one reused read buffer, sized by
+// the largest segment it has read up to scanChunk, and past that only for
+// a record larger than itself (a migration payload of up to
+// stream.MaxMigrationPayload).
+type scanner struct {
+	buf    []byte
+	legacy []dist.Reading // the run replay is gathering from per-reading records
+}
+
+// replay walks one segment: each valid reading run goes to run as a view
+// over the read buffer, valid only during the call, per-reading records of
+// earlier releases are gathered into runs of at most legacyRun, and every
+// other record goes to emit. A torn or corrupt tail is truncated on disk at
+// the last valid record — the offset stream.ScanWAL reports over the whole
+// file — so appending can safely resume on the same file.
+func (l *Log) replay(sc *scanner, sg replaySeg, run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
+	path := filepath.Join(l.dir, sg.name)
+	count := 0
 	legacySite := 0
 	flushLegacy := func() error {
-		if len(legacy) == 0 {
+		if len(sc.legacy) == 0 {
 			return nil
 		}
-		err := run(legacySite, legacy)
-		legacy = legacy[:0]
+		err := run(legacySite, sc.legacy)
+		sc.legacy = sc.legacy[:0]
 		return err
 	}
-	for _, sg := range segs {
-		path := filepath.Join(l.dir, sg.name)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		count := 0
-		valid, scanErr := stream.ScanWAL(b, func(rec stream.WALRecord) error {
-			if rec.Kind == stream.WALReading {
-				count++
-				if rec.Site != legacySite || len(legacy) == legacyRun {
-					if err := flushLegacy(); err != nil {
-						return err
-					}
-				}
-				legacySite = rec.Site
-				legacy = append(legacy, dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
-				return nil
-			}
-			if err := flushLegacy(); err != nil {
-				return err
-			}
-			if rec.Kind == stream.WALRun {
-				rs := dist.ReadingsFromWire(rec.Run)
-				count += len(rs)
-				return run(rec.Site, rs)
-			}
+	valid, scanErr := sc.scan(path, sg.size, func(rec stream.WALRecord) error {
+		if rec.Kind == stream.WALReading {
 			count++
-			return emit(rec)
-		})
+			if rec.Site != legacySite || len(sc.legacy) == legacyRun {
+				if err := flushLegacy(); err != nil {
+					return err
+				}
+			}
+			legacySite = rec.Site
+			sc.legacy = append(sc.legacy, dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
+			return nil
+		}
 		if err := flushLegacy(); err != nil {
 			return err
 		}
+		if rec.Kind == stream.WALRun {
+			rs := dist.ReadingsFromWire(rec.Run)
+			count += len(rs)
+			return run(rec.Site, rs)
+		}
+		count++
+		return emit(rec)
+	})
+	if err := flushLegacy(); err != nil {
+		return err
+	}
+	l.statsMu.Lock()
+	l.stats.Replayed += count
+	l.statsMu.Unlock()
+	if scanErr == nil {
+		return nil
+	}
+	if !errors.Is(scanErr, stream.ErrFramePartial) && !errors.Is(scanErr, stream.ErrFrameCorrupt) {
+		return scanErr // a callback or the file failed
+	}
+	// Torn or rotted tail: cut the segment back to its last valid record so
+	// the next generation of appends (or a re-replay) starts from a clean
+	// boundary.
+	if err := os.Truncate(path, valid); err != nil {
+		return fmt.Errorf("wal: truncating %s at %d: %w", sg.name, valid, err)
+	}
+	l.statsMu.Lock()
+	l.stats.Truncated++
+	l.statsMu.Unlock()
+	return nil
+}
+
+// scan is stream.ScanWAL over a file read a buffer at a time: it calls
+// emit for each valid record and returns the offset of the first invalid
+// frame plus the frame error that stopped the scan (nil at a clean end),
+// exactly as ScanWAL does over the whole file; emit's error, or a read
+// error, is returned as is.
+func (sc *scanner) scan(path string, size int64, emit func(stream.WALRecord) error) (valid int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	// At least 4 KiB, so that a read into an empty or tiny segment's
+	// buffer always has room for a frame header.
+	if want := int(min(max(size, 4<<10), scanChunk)); len(sc.buf) < want {
+		sc.buf = make([]byte, want)
+	}
+	var base int64 // file offset of buf[0]
+	lo, hi := 0, 0 // the unread bytes are buf[lo:hi]
+	eof := false
+	for {
+		if lo < hi {
+			rec, n, derr := stream.DecodeWALRecord(sc.buf[lo:hi])
+			if derr == nil {
+				if err := emit(rec); err != nil {
+					return base + int64(lo), err
+				}
+				lo += n
+				continue
+			}
+			if eof || !errors.Is(derr, stream.ErrFramePartial) {
+				return base + int64(lo), derr
+			}
+		} else if eof {
+			return base + int64(lo), nil
+		}
+		// The record at lo is cut short by the buffer's end: move it to the
+		// front, make room for the whole of it, and read on.
+		need := len(sc.buf)
+		if n, ok := stream.WALFrameLen(sc.buf[lo:hi]); ok {
+			need = max(need, n)
+		}
+		base += int64(lo)
+		if need > len(sc.buf) {
+			sc.buf = append(make([]byte, 0, need), sc.buf[lo:hi]...)[:need]
+		} else {
+			copy(sc.buf, sc.buf[lo:hi])
+		}
+		hi -= lo
+		lo = 0
+		n, rerr := io.ReadFull(f, sc.buf[hi:])
+		hi += n
+		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+			eof = true
+		} else if rerr != nil {
+			return base, rerr
+		}
+	}
+}
+
+// ReplayRuns walks every segment replaySegments lists. Each valid reading
+// run goes to run as a view over the read buffer (dist.ReadingsFromWire),
+// valid only during the call; per-reading records written by earlier
+// releases are gathered into runs, in log order. Every other record goes to
+// emit. A torn or corrupt tail is truncated on disk at the last valid
+// record, so appending can safely resume on the same file.
+//
+// The alert, migration and departure segments replay first, in that order,
+// on the calling goroutine. Then every site's segments replay as one task
+// on a worker pool of up to GOMAXPROCS workers, generation by generation:
+// run is called concurrently for distinct sites, never twice at once for
+// one site, and each site's runs arrive in that site's log order. emit is
+// never called concurrently. A replay consumer must not depend on
+// cross-segment record order beyond that (the serve layer re-buckets by
+// epoch anyway, and restores the alert tail and the peer inbox before
+// re-ingesting readings). The first error in site order is returned.
+func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
+	start := time.Now()
+	defer func() {
 		l.statsMu.Lock()
-		l.stats.Replayed += count
+		l.stats.ReplayMS = msSince(start)
 		l.statsMu.Unlock()
-		if scanErr != nil {
-			if !errors.Is(scanErr, stream.ErrFramePartial) && !errors.Is(scanErr, stream.ErrFrameCorrupt) {
-				return scanErr // a callback failed
+	}()
+	segs, err := l.replaySegments()
+	if err != nil {
+		return err
+	}
+	sc := &scanner{}
+	for len(segs) > 0 && segs[0].site < 0 {
+		if err := l.replay(sc, segs[0], run, emit); err != nil {
+			return err
+		}
+		segs = segs[1:]
+	}
+	var sites [][]replaySeg // segs is sorted by site: cut it into one task per site
+	for i := 0; i < len(segs); {
+		j := i + 1
+		for j < len(segs) && segs[j].site == segs[i].site {
+			j++
+		}
+		sites = append(sites, segs[i:j])
+		i = j
+	}
+	if len(sites) == 0 {
+		return nil
+	}
+	var mu sync.Mutex // guards free and serializes emit
+	free := []*scanner{sc}
+	serialEmit := func(rec stream.WALRecord) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return emit(rec)
+	}
+	errs := make([]error, len(sites))
+	pool := workpool.New(min(len(sites), runtime.GOMAXPROCS(0)))
+	defer pool.Close()
+	pool.For(len(sites), 1, func(lo, hi int) {
+		mu.Lock()
+		sc := &scanner{}
+		if n := len(free); n > 0 {
+			sc, free = free[n-1], free[:n-1]
+		}
+		mu.Unlock()
+		for k := lo; k < hi; k++ {
+			for _, sg := range sites[k] {
+				if errs[k] = l.replay(sc, sg, run, serialEmit); errs[k] != nil {
+					break
+				}
 			}
-			// Torn or rotted tail: cut the segment back to its last valid
-			// record so the next generation of appends (or a re-replay)
-			// starts from a clean boundary.
-			if err := os.Truncate(path, int64(valid)); err != nil {
-				return fmt.Errorf("wal: truncating %s at %d: %w", sg.name, valid, err)
-			}
-			l.statsMu.Lock()
-			l.stats.Truncated++
-			l.statsMu.Unlock()
+		}
+		mu.Lock()
+		free = append(free, sc)
+		mu.Unlock()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Replay is ReplayRuns with every reading run expanded into one WALReading
-// record per reading: one emit call per logged event.
+// Replay walks the same segments as ReplayRuns, one after another on the
+// calling goroutine, with every reading run expanded into one WALReading
+// record per reading: one emit call per logged event, in replaySegments'
+// order and each segment's log order.
 func (l *Log) Replay(emit func(stream.WALRecord) error) error {
-	return l.ReplayRuns(func(site int, rs []dist.Reading) error {
+	segs, err := l.replaySegments()
+	if err != nil {
+		return err
+	}
+	expand := func(site int, rs []dist.Reading) error {
 		for _, r := range rs {
 			if err := emit(stream.WALRecord{Kind: stream.WALReading, Site: site, T: r.T, Tag: r.ID, Mask: r.Mask}); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, emit)
+	}
+	sc := &scanner{}
+	for _, sg := range segs {
+		if err := l.replay(sc, sg, expand, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// msSince returns the milliseconds elapsed since t.
+func msSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1e3
 }
 
 // StartAppending opens the current generation's segment files for
@@ -888,6 +1074,12 @@ func (l *Log) LoadState() (st *State, ok bool, err error) {
 	if l.manifest.Snapshot == "" {
 		return nil, false, nil
 	}
+	start := time.Now()
+	defer func() {
+		l.statsMu.Lock()
+		l.stats.LoadStateMS = msSince(start)
+		l.statsMu.Unlock()
+	}()
 	b, err := os.ReadFile(filepath.Join(l.dir, l.manifest.Snapshot))
 	if err != nil {
 		return nil, false, err

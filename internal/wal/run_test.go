@@ -4,7 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"rfidtrack/internal/dist"
@@ -28,18 +30,24 @@ type replayedRun struct {
 	rs   []dist.Reading
 }
 
-// replayRuns reopens dir and collects what ReplayRuns delivers.
+// replayRuns reopens dir and collects what ReplayRuns delivers: the runs
+// site by site (distinct sites replay concurrently, so only each site's
+// own order is defined), each site's in the order delivered.
 func replayRuns(t *testing.T, dir string, sites int) (*Log, []replayedRun, []stream.WALRecord) {
 	t.Helper()
 	l, err := Open(dir, sites, Options{SyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs []replayedRun
+	var mu sync.Mutex
+	bySite := make([][]replayedRun, sites)
 	var others []stream.WALRecord
 	if err := l.ReplayRuns(func(site int, rs []dist.Reading) error {
 		// The view dies with the call: copy.
-		runs = append(runs, replayedRun{site, append([]dist.Reading(nil), rs...)})
+		r := replayedRun{site, append([]dist.Reading(nil), rs...)}
+		mu.Lock()
+		defer mu.Unlock()
+		bySite[site] = append(bySite[site], r)
 		return nil
 	}, func(rec stream.WALRecord) error {
 		others = append(others, rec)
@@ -47,7 +55,7 @@ func replayRuns(t *testing.T, dir string, sites int) (*Log, []replayedRun, []str
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return l, runs, others
+	return l, slices.Concat(bySite...), others
 }
 
 // TestRunRecordRoundTrip pins the reading path of the log: a run is one
