@@ -40,6 +40,11 @@ test:
 # the hand-rolled sticky writers and readers of trace, rfinfer, wal and
 # stream, their two copies of the reading-series body and the ONS cache
 # (every peer's ONS mirror is complete) stay deleted.
+# And the WAL has one segment table: a site's segment and the shared
+# departure, migration and alert segments are entries of wal.Log's segs,
+# rotated by one Rotate and listed by one listSegments, so the per-kind
+# Rotate methods, the Log's named shared-segment fields and the replay-only
+# directory walk stay deleted from internal/wal and internal/serve.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
@@ -72,6 +77,8 @@ vet:
 		|| { echo "a hand-rolled field codec is back; encode with model.Writer and decode with model.Reader (see above)"; exit 1; }
 	@! grep -rn --include='*.go' 'ONSCache' . | grep -v '_test.go:' \
 		|| { echo "the ONS cache is back; every peer answers /ons from its own complete mirror (see above)"; exit 1; }
+	@! grep -n 'RotateSite\|RotateDepartures\|RotateMigrations\|RotateAlerts\|rotateSegment\|replaySegments\|\<l\.\(deps\|migs\|alerts\)\>\|\<\(deps\|migs\|alerts\) \+\*segment' internal/wal/*.go internal/serve/*.go | grep -v '_test.go:' \
+		|| { echo "a per-kind WAL segment field, rotation or directory walk is back; every segment is an entry of wal.Log's table (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

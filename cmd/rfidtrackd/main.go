@@ -153,10 +153,12 @@ func main() {
 		runStandby(newCluster, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter)
 		return
 	}
+	opened := time.Now()
 	srv, err := serve.New(cluster, scfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	newTime := time.Since(opened)
 	if len(scfg.Peers) > 1 {
 		owner := scfg.SiteOwner
 		if owner == nil {
@@ -172,8 +174,8 @@ func main() {
 	}
 	if *dataDir != "" {
 		st := srv.Stats()
-		stages := fmt.Sprintf("start-up: layout %d ms, engines %d ms, snapshot load %.0f ms, replay %.0f ms",
-			layoutTime.Milliseconds(), enginesTime.Milliseconds(), st.WAL.LoadStateMS, st.WAL.ReplayMS)
+		stages := fmt.Sprintf("start-up: layout %d ms, engines %d ms, serve.New %d ms (snapshot load %.0f ms, replay %.0f ms)",
+			layoutTime.Milliseconds(), enginesTime.Milliseconds(), newTime.Milliseconds(), st.WAL.LoadStateMS, st.WAL.ReplayMS)
 		if st.WAL.Replayed > 0 || st.WAL.LastSnapshot >= 0 {
 			fmt.Printf("recovered from %s: snapshot boundary %d, %d WAL records replayed, resuming %d checkpoints in; %s\n",
 				*dataDir, st.WAL.LastSnapshot, st.WAL.Replayed, st.Feed.Checkpoints, stages)

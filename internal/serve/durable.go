@@ -232,7 +232,7 @@ func (s *Server) snapshotLocked() error {
 		sh.mu.Lock()
 		st.Buffered[i] = sh.exportBufferedLocked()
 		st.Shards[i] = wal.ShardCounters{Received: sh.received, Late: sh.late}
-		err := s.wal.RotateSite(i, gen)
+		err := s.wal.Rotate(i, gen)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -240,7 +240,7 @@ func (s *Server) snapshotLocked() error {
 	}
 	s.depMu.Lock()
 	pend := append([]dist.Departure(nil), s.deps...)
-	err := s.wal.RotateDepartures(gen)
+	err := s.wal.Rotate(wal.Departures, gen)
 	s.depMu.Unlock()
 	if err != nil {
 		return err
@@ -255,7 +255,7 @@ func (s *Server) snapshotLocked() error {
 			return merr
 		}
 		st.PendingMigs = migs
-	} else if err := s.wal.RotateMigrations(gen); err != nil {
+	} else if err := s.wal.Rotate(wal.Migrations, gen); err != nil {
 		// The migration segment exists even un-clustered; an unrotated
 		// segment would keep appending into a retired generation.
 		return err
@@ -263,7 +263,7 @@ func (s *Server) snapshotLocked() error {
 	// Alerts published before this cut ride in st.Alerts below; the caller
 	// holds s.mu and publishes run under it, so the rotation and the
 	// export see the same log.
-	if err := s.wal.RotateAlerts(gen); err != nil {
+	if err := s.wal.Rotate(wal.Alerts, gen); err != nil {
 		return err
 	}
 

@@ -211,28 +211,39 @@ func (p *peerSet) Send(d dist.Departure, payload []byte) error {
 		return err
 	}
 	frame := stream.AppendMigrationFrame(nil, d.Object, d.From, d.To, d.At, payload)
+	attempts, err := p.postRetrying(peer, frame, &p.retries)
+	if err == nil {
+		p.sent.Add(1)
+		p.retain(d, frame, peer)
+		return nil
+	}
+	var he *HTTPError
+	if errors.As(err, &he) && he.Status == http.StatusConflict {
+		// The receiver fenced this daemon's epoch: its slot has been
+		// taken over by a promoted standby. Permanent by construction —
+		// retrying cannot make a stale epoch fresh.
+		return fmt.Errorf("serve: migration of object %d (%d->%d at %d) refused by peer %d: %w: %v",
+			d.Object, d.From, d.To, d.At, peer, ErrStaleEpoch, err)
+	}
+	return fmt.Errorf("serve: migration of object %d (%d->%d at %d) to peer %d failed after %d attempts: %w",
+		d.Object, d.From, d.To, d.At, peer, attempts, err)
+}
+
+// postRetrying POSTs frame to the peer's /peer/migrate, retrying Retryable
+// refusals with exponential backoff — 10 ms, doubling until it passes a
+// second — until the retry window closes. It returns the attempts made and
+// the last attempt's error; each retry bumps retries when it is non-nil.
+func (p *peerSet) postRetrying(peer int, frame []byte, retries *atomic.Int64) (int, error) {
 	deadline := time.Now().Add(p.window)
 	backoff := 10 * time.Millisecond
-	for attempt := 0; ; attempt++ {
+	for attempt := 1; ; attempt++ {
 		err := p.post(p.url(peer)+"/peer/migrate", frame)
-		if err == nil {
-			p.sent.Add(1)
-			p.retain(d, frame, peer)
-			return nil
+		if err == nil || !Retryable(err) || time.Now().After(deadline) {
+			return attempt, err
 		}
-		var he *HTTPError
-		if errors.As(err, &he) && he.Status == http.StatusConflict {
-			// The receiver fenced this daemon's epoch: its slot has been
-			// taken over by a promoted standby. Permanent by construction —
-			// retrying cannot make a stale epoch fresh.
-			return fmt.Errorf("serve: migration of object %d (%d->%d at %d) refused by peer %d: %w: %v",
-				d.Object, d.From, d.To, d.At, peer, ErrStaleEpoch, err)
+		if retries != nil {
+			retries.Add(1)
 		}
-		if !Retryable(err) || time.Now().After(deadline) {
-			return fmt.Errorf("serve: migration of object %d (%d->%d at %d) to peer %d failed after %d attempts: %w",
-				d.Object, d.From, d.To, d.At, peer, attempt+1, err)
-		}
-		p.retries.Add(1)
 		time.Sleep(backoff)
 		if backoff < time.Second {
 			backoff *= 2
@@ -267,18 +278,7 @@ func (p *peerSet) resendTo(peer int) {
 	}
 	p.mu.Unlock()
 	for _, frame := range frames {
-		deadline := time.Now().Add(p.window)
-		backoff := 10 * time.Millisecond
-		for {
-			err := p.post(p.url(peer)+"/peer/migrate", frame)
-			if err == nil || !Retryable(err) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(backoff)
-			if backoff < time.Second {
-				backoff *= 2
-			}
-		}
+		_, _ = p.postRetrying(peer, frame, nil) // a failure is dropped, as above
 	}
 }
 
@@ -409,7 +409,7 @@ func (p *peerSet) exportAndRotate(l *wal.Log, gen int) ([]wal.Migration, error) 
 		return cmp.Compare(a.D.To, b.D.To)
 	})
 	if l != nil {
-		if err := l.RotateMigrations(gen); err != nil {
+		if err := l.Rotate(wal.Migrations, gen); err != nil {
 			return nil, err
 		}
 	}

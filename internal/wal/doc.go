@@ -14,13 +14,23 @@
 //	                      start and checked by every later one
 //	site-<s>.<gen>.wal    per-site reading segments (stream.WALRecord frames)
 //	departures.<gen>.wal  the departure segment
+//	migrations.<gen>.wal  inbound peer migration payloads
+//	alerts.<gen>.wal      published alerts, the alert log's tail
 //	snap-<epoch>.snap     full-state snapshots (State, CRC-protected)
+//	FENCE                 the fencing epoch a promoted standby writes
+//
+// A segment is addressed by an id: a site's number, or one of the shared
+// segments' ids Departures, Migrations and Alerts (-1, -2, -3). The Log
+// keeps one table of them, and opens, rotates, commits and closes them all
+// the same way. <gen> is written as six digits or more, and only a name the
+// log writes (segmentName) is a segment: any other file — a copy, a
+// zero-padded site — is never replayed, shipped or retired.
 //
 // Accepted readings append to their site's segment a run at a time — one
 // record per run an ingest call bucketed, its payload the run's 16-byte wire
 // records as the RFB1 frame carried them (stream.WALRun) — under the ingest
-// stripe's lock, so the log order is the bucket order; departures append to
-// the shared departure segment. AppendReadings writes a run as one header,
+// stripe's lock, so the log order is the bucket order; departures,
+// migration payloads and alerts append to their shared segments. AppendReadings writes a run as one header,
 // one CRC and one copy of the caller's bytes; it does no per-reading work.
 // Appends are buffered; a group fsync makes them durable either on a timer
 // (Options.SyncEvery) or before every ingest acknowledgement
@@ -44,8 +54,10 @@
 //
 // # Recovery
 //
-// Recover loads the MANIFEST's snapshot (if any) and replays the segments
-// of the current generation. A segment's torn tail — a frame cut short by
+// Recovery is LoadState, which decodes the MANIFEST's snapshot (if any),
+// then ReplayRuns over the segments of the current generation (and of any
+// later one a crash left uncommitted); the serve layer restores the
+// snapshot into its engines in between. A segment's torn tail — a frame cut short by
 // the crash — is detected by the CRC framing and truncated at the last
 // valid record; corruption in the middle of a segment stops replay with
 // the same clean truncation (see stream.DecodeWALRecord); a torn run record

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,6 +90,19 @@ type Stats struct {
 	LoadStateMS float64 `json:"load_state_ms"`
 	ReplayMS    float64 `json:"replay_ms"`
 }
+
+// Departures, Migrations and Alerts are the ids of the three shared
+// segments. Sites are segments too, with their site number as id, so one id
+// space addresses every segment: in its file name (segmentName), in Rotate
+// and in a follower's replication cursor (SegPos.Site).
+const (
+	Departures = -1 // accepted departure events
+	Migrations = -2 // inbound peer migration payloads
+	Alerts     = -3 // published continuous-query alerts (the delivery tier's durable log)
+)
+
+// sharedStems holds the shared segments' file-name stems, id -1 first.
+var sharedStems = [...]string{"departures", "migrations", "alerts"}
 
 // segment is one append-only WAL file with a buffered writer. Appends take
 // mu; an fsync runs under syncMu alone, so appends never wait on the disk.
@@ -210,20 +225,20 @@ func (s *segment) close(fsync func(*os.File) error) error {
 	return err
 }
 
-// Log manages one data directory: per-site reading segments, the departure
-// segment, the manifest and the snapshot files. Appends are safe for
-// concurrent use (each segment has its own lock); Snapshot, Commit and
-// Close may run concurrently with appends.
+// Log manages one data directory: per-site reading segments, the shared
+// departure, migration and alert segments, the manifest and the snapshot
+// files. Appends are safe for concurrent use (each segment has its own
+// lock); Snapshot, Commit and Close may run concurrently with appends.
 type Log struct {
 	dir  string
 	opts Options
 
 	manifestMu sync.Mutex // guards manifest: the ship handler reads it off-thread
 	manifest   Manifest
-	readings   []*segment // one per site
-	deps       *segment
-	migs       *segment // inbound peer migration payloads
-	alerts     *segment // published continuous-query alerts (the delivery tier's durable log)
+	// segs is the segment table: each site's segment at the site's index,
+	// then the shared segments, Departures first (see seg).
+	segs  []*segment
+	sites int
 
 	statsMu sync.Mutex
 	stats   Stats // slow-path counters; Appended/AppendedBytes live below
@@ -246,10 +261,11 @@ type Log struct {
 }
 
 // Open opens (creating if needed) a data directory for a deployment with
-// the given number of sites. It reads the manifest but does not replay or
-// open segments for appending — call Replay to walk the tail, then
-// StartAppending to begin logging new events. This split lets the caller
-// re-ingest the tail without the replayed records being re-appended.
+// the given number of sites. It reads the manifest but does not recover or
+// open segments for appending — call LoadState and ReplayRuns (or Replay) to
+// recover the snapshot and the tail, then StartAppending to begin logging
+// new events. This split lets the caller re-ingest the tail without the
+// replayed records being re-appended.
 func Open(dir string, sites int, opts Options) (*Log, error) {
 	if sites <= 0 {
 		return nil, fmt.Errorf("wal: need at least one site, got %d", sites)
@@ -258,17 +274,15 @@ func Open(dir string, sites int, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		dir:      dir,
-		opts:     opts.withDefaults(),
-		readings: make([]*segment, sites),
-		deps:     &segment{},
-		migs:     &segment{},
-		alerts:   &segment{},
-		fsync:    (*os.File).Sync,
-		quit:     make(chan struct{}),
+		dir:   dir,
+		opts:  opts.withDefaults(),
+		segs:  make([]*segment, sites+len(sharedStems)),
+		sites: sites,
+		fsync: (*os.File).Sync,
+		quit:  make(chan struct{}),
 	}
-	for s := range l.readings {
-		l.readings[s] = &segment{}
+	for i := range l.segs {
+		l.segs[i] = &segment{}
 	}
 	l.stats.LastSnapshot = -1
 	m, err := readManifest(dir)
@@ -385,49 +399,75 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// segmentName returns a segment file name for the given site (-1 for the
-// departure segment, -2 for the migration segment, -3 for the alert
-// segment) and generation.
-func segmentName(site, gen int) string {
-	if site == -3 {
-		return fmt.Sprintf("alerts.%06d.wal", gen)
+// seg returns segment id's table entry, nil when the log has none.
+func (l *Log) seg(id int) *segment {
+	i := id
+	if id < 0 {
+		i = l.sites - 1 - id
 	}
-	if site == -2 {
-		return fmt.Sprintf("migrations.%06d.wal", gen)
+	if id < Alerts || i >= len(l.segs) {
+		return nil
 	}
-	if site < 0 {
-		return fmt.Sprintf("departures.%06d.wal", gen)
-	}
-	return fmt.Sprintf("site-%d.%06d.wal", site, gen)
+	return l.segs[i]
 }
 
-// parseSegmentName reverses segmentName; ok is false for non-segment files.
-func parseSegmentName(name string) (site, gen int, ok bool) {
-	if !strings.HasSuffix(name, ".wal") {
-		return 0, 0, false
+// segmentName returns the file name of segment id (a site, Departures,
+// Migrations or Alerts; nothing below Alerts) in generation gen.
+func segmentName(id, gen int) string {
+	if id < 0 {
+		return fmt.Sprintf("%s.%06d.wal", sharedStems[-1-id], gen)
 	}
-	base := strings.TrimSuffix(name, ".wal")
+	return fmt.Sprintf("site-%d.%06d.wal", id, gen)
+}
+
+// parseSegmentName reverses segmentName. Only a name segmentName writes is
+// a segment: ok is false for every other file, "site-03.000001.wal" or a
+// copy's "site-0.000001 (copy).wal" included, so replay, shipping and
+// retirement never touch a file the log did not write.
+func parseSegmentName(name string) (id, gen int, ok bool) {
+	base, isWAL := strings.CutSuffix(name, ".wal")
 	dot := strings.LastIndexByte(base, '.')
-	if dot < 0 {
+	if !isWAL || dot < 0 {
 		return 0, 0, false
 	}
-	if _, err := fmt.Sscanf(base[dot+1:], "%d", &gen); err != nil {
+	gen, err := strconv.Atoi(base[dot+1:])
+	if err != nil {
 		return 0, 0, false
 	}
 	stem := base[:dot]
-	if stem == "alerts" {
-		return -3, gen, true
-	}
-	if stem == "migrations" {
-		return -2, gen, true
-	}
-	if stem == "departures" {
-		return -1, gen, true
-	}
-	if _, err := fmt.Sscanf(stem, "site-%d", &site); err != nil || site < 0 {
+	if n, site := strings.CutPrefix(stem, "site-"); site {
+		if id, err = strconv.Atoi(n); err != nil || id < 0 {
+			return 0, 0, false
+		}
+	} else if k := slices.Index(sharedStems[:], stem); k >= 0 {
+		id = -1 - k
+	} else {
 		return 0, 0, false
 	}
-	return site, gen, true
+	return id, gen, segmentName(id, gen) == name
+}
+
+// segKey addresses one segment file: its id and generation.
+type segKey struct{ id, gen int }
+
+// listSegments lists dir's segments of generation minGen and later, in
+// replay order: by id — the alert, migration and departure segments, then
+// the sites ascending — and each id by generation.
+func listSegments(dir string, minGen int) ([]segKey, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []segKey
+	for _, e := range entries {
+		if id, gen, ok := parseSegmentName(e.Name()); ok && gen >= minGen {
+			segs = append(segs, segKey{id, gen})
+		}
+	}
+	slices.SortFunc(segs, func(a, b segKey) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.gen, b.gen))
+	})
+	return segs, nil
 }
 
 // legacyRun bounds the runs a replay gathers from per-reading records.
@@ -438,46 +478,6 @@ const legacyRun = 4096
 // less. It holds several of the largest reading runs
 // (stream.MaxWALRunReadings), so a run rarely straddles a refill.
 const scanChunk = 4 << 20
-
-// replaySeg is one segment file a replay walks.
-type replaySeg struct {
-	name      string
-	site, gen int
-	size      int64
-}
-
-// replaySegments lists the segments of the current generation — and of
-// any later one, which exists only when a crash landed between a
-// snapshot's segment rotation and its manifest commit: records accepted
-// into the new generation during that window live nowhere else, so
-// skipping them would lose acknowledged events — in replay order: the
-// alert segment, the migration segment, the departure segment, then sites
-// ascending, each by generation.
-func (l *Log) replaySegments() ([]replaySeg, error) {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []replaySeg
-	for _, e := range entries {
-		site, gen, ok := parseSegmentName(e.Name())
-		if !ok || gen < l.manifest.Gen {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, replaySeg{name: e.Name(), site: site, gen: gen, size: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].site != segs[j].site {
-			return segs[i].site < segs[j].site
-		}
-		return segs[i].gen < segs[j].gen
-	})
-	return segs, nil
-}
 
 // scanner replays segment files through one reused read buffer, sized by
 // the largest segment it has read up to scanChunk, and past that only for
@@ -494,8 +494,9 @@ type scanner struct {
 // other record goes to emit. A torn or corrupt tail is truncated on disk at
 // the last valid record — the offset stream.ScanWAL reports over the whole
 // file — so appending can safely resume on the same file.
-func (l *Log) replay(sc *scanner, sg replaySeg, run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
-	path := filepath.Join(l.dir, sg.name)
+func (l *Log) replay(sc *scanner, sg segKey, run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
+	name := segmentName(sg.id, sg.gen)
+	path := filepath.Join(l.dir, name)
 	count := 0
 	legacySite := 0
 	flushLegacy := func() error {
@@ -506,7 +507,7 @@ func (l *Log) replay(sc *scanner, sg replaySeg, run func(site int, rs []dist.Rea
 		sc.legacy = sc.legacy[:0]
 		return err
 	}
-	valid, scanErr := sc.scan(path, sg.size, func(rec stream.WALRecord) error {
+	valid, scanErr := sc.scan(path, func(rec stream.WALRecord) error {
 		if rec.Kind == stream.WALReading {
 			count++
 			if rec.Site != legacySite || len(sc.legacy) == legacyRun {
@@ -545,7 +546,7 @@ func (l *Log) replay(sc *scanner, sg replaySeg, run func(site int, rs []dist.Rea
 	// the next generation of appends (or a re-replay) starts from a clean
 	// boundary.
 	if err := os.Truncate(path, valid); err != nil {
-		return fmt.Errorf("wal: truncating %s at %d: %w", sg.name, valid, err)
+		return fmt.Errorf("wal: truncating %s at %d: %w", name, valid, err)
 	}
 	l.statsMu.Lock()
 	l.stats.Truncated++
@@ -558,15 +559,19 @@ func (l *Log) replay(sc *scanner, sg replaySeg, run func(site int, rs []dist.Rea
 // frame plus the frame error that stopped the scan (nil at a clean end),
 // exactly as ScanWAL does over the whole file; emit's error, or a read
 // error, is returned as is.
-func (sc *scanner) scan(path string, size int64, emit func(stream.WALRecord) error) (valid int64, err error) {
+func (sc *scanner) scan(path string, emit func(stream.WALRecord) error) (valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
 	// At least 4 KiB, so that a read into an empty or tiny segment's
 	// buffer always has room for a frame header.
-	if want := int(min(max(size, 4<<10), scanChunk)); len(sc.buf) < want {
+	if want := int(min(max(fi.Size(), 4<<10), scanChunk)); len(sc.buf) < want {
 		sc.buf = make([]byte, want)
 	}
 	var base int64 // file offset of buf[0]
@@ -612,7 +617,11 @@ func (sc *scanner) scan(path string, size int64, emit func(stream.WALRecord) err
 	}
 }
 
-// ReplayRuns walks every segment replaySegments lists. Each valid reading
+// ReplayRuns walks the segments of the manifest's generation — and of any
+// later one, which exists only when a crash landed between a snapshot's
+// segment rotation and its manifest commit: records accepted into the new
+// generation during that window live nowhere else, so skipping them would
+// lose acknowledged events — in listSegments' order. Each valid reading
 // run goes to run as a view over the read buffer (dist.ReadingsFromWire),
 // valid only during the call; per-reading records written by earlier
 // releases are gathered into runs, in log order. Every other record goes to
@@ -635,21 +644,21 @@ func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(
 		l.stats.ReplayMS = msSince(start)
 		l.statsMu.Unlock()
 	}()
-	segs, err := l.replaySegments()
+	segs, err := listSegments(l.dir, l.manifest.Gen)
 	if err != nil {
 		return err
 	}
 	sc := &scanner{}
-	for len(segs) > 0 && segs[0].site < 0 {
+	for len(segs) > 0 && segs[0].id < 0 {
 		if err := l.replay(sc, segs[0], run, emit); err != nil {
 			return err
 		}
 		segs = segs[1:]
 	}
-	var sites [][]replaySeg // segs is sorted by site: cut it into one task per site
+	var sites [][]segKey // segs is sorted by id: cut it into one task per site
 	for i := 0; i < len(segs); {
 		j := i + 1
-		for j < len(segs) && segs[j].site == segs[i].site {
+		for j < len(segs) && segs[j].id == segs[i].id {
 			j++
 		}
 		sites = append(sites, segs[i:j])
@@ -696,10 +705,10 @@ func (l *Log) ReplayRuns(run func(site int, rs []dist.Reading) error, emit func(
 
 // Replay walks the same segments as ReplayRuns, one after another on the
 // calling goroutine, with every reading run expanded into one WALReading
-// record per reading: one emit call per logged event, in replaySegments'
+// record per reading: one emit call per logged event, in listSegments'
 // order and each segment's log order.
 func (l *Log) Replay(emit func(stream.WALRecord) error) error {
-	segs, err := l.replaySegments()
+	segs, err := listSegments(l.dir, l.manifest.Gen)
 	if err != nil {
 		return err
 	}
@@ -725,44 +734,19 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1e3
 }
 
-// StartAppending opens the current generation's segment files for
-// appending (creating them if missing) and starts the group-fsync timer.
-// Call it after Replay; records appended from here on extend the same
-// generation the manifest names.
+// StartAppending opens every segment's file of the current generation for
+// appending (creating it if missing) and starts the group-fsync timer. Call
+// it after recovery (LoadState and ReplayRuns); records appended from here
+// on extend the same generation the manifest names.
 func (l *Log) StartAppending() error {
-	open := func(site int) (*os.File, error) {
-		return os.OpenFile(filepath.Join(l.dir, segmentName(site, l.manifest.Gen)),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	}
-	for s, sg := range l.readings {
-		f, err := open(s)
-		if err != nil {
+	for i := range l.segs {
+		id := i
+		if i >= l.sites {
+			id = l.sites - 1 - i // the inverse of seg's index
+		}
+		if err := l.Rotate(id, l.manifest.Gen); err != nil {
 			return err
 		}
-		if err := sg.swap(f, l.fsync); err != nil {
-			return err
-		}
-	}
-	f, err := open(-1)
-	if err != nil {
-		return err
-	}
-	if err := l.deps.swap(f, l.fsync); err != nil {
-		return err
-	}
-	f, err = open(-2)
-	if err != nil {
-		return err
-	}
-	if err := l.migs.swap(f, l.fsync); err != nil {
-		return err
-	}
-	f, err = open(-3)
-	if err != nil {
-		return err
-	}
-	if err := l.alerts.swap(f, l.fsync); err != nil {
-		return err
 	}
 	if l.opts.SyncEvery > 0 {
 		l.syncerDone = make(chan struct{})
@@ -792,12 +776,12 @@ func (l *Log) syncer() {
 // the log order remains the bucket order and snapshot rotation still cleanly
 // partitions the records. batch is not retained.
 func (l *Log) AppendReadings(site int, batch []dist.Reading) error {
-	if site < 0 || site >= len(l.readings) {
-		return fmt.Errorf("wal: site %d out of range [0,%d)", site, len(l.readings))
+	if site < 0 || site >= l.sites {
+		return fmt.Errorf("wal: site %d out of range [0,%d)", site, l.sites)
 	}
 	for len(batch) > 0 {
 		k := min(len(batch), stream.MaxWALRunReadings)
-		n, err := l.readings[site].appendRun(site, dist.ReadingsToWire(batch[:k]))
+		n, err := l.segs[site].appendRun(site, dist.ReadingsToWire(batch[:k]))
 		if err != nil {
 			return err
 		}
@@ -809,11 +793,9 @@ func (l *Log) AppendReadings(site int, batch []dist.Reading) error {
 	return nil
 }
 
-// AppendDeparture logs one accepted departure event.
-func (l *Log) AppendDeparture(d dist.Departure) error {
-	n, err := l.deps.append(stream.WALRecord{
-		Kind: stream.WALDepart, Object: d.Object, From: d.From, To: d.To, At: d.At,
-	})
+// appendRecord logs one record to shared segment id and counts it.
+func (l *Log) appendRecord(id int, rec stream.WALRecord) error {
+	n, err := l.seg(id).append(rec)
 	if err != nil {
 		return err
 	}
@@ -823,22 +805,22 @@ func (l *Log) AppendDeparture(d dist.Departure) error {
 	return nil
 }
 
+// AppendDeparture logs one accepted departure event.
+func (l *Log) AppendDeparture(d dist.Departure) error {
+	return l.appendRecord(Departures, stream.WALRecord{
+		Kind: stream.WALDepart, Object: d.Object, From: d.From, To: d.To, At: d.At,
+	})
+}
+
 // AppendMigration logs one inbound migration payload accepted from a peer,
 // keyed by its departure identity. The serve layer commits (fsyncs) before
 // acknowledging the peer's POST — the sender stops re-sending once acked,
 // so the payload must already be durable at that point.
 func (l *Log) AppendMigration(d dist.Departure, payload []byte) error {
-	n, err := l.migs.append(stream.WALRecord{
+	return l.appendRecord(Migrations, stream.WALRecord{
 		Kind: stream.WALMigration, Object: d.Object, From: d.From, To: d.To, At: d.At,
 		Payload: payload,
 	})
-	if err != nil {
-		return err
-	}
-	l.appendSeq.Add(1)
-	l.appended.Add(1)
-	l.appendedBytes.Add(int64(n))
-	return nil
 }
 
 // AppendAlert logs one published alert to the alert segment. The serve
@@ -847,17 +829,10 @@ func (l *Log) AppendMigration(d dist.Departure, payload []byte) error {
 // invariant that lets recovery reassign Seq by position when replaying the
 // post-snapshot tail.
 func (l *Log) AppendAlert(a Alert) error {
-	n, err := l.alerts.append(stream.WALRecord{
+	return l.appendRecord(Alerts, stream.WALRecord{
 		Kind: stream.WALAlert, Site: a.Site, Tag: a.Tag,
 		T: a.First, At: a.Last, Pattern: a.Pattern, Values: a.Values,
 	})
-	if err != nil {
-		return err
-	}
-	l.appendSeq.Add(1)
-	l.appended.Add(1)
-	l.appendedBytes.Add(int64(n))
-	return nil
 }
 
 // Strict reports whether acknowledgements must wait for Commit.
@@ -881,26 +856,11 @@ func (l *Log) Commit() error {
 	}
 	covered := l.appendSeq.Load()
 	var err error
-	for _, sg := range l.readings {
+	for _, sg := range l.segs {
 		if !sg.dirty.Load() {
 			continue
 		}
 		if serr := sg.sync(l.fsync); err == nil {
-			err = serr
-		}
-	}
-	if l.deps.dirty.Load() {
-		if serr := l.deps.sync(l.fsync); err == nil {
-			err = serr
-		}
-	}
-	if l.migs.dirty.Load() {
-		if serr := l.migs.sync(l.fsync); err == nil {
-			err = serr
-		}
-	}
-	if l.alerts.dirty.Load() {
-		if serr := l.alerts.sync(l.fsync); err == nil {
 			err = serr
 		}
 	}
@@ -923,53 +883,28 @@ func (l *Log) Commit() error {
 // a fresh generation.
 func (l *Log) NextGen() int {
 	gen := l.manifest.Gen
-	if entries, err := os.ReadDir(l.dir); err == nil {
-		for _, e := range entries {
-			if _, g, ok := parseSegmentName(e.Name()); ok && g > gen {
-				gen = g
-			}
-		}
+	segs, _ := listSegments(l.dir, gen) // on a read error, the manifest's generation alone
+	for _, sg := range segs {
+		gen = max(gen, sg.gen)
 	}
 	return gen + 1
 }
 
-// RotateSite switches one site's segment to generation gen. The serve
-// scheduler calls it while holding that site's ingest stripe lock — the
-// same lock appends take — so the rotation point cleanly partitions the
-// site's records between the snapshot (which captures the stripe's buffer
-// at the same instant) and the new generation.
-func (l *Log) RotateSite(site, gen int) error {
-	if site < 0 || site >= len(l.readings) {
-		return fmt.Errorf("wal: site %d out of range [0,%d)", site, len(l.readings))
+// Rotate switches segment id — a site, Departures, Migrations or Alerts —
+// to generation gen: it opens that generation's file and swaps it in,
+// flushing, syncing and closing the old one. A snapshot rotates each
+// segment while holding the lock its appenders take — a site's ingest
+// stripe lock, the departure-buffer lock, the peer inbox's lock, the
+// scheduler lock alerts publish under — so the rotation point cleanly
+// partitions the segment's records between the snapshot, which captures
+// the same buffer, inbox or alert log at the same instant, and the new
+// generation.
+func (l *Log) Rotate(id, gen int) error {
+	sg := l.seg(id)
+	if sg == nil {
+		return fmt.Errorf("wal: no segment %d (sites [0,%d) and %d..%d)", id, l.sites, Alerts, Departures)
 	}
-	return l.rotateSegment(l.readings[site], site, gen)
-}
-
-// RotateDepartures switches the departure segment to generation gen; the
-// caller holds the departure-buffer lock, mirroring RotateSite.
-func (l *Log) RotateDepartures(gen int) error {
-	return l.rotateSegment(l.deps, -1, gen)
-}
-
-// RotateMigrations switches the migration segment to generation gen; the
-// caller quiesces the peer inbox across the rotation, mirroring
-// RotateDepartures, and carries the unconsumed inbox inside the snapshot.
-func (l *Log) RotateMigrations(gen int) error {
-	return l.rotateSegment(l.migs, -2, gen)
-}
-
-// RotateAlerts switches the alert segment to generation gen. The serve
-// scheduler calls it while holding its scheduler lock — the lock alert
-// publishes run under — so alerts published before the cut ride in the
-// snapshot's alert log and alerts after it land in the new generation.
-func (l *Log) RotateAlerts(gen int) error {
-	return l.rotateSegment(l.alerts, -3, gen)
-}
-
-// rotateSegment opens the new generation's file and swaps it in, flushing
-// and closing the old one.
-func (l *Log) rotateSegment(sg *segment, site, gen int) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(site, gen)),
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(id, gen)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -1007,7 +942,7 @@ func (l *Log) Snapshot(st *State, gen int) error {
 	}); err != nil {
 		return err
 	}
-	l.retire(name, gen)
+	retireFiles(l.dir, name, gen)
 	l.statsMu.Lock()
 	l.stats.Snapshots++
 	l.stats.LastSnapshot = st.Boundary
@@ -1015,16 +950,12 @@ func (l *Log) Snapshot(st *State, gen int) error {
 	return nil
 }
 
-// retire deletes segments of generations before keepGen and snapshots
-// other than keepSnap. Failures are ignored: stale files are re-retired by
-// the next snapshot and never consulted by recovery (the manifest is the
-// only source of truth).
-func (l *Log) retire(keepSnap string, keepGen int) {
-	retireFiles(l.dir, keepSnap, keepGen)
-}
-
-// retireFiles implements retire for any data directory; the replication
-// Receiver applies the same policy after committing a shipped manifest.
+// retireFiles deletes dir's segments of generations before keepGen, its
+// snapshots other than keepSnap and its temp files. Failures are ignored:
+// stale files are re-retired by the next snapshot and never consulted by
+// recovery (the manifest is the only source of truth). The Log retires
+// after committing a snapshot, the replication Receiver after committing a
+// shipped manifest.
 func retireFiles(dir, keepSnap string, keepGen int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -1104,19 +1035,10 @@ func (l *Log) Close() error {
 		if l.syncerDone != nil {
 			<-l.syncerDone
 		}
-		for _, sg := range l.readings {
+		for _, sg := range l.segs {
 			if cerr := sg.close(l.fsync); err == nil {
 				err = cerr
 			}
-		}
-		if cerr := l.deps.close(l.fsync); err == nil {
-			err = cerr
-		}
-		if cerr := l.migs.close(l.fsync); err == nil {
-			err = cerr
-		}
-		if cerr := l.alerts.close(l.fsync); err == nil {
-			err = cerr
 		}
 	})
 	return err

@@ -6,8 +6,9 @@
 // same order the recovery path consumes them. The follower side (Receiver)
 // applies those frames with plain WriteAt contiguity checks and commits
 // the manifest only after fsyncing everything before it — so at every
-// instant the follower's directory is one a normal `wal.Open` + `Replay`
-// can recover, which is exactly what promotion does.
+// instant the follower's directory is one a normal recovery (`wal.Open`,
+// then `LoadState` and `ReplayRuns`) can recover, which is exactly what
+// promotion does.
 package wal
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -36,8 +36,8 @@ const DefaultShipBudget = 4 << 20
 
 // SegPos is a follower's byte offset into one WAL segment.
 type SegPos struct {
-	// Site and Gen address the segment (site -1/-2/-3 are the
-	// departure/migration/alert segments, matching segmentName).
+	// Site and Gen address the segment: Site is a site or one of the
+	// shared segment ids Departures, Migrations and Alerts.
 	Site int `json:"site"`
 	Gen  int `json:"gen"`
 	// Off is the follower's current size of that segment file.
@@ -108,40 +108,23 @@ func (l *Log) ShipDelta(dst []byte, pos ShipPos, maxBytes int) ([]byte, error) {
 		}
 	}
 
-	offs := make(map[[2]int]int64, len(pos.Segs))
-	known := make(map[[2]int]bool, len(pos.Segs))
+	offs := make(map[segKey]int64, len(pos.Segs))
 	for _, sp := range pos.Segs {
-		offs[[2]int{sp.Site, sp.Gen}] = sp.Off
-		known[[2]int{sp.Site, sp.Gen}] = true
+		offs[segKey{sp.Site, sp.Gen}] = sp.Off
 	}
-	entries, err := os.ReadDir(l.dir)
+	segs, err := listSegments(l.dir, m.Gen)
 	if err != nil {
 		return dst, err
 	}
-	type seg struct{ site, gen int }
-	var segs []seg
-	for _, e := range entries {
-		site, gen, ok := parseSegmentName(e.Name())
-		if !ok || gen < m.Gen {
-			continue
-		}
-		segs = append(segs, seg{site, gen})
-	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].site != segs[j].site {
-			return segs[i].site < segs[j].site
-		}
-		return segs[i].gen < segs[j].gen
-	})
 	for _, sg := range segs {
 		if budget <= 0 {
 			complete = false
 			break
 		}
+		off, known := offs[sg]
 		var done bool
-		var err error
-		dst, done, budget, err = shipSegment(dst, filepath.Join(l.dir, segmentName(sg.site, sg.gen)),
-			sg.site, sg.gen, offs[[2]int{sg.site, sg.gen}], known[[2]int{sg.site, sg.gen}], budget)
+		dst, done, budget, err = shipSegment(dst, filepath.Join(l.dir, segmentName(sg.id, sg.gen)),
+			sg.id, sg.gen, off, known, budget)
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
 				complete = false // retired by a concurrent snapshot commit
@@ -246,9 +229,6 @@ func shipSnapshot(dst []byte, path string, boundary int, resume int64, budget in
 	}
 	return dst, true, budget, nil
 }
-
-// segKey addresses one open follower segment file.
-type segKey struct{ site, gen int }
 
 // Receiver applies a primary's shipped frames to a follower data
 // directory, keeping it recoverable at every instant: chunk writes are
@@ -364,6 +344,9 @@ func (r *Receiver) openSegment(site, gen int) (*os.File, error) {
 	key := segKey{site, gen}
 	if f := r.files[key]; f != nil {
 		return f, nil
+	}
+	if site < Alerts {
+		return nil, fmt.Errorf("wal: no segment %d", site)
 	}
 	f, err := os.OpenFile(filepath.Join(r.dir, segmentName(site, gen)), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {

@@ -158,10 +158,10 @@ func TestShipSnapshotAndRotation(t *testing.T) {
 	}
 
 	gen := l.NextGen()
-	if err := l.RotateSite(0, gen); err != nil {
+	if err := l.Rotate(0, gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RotateDepartures(gen); err != nil {
+	if err := l.Rotate(Departures, gen); err != nil {
 		t.Fatal(err)
 	}
 	if err := appendOne(l, 0, 300, 2, 1); err != nil {
@@ -223,7 +223,7 @@ func TestShipSmallBudgetResume(t *testing.T) {
 
 	// A snapshot commit mid-stream: the follower crosses it too.
 	gen := l.NextGen()
-	if err := l.RotateSite(0, gen); err != nil {
+	if err := l.Rotate(0, gen); err != nil {
 		t.Fatal(err)
 	}
 	st := &State{Boundary: 300, StreamTime: 299, Feed: dist.FeedState{Next: 300}}

@@ -182,10 +182,10 @@ func TestSnapshotRotationRetires(t *testing.T) {
 		}
 	}
 	gen := l.NextGen()
-	if err := l.RotateSite(0, gen); err != nil {
+	if err := l.Rotate(0, gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RotateDepartures(gen); err != nil {
+	if err := l.Rotate(Departures, gen); err != nil {
 		t.Fatal(err)
 	}
 	// Post-rotation appends land in the new generation and must survive.
@@ -228,10 +228,10 @@ func TestCrashBetweenRotateAndCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := l.NextGen()
-	if err := l.RotateSite(0, gen); err != nil {
+	if err := l.Rotate(0, gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RotateDepartures(gen); err != nil {
+	if err := l.Rotate(Departures, gen); err != nil {
 		t.Fatal(err)
 	}
 	if err := appendOne(l, 0, 20, 2, 1); err != nil { // gen 2, acked
@@ -254,10 +254,10 @@ func TestCrashBetweenRotateAndCommit(t *testing.T) {
 	}
 	st := &State{Boundary: 300, StreamTime: 299, Feed: dist.FeedState{Next: 300}}
 	gen = l2.NextGen()
-	if err := l2.RotateSite(0, gen); err != nil {
+	if err := l2.Rotate(0, gen); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.RotateDepartures(gen); err != nil {
+	if err := l2.Rotate(Departures, gen); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Snapshot(st, gen); err != nil {
@@ -357,7 +357,7 @@ func TestAppendDuringFsync(t *testing.T) {
 		go func() { c <- f() }()
 		return c
 	}
-	sg := l.readings[0]
+	sg := l.segs[0]
 
 	if err := appendOne(l, 0, 1, 1, 1); err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestAppendDuringFsync(t *testing.T) {
 	release = holdNext()
 	committed = async(l.Commit)
 	<-entered
-	rotated := async(func() error { return l.RotateSite(0, l.NextGen()) })
+	rotated := async(func() error { return l.Rotate(0, l.NextGen()) })
 	select {
 	case err := <-rotated:
 		t.Fatalf("a rotation returned (%v) while the segment's fsync was in flight", err)
