@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,6 +38,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os/signal"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"syscall"
@@ -89,6 +92,7 @@ func main() {
 	)
 	flag.Parse()
 	started := time.Now()
+	release := holdCollector()
 
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
@@ -119,9 +123,6 @@ func main() {
 		c.Baseline = baseline
 		return c
 	}
-	built := time.Now()
-	cluster := newCluster()
-	enginesTime := time.Since(built)
 	scfg := serve.Config{
 		Interval:      model.Epoch(*interval),
 		Horizon:       world.Epochs,
@@ -150,15 +151,20 @@ func main() {
 		}
 	}
 	if *standbyFor != "" {
-		runStandby(newCluster, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter)
+		runStandby(newCluster, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter, release)
 		return
 	}
+	built := time.Now()
+	cluster := newCluster()
+	enginesTime := time.Since(built)
 	opened := time.Now()
 	srv, err := serve.New(cluster, scfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	newTime := time.Since(opened)
+	startGCs := gcCycles()
+	release()
 	if len(scfg.Peers) > 1 {
 		owner := scfg.SiteOwner
 		if owner == nil {
@@ -174,8 +180,8 @@ func main() {
 	}
 	if *dataDir != "" {
 		st := srv.Stats()
-		stages := fmt.Sprintf("start-up: layout %d ms, engines %d ms, serve.New %d ms (snapshot load %.0f ms, replay %.0f ms)",
-			layoutTime.Milliseconds(), enginesTime.Milliseconds(), newTime.Milliseconds(), st.WAL.LoadStateMS, st.WAL.ReplayMS)
+		stages := fmt.Sprintf("start-up: layout %d ms, engines %d ms, serve.New %d ms (snapshot load %.0f ms, replay %.0f ms), gc %d",
+			layoutTime.Milliseconds(), enginesTime.Milliseconds(), newTime.Milliseconds(), st.WAL.LoadStateMS, st.WAL.ReplayMS, startGCs)
 		if st.WAL.Replayed > 0 || st.WAL.LastSnapshot >= 0 {
 			fmt.Printf("recovered from %s: snapshot boundary %d, %d WAL records replayed, resuming %d checkpoints in; %s\n",
 				*dataDir, st.WAL.LastSnapshot, st.WAL.Replayed, st.Feed.Checkpoints, stages)
@@ -339,6 +345,26 @@ func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.Worl
 	return world, baseline, nil
 }
 
+// holdCollector turns the garbage collector off for the start-up and returns
+// the release that turns it back on. Nearly everything a start allocates —
+// the layout, the engines, the recovered state — stays live, so collections
+// before the daemon is ready would only rescan it while it grows and take a
+// core from building it. The release restores the GC percent the hold
+// replaced, so GOGC governs the daemon from ready onward; GOMEMLIMIT, if
+// set, still bounds the start-up, since a memory limit collects even with
+// the percent off. Only the first call of the release does anything.
+func holdCollector() (release func()) {
+	prior := debug.SetGCPercent(-1)
+	return sync.OnceFunc(func() { debug.SetGCPercent(prior) })
+}
+
+// gcCycles returns the collector cycles the process has completed.
+func gcCycles() uint64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // runStandby runs the daemon as a warm standby: it tails the primary's
 // WAL over /repl/subscribe into scfg.DataDir and serves only the standby
 // control surface (/repl/status, /promote, /healthz) until promotion, at
@@ -346,30 +372,8 @@ func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.Worl
 // Build closure builds the cluster from the same deployment flags — over the
 // world this process already holds — so the promoted inference state machine
 // matches the one that died.
-func runStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration) {
-	if scfg.DataDir == "" {
-		log.Fatal("standby mode requires -data-dir (the shipped WAL lands there)")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	self := strings.TrimRight(selfURL, "/")
-	if self == "" {
-		self = "http://" + ln.Addr().String()
-	}
-	st, err := serve.NewStandby(serve.StandbyConfig{
-		Primary:      strings.TrimRight(primary, "/"),
-		Dir:          scfg.DataDir,
-		Self:         self,
-		ForPeer:      forPeer,
-		Peers:        scfg.Peers,
-		ShipInterval: shipEvery,
-		DeadAfter:    deadAfter,
-		Build: func() (*dist.Cluster, serve.Config, error) {
-			return newCluster(), scfg, nil
-		},
-	})
+func runStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration, release func()) {
+	st, ln, err := startStandby(newCluster, scfg, primary, selfURL, addr, forPeer, shipEvery, deadAfter, release)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -402,6 +406,41 @@ func runStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, sel
 	status := st.Status()
 	fmt.Printf("standby exit: promoted=%v, shipped %d bytes, primary epoch %d at stream time %d\n",
 		status.Promoted, status.ShippedBytes, status.PrimaryEpoch, status.PrimaryStream)
+}
+
+// startStandby is runStandby's start-up: it ends it with release, before
+// listening on addr, so a standby that waits on its primary for hours does
+// so with the collector on; then it starts the standby's ship loop.
+func startStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration, release func()) (*serve.Standby, net.Listener, error) {
+	if scfg.DataDir == "" {
+		return nil, nil, errors.New("standby mode requires -data-dir (the shipped WAL lands there)")
+	}
+	release()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	self := strings.TrimRight(selfURL, "/")
+	if self == "" {
+		self = "http://" + ln.Addr().String()
+	}
+	st, err := serve.NewStandby(serve.StandbyConfig{
+		Primary:      strings.TrimRight(primary, "/"),
+		Dir:          scfg.DataDir,
+		Self:         self,
+		ForPeer:      forPeer,
+		Peers:        scfg.Peers,
+		ShipInterval: shipEvery,
+		DeadAfter:    deadAfter,
+		Build: func() (*dist.Cluster, serve.Config, error) {
+			return newCluster(), scfg, nil
+		},
+	})
+	if err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	return st, ln, nil
 }
 
 // runDemo streams the deployment's own simulated world into the daemon

@@ -2,11 +2,14 @@ package main
 
 import (
 	"context"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"rfidtrack/internal/dist"
 	"rfidtrack/internal/model"
@@ -235,5 +238,59 @@ func TestMemoryOnlyStartIsLayout(t *testing.T) {
 	}
 	if w, _, err := openWorld(dep, "", true); err != nil || numReadings(w) == 0 {
 		t.Errorf("-demo without a data directory: %d readings, err %v", numReadings(w), err)
+	}
+}
+
+// TestHoldCollector: the start-up's hold turns the collector off, its
+// release puts back whatever percent the hold replaced — a GOGC value or
+// off — exactly once, and the standby path releases before it listens, so a
+// standby that cannot listen has already given the collector back.
+func TestHoldCollector(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	for _, prior := range []int{77, -1} {
+		debug.SetGCPercent(prior)
+		release := holdCollector()
+		if got := debug.SetGCPercent(-1); got != -1 {
+			t.Errorf("prior %d: inside the hold the GC percent is %d, want -1", prior, got)
+		}
+		release()
+		if got := debug.SetGCPercent(50); got != prior {
+			t.Errorf("after the release the GC percent is %d, want the prior %d", got, prior)
+		}
+		release()
+		if got := debug.SetGCPercent(prior); got != 50 {
+			t.Errorf("prior %d: a second release set the GC percent to %d", prior, got)
+		}
+	}
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	debug.SetGCPercent(77)
+	released := false
+	hold := holdCollector()
+	release := func() {
+		released = true
+		hold()
+	}
+	dep := fixtureDeployment()
+	world, err := sim.Layout(dep.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCluster := func() *dist.Cluster { return dist.NewCluster(world, dist.MigrateWeights, rfinfer.DefaultConfig()) }
+	scfg := serve.Config{Interval: dep.Interval, Horizon: world.Epochs, DataDir: t.TempDir()}
+	st, _, err := startStandby(newCluster, scfg, "http://127.0.0.1:1", "", taken.Addr().String(), 0, time.Second, 0, release)
+	if err == nil {
+		st.Close()
+		t.Fatal("a standby started on an address already taken")
+	}
+	if !released {
+		t.Error("the standby failed to listen without releasing the collector first")
+	}
+	if got := debug.SetGCPercent(100); got != 77 {
+		t.Errorf("after the standby's start-up the GC percent is %d, want 77", got)
 	}
 }

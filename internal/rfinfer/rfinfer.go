@@ -610,6 +610,24 @@ func (e *Engine) setTag(id model.TagID, rec *tagRec) {
 	e.tags[u] = rec
 }
 
+// growTags gives the dense table the capacity to file every id of tags that
+// setTag could place in it once they are all registered, so registering
+// them reallocates the table at most once. The bound is setTag's limit with
+// every tag counted: the capacity stays within the factor the table is
+// allowed of the registered count, whatever ids the declarations carry.
+func (e *Engine) growTags(tags []TagDecl) {
+	limit := uint64(max(2*(len(e.objects)+len(e.containers)+len(tags)+1), 1024))
+	top := -1
+	for _, t := range tags {
+		if u := uint64(uint32(t.ID)); u < limit {
+			top = max(top, int(u))
+		}
+	}
+	if top >= len(e.tags) {
+		e.tags = slices.Grow(e.tags, top+1-len(e.tags))
+	}
+}
+
 // allTags yields every registered record: the table's in id order, then
 // the far ones.
 func (e *Engine) allTags(yield func(*tagRec) bool) {
@@ -639,8 +657,9 @@ type TagDecl struct {
 // RegisterContainer would, but files every new record in one allocation,
 // made at the first tag not yet registered and sized for the rest: a
 // site's start-up costs one slab instead of one 512-byte record per tag,
-// and a call that registers nothing allocates nothing. A tag already
-// registered, or declared twice, is skipped.
+// and a call that registers nothing allocates nothing. The dense table
+// grows once, at the same point, to the largest id the rest may file in it.
+// A tag already registered, or declared twice, is skipped.
 func (e *Engine) Register(tags []TagDecl) {
 	var slab []tagRec
 	for i, t := range tags {
@@ -649,6 +668,7 @@ func (e *Engine) Register(tags []TagDecl) {
 		}
 		if len(slab) == cap(slab) {
 			slab = make([]tagRec, 0, len(tags)-i)
+			e.growTags(tags[i:])
 		}
 		slab = slab[:len(slab)+1]
 		rec := &slab[len(slab)-1]

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"rfidtrack/internal/model"
@@ -62,7 +64,7 @@ type generator struct {
 	sched    *model.Schedule
 
 	tags    []tagState
-	assigns map[model.TagID][]assign // item -> containment assignment history
+	assigns [][]assign // [tag id] an item's containment assignment history; empty for pallets and cases
 	shelved []shelfStay
 	changes []ContChange
 }
@@ -170,11 +172,13 @@ func (g *generator) adjacentShelves(r, a model.Loc) bool {
 // cases (items are derived afterwards, once anomalies are known).
 func (g *generator) buildSchedules() {
 	cfg := &g.cfg
-	g.assigns = make(map[model.TagID][]assign)
-
 	numPallets := int(cfg.Epochs)/cfg.InjectEvery + 1
 	perPallet := 1 + cfg.CasesPerPallet*(1+cfg.ItemsPerCase)
 	g.tags = make([]tagState, 0, numPallets*perPallet)
+	g.assigns = make([][]assign, numPallets*perPallet)
+	// Every item starts with one assignment; they share one array, each
+	// capped at its own element, so an anomaly's append moves only its item.
+	first := make([]assign, numPallets*cfg.CasesPerPallet*cfg.ItemsPerCase)
 
 	for k := 0; k < numPallets; k++ {
 		t0 := model.Epoch(k * cfg.InjectEvery)
@@ -192,7 +196,8 @@ func (g *generator) buildSchedules() {
 		for i, caseID := range caseIDs {
 			for j := 0; j < cfg.ItemsPerCase; j++ {
 				itemID := g.newTag(model.KindItem, fmt.Sprintf("p%dc%di%d", k, i, j))
-				g.assigns[itemID] = []assign{{t: t0, c: caseID}}
+				first[0] = assign{t: t0, c: caseID}
+				g.assigns[itemID], first = first[:1:1], first[1:]
 			}
 		}
 
@@ -223,11 +228,7 @@ func (g *generator) route(k int) []int {
 
 func (g *generator) newTag(kind model.TagKind, name string) model.TagID {
 	id := model.TagID(len(g.tags))
-	g.tags = append(g.tags, tagState{
-		kind:  kind,
-		name:  name,
-		reads: make([][]pendRead, g.cfg.Warehouses),
-	})
+	g.tags = append(g.tags, tagState{kind: kind, name: name})
 	return id
 }
 
@@ -287,17 +288,13 @@ func (g *generator) injectAnomalies() {
 	// Sweep over shelf stays sorted by start, keeping an active set.
 	sort.Slice(g.shelved, func(i, j int) bool { return g.shelved[i].from < g.shelved[j].from })
 
-	// Current items of each case, maintained as anomalies are processed in
-	// time order so later selections see earlier moves.
+	// Current items of each case, in id order, maintained as anomalies are
+	// processed in time order so later selections see earlier moves.
 	caseItems := make(map[model.TagID][]model.TagID)
 	for item, as := range g.assigns {
-		c := as[0].c
-		caseItems[c] = append(caseItems[c], item)
-	}
-	// Determinism: map iteration above is unordered, so sort each case's
-	// item list before any random selection.
-	for _, items := range caseItems {
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+		if len(as) > 0 {
+			caseItems[as[0].c] = append(caseItems[as[0].c], model.TagID(item))
+		}
 	}
 
 	var active []shelfStay
@@ -372,38 +369,42 @@ func removeItem(items []model.TagID, item model.TagID) []model.TagID {
 // assignment history and the case timelines, and records the containment
 // ground truth.
 func (g *generator) buildItemStays() {
-	// Iterate items in ID order for determinism.
-	ids := make([]model.TagID, 0, len(g.assigns))
-	for id := range g.assigns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, id := range ids {
-		as := g.assigns[id]
+	for id, as := range g.assigns[:len(g.tags)] {
+		if len(as) == 0 {
+			continue // a pallet or a case
+		}
 		ts := &g.tags[id]
-		for k, a := range as {
-			end := g.cfg.Epochs
-			if k+1 < len(as) {
-				end = as[k+1].t
-			}
-			if a.c >= 0 {
-				ts.cont = append(ts.cont, trace.ContSpan{From: a.t, To: end, Container: a.c})
+		// Two passes over the containers' stays: count, then fill a
+		// timeline allocated once at its final size.
+		for pass := 0; pass < 2; pass++ {
+			n := 0
+			for k, a := range as {
+				if a.c < 0 {
+					continue
+				}
+				end := g.cfg.Epochs
+				if k+1 < len(as) {
+					end = as[k+1].t
+				}
+				if pass == 1 {
+					ts.cont = append(ts.cont, trace.ContSpan{From: a.t, To: end, Container: a.c})
+				}
 				for _, cs := range g.tags[a.c].stays {
-					from, to := cs.from, cs.to
-					if from < a.t {
-						from = a.t
+					from, to := max(cs.from, a.t), min(cs.to, end)
+					if from >= to {
+						continue
 					}
-					if to > end {
-						to = end
+					if pass == 1 {
+						ts.stays[n] = stay{site: cs.site, from: from, to: to, loc: cs.loc}
 					}
-					if from < to {
-						ts.stays = append(ts.stays, stay{site: cs.site, from: from, to: to, loc: cs.loc})
-					}
+					n++
 				}
 			}
+			if pass == 0 && n > 0 {
+				ts.stays = make([]stay, n)
+			}
 		}
-		sort.Slice(ts.stays, func(i, j int) bool { return ts.stays[i].from < ts.stays[j].from })
+		slices.SortFunc(ts.stays, func(a, b stay) int { return cmp.Compare(a.from, b.from) })
 	}
 }
 
@@ -411,6 +412,7 @@ func (g *generator) buildItemStays() {
 func (g *generator) generateReadings() {
 	for id := range g.tags {
 		ts := &g.tags[id]
+		ts.reads = make([][]pendRead, g.cfg.Warehouses)
 		for _, st := range ts.stays {
 			g.readStay(ts, st)
 		}
@@ -472,6 +474,11 @@ func (g *generator) assemble() (*World, error) {
 			tag.Kind = ts.kind
 			tag.Name = ts.name
 			tag.TrueCont = ts.cont // shared global containment truth
+			// A layout draws no readings, and a tag never at site s has
+			// none there: neither has anything to sort.
+			if ts.reads == nil || len(ts.reads[s]) == 0 {
+				continue
+			}
 			pend := ts.reads[s]
 			sort.Slice(pend, func(i, j int) bool {
 				if pend[i].t != pend[j].t {

@@ -95,6 +95,33 @@ func TestLayoutIsGenerateWithoutReadings(t *testing.T) {
 	}
 }
 
+// TestLayoutAllocs pins what a layout allocates on a small anomalous
+// two-site world: besides what the World keeps — its tags' names and truth
+// timelines, the visit lists — one timeline per item sized once, one table
+// of assignment histories, no reading buffers and no sort swappers. A start
+// that builds a layout runs with the collector held, so whatever it
+// allocates stays resident until the daemon is ready.
+func TestLayoutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	cfg := smallConfig()
+	cfg.Warehouses, cfg.PathLength, cfg.Epochs, cfg.AnomalyEvery = 2, 2, 1200, 60
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := Layout(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); n > layoutAllocs {
+		t.Errorf("Layout allocates %.0f times, want at most %d", n, layoutAllocs)
+	}
+}
+
+// layoutAllocs is TestLayoutAllocs' bound, the count Layout makes.
+const layoutAllocs = 5815
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
 func TestGenerateSeedSensitivity(t *testing.T) {
 	cfg := smallConfig()
 	w1, _ := Generate(cfg)

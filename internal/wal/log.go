@@ -475,9 +475,10 @@ const legacyRun = 4096
 
 // scanChunk bounds a replay scanner's read size: a segment streams
 // through a buffer of its own size or of this many bytes, whichever is
-// less. It holds several of the largest reading runs
-// (stream.MaxWALRunReadings), so a run rarely straddles a refill.
-const scanChunk = 4 << 20
+// less. It holds two of the largest reading runs
+// (stream.MaxWALRunReadings × 16 B), so a run rarely straddles a refill,
+// and no more: a replay's scanners are garbage once the log is open.
+const scanChunk = 2 << 20
 
 // scanner replays segment files through one reused read buffer, sized by
 // the largest segment it has read up to scanChunk, and past that only for

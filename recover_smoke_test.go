@@ -57,11 +57,16 @@ func smokeWorld(t *testing.T) *sim.World {
 }
 
 // startDaemon launches rfidtrackd on an ephemeral port and waits for its
-// listen line.
-func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, string) {
+// listen line; it returns the daemon, its base URL and its start-up line.
+func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, string, string) {
 	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-data-dir", dataDir, "-strict", "-snapshot-every", "1"}, smokeWorldFlags...)
 	cmd := exec.Command(bin, args...)
+	// GOGC=50 halves the collector's 4 MB minimum heap: the restart's
+	// snapshot load and replay pass it, and run two collections unless the
+	// daemon holds the collector off until ready, while the runtime's own
+	// initialisation stays well below it.
+	cmd.Env = append(os.Environ(), "GOGC=50")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +76,19 @@ func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, string) {
 		t.Fatal(err)
 	}
 	lines := bufio.NewScanner(stdout)
-	addr := make(chan string, 1)
+	type ready struct{ addr, startup string }
+	up := make(chan ready, 1)
 	go func() {
+		startup := ""
 		for lines.Scan() {
 			line := lines.Text()
+			if strings.Contains(line, "start-up: ") {
+				startup = line
+			}
 			if i := strings.Index(line, "listening on "); i >= 0 {
 				fields := strings.Fields(line[i+len("listening on "):])
 				if len(fields) > 0 {
-					addr <- fields[0]
+					up <- ready{fields[0], startup}
 				}
 			}
 		}
@@ -86,12 +96,12 @@ func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, string) {
 		io.Copy(io.Discard, stdout)
 	}()
 	select {
-	case a := <-addr:
-		return cmd, "http://" + a
+	case r := <-up:
+		return cmd, "http://" + r.addr, r.startup
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
 		t.Fatal("daemon never printed its listen address")
-		return nil, ""
+		return nil, "", ""
 	}
 }
 
@@ -148,7 +158,7 @@ func TestRecoverSmoke(t *testing.T) {
 	events := serve.WorldEvents(w, ref.Departures())
 
 	dataDir := t.TempDir()
-	daemon, baseURL := startDaemon(t, bin, dataDir)
+	daemon, baseURL, _ := startDaemon(t, bin, dataDir)
 	client := &serve.Client{BaseURL: baseURL}
 
 	// Stream the first half, then SIGKILL the daemon mid-interval — no
@@ -173,7 +183,7 @@ func TestRecoverSmoke(t *testing.T) {
 	// Restart over the same data directory; recovery replays the
 	// snapshot + WAL tail. Re-send the last acknowledged batch too
 	// (covering the ack-lost window), then the rest of the stream.
-	daemon2, baseURL := startDaemon(t, bin, dataDir)
+	daemon2, baseURL, startup := startDaemon(t, bin, dataDir)
 	defer func() {
 		daemon2.Process.Signal(os.Interrupt)
 		done := make(chan struct{})
@@ -184,6 +194,11 @@ func TestRecoverSmoke(t *testing.T) {
 			daemon2.Process.Kill()
 		}
 	}()
+	// The collector is held off from exec to ready, so the restart's
+	// start-up line counts no collection (see startDaemon's GOGC).
+	if !strings.HasPrefix(startup, "recovered from ") || !strings.HasSuffix(startup, ", gc 0") {
+		t.Errorf("restart's start-up line %q: want a recovery ending in \", gc 0\"", startup)
+	}
 	client = &serve.Client{BaseURL: baseURL}
 	resend := max(sent-batch, 0)
 	for i := resend; i < len(events); i += batch {
