@@ -45,6 +45,11 @@ test:
 # rotated by one Rotate and listed by one listSegments, so the per-kind
 # Rotate methods, the Log's named shared-segment fields and the replay-only
 # directory walk stay deleted from internal/wal and internal/serve.
+# And a data directory holds one version of each durable format, reading
+# runs and version-4 snapshots: the replay's per-reading record gathering
+# and the snapshot decoder's version branches stay deleted from
+# internal/wal, and the WAL record bodies are model.Writer fields, so
+# internal/stream/wal.go writes and reads no varint of its own.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
@@ -75,6 +80,10 @@ vet:
 		|| { echo "a subscriber queue or a second wake mechanism is back in the delivery tier; subscribers read the alert log by cursor (see above)"; exit 1; }
 	@! grep -n 'stickyWriter\|stickyReader\|stateWriter\|stateReader\|byteWriter\|byteReader\|simpleByteReader\|encodeSeries\|decodeSeries' internal/trace/*.go internal/rfinfer/*.go internal/wal/*.go internal/stream/*.go | grep -v '_test.go:' \
 		|| { echo "a hand-rolled field codec is back; encode with model.Writer and decode with model.Reader (see above)"; exit 1; }
+	@! grep -n 'binary\.PutUvarint\|binary\.Uvarint' internal/stream/wal.go \
+		|| { echo "a hand-rolled field codec is back; encode with model.Writer and decode with model.Reader (see above)"; exit 1; }
+	@! grep -n 'legacyRun\|flushLegacy\|version < 4\|version >= [23]' internal/wal/*.go | grep -v '_test.go:' \
+		|| { echo "a retired log or snapshot format is read again in internal/wal; a directory holds reading runs and version-4 snapshots only (see above)"; exit 1; }
 	@! grep -rn --include='*.go' 'ONSCache' . | grep -v '_test.go:' \
 		|| { echo "the ONS cache is back; every peer answers /ons from its own complete mirror (see above)"; exit 1; }
 	@! grep -n 'RotateSite\|RotateDepartures\|RotateMigrations\|RotateAlerts\|rotateSegment\|replaySegments\|\<l\.\(deps\|migs\|alerts\)\>\|\<\(deps\|migs\|alerts\) \+\*segment' internal/wal/*.go internal/serve/*.go | grep -v '_test.go:' \

@@ -16,6 +16,7 @@ import (
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/serve"
 	"rfidtrack/internal/sim"
+	"rfidtrack/internal/stream"
 	"rfidtrack/internal/wal"
 )
 
@@ -24,7 +25,9 @@ import (
 // a MANIFEST, one WAL record per reading, no DEPLOYMENT file. A durable
 // server over fixtureDeployment's world (Workers 1, SnapshotEvery -1) was
 // fed every event before epoch 300 — fixtureLogged of them — in Ingest calls
-// of 100, drained through checkpoint 240 and crash-stopped with Abort.
+// of 100, drained through checkpoint 240 and crash-stopped with Abort. This
+// release refuses it; TestParentFormatDirectoryRefused writes the same
+// directory in today's format and walks that through a restart instead.
 const (
 	fixtureInterval = model.Epoch(120)
 	fixtureCrash    = model.Epoch(300)
@@ -44,8 +47,9 @@ func fixtureDeployment() wal.Deployment {
 	return wal.Deployment{Sim: cfg, Interval: fixtureInterval, Strategy: dist.MigrateWeights.String(), Query: true}
 }
 
-// fixtureDir copies the fixture into a scratch directory.
-func fixtureDir(t *testing.T) string {
+// fixtureDir copies the fixture into a scratch directory and returns it
+// with the fixture's files by name.
+func fixtureDir(t *testing.T) (string, map[string][]byte) {
 	t.Helper()
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "parent-format")
@@ -53,6 +57,7 @@ func fixtureDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	files := make(map[string][]byte)
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
@@ -61,25 +66,32 @@ func fixtureDir(t *testing.T) string {
 		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		files[e.Name()] = b
 	}
-	return dir
+	return dir, files
 }
 
 // start is what main does between parsing its flags and listening.
 func start(t *testing.T, dep wal.Deployment, dir string) (*sim.World, *serve.Server) {
 	t.Helper()
-	world, baseline, err := openWorld(dep, dir, false)
+	world, srv, err := tryStart(dep, dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return world, srv
+}
+
+// tryStart is start returning its error.
+func tryStart(dep wal.Deployment, dir string) (*sim.World, *serve.Server, error) {
+	world, baseline, err := openWorld(dep, dir, false)
+	if err != nil {
+		return nil, nil, err
 	}
 	c := dist.NewCluster(world, dist.MigrateWeights, rfinfer.DefaultConfig())
 	c.Baseline = baseline
 	srv, err := serve.New(c, serve.Config{Interval: dep.Interval, Horizon: world.Epochs, Workers: 1, DataDir: dir,
 		SyncEvery: -1, SnapshotEvery: -1, Query: dist.ColdChainQuery(world, dep.Interval)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return world, srv
+	return world, srv, err
 }
 
 func numReadings(w *sim.World) int {
@@ -101,27 +113,43 @@ func generated(t *testing.T, dep wal.Deployment) *sim.World {
 	return w
 }
 
-// TestParentFormatDirectoryUpgrades walks a directory of the previous
-// release through this one: the first start finds no deployment record, so
-// it leaves one behind, builds only the layout and replays the per-reading
-// records; finishing the stream yields exactly the uninterrupted reference
-// Result, whose centralized baseline then joins the record; the next start
-// trusts the record — the recorded baseline — and serves the same Result;
-// and a start with any deployment flag changed is refused by name.
-func TestParentFormatDirectoryUpgrades(t *testing.T) {
+// TestParentFormatDirectoryRefused: a start over the previous format's
+// directory is refused with an error that names the segment, the record
+// kind it found and the way out, and leaves every fixture file as it was —
+// a refusal, not a corrupt frame to truncate. The same directory written in
+// this release's format walks through a restart: the first start leaves a
+// deployment record behind and builds only the layout; after a crash the
+// restart replays the logged events, and finishing the stream yields
+// exactly the uninterrupted reference Result, whose centralized baseline
+// then joins the record; the next start trusts the record and serves the
+// same Result; and a start with any deployment flag changed is refused by
+// name.
+func TestParentFormatDirectoryRefused(t *testing.T) {
 	dep := fixtureDeployment()
-	dir := fixtureDir(t)
-
-	world, srv := start(t, dep, dir)
-	if n := numReadings(world); n != 0 {
-		t.Fatalf("first start over a directory without a record simulated %d readings", n)
+	old, fixture := fixtureDir(t)
+	_, _, err := tryStart(dep, old)
+	if err == nil {
+		t.Fatal("a start over the previous format's directory succeeded")
 	}
-	if st := srv.Stats(); st.WAL.Replayed != fixtureLogged || st.WAL.Truncated != 0 || st.Invalid != 0 {
-		t.Fatalf("replayed %d events (%d truncated segments, %d invalid), the fixture logged %d",
-			st.WAL.Replayed, st.WAL.Truncated, st.Invalid, fixtureLogged)
+	for _, s := range []string{"site-0.000001.wal", "kind 1", "SIGTERM", "fresh -data-dir"} {
+		if !strings.Contains(err.Error(), s) {
+			t.Errorf("refusal %q does not name %q", err, s)
+		}
 	}
-	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.Mismatch(dep) != "" || rec.CentralizedBytes != 0 {
-		t.Fatalf("after the first start the directory's record is %+v (err %v); want this deployment's, baseline pending", rec, err)
+	for name, want := range fixture {
+		if got, err := os.ReadFile(filepath.Join(old, name)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("fixture file %s changed under the refusal (err %v)", name, err)
+		}
+	}
+	l, err := wal.Open(old, dep.Sim.Warehouses, wal.Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ReplayRuns(func(int, []dist.Reading) error { return nil }, func(stream.WALRecord) error { return nil }); err == nil {
+		t.Error("the fixture's log replayed")
+	}
+	if st := l.Stats(); st.Truncated != 0 {
+		t.Errorf("refusing the fixture truncated %d segments", st.Truncated)
 	}
 
 	full := generated(t, dep)
@@ -139,6 +167,32 @@ func TestParentFormatDirectoryUpgrades(t *testing.T) {
 	if rest != fixtureLogged {
 		t.Fatalf("the world has %d events before epoch %d, the fixture logged %d: not the fixture's world", rest, fixtureCrash, fixtureLogged)
 	}
+
+	dir := t.TempDir()
+	world, srv := start(t, dep, dir)
+	if n := numReadings(world); n != 0 {
+		t.Fatalf("first start over an empty directory simulated %d readings", n)
+	}
+	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.Mismatch(dep) != "" || rec.CentralizedBytes != 0 {
+		t.Fatalf("after the first start the directory's record is %+v (err %v); want this deployment's, baseline pending", rec, err)
+	}
+	for i := 0; i < rest; i += 100 {
+		if err := srv.Ingest(events[i:min(i+100, rest)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	world, srv = start(t, dep, dir)
+	if n := numReadings(world); n != 0 {
+		t.Fatalf("a restart over a recorded directory simulated %d readings", n)
+	}
+	if st := srv.Stats(); st.WAL.Replayed != fixtureLogged || st.WAL.Truncated != 0 || st.Invalid != 0 {
+		t.Fatalf("replayed %d events (%d truncated segments, %d invalid), the first start logged %d",
+			st.WAL.Replayed, st.WAL.Truncated, st.Invalid, fixtureLogged)
+	}
 	if err := srv.Ingest(events[rest:]); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +200,7 @@ func TestParentFormatDirectoryUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := srv.Result(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Result over the upgraded directory diverged from ReplaySequential\n got: %+v\nwant: %+v", got, want)
+		t.Fatalf("Result over the recovered directory diverged from ReplaySequential\n got: %+v\nwant: %+v", got, want)
 	}
 	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.CentralizedBytes != want.CentralizedBytes {
 		t.Fatalf("after the first Result the record is %+v (err %v); want baseline %d", rec, err, want.CentralizedBytes)

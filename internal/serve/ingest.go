@@ -198,11 +198,6 @@ func (s *Server) IngestFrame(frame []byte) (queued int, err error) {
 	return queued, s.walCommit()
 }
 
-// IngestReading is a convenience wrapper ingesting one reading.
-func (s *Server) IngestReading(site int, t model.Epoch, tag model.TagID, mask model.Mask) error {
-	return s.Ingest([]Event{Reading(site, t, tag, mask)})
-}
-
 // IngestDeparture is a convenience wrapper ingesting one departure.
 func (s *Server) IngestDeparture(d dist.Departure) error {
 	return s.Ingest([]Event{Depart(d)})

@@ -140,7 +140,7 @@ func TestConcurrentProducersNoLoss(t *testing.T) {
 			for i := 0; i < lateEach; i++ {
 				var err error
 				if p%2 == 0 {
-					err = srv.IngestReading(p%len(w.Sites), 0, item, 1)
+					err = srv.Ingest([]Event{Reading(p%len(w.Sites), 0, item, 1)})
 				} else {
 					err = srv.IngestBatch(p%len(w.Sites), []dist.Reading{{T: 0, ID: item, Mask: 1}})
 				}

@@ -21,23 +21,27 @@
 // is one header, one copy and one CRC however long the run, and a replay
 // hands the records on without decoding them. Frame and run header are 16
 // bytes together: in a segment holding only runs every record stays 8-byte
-// aligned. The other kinds carry uvarint fields.
+// aligned. The other kinds carry their fields in model.Writer's encoding:
+// the uvarint of each 32-bit field, then a length-prefixed string and float
+// list for an alert, or the raw payload bytes for a migration.
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"rfidtrack/internal/model"
 )
 
 // WAL record kinds.
 const (
-	// WALReading is one accepted reader observation: Site, T, Tag, Mask. It
-	// is the log format of earlier releases, still decoded so that their
-	// directories recover; readings are now written as WALRun records.
+	// WALReading is one reader observation: Site, T, Tag, Mask. It was the
+	// per-reading log format of releases before WALRun. Nothing writes it
+	// to a log any more, and internal/wal refuses a segment holding one; it
+	// is still decoded so that the refusal can name it, and Log.Replay
+	// labels its per-reading expansion of runs with it.
 	WALReading byte = 1
 	// WALDepart is one accepted departure event: Object, From, To, At.
 	WALDepart byte = 2
@@ -154,48 +158,36 @@ func AppendWALRecord(dst []byte, rec WALRecord) []byte {
 		return append(append(dst, hdr[:]...), rec.Run...)
 	}
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	dst = append(dst, rec.Kind)
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		dst = append(dst, buf[:n]...)
-	}
+	buf := bytes.NewBuffer(append(dst, make([]byte, walFrameHeader)...)) // frame header placeholder
+	w := model.NewWriter(buf)
+	w.Byte(rec.Kind)
 	switch rec.Kind {
-	case WALDepart:
-		put(uint64(uint32(rec.Object)))
-		put(uint64(uint32(rec.From)))
-		put(uint64(uint32(rec.To)))
-		put(uint64(uint32(rec.At)))
-	case WALMigration:
-		put(uint64(uint32(rec.Object)))
-		put(uint64(uint32(rec.From)))
-		put(uint64(uint32(rec.To)))
-		put(uint64(uint32(rec.At)))
-		dst = append(dst, rec.Payload...)
-	case WALAlert:
-		put(uint64(uint32(rec.Site)))
-		put(uint64(uint32(rec.Tag)))
-		put(uint64(uint32(rec.T)))
-		put(uint64(uint32(rec.At)))
-		put(uint64(len(rec.Pattern)))
-		dst = append(dst, rec.Pattern...)
-		put(uint64(len(rec.Values)))
-		for _, v := range rec.Values {
-			var fb [8]byte
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(v))
-			dst = append(dst, fb[:]...)
+	case WALDepart, WALMigration:
+		putFields(w, int(rec.Object), rec.From, rec.To, int(rec.At))
+		if rec.Kind == WALMigration {
+			w.Write(rec.Payload)
 		}
+	case WALAlert:
+		putFields(w, rec.Site, int(rec.Tag), int(rec.T), int(rec.At))
+		w.Str(rec.Pattern)
+		w.Floats(rec.Values)
 	default: // WALReading, and the encoder's fallback for unknown kinds
-		put(uint64(uint32(rec.Site)))
-		put(uint64(uint32(rec.T)))
-		put(uint64(uint32(rec.Tag)))
-		put(uint64(rec.Mask))
+		putFields(w, rec.Site, int(rec.T), int(rec.Tag))
+		w.Uvarint(uint64(rec.Mask))
 	}
+	dst = buf.Bytes()
 	payload := dst[start+walFrameHeader:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
 	return dst
+}
+
+// putFields writes a record's leading fields, each as the uvarint of its
+// low 32 bits.
+func putFields(w *model.Writer, fields ...int) {
+	for _, f := range fields {
+		w.Uvarint(uint64(uint32(f)))
+	}
 }
 
 // WALFrameLen returns the framed size of the record b begins with — the
@@ -230,6 +222,7 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
 	}
 	rec.Kind = payload[0]
+	bound := uint32(MaxWALPayload)
 	switch rec.Kind {
 	case WALRun:
 		if length < walRunHeader || length > maxWALRunPayload || (length-walRunHeader)%FrameRecordLen != 0 ||
@@ -241,83 +234,56 @@ func DecodeWALRecord(b []byte) (rec WALRecord, n int, err error) {
 			rec.Run = payload[walRunHeader:]
 		}
 		return rec, walFrameHeader + int(length), nil
-	case WALMigration: // bounded by MaxWALMigrationPayload above
+	case WALMigration:
+		bound = MaxWALMigrationPayload
 	case WALAlert:
-		if length > MaxWALAlertPayload {
-			return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrFrameCorrupt, length, rec.Kind)
-		}
-	default:
-		if length > MaxWALPayload {
-			return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrFrameCorrupt, length, rec.Kind)
-		}
+		bound = MaxWALAlertPayload
 	}
-	rest := payload[1:]
-	take := func() (uint64, bool) {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return 0, false
-		}
-		rest = rest[k:]
-		return v, true
+	if length > bound {
+		return WALRecord{}, 0, fmt.Errorf("%w: payload length %d for kind %d", ErrFrameCorrupt, length, rec.Kind)
 	}
-	var fields [4]uint64
-	for i := range fields {
-		v, ok := take()
-		if !ok {
-			return WALRecord{}, 0, fmt.Errorf("%w: truncated field %d", ErrFrameCorrupt, i)
-		}
-		fields[i] = v
-	}
-	if rec.Kind != WALMigration && rec.Kind != WALAlert && len(rest) != 0 {
-		return WALRecord{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrFrameCorrupt, len(rest))
+	r := model.NewReader(payload[1:])
+	var f [4]uint64
+	for i := range f {
+		f[i] = r.Uvarint()
 	}
 	switch rec.Kind {
 	case WALReading:
-		rec.Site = int(int32(fields[0]))
-		rec.T = model.Epoch(int32(fields[1]))
-		rec.Tag = model.TagID(int32(fields[2]))
-		rec.Mask = model.Mask(fields[3])
-	case WALDepart:
-		rec.Object = model.TagID(int32(fields[0]))
-		rec.From = int(int32(fields[1]))
-		rec.To = int(int32(fields[2]))
-		rec.At = model.Epoch(int32(fields[3]))
-	case WALMigration:
-		rec.Object = model.TagID(int32(fields[0]))
-		rec.From = int(int32(fields[1]))
-		rec.To = int(int32(fields[2]))
-		rec.At = model.Epoch(int32(fields[3]))
-		// The remaining bytes are the opaque migration payload, copied out
+		rec.Site, rec.T, rec.Tag, rec.Mask = int(int32(f[0])), model.Epoch(int32(f[1])), model.TagID(int32(f[2])), model.Mask(f[3])
+	case WALDepart, WALMigration:
+		rec.Object, rec.From, rec.To, rec.At = model.TagID(int32(f[0])), int(int32(f[1])), int(int32(f[2])), model.Epoch(int32(f[3]))
+		// A migration's remaining bytes are its opaque payload, copied out
 		// of the scan buffer: replay deposits these into long-lived state,
 		// so a view into the log buffer would not be safe to retain.
-		if len(rest) > 0 {
-			rec.Payload = append([]byte(nil), rest...)
+		if rec.Kind == WALMigration && r.Len() > 0 {
+			rec.Payload = bytes.Clone(r.Bytes(r.Len()))
 		}
 	case WALAlert:
-		rec.Site = int(int32(fields[0]))
-		rec.Tag = model.TagID(int32(fields[1]))
-		rec.T = model.Epoch(int32(fields[2]))
-		rec.At = model.Epoch(int32(fields[3]))
-		plen, ok := take()
-		if !ok || plen > MaxAlertPatternKey || plen > uint64(len(rest)) {
-			return WALRecord{}, 0, fmt.Errorf("%w: alert pattern length", ErrFrameCorrupt)
+		rec.Site, rec.Tag, rec.T, rec.At = int(int32(f[0])), model.TagID(int32(f[1])), model.Epoch(int32(f[2])), model.Epoch(int32(f[3]))
+		n := r.Count("alert pattern byte")
+		if n > MaxAlertPatternKey {
+			return WALRecord{}, 0, fmt.Errorf("%w: alert pattern length %d", ErrFrameCorrupt, n)
 		}
 		// Copied out of the scan buffer like the migration payload: the
 		// restored alert log outlives the replay.
-		rec.Pattern = string(rest[:plen])
-		rest = rest[plen:]
-		nvals, ok := take()
-		if !ok || nvals > uint64(len(rest))/8 || int(nvals)*8 != len(rest) {
-			return WALRecord{}, 0, fmt.Errorf("%w: alert value count", ErrFrameCorrupt)
+		rec.Pattern = string(r.Bytes(n))
+		if n = r.Count("alert value"); n*8 != r.Len() {
+			return WALRecord{}, 0, fmt.Errorf("%w: %d alert values in %d bytes", ErrFrameCorrupt, n, r.Len())
 		}
-		if nvals > 0 {
-			rec.Values = make([]float64, nvals)
+		if n > 0 {
+			rec.Values = make([]float64, n)
 			for i := range rec.Values {
-				rec.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
+				rec.Values[i] = r.F64()
 			}
 		}
 	default:
 		return WALRecord{}, 0, fmt.Errorf("%w: unknown record kind %d", ErrFrameCorrupt, rec.Kind)
+	}
+	if err := r.Err(); err != nil {
+		return WALRecord{}, 0, fmt.Errorf("%w: record of kind %d: %v", ErrFrameCorrupt, rec.Kind, err)
+	}
+	if r.Len() != 0 {
+		return WALRecord{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrFrameCorrupt, r.Len())
 	}
 	return rec, walFrameHeader + int(length), nil
 }

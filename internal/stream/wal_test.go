@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -21,6 +22,8 @@ func walSamples() []WALRecord {
 		{Kind: WALMigration, Object: 7, From: 0, To: 1, At: 600},
 		{Kind: WALMigration, Object: 9, From: 2, To: 0, At: 1200,
 			Payload: []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}},
+		{Kind: WALAlert, Site: 1, Tag: 41, T: 120, At: 600, Pattern: "cold-chain", Values: []float64{1.5, -2.25}},
+		{Kind: WALAlert, Site: 0, Tag: 7, T: 0, At: 0}, // no pattern, no values
 		{Kind: WALRun, Site: 2, Run: runBytes(3)},
 		{Kind: WALRun, Site: 1 << 20}, // an empty run
 		{Kind: WALRun, Site: 0, Run: runBytes(300)},
@@ -99,6 +102,42 @@ func TestWALRunRejects(t *testing.T) {
 	largest := make([]byte, MaxWALRunReadings*FrameRecordLen)
 	if rec, _, err := DecodeWALRecord(AppendWALRecord(nil, WALRecord{Kind: WALRun, Run: largest})); err != nil || len(rec.Run) != len(largest) {
 		t.Errorf("largest run: %d record bytes, err = %v", len(rec.Run), err)
+	}
+}
+
+// TestWALRecordBounds pins the decoder's per-kind limits at their edges: a
+// payload one byte past its kind's bound, a pattern key one byte past
+// MaxAlertPatternKey, a value list that does not fill the alert's payload
+// and trailing bytes behind a departure's fields are corrupt; a record at
+// each bound decodes.
+func TestWALRecordBounds(t *testing.T) {
+	padded := func(kind byte, n int) []byte { // a kind byte and n-1 bytes of one-byte fields
+		return walFrame(append([]byte{kind}, make([]byte, n-1)...))
+	}
+	alert := func(key int, values []float64) []byte {
+		return AppendWALRecord(nil, WALRecord{Kind: WALAlert, Pattern: string(make([]byte, key)), Values: values})
+	}
+	depart := AppendWALRecord(nil, WALRecord{Kind: WALDepart, Object: 7, To: 1, At: 600})
+	for name, b := range map[string][]byte{
+		"departure past MaxWALPayload":        padded(WALDepart, MaxWALPayload+1),
+		"alert past MaxWALAlertPayload":       padded(WALAlert, MaxWALAlertPayload+1),
+		"migration past its bound":            padded(WALMigration, MaxWALMigrationPayload+1),
+		"pattern key past MaxAlertPatternKey": alert(MaxAlertPatternKey+1, nil),
+		"alert values short of the payload":   walFrame(append(alert(0, []float64{1})[walFrameHeader:], 0)),
+		"departure with a trailing byte":      walFrame(append(bytes.Clone(depart[walFrameHeader:]), 0)),
+		"departure with a truncated field":    walFrame(depart[walFrameHeader : len(depart)-1]),
+	} {
+		if _, n, err := DecodeWALRecord(b); !errors.Is(err, ErrFrameCorrupt) || n != 0 {
+			t.Errorf("%s: consumed %d, err = %v, want ErrFrameCorrupt", name, n, err)
+		}
+	}
+	for name, b := range map[string][]byte{
+		"pattern key at MaxAlertPatternKey": alert(MaxAlertPatternKey, []float64{1, 2}),
+		"migration at its bound":            padded(WALMigration, MaxWALMigrationPayload),
+	} {
+		if _, n, err := DecodeWALRecord(b); err != nil || n != len(b) {
+			t.Errorf("%s: consumed %d of %d, err = %v", name, n, len(b), err)
+		}
 	}
 }
 

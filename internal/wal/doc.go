@@ -34,8 +34,11 @@
 // one CRC and one copy of the caller's bytes; it does no per-reading work.
 // Appends are buffered; a group fsync makes them durable either on a timer
 // (Options.SyncEvery) or before every ingest acknowledgement
-// (Options.Strict). Segments written by releases that logged one record per
-// reading (stream.WALReading) still replay.
+// (Options.Strict).
+//
+// A directory holds reading runs and version-4 snapshots only: replay
+// refuses a per-reading record (stream.WALReading) of an earlier release and
+// LoadState an older snapshot, naming the file, what it found and the way out.
 //
 // # Snapshots and retirement
 //

@@ -470,9 +470,6 @@ func listSegments(dir string, minGen int) ([]segKey, error) {
 	return segs, nil
 }
 
-// legacyRun bounds the runs a replay gathers from per-reading records.
-const legacyRun = 4096
-
 // scanChunk bounds a replay scanner's read size: a segment streams
 // through a buffer of its own size or of this many bytes, whichever is
 // less. It holds two of the largest reading runs
@@ -484,56 +481,32 @@ const scanChunk = 2 << 20
 // the largest segment it has read up to scanChunk, and past that only for
 // a record larger than itself (a migration payload of up to
 // stream.MaxMigrationPayload).
-type scanner struct {
-	buf    []byte
-	legacy []dist.Reading // the run replay is gathering from per-reading records
-}
+type scanner struct{ buf []byte }
 
-// replay walks one segment: each valid reading run goes to run as a view
-// over the read buffer, valid only during the call, per-reading records of
-// earlier releases are gathered into runs of at most legacyRun, and every
-// other record goes to emit. A torn or corrupt tail is truncated on disk at
-// the last valid record — the offset stream.ScanWAL reports over the whole
-// file — so appending can safely resume on the same file.
+// upgradeHint is the way out of a refused directory, written by a release
+// whose log or snapshot format this one no longer reads.
+const upgradeHint = "start the previous release over the directory and stop it with SIGTERM " +
+	"(its final snapshot, version 4, retires the log), or start with a fresh -data-dir"
+
+// replay walks one segment as ReplayRuns describes, truncating a torn or
+// corrupt tail at the offset stream.ScanWAL reports over the whole file.
 func (l *Log) replay(sc *scanner, sg segKey, run func(site int, rs []dist.Reading) error, emit func(stream.WALRecord) error) error {
 	name := segmentName(sg.id, sg.gen)
 	path := filepath.Join(l.dir, name)
 	count := 0
-	legacySite := 0
-	flushLegacy := func() error {
-		if len(sc.legacy) == 0 {
-			return nil
-		}
-		err := run(legacySite, sc.legacy)
-		sc.legacy = sc.legacy[:0]
-		return err
-	}
 	valid, scanErr := sc.scan(path, func(rec stream.WALRecord) error {
-		if rec.Kind == stream.WALReading {
-			count++
-			if rec.Site != legacySite || len(sc.legacy) == legacyRun {
-				if err := flushLegacy(); err != nil {
-					return err
-				}
-			}
-			legacySite = rec.Site
-			sc.legacy = append(sc.legacy, dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
-			return nil
-		}
-		if err := flushLegacy(); err != nil {
-			return err
-		}
-		if rec.Kind == stream.WALRun {
+		switch rec.Kind {
+		case stream.WALRun:
 			rs := dist.ReadingsFromWire(rec.Run)
 			count += len(rs)
 			return run(rec.Site, rs)
+		case stream.WALReading:
+			return fmt.Errorf("wal: %s holds per-reading records (kind %d), and this release reads reading runs (kind %d) only: %s",
+				name, stream.WALReading, stream.WALRun, upgradeHint)
 		}
 		count++
 		return emit(rec)
 	})
-	if err := flushLegacy(); err != nil {
-		return err
-	}
 	l.statsMu.Lock()
 	l.stats.Replayed += count
 	l.statsMu.Unlock()
@@ -624,10 +597,11 @@ func (sc *scanner) scan(path string, emit func(stream.WALRecord) error) (valid i
 // generation during that window live nowhere else, so skipping them would
 // lose acknowledged events — in listSegments' order. Each valid reading
 // run goes to run as a view over the read buffer (dist.ReadingsFromWire),
-// valid only during the call; per-reading records written by earlier
-// releases are gathered into runs, in log order. Every other record goes to
-// emit. A torn or corrupt tail is truncated on disk at the last valid
-// record, so appending can safely resume on the same file.
+// valid only during the call. Every other record goes to emit. A torn or
+// corrupt tail is truncated on disk at the last valid record, so appending
+// can safely resume on the same file. A segment holding a per-reading
+// record (stream.WALReading) of an earlier release is refused with an
+// error that names it and the way out, and nothing on disk changes.
 //
 // The alert, migration and departure segments replay first, in that order,
 // on the calling goroutine. Then every site's segments replay as one task
@@ -951,8 +925,9 @@ func (l *Log) Snapshot(st *State, gen int) error {
 	return nil
 }
 
-// retireFiles deletes dir's segments of generations before keepGen, its
-// snapshots other than keepSnap and its temp files. Failures are ignored:
+// retireFiles deletes dir's segments of generations before keepGen and its
+// snapshots, complete or in flight, other than keepSnap; no other file is
+// touched (parseSegmentName, parseSnapshotName). Failures are ignored:
 // stale files are re-retired by the next snapshot and never consulted by
 // recovery (the manifest is the only source of truth). The Log retires
 // after committing a snapshot, the replication Receiver after committing a
@@ -968,10 +943,7 @@ func retireFiles(dir, keepSnap string, keepGen int) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if strings.HasSuffix(name, ".snap") && name != keepSnap {
-			os.Remove(filepath.Join(dir, name))
-		}
-		if strings.HasSuffix(name, ".tmp") {
+		if _, tmp, ok := parseSnapshotName(name); ok && (tmp || name != keepSnap) {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -985,16 +957,15 @@ func snapshotName(boundary model.Epoch) string {
 }
 
 // parseSnapshotName reverses snapshotName, also matching the in-flight
-// ".snap.tmp" form (tmp reports true); ok is false for other files.
+// ".snap.tmp" form (tmp reports true). Only a name snapshotName writes is
+// a snapshot: ok is false for every other file, "snap-300.snap" or a copy's
+// "snap-0000000300 (copy).snap" included, so a follower's cursor and
+// retirement never count or delete a file the log did not write.
 func parseSnapshotName(name string) (boundary model.Epoch, tmp bool, ok bool) {
-	if strings.HasSuffix(name, ".tmp") {
-		name, tmp = strings.TrimSuffix(name, ".tmp"), true
-	}
-	if !strings.HasSuffix(name, ".snap") || !strings.HasPrefix(name, "snap-") {
-		return 0, false, false
-	}
-	var b int64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(name, ".snap"), "snap-%d", &b); err != nil {
+	name, tmp = strings.CutSuffix(name, ".tmp")
+	digits, _ := strings.CutSuffix(strings.TrimPrefix(name, "snap-"), ".snap")
+	b, err := strconv.ParseInt(digits, 10, 32)
+	if err != nil || snapshotName(model.Epoch(b)) != name {
 		return 0, false, false
 	}
 	return model.Epoch(b), tmp, true

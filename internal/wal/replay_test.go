@@ -23,8 +23,8 @@ func runRecord(site, n, seed int) []byte {
 }
 
 // fillTo appends site-0 records to seg until it is exactly end bytes long:
-// runs while there is room, then per-reading records of earlier releases
-// (13 and 14 bytes framed) for the odd remainder.
+// runs while there is room, then departure records (13 and 14 bytes framed)
+// for the odd remainder.
 func fillTo(t *testing.T, seg []byte, end int) []byte {
 	t.Helper()
 	for k := 0; ; k++ {
@@ -40,11 +40,11 @@ func fillTo(t *testing.T, seg []byte, end int) []byte {
 	}
 	long := rest % 13 // 14-byte records; the others are 13
 	for i := 0; i < rest/13; i++ {
-		tag := model.TagID(i % 100) // a one-byte varint: 13 bytes framed
+		obj := model.TagID(i % 100) // a one-byte varint: 13 bytes framed
 		if i < long {
-			tag = 200 // two bytes: 14
+			obj = 200 // two bytes: 14
 		}
-		seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALReading, T: model.Epoch(i % 100), Tag: tag, Mask: 1})
+		seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALDepart, Object: obj, To: 1, At: model.Epoch(i % 100)})
 	}
 	if len(seg) != end {
 		t.Fatalf("fillTo landed at %d, want %d", len(seg), end)
@@ -56,11 +56,8 @@ func fillTo(t *testing.T, seg []byte, end int) []byte {
 func expand(recs []stream.WALRecord, sites int) [][]dist.Reading {
 	out := make([][]dist.Reading, sites)
 	for _, rec := range recs {
-		switch rec.Kind {
-		case stream.WALRun:
+		if rec.Kind == stream.WALRun {
 			out[rec.Site] = append(out[rec.Site], dist.ReadingsFromWire(rec.Run)...)
-		case stream.WALReading:
-			out[rec.Site] = append(out[rec.Site], dist.Reading{T: rec.T, ID: rec.Tag, Mask: rec.Mask})
 		}
 	}
 	return out
@@ -101,7 +98,9 @@ func replayDir(t *testing.T, segs [][]byte) ([][]dist.Reading, *Log, string) {
 		got[site] = append(got[site], rs...)
 		return nil
 	}, func(rec stream.WALRecord) error {
-		t.Errorf("a site segment emitted %+v", rec)
+		if rec.Kind != stream.WALDepart { // fillTo's fillers
+			t.Errorf("a site segment emitted %+v", rec)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -131,41 +133,89 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyReadingRecordsReplayAsRuns pins the upgrade path: a segment
-// written by a release that logged one record per reading — alone or with
-// run records appended behind them by this one — replays as runs in log
-// order, and counts one event per reading.
-func TestLegacyReadingRecordsReplayAsRuns(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, 1, Options{SyncEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	old, run := someReadings(legacyRun+10), someReadings(4)
-	var seg []byte
-	for _, r := range old[:legacyRun+5] {
-		seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALReading, Site: 0, T: r.T, Tag: r.ID, Mask: r.Mask})
-	}
-	seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALRun, Site: 0, Run: dist.ReadingsToWire(run)})
-	for _, r := range old[legacyRun+5:] {
-		seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALReading, Site: 0, T: r.T, Tag: r.ID, Mask: r.Mask})
-	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, runs, _ := replayRuns(t, dir, 1)
-	want := []replayedRun{{0, old[:legacyRun]}, {0, old[legacyRun : legacyRun+5]}, {0, run}, {0, old[legacyRun+5:]}}
-	if !reflect.DeepEqual(runs, want) {
-		var got []int
-		for _, r := range runs {
-			got = append(got, len(r.rs))
+// TestOldFormatsRefused pins the one rule for a directory an earlier
+// release wrote: a segment holding per-reading records — alone or with run
+// records appended behind them — and a snapshot older than version 4 are
+// refused by both walks and by LoadState, with an error that names the
+// file, what it found and the way out. The refusal is not a corrupt frame:
+// nothing is truncated, and every file stays byte-identical.
+func TestOldFormatsRefused(t *testing.T) {
+	wayOut := []string{"SIGTERM", "fresh -data-dir"}
+	unchanged := func(t *testing.T, path string, want []byte) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s changed under the refusal (err %v)", filepath.Base(path), err)
 		}
-		t.Errorf("replayed runs of %v readings, want %d, 5, 4, 5 in log order", got, legacyRun)
 	}
-	if st := l2.Stats(); st.Replayed != len(old)+len(run) {
-		t.Errorf("Replayed = %d, want %d", st.Replayed, len(old)+len(run))
+	refused := func(t *testing.T, err error, names ...string) {
+		t.Helper()
+		if err == nil || errors.Is(err, stream.ErrFrameCorrupt) || errors.Is(err, stream.ErrFramePartial) {
+			t.Fatalf("err = %v, want a refusal that is no frame error", err)
+		}
+		for _, s := range append(names, wayOut...) {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("refusal %q does not name %q", err, s)
+			}
+		}
 	}
+
+	t.Run("per-reading records", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(dir, 1, Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		seg := stream.AppendWALRecord(nil, stream.WALRecord{Kind: stream.WALRun, Site: 0, Run: dist.ReadingsToWire(someReadings(4))})
+		for _, r := range someReadings(5) {
+			seg = stream.AppendWALRecord(seg, stream.WALRecord{Kind: stream.WALReading, Site: 0, T: r.T, Tag: r.ID, Mask: r.Mask})
+		}
+		path := filepath.Join(dir, segmentName(0, 1))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for walk, replay := range map[string]func(*Log) error{
+			"ReplayRuns": func(l *Log) error {
+				return l.ReplayRuns(func(int, []dist.Reading) error { return nil }, func(stream.WALRecord) error { return nil })
+			},
+			"Replay": func(l *Log) error { return l.Replay(func(stream.WALRecord) error { return nil }) },
+		} {
+			l, err := Open(dir, 1, Options{SyncEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused(t, replay(l), segmentName(0, 1), "kind 1", "kind 5")
+			if st := l.Stats(); st.Truncated != 0 {
+				t.Errorf("%s: Truncated = %d, want 0", walk, st.Truncated)
+			}
+			unchanged(t, path, seg)
+		}
+	})
+
+	t.Run("version-3 snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		v3, err := hex.DecodeString(snapshotV3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := snapshotName(600)
+		if err := os.WriteFile(filepath.Join(dir, name), v3, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := commitManifest(dir, Manifest{Version: manifestVersion, Gen: 1, Snapshot: name, Boundary: 600}); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, 2, Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := l.LoadState()
+		if ok {
+			t.Fatal("a version-3 snapshot loaded")
+		}
+		refused(t, err, name, "version 3", "version 4")
+		unchanged(t, filepath.Join(dir, name), v3)
+	})
 }
 
 // TestDeploymentRecord pins the record's round trip and what Mismatch

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -60,6 +62,108 @@ func TestParseSegmentName(t *testing.T) {
 			if gotID, gotGen, ok := parseSegmentName(name); !ok || gotID != id || gotGen != gen {
 				t.Errorf("parseSegmentName(segmentName(%d, %d) = %q) = %d, %d, %v", id, gen, name, gotID, gotGen, ok)
 			}
+		}
+	}
+}
+
+// TestParseSnapshotName pins the snapshot namespace the way
+// TestParseSegmentName pins the segments': a file is a snapshot, complete
+// or in flight, only under a name snapshotName writes.
+func TestParseSnapshotName(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		boundary model.Epoch
+		tmp, ok  bool
+	}{
+		{snapshotName(0), 0, false, true},
+		{snapshotName(300), 300, false, true},
+		{snapshotName(300) + ".tmp", 300, true, true},
+		{snapshotName(1<<31 - 1), 1<<31 - 1, false, true},
+
+		{"snap-300.snap", 0, false, false},
+		{"snap-+300.snap", 0, false, false},
+		{"snap-0000000300 (copy).snap", 0, false, false},
+		{"snap-00000000300.snap", 0, false, false},
+		{"snap-0000000300.snap.tmp.tmp", 0, false, false},
+		{"snap-0000000300.snapx", 0, false, false},
+		{"snap-.snap", 0, false, false},
+		{"backup.snap", 0, false, false},
+		{manifestName + ".tmp", 0, false, false},
+		{segmentName(0, 1), 0, false, false},
+	} {
+		b, tmp, ok := parseSnapshotName(tc.name)
+		if ok != tc.ok || ok && (b != tc.boundary || tmp != tc.tmp) {
+			t.Errorf("parseSnapshotName(%q) = %d, %v, %v; want %d, %v, %v", tc.name, b, tmp, ok, tc.boundary, tc.tmp, tc.ok)
+		}
+	}
+}
+
+// TestStraySnapshotFilesIgnored: files named like snapshots that the log
+// never wrote neither wedge a follower — whose cursor would report one as a
+// pending snapshot and have shipping resume past its first byte — nor get
+// deleted by a snapshot commit on either side, which retires only the
+// log's own older snapshots.
+func TestStraySnapshotFilesIgnored(t *testing.T) {
+	strays := map[string][]byte{
+		"snap-300.snap":               []byte("abc"),
+		"snap-+300.snap":              []byte("abc"),
+		"snap-0000000300 (copy).snap": []byte("abc"),
+		"backup.snap":                 []byte("abc"),
+	}
+	plant := func(dir string) {
+		for name, b := range strays {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l := openFresh(t, 1, Options{SyncEvery: -1})
+	defer l.Close()
+	fdir := t.TempDir()
+	plant(l.Dir())
+	plant(fdir)
+	r, err := OpenReceiver(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos, err := r.Pos(); err != nil || pos.PendingSnap != -1 {
+		t.Fatalf("follower cursor %+v (err %v): a stray file reads as a pending snapshot", pos, err)
+	}
+
+	for _, boundary := range []model.Epoch{300, 600} {
+		gen := l.NextGen()
+		for _, id := range []int{0, Departures, Migrations, Alerts} {
+			if err := l.Rotate(id, gen); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := appendOne(l, 0, boundary, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Snapshot(&State{Boundary: boundary, StreamTime: boundary - 1, Feed: dist.FeedState{Next: boundary}}, gen); err != nil {
+			t.Fatal(err)
+		}
+		syncFollower(t, l, r, 0)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{l.Dir(), fdir} {
+		files := dirFiles(t, dir)
+		for name, b := range strays {
+			if !bytes.Equal(files[name], b) {
+				t.Errorf("%s: stray %s was deleted or changed", dir, name)
+			}
+		}
+		if _, ok := files[snapshotName(300)]; ok {
+			t.Errorf("%s: the superseded snapshot %s was not retired", dir, snapshotName(300))
+		}
+		l2, err := Open(dir, 1, Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, ok, err := l2.LoadState(); err != nil || !ok || st.Boundary != 600 {
+			t.Errorf("%s: LoadState = %+v, %v, %v; want the boundary-600 snapshot", dir, st, ok, err)
 		}
 	}
 }

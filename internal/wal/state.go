@@ -13,15 +13,11 @@ import (
 	"rfidtrack/internal/stream"
 )
 
-// snapMagic and snapVersion identify a snapshot file.
+// snapMagic identifies a snapshot file.
 var snapMagic = [8]byte{'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'}
 
-// snapVersion 2 appended the PendingMigs section; version 3 added the
-// per-alert pattern key; version 4 dropped two per-site counters
-// (migration inbox peak and stall time) that only a retired replay
-// schedule ever set. Older snapshots still decode: version 1 with an empty
-// peer inbox, versions 1–2 with empty pattern keys, versions 1–3 with the
-// two counters read and discarded.
+// snapVersion is the snapshot format's version, the only one DecodeState
+// reads: it refuses an older snapshot with the way out (upgradeHint).
 const snapVersion = 4
 
 // Alert is one persisted continuous-query alert. The serve layer's Seq is
@@ -240,7 +236,7 @@ func EncodeState(st *State) ([]byte, error) {
 	w.Varint(int64(st.Invalid))
 	w.Varint(int64(st.Misc))
 
-	// Peer inbox (added in snapVersion 2).
+	// Peer inbox.
 	w.Uvarint(uint64(len(st.PendingMigs)))
 	for i := range st.PendingMigs {
 		m := &st.PendingMigs[i]
@@ -285,9 +281,10 @@ func DecodeState(b []byte) (*State, error) {
 	if len(b) < 16 || !bytes.Equal(b[:8], snapMagic[:]) {
 		return nil, fmt.Errorf("wal: not a snapshot file")
 	}
-	version := binary.LittleEndian.Uint32(b[8:12])
-	if version < 1 || version > snapVersion {
-		return nil, fmt.Errorf("wal: unsupported snapshot version %d", version)
+	if version := binary.LittleEndian.Uint32(b[8:12]); version < snapVersion {
+		return nil, fmt.Errorf("wal: version %d snapshot, and this release reads version %d only: %s", version, snapVersion, upgradeHint)
+	} else if version > snapVersion {
+		return nil, fmt.Errorf("wal: unsupported snapshot version %d, this release reads version %d only", version, snapVersion)
 	}
 	payload := b[16:]
 	if crc := binary.LittleEndian.Uint32(b[12:16]); crc != crc32.ChecksumIEEE(payload) {
@@ -338,18 +335,13 @@ func DecodeState(b []byte) (*State, error) {
 	n = r.Count("site stat")
 	fs.Sites = make([]dist.SiteStats, 0, model.DecodeCap(n))
 	for range n {
-		ss := dist.SiteStats{
+		fs.Sites = append(fs.Sites, dist.SiteStats{
 			Epochs:        int(r.Varint()),
 			MigrationsIn:  int(r.Varint()),
 			MigrationsOut: int(r.Varint()),
 			BytesIn:       int(r.Varint()),
 			BytesOut:      int(r.Varint()),
-		}
-		if version < 4 {
-			r.Varint() // inbox peak
-			r.Varint() // stall
-		}
-		fs.Sites = append(fs.Sites, ss)
+		})
 	}
 	fs.Stats.Observed = int(r.Varint())
 	fs.Stats.Late = int(r.Varint())
@@ -404,17 +396,14 @@ func DecodeState(b []byte) (*State, error) {
 	n = r.Count("alert")
 	st.Alerts = make([]Alert, 0, model.DecodeCap(n))
 	for range n {
-		a := Alert{
-			Site:   int(int32(r.Uvarint())),
-			Tag:    model.TagID(r.Uvarint()),
-			First:  model.Epoch(r.Varint()),
-			Last:   model.Epoch(r.Varint()),
-			Values: r.Floats("alert value"),
-		}
-		if version >= 3 {
-			a.Pattern = r.Str("alert pattern byte")
-		}
-		st.Alerts = append(st.Alerts, a)
+		st.Alerts = append(st.Alerts, Alert{
+			Site:    int(int32(r.Uvarint())),
+			Tag:     model.TagID(r.Uvarint()),
+			First:   model.Epoch(r.Varint()),
+			Last:    model.Epoch(r.Varint()),
+			Values:  r.Floats("alert value"),
+			Pattern: r.Str("alert pattern byte"),
+		})
 	}
 
 	n = r.Count("buffered site")
@@ -445,18 +434,16 @@ func DecodeState(b []byte) (*State, error) {
 	st.Invalid = int(r.Varint())
 	st.Misc = int(r.Varint())
 
-	if version >= 2 {
-		if n := r.Count("pending migration"); n > 0 {
-			st.PendingMigs = make([]Migration, 0, model.DecodeCap(n))
-			for range n {
-				// The payload's byte count is clamped like any count, which
-				// also holds it to stream.MaxMigrationPayload (the same 16 MiB).
-				m := Migration{D: decodeDeparture(r)}
-				if pl := r.Count("pending-migration payload byte"); pl > 0 {
-					m.Payload = bytes.Clone(r.Bytes(pl))
-				}
-				st.PendingMigs = append(st.PendingMigs, m)
+	if n := r.Count("pending migration"); n > 0 {
+		st.PendingMigs = make([]Migration, 0, model.DecodeCap(n))
+		for range n {
+			// The payload's byte count is clamped like any count, which
+			// also holds it to stream.MaxMigrationPayload (the same 16 MiB).
+			m := Migration{D: decodeDeparture(r)}
+			if pl := r.Count("pending-migration payload byte"); pl > 0 {
+				m.Payload = bytes.Clone(r.Bytes(pl))
 			}
+			st.PendingMigs = append(st.PendingMigs, m)
 		}
 	}
 	if err := r.Err(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -476,16 +477,13 @@ func TestStateRoundTrip(t *testing.T) {
 
 	// A version-3 snapshot of the same State — encoded before the per-site
 	// inbox-peak and stall counters left the format, with both set on site
-	// 1 — still loads, the two varints skipped.
+	// 1 — is refused, naming the version it found and the one it reads.
 	v3, err := hex.DecodeString(snapshotV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err = DecodeState(v3); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatalf("version-3 snapshot decoded differently:\n got %+v\nwant %+v", got, st)
+	if got, err := DecodeState(v3); err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("version-3 snapshot: %+v, err %v; want a refusal naming versions 3 and 4", got, err)
 	}
 
 	// Corruption anywhere in the file must be detected, never decoded.
