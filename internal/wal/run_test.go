@@ -134,8 +134,8 @@ func TestRunRecordRoundTrip(t *testing.T) {
 }
 
 // TestOldFormatsRefused pins the one rule for a directory an earlier
-// release wrote: a segment holding per-reading records — alone or with run
-// records appended behind them — and a snapshot older than version 4 are
+// release wrote: a segment holding per-reading records, here behind a run
+// record, and a snapshot older than version 4 are
 // refused by both walks and by LoadState, with an error that names the
 // file, what it found and the way out. The refusal is not a corrupt frame:
 // nothing is truncated, and every file stays byte-identical.
