@@ -2,11 +2,11 @@
 //
 // A departing object's state crosses sites as one encoded payload:
 //
-//	[inference state]   EncodeCollapsed or EncodeCR bytes, absent for
+//	[inference state]   AppendCollapsed or AppendCR bytes, absent for
 //	                    MigrateNone
 //	[query flag]        1 byte, present only when a ClusterQuery is
 //	                    attached: 1 = pattern state follows, 0 = none
-//	[query state]       stream.EncodeState bytes when the flag is 1
+//	[query state]       stream.AppendState bytes when the flag is 1
 //
 // The payload is produced at the source site after it has ingested the
 // departure checkpoint's readings and applied every earlier migration
@@ -15,7 +15,6 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 
 	"rfidtrack/internal/model"
@@ -32,7 +31,12 @@ func (c *Cluster) hasQuerySection() bool { return c.Query != nil }
 // source engines. engineBytes and queryBytes report the wire size of the
 // two sections for cost accounting.
 func (c *Cluster) encodePayload(d Departure) (payload []byte, engineBytes, queryBytes int, err error) {
-	var buf bytes.Buffer
+	if c.Strategy == MigrateNone && !c.hasQuerySection() {
+		return nil, 0, 0, nil
+	}
+	// A weights payload with its query section takes about a hundred bytes
+	// (Table 5), so it is appended without regrowing.
+	payload = make([]byte, 0, 128)
 	if c.Strategy != MigrateNone {
 		src := c.Engines[d.From]
 		switch c.Strategy {
@@ -41,9 +45,7 @@ func (c *Cluster) encodePayload(d Departure) (payload []byte, engineBytes, query
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			if err := rfinfer.EncodeCollapsed(&buf, st); err != nil {
-				return nil, 0, 0, err
-			}
+			payload = rfinfer.AppendCollapsed(payload, st)
 		case MigrateReadings, MigrateFull:
 			st, err := src.ExportCR(d.Object)
 			if err != nil {
@@ -52,25 +54,21 @@ func (c *Cluster) encodePayload(d Departure) (payload []byte, engineBytes, query
 			if c.Strategy == MigrateReadings {
 				clipCR(&st, d.At-c.recentHistory(), d.At+1)
 			}
-			if err := rfinfer.EncodeCR(&buf, st); err != nil {
-				return nil, 0, 0, err
-			}
+			payload = rfinfer.AppendCR(payload, st)
 		}
-		engineBytes = buf.Len()
+		engineBytes = len(payload)
 	}
 	if c.hasQuerySection() {
 		if st, ok := c.siteQ[d.From].ExportState(d.Object); ok {
-			buf.WriteByte(1)
-			before := buf.Len()
-			if err := stream.EncodeState(&buf, &st); err != nil {
-				return nil, 0, 0, err
-			}
-			queryBytes = buf.Len() - before
+			payload = append(payload, 1)
+			before := len(payload)
+			payload = stream.AppendState(payload, &st)
+			queryBytes = len(payload) - before
 		} else {
-			buf.WriteByte(0)
+			payload = append(payload, 0)
 		}
 	}
-	return buf.Bytes(), engineBytes, queryBytes, nil
+	return payload, engineBytes, queryBytes, nil
 }
 
 // applyPayload decodes a migration payload and imports it into the

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -126,12 +125,7 @@ func RunQueryExperiment(w *sim.World, inferCfg rfinfer.Config, p QueryParams, q2
 		for _, pend := range groups {
 			states := make([][]byte, len(pend))
 			for i, ps := range pend {
-				var buf bytes.Buffer
-				st := ps.state
-				if err := stream.EncodeState(&buf, &st); err != nil {
-					return err
-				}
-				states[i] = buf.Bytes()
+				states[i] = stream.AppendState(nil, &ps.state)
 			}
 			out.RawBytes += query.TotalRaw(states)
 			bundle := query.Share(states)

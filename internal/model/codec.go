@@ -18,56 +18,29 @@ const MaxDecodeElems = 1 << 24
 // decoding still appends past it when the data really is that long.
 func DecodeCap(n int) int { return min(n, 4096) }
 
-// Writer encodes the fields every state format here is built from —
+// Writer appends the fields every state format here is built from —
 // varints, little-endian floats, length-prefixed float lists and strings,
-// and reading series — straight to an io.Writer. The first write error
-// sticks: later writes do nothing and Err reports it.
-type Writer struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
+// and reading series — to a byte slice. An encoder starts it from the
+// caller's slice, Writer(dst), and returns it; appending cannot fail, so
+// no encoder returns an error, and into a slice with room to spare none
+// allocates.
+type Writer []byte
 
-// NewWriter returns a Writer over w. When w already is a *Writer it is
-// returned as is, so a nested encoder shares its caller's sticky error.
-func NewWriter(w io.Writer) *Writer {
-	if mw, ok := w.(*Writer); ok {
-		return mw
-	}
-	return &Writer{w: w}
-}
+// Byte appends one byte.
+func (w *Writer) Byte(b byte) { *w = append(*w, b) }
 
-// Err returns the first write error.
-func (w *Writer) Err() error { return w.err }
+// Uvarint appends v as an unsigned varint.
+func (w *Writer) Uvarint(v uint64) { *w = binary.AppendUvarint(*w, v) }
 
-// Write writes p verbatim.
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	n, err := w.w.Write(p)
-	w.err = err
-	return n, err
-}
+// Varint appends v as a zig-zag varint.
+func (w *Writer) Varint(v int64) { *w = binary.AppendVarint(*w, v) }
 
-// Byte writes one byte.
-func (w *Writer) Byte(b byte) {
-	w.buf[0] = b
-	w.Write(w.buf[:1])
-}
-
-// Uvarint writes v as an unsigned varint.
-func (w *Writer) Uvarint(v uint64) { w.Write(binary.AppendUvarint(w.buf[:0], v)) }
-
-// Varint writes v as a zig-zag varint.
-func (w *Writer) Varint(v int64) { w.Write(binary.AppendVarint(w.buf[:0], v)) }
-
-// F64 writes v's IEEE-754 bits as eight little-endian bytes.
+// F64 appends v's IEEE-754 bits as eight little-endian bytes.
 func (w *Writer) F64(v float64) {
-	w.Write(binary.LittleEndian.AppendUint64(w.buf[:0], math.Float64bits(v)))
+	*w = binary.LittleEndian.AppendUint64(*w, math.Float64bits(v))
 }
 
-// Floats writes len(vs) then each value as an F64.
+// Floats appends len(vs) then each value as an F64.
 func (w *Writer) Floats(vs []float64) {
 	w.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
@@ -75,13 +48,13 @@ func (w *Writer) Floats(vs []float64) {
 	}
 }
 
-// Str writes len(s) then s's bytes.
+// Str appends len(s) then s's bytes.
 func (w *Writer) Str(s string) {
 	w.Uvarint(uint64(len(s)))
-	w.Write([]byte(s))
+	*w = append(*w, s...)
 }
 
-// Series writes a reading series as its length followed by one
+// Series appends a reading series as its length followed by one
 // (epoch delta from the previous reading, mask) varint pair per reading.
 func (w *Writer) Series(s Series) {
 	w.Uvarint(uint64(len(s)))

@@ -1,7 +1,6 @@
 package rfinfer
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -34,19 +33,11 @@ func fuzzSeedStates(f *testing.F) (collapsed, cr []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var cbuf bytes.Buffer
-	if err := EncodeCollapsed(&cbuf, col); err != nil {
-		f.Fatal(err)
-	}
 	crSt, err := eng.ExportCR(0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var rbuf bytes.Buffer
-	if err := EncodeCR(&rbuf, crSt); err != nil {
-		f.Fatal(err)
-	}
-	return cbuf.Bytes(), rbuf.Bytes()
+	return AppendCollapsed(nil, col), AppendCR(nil, crSt)
 }
 
 // FuzzDecodeCR hardens the migrated-state decoders: a receiving site must
@@ -71,11 +62,7 @@ func FuzzDecodeCR(f *testing.F) {
 		st.Collapsed.Candidates = append(st.Collapsed.Candidates, ids[1])
 		st.Collapsed.Weights = append(st.Collapsed.Weights, st.Collapsed.DefaultWeight)
 		st.ContHist[ids[1]] = st.ObjectHist
-		var buf bytes.Buffer
-		if err := EncodeCR(&buf, st); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(AppendCR(nil, st))
 	}
 
 	rates, err := model.UniformReadRates(4, 0.8, 0.2, 1e-6, nil)
@@ -88,10 +75,7 @@ func FuzzDecodeCR(f *testing.F) {
 		if st, err := DecodeCR(model.NewReader(data)); err == nil {
 			// Whatever decoded must survive re-encoding (the state could be
 			// forwarded to yet another site) ...
-			var buf bytes.Buffer
-			if err := EncodeCR(&buf, st); err != nil {
-				t.Fatalf("re-encoding decoded CR state: %v", err)
-			}
+			AppendCR(nil, st)
 			// ... and, crucially, a receiving site must be able to import it
 			// and keep running: masks referencing readers the site does not
 			// have, absurd epochs, etc. must be sanitized, not crash Run.
@@ -107,10 +91,7 @@ func FuzzDecodeCR(f *testing.F) {
 			eng.Run(60)
 		}
 		if st, err := DecodeCollapsed(model.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeCollapsed(&buf, st); err != nil {
-				t.Fatalf("re-encoding decoded collapsed state: %v", err)
-			}
+			AppendCollapsed(nil, st)
 		}
 	})
 }

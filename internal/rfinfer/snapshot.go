@@ -11,7 +11,6 @@ package rfinfer
 
 import (
 	"fmt"
-	"io"
 
 	"rfidtrack/internal/model"
 )
@@ -225,14 +224,14 @@ func (e *Engine) ImportState(st EngineState) error {
 	return nil
 }
 
-// engineStateVersion is the EncodeEngineState format version.
+// engineStateVersion is the AppendEngineState format version.
 const engineStateVersion = 1
 
-// EncodeEngineState serializes a full engine snapshot, reusing the
+// AppendEngineState appends a full engine snapshot to dst, reusing the
 // migration codecs: CollapsedState for each object's candidate/weight
 // tuple and the delta-compressed series encoding for every history.
-func EncodeEngineState(w io.Writer, st EngineState) error {
-	bw := model.NewWriter(w)
+func AppendEngineState(dst []byte, st EngineState) []byte {
+	bw := model.Writer(dst)
 	bw.Uvarint(engineStateVersion)
 	bw.Varint(int64(st.Now))
 	bw.Varint(int64(st.LastRun))
@@ -240,7 +239,7 @@ func EncodeEngineState(w io.Writer, st EngineState) error {
 	bw.Uvarint(uint64(len(st.Objects)))
 	for i := range st.Objects {
 		os := &st.Objects[i]
-		EncodeCollapsed(bw, os.Collapsed) // an error sticks in bw
+		bw = AppendCollapsed(bw, os.Collapsed)
 		bw.Varint(int64(os.CPStart))
 		bw.Varint(int64(os.CR.From))
 		bw.Varint(int64(os.CR.To))
@@ -278,10 +277,10 @@ func EncodeEngineState(w io.Writer, st EngineState) error {
 		bw.Varint(int64(d.NewContainer))
 		bw.F64(d.Delta)
 	}
-	return bw.Err()
+	return bw
 }
 
-// DecodeEngineState reverses EncodeEngineState, with the same allocation
+// DecodeEngineState reverses AppendEngineState, with the same allocation
 // clamps as the migration decoders: element counts are bounded before any
 // slice is sized, so corrupt bytes cannot balloon memory.
 func DecodeEngineState(r *model.Reader) (EngineState, error) {

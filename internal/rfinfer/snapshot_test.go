@@ -1,7 +1,6 @@
 package rfinfer
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -104,11 +103,8 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 
 	crashed := newSnapshotEngine(lik)
 	feedSnapshotRange(t, crashed, readings, 0, cut)
-	var buf bytes.Buffer
-	if err := EncodeEngineState(&buf, crashed.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeEngineState(model.NewReader(buf.Bytes()))
+	buf := AppendEngineState(nil, crashed.ExportState())
+	decoded, err := DecodeEngineState(model.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 package rfinfer
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 
@@ -202,10 +201,10 @@ func (e *Engine) sanitizeSeries(s model.Series) model.Series {
 	return out
 }
 
-// EncodeCollapsed serializes collapsed state to the wire format whose byte
-// count the communication-cost experiments (Table 5) measure.
-func EncodeCollapsed(w io.Writer, st CollapsedState) error {
-	bw := model.NewWriter(w)
+// AppendCollapsed appends collapsed state to dst in the wire format whose
+// byte count the communication-cost experiments (Table 5) measure.
+func AppendCollapsed(dst []byte, st CollapsedState) []byte {
+	bw := model.Writer(dst)
 	bw.Uvarint(uint64(uint32(st.Object)))
 	bw.Varint(int64(st.Container))
 	bw.F64(st.DefaultWeight)
@@ -214,10 +213,10 @@ func EncodeCollapsed(w io.Writer, st CollapsedState) error {
 		bw.Uvarint(uint64(uint32(c)))
 		bw.F64(st.Weights[i])
 	}
-	return bw.Err()
+	return bw
 }
 
-// DecodeCollapsed reverses EncodeCollapsed.
+// DecodeCollapsed reverses AppendCollapsed.
 func DecodeCollapsed(r *model.Reader) (CollapsedState, error) {
 	st := CollapsedState{
 		Object:        model.TagID(r.Uvarint()),
@@ -234,17 +233,17 @@ func DecodeCollapsed(r *model.Reader) (CollapsedState, error) {
 	return st, r.Err()
 }
 
-// EncodeCR serializes critical-region state: the collapsed section behind
-// its byte length, the critical region, the object's history and each
-// candidate container's history in tag order.
-func EncodeCR(w io.Writer, st CRState) error {
-	var col bytes.Buffer
-	if err := EncodeCollapsed(&col, st.Collapsed); err != nil {
-		return err
-	}
-	bw := model.NewWriter(w)
-	bw.Uvarint(uint64(col.Len()))
-	bw.Write(col.Bytes())
+// AppendCR appends critical-region state to dst: the collapsed section
+// behind its byte length, the critical region, the object's history and
+// each candidate container's history in tag order.
+func AppendCR(dst []byte, st CRState) []byte {
+	// The section is appended first and its length inserted in front of it,
+	// shifting its few dozen bytes.
+	start := len(dst)
+	dst = AppendCollapsed(dst, st.Collapsed)
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(len(dst)-start))
+	bw := model.Writer(slices.Insert(dst, start, n[:k]...))
 	bw.Varint(int64(st.CR.From))
 	bw.Varint(int64(st.CR.To))
 	bw.Series(st.ObjectHist)
@@ -253,10 +252,10 @@ func EncodeCR(w io.Writer, st CRState) error {
 		bw.Uvarint(uint64(uint32(id)))
 		bw.Series(st.ContHist[id])
 	}
-	return bw.Err()
+	return bw
 }
 
-// DecodeCR reverses EncodeCR, refusing a collapsed section whose length
+// DecodeCR reverses AppendCR, refusing a collapsed section whose length
 // differs from its prefix.
 func DecodeCR(r *model.Reader) (CRState, error) {
 	var st CRState

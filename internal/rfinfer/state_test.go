@@ -1,7 +1,6 @@
 package rfinfer
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -21,11 +20,8 @@ func TestCollapsedRoundTrip(t *testing.T) {
 		Weights:       []float64{0, -3.5, -120.25},
 		DefaultWeight: -400.5,
 	}
-	var buf bytes.Buffer
-	if err := EncodeCollapsed(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCollapsed(model.NewReader(buf.Bytes()))
+	buf := AppendCollapsed(nil, st)
+	got, err := DecodeCollapsed(model.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +43,8 @@ func TestCollapsedRoundTripProperty(t *testing.T) {
 			st.Candidates = append(st.Candidates, model.TagID(rng.IntN(1000)))
 			st.Weights = append(st.Weights, rng.NormFloat64()*50)
 		}
-		var buf bytes.Buffer
-		if err := EncodeCollapsed(&buf, st); err != nil {
-			return false
-		}
-		got, err := DecodeCollapsed(model.NewReader(buf.Bytes()))
+		buf := AppendCollapsed(nil, st)
+		got, err := DecodeCollapsed(model.NewReader(buf))
 		if err != nil {
 			return false
 		}
@@ -84,11 +77,8 @@ func TestCRStateRoundTrip(t *testing.T) {
 		ContHist:   map[model.TagID]model.Series{10: c1},
 	}
 	st.CR.From, st.CR.To = 4, 10
-	var buf bytes.Buffer
-	if err := EncodeCR(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCR(model.NewReader(buf.Bytes()))
+	buf := AppendCR(nil, st)
+	got, err := DecodeCR(model.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +106,7 @@ func TestDecodeCRChecksCollapsedLength(t *testing.T) {
 		ObjectHist: model.Series{{T: 5, Mask: 1}},
 		ContHist:   map[model.TagID]model.Series{10: {{T: 5, Mask: 1}}},
 	}
-	var buf bytes.Buffer
-	if err := EncodeCR(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := AppendCR(nil, st)
 	if _, err := DecodeCR(model.NewReader(good)); err != nil {
 		t.Fatalf("well-formed payload: %v", err)
 	}
@@ -273,14 +259,11 @@ func TestStateFitsTagMemory(t *testing.T) {
 		st.Candidates = append(st.Candidates, model.TagID(1<<19+i))
 		st.Weights = append(st.Weights, -float64(i)*17.25)
 	}
-	var buf bytes.Buffer
-	if err := EncodeCollapsed(&buf, st); err != nil {
-		t.Fatal(err)
+	buf := AppendCollapsed(nil, st)
+	if len(buf) > 1024 {
+		t.Errorf("collapsed state %d bytes; must fit 4 KB tag memory with room to spare", len(buf))
 	}
-	if buf.Len() > 1024 {
-		t.Errorf("collapsed state %d bytes; must fit 4 KB tag memory with room to spare", buf.Len())
-	}
-	t.Logf("collapsed state with 48 candidates: %d bytes", buf.Len())
+	t.Logf("collapsed state with 48 candidates: %d bytes", len(buf))
 }
 
 // raceEnabled is set by race_test.go under the race detector.

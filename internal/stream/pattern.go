@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"io"
 	"math"
 	"sort"
 
@@ -125,10 +124,10 @@ func (p *SeqPattern) Partitions() []model.TagID {
 	return out
 }
 
-// EncodeState serializes one partition's state to the migration wire
-// format: a flags byte, the two epochs and the values, each value's IEEE-754
-// bits as a varint.
-func EncodeState(w io.Writer, st *SeqState) error {
+// AppendState appends one partition's state to dst in the migration wire
+// format: a flags byte, the two epochs and the values, each value's
+// IEEE-754 bits as a varint.
+func AppendState(dst []byte, st *SeqState) []byte {
 	var flags byte
 	if st.Started {
 		flags |= 1
@@ -136,7 +135,7 @@ func EncodeState(w io.Writer, st *SeqState) error {
 	if st.Fired {
 		flags |= 2
 	}
-	bw := model.NewWriter(w)
+	bw := model.Writer(dst)
 	bw.Byte(flags)
 	bw.Uvarint(uint64(uint32(st.First)))
 	bw.Uvarint(uint64(uint32(st.Last)))
@@ -144,10 +143,10 @@ func EncodeState(w io.Writer, st *SeqState) error {
 	for _, v := range st.Values {
 		bw.Uvarint(math.Float64bits(v))
 	}
-	return bw.Err()
+	return bw
 }
 
-// DecodeState reverses EncodeState.
+// DecodeState reverses AppendState.
 func DecodeState(r *model.Reader) (SeqState, error) {
 	flags := r.Byte()
 	st := SeqState{

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -150,11 +149,8 @@ func TestSeqStateMigration(t *testing.T) {
 	p.Push(Tuple{Tag: 5, T: 20, Temp: 2.5})
 	st := p.State(5)
 
-	var buf bytes.Buffer
-	if err := EncodeState(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeState(model.NewReader(buf.Bytes()))
+	buf := AppendState(nil, st)
+	dec, err := DecodeState(model.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +179,8 @@ func TestSeqStateRoundTripProperty(t *testing.T) {
 	f := func(started, fired bool, first, last int32, values []float64) bool {
 		st := SeqState{Started: started, Fired: fired,
 			First: model.Epoch(first), Last: model.Epoch(last), Values: values}
-		var buf bytes.Buffer
-		if err := EncodeState(&buf, &st); err != nil {
-			return false
-		}
-		dec, err := DecodeState(model.NewReader(buf.Bytes()))
+		buf := AppendState(nil, &st)
+		dec, err := DecodeState(model.NewReader(buf))
 		if err != nil {
 			return false
 		}

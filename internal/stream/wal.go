@@ -21,9 +21,10 @@
 // is one header, one copy and one CRC however long the run, and a replay
 // hands the records on without decoding them. Frame and run header are 16
 // bytes together: in a segment holding only runs every record stays 8-byte
-// aligned. The other kinds carry their fields in model.Writer's encoding:
-// the uvarint of each 32-bit field, then a length-prefixed string and float
-// list for an alert, or the raw payload bytes for a migration.
+// aligned. The other kinds carry their fields in model.Writer's encoding,
+// appended behind a reserved frame header whose length and CRC are patched
+// in last: the uvarint of each 32-bit field, then a length-prefixed string
+// and float list for an alert, or the raw payload bytes for a migration.
 package stream
 
 import (
@@ -151,38 +152,37 @@ func WALRunHeader(site int, raw []byte) (hdr [WALRunHeaderLen]byte) {
 
 // AppendWALRecord appends the framed encoding of rec to dst and returns
 // the extended slice. It never fails: every WALRecord value encodes, except
-// a WALRun whose Run WALRunHeader refuses (a programming error).
+// a WALRun whose Run WALRunHeader refuses (a programming error). Into a
+// dst with room for the record it does not allocate.
 func AppendWALRecord(dst []byte, rec WALRecord) []byte {
 	if rec.Kind == WALRun {
 		hdr := WALRunHeader(rec.Site, rec.Run)
 		return append(append(dst, hdr[:]...), rec.Run...)
 	}
 	start := len(dst)
-	buf := bytes.NewBuffer(append(dst, make([]byte, walFrameHeader)...)) // frame header placeholder
-	w := model.NewWriter(buf)
+	w := model.Writer(append(dst, make([]byte, walFrameHeader)...)) // frame header placeholder
 	w.Byte(rec.Kind)
 	switch rec.Kind {
 	case WALDepart, WALMigration:
-		putFields(w, int(rec.Object), rec.From, rec.To, int(rec.At))
+		putFields(&w, int(rec.Object), rec.From, rec.To, int(rec.At))
 		if rec.Kind == WALMigration {
-			w.Write(rec.Payload)
+			w = append(w, rec.Payload...)
 		}
 	case WALAlert:
-		putFields(w, rec.Site, int(rec.Tag), int(rec.T), int(rec.At))
+		putFields(&w, rec.Site, int(rec.Tag), int(rec.T), int(rec.At))
 		w.Str(rec.Pattern)
 		w.Floats(rec.Values)
 	default: // WALReading, and the encoder's fallback for unknown kinds
-		putFields(w, rec.Site, int(rec.T), int(rec.Tag))
+		putFields(&w, rec.Site, int(rec.T), int(rec.Tag))
 		w.Uvarint(uint64(rec.Mask))
 	}
-	dst = buf.Bytes()
-	payload := dst[start+walFrameHeader:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
-	return dst
+	payload := w[start+walFrameHeader:]
+	binary.LittleEndian.PutUint32(w[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w[start+4:], crc32.ChecksumIEEE(payload))
+	return w
 }
 
-// putFields writes a record's leading fields, each as the uvarint of its
+// putFields appends a record's leading fields, each as the uvarint of its
 // low 32 bits.
 func putFields(w *model.Writer, fields ...int) {
 	for _, f := range fields {

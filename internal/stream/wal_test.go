@@ -275,3 +275,19 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendWALRecordAllocs pins that appending a departure, a migration or
+// an alert into a buffer with room for it allocates nothing: the alert
+// append runs under the serving scheduler's lock.
+func TestAppendWALRecordAllocs(t *testing.T) {
+	buf := make([]byte, 0, 1024)
+	for _, rec := range []WALRecord{
+		{Kind: WALDepart, Object: 7, From: 0, To: 1, At: 600},
+		{Kind: WALMigration, Object: 9, From: 2, To: 0, At: 1200, Payload: []byte{0xde, 0xad, 0xbe, 0xef}},
+		{Kind: WALAlert, Site: 1, Tag: 41, T: 120, At: 600, Pattern: "cold-chain", Values: []float64{1.5, -2.25}},
+	} {
+		if n := testing.AllocsPerRun(100, func() { buf = AppendWALRecord(buf[:0], rec) }); n != 0 {
+			t.Errorf("kind %d: %v allocations per append, want 0", rec.Kind, n)
+		}
+	}
+}

@@ -14,22 +14,32 @@ const wireVersion = 1
 // EncodeReadings serializes the raw reading stream of the given tags as
 // (epoch, tag, reader-mask) triples in epoch-major order — the exact payload
 // a centralized deployment ships to the warehouse server. If tags is nil,
-// all tags are encoded.
+// all tags are encoded. It is the one encoder that writes to an io.Writer
+// (a file, or gzip for GzipSize): it appends one tag at a time into a
+// reused buffer and writes that, so the whole stream is never held.
 func EncodeReadings(w io.Writer, tr *Trace, tags []model.TagID) error {
-	bw := model.NewWriter(w)
-	bw.Uvarint(wireVersion)
 	if tags == nil {
 		tags = make([]model.TagID, len(tr.Tags))
 		for i := range tags {
 			tags[i] = model.TagID(i)
 		}
 	}
-	bw.Uvarint(uint64(len(tags)))
+	var b model.Writer
+	b.Uvarint(wireVersion)
+	b.Uvarint(uint64(len(tags)))
 	for _, id := range tags {
-		bw.Uvarint(uint64(id))
-		bw.Series(tr.Tags[id].Readings) // delta-encoded epochs
+		b.Uvarint(uint64(id))
+		b.Series(tr.Tags[id].Readings) // delta-encoded epochs
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		b = b[:0]
 	}
-	return bw.Err()
+	if len(b) > 0 { // no tags: the header alone
+		_, err := w.Write(b)
+		return err
+	}
+	return nil
 }
 
 // DecodeReadings reverses EncodeReadings, returning per-tag series keyed by

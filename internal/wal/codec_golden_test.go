@@ -77,11 +77,8 @@ func goldenSeqState() stream.SeqState {
 // goldenState is a hand-built snapshot with every section populated:
 // engines, queries, alerts with a pattern key, buffered readings, pending
 // departures and pending migrations.
-func goldenState(t testing.TB) *State {
-	var payload bytes.Buffer
-	if err := rfinfer.EncodeCR(&payload, goldenCRState()); err != nil {
-		t.Fatal(err)
-	}
+func goldenState() *State {
+	payload := rfinfer.AppendCR(nil, goldenCRState())
 	st := &State{
 		Boundary:   900,
 		StreamTime: 905,
@@ -113,7 +110,7 @@ func goldenState(t testing.TB) *State {
 		Buffered:    [][]dist.Reading{{{T: 901, ID: 2, Mask: 3}, {T: 903, ID: 5, Mask: 1}}, {}},
 		PendingDeps: []dist.Departure{{Object: 3, From: 1, To: 0, At: 902}},
 		PendingMigs: []Migration{
-			{D: dist.Departure{Object: 5, From: 0, To: 1, At: 899}, Payload: payload.Bytes()},
+			{D: dist.Departure{Object: 5, From: 0, To: 1, At: 899}, Payload: payload},
 			{D: dist.Departure{Object: 4, From: 1, To: 0, At: 899}},
 		},
 		Shards:  []ShardCounters{{Received: 100, Late: 2}, {Received: 50}},
@@ -145,43 +142,25 @@ func goldenTrace() *trace.Trace {
 // and Table 5's byte counts keep their meaning. The runtime snapshot also
 // decodes back to the State it was built from.
 func TestCodecGoldenBytes(t *testing.T) {
-	encode := func(f func(*bytes.Buffer) error) string {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := f(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return hex.EncodeToString(buf.Bytes())
+	var readings bytes.Buffer
+	if err := trace.EncodeReadings(&readings, goldenTrace(), nil); err != nil {
+		t.Fatal(err)
 	}
+	st := goldenSeqState()
 	for _, tc := range []struct {
 		name   string
-		got    string
+		got    []byte
 		golden string
 	}{
-		{"EncodeCollapsed", encode(func(b *bytes.Buffer) error {
-			return rfinfer.EncodeCollapsed(b, goldenCRState().Collapsed)
-		}), goldenCollapsedHex},
-		{"EncodeCR", encode(func(b *bytes.Buffer) error {
-			return rfinfer.EncodeCR(b, goldenCRState())
-		}), goldenCRHex},
-		{"EncodeEngineState", encode(func(b *bytes.Buffer) error {
-			return rfinfer.EncodeEngineState(b, goldenEngineState())
-		}), goldenEngineHex},
-		{"stream.EncodeState", encode(func(b *bytes.Buffer) error {
-			st := goldenSeqState()
-			return stream.EncodeState(b, &st)
-		}), goldenSeqHex},
-		{"trace.EncodeReadings", encode(func(b *bytes.Buffer) error {
-			return trace.EncodeReadings(b, goldenTrace(), nil)
-		}), goldenReadingsHex},
-		{"wal.EncodeState", encode(func(b *bytes.Buffer) error {
-			enc, err := EncodeState(goldenState(t))
-			b.Write(enc)
-			return err
-		}), goldenSnapshotHex},
+		{"AppendCollapsed", rfinfer.AppendCollapsed(nil, goldenCRState().Collapsed), goldenCollapsedHex},
+		{"AppendCR", rfinfer.AppendCR(nil, goldenCRState()), goldenCRHex},
+		{"AppendEngineState", rfinfer.AppendEngineState(nil, goldenEngineState()), goldenEngineHex},
+		{"stream.AppendState", stream.AppendState(nil, &st), goldenSeqHex},
+		{"trace.EncodeReadings", readings.Bytes(), goldenReadingsHex},
+		{"wal.AppendState", AppendState(nil, goldenState()), goldenSnapshotHex},
 	} {
-		if tc.got != tc.golden {
-			t.Errorf("%s encoded\n %s\nwant\n %s", tc.name, tc.got, tc.golden)
+		if got := hex.EncodeToString(tc.got); got != tc.golden {
+			t.Errorf("%s encoded\n %s\nwant\n %s", tc.name, got, tc.golden)
 		}
 	}
 
@@ -193,7 +172,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := goldenState(t); !reflect.DeepEqual(got, want) {
+	if want := goldenState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("golden snapshot decoded\n %+v\nwant\n %+v", got, want)
 	}
 }

@@ -11,7 +11,8 @@
 //	                      active snapshot file, snapshot boundary epoch
 //	DEPLOYMENT            the deployment record: what the log's readings
 //	                      mean (Deployment), written by the daemon's first
-//	                      start and checked by every later one
+//	                      start once it has passed its checks and checked
+//	                      by every later one
 //	site-<s>.<gen>.wal    per-site reading segments (stream.WALRecord frames)
 //	departures.<gen>.wal  the departure segment
 //	migrations.<gen>.wal  inbound peer migration payloads
@@ -48,7 +49,8 @@
 // the alert log, and every buffered-but-unobserved event. Its payload is
 // written with model.Writer and read with model.Reader, the codec the
 // migration payloads use; the engine and query sections are
-// rfinfer.EncodeEngineState and stream.EncodeState on the same Writer.
+// rfinfer.AppendEngineState and stream.AppendState appended to the same
+// slice.
 // Because buffered events are inside the snapshot, all segments of older
 // generations are garbage the moment the MANIFEST commits the new snapshot
 // — writing a snapshot rotates every segment to a new generation, then

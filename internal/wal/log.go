@@ -896,11 +896,7 @@ func (l *Log) Rotate(id, gen int) error {
 func (l *Log) Snapshot(st *State, gen int) error {
 	name := snapshotName(st.Boundary)
 	tmp := filepath.Join(l.dir, name+".tmp")
-	b, err := EncodeState(st)
-	if err != nil {
-		return err
-	}
-	if err := writeFileSync(tmp, b); err != nil {
+	if err := writeFileSync(tmp, AppendState(nil, st)); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, name)); err != nil {

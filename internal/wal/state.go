@@ -110,13 +110,16 @@ type State struct {
 	Misc int
 }
 
-// EncodeState serializes a snapshot: magic, version, CRC32 of the payload,
-// payload. The payload is written with model.Writer; each engine's state
-// is rfinfer.EncodeEngineState and each query partition's is
-// stream.EncodeState — the codecs migration uses — on the same Writer.
-func EncodeState(st *State) ([]byte, error) {
-	var buf bytes.Buffer
-	w := model.NewWriter(&buf)
+// AppendState appends a snapshot to dst: magic, version, CRC32 of the
+// payload, payload. The payload is model.Writer fields; each engine's
+// state is rfinfer.AppendEngineState and each query partition's is
+// stream.AppendState — the codecs migration uses — appended in place. The
+// CRC is patched in once the payload is complete.
+func AppendState(dst []byte, st *State) []byte {
+	start := len(dst)
+	dst = append(dst, snapMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, snapVersion)
+	w := model.Writer(binary.LittleEndian.AppendUint32(dst, 0)) // CRC placeholder
 	w.Varint(int64(st.Boundary))
 	w.Varint(int64(st.StreamTime))
 
@@ -175,7 +178,7 @@ func EncodeState(st *State) ([]byte, error) {
 	// Engine section.
 	w.Uvarint(uint64(len(st.Engines)))
 	for i := range st.Engines {
-		rfinfer.EncodeEngineState(w, st.Engines[i]) // an error sticks in w
+		w = rfinfer.AppendEngineState(w, st.Engines[i])
 	}
 
 	// Query section.
@@ -189,7 +192,7 @@ func EncodeState(st *State) ([]byte, error) {
 			w.Uvarint(uint64(len(qs.Parts)))
 			for j := range qs.Parts {
 				w.Uvarint(uint64(uint32(qs.Parts[j].Tag)))
-				stream.EncodeState(w, &qs.Parts[j].State) // an error sticks in w
+				w = stream.AppendState(w, &qs.Parts[j].State)
 			}
 			w.Uvarint(uint64(len(qs.Matches)))
 			for _, m := range qs.Matches {
@@ -224,7 +227,7 @@ func EncodeState(st *State) ([]byte, error) {
 	}
 	w.Uvarint(uint64(len(st.PendingDeps)))
 	for _, d := range st.PendingDeps {
-		encodeDeparture(w, d)
+		encodeDeparture(&w, d)
 	}
 
 	// Serve counters.
@@ -240,23 +243,16 @@ func EncodeState(st *State) ([]byte, error) {
 	w.Uvarint(uint64(len(st.PendingMigs)))
 	for i := range st.PendingMigs {
 		m := &st.PendingMigs[i]
-		encodeDeparture(w, m.D)
+		encodeDeparture(&w, m.D)
 		w.Uvarint(uint64(len(m.Payload)))
-		w.Write(m.Payload)
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
+		w = append(w, m.Payload...)
 	}
 
-	payload := buf.Bytes()
-	out := make([]byte, 0, len(payload)+16)
-	out = append(out, snapMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, snapVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...), nil
+	binary.LittleEndian.PutUint32(w[start+12:], crc32.ChecksumIEEE(w[start+16:]))
+	return w
 }
 
-// encodeDeparture writes a departure's identity, as the pending-departure
+// encodeDeparture appends a departure's identity, as the pending-departure
 // and pending-migration sections store it.
 func encodeDeparture(w *model.Writer, d dist.Departure) {
 	w.Uvarint(uint64(uint32(d.Object)))
@@ -275,7 +271,7 @@ func decodeDeparture(r *model.Reader) dist.Departure {
 	}
 }
 
-// DecodeState reverses EncodeState, verifying magic, version and CRC
+// DecodeState reverses AppendState, verifying magic, version and CRC
 // before touching the payload.
 func DecodeState(b []byte) (*State, error) {
 	if len(b) < 16 || !bytes.Equal(b[:8], snapMagic[:]) {

@@ -463,10 +463,7 @@ func TestStateRoundTrip(t *testing.T) {
 	st.Feed.Stats.Observed = 99
 	st.Feed.Stats.Checkpoints = 2
 
-	b, err := EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := AppendState(nil, st)
 	got, err := DecodeState(b)
 	if err != nil {
 		t.Fatal(err)
