@@ -109,7 +109,7 @@ func main() {
 	cfg.AnomalyEvery = *anomaly
 	cfg.Seed = *seed
 	dep := wal.Deployment{Sim: cfg, Interval: model.Epoch(*interval), Strategy: strat.String(), Query: !*noQuery}
-	world, baseline, err := openWorld(dep, *dataDir, *demo)
+	world, baseline, record, err := openWorld(dep, *dataDir, *demo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func main() {
 		}
 	}
 	if *standbyFor != "" {
-		runStandby(newCluster, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter, release)
+		runStandby(newCluster, scfg, *standbyFor, *selfURL, *addr, *self, *shipEvery, *deadAfter, release, record)
 		return
 	}
 	built := time.Now()
@@ -163,6 +163,9 @@ func main() {
 		log.Fatal(err)
 	}
 	newTime := time.Since(opened)
+	if err := record(); err != nil {
+		log.Fatal(err)
+	}
 	startGCs := gcCycles()
 	release()
 	if len(scfg.Peers) > 1 {
@@ -290,26 +293,28 @@ func main() {
 // restart, memory-only or standby — builds sim.Layout, a few percent of
 // Generate's cost. A data directory that holds a deployment record must have
 // been written by the same deployment — anything else is refused, naming the
-// difference — and a directory without one (fresh, written by an earlier
-// release, or a standby's mirror) gets its record.
+// difference. A directory without one (fresh, written by an earlier release,
+// or a standby's mirror) gets its record from record, which the caller calls
+// once the start has passed every check — the layout has validated the
+// config and serve.New has read the log — so a refused start leaves none
+// behind; record does nothing over a recorded directory or without one.
 //
 // The baseline is the one figure derived from the simulated readings, and
 // compressing them costs more than generating them, so it is resolved when a
 // Result first asks: from the record, or else computed — over a full world,
 // generated for the purpose after a layout-only start — and added to the
 // record, so that no later start pays for it again.
-func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.World, func() int, error) {
+func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (world *sim.World, baseline func() int, record func() error, err error) {
+	record = func() error { return nil }
 	if dataDir != "" {
 		recorded, err := wal.ReadDeployment(dataDir)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if recorded == nil {
-			if err := wal.WriteDeployment(dataDir, dep); err != nil {
-				return nil, nil, err
-			}
+			record = func() error { return wal.WriteDeployment(dataDir, dep) }
 		} else if diff := recorded.Mismatch(dep); diff != "" {
-			return nil, nil, fmt.Errorf("%s holds another deployment's state (%s): restart with the flags it was created with, or use a fresh -data-dir", dataDir, diff)
+			return nil, nil, nil, fmt.Errorf("%s holds another deployment's state (%s): restart with the flags it was created with, or use a fresh -data-dir", dataDir, diff)
 		} else {
 			dep.CentralizedBytes = recorded.CentralizedBytes
 		}
@@ -319,11 +324,10 @@ func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.Worl
 	if layout {
 		generate = sim.Layout
 	}
-	world, err := generate(dep.Sim)
-	if err != nil {
-		return nil, nil, err
+	if world, err = generate(dep.Sim); err != nil {
+		return nil, nil, nil, err
 	}
-	baseline := sync.OnceValue(func() int {
+	baseline = sync.OnceValue(func() int {
 		if dep.CentralizedBytes > 0 { // recorded; even an empty world compresses to a gzip header
 			return dep.CentralizedBytes
 		}
@@ -342,7 +346,7 @@ func openWorld(dep wal.Deployment, dataDir string, needReadings bool) (*sim.Worl
 		}
 		return dep.CentralizedBytes
 	})
-	return world, baseline, nil
+	return world, baseline, record, nil
 }
 
 // holdCollector turns the garbage collector off for the start-up and returns
@@ -371,10 +375,14 @@ func gcCycles() uint64 {
 // which point the full ingest API comes up over the recovered state. The
 // Build closure builds the cluster from the same deployment flags — over the
 // world this process already holds — so the promoted inference state machine
-// matches the one that died.
-func runStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration, release func()) {
+// matches the one that died. record writes the deployment record once the
+// standby has started (openWorld).
+func runStandby(newCluster func() *dist.Cluster, scfg serve.Config, primary, selfURL, addr string, forPeer int, shipEvery, deadAfter time.Duration, release func(), record func() error) {
 	st, ln, err := startStandby(newCluster, scfg, primary, selfURL, addr, forPeer, shipEvery, deadAfter, release)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := record(); err != nil {
 		log.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: st.Handler()}

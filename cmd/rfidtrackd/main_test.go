@@ -83,7 +83,7 @@ func start(t *testing.T, dep wal.Deployment, dir string) (*sim.World, *serve.Ser
 
 // tryStart is start returning its error.
 func tryStart(dep wal.Deployment, dir string) (*sim.World, *serve.Server, error) {
-	world, baseline, err := openWorld(dep, dir, false)
+	world, baseline, record, err := openWorld(dep, dir, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,7 +91,14 @@ func tryStart(dep wal.Deployment, dir string) (*sim.World, *serve.Server, error)
 	c.Baseline = baseline
 	srv, err := serve.New(c, serve.Config{Interval: dep.Interval, Horizon: world.Epochs, Workers: 1, DataDir: dir,
 		SyncEvery: -1, SnapshotEvery: -1, Query: dist.ColdChainQuery(world, dep.Interval)})
-	return world, srv, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := record(); err != nil {
+		srv.Abort()
+		return nil, nil, err
+	}
+	return world, srv, nil
 }
 
 func numReadings(w *sim.World) int {
@@ -116,7 +123,8 @@ func generated(t *testing.T, dep wal.Deployment) *sim.World {
 // TestParentFormatDirectoryRefused: a start over the previous format's
 // directory is refused with an error that names the segment, the record
 // kind it found and the way out, and leaves every fixture file as it was —
-// a refusal, not a corrupt frame to truncate. The same directory written in
+// a refusal, not a corrupt frame to truncate, and no deployment record
+// added. The same directory written in
 // this release's format walks through a restart: the first start leaves a
 // deployment record behind and builds only the layout; after a crash the
 // restart replays the logged events, and finishing the stream yields
@@ -140,6 +148,9 @@ func TestParentFormatDirectoryRefused(t *testing.T) {
 		if got, err := os.ReadFile(filepath.Join(old, name)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("fixture file %s changed under the refusal (err %v)", name, err)
 		}
+	}
+	if rec, err := wal.ReadDeployment(old); err != nil || rec != nil {
+		t.Errorf("the refused start left a deployment record %+v (err %v)", rec, err)
 	}
 	l, err := wal.Open(old, dep.Sim.Warehouses, wal.Options{SyncEvery: -1})
 	if err != nil {
@@ -223,7 +234,7 @@ func TestParentFormatDirectoryRefused(t *testing.T) {
 	} {
 		other := dep
 		change(&other)
-		if _, _, err := openWorld(other, dir, false); err == nil || !strings.Contains(err.Error(), field) {
+		if _, _, _, err := openWorld(other, dir, false); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("start with %s changed: err = %v, want a refusal naming it", field, err)
 		}
 	}
@@ -259,8 +270,31 @@ func TestBaselineAfterCrashBeforeAnyResult(t *testing.T) {
 	}
 
 	// -demo streams the simulated readings, so it alone generates in full.
-	if w, _, err := openWorld(dep, dir, true); err != nil || numReadings(w) == 0 {
+	if w, _, _, err := openWorld(dep, dir, true); err != nil || numReadings(w) == 0 {
 		t.Errorf("-demo over a recorded directory: %d readings, err %v", numReadings(w), err)
+	}
+}
+
+// TestInvalidConfigLeavesNoRecord: a first start whose deployment flags the
+// layout refuses writes no deployment record, so the start with the flags
+// corrected is not refused as another deployment's directory.
+func TestInvalidConfigLeavesNoRecord(t *testing.T) {
+	dep := fixtureDeployment()
+	bad := dep
+	bad.Sim.ShelfDwell = int(bad.Sim.Epochs) + 1
+	dir := t.TempDir()
+	if _, _, err := tryStart(bad, dir); err == nil || !strings.Contains(err.Error(), "too short") {
+		t.Fatalf("start with dwell past the horizon: err = %v, want the layout's refusal", err)
+	}
+	if rec, err := wal.ReadDeployment(dir); err != nil || rec != nil {
+		t.Fatalf("the refused start left a deployment record %+v (err %v)", rec, err)
+	}
+	_, srv := start(t, dep, dir)
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := wal.ReadDeployment(dir); err != nil || rec == nil || rec.Mismatch(dep) != "" {
+		t.Errorf("after the corrected start the record is %+v (err %v); want this deployment's", rec, err)
 	}
 }
 
@@ -270,7 +304,7 @@ func TestBaselineAfterCrashBeforeAnyResult(t *testing.T) {
 func TestMemoryOnlyStartIsLayout(t *testing.T) {
 	dep := fixtureDeployment()
 	t.Chdir(t.TempDir()) // a stray record would land in the working directory
-	world, baseline, err := openWorld(dep, "", false)
+	world, baseline, _, err := openWorld(dep, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +324,7 @@ func TestMemoryOnlyStartIsLayout(t *testing.T) {
 	if entries, err := os.ReadDir("."); err != nil || len(entries) != 0 {
 		t.Errorf("memory-only start left %d files behind (err %v)", len(entries), err)
 	}
-	if w, _, err := openWorld(dep, "", true); err != nil || numReadings(w) == 0 {
+	if w, _, _, err := openWorld(dep, "", true); err != nil || numReadings(w) == 0 {
 		t.Errorf("-demo without a data directory: %d readings, err %v", numReadings(w), err)
 	}
 }

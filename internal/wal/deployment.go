@@ -20,8 +20,8 @@ const deploymentName = "DEPLOYMENT"
 // space, reader layout and checkpoint grid, and replaying it against another
 // yields a plausible, wrong state — plus the one figure a restart cannot
 // re-derive without re-simulating the world's readings. The daemon writes it
-// on the first start over a directory and refuses a later start whose flags
-// disagree with it (Mismatch).
+// once the first start over a directory has passed its checks and refuses a
+// later start whose flags disagree with it (Mismatch).
 type Deployment struct {
 	// Sim generates the world: tags, kinds, rates, schedule, ground truth.
 	Sim sim.Config `json:"sim"`
