@@ -78,11 +78,6 @@ type ThresholdConfig struct {
 	Seed int64
 }
 
-// DefaultThresholdConfig mirrors the engine defaults.
-func DefaultThresholdConfig() ThresholdConfig {
-	return ThresholdConfig{Epochs: 600, Decoys: 5, Samples: 50, Seed: 7}
-}
-
 // ChooseThreshold samples hypothetical observation sequences that contain
 // no change point from the generative model of Section 3.1 and returns the
 // maximum Δ observed, the paper's offline choice of δ. All computation

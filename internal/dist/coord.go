@@ -18,13 +18,9 @@
 package dist
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
-
-	"rfidtrack/internal/model"
 )
 
 // DefaultSiteMap assigns sites to peers contiguously: site s belongs to
@@ -110,30 +106,4 @@ func MergeResults(rs []Result) Result {
 	}
 	out.Links = sortedLinks(links)
 	return out
-}
-
-// MergeAlertKeys sorts alert identity tuples into the canonical cross-peer
-// order (Site, Tag, First, Last). Per-peer alert sequence numbers are
-// peer-local, so cross-peer comparisons are over the sorted set.
-type AlertKey struct {
-	// Site raised the alert for Tag over the [First, Last] episode.
-	Site        int
-	Tag         model.TagID
-	First, Last model.Epoch
-}
-
-// SortAlertKeys orders keys by (Site, Tag, First, Last) in place.
-func SortAlertKeys(keys []AlertKey) {
-	slices.SortFunc(keys, func(a, b AlertKey) int {
-		if c := cmp.Compare(a.Site, b.Site); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Tag, b.Tag); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.First, b.First); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Last, b.Last)
-	})
 }

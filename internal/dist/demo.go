@@ -54,8 +54,3 @@ func ColdChainQuery(w *sim.World, interval model.Epoch) *ClusterQuery {
 		},
 	}
 }
-
-// ColdChainFrozen reports whether the demo manufacturer database marks a
-// tag as a frozen product (used by callers labeling ColdChainQuery
-// output).
-func ColdChainFrozen(id model.TagID) bool { return int(id)%3 == 0 }

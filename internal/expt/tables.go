@@ -299,30 +299,6 @@ func Sensitivity(sc Scale) Table {
 	return tbl
 }
 
-// AllTables regenerates every paper artifact at the given scale, in paper
-// order.
-func AllTables(sc Scale) []Table {
-	return []Table{
-		Figure4(sc),
-		Figure5a(sc),
-		Figure5b(sc),
-		Figure5c(sc),
-		Figure5d(sc),
-		Figure5e(sc),
-		Figure5f(sc),
-		Figure6a(sc),
-		Figure6b(sc),
-		Table3(sc),
-		Table4(sc),
-		Table5(sc),
-		TableQueries(sc),
-		Scalability(sc),
-		ClusterScaling(sc),
-		Sensitivity(sc),
-		Ablations(sc),
-	}
-}
-
 // Ablations quantifies the design choices DESIGN.md calls out: the
 // location read-off aggregation depth (LocEpochs), candidate pruning
 // (MaxCandidates), and the EM iteration cap.

@@ -123,25 +123,6 @@ func (tg *Tag) SetTrueLoc(t model.Epoch, loc model.Loc) {
 	tg.TrueLoc = append(tg.TrueLoc, LocSpan{From: t, To: model.Epoch(1<<31 - 1), Loc: loc})
 }
 
-// SetTrueCont appends or truncates the containment timeline so the object
-// is inside container starting at epoch t (container = -1 for "removed").
-func (tg *Tag) SetTrueCont(t model.Epoch, container model.TagID) {
-	n := len(tg.TrueCont)
-	if n > 0 {
-		last := &tg.TrueCont[n-1]
-		if last.Container == container && last.To >= t {
-			return
-		}
-		if last.To > t {
-			last.To = t
-		}
-	}
-	if container < 0 {
-		return
-	}
-	tg.TrueCont = append(tg.TrueCont, ContSpan{From: t, To: model.Epoch(1<<31 - 1), Container: container})
-}
-
 // CloseAt clips all open-ended ground-truth spans to end at epoch end.
 func (tg *Tag) CloseAt(end model.Epoch) {
 	for i := range tg.TrueLoc {
@@ -171,9 +152,6 @@ type Trace struct {
 	// Tags holds every tag, indexed by TagID.
 	Tags []Tag
 }
-
-// NumReaders returns the number of reader locations.
-func (tr *Trace) NumReaders() int { return len(tr.Readers) }
 
 // Likelihood builds the observation model for this trace's rates and
 // schedule. A nil schedule means every reader scans every epoch.
