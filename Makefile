@@ -50,6 +50,9 @@ test:
 # and the snapshot decoder's version branches stay deleted from
 # internal/wal, and the WAL record bodies are model.Writer fields, so
 # internal/stream/wal.go writes and reads no varint of its own.
+# And model.Writer only appends to a byte slice: every state encoder is an
+# AppendX that cannot fail, so the io.Writer-backed writer and the
+# bytes.Buffer wrappers that fed it stay out of the state codecs.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
@@ -88,6 +91,8 @@ vet:
 		|| { echo "the ONS cache is back; every peer answers /ons from its own complete mirror (see above)"; exit 1; }
 	@! grep -n 'RotateSite\|RotateDepartures\|RotateMigrations\|RotateAlerts\|rotateSegment\|replaySegments\|\<l\.\(deps\|migs\|alerts\)\>\|\<\(deps\|migs\|alerts\) \+\*segment' internal/wal/*.go internal/serve/*.go | grep -v '_test.go:' \
 		|| { echo "a per-kind WAL segment field, rotation or directory walk is back; every segment is an entry of wal.Log's table (see above)"; exit 1; }
+	@! grep -n 'model\.NewWriter\|io\.Writer\|bytes\.Buffer' internal/rfinfer/state.go internal/rfinfer/snapshot.go internal/stream/pattern.go internal/stream/wal.go internal/wal/state.go internal/dist/migrate.go \
+		|| { echo "a state encoder writes to an io.Writer or a bytes.Buffer again; append to a byte slice with model.Writer (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it
@@ -219,12 +224,18 @@ bench-smoke:
 # acknowledged event replayed after kill -9, WAL bytes on disk matching the
 # counters, /result DeepEqual the reference including the centralized
 # baseline, the alert log and SSE transcript — fails here rather than at the
-# benchmark gate.
+# benchmark gate. Each workload's traced ledger run (-trace 1) follows: it
+# takes and loads snapshots and ships the WAL in-process, codec paths the
+# untraced runs do not all reach.
 bench-quick:
 	$(GO) run ./bench -quick -workload firehose
 	$(GO) run ./bench -quick -workload crash_recover
 	$(GO) run ./bench -quick -workload paper_dense
 	$(GO) run ./bench -quick -workload alert_live
+	$(GO) run ./bench -quick -trace 1 -workload firehose
+	$(GO) run ./bench -quick -trace 1 -workload crash_recover
+	$(GO) run ./bench -quick -trace 1 -workload paper_dense
+	$(GO) run ./bench -quick -trace 1 -workload alert_live
 
 # Recovery smoke: build the real daemon, kill -9 it mid-stream, restart
 # over the same data directory, and require the drained result to match
