@@ -53,6 +53,11 @@ test:
 # And model.Writer only appends to a byte slice: every state encoder is an
 # AppendX that cannot fail, so the io.Writer-backed writer and the
 # bytes.Buffer wrappers that fed it stay out of the state codecs.
+# And a snapshot ships as a segment does: named by its generation
+# (snap-<gen>.snap), it is written in place and shipped as its tail from
+# the follower's size, so the temp-file, final-chunk and rename protocol
+# (shipSnapshot, applySnapshot, sealPending, closePending, the pending
+# cursor, .snap.tmp) stays deleted from internal/wal.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
@@ -93,6 +98,8 @@ vet:
 		|| { echo "a per-kind WAL segment field, rotation or directory walk is back; every segment is an entry of wal.Log's table (see above)"; exit 1; }
 	@! grep -n 'model\.NewWriter\|io\.Writer\|bytes\.Buffer' internal/rfinfer/state.go internal/rfinfer/snapshot.go internal/stream/pattern.go internal/stream/wal.go internal/wal/state.go internal/dist/migrate.go \
 		|| { echo "a state encoder writes to an io.Writer or a bytes.Buffer again; append to a byte slice with model.Writer (see above)"; exit 1; }
+	@! grep -n 'shipSnapshot\|applySnapshot\|sealPending\|closePending\|pendingBoundary\|PendingSnap\|\.snap\.tmp' internal/wal/*.go | grep -v '_test.go:' \
+		|| { echo "a second shipping protocol for snapshots is back in internal/wal; a snapshot ships like a segment (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

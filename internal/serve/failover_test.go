@@ -2,12 +2,15 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -19,6 +22,7 @@ import (
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/rfinfer"
 	"rfidtrack/internal/sim"
+	"rfidtrack/internal/wal"
 )
 
 // startFailoverStandby boots a warm Standby for peer slot forPeer on its
@@ -189,6 +193,112 @@ func TestFailoverMatchesSequential(t *testing.T) {
 			cutT := model.Epoch(float64(w.Epochs) * (0.25 + 0.5*rng.Float64()))
 			runFailoverCycle(t, w, events, want, wantAlerts, cutT, workers)
 		})
+	}
+}
+
+// TestFailoverTwoSnapshotsOneBoundary promotes a standby that shipped two
+// snapshots taken at one checkpoint boundary — a forced snapshot (POST
+// /snapshot) before the next checkpoint — with readings ingested between
+// them: the promoted server must still finish the stream with the
+// uninterrupted run's Result and alert log, so the readings logged between
+// the snapshots reached the standby.
+func TestFailoverTwoSnapshotsOneBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	w := testWorld(t)
+	const interval = model.Epoch(300)
+	ref := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+	ref.Query = exposureQuery(w, interval)
+	want, err := ref.ReplaySequential(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantAlerts []Alert
+	for s := range w.Sites {
+		for _, m := range ref.SiteQuery(s).Matches() {
+			wantAlerts = append(wantAlerts, Alert{Site: s, Tag: m.Tag, First: m.First, Last: m.Last,
+				Values: append([]float64(nil), m.Values...), Pattern: ref.SiteQuery(s).PatternKey()})
+		}
+	}
+	events := WorldEvents(w, ref.Departures())
+
+	build := func(dir string) (*dist.Cluster, Config, error) {
+		return dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig()), Config{Interval: interval,
+			Horizon: w.Epochs, Query: exposureQuery(w, interval), DataDir: dir, Strict: true, SnapshotEvery: -1}, nil
+	}
+	c, cfg, _ := build(t.TempDir())
+	srv, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	sdir := t.TempDir()
+	st, err := NewStandby(StandbyConfig{Primary: ts.URL, Dir: sdir, ShipInterval: 5 * time.Millisecond,
+		Build: func() (*dist.Cluster, Config, error) { return build(sdir) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// shipped waits until the standby has committed generation gen.
+	shipped := func(gen int) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			b, err := os.ReadFile(filepath.Join(sdir, "MANIFEST"))
+			var m wal.Manifest
+			if err == nil && json.Unmarshal(b, &m) == nil && m.Gen == gen {
+				return
+			}
+		}
+		t.Fatalf("standby never committed generation %d: %+v", gen, st.Status())
+	}
+
+	// Stream three checkpoints and half an interval, snapshot once the
+	// third checkpoint has run, ship it, stream the rest of the interval,
+	// and snapshot again at the same boundary.
+	const checkpoints = 3
+	cut := splitAt(events, checkpoints*interval+interval/2)
+	rest := splitAt(events, (checkpoints+1)*interval)
+	streamEvents(t, srv, events[:cut])
+	for deadline := time.Now().Add(20 * time.Second); srv.Stats().Feed.Checkpoints < checkpoints; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary ran %d checkpoints, want %d", srv.Stats().Feed.Checkpoints, checkpoints)
+		}
+	}
+	m1, err := srv.SnapshotNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped(m1.Gen)
+	streamEvents(t, srv, events[cut:rest])
+	m2, err := srv.SnapshotNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Boundary != m2.Boundary || cut == rest {
+		t.Fatalf("snapshots at boundaries %d and %d with %d events between; want one boundary and some events",
+			m1.Boundary, m2.Boundary, rest-cut)
+	}
+	shipped(m2.Gen)
+	waitCaughtUp(t, st, srv)
+	if err := srv.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := st.Promote(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	promoted := st.Server()
+	streamEvents(t, promoted, events[rest:])
+	if err := promoted.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := promoted.Result(); !reflect.DeepEqual(got, want) {
+		t.Errorf("promoted Result diverged from the uninterrupted reference\n got: %+v\nwant: %+v", got, want)
+	}
+	if got, wantN := normAlerts(promoted.AlertsSince(0, 0)), normAlerts(wantAlerts); !reflect.DeepEqual(got, wantN) {
+		t.Errorf("promoted alert log diverged\n got: %+v\nwant: %+v", got, wantN)
 	}
 }
 

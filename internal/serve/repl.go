@@ -11,6 +11,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
@@ -102,7 +103,11 @@ func (s *Server) handleReplSubscribe(w http.ResponseWriter, r *http.Request) {
 	for s.walOn.Load() {
 		frames, err = s.wal.ShipDelta(frames[:0], pos, maxBytes)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "serve: ship: " + err.Error()})
+			code := http.StatusInternalServerError
+			if errors.Is(err, wal.ErrShipPos) {
+				code = http.StatusBadRequest
+			}
+			writeJSON(w, code, map[string]string{"error": "serve: ship: " + err.Error()})
 			return
 		}
 		if len(frames) > 0 || !time.Now().Before(deadline) {

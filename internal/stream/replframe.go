@@ -44,16 +44,17 @@ const (
 	// departure/migration/alert segments), Gen its generation, Off the file
 	// offset the payload starts at.
 	ReplSegment = 1
-	// ReplSnapshot ships a byte range of a snapshot file: Gen is the
-	// snapshot's boundary epoch (the file name derives from it), Off the
-	// file offset, and Site is 1 on the final chunk (the follower then
-	// fsyncs and renames the temp file into place) and 0 otherwise.
+	// ReplSnapshot ships a byte range of a snapshot file exactly as
+	// ReplSegment ships a segment's: Gen is the generation whose manifest
+	// commits the snapshot (the file name derives from it), Off the file
+	// offset the payload starts at. Site is 0 and ignored.
 	ReplSnapshot = 2
 	// ReplManifest commits the follower's manifest: Gen is the new segment
 	// generation, Off the snapshot boundary epoch, and Site is 1 when a
-	// snapshot is named (the one ReplSnapshot chunks shipped) and 0 before
-	// the first snapshot. It is always the last state-bearing frame of a
-	// batch: the follower fsyncs everything shipped before it, then commits.
+	// snapshot is named (the generation's, which ReplSnapshot chunks
+	// shipped) and 0 before the first snapshot. It is always the last
+	// state-bearing frame of a batch: the follower fsyncs everything
+	// shipped before it, then commits.
 	ReplManifest = 3
 	// ReplTruncate cuts a follower segment back to Off bytes: Site and Gen
 	// address the segment. Sent when the follower reports an offset past the

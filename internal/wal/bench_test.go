@@ -120,6 +120,32 @@ func BenchmarkWALShip(b *testing.B) {
 	b.ReportMetric(float64(total)/(1<<20)/b.Elapsed().Seconds(), "shippedMB/s")
 }
 
+// BenchmarkWALSnapshot measures a repeated snapshot commit of a
+// multi-megabyte state: encode, write and fsync the file and the
+// directory, commit the manifest, retire the previous snapshot. Each
+// encode after the first is sized from the previous snapshot, so B/op is
+// about one state's bytes in one allocation.
+func BenchmarkWALSnapshot(b *testing.B) {
+	l, err := Open(b.TempDir(), 1, Options{SyncEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	st := &State{Boundary: 300, StreamTime: 299, Feed: dist.FeedState{Next: 300},
+		Buffered: [][]dist.Reading{someReadings(400_000)}}
+	snapshot := func() {
+		if err := l.Snapshot(st, l.NextGen()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		snapshot()
+	}
+}
+
 // BenchmarkWALReplay measures log-scan throughput: CRC over a committed
 // segment set of run records and one callback per reading, the raw-read
 // half of recovery cost.

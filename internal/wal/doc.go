@@ -17,7 +17,8 @@
 //	departures.<gen>.wal  the departure segment
 //	migrations.<gen>.wal  inbound peer migration payloads
 //	alerts.<gen>.wal      published alerts, the alert log's tail
-//	snap-<epoch>.snap     full-state snapshots (State, CRC-protected)
+//	snap-<gen>.snap       the full-state snapshot (State, CRC-protected)
+//	                      the manifest of generation <gen> commits
 //	FENCE                 the fencing epoch a promoted standby writes
 //
 // A segment is addressed by an id: a site's number, or one of the shared
@@ -56,6 +57,17 @@
 // — writing a snapshot rotates every segment to a new generation, then
 // retires the old files. Disk usage is therefore bounded by one snapshot
 // plus the WAL written since.
+//
+// A snapshot is named by the generation whose manifest commits it, never
+// by its boundary: two snapshots at one boundary (a forced one before the
+// next checkpoint) are two generations and two names, so a name always
+// means one sequence of bytes. Log.Snapshot writes snap-<gen>.snap in
+// place, fsyncs it and the directory, and only then commits the manifest;
+// it refuses a generation not above the manifest's, so the committed
+// snapshot is never overwritten, and a file cut short by a crash is named
+// by no manifest and retired by the next commit. Shipping (ship.go) relies
+// on the same rule: a snapshot ships to a standby exactly as a segment
+// does, as its tail from the size the follower holds.
 //
 // # Recovery
 //

@@ -252,6 +252,8 @@ type Log struct {
 	// tests can hold or fail one.
 	fsync func(*os.File) error
 
+	snapLen int // the last snapshot's size, which sizes the next encode
+
 	appendSeq  atomic.Int64 // bumped after every buffered append
 	syncMu     sync.Mutex   // serializes group commits
 	syncedSeq  int64        // guarded by syncMu: highest seq a commit covered
@@ -849,18 +851,23 @@ func (l *Log) Commit() error {
 }
 
 // NextGen returns the generation a snapshot in progress should rotate
-// into: one past both the manifest's generation and any segment file on
-// disk. Scanning the directory matters after a crash that rotated
+// into: one past the manifest's generation and every segment and snapshot
+// file on disk. Scanning the directory matters after a crash that rotated
 // segments but never committed their manifest: those orphaned
 // higher-generation files still hold the only durable copy of their
 // records (Replay reads them, the next committed snapshot retires them),
 // and reusing their names with O_APPEND would splice stale records into
-// a fresh generation.
+// a fresh generation. Counting snapshot files keeps every new snapshot's
+// name new, a boundary-named one an earlier release wrote included.
 func (l *Log) NextGen() int {
-	gen := l.manifest.Gen
-	segs, _ := listSegments(l.dir, gen) // on a read error, the manifest's generation alone
-	for _, sg := range segs {
-		gen = max(gen, sg.gen)
+	gen := l.Manifest().Gen
+	entries, _ := os.ReadDir(l.dir) // on a read error, the manifest's generation alone
+	for _, e := range entries {
+		if _, g, ok := parseSegmentName(e.Name()); ok {
+			gen = max(gen, g)
+		} else if g, ok := parseSnapshotName(e.Name()); ok {
+			gen = max(gen, g)
+		}
 	}
 	return gen + 1
 }
@@ -888,18 +895,24 @@ func (l *Log) Rotate(id, gen int) error {
 }
 
 // Snapshot commits a full-state snapshot taken at a checkpoint boundary:
-// write the state file durably, commit the manifest naming it together
-// with the new segment generation (the caller must have called Rotate
-// after assembling st), then retire every older-generation segment and
-// older snapshot. After Snapshot returns, the directory holds one snapshot
-// plus the segments written since Rotate.
+// write snap-<gen>.snap and fsync it and the directory, commit the
+// manifest naming it together with the new segment generation (the caller
+// must have called Rotate after assembling st), then retire every
+// older-generation segment and every other snapshot. gen must be above
+// the manifest's (NextGen is), so the committed snapshot is never
+// overwritten; a file cut short by a crash is named by no manifest, and
+// the next Snapshot retires it. After Snapshot returns, the directory
+// holds one snapshot plus the segments written since Rotate. Calls must
+// not overlap.
 func (l *Log) Snapshot(st *State, gen int) error {
-	name := snapshotName(st.Boundary)
-	tmp := filepath.Join(l.dir, name+".tmp")
-	if err := writeFileSync(tmp, AppendState(nil, st)); err != nil {
-		return err
+	if m := l.Manifest(); gen <= m.Gen {
+		return fmt.Errorf("wal: snapshot generation %d is not above the manifest's %d", gen, m.Gen)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, name)); err != nil {
+	name := snapshotName(gen)
+	// Sized from the last snapshot, one encode is one allocation.
+	b := AppendState(make([]byte, 0, l.snapLen+l.snapLen/8), st)
+	l.snapLen = len(b)
+	if err := writeFileSync(filepath.Join(l.dir, name), b); err != nil {
 		return err
 	}
 	if err := syncDir(l.dir); err != nil {
@@ -922,8 +935,8 @@ func (l *Log) Snapshot(st *State, gen int) error {
 }
 
 // retireFiles deletes dir's segments of generations before keepGen and its
-// snapshots, complete or in flight, other than keepSnap; no other file is
-// touched (parseSegmentName, parseSnapshotName). Failures are ignored:
+// snapshots other than keepSnap; no other file is touched
+// (parseSegmentName, parseSnapshotName). Failures are ignored:
 // stale files are re-retired by the next snapshot and never consulted by
 // recovery (the manifest is the only source of truth). The Log retires
 // after committing a snapshot, the replication Receiver after committing a
@@ -939,32 +952,33 @@ func retireFiles(dir, keepSnap string, keepGen int) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if _, tmp, ok := parseSnapshotName(name); ok && (tmp || name != keepSnap) {
+		if _, ok := parseSnapshotName(name); ok && name != keepSnap {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
 
-// snapshotName returns the snapshot file name for a checkpoint boundary;
-// deriving it from the boundary alone is what lets the replication stream
-// address snapshot chunks by boundary instead of by name.
-func snapshotName(boundary model.Epoch) string {
-	return fmt.Sprintf("snap-%010d.snap", boundary)
+// snapshotName returns the file name of the snapshot the manifest of
+// generation gen commits. A generation has one snapshot, so a name always
+// means one sequence of bytes, and the replication stream addresses a
+// snapshot's chunks by generation exactly as it does a segment's.
+func snapshotName(gen int) string {
+	return fmt.Sprintf("snap-%010d.snap", gen)
 }
 
-// parseSnapshotName reverses snapshotName, also matching the in-flight
-// ".snap.tmp" form (tmp reports true). Only a name snapshotName writes is
-// a snapshot: ok is false for every other file, "snap-300.snap" or a copy's
-// "snap-0000000300 (copy).snap" included, so a follower's cursor and
-// retirement never count or delete a file the log did not write.
-func parseSnapshotName(name string) (boundary model.Epoch, tmp bool, ok bool) {
-	name, tmp = strings.CutSuffix(name, ".tmp")
+// parseSnapshotName reverses snapshotName. Only a name snapshotName writes
+// is a snapshot: ok is false for every other file, "snap-300.snap" or a
+// copy's "snap-0000000300 (copy).snap" included, so a follower's cursor
+// and retirement never count or delete a file the log did not write. (A
+// snapshot an earlier release named by its boundary parses as that
+// generation.)
+func parseSnapshotName(name string) (gen int, ok bool) {
 	digits, _ := strings.CutSuffix(strings.TrimPrefix(name, "snap-"), ".snap")
-	b, err := strconv.ParseInt(digits, 10, 32)
-	if err != nil || snapshotName(model.Epoch(b)) != name {
-		return 0, false, false
+	g, err := strconv.ParseInt(digits, 10, 32)
+	if err != nil || g < 0 || snapshotName(int(g)) != name {
+		return 0, false
 	}
-	return model.Epoch(b), tmp, true
+	return int(g), true
 }
 
 // LoadState decodes the manifest's snapshot. ok is false when no snapshot

@@ -47,8 +47,7 @@ func TestParseSegmentName(t *testing.T) {
 		{manifestName, 0, 0, false},
 		{deploymentName, 0, 0, false},
 		{fenceName, 0, 0, false},
-		{snapshotName(300), 0, 0, false},
-		{snapshotName(300) + ".tmp", 0, 0, false},
+		{snapshotName(2), 0, 0, false},
 		{manifestName + ".tmp", 0, 0, false},
 	} {
 		id, gen, ok := parseSegmentName(tc.name)
@@ -67,40 +66,41 @@ func TestParseSegmentName(t *testing.T) {
 }
 
 // TestParseSnapshotName pins the snapshot namespace the way
-// TestParseSegmentName pins the segments': a file is a snapshot, complete
-// or in flight, only under a name snapshotName writes.
+// TestParseSegmentName pins the segments': a file is a snapshot only under
+// a name snapshotName writes, and that name is its generation's.
 func TestParseSnapshotName(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		boundary model.Epoch
-		tmp, ok  bool
+		name string
+		gen  int
+		ok   bool
 	}{
-		{snapshotName(0), 0, false, true},
-		{snapshotName(300), 300, false, true},
-		{snapshotName(300) + ".tmp", 300, true, true},
-		{snapshotName(1<<31 - 1), 1<<31 - 1, false, true},
+		{snapshotName(0), 0, true},
+		{snapshotName(2), 2, true},
+		{snapshotName(1<<31 - 1), 1<<31 - 1, true},
+		{"snap-0000000300.snap", 300, true}, // an earlier release's boundary name
 
-		{"snap-300.snap", 0, false, false},
-		{"snap-+300.snap", 0, false, false},
-		{"snap-0000000300 (copy).snap", 0, false, false},
-		{"snap-00000000300.snap", 0, false, false},
-		{"snap-0000000300.snap.tmp.tmp", 0, false, false},
-		{"snap-0000000300.snapx", 0, false, false},
-		{"snap-.snap", 0, false, false},
-		{"backup.snap", 0, false, false},
-		{manifestName + ".tmp", 0, false, false},
-		{segmentName(0, 1), 0, false, false},
+		{"snap-300.snap", 0, false},
+		{"snap-+300.snap", 0, false},
+		{"snap--000000001.snap", 0, false},
+		{"snap-0000000300 (copy).snap", 0, false},
+		{"snap-00000000300.snap", 0, false},
+		{"snap-0000000300.snap.tmp", 0, false},
+		{"snap-0000000300.snapx", 0, false},
+		{"snap-.snap", 0, false},
+		{"backup.snap", 0, false},
+		{manifestName + ".tmp", 0, false},
+		{segmentName(0, 1), 0, false},
 	} {
-		b, tmp, ok := parseSnapshotName(tc.name)
-		if ok != tc.ok || ok && (b != tc.boundary || tmp != tc.tmp) {
-			t.Errorf("parseSnapshotName(%q) = %d, %v, %v; want %d, %v, %v", tc.name, b, tmp, ok, tc.boundary, tc.tmp, tc.ok)
+		gen, ok := parseSnapshotName(tc.name)
+		if ok != tc.ok || ok && gen != tc.gen {
+			t.Errorf("parseSnapshotName(%q) = %d, %v; want %d, %v", tc.name, gen, ok, tc.gen, tc.ok)
 		}
 	}
 }
 
 // TestStraySnapshotFilesIgnored: files named like snapshots that the log
 // never wrote neither wedge a follower — whose cursor would report one as a
-// pending snapshot and have shipping resume past its first byte — nor get
+// snapshot it holds and have shipping resume past its first byte — nor get
 // deleted by a snapshot commit on either side, which retires only the
 // log's own older snapshots.
 func TestStraySnapshotFilesIgnored(t *testing.T) {
@@ -126,12 +126,14 @@ func TestStraySnapshotFilesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos, err := r.Pos(); err != nil || pos.PendingSnap != -1 {
-		t.Fatalf("follower cursor %+v (err %v): a stray file reads as a pending snapshot", pos, err)
+	if pos, err := r.Pos(); err != nil || len(pos.Files) != 0 {
+		t.Fatalf("follower cursor %+v (err %v): a stray file reads as a shipped file", pos, err)
 	}
 
+	var gens []int
 	for _, boundary := range []model.Epoch{300, 600} {
 		gen := l.NextGen()
+		gens = append(gens, gen)
 		for _, id := range []int{0, Departures, Migrations, Alerts} {
 			if err := l.Rotate(id, gen); err != nil {
 				t.Fatal(err)
@@ -155,8 +157,8 @@ func TestStraySnapshotFilesIgnored(t *testing.T) {
 				t.Errorf("%s: stray %s was deleted or changed", dir, name)
 			}
 		}
-		if _, ok := files[snapshotName(300)]; ok {
-			t.Errorf("%s: the superseded snapshot %s was not retired", dir, snapshotName(300))
+		if _, ok := files[snapshotName(gens[0])]; ok {
+			t.Errorf("%s: the superseded snapshot %s was not retired", dir, snapshotName(gens[0]))
 		}
 		l2, err := Open(dir, 1, Options{SyncEvery: -1})
 		if err != nil {
@@ -302,7 +304,7 @@ func TestReceiverRefusesUnknownSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pos.Segs) != 0 {
-		t.Errorf("follower holds segments %+v after refusing every frame", pos.Segs)
+	if len(pos.Files) != 0 {
+		t.Errorf("follower holds files %+v after refusing every frame", pos.Files)
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -189,6 +190,178 @@ func TestShipSnapshotAndRotation(t *testing.T) {
 	if got.Boundary != 300 || got.StreamTime != 299 {
 		t.Fatalf("shipped snapshot state diverged: %+v", got)
 	}
+	if m := l2.Manifest(); m.Gen != gen || m.Snapshot != snapshotName(gen) {
+		t.Fatalf("follower manifest %+v, want generation %d naming %s", m, gen, snapshotName(gen))
+	}
+}
+
+// snapshotAt rotates every segment of a one-site log to the next
+// generation and commits a snapshot at boundary with the given buffered
+// readings, returning the generation.
+func snapshotAt(t *testing.T, l *Log, boundary model.Epoch, buffered []dist.Reading) int {
+	t.Helper()
+	gen := l.NextGen()
+	for _, id := range []int{0, Departures, Migrations, Alerts} {
+		if err := l.Rotate(id, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := &State{Boundary: boundary, StreamTime: boundary - 1, Feed: dist.FeedState{Next: boundary},
+		Buffered: [][]dist.Reading{buffered}}
+	if err := l.Snapshot(st, gen); err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
+// TestShipTwoSnapshotsOneBoundary pins the case a boundary-named snapshot
+// lost: two snapshots at one checkpoint boundary (a forced snapshot before
+// the next checkpoint) with a reading logged between them. A follower
+// caught up on the first must end byte-identical to the primary and
+// recover that reading from the second.
+func TestShipTwoSnapshotsOneBoundary(t *testing.T) {
+	l := openFresh(t, 1, Options{SyncEvery: -1})
+	defer l.Close()
+	fdir := t.TempDir()
+	r, err := OpenReceiver(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotAt(t, l, 300, nil)
+	syncFollower(t, l, r, 0)
+
+	between := dist.Reading{T: 350, ID: 9, Mask: 1}
+	if err := l.AppendReadings(0, []dist.Reading{between}); err != nil {
+		t.Fatal(err)
+	}
+	syncFollower(t, l, r, 0)
+	snapshotAt(t, l, 300, []dist.Reading{between})
+	syncFollower(t, l, r, 0)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireDirsEqual(t, l.Dir(), fdir)
+
+	fl, runs, _ := replayRuns(t, fdir, 1)
+	st, ok, err := fl.LoadState()
+	if err != nil || !ok {
+		t.Fatalf("follower LoadState: ok=%v err=%v", ok, err)
+	}
+	if len(st.Buffered) != 1 || !reflect.DeepEqual(st.Buffered[0], []dist.Reading{between}) || len(runs) != 0 {
+		t.Fatalf("follower recovered buffered %+v and replayed %+v, want the reading %+v buffered", st.Buffered, runs, between)
+	}
+}
+
+// TestShipResumesPartSnapshot pins a follower restarted half-way through a
+// snapshot: its cursor holds the part-shipped file's size, the primary
+// resumes from there, and the follower converges to the primary's bytes.
+func TestShipResumesPartSnapshot(t *testing.T) {
+	l := openFresh(t, 1, Options{SyncEvery: -1})
+	defer l.Close()
+	gen := snapshotAt(t, l, 300, someReadings(200))
+	fdir := t.TempDir()
+	r, err := OpenReceiver(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := r.Pos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := l.ShipDelta(nil, pos, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyFrames(t, r, frames)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if r, err = OpenReceiver(fdir); err != nil {
+		t.Fatal(err)
+	}
+	if pos, err = r.Pos(); err != nil {
+		t.Fatal(err)
+	}
+	name := snapshotName(gen)
+	if pos.Gen != 0 || pos.Files[name] != 512 {
+		t.Fatalf("restarted follower's cursor %+v, want generation 0 holding 512 bytes of %s", pos, name)
+	}
+	if frames, err = l.ShipDelta(nil, pos, 512); err != nil {
+		t.Fatal(err)
+	}
+	rf, _, err := stream.DecodeReplFrame(frames)
+	if err != nil || rf.Kind != stream.ReplSnapshot || rf.Gen != gen || rf.Off != 512 {
+		t.Fatalf("resumed batch opens with %+v (err %v), want %s's chunk at 512", rf, err, name)
+	}
+	syncFollower(t, l, r, 512)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireDirsEqual(t, l.Dir(), fdir)
+}
+
+// TestCutShortSnapshotRecovers pins a crash in the middle of writing a
+// snapshot: the cut-short file is named by no manifest, so recovery loads
+// the previous snapshot and replays the tail, and the next Snapshot
+// retires the cut file.
+func TestCutShortSnapshotRecovers(t *testing.T) {
+	l := openFresh(t, 1, Options{SyncEvery: -1})
+	snapshotAt(t, l, 300, nil)
+	gen := l.NextGen()
+	if err := l.Rotate(0, gen); err != nil {
+		t.Fatal(err)
+	}
+	tail := someReadings(5)
+	if err := l.AppendReadings(0, tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	full := AppendState(nil, &State{Boundary: 600, StreamTime: 599, Feed: dist.FeedState{Next: 600}})
+	cut := filepath.Join(l.Dir(), snapshotName(gen))
+	if err := os.WriteFile(cut, full[:len(full)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, runs, _ := replayRuns(t, l.Dir(), 1)
+	st, ok, err := l2.LoadState()
+	if err != nil || !ok || st.Boundary != 300 {
+		t.Fatalf("LoadState over a cut-short snapshot = %+v, %v, %v; want the boundary-300 snapshot", st, ok, err)
+	}
+	var got []dist.Reading
+	for _, run := range runs {
+		got = append(got, run.rs...)
+	}
+	if !reflect.DeepEqual(got, tail) {
+		t.Fatalf("replayed %+v, want the tail %+v", got, tail)
+	}
+	if err := l2.StartAppending(); err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	snapshotAt(t, l2, 600, tail)
+	if _, err := os.Stat(cut); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the cut-short %s outlived the next snapshot (stat: %v)", snapshotName(gen), err)
+	}
+}
+
+// TestSnapshotNeverOverwritesCommitted pins the guard that keeps a name
+// meaning one sequence of bytes: a snapshot at a generation not above the
+// manifest's is refused, and the committed snapshot still loads.
+func TestSnapshotNeverOverwritesCommitted(t *testing.T) {
+	l := openFresh(t, 1, Options{SyncEvery: -1})
+	defer l.Close()
+	gen := snapshotAt(t, l, 300, nil)
+	for _, g := range []int{gen, gen - 1} {
+		if err := l.Snapshot(&State{Boundary: 600, Feed: dist.FeedState{Next: 600}}, g); err == nil {
+			t.Fatalf("a snapshot at generation %d over the manifest's %d was committed", g, gen)
+		}
+	}
+	if st, ok, err := l.LoadState(); err != nil || !ok || st.Boundary != 300 {
+		t.Fatalf("LoadState after refused snapshots = %+v, %v, %v; want the boundary-300 snapshot", st, ok, err)
+	}
 }
 
 // TestShipSmallBudgetResume pins resumability: shipping under a tiny
@@ -236,8 +409,7 @@ func TestShipSmallBudgetResume(t *testing.T) {
 	syncFollower(t, l, r, 512)
 
 	// Re-apply an already-applied batch: idempotent by contract.
-	frames, err := l.ShipDelta(nil, ShipPos{Gen: l.Manifest().Gen, Boundary: l.Manifest().Boundary,
-		HasSnap: true, PendingSnap: -1}, 4096)
+	frames, err := l.ShipDelta(nil, ShipPos{Gen: l.Manifest().Gen}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
