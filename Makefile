@@ -58,6 +58,10 @@ test:
 # the follower's size, so the temp-file, final-chunk and rename protocol
 # (shipSnapshot, applySnapshot, sealPending, closePending, the pending
 # cursor, .snap.tmp) stays deleted from internal/wal.
+# And the alert path has one Alert type (wal.Alert, which serve.Alert names)
+# and one subscription index under the registry's lock, so a second alert
+# struct and the tag-sharded index with its per-shard counters stay deleted
+# from internal/serve.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
@@ -100,6 +104,10 @@ vet:
 		|| { echo "a state encoder writes to an io.Writer or a bytes.Buffer again; append to a byte slice with model.Writer (see above)"; exit 1; }
 	@! grep -n 'shipSnapshot\|applySnapshot\|sealPending\|closePending\|pendingBoundary\|PendingSnap\|\.snap\.tmp' internal/wal/*.go | grep -v '_test.go:' \
 		|| { echo "a second shipping protocol for snapshots is back in internal/wal; a snapshot ships like a segment (see above)"; exit 1; }
+	@! grep -n 'tagShard\|alertShards\|ShardMatches\|ScanMatches' internal/serve/*.go | grep -v '_test.go:' \
+		|| { echo "the tag-sharded subscription index is back in internal/serve; the registry has one tag map (see above)"; exit 1; }
+	@! grep -n 'type Alert \+struct' internal/serve/*.go \
+		|| { echo "a second alert struct is back in internal/serve; serve.Alert is wal.Alert (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

@@ -38,10 +38,7 @@ import (
 // the due-clock parked no checkpoint can run (and no backpressure engage)
 // until the scheduler catches up afterwards.
 func (s *Server) recover() error {
-	l, err := wal.Open(s.cfg.DataDir, len(s.shards), wal.Options{
-		SyncEvery: s.cfg.SyncEvery,
-		Strict:    s.cfg.Strict,
-	})
+	l, err := wal.Open(s.cfg.DataDir, len(s.shards), wal.Options{SyncEvery: s.cfg.SyncEvery})
 	if err != nil {
 		return err
 	}
@@ -173,11 +170,7 @@ func (s *Server) restoreState(st *wal.State) error {
 		q.ImportMatches(st.Queries[i].Matches)
 	}
 
-	alerts := make([]Alert, len(st.Alerts))
-	for i, a := range st.Alerts {
-		alerts[i] = Alert{Site: a.Site, Tag: a.Tag, First: a.First, Last: a.Last, Values: a.Values, Pattern: a.Pattern}
-	}
-	s.alerts.restore(alerts)
+	s.alerts.restore(st.Alerts)
 
 	sealTo := st.Boundary - s.cfg.Interval
 	for i, sh := range s.shards {
@@ -289,9 +282,7 @@ func (s *Server) snapshotLocked() error {
 			st.Queries[i] = qs
 		}
 	}
-	for _, a := range s.alerts.export() {
-		st.Alerts = append(st.Alerts, wal.Alert{Site: a.Site, Tag: a.Tag, First: a.First, Last: a.Last, Values: a.Values, Pattern: a.Pattern})
-	}
+	st.Alerts = s.alerts.export()
 	s.invMu.Lock()
 	st.Invalid = s.invalid
 	st.Misc = s.miscReceived
@@ -312,13 +303,9 @@ func (s *Server) SnapshotNow() (wal.Manifest, error) {
 	if s.wal == nil {
 		return wal.Manifest{}, errors.New("serve: durability disabled (no DataDir configured)")
 	}
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return wal.Manifest{}, ErrClosed
+	if err := s.beginIngest(); err != nil {
+		return wal.Manifest{}, err
 	}
-	s.ingestWG.Add(1)
-	s.closeMu.RUnlock()
 	defer s.ingestWG.Done()
 
 	s.mu.Lock()

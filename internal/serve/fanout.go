@@ -168,14 +168,7 @@ func (r *registry) subscribeChannel(f Filter, from int) *Subscription {
 type DeliveryStats struct {
 	// Subscribers is the number of attached subscriptions.
 	Subscribers int `json:"subscribers"`
-	// ShardMatches counts alerts matched to subscribers via each tag
-	// shard of the registry.
-	ShardMatches []int64 `json:"shard_matches,omitempty"`
-	// ScanMatches counts matches found via the site, pattern and
-	// broadcast lists (everything not routed through a tag shard).
-	ScanMatches int64 `json:"scan_matches"`
-	// Enqueued counts subscriber wakeups, one per match: the sum of
-	// ShardMatches and ScanMatches.
+	// Enqueued counts subscriber wakeups, one per match.
 	Enqueued int64 `json:"enqueued"`
 	// Dropped is always 0: subscribers read the log by cursor, so there
 	// is no queue to overflow. Kept for readers of the field.

@@ -5,6 +5,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -296,41 +297,16 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	if limit <= 0 {
-		limit = defaultPollLimit
-	}
-	if limit > maxPollLimit {
-		limit = maxPollLimit
-	}
-	from := 0
-	if cursorTok != "" {
-		seq, err := stream.DecodeAlertCursor(cursorTok)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		from = int(seq)
-	} else if from, err = intParam(r, "since", 0); err != nil {
+	from, err := alertStart(r, cursorTok)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	// Register a real subscriber rather than calling PollAlerts: the
-	// client-disconnect hook can then fail a blocked poll immediately, so a
-	// consumer that hangs up mid-wait never holds this handler (and its
-	// ephemeral subscriber) for the full wait budget.
-	sub := s.registry.register(f, from)
-	defer sub.shutdown()
-	stop := context.AfterFunc(r.Context(), sub.shutdown)
-	defer stop()
-	alerts, done := sub.poll(limit, time.Duration(waitMS)*time.Millisecond)
-	next := sub.cursor()
+	// The read ends with the request: a consumer that hangs up mid-wait
+	// never holds this handler (and its subscriber) for the wait budget.
+	alerts, next, done := s.readAlerts(r.Context(), f, from, min(limit, maxPollLimit), time.Duration(waitMS)*time.Millisecond)
 	if r.Context().Err() != nil {
 		return // client gone; nobody to write the page to
-	}
-	// done from the subscriber means "no further alert can arrive", which a
-	// crash also produces; only a graceful finish is terminal for clients.
-	if done && !s.alerts.isFinished() {
-		done = false
 	}
 	if alerts == nil {
 		alerts = []Alert{}
@@ -340,6 +316,16 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		Cursor: stream.EncodeAlertCursor(int64(next)),
 		Done:   done,
 	})
+}
+
+// alertStart parses where an alert read starts: the cursor token tok
+// (Last-Event-ID or ?cursor=) when there is one, else ?since=.
+func alertStart(r *http.Request, tok string) (int, error) {
+	if tok == "" {
+		return intParam(r, "since", 0)
+	}
+	seq, err := stream.DecodeAlertCursor(tok)
+	return int(seq), err
 }
 
 // sseBatch bounds how many alerts one SSE write loop drains before
@@ -359,22 +345,8 @@ func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	from := 0
-	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-		seq, err := stream.DecodeAlertCursor(lei)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		from = int(seq)
-	} else if tok := r.URL.Query().Get("cursor"); tok != "" {
-		seq, err := stream.DecodeAlertCursor(tok)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		from = int(seq)
-	} else if from, err = intParam(r, "since", 0); err != nil {
+	from, err := alertStart(r, cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("cursor")))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}

@@ -1,12 +1,10 @@
 // The subscription registry: the matching half of the delivery tier. Every
 // subscriber declares a Filter; the registry indexes each subscriber under
-// its most selective dimension — tag filters in one of alertShards
-// hash-sharded maps, then site, then pattern, with only true match-alls in
-// the broadcast list — so dispatching one alert wakes the subscribers
-// that could match it, not every subscriber. A consumer-scale fan-out
-// (100k tag subscriptions) therefore costs one shard-map lookup per
-// alert, and subscribers on distinct shards register and match without
-// contending on a single lock.
+// its most selective dimension — tag, then site, then pattern, with only
+// true match-alls in the broadcast list — so dispatching one alert wakes
+// the subscribers that could match it, not every subscriber. A
+// consumer-scale fan-out (100k tag subscriptions) therefore costs one map
+// lookup per dimension per alert.
 package serve
 
 import (
@@ -144,117 +142,85 @@ func parseFilterInt(key, val string) (int, error) {
 	return n, nil
 }
 
-// alertShards is the number of tag-hash shards in the registry's per-tag
-// index. Tag filters dominate at consumer scale (one subscription per
-// tracked object), so they get the sharded structure; site and pattern
-// have low cardinality and share one map each.
-const alertShards = 16
-
-// tagShard is one shard of the per-tag subscription index.
-type tagShard struct {
-	mu      sync.RWMutex
-	byTag   map[model.TagID][]*subscriber
-	matches atomic.Int64 // alerts matched to a subscriber via this shard
-}
-
-// tagShardOf maps a tag to its shard (Fibonacci hash on the top bits, so
-// consecutive tag IDs spread instead of clustering).
-func tagShardOf(tag model.TagID) int {
-	return int((uint32(tag) * 2654435761) >> 28 % alertShards)
-}
-
 // registry is the subscription index plus its delivery accounting. The
-// publisher calls dispatch once per fresh alert; registration routes each
+// publisher calls dispatch once per fresh alert; registration files each
 // subscriber under its most selective filter dimension so dispatch visits
 // candidates, not the whole population.
 type registry struct {
 	log *alertLog
 
-	tags [alertShards]tagShard
-
 	mu        sync.RWMutex
+	byTag     map[model.TagID][]*subscriber
 	bySite    map[int][]*subscriber
 	byPattern map[string][]*subscriber
 	all       []*subscriber // true match-alls (and span-only filters)
 	members   map[*subscriber]struct{}
 
-	scanMatches atomic.Int64 // matches found via the site/pattern/all lists
+	enqueued atomic.Int64 // subscriber wakeups, one per match
 }
 
 func newRegistry(log *alertLog) *registry {
-	r := &registry{
+	return &registry{
 		log:       log,
+		byTag:     make(map[model.TagID][]*subscriber),
 		bySite:    make(map[int][]*subscriber),
 		byPattern: make(map[string][]*subscriber),
 		members:   make(map[*subscriber]struct{}),
 	}
-	for i := range r.tags {
-		r.tags[i].byTag = make(map[model.TagID][]*subscriber)
-	}
-	return r
 }
 
 // register attaches a new subscriber with cursor position from (alerts
 // with Seq >= from are delivered; older ones are the consumer's history).
 // The caller owns the returned subscriber and must shutdown it.
 func (r *registry) register(f Filter, from int) *subscriber {
-	if from < 0 {
-		from = 0
-	}
 	sub := &subscriber{
 		reg:    r,
 		f:      f,
-		next:   from,
+		next:   max(from, 0),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
 	r.mu.Lock()
 	r.members[sub] = struct{}{}
-	switch {
-	case f.Tag >= 0:
-		sh := &r.tags[tagShardOf(f.Tag)]
-		sh.mu.Lock()
-		sh.byTag[f.Tag] = append(sh.byTag[f.Tag], sub)
-		sh.mu.Unlock()
-	case f.Site >= 0:
-		r.bySite[f.Site] = append(r.bySite[f.Site], sub)
-	case f.Pattern != "":
-		r.byPattern[f.Pattern] = append(r.byPattern[f.Pattern], sub)
-	default:
-		r.all = append(r.all, sub)
-	}
+	r.file(sub, true)
 	r.mu.Unlock()
 	return sub
 }
 
 // unregister detaches sub from its index list. Idempotent.
 func (r *registry) unregister(sub *subscriber) {
-	f := sub.f
 	r.mu.Lock()
 	delete(r.members, sub)
-	switch {
+	r.file(sub, false)
+	r.mu.Unlock()
+}
+
+// file adds sub to (add) or removes it from the index list of its most
+// selective filter dimension. Caller holds r.mu.
+func (r *registry) file(sub *subscriber, add bool) {
+	switch f := sub.f; {
 	case f.Tag >= 0:
-		sh := &r.tags[tagShardOf(f.Tag)]
-		sh.mu.Lock()
-		sh.byTag[f.Tag] = removeSub(sh.byTag[f.Tag], sub)
-		if len(sh.byTag[f.Tag]) == 0 {
-			delete(sh.byTag, f.Tag)
-		}
-		sh.mu.Unlock()
+		refile(r.byTag, f.Tag, sub, add)
 	case f.Site >= 0:
-		r.bySite[f.Site] = removeSub(r.bySite[f.Site], sub)
-		if len(r.bySite[f.Site]) == 0 {
-			delete(r.bySite, f.Site)
-		}
+		refile(r.bySite, f.Site, sub, add)
 	case f.Pattern != "":
-		r.byPattern[f.Pattern] = removeSub(r.byPattern[f.Pattern], sub)
-		if len(r.byPattern[f.Pattern]) == 0 {
-			delete(r.byPattern, f.Pattern)
-		}
+		refile(r.byPattern, f.Pattern, sub, add)
+	case add:
+		r.all = append(r.all, sub)
 	default:
 		r.all = removeSub(r.all, sub)
 	}
-	r.mu.Unlock()
+}
+
+// refile adds sub to, or removes it from, m[k], dropping an emptied key.
+func refile[K comparable](m map[K][]*subscriber, k K, sub *subscriber, add bool) {
+	if add {
+		m[k] = append(m[k], sub)
+	} else if subs := removeSub(m[k], sub); len(subs) > 0 {
+		m[k] = subs
+	} else {
+		delete(m, k)
+	}
 }
 
 func removeSub(subs []*subscriber, target *subscriber) []*subscriber {
@@ -269,38 +235,23 @@ func removeSub(subs []*subscriber, target *subscriber) []*subscriber {
 }
 
 // dispatch wakes every subscriber whose filter matches one fresh alert:
-// candidates come from the alert's tag shard, its site list, its pattern
+// candidates come from the alert's tag list, its site list, its pattern
 // list and the broadcast list. A wakeup never blocks, so dispatch — and
 // therefore the scheduler publishing the alert — is never held up by a
 // slow consumer; each subscriber reads the alert from the log itself.
 func (r *registry) dispatch(a Alert) {
 	var matched int64
-	sh := &r.tags[tagShardOf(a.Tag)]
-	sh.mu.RLock()
-	for _, sub := range sh.byTag[a.Tag] {
-		if sub.f.Match(a) {
-			sub.signal()
-			matched++
-		}
-	}
-	sh.mu.RUnlock()
-	if matched > 0 {
-		sh.matches.Add(matched)
-	}
-	var scanned int64
 	r.mu.RLock()
-	for _, subs := range [][]*subscriber{r.bySite[a.Site], r.byPattern[a.Pattern], r.all} {
+	for _, subs := range [...][]*subscriber{r.byTag[a.Tag], r.bySite[a.Site], r.byPattern[a.Pattern], r.all} {
 		for _, sub := range subs {
 			if sub.f.Match(a) {
 				sub.signal()
-				scanned++
+				matched++
 			}
 		}
 	}
 	r.mu.RUnlock()
-	if scanned > 0 {
-		r.scanMatches.Add(scanned)
-	}
+	r.enqueued.Add(matched)
 }
 
 // wakeAll signals every subscriber; the server calls it after closing the
@@ -315,19 +266,10 @@ func (r *registry) wakeAll() {
 
 // stats snapshots the delivery tier's accounting; see DeliveryStats.
 func (r *registry) stats() DeliveryStats {
-	ds := DeliveryStats{
-		ScanMatches:  r.scanMatches.Load(),
-		ShardMatches: make([]int64, alertShards),
-	}
-	ds.Enqueued = ds.ScanMatches
-	for i := range r.tags {
-		ds.ShardMatches[i] = r.tags[i].matches.Load()
-		ds.Enqueued += ds.ShardMatches[i]
-	}
 	logLen := r.log.len()
 	minNext := logLen
 	r.mu.RLock()
-	ds.Subscribers = len(r.members)
+	ds := DeliveryStats{Subscribers: len(r.members), Enqueued: r.enqueued.Load()}
 	for sub := range r.members {
 		minNext = min(minNext, sub.cursor())
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -59,9 +60,9 @@ type bruteForceInput struct {
 	batch int
 }
 
-// TestRegistryMatchesBruteForce is the sharded-matching correctness bar:
+// TestRegistryMatchesBruteForce is the indexed-matching correctness bar:
 // over randomized alert and filter populations, every subscriber — however
-// the registry routed it (tag shard, site list, pattern list, broadcast) —
+// the registry routed it (tag map, site list, pattern list, broadcast) —
 // must deliver exactly the alerts a brute-force scan of the log through
 // its filter selects, in order.
 func TestRegistryMatchesBruteForce(t *testing.T) {
@@ -200,21 +201,28 @@ func checkRegistryBruteForce(t *testing.T, in bruteForceInput) {
 		}
 		got := drainBatches(sub, batch)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sub %d (filter %q): sharded delivery diverged from brute force\n got %d alerts: %+v\nwant %d alerts: %+v",
+			t.Fatalf("sub %d (filter %q): indexed delivery diverged from brute force\n got %d alerts: %+v\nwant %d alerts: %+v",
 				i, filters[i].Encode(), len(got), got, len(want), want)
 		}
 		sub.shutdown()
 	}
 
-	// The index actually sharded: tag-filtered subscribers must have
-	// been matched via tag shards, not the broadcast scan.
-	ds := reg.stats()
-	var shardTotal int64
-	for _, n := range ds.ShardMatches {
-		shardTotal += n
+	// Tag-filtered subscribers are found through the tag map, not the
+	// broadcast list.
+	tagged := 0
+	for i, f := range filters {
+		if f.Tag < 0 {
+			continue
+		}
+		tagged++
+		sub := reg.register(f, 0)
+		if !slices.Contains(reg.byTag[f.Tag], sub) || slices.Contains(reg.all, sub) {
+			t.Errorf("sub %d (filter %q) is not indexed under its tag", i, f.Encode())
+		}
+		sub.shutdown()
 	}
-	if shardTotal == 0 {
-		t.Error("no matches routed through tag shards; the registry is scanning instead of sharding")
+	if tagged == 0 {
+		t.Error("no tag-filtered subscriber to check the index with")
 	}
 }
 

@@ -470,14 +470,7 @@ func (s *Server) publishAlert(site int, pattern string, m stream.Match) {
 		return
 	}
 	if s.wal != nil && s.walOn.Load() {
-		if err := s.wal.AppendAlert(wal.Alert{
-			Site:    a.Site,
-			Tag:     a.Tag,
-			First:   a.First,
-			Last:    a.Last,
-			Values:  a.Values,
-			Pattern: a.Pattern,
-		}); err != nil {
+		if err := s.wal.AppendAlert(a); err != nil {
 			s.walFail(err)
 		}
 	}
@@ -509,21 +502,9 @@ func (s *Server) Drain(through model.Epoch) error {
 // abandoned and ctx.Err() returned (the Result still reflects every
 // completed checkpoint).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
-		return ErrClosed
+	if err := s.stopIntake(); err != nil {
+		return err
 	}
-	s.closed = true
-	s.closeMu.Unlock()
-
-	s.ingestWG.Wait() // every accepted producer has bucketed its events
-	close(s.quit)
-	<-s.schedDone
-	if s.gossipDone != nil {
-		<-s.gossipDone
-	}
-
 	s.mu.Lock()
 	var err error
 	for s.feed.Next() <= s.horizon() && s.runErr == nil {
@@ -554,10 +535,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// finish, not close: a graceful shutdown means the alert sequence is
 	// complete, so following clients see Done instead of reconnecting.
 	s.alerts.finish()
-	s.registry.wakeAll()
-	if s.peers != nil {
-		s.peers.close()
-	}
+	s.wakeAndClosePeers()
 	if s.wal != nil {
 		if cerr := s.wal.Close(); err == nil {
 			err = cerr
@@ -575,6 +553,31 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // for recovery tests and the examples/recovery walkthrough; production
 // shutdown is Shutdown.
 func (s *Server) Abort() error {
+	if err := s.stopIntake(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	_ = s.feed.Close() // cannot fail: s.closed admits one closer
+	s.mu.Unlock()
+	// close, not finish: the crash-stop leaves the alert sequence
+	// extendable by a restarted daemon, so clients resume, not stop.
+	s.alerts.close()
+	s.wakeAndClosePeers()
+	if s.wal != nil {
+		err := s.wal.Commit()
+		if cerr := s.wal.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	return nil
+}
+
+// stopIntake is the first half of both stops: refuse new producers, wait
+// out the admitted ones (every accepted event is bucketed), and stop the
+// scheduler and the gossip loop. It returns ErrClosed to all but the
+// first caller.
+func (s *Server) stopIntake() error {
 	s.closeMu.Lock()
 	if s.closed {
 		s.closeMu.Unlock()
@@ -589,25 +592,16 @@ func (s *Server) Abort() error {
 	if s.gossipDone != nil {
 		<-s.gossipDone
 	}
+	return nil
+}
 
-	s.mu.Lock()
-	_ = s.feed.Close() // cannot fail: s.closed admits one closer
-	s.mu.Unlock()
-	// close, not finish: the crash-stop leaves the alert sequence
-	// extendable by a restarted daemon, so clients resume, not stop.
-	s.alerts.close()
+// wakeAndClosePeers follows the alert log's finish or close: every
+// subscriber wakes to see it, and the peer links close.
+func (s *Server) wakeAndClosePeers() {
 	s.registry.wakeAll()
 	if s.peers != nil {
 		s.peers.close()
 	}
-	if s.wal != nil {
-		err := s.wal.Commit()
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	return nil
 }
 
 // scheduler is the goroutine that owns the feed: it runs checkpoints when
@@ -904,15 +898,7 @@ func (s *Server) SubscribeCursor(f Filter, cursor int) *Subscription {
 // the caller resumes from) and whether delivery is finished (graceful
 // shutdown with everything consumed).
 func (s *Server) PollAlerts(f Filter, cursor, max int, wait time.Duration) (alerts []Alert, next int, done bool) {
-	sub := s.registry.register(f, cursor)
-	defer sub.shutdown()
-	alerts, done = sub.poll(max, wait)
-	if done && !s.alerts.isFinished() {
-		// A crash-stop close ends this poll but not the sequence; only a
-		// finished log is terminal for the consumer.
-		done = false
-	}
-	return alerts, sub.cursor(), done
+	return s.readAlerts(context.TODO(), f, cursor, max, wait)
 }
 
 // AlertsSince returns the alerts with Seq >= since, waiting up to wait for
@@ -920,9 +906,22 @@ func (s *Server) PollAlerts(f Filter, cursor, max int, wait time.Duration) (aler
 // primitive; cursor-aware consumers use PollAlerts).
 func (s *Server) AlertsSince(since int, wait time.Duration) []Alert {
 	if wait > 0 {
-		sub := s.registry.register(MatchAll(), since)
-		sub.poll(1, wait)
-		sub.shutdown()
+		s.readAlerts(context.TODO(), MatchAll(), since, 1, wait)
 	}
 	return s.alerts.since(since)
+}
+
+// readAlerts is the one consumer read: a subscriber registered at from
+// polls up to max alerts matching f, waiting up to wait (or until ctx
+// ends, which fails the wait at once), then detaches. next is the
+// position to resume from. done is true only when the log was finished
+// by a graceful shutdown and everything was consumed: a crash-stop close
+// ends the read but not the sequence, which a restarted daemon continues.
+func (s *Server) readAlerts(ctx context.Context, f Filter, from, max int, wait time.Duration) (alerts []Alert, next int, done bool) {
+	sub := s.registry.register(f, from)
+	defer sub.shutdown()
+	stop := context.AfterFunc(ctx, sub.shutdown)
+	defer stop()
+	alerts, done = sub.poll(max, wait)
+	return alerts, sub.cursor(), done && s.alerts.isFinished()
 }

@@ -16,28 +16,14 @@ import (
 
 	"rfidtrack/internal/model"
 	"rfidtrack/internal/stream"
+	"rfidtrack/internal/wal"
 )
 
 // Alert is one continuous-query match, annotated with the site that raised
-// it and its position in the server-global alert sequence.
-type Alert struct {
-	// Seq is the alert's index in the server's append-only log; long-poll
-	// clients resume from their last Seq + 1 (or, equivalently, the
-	// cursor returned alongside each page).
-	Seq int `json:"seq"`
-	// Site is the site whose query engine fired.
-	Site int `json:"site"`
-	// Tag is the alerted object.
-	Tag model.TagID `json:"tag"`
-	// First and Last span the matched exposure episode.
-	First model.Epoch `json:"first"`
-	Last  model.Epoch `json:"last"`
-	// Values are the episode's collected measurements (temperatures).
-	Values []float64 `json:"values,omitempty"`
-	// Pattern is the registry key of the query that fired ("q1", "q2"),
-	// the per-pattern subscription dimension.
-	Pattern string `json:"pattern,omitempty"`
-}
+// it and its position in the server-global alert sequence. It is the type
+// the WAL persists, so publishing, snapshotting and restoring an alert
+// copy no fields.
+type Alert = wal.Alert
 
 // logScanChunk bounds how many log entries (or posting-list entries) one
 // read examines under the log's lock before yielding; the reader resumes

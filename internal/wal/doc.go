@@ -35,8 +35,8 @@
 // migration payloads and alerts append to their shared segments. AppendReadings writes a run as one header,
 // one CRC and one copy of the caller's bytes; it does no per-reading work.
 // Appends are buffered; a group fsync makes them durable either on a timer
-// (Options.SyncEvery) or before every ingest acknowledgement
-// (Options.Strict).
+// (Options.SyncEvery) or by a Commit the caller makes before an ingest
+// acknowledgement (the serve layer's strict mode).
 //
 // A directory holds reading runs and version-4 snapshots only: replay
 // refuses a per-reading record (stream.WALReading) of an earlier release and

@@ -47,16 +47,12 @@ type Manifest struct {
 }
 
 // Options tunes a Log. The zero value is a usable default: group fsync
-// every 100ms, acknowledgements not gated on durability.
+// every 100ms. A caller that must not acknowledge an event before it is
+// durable calls Commit before the acknowledgement.
 type Options struct {
 	// SyncEvery is the group-fsync cadence of the background syncer
 	// (default 100ms; <0 disables the timer entirely).
 	SyncEvery time.Duration
-	// Strict gates every ingest acknowledgement on an fsync: Commit must
-	// be called (and waited for) before acking, so an acknowledged event
-	// can never be lost to a crash. Throughput amortizes through group
-	// commit; see OPERATIONS.md for the tuning trade-off.
-	Strict bool
 }
 
 // withDefaults fills unset options.
@@ -811,9 +807,6 @@ func (l *Log) AppendAlert(a Alert) error {
 		T: a.First, At: a.Last, Pattern: a.Pattern, Values: a.Values,
 	})
 }
-
-// Strict reports whether acknowledgements must wait for Commit.
-func (l *Log) Strict() bool { return l.opts.Strict }
 
 // Commit is the group fsync: flush every dirty segment buffer and fsync
 // its file, covering every append that completed before the call. The

@@ -20,19 +20,27 @@ var snapMagic = [8]byte{'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'}
 // reads: it refuses an older snapshot with the way out (upgradeHint).
 const snapVersion = 4
 
-// Alert is one persisted continuous-query alert. The serve layer's Seq is
-// implicit: it is the alert's index in the restored log.
+// Alert is one continuous-query match, annotated with the site that raised
+// it and its position in the server-global alert sequence: the delivery
+// tier's alert (serve.Alert is this type) and the snapshot's. The snapshot
+// does not encode Seq; restoring a log renumbers its alerts by position.
 type Alert struct {
-	// Site is the site whose query engine fired; Tag the alerted object.
-	Site int
-	Tag  model.TagID
-	// First and Last span the matched exposure episode; Values are its
-	// collected measurements.
-	First, Last model.Epoch
-	Values      []float64
-	// Pattern is the registry key of the query pattern that fired (the
-	// delivery tier's per-pattern subscription dimension).
-	Pattern string
+	// Seq is the alert's index in the server's append-only log; long-poll
+	// clients resume from their last Seq + 1 (or, equivalently, the
+	// cursor returned alongside each page).
+	Seq int `json:"seq"`
+	// Site is the site whose query engine fired.
+	Site int `json:"site"`
+	// Tag is the alerted object.
+	Tag model.TagID `json:"tag"`
+	// First and Last span the matched exposure episode.
+	First model.Epoch `json:"first"`
+	Last  model.Epoch `json:"last"`
+	// Values are the episode's collected measurements (temperatures).
+	Values []float64 `json:"values,omitempty"`
+	// Pattern is the registry key of the query that fired ("q1", "q2"),
+	// the per-pattern subscription dimension.
+	Pattern string `json:"pattern,omitempty"`
 }
 
 // QueryPartition is one object's live pattern state at a site.
