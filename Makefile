@@ -151,8 +151,11 @@ bench-hot:
 # collapsed-weights vs CR vs full strategies, plus the wire codec) and one
 # feed checkpoint — balanced, and on the skewed paper_dense shape at 1, 2
 # and 4 workers (FeedAdvanceSkewed: the shared pool must beat the
-# site-level ceiling of 0.6 x the workers=1 row).
-DIST_BENCH = BenchmarkMigration|BenchmarkFeedAdvance
+# site-level ceiling of 0.6 x the workers=1 row), and that shape again at 2
+# workers with the world's 4 699 collapsed-weight migrations delivered
+# (ReplayMigrate: the one row whose sites are migration sources, which
+# forget what they export, and destinations).
+DIST_BENCH = BenchmarkMigration|BenchmarkFeedAdvance|BenchmarkReplayMigrate
 bench-dist:
 	$(BENCH_ENV) $(GO) test -bench '$(DIST_BENCH)' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -o BENCH_dist.json
 
@@ -196,7 +199,8 @@ bench-json:
 # (BENCH_rfinfer.json, FeedAdvanceSkewed) are CPU-bound, so their wall time
 # follows the box's clock: one binary read EngineRun 3.2-4.5 ms and
 # FeedAdvanceSkewed/workers=1 394-556 ms over an afternoon on the reference
-# box, hence 0.30 on their ns/op and readings/s. ReadEvents, the JSON front
+# box, hence 0.30 on their ns/op and readings/s (ReplayMigrate/workers=2,
+# the same shape with migrations, gets the same). ReadEvents, the JSON front
 # door's decode alone, is CPU-bound the same way (79-106 us per 512-event
 # body over four runs of one binary) and gets 0.30 on ns/op; its zero-alloc
 # gate stays hard. Against worst-of-three
@@ -224,7 +228,7 @@ bench-check:
 	$(BENCH_ENV) $(GO) test -bench '$(SERVE_BENCH)' -benchmem -run XXX ./internal/serve/ | $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 'ReadEvents:ns/op=0.30,Fanout100k=0.35,IngestDuringCheckpoint=0.35,Checkpoint:ns/op=0.30,CheckpointIdle:ns/op=0.30,IngestBin/section512=0.50,IngestBin/bigsection=0.50'
 	$(BENCH_ENV) $(GO) test -bench '$(WAL_BENCH)' -benchmem -run XXX ./internal/serve/ ./internal/wal/ | $(GO) run ./cmd/benchjson -check BENCH_wal.json -tolerance 'Recovery=0.40,RecoveryCrashRecover=0.40,Promotion=0.40'
 	$(BENCH_ENV) $(GO) test -bench '$(HOT_BENCH)' -benchmem -run XXX ./internal/rfinfer/ | $(GO) run ./cmd/benchjson -check BENCH_rfinfer.json -tolerance 'EngineRun:ns/op=0.30,EStep:ns/op=0.30,MStep:ns/op=0.30,CRSearch:ns/op=0.30,PruneCandidates:ns/op=0.30'
-	$(BENCH_ENV) $(GO) test -bench '$(DIST_BENCH)' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -check BENCH_dist.json -tolerance 'FeedAdvanceSkewed/workers=1:ns/op=0.30,FeedAdvanceSkewed/workers=1:readings/s=0.30,FeedAdvanceSkewed/workers=2:ns/op=0.30,FeedAdvanceSkewed/workers=2:readings/s=0.30,FeedAdvanceSkewed/workers=4=0.40,FeedAdvance:ns/op=0.40,FeedAdvance:readings/s=0.40'
+	$(BENCH_ENV) $(GO) test -bench '$(DIST_BENCH)' -benchmem -run XXX ./internal/dist/ ./internal/stream/ | $(GO) run ./cmd/benchjson -check BENCH_dist.json -tolerance 'FeedAdvanceSkewed/workers=1:ns/op=0.30,FeedAdvanceSkewed/workers=1:readings/s=0.30,FeedAdvanceSkewed/workers=2:ns/op=0.30,FeedAdvanceSkewed/workers=2:readings/s=0.30,FeedAdvanceSkewed/workers=4=0.40,FeedAdvance:ns/op=0.40,FeedAdvance:readings/s=0.40,ReplayMigrate/workers=2:ns/op=0.30,ReplayMigrate/workers=2:readings/s=0.30'
 
 # Benchmark smoke: a 100ms pass over the online-runtime benchmarks that
 # fails on build error or panic, so a checkpoint/ingest regression that

@@ -13,7 +13,9 @@ import (
 
 // benchCluster builds a two-warehouse world and replays it once so both
 // engines hold realistic inference state, then returns the cluster and a
-// real cross-site departure to migrate repeatedly.
+// real cross-site departure reversed, to migrate repeatedly: after the
+// replay the object's state lives at the site it went to, since its source
+// forgot it when it left.
 func benchCluster(b *testing.B, st Strategy) (*Cluster, Departure) {
 	b.Helper()
 	cfg := sim.DefaultConfig()
@@ -31,7 +33,7 @@ func benchCluster(b *testing.B, st Strategy) (*Cluster, Departure) {
 	}
 	for _, d := range c.deps {
 		if d.From != d.To {
-			return c, d
+			return c, Departure{Object: d.Object, From: d.To, To: d.From, At: d.At}
 		}
 	}
 	b.Fatal("no cross-site departure in bench world")
@@ -73,7 +75,7 @@ func BenchmarkFeedAdvance(b *testing.B) {
 	cfg.PathLength = 2
 	cfg.Epochs = 900
 	cfg.ItemsPerCase = 5
-	benchFeedAdvance(b, cfg, 0)
+	benchFeedAdvance(b, cfg, 0, MigrateNone)
 }
 
 // BenchmarkFeedAdvanceSkewed is BenchmarkFeedAdvance on the paper_dense
@@ -86,9 +88,20 @@ func BenchmarkFeedAdvanceSkewed(b *testing.B) {
 	cfg := paperDenseConfig()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchFeedAdvance(b, cfg, workers)
+			benchFeedAdvance(b, cfg, workers, MigrateNone)
 		})
 	}
+}
+
+// BenchmarkReplayMigrate is BenchmarkFeedAdvanceSkewed/workers=2 with the
+// world's departures delivered: each cycle through the paper_dense world
+// migrates its 4 699 items under collapsed weights, so sites are migration
+// sources and destinations — the source forgets what it exported, the
+// destination imports it — which the MigrateNone rows above never are.
+func BenchmarkReplayMigrate(b *testing.B) {
+	b.Run("workers=2", func(b *testing.B) {
+		benchFeedAdvance(b, paperDenseConfig(), 2, MigrateWeights)
+	})
 }
 
 // paperDenseConfig is the world of bench/'s paper_dense workload.
@@ -172,22 +185,22 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if searches != 63791 || windows != 10668556 || rows != 12539255 || noHit != 13960 {
-		t.Fatalf("searches %d, windows %d, rows %d, without a hit %d; want 63791, 10668556, 12539255, 13960",
+	if searches != 37764 || windows != 7038910 || rows != 8049729 || noHit != 13279 {
+		t.Fatalf("searches %d, windows %d, rows %d, without a hit %d; want 37764, 7038910, 8049729, 13279",
 			searches, windows, rows, noHit)
 	}
-	if segReused != 641517 || segComputed != 858627 {
-		t.Fatalf("evidence columns kept %d, rescored %d; want 641517, 858627", segReused, segComputed)
+	if segReused != 201533 || segComputed != 470656 {
+		t.Fatalf("evidence columns kept %d, rescored %d; want 201533, 470656", segReused, segComputed)
 	}
-	if postComputed != 4627 || postSkipped != 11536 || rowsReused != 117776 ||
-		rowsComputed != 323303 || groupsDirty != 2864 {
+	if postComputed != 3389 || postSkipped != 11558 || rowsReused != 76288 ||
+		rowsComputed != 184356 || groupsDirty != 2842 {
 		t.Fatalf("posteriors computed %d, carried %d, rows reused %d, rows computed %d, groups dirty %d; "+
-			"want 4627, 11536, 117776, 323303, 2864",
+			"want 3389, 11558, 76288, 184356, 2842",
 			postComputed, postSkipped, rowsReused, rowsComputed, groupsDirty)
 	}
 }
 
-func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
+func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int, st Strategy) {
 	w, err := sim.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -218,7 +231,7 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 		bufs[s] = make([]Reading, maxLen)
 	}
 
-	c := NewCluster(w, MigrateNone, rfinfer.DefaultConfig())
+	c := NewCluster(w, st, rfinfer.DefaultConfig())
 	c.Workers = workers
 	f, err := c.OpenFeed(interval)
 	if err != nil {
@@ -231,6 +244,14 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 		k := i % numCkpts
 		if k == 0 && i > 0 {
 			offset += w.Epochs
+		}
+		if k == 0 && st != MigrateNone {
+			for _, d := range c.deps {
+				d.At += offset
+				if err := f.Depart(d); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 		for s := range due {
 			src := base[s][k]
@@ -246,8 +267,7 @@ func benchFeedAdvance(b *testing.B, cfg sim.Config, workers int) {
 		}
 	}
 	b.StopTimer()
-	st := f.Stats()
-	b.ReportMetric(float64(st.Observed)/b.Elapsed().Seconds(), "readings/s")
+	b.ReportMetric(float64(f.Stats().Observed)/b.Elapsed().Seconds(), "readings/s")
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}

@@ -88,8 +88,8 @@ var replayGoldens = map[string]Result{
 	},
 	"cold-chain/full+query": {
 		ContErr: metrics.Counts{Wrong: 33, Total: 460}, LocErr: metrics.Counts{Wrong: 43, Total: 460},
-		Costs:           Costs{Bytes: 199851, Messages: 70},
-		Links:           []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 115842, Messages: 40}}, {From: 0, To: 2, Costs: Costs{Bytes: 84009, Messages: 30}}},
+		Costs:           Costs{Bytes: 199734, Messages: 70},
+		Links:           []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 115743, Messages: 40}}, {From: 0, To: 2, Costs: Costs{Bytes: 83991, Messages: 30}}},
 		QueryStateBytes: 354,
 		Runs:            4,
 	},
@@ -105,14 +105,14 @@ var replayGoldens = map[string]Result{
 	},
 	"strategies/readings": {
 		ContErr: metrics.Counts{Wrong: 10, Total: 1700}, LocErr: metrics.Counts{Wrong: 30, Total: 1700},
-		Costs: Costs{Bytes: 770791, Messages: 300},
-		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 770791, Messages: 300}}},
+		Costs: Costs{Bytes: 767170, Messages: 300},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 767170, Messages: 300}}},
 		Runs:  5,
 	},
 	"strategies/full": {
 		ContErr: metrics.Counts{Wrong: 10, Total: 1700}, LocErr: metrics.Counts{Wrong: 30, Total: 1700},
-		Costs: Costs{Bytes: 963011, Messages: 300},
-		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 963011, Messages: 300}}},
+		Costs: Costs{Bytes: 934147, Messages: 300},
+		Links: []LinkCost{{From: 0, To: 1, Costs: Costs{Bytes: 934147, Messages: 300}}},
 		Runs:  5,
 	},
 }

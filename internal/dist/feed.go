@@ -436,9 +436,10 @@ func (f *Feed) runSites(fn func(s int) error) error {
 // migrate performs one due departure: the ONS and ownership views move,
 // OnDepart fires, and the object's state travels as encoded bytes from the
 // source engines to the destination's. On a partitioned feed each endpoint
-// does its half only where it is local — the source side encodes, accounts
-// the send and ships the payload out through the transport; the destination
-// side receives, applies and accounts; a departure between two remote sites
+// does its half only where it is local — the source side encodes, forgets
+// the object's inference state, accounts the send and ships the payload out
+// through the transport; the destination side receives, applies and
+// accounts; a departure between two remote sites
 // updates only the ONS mirror and ownership view (every peer observes every
 // departure — that is what keeps the mirrors complete). Whether bytes cross
 // the transport at all is decided by the same predicate on both sides — the
@@ -465,6 +466,7 @@ func (f *Feed) migrate(d Departure) error {
 		if payload, engineBytes, queryBytes, err = c.encodePayload(d); err != nil {
 			return err
 		}
+		c.Engines[d.From].Forget(d.Object)
 		accountSend(d, payload, engineBytes, queryBytes, f.links, &f.res.QueryStateBytes, &c.stats.Sites[d.From])
 		if !toLocal && wire {
 			err = f.transport.Send(d, payload)

@@ -12,6 +12,10 @@
 // departure checkpoint's readings and applied every earlier migration
 // touching it, and consumed at the destination before that checkpoint's
 // inference runs there — on one peer or across two (see Feed.migrate).
+// Migration is a move at both layers: once the payload is encoded, the
+// source's inference engine forgets the object (rfinfer.Engine.Forget) and
+// its query engine has already dropped the pattern state it exported, under
+// every strategy, MigrateNone included.
 package dist
 
 import (

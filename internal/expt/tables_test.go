@@ -99,13 +99,13 @@ func TestPaperArtifactGoldens(t *testing.T) {
 			{"0.7", "13.22", "0.40", "0.40"},
 			{"0.8", "12.16", "0.89", "0.91"},
 			{"0.9", "11.93", "0.44", "0.49"},
-			{"1.0", "11.58", "0.00", "0.62"},
+			{"1.0", "11.58", "0.00", "0.91"},
 		}},
 		{Figure5f, [][]string{
-			{"20", "13.83", "4.29", "3.49"},
-			{"40", "13.97", "2.93", "2.71"},
+			{"20", "13.83", "4.31", "3.51"},
+			{"40", "13.97", "3.00", "2.69"},
 			{"60", "11.96", "2.73", "2.82"},
-			{"90", "11.90", "1.04", "0.80"},
+			{"90", "11.90", "1.04", "0.82"},
 			{"120", "14.08", "0.87", "0.69"},
 		}},
 		{Figure6a, [][]string{
@@ -148,8 +148,8 @@ func TestPaperArtifactGoldens(t *testing.T) {
 			{"", "State w/o share(B)", "5103", "5127", "5127", "5127"},
 			{"", "State w. share(B)", "881", "905", "905", "905"},
 			{"Q2", "F-m.(%)", "74.4", "74.4", "88.6", "100.0"},
-			{"", "State w/o share(B)", "2460", "2460", "2478", "2568"},
-			{"", "State w. share(B)", "516", "516", "525", "534"},
+			{"", "State w/o share(B)", "2460", "2460", "2478", "2553"},
+			{"", "State w. share(B)", "516", "516", "525", "519"},
 		}},
 	} {
 		tbl := g.artifact(QuickScale())

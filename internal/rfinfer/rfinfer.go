@@ -9,7 +9,8 @@
 // containment change points (Section 3.3), recomputes per-object critical
 // regions, and truncates history (Section 4.1). Engines are single-site;
 // state migration between sites uses ExportCollapsed/ExportCR and the
-// corresponding imports.
+// corresponding imports, and the source then drops what it exported with
+// Forget.
 package rfinfer
 
 import (

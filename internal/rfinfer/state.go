@@ -109,6 +109,27 @@ func (e *Engine) ExportCR(oid model.TagID) (CRState, error) {
 	return st, nil
 }
 
+// Forget drops an object's inference state once the object has left this
+// site and its state has been exported: series, candidates, priors,
+// evidence and correction table, critical region, change-point floor and
+// containment estimate all go, leaving the record as a fresh registration
+// leaves it. Migration is then a move (Section 4): the object's answers
+// come from the site it went to, and this one stops re-estimating it. The
+// containment estimate leaves the container's group, so the next E-step
+// recomputes that posterior without the object's readings, and the
+// critical region leaves the container's protected windows, so the next
+// truncation filters its history again. A container or an unknown id is
+// left alone.
+func (e *Engine) Forget(oid model.TagID) {
+	rec := e.tag(oid)
+	if rec == nil || rec.isContainer {
+		return
+	}
+	// The dirty flag stays as it was, so the engine's count of set flags
+	// holds; forgetting itself dirties nothing the next Run reads.
+	*rec = tagRec{id: oid, container: -1, addFloor: epochMax, dirty: rec.dirty}
+}
+
 // ImportCollapsed seeds this engine with collapsed state from a previous
 // site. The object and candidate containers are registered if unknown, and
 // the weights become prior weights added to locally computed evidence.

@@ -285,7 +285,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		alerts := s.AlertsSince(since, time.Duration(waitMS)*time.Millisecond)
+		alerts := s.alertsSince(r.Context(), since, time.Duration(waitMS)*time.Millisecond)
+		if r.Context().Err() != nil {
+			return // client gone; nobody to write the tail to
+		}
 		if alerts == nil {
 			alerts = []Alert{}
 		}

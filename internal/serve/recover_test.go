@@ -255,6 +255,74 @@ func TestRecoverAfterGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestRecoverForgottenMatchesSequential pins that a restart keeps the source
+// side of a migration a move: snapshot once departures have migrated (so
+// the snapshot holds forgotten records at their sources), crash, restart
+// over the directory, finish the stream, and every site engine's final
+// containment relation — each decision, not only the error counts — must
+// equal ReplaySequential's, as must the Result.
+func TestRecoverForgottenMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	w := testWorld(t)
+	const interval = model.Epoch(300)
+	ref := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+	want, err := ref.ReplaySequential(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := ref.Departures()
+	if len(deps) == 0 {
+		t.Fatal("world has no departures")
+	}
+	// Cut mid-interval one interval past the first departure's checkpoint,
+	// which has then run.
+	firstCkpt := (deps[0].At/interval + 1) * interval
+	cutAt := firstCkpt + interval + interval/2
+	events := WorldEvents(w, deps)
+
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		cfg := Config{Interval: interval, Horizon: w.Epochs, Workers: workers, DataDir: t.TempDir(),
+			SyncEvery: -1, SnapshotEvery: -1}
+		var c *dist.Cluster
+		newServer := func() *Server {
+			c = dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
+			srv, err := New(c, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			return srv
+		}
+		srv := newServer()
+		cut := splitAt(events, cutAt)
+		streamEvents(t, srv, events[:cut])
+		if n := srv.Stats().Feed.Checkpoints; n < int(firstCkpt/interval) {
+			t.Fatalf("workers=%d: %d checkpoints before the snapshot, want the departure checkpoint %d run",
+				workers, n, firstCkpt/interval)
+		}
+		if _, err := srv.SnapshotNow(); err != nil {
+			t.Fatalf("workers=%d: snapshot: %v", workers, err)
+		}
+		if err := srv.Abort(); err != nil {
+			t.Fatalf("workers=%d: abort: %v", workers, err)
+		}
+		srv = newServer()
+		streamEvents(t, srv, events[cut:])
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatalf("workers=%d: shutdown: %v", workers, err)
+		}
+		if got := srv.Result(); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: recovered Result diverged\n got: %+v\nwant: %+v", workers, got, want)
+		}
+		for s, eng := range c.Engines {
+			if got, wantCont := eng.Containment(), ref.Engines[s].Containment(); !reflect.DeepEqual(got, wantCont) {
+				t.Errorf("workers=%d: site %d's final containment diverged from ReplaySequential's", workers, s)
+			}
+		}
+	}
+}
+
 // TestResultAfterAbort pins that a crash-stopped server still reports its
 // result: Abort closes the feed without computing one, and Result reads
 // the closed feed — every checkpoint Drain ran, the centralized baseline

@@ -205,6 +205,28 @@ func TestServerMatchesSequentialBursty(t *testing.T) {
 	}
 	events := WorldEvents(w, ref.Departures())
 
+	// The site-checkpoints given work: every site at the first checkpoint
+	// (each computes its posteriors for the first time), and afterwards the
+	// one site with readings, every migration destination (it imports
+	// state) and every migration source (it forgets the object, so the
+	// posterior of the container the object left is recomputed). Every
+	// other site-checkpoint must ride the clean-skip path.
+	busy := 0
+	for k := range int(w.Epochs / interval) {
+		sites := map[int]bool{}
+		for s, tr := range w.Sites {
+			if batches := dist.Intervals(tr, interval); k == 0 || k < len(batches) && len(batches[k]) > 0 {
+				sites[s] = true
+			}
+		}
+		for _, d := range ref.Departures() {
+			if int(d.At/interval) == k {
+				sites[d.From], sites[d.To] = true, true
+			}
+		}
+		busy += len(sites)
+	}
+
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, mode := range []string{"serial", "concurrent"} {
 			c := dist.NewCluster(w, dist.MigrateWeights, rfinfer.DefaultConfig())
@@ -247,15 +269,15 @@ func TestServerMatchesSequentialBursty(t *testing.T) {
 			}
 			// The whole point of the workload: the incremental engine must
 			// have skipped far more container groups than it recomputed, and
-			// most site-checkpoints must have been clean (one active site per
-			// interval, plus migration destinations).
+			// only the site-checkpoints given work (active, destination and
+			// source sites) may have been dirty.
 			if st.Sched.SkippedGroups <= st.Sched.DirtyGroups {
 				t.Errorf("workers=%d/%s: idle-heavy run skipped %d groups but recomputed %d — incremental path not engaged",
 					workers, mode, st.Sched.SkippedGroups, st.Sched.DirtyGroups)
 			}
-			if limit := st.Sched.Advances * len(w.Sites) / 2; st.Sched.DirtySites >= limit {
-				t.Errorf("workers=%d/%s: %d dirty site-checkpoints of %d total, want < %d",
-					workers, mode, st.Sched.DirtySites, st.Sched.Advances*len(w.Sites), limit)
+			if st.Sched.DirtySites > busy {
+				t.Errorf("workers=%d/%s: %d dirty site-checkpoints of %d total, want at most the %d active, destination and source ones",
+					workers, mode, st.Sched.DirtySites, st.Sched.Advances*len(w.Sites), busy)
 			}
 		}
 	}

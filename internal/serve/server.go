@@ -905,8 +905,15 @@ func (s *Server) PollAlerts(f Filter, cursor, max int, wait time.Duration) (aler
 // one to arrive when none is available yet (the legacy long-poll
 // primitive; cursor-aware consumers use PollAlerts).
 func (s *Server) AlertsSince(since int, wait time.Duration) []Alert {
+	return s.alertsSince(context.TODO(), since, wait)
+}
+
+// alertsSince is AlertsSince whose wait also ends with ctx: GET /alerts
+// passes the request's, so a client that hangs up mid-wait frees its
+// handler and subscriber at once.
+func (s *Server) alertsSince(ctx context.Context, since int, wait time.Duration) []Alert {
 	if wait > 0 {
-		s.readAlerts(context.TODO(), MatchAll(), since, 1, wait)
+		s.readAlerts(ctx, MatchAll(), since, 1, wait)
 	}
 	return s.alerts.since(since)
 }

@@ -119,3 +119,38 @@ func TestAlertStreamClientDisconnect(t *testing.T) {
 		t.Fatal("SSE handler did not return within 5s of client disconnect")
 	}
 }
+
+// TestLegacyAlertsClientDisconnect pins that the legacy long-poll
+// (?since=N&wait_ms=W, the bare-array tail) ends its wait with the request:
+// a client that hangs up 50 ms into a 3 s wait must not hold the handler
+// and its subscriber for the rest of it.
+func TestLegacyAlertsClientDisconnect(t *testing.T) {
+	l := newAlertLog()
+	srv := &Server{alerts: l, registry: newRegistry(l)}
+	returned := make(chan time.Time, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.handleAlerts(w, r)
+		returned <- time.Now()
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"?since=0&wait_ms=3000", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("request returned status %d before its context ended, want a hang-up", resp.StatusCode)
+	}
+	select {
+	case at := <-returned:
+		if took := at.Sub(start); took > time.Second {
+			t.Errorf("handler returned %v after the request started, want soon after the 50 ms hang-up", took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("legacy /alerts handler did not return within 5s of client disconnect")
+	}
+}
