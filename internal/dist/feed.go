@@ -439,9 +439,9 @@ func (f *Feed) runSites(fn func(s int) error) error {
 // does its half only where it is local — the source side encodes, forgets
 // the object's inference state, accounts the send and ships the payload out
 // through the transport; the destination side receives, applies and
-// accounts; a departure between two remote sites
-// updates only the ONS mirror and ownership view (every peer observes every
-// departure — that is what keeps the mirrors complete). Whether bytes cross
+// accounts; a departure between two remote sites updates only the ONS
+// mirror and ownership view (every peer observes every departure — that is
+// what keeps the mirrors complete). Whether bytes cross
 // the transport at all is decided by the same predicate on both sides — the
 // strategy or an attached query implies a payload — so sender and receiver
 // always agree without negotiation, even when the encoded payload happens

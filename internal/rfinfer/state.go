@@ -125,8 +125,9 @@ func (e *Engine) Forget(oid model.TagID) {
 	if rec == nil || rec.isContainer {
 		return
 	}
-	// The dirty flag stays as it was, so the engine's count of set flags
-	// holds; forgetting itself dirties nothing the next Run reads.
+	// The dirty flag is kept, so the engine's count of set flags stays
+	// exact; the next Run finds what to redo through the changed
+	// containment estimate and critical region, not through the flag.
 	*rec = tagRec{id: oid, container: -1, addFloor: epochMax, dirty: rec.dirty}
 }
 
