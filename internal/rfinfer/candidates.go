@@ -17,9 +17,8 @@ type contRead struct {
 // contIndex is the flattened co-occurrence index candidate pruning reads:
 // every container's readings in one slice sorted by (t, ci), and the epoch →
 // offset table the counting sort leaves behind, so a reader goes straight to
-// the readings of the epoch it asks for. Table and slice are one value: a
-// Run that reuses the flatten (contFlatClean) reuses the offsets that belong
-// to it. All backing is reused across Runs.
+// the readings of the epoch it asks for. Every Run rebuilds it; all backing
+// is reused across Runs.
 type contIndex struct {
 	reads []contRead
 	spare []contRead // the sort's double buffer (swaps with reads)
@@ -63,36 +62,20 @@ type scoredCand struct {
 // merged with any candidates carried over from migration and the current
 // assignment. All working storage is reused across Runs.
 func (e *Engine) buildCandidates() {
-	// Flatten container readings into the epoch-indexed co-occurrence index.
-	// When no container series (or registration) changed since the last
-	// build, the previous index is byte-identical and is reused as-is,
-	// offsets included.
-	if e.noCarry || !e.contFlatClean {
-		flat := e.cont.reads[:0]
-		for ci, cid := range e.containers {
-			for _, rd := range e.tag(cid).series {
-				flat = append(flat, contRead{t: rd.T, ci: int32(ci), mask: rd.Mask})
-			}
-		}
-		e.cont.build(flat)
-	}
-
-	// Dense container index for forced-candidate count lookups, rebuilt
-	// only when registrations changed the container set.
-	if len(e.contIndex) != len(e.containers) {
-		e.contIndex = make(map[model.TagID]int, len(e.containers))
-		for ci, cid := range e.containers {
-			e.contIndex[cid] = ci
+	// Flatten container readings into the epoch-indexed co-occurrence index,
+	// numbering each container on its record as the flatten numbers it.
+	flat := e.cont.reads[:0]
+	for ci, cid := range e.containers {
+		rec := e.tag(cid)
+		rec.ci = int32(ci)
+		for _, rd := range rec.series {
+			flat = append(flat, contRead{t: rd.T, ci: int32(ci), mask: rd.Mask})
 		}
 	}
+	e.cont.build(flat)
 	e.parallelFor(len(e.objects), objectChunk, func(s *scratch, oi int) {
 		e.pruneCandidates(s, e.tag(e.objects[oi]), &e.cont)
 	})
-
-	// Every object is now consistent with the current container state: the
-	// rebuilt ones saw it, the skipped ones were proven untouched by it.
-	e.contChangedFloor = epochMax
-	e.contFlatClean = true
 }
 
 // pruneCandidates rebuilds one object's candidate list against the
@@ -102,18 +85,10 @@ func (e *Engine) buildCandidates() {
 // only state that is fixed for the whole build and writes only rec, so
 // objects prune concurrently.
 func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, ix *contIndex) {
-	// Skip objects whose rebuild inputs are provably unchanged since the
-	// list was last built: same series (candVer), same assignment
-	// (candCont — pruning protects the current container, so a changed
-	// assignment can change the outcome), and no container mutation at
-	// any epoch the object was read at (co-occurrence requires a shared
-	// epoch, so container changes strictly above the object's newest
-	// reading cannot move any count). Rebuilding from identical counts,
-	// candidates and priors is idempotent, so keeping the list is
-	// bit-identical to rebuilding it.
-	if !e.noCarry && rec.candValid && rec.seriesVer == rec.candVer &&
-		rec.container == rec.candCont &&
-		e.contChangedFloor > rec.series.Last() {
+	// An object with no reading, no candidate and no assignment has nothing
+	// to count or keep: its list is empty and stays so. Every site holds a
+	// record for every tag of the world, most of them never read there.
+	if len(rec.series) == 0 && len(rec.cands) == 0 && rec.container < 0 {
 		return
 	}
 	if cap(s.counts) < len(e.containers) {
@@ -161,7 +136,7 @@ func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, ix *contIndex) {
 		if id < 0 {
 			return
 		}
-		if ci, ok := e.contIndex[id]; ok && counts[ci] > 0 {
+		if c := e.tag(id); c != nil && c.isContainer && counts[c.ci] > 0 {
 			return // already scored
 		}
 		for _, sc := range scored[forcedFrom:] {
@@ -213,9 +188,6 @@ func (e *Engine) pruneCandidates(s *scratch, rec *tagRec, ix *contIndex) {
 			rec.priorW = append(rec.priorW, rec.priorDefault)
 		}
 	}
-	rec.candValid = true
-	rec.candVer = rec.seriesVer
-	rec.candCont = rec.container
 }
 
 // build turns flat — the container readings in flatten order, ci ascending

@@ -163,9 +163,10 @@ func checkPruneAgainstScan(t *testing.T, e *Engine, stage string) {
 // right: one epoch per bucket (the counting sort's table as it falls out),
 // coarse buckets for epochs spread too thin for that, own readings before
 // the index's first epoch and past its last, an empty epoch between two
-// populated ones, an index of one reading and of none, and a second build
-// that reuses the flatten after only an object changed — whose offsets must
-// still be the reused readings' own.
+// populated ones, an index of one reading and of none, builds after an
+// object change and after a container change, and objects without a reading
+// that hold imported candidates, an assignment, or neither (the last is the
+// one pruning returns early for).
 func TestPruneIndexMatchesScan(t *testing.T) {
 	lik := testLik(t)
 	conts := []model.TagID{100, 101, 102, 103}
@@ -223,30 +224,33 @@ func TestPruneIndexMatchesScan(t *testing.T) {
 				Object: 2, Container: 103,
 				Candidates: []model.TagID{102, 101, 100}, Weights: []float64{-1, -9, -2}, DefaultWeight: -5,
 			})
+			// Objects never read here: one with imported candidates, one
+			// with only an assignment, one with neither.
+			e.ImportCollapsed(CollapsedState{
+				Object: 4, Container: -1,
+				Candidates: []model.TagID{101, 103}, Weights: []float64{-3, -7}, DefaultWeight: -4,
+			})
+			e.RegisterObject(5)
+			e.tags[5].container = 102
+			e.RegisterObject(6)
 			dense(obs)
 			checkPruneAgainstScan(t, e, "first build")
 			if e.cont.shift != 0 || int(e.cont.lo) != 10 || len(e.cont.off) != 52 {
 				t.Fatalf("index lo %d shift %d, %d offsets; want one bucket per epoch of [10, 60]", e.cont.lo, e.cont.shift, len(e.cont.off))
 			}
 
-			// An object-only change: the flatten, and its offsets, are reused.
-			if !e.contFlatClean {
-				t.Fatal("the build left the flatten marked stale")
-			}
-			reads, off := &e.cont.reads[0], slices.Clone(e.cont.off)
+			// An object-only change, then a container change.
 			obs(71, 1, 0)
 			obs(33, 3, 1)
-			e.tags[2].container = 100 // a changed assignment forces that object's rebuild too
-			checkPruneAgainstScan(t, e, "reused flatten")
-			if &e.cont.reads[0] != reads || !slices.Equal(e.cont.off, off) {
-				t.Fatal("an object-only change rebuilt the index")
-			}
-
-			// A container change rebuilds it, into the other buffer.
+			e.tags[2].container = 100
+			checkPruneAgainstScan(t, e, "object change")
 			obs(31, 101, 0)
-			checkPruneAgainstScan(t, e, "rebuilt flatten")
-			if &e.cont.reads[0] == reads {
-				t.Fatal("a container change reused the index")
+			checkPruneAgainstScan(t, e, "container change")
+			if got := e.tags[4].cands; len(got) != 2 {
+				t.Fatalf("object 4 candidates %v, want its two imported ones kept", got)
+			}
+			if got := e.tags[6].cands; len(got) != 0 {
+				t.Fatalf("object 6 candidates %v, want none", got)
 			}
 		}
 	})

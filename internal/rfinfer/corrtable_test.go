@@ -255,7 +255,6 @@ func (cc *corrCases) reshuffle(t *testing.T, e *Engine) {
 		case 3:
 			e.tag(rec.cands[len(rec.cands)-1]).post.ver++
 		}
-		rec.candValid = false
 		if done++; done == 16 {
 			break
 		}

@@ -141,6 +141,10 @@ type tagRec struct {
 	// resets, state imports): the cheap change signal behind the M-step's
 	// evidence memo.
 	seriesVer uint32
+	// ci is a container's index into Engine.containers, written by every
+	// candidate build's flatten (declared here, beside seriesVer, to fill
+	// what would be padding).
+	ci int32
 
 	// Object state.
 	cands  []model.TagID
@@ -179,27 +183,16 @@ type tagRec struct {
 
 	// Incremental Δ-checkpoint state (see PERFORMANCE.md). dirty marks that
 	// the tag's series or migrated state changed since the end of the
-	// previous Run. candVer/candCont stamp the series version and
-	// containment assignment the candidate list was last built against
-	// (candValid marks the stamps usable), letting
-	// buildCandidates keep the list for objects whose co-occurrence inputs
-	// are provably unchanged. evSeq is the Run sequence that last recomputed
-	// rec.ev: when it is not the current Run's, every input of the
-	// critical-region search is bit-identical to the previous Run's, so the
-	// verdict already stored in rec.cr carries forward. addFloor is the
-	// lowest epoch observed (or merged) into the series since the end of
-	// the previous Run (epochMax when none was): the E-step memo keeps the
-	// posterior rows below it, and with trCR, the critical region the last
-	// truncation pass filtered against, it lets truncate prove a pass drops
-	// nothing.
-	dirty     bool
-	candValid bool
-	candVer   uint32
-	candCont  model.TagID
-	addFloor  model.Epoch
-	trCR      window
-	evSeq     uint64
-	prevWins  []window // keepWins of the previous truncation (containers)
+	// previous Run. evSeq is the Run sequence that last recomputed rec.ev:
+	// when it is not the current Run's, every input of the critical-region
+	// search is bit-identical to the previous Run's, so the verdict already
+	// stored in rec.cr carries forward. addFloor is the lowest epoch observed
+	// (or merged) into the series since the end of the previous Run
+	// (epochMax when none was): the E-step memo keeps the posterior rows
+	// below it.
+	dirty    bool
+	addFloor model.Epoch
+	evSeq    uint64
 }
 
 // posterior is a container's location posterior q_tc at its active epochs,
@@ -537,37 +530,22 @@ type Engine struct {
 
 	// Incremental Δ-checkpoint bookkeeping (see incremental.go). dirtyTags
 	// counts tags flagged dirty since the end of the last Run (== the number
-	// of set tagRec.dirty flags). contChangedFloor is the lowest epoch at
-	// which any container's series changed since the last candidate build
-	// (epochMax when none did); contFlatClean marks the flattened
-	// co-occurrence index still valid. truncValid/truncFrom/truncNow record
-	// the boundary of the last truncation pass, anchoring the proof that a
-	// later pass drops nothing. noCarry disables every carry-forward fast
+	// of set tagRec.dirty flags). noCarry disables every carry-forward fast
 	// path — between Runs (every posterior is recomputed from scratch on
 	// its first visit in a Run), and the M-step's evidence memo between EM
 	// iterations too — the equivalence tests' reference mode.
-	dirtyTags        int
-	contChangedFloor model.Epoch
-	contFlatClean    bool
-	truncValid       bool
-	truncFrom        model.Epoch
-	truncNow         model.Epoch
-	noCarry          bool
+	dirtyTags int
+	noCarry   bool
 
 	// The flattened co-occurrence index candidate pruning reads, reused
-	// across Runs, and the dense container numbering its entries carry.
-	cont      contIndex
-	contIndex map[model.TagID]int
+	// across Runs.
+	cont contIndex
 }
 
 // New returns an engine for a site with the given observation model
 // (measured read rates plus reader schedule).
 func New(lik *model.Likelihood, cfg Config) *Engine {
-	return &Engine{
-		lik:              lik,
-		cfg:              cfg,
-		contChangedFloor: epochMax,
-	}
+	return &Engine{lik: lik, cfg: cfg}
 }
 
 // tagTable holds the engine's tag records indexed by tag id, so reaching a
@@ -677,9 +655,6 @@ func (e *Engine) Register(tags []TagDecl) {
 		e.setTag(t.ID, rec)
 		if t.Container {
 			e.containers = insertSorted(e.containers, t.ID)
-			// Registration shifts the dense container indices the
-			// flattened co-occurrence index is keyed by.
-			e.contFlatClean = false
 		} else {
 			e.objects = insertSorted(e.objects, t.ID)
 		}

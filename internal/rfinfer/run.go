@@ -250,13 +250,10 @@ func (rec *tagRec) resetSeriesFrom(from model.Epoch) {
 
 // truncate drops readings that the configured strategy no longer needs,
 // filtering every series in place and recording dropped epochs for the
-// memo refresh. Filtering is skipped per tag when it provably drops
-// nothing: either the whole series already sits inside the new window, or
-// the invariant of the previous pass plus a scan of the narrow zone the
-// advancing boundary uncovers shows every exposed reading protected (see
-// truncZoneClean). A skipped tag keeps its series version, so the carried
-// memos above stay anchored. The walk also sums every tag's storage, as it
-// leaves it, for RunStats.
+// memo refresh. A tag whose whole series already sits inside the new window
+// is not filtered: the pass would drop nothing. A filter that drops nothing
+// keeps the series version, so the carried memos above stay anchored. The
+// walk also sums every tag's storage, as it leaves it, for RunStats.
 func (e *Engine) truncate(now model.Epoch) {
 	e.storage = storageSum{}
 	if e.cfg.Truncation == TruncateNone {
@@ -266,33 +263,25 @@ func (e *Engine) truncate(now model.Epoch) {
 		return
 	}
 	carry := !e.noCarry
-	// The zone argument additionally needs the previous pass's boundary to
-	// exist and time to have moved forward past it.
-	zone := carry && e.truncValid && now >= e.truncNow
 
 	if e.cfg.Truncation == TruncateWindow {
 		win := window{From: now - e.cfg.FixedWindow, To: now + 1}
 		for rec := range e.allTags {
-			switch {
-			case carry && seriesAllIn(rec.series, win.From, now):
-			case zone && e.truncZoneClean(rec, win.From, now, window{}, nil):
-			default:
+			if !carry || !seriesAllIn(rec.series, win.From, now) {
 				filterSeries(rec, win, window{}, nil)
 			}
 			e.storage.addTag(rec)
 		}
-		e.truncValid, e.truncFrom, e.truncNow = true, win.From, now
 		return
 	}
 
 	// CR strategy: an object keeps its critical region plus recent history;
 	// a container keeps the union of its candidate-objects' critical
-	// regions plus recent history. keepWins double-buffers against prevWins
-	// so the zone skip can require the protected windows unchanged.
+	// regions plus recent history.
 	recent := window{From: now - e.cfg.RecentHistory, To: now + 1}
 	for _, cid := range e.containers {
 		rec := e.tag(cid)
-		rec.keepWins, rec.prevWins = rec.prevWins[:0], rec.keepWins
+		rec.keepWins = rec.keepWins[:0]
 	}
 	for _, oid := range e.objects {
 		rec := e.tag(oid)
@@ -303,28 +292,18 @@ func (e *Engine) truncate(now model.Epoch) {
 				}
 			}
 		}
-		switch {
-		case carry && seriesAllIn(rec.series, recent.From, now):
-			rec.trCR = rec.cr
-		case zone && rec.cr == rec.trCR && e.truncZoneClean(rec, recent.From, now, rec.cr, nil):
-		default:
+		if !carry || !seriesAllIn(rec.series, recent.From, now) {
 			filterSeries(rec, recent, rec.cr, nil)
-			rec.trCR = rec.cr
 		}
 		e.storage.addTag(rec)
 	}
 	for _, cid := range e.containers {
 		rec := e.tag(cid)
-		switch {
-		case carry && seriesAllIn(rec.series, recent.From, now):
-		case zone && slices.Equal(rec.keepWins, rec.prevWins) &&
-			e.truncZoneClean(rec, recent.From, now, window{}, rec.keepWins):
-		default:
+		if !carry || !seriesAllIn(rec.series, recent.From, now) {
 			filterSeries(rec, recent, window{}, rec.keepWins)
 		}
 		e.storage.addTag(rec)
 	}
-	e.truncValid, e.truncFrom, e.truncNow = true, recent.From, now
 }
 
 // filterSeries keeps only readings inside the recent window, the cr window,

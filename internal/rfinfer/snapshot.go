@@ -170,9 +170,8 @@ func (e *Engine) ImportState(st EngineState) error {
 		rec.series = append(rec.series[:0], e.sanitizeSeries(os.Series)...)
 		rec.seriesVer++
 		// The wholesale replacement voids every incremental carry for the
-		// tag: candidate list, truncation invariant, CR verdict provenance.
+		// tag: posterior rows, evidence, CR verdict provenance.
 		e.markDirty(rec)
-		rec.candValid = false
 		rec.addFloor = epochMin
 		rec.evSeq = 0
 		rec.ev = nil
@@ -192,7 +191,6 @@ func (e *Engine) ImportState(st EngineState) error {
 		rec.seriesVer++
 		e.markDirty(rec)
 		rec.addFloor = epochMin
-		e.noteContainerChange(epochMin)
 		// Restore the posterior for between-Run readers, but leave the memo
 		// invalid: the next Run recomputes from the restored histories,
 		// which the memo-vs-fresh invariant makes bit-identical. A

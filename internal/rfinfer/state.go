@@ -151,10 +151,9 @@ func (e *Engine) ImportCollapsed(st CollapsedState) {
 	rec.priorW = append([]float64(nil), st.Weights...)
 	rec.priorDefault = st.DefaultWeight
 	// Migrated candidates and priors arrive outside the series-version
-	// change signal, so flag the record explicitly: the next candidate
-	// build must not keep the pre-import list.
+	// change signal, so flag the record explicitly: the checkpoint's dirty
+	// count includes the import.
 	e.markDirty(rec)
-	rec.candValid = false
 	for _, cid := range st.Candidates {
 		e.RegisterContainer(cid)
 	}
