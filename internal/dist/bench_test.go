@@ -192,10 +192,10 @@ func TestPaperDenseSearchCounters(t *testing.T) {
 	if segReused != 201533 || segComputed != 470656 {
 		t.Fatalf("evidence columns kept %d, rescored %d; want 201533, 470656", segReused, segComputed)
 	}
-	if postComputed != 3389 || postSkipped != 11558 || rowsReused != 76288 ||
-		rowsComputed != 184356 || groupsDirty != 2842 {
+	if postComputed != 2214 || postSkipped != 11558 || rowsReused != 76288 ||
+		rowsComputed != 184356 || groupsDirty != 1667 {
 		t.Fatalf("posteriors computed %d, carried %d, rows reused %d, rows computed %d, groups dirty %d; "+
-			"want 3389, 11558, 76288, 184356, 2842",
+			"want 2214, 11558, 76288, 184356, 1667",
 			postComputed, postSkipped, rowsReused, rowsComputed, groupsDirty)
 	}
 }

@@ -38,15 +38,27 @@ func (e *Engine) eStep() {
 			}
 			from = min(floor, rec.postThrough+1)
 		}
-		if rec.computedSeq != e.runSeq {
-			e.nGroupsDirty.Add(1)
+		if len(group) == 0 && len(rec.series) == 0 && len(rec.post.epochs) == 0 {
+			// Nothing read and nothing held: the posterior is empty, which
+			// it already is. It is left as a compute would leave it — the
+			// shape, the (empty) prefix, a new version — without one. This
+			// is not a carry, so the reference mode takes this way too; a
+			// site's never-read containers leave its groups clean.
+			p := &rec.post
+			p.n = e.lik.N()
+			p.ver++
+			p.refreshAdv(e.lik)
+		} else {
+			if rec.computedSeq != e.runSeq {
+				e.nGroupsDirty.Add(1)
+			}
+			e.computePosterior(rec, group, from, s)
+			e.nComputed.Add(1)
 		}
-		e.computePosterior(rec, group, from, s)
 		rec.group = append(rec.group[:0], group...)
 		rec.postThrough = e.now
 		rec.postValid = true
 		rec.computedSeq = e.runSeq
-		e.nComputed.Add(1)
 	})
 }
 

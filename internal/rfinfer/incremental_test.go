@@ -298,3 +298,35 @@ func compareEngines(t *testing.T, ck int, inc, ref *Engine, now model.Epoch) {
 		}
 	}
 }
+
+// TestUnreadSiteRunsClean holds a site that has read nothing to a clean
+// first checkpoint: every site registers every tag of the world, most of
+// them never read there, and a container with no reading and no member has
+// an empty posterior that needs no compute — so the first Run computes no
+// posterior and calls no group dirty, in the reference mode too. The first
+// reading then makes exactly its container's group dirty.
+func TestUnreadSiteRunsClean(t *testing.T) {
+	for _, noCarry := range []bool{false, true} {
+		e := New(testLik(t), DefaultConfig())
+		e.noCarry = noCarry
+		for c := model.TagID(100); c < 110; c++ {
+			e.RegisterContainer(c)
+		}
+		for o := model.TagID(0); o < 50; o++ {
+			e.RegisterObject(o)
+		}
+		e.Run(300)
+		if st := e.Stats(); st.GroupsDirty != 0 || st.PosteriorsComputed != 0 || st.DirtyTags != 0 {
+			t.Errorf("noCarry=%v: a site that read nothing reported %d groups dirty, %d posteriors computed, %d dirty tags after its first Run; want 0",
+				noCarry, st.GroupsDirty, st.PosteriorsComputed, st.DirtyTags)
+		}
+		if err := e.Observe(301, 100, 0); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(600)
+		if st := e.Stats(); st.GroupsDirty != 1 || st.PosteriorsComputed != 1 {
+			t.Errorf("noCarry=%v: one container reading made %d groups dirty and computed %d posteriors; want 1 and 1",
+				noCarry, st.GroupsDirty, st.PosteriorsComputed)
+		}
+	}
+}
