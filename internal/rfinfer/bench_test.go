@@ -244,8 +244,8 @@ func BenchmarkCRSearch(b *testing.B) {
 	b.ReportMetric(windows, "windows/search")
 }
 
-// BenchmarkPruneCandidates measures candidate pruning for every object of
-// one site against a standing co-occurrence index: 40 containers' readings
+// BenchmarkPruneCandidates measures a candidate build — the co-occurrence
+// flatten, then pruning for every object — of one site: 40 containers' readings
 // over ~600 retained epochs, 20 objects each, an object's tag read about
 // every sixth epoch — so five epochs in six of the index are none of a given
 // object's business.
